@@ -1,40 +1,141 @@
 """Modular data containers, Verlinde fusion, simple currents, invariants.
 
-All arithmetic is exact over cyclotomic numbers.  The brute-force invariant
-search solves the commutant linear system over the rationals and enumerates
-bounded nonnegative integer points.
+All arithmetic is exact over cyclotomic numbers.  Matrix work (``mat_mul``,
+``verlinde`` and the S-commutation check) goes through one integer kernel
+instead of per-entry ``Cyclotomic`` arithmetic:
+
+* The matrices of one computation are written over one conductor N (the lcm
+  of their entry orders), each over one common denominator, so every entry
+  becomes an integer polynomial in zeta_N.
+* Kronecker substitution: a polynomial Sum c_k x^k is packed as the integer
+  Sum c_k 2^(B k), taken modulo 2^(B N) - 1.  Since x^N - 1 maps to 0, this
+  is a ring homomorphism from Z[x]/(x^N - 1) into the integers mod
+  2^(B N) - 1, so a whole dot product of polynomials is a sum of big-int
+  products, and exponents fold mod N by themselves.
+* Exactness: the homomorphism is injective on polynomials whose
+  coefficients are smaller than 2^(B-2) in absolute value.  A coefficient
+  of a dot product of length L is at most L times the product of the
+  largest l1 norms of the entries of its factors (||pq||_1 <= ||p||_1
+  ||q||_1).  B is chosen from that bound plus a sign bit and one guard bit,
+  so the signed B-bit digits unpacked from a result are exactly its
+  coefficients, with no overflow check or fallback.  They are reduced
+  modulo Phi_N only where a value or an equality is needed.
+
+The brute-force invariant search solves the commutant linear system over the
+rationals and enumerates bounded nonnegative integer points.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import lcm
 
-from .abelian import FinAbGroup, GuardError, abelian_structure
-from .scalars import Cyclotomic
+from .abelian import GuardError, abelian_structure
+from .scalars import Cyclotomic, reduce_mod_phi
 
 BRUTE_GUARD = 64
 
 
-# -- matrix helpers over Cyclotomic -------------------------------------------
+# -- exact integer kernel for matrices over Q(zeta_N) -------------------------
+
+
+def _conductor(*mats) -> int:
+    return lcm(*(x.order for M in mats for row in M for x in row))
+
+
+def _integral(M, N: int):
+    """(D, rows of {k: c}) with M[i][j] = Sum c zeta_N^k / D, every c an integer."""
+    den = lcm(*(c.denominator for row in M for x in row for _, c in x.terms()))
+    out = []
+    for row in M:
+        irow = []
+        for x in row:
+            step = N // x.order
+            irow.append(
+                {k * step: c.numerator * (den // c.denominator) for k, c in x.terms()}
+            )
+        out.append(irow)
+    return den, out
+
+
+def _norm(rows) -> int:
+    """Largest l1 norm of an integer polynomial entry."""
+    return max((sum(map(abs, p.values())) for row in rows for p in row), default=0)
+
+
+class _Packing:
+    """Z[x]/(x^N - 1) inside the integers mod 2^(B N) - 1, with x = 2^B.
+
+    Any result whose coefficients are at most ``bound`` in absolute value
+    unpacks exactly.
+    """
+
+    __slots__ = ("N", "width", "shift", "M", "half", "bias")
+
+    def __init__(self, N: int, bound: int):
+        # |c| <= bound < 2^(B-2) keeps every biased digit c + 2^(B-1) inside
+        # [1, 2^B - 2]: no borrow crosses digits, and the all-ones string
+        # (which is M, i.e. 0) cannot occur.
+        self.N = N
+        self.width = (bound.bit_length() + 2 + 7) // 8  # bytes per digit
+        self.shift = 8 * self.width
+        self.M = (1 << (self.shift * N)) - 1
+        self.half = 1 << (self.shift - 1)
+        self.bias = self.half * (self.M // ((1 << self.shift) - 1))
+
+    def pack(self, p: dict) -> int:
+        return sum(c << (self.shift * k) for k, c in p.items()) % self.M
+
+    def reduced(self, v: int) -> list[int]:
+        """Coefficients of the packed value v, reduced modulo Phi_N (length N)."""
+        N, w, half = self.N, self.width, self.half
+        v %= self.M
+        if not v:  # about half of all Verlinde sums vanish before reduction
+            return [0] * N
+        raw = ((v + self.bias) % self.M).to_bytes(w * N, "little")
+        coeffs = [
+            int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * N, w)
+        ]
+        return reduce_mod_phi(coeffs, N)
+
+    def value(self, v: int, den: int) -> Cyclotomic:
+        return Cyclotomic(
+            self.N, {k: Fraction(c, den) for k, c in enumerate(self.reduced(v)) if c}
+        )
 
 
 def mat_mul(A, B):
-    n = len(A)
-    m = len(B[0])
-    k = len(B)
+    """Exact product of matrices over Q(zeta_N); entries are Cyclotomic."""
+    N = _conductor(A, B)
+    dA, iA = _integral(A, N)
+    dB, iB = _integral(B, N)
+    pk = _Packing(N, len(B) * _norm(iA) * _norm(iB))
+    pB = [[pk.pack(p) for p in row] for row in iB]
+    cols = list(zip(*pB))
+    den = dA * dB
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = Cyclotomic.zero()
-            for t in range(k):
-                if not A[i][t].is_zero() and not B[t][j].is_zero():
-                    acc = acc + A[i][t] * B[t][j]
-            row.append(acc)
-        out.append(row)
+    for row in iA:
+        terms = [(t, pk.pack(p)) for t, p in enumerate(row) if p]
+        out.append([pk.value(sum(x * col[t] for t, x in terms), den) for col in cols])
     return out
+
+
+def s_commutes(md: ModularData, matrix) -> bool:
+    """True iff the integer matrix commutes with S, decided exactly by the kernel."""
+    n = md.dim
+    N = _conductor(md.S)
+    _, iS = _integral(md.S, N)
+    zmax = max((abs(x) for row in matrix for x in row), default=0)
+    pk = _Packing(N, 2 * n * _norm(iS) * zmax)
+    P = [[pk.pack(p) for p in row] for row in iS]
+    rows = [[(t, x) for t, x in enumerate(r) if x] for r in matrix]
+    cols = [[(t, x) for t, x in enumerate(c) if x] for c in zip(*matrix)]
+    for i in range(n):
+        for j in range(n):
+            v = sum(P[i][t] * x for t, x in cols[j]) - sum(x * P[t][j] for t, x in rows[i])
+            if any(pk.reduced(v)):
+                return False
+    return True
 
 
 def mat_dagger(A):
@@ -82,7 +183,7 @@ def _is_root_of_unity(x: Cyclotomic) -> bool:
 class ModularData:
     """Labelled (S, T) pair with a distinguished unit row."""
 
-    __slots__ = ("labels", "unit", "S", "T", "_fusion", "_charge")
+    __slots__ = ("labels", "unit", "S", "T", "_fusion", "_charge", "_currents")
 
     def __init__(self, labels, unit, S, T):
         self.labels = tuple(labels)
@@ -99,6 +200,7 @@ class ModularData:
             raise ValueError("unit index out of range")
         self._fusion = None
         self._charge = None
+        self._currents = None
 
     @property
     def dim(self) -> int:
@@ -168,7 +270,11 @@ def validate_modular(md: ModularData) -> list[str]:
 
 
 def verlinde(md: ModularData):
-    """Fusion tensor N[a][b][c] via the S-matrix; entries must be nonnegative integers."""
+    """Fusion tensor N[a][b][c] via the S-matrix; entries must be nonnegative integers.
+
+    N_ab^c = Sum_k (S_ak / S_0k) S_bk conj(S_ck), one packed dot product per
+    (a, b, c), streamed over a.
+    """
     n = md.dim
     S = md.S
     inv0 = []
@@ -177,26 +283,33 @@ def verlinde(md: ModularData):
         if x.is_zero():
             raise ValueError("unit row of S has a zero entry")
         inv0.append(x.inverse())
-    Sbar = [[S[i][j].conj() for j in range(n)] for i in range(n)]
-    N = []
+    N = _conductor(S, [inv0])
+    dS, iS = _integral(S, N)
+    dI, (iI,) = _integral([inv0], N)
+    pk = _Packing(N, n * _norm(iS) ** 3 * _norm([iI]))
+    P = [[pk.pack(p) for p in row] for row in iS]
+    Pbar = [[pk.pack({-k % N: c for k, c in p.items()}) for p in row] for row in iS]
+    Pinv = [pk.pack(p) for p in iI]
+    M = pk.M
+    den = dS**3 * dI
+    out = []
     for a in range(n):
+        W = [x * y % M for x, y in zip(P[a], Pinv)]
         plane = []
         for b in range(n):
-            w = [S[a][k] * S[b][k] * inv0[k] for k in range(n)]
+            wb = [(k, w * x % M) for k, (w, x) in enumerate(zip(W, P[b])) if w and x]
             row = []
             for c in range(n):
-                acc = Cyclotomic.zero()
-                for k in range(n):
-                    acc = acc + w[k] * Sbar[c][k]
-                if not acc.is_rational():
+                coeffs = pk.reduced(sum(w * Pbar[c][k] for k, w in wb))
+                if any(coeffs[1:]):
                     raise ValueError(f"fusion coefficient not rational at {(a, b, c)}")
-                r = acc.as_rational()
-                if r.denominator != 1 or r < 0:
-                    raise ValueError(f"fusion coefficient {r} at {(a, b, c)}")
-                row.append(int(r))
+                r = coeffs[0]
+                if r % den or r < 0:
+                    raise ValueError(f"fusion coefficient {Fraction(r, den)} at {(a, b, c)}")
+                row.append(r // den)
             plane.append(tuple(row))
-        N.append(tuple(plane))
-    return tuple(N)
+        out.append(tuple(plane))
+    return tuple(out)
 
 
 class SimpleCurrentStructure:
@@ -247,6 +360,16 @@ class SimpleCurrentStructure:
 
 
 def simple_currents(md: ModularData) -> SimpleCurrentStructure:
+    """Invertible simples of md; computed once and cached on md."""
+    # The cache holds the structure's parts, not the structure, which points
+    # back at md: a reference cycle would keep every datum alive until the
+    # cyclic garbage collector ran.
+    if md._currents is None:
+        md._currents = _find_simple_currents(md)
+    return SimpleCurrentStructure(md, *md._currents)
+
+
+def _find_simple_currents(md: ModularData):
     N = md.fusion()
     n = md.dim
     conj = md.charge_conjugation()
@@ -282,8 +405,8 @@ def simple_currents(md: ModularData) -> SimpleCurrentStructure:
     sig_of = []
     signatures = []
     for a in range(n):
-        den = md.S[md.unit][a]
-        sig = tuple(md.S[label_index[j]][a] * den.inverse() for j in jlist)
+        inv = md.S[md.unit][a].inverse()
+        sig = tuple(md.S[label_index[j]][a] * inv for j in jlist)
         for idx, s in enumerate(signatures):
             if all(x == y for x, y in zip(s, sig)):
                 sig_of.append(idx)
@@ -306,9 +429,7 @@ def simple_currents(md: ModularData) -> SimpleCurrentStructure:
                     break
             if not found:
                 suff = False
-    return SimpleCurrentStructure(
-        md, group, coords, label_index, action_table, quaternionic, suff
-    )
+    return group, coords, label_index, action_table, quaternionic, suff
 
 
 class ModularInvariant:
@@ -368,12 +489,7 @@ def check_invariant(md: ModularData, matrix) -> tuple[bool, dict]:
     report["T_commutes"] = all(
         M[a][b] == 0 or md.T[a] == md.T[b] for a in range(n) for b in range(n)
     )
-    Z = [[Cyclotomic.from_rational(Fraction(x)) for x in row] for row in M]
-    SZ = mat_mul(md.S, Z)
-    ZS = mat_mul(Z, md.S)
-    report["S_commutes"] = all(
-        SZ[i][j] == ZS[i][j] for i in range(n) for j in range(n)
-    )
+    report["S_commutes"] = s_commutes(md, M)
     ok = all(report.values())
     if ok:
         sc = simple_currents(md)

@@ -59,21 +59,29 @@ def _exact_div(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-def _reduce_mod_phi(terms: dict[int, Fraction], n: int) -> tuple[Fraction, ...]:
-    """Canonical length-n coefficient vector of Sum c_k zeta_n^k mod Phi_n."""
+@lru_cache(maxsize=None)
+def _phi_support(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Degree of Phi_n and its nonzero (exponent, coefficient) pairs."""
     phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    coeffs = [Fraction(0)] * n
-    for k, c in terms.items():
-        coeffs[k % n] += c
+    return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi) if c)
+
+
+def reduce_mod_phi(coeffs: list, n: int) -> list:
+    """Reduce Sum coeffs[k] zeta_n^k (a length-n list) modulo Phi_n in place.
+
+    Afterwards every entry from deg Phi_n on is zero.  Works on any exact
+    number type (``int`` or ``Fraction``) and touches only the nonzero
+    coefficients of Phi_n; returns ``coeffs``.
+    """
+    deg, support = _phi_support(n)
     for i in range(n - 1, deg - 1, -1):
         c = coeffs[i]
         if c:
-            coeffs[i] = Fraction(0)
-            for j in range(deg):
-                if phi[j]:
-                    coeffs[i - deg + j] -= c * phi[j]
-    return tuple(coeffs)
+            # subtract c * x^(i - deg) * Phi_n; Phi_n is monic, so coeffs[i] -> 0
+            base = i - deg
+            for j, p in support:
+                coeffs[base + j] -= c * p
+    return coeffs
 
 
 class Cyclotomic:
@@ -120,8 +128,15 @@ class Cyclotomic:
     def canonical(self) -> tuple[Fraction, ...]:
         """Length-order coefficient vector, reduced modulo Phi_order."""
         if self._canon is None:
-            object.__setattr__(self, "_canon", _reduce_mod_phi(self._terms, self.order))
+            coeffs = [Fraction(0)] * self.order
+            for k, c in self._terms.items():
+                coeffs[k] = c
+            object.__setattr__(self, "_canon", tuple(reduce_mod_phi(coeffs, self.order)))
         return self._canon
+
+    def terms(self):
+        """(exponent, coefficient) pairs in powers of zeta_order; not reduced."""
+        return self._terms.items()
 
     def at_order(self, n: int) -> "Cyclotomic":
         """The same value viewed in Q(zeta_n); n must be a multiple of order."""

@@ -13,7 +13,7 @@ from math import lcm, prod
 
 from .abelian import Character, FinAbGroup, Subgroup, all_subgroups, subgroup_group
 from .forms import AlternatingPairing, Pairing, mod1, pairing_image_data
-from .modular import ModularData, ModularInvariant, mat_mul, simple_currents
+from .modular import ModularData, ModularInvariant, s_commutes, simple_currents
 from .scalars import Cyclotomic, rational_phase
 
 
@@ -227,11 +227,7 @@ def s_only_matrix(
     eps = Pairing(Jab, Jab, matrix)
     embed = _chain_embed(sc.group, chain)
     M = _matrix_from_epsilon(md, sc, Jab, embed, eps)
-    Z = [[Cyclotomic.from_rational(Fraction(x)) for x in row] for row in M]
-    SZ = mat_mul(md.S, Z)
-    ZS = mat_mul(Z, md.S)
-    n = md.dim
-    if any(SZ[i][j] != ZS[i][j] for i in range(n) for j in range(n)):
+    if not s_commutes(md, M):
         raise ValueError("matrix does not commute with S")
     return tuple(tuple(row) for row in M)
 

@@ -17,12 +17,13 @@ from modinv.modular import (
     brute_force_invariants,
     check_invariant,
     mat_mul,
+    s_commutes,
     simple_currents,
     validate_modular,
     verlinde,
 )
 from modinv.pointed import weil
-from modinv.scalars import Cyclotomic, rational_phase, root_of_unity
+from modinv.scalars import Cyclotomic, rational_phase, root_of_unity, sqrt_nonneg_int
 
 
 def std_form(factors, num=1):
@@ -175,6 +176,130 @@ class TestVerlinde:
             lhs = sum(N[a][b][e] * N[e][c][d] for e in range(n))
             rhs = sum(N[b][c][e] * N[a][e][d] for e in range(n))
             assert lhs == rhs
+
+
+def two_by_two(S):
+    """A 2-primary datum with the given S and trivial T; nothing is validated."""
+    one = Cyclotomic.one()
+    return ModularData([0, 1], 0, S, [one, one])
+
+
+def rat(x):
+    return Cyclotomic.from_rational(Fraction(x))
+
+
+class TestVerlindeFailures:
+    """Each perturbation of S fails one Verlinde check at a named (a, b, c)."""
+
+    def test_not_rational(self):
+        # unitary and symmetric, but N_11^1 = 2/sqrt(3)
+        half = Fraction(1, 2)
+        r3 = sqrt_nonneg_int(3) * half
+        md = two_by_two([[rat(half), r3], [r3, rat(-half)]])
+        with pytest.raises(ValueError, match=r"^fusion coefficient not rational at \(1, 1, 1\)$"):
+            verlinde(md)
+
+    @pytest.mark.parametrize(
+        "c,s,message",
+        [
+            (Fraction(3, 5), Fraction(4, 5), "fusion coefficient 7/12 at (1, 1, 1)"),
+            (Fraction(4, 5), Fraction(3, 5), "fusion coefficient -7/12 at (1, 1, 1)"),
+        ],
+        ids=["non-integral", "negative"],
+    )
+    def test_not_integral_or_negative(self, c, s, message):
+        # the rotation [[c, s], [s, -c]] passes every check with a = 0
+        md = two_by_two([[rat(c), rat(s)], [rat(s), rat(-c)]])
+        with pytest.raises(ValueError) as err:
+            verlinde(md)
+        assert str(err.value) == message
+
+    def test_negative_integer(self):
+        md = weil(Z2_FORM)
+        S = [list(md.S[0]), [-x for x in md.S[0]]]
+        with pytest.raises(ValueError) as err:
+            verlinde(ModularData(md.labels, md.unit, S, md.T))
+        assert str(err.value) == "fusion coefficient -1 at (0, 0, 1)"
+
+    def test_zero_in_unit_row(self):
+        md = weil(Z3_FORM)
+        S = [list(row) for row in md.S]
+        S[md.unit][2] = Cyclotomic.zero()
+        with pytest.raises(ValueError, match="unit row of S has a zero entry"):
+            verlinde(ModularData(md.labels, md.unit, S, md.T))
+
+
+# -- the matrix kernel against entrywise Cyclotomic arithmetic ------------------
+
+
+def naive_mat_mul(A, B):
+    """Reference product: entrywise Cyclotomic sums of products."""
+    out = []
+    for row in A:
+        out.append(
+            [
+                sum((row[t] * B[t][j] for t in range(len(B))), Cyclotomic.zero())
+                for j in range(len(B[0]))
+            ]
+        )
+    return out
+
+
+ORDERS = (1, 2, 3, 4, 8, 12, 24)
+coefficients = st.builds(
+    Fraction,
+    st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70)),
+    st.sampled_from((1, 1, 2, 3, 5, 12, 2**40)),
+)
+
+
+@st.composite
+def cyclotomics(draw):
+    if draw(st.integers(0, 3)) == 0:
+        return Cyclotomic.zero()
+    order = draw(st.sampled_from(ORDERS))
+    terms = draw(st.dictionaries(st.integers(0, order - 1), coefficients, max_size=4))
+    return Cyclotomic(order, terms)
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(cyclotomics(), min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def product_pairs(draw):
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    return draw(matrices(n, k)), draw(matrices(k, m))
+
+
+class TestKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(product_pairs())
+    def test_mat_mul_matches_entrywise(self, pair):
+        A, B = pair
+        got = mat_mul(A, B)
+        want = naive_mat_mul(A, B)
+        assert len(got) == len(A) and all(len(row) == len(B[0]) for row in got)
+        for grow, wrow in zip(got, want):
+            for g, w in zip(grow, wrow):
+                assert g == w
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_s_commutes_matches_entrywise(self, data):
+        md = weil(std_form((6,)))
+        n = md.dim
+        invariants = [z.matrix for z in brute_force_invariants(md)]
+        if data.draw(st.booleans()):
+            # integer combinations of invariants commute with S
+            coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(invariants), max_size=len(invariants)))
+            Z = [[sum(c * z[i][j] for c, z in zip(coeffs, invariants)) for j in range(n)] for i in range(n)]
+        else:
+            Z = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n))
+        Zc = [[rat(x) for x in row] for row in Z]
+        SZ, ZS = naive_mat_mul(md.S, Zc), naive_mat_mul(Zc, md.S)
+        expected = all(SZ[i][j] == ZS[i][j] for i in range(n) for j in range(n))
+        assert s_commutes(md, Z) == expected
 
 
 class TestSimpleCurrents:

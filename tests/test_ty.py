@@ -238,20 +238,38 @@ def test_anchor_flip_is_a_global_label_swap():
 # -- double: modular data --------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "descriptor,sign",
-    [
-        ("2^1_1", 1),
-        ("3^1_+", 1),
-        ("3^1_+", -1),
-        ("2^2_1", 1),
-        ("5^1_+", 1),
-    ],
-)
+DOUBLES = [("2^1_1", 1), ("3^1_+", 1), ("3^1_+", -1), ("2^2_1", 1), ("5^1_+", 1)]
+
+
+@pytest.mark.parametrize("descriptor,sign", DOUBLES)
 def test_double_is_modular(descriptor, sign):
     q, data = datum(descriptor, sign)
     md = ty_double(data, q)
     assert validate_modular(md) == []
+
+
+def assert_fusion_matches_float_oracle(md):
+    assert md.unit == 0  # the oracle's convention
+    N = md.fusion()
+    approx = oracle.verlinde_float([[x.approx() for x in row] for row in md.S])
+    for (a, b, c), v in approx.items():
+        assert abs(N[a][b][c] - v) < 1e-8
+
+
+@pytest.mark.parametrize("descriptor,sign", DOUBLES + [("3^1_-", 1)])
+def test_double_verlinde_matches_float_oracle(descriptor, sign):
+    q, data = datum(descriptor, sign)
+    assert_fusion_matches_float_oracle(ty_double(data, q))
+    if q.group.order % 2:
+        faithful = SqrtConvention.fusion_faithful(q, sign)
+        assert_fusion_matches_float_oracle(ty_double(data, q, faithful))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_trivial_double_verlinde_matches_float_oracle(sign):
+    G = FinAbGroup(())
+    q = QuadraticForm(G, {(): Fraction(0)})
+    assert_fusion_matches_float_oracle(ty_double(TYData(G, q.polarization(), sign), q))
 
 
 def test_double_primary_count():
