@@ -5,6 +5,11 @@ n_t | n_{t-1} | ... | n_1 and every n_i >= 2; the trivial group is the empty
 tuple.  Elements are coordinate tuples reduced mod n_i.  Subgroups are stored
 by the row Hermite normal form of their coordinate lattice, which makes
 set-equality a syntactic check.
+
+Every group read off a presentation matrix, here and in ``lattice``, goes
+through ``invariant_factor_group``: the Smith normal form with the unit
+factors dropped, in invariant-factor order.  ``GuardError`` is defined in
+``scalars`` and re-exported here.
 """
 
 from __future__ import annotations
@@ -14,13 +19,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from .scalars import Cyclotomic, rational_phase
+from .scalars import Cyclotomic, GuardError, rational_phase
 
 SUBGROUP_GUARD = 1024
-
-
-class GuardError(ValueError):
-    """Enumeration size exceeds the configured guard."""
+HOM_GUARD = 10**7
 
 
 # -- integer matrix utilities -------------------------------------------------
@@ -35,16 +37,6 @@ def mat_mul_int(A, B):
     return [
         [sum(A[i][k] * B[k][j] for k in range(m)) for j in range(p)] for i in range(n)
     ]
-
-
-def mat_vec_int(A, v):
-    return tuple(sum(row[i] * v[i] for i in range(len(v))) for row in A)
-
-
-def smith_normal_form(M):
-    """(P, D, Q) with P*M*Q = D diagonal, d_1 | d_2 | ..., P,Q unimodular."""
-    P, _, D, Q, _ = smith_with_inverses(M)
-    return P, D, Q
 
 
 def smith_with_inverses(M):
@@ -133,6 +125,34 @@ def smith_with_inverses(M):
             row_neg(t)
         t += 1
     return P, Pinv, D, Q, Qinv
+
+
+def invariant_factor_group(M):
+    """The group Z^rows / (column span of M) in invariant-factor form.
+
+    One Smith normal form P*M*Q = D (Cohen, GTM 138, sections 2.4-2.5); the
+    diagonal entries d > 1 are kept in decreasing order.  Returns
+    (G, to, frm, cols): the kept rows of P, which map Z^rows onto G's
+    coordinates; the kept columns of P^-1 and of Q, each as a matrix with
+    one column per factor of G.
+    """
+    P, Pinv, D, Q, _ = smith_with_inverses(M)
+    keep = [i for i in range(min(len(D), len(Q))) if D[i][i] > 1]
+    keep.reverse()  # invariant factors decreasing
+    G = FinAbGroup(tuple(D[i][i] for i in keep))
+    frm = [[row[i] for i in keep] for row in Pinv]
+    cols = [[row[i] for i in keep] for row in Q]
+    return G, [P[i] for i in keep], frm, cols
+
+
+def _kernel_columns(A, width: int) -> list[list[int]]:
+    """Basis of the integer kernel of A from the SNF columns of Q past its rank.
+
+    Each vector is cut to its first ``width`` coordinates.
+    """
+    _, _, D, Q, _ = smith_with_inverses(A)
+    rank = sum(1 for i in range(min(len(D), len(Q))) if D[i][i])
+    return [[Q[i][j] for i in range(width)] for j in range(rank, len(Q))]
 
 
 def hermite_rows(rows: list[list[int]], width: int) -> tuple[tuple[int, ...], ...]:
@@ -229,6 +249,11 @@ class FinAbGroup:
     def elements(self) -> list[tuple[int, ...]]:
         return list(itertools.product(*[range(n) for n in self.factors]))
 
+    def basis(self) -> list[tuple[int, ...]]:
+        """The standard generators e_1, ..., e_t."""
+        t = self.rank
+        return [tuple(int(i == j) for j in range(t)) for i in range(t)]
+
     def times(self, other: "FinAbGroup") -> "FinAbGroup":
         """Direct product, renormalized to invariant-factor form."""
         g, _, _ = canonical_presentation(self.factors + other.factors)
@@ -254,13 +279,9 @@ def _canonical_presentation_cached(factors: tuple[int, ...]):
     t = len(factors)
     if t == 0:
         return FinAbGroup(()), [], []
-    P, Pinv, D, _, _ = smith_with_inverses([[factors[i] if i == j else 0 for j in range(t)] for i in range(t)])
-    ds = [D[i][i] for i in range(t)]
-    keep = [i for i, d in enumerate(ds) if d > 1]
-    keep.reverse()  # invariant factors decreasing
-    group = FinAbGroup(tuple(ds[i] for i in keep))
-    to_canon = [P[i] for i in keep]
-    from_canon = [[Pinv[r][i] for i in keep] for r in range(t)]
+    group, to_canon, from_canon, _ = invariant_factor_group(
+        [[factors[i] if i == j else 0 for j in range(t)] for i in range(t)]
+    )
     return group, to_canon, from_canon
 
 
@@ -303,17 +324,22 @@ class Subgroup:
                 out.append(g)
         return out
 
-    def contains(self, g) -> bool:
-        g = list(self.ambient.reduce(g))
-        # solve c * lattice = g by ascending back-substitution
-        t = len(g)
-        coeff = [0] * t
-        for j in range(t):
+    def coefficients(self, g) -> list[int] | None:
+        """Integers c with sum_i c_i lattice[i] = g, or None if g is outside.
+
+        Ascending back-substitution through the triangular lattice.
+        """
+        g = self.ambient.reduce(g)
+        coeff: list[int] = []
+        for j in range(len(g)):
             rem = g[j] - sum(coeff[i] * self.lattice[i][j] for i in range(j))
             if rem % self.lattice[j][j]:
-                return False
-            coeff[j] = rem // self.lattice[j][j]
-        return True
+                return None
+            coeff.append(rem // self.lattice[j][j])
+        return coeff
+
+    def contains(self, g) -> bool:
+        return self.coefficients(g) is not None
 
     def elements(self) -> list[tuple[int, ...]]:
         if self._elems is None:
@@ -356,8 +382,7 @@ def trivial_subgroup(G: FinAbGroup) -> Subgroup:
 
 
 def full_subgroup(G: FinAbGroup) -> Subgroup:
-    t = G.rank
-    return Subgroup(G, [tuple(int(i == j) for j in range(t)) for i in range(t)])
+    return Subgroup(G, G.basis())
 
 
 def all_subgroups(G: FinAbGroup) -> list[Subgroup]:
@@ -393,12 +418,8 @@ def quotient(G: FinAbGroup, H: Subgroup):
     # rows of H.lattice span the coset lattice; quotient coordinates come from
     # the SNF row transform of its transpose
     B = [[H.lattice[i][j] for i in range(t)] for j in range(t)]
-    P, Pinv, D, _, _ = smith_with_inverses(B)
-    ds = [D[i][i] for i in range(t)]
-    keep = [i for i, d in enumerate(ds) if d > 1]
-    keep.reverse()
-    Qgrp = FinAbGroup(tuple(ds[i] for i in keep))
-    proj = Hom(G, Qgrp, [P[i] for i in keep], check=False)
+    Qgrp, to, _, _ = invariant_factor_group(B)
+    proj = Hom(G, Qgrp, to, check=False)
     reps: dict[tuple, tuple] = {}
     for g in sorted(G.elements()):
         v = proj.apply(g)
@@ -486,24 +507,16 @@ def congruence_kernel(G: FinAbGroup, rows, moduli) -> Subgroup:
             if (G.factors[i] * rows[a][i]) % moduli[a]:
                 raise ValueError("condition not constant on cosets of the relations")
     A = [[int(rows[a][i]) for i in range(t)] + [-moduli[a] if b == a else 0 for b in range(s)] for a in range(s)]
-    _, _, D, Q, _ = smith_with_inverses(A)
-    rank = sum(1 for i in range(min(s, t + s)) if D[i][i])
-    gens = []
-    for j in range(t + s):
-        if j >= rank:
-            gens.append(tuple(Q[i][j] for i in range(t)))
-    return Subgroup(G, gens)
+    return Subgroup(G, _kernel_columns(A, t))
 
 
 def hom_kernel_image(f: Hom) -> tuple[Subgroup, Subgroup]:
     ker = congruence_kernel(f.domain, [list(r) for r in f.matrix], list(f.codomain.factors))
-    t = f.domain.rank
-    basis = [tuple(int(i == j) for j in range(t)) for i in range(t)]
-    img = Subgroup(f.codomain, [f.apply(e) for e in basis])
+    img = Subgroup(f.codomain, [f.apply(e) for e in f.domain.basis()])
     return ker, img
 
 
-def homs(dom: FinAbGroup, cod: FinAbGroup, limit=10**7) -> list[Hom]:
+def homs(dom: FinAbGroup, cod: FinAbGroup) -> list[Hom]:
     """All homomorphisms dom -> cod by direct enumeration."""
     s, t = dom.rank, cod.rank
     if s == 0 or t == 0:
@@ -515,8 +528,8 @@ def homs(dom: FinAbGroup, cod: FinAbGroup, limit=10**7) -> list[Hom]:
             step = m[j] // gcd(m[j], n[i])
             choices.append(range(0, m[j], step))
     total = prod(len(c) for c in choices)
-    if total > limit:
-        raise GuardError(f"homomorphism count {total} exceeds guard")
+    if total > HOM_GUARD:
+        raise GuardError(f"homomorphism count {total} exceeds guard {HOM_GUARD}")
     out = []
     for flat in itertools.product(*choices):
         M = [list(flat[j * s : (j + 1) * s]) for j in range(t)]
@@ -524,9 +537,9 @@ def homs(dom: FinAbGroup, cod: FinAbGroup, limit=10**7) -> list[Hom]:
     return out
 
 
-def endomorphisms(G: FinAbGroup, invertible_only=False, limit=10**7):
+def endomorphisms(G: FinAbGroup, invertible_only=False):
     """All endomorphisms (or automorphisms) of G by direct enumeration."""
-    out = homs(G, G, limit)
+    out = homs(G, G)
     if invertible_only:
         out = [f for f in out if f.is_bijective()]
     return out
@@ -658,16 +671,11 @@ def abelian_structure(elements, op, identity):
     if k == 0:
         return FinAbGroup(()), {identity: ()}
     B = [[relations[r][a] for r in range(len(relations))] for a in range(k)]
-    P, _, D, _, _ = smith_with_inverses(B)
-    ds = [D[i][i] for i in range(k)]
-    keep = [i for i, d in enumerate(ds) if d > 1]
-    keep.reverse()
-    G = FinAbGroup(tuple(ds[i] for i in keep))
+    G, to, _, _ = invariant_factor_group(B)
     coords = {}
     for e, c in reps.items():
         coords[e] = tuple(
-            sum(P[i][a] * c[a] for a in range(k)) % G.factors[j]
-            for j, i in enumerate(keep)
+            sum(row[a] * c[a] for a in range(k)) % n for row, n in zip(to, G.factors)
         )
     return G, coords
 
@@ -691,40 +699,25 @@ def subgroup_group(H: Subgroup):
         + [-G.factors[i] if b == i else 0 for b in range(t)]
         for i in range(t)
     ]
-    _, _, D, Q, _ = smith_with_inverses(A)
-    rank = sum(1 for i in range(min(t, k + t)) if D[i][i])
-    rel = [
-        [Q[a][j] for a in range(k)] for j in range(k + t) if j >= rank
-    ]  # rows spanning the relation lattice
+    rel = _kernel_columns(A, k)  # rows spanning the relation lattice
     B = [[rel[r][a] for r in range(len(rel))] for a in range(k)]
-    P, Pinv, D2, _, _ = smith_with_inverses(B)
-    ds = [D2[i][i] for i in range(k)]
-    keep = [i for i, d in enumerate(ds) if d > 1]
-    keep.reverse()
-    J = FinAbGroup(tuple(ds[i] for i in keep))
-    sect_rows = [P[i] for i in keep]
+    J, sect_rows, frm, _ = invariant_factor_group(B)
 
     def embed(y):
-        c = [sum(Pinv[a][keep[j]] * y[j] for j in range(len(keep))) for a in range(k)]
+        c = [sum(row[j] * y[j] for j in range(J.rank)) for row in frm]
         out = G.zero()
         for a in range(k):
             out = G.add(out, G.scale(c[a], gens[a]))
         return out
 
-    hnf = H.lattice
-
     def section(g):
-        g = list(G.reduce(g))
-        coeff = [0] * t
-        for j in range(t):
-            rem = g[j] - sum(coeff[i] * hnf[i][j] for i in range(j))
-            if rem % hnf[j][j]:
-                raise ValueError("element outside the subgroup")
-            coeff[j] = rem // hnf[j][j]
-        c = [coeff[i] for i in range(t) if any(G.reduce(hnf[i]))]
+        coeff = H.coefficients(g)
+        if coeff is None:
+            raise ValueError("element outside the subgroup")
+        c = [coeff[i] for i in range(t) if any(G.reduce(H.lattice[i]))]
         return tuple(
-            sum(row[a] * c[a] for a in range(k)) % J.factors[jj]
-            for jj, row in enumerate(sect_rows)
+            sum(row[a] * c[a] for a in range(k)) % n
+            for row, n in zip(sect_rows, J.factors)
         )
 
     return J, embed, section

@@ -15,15 +15,15 @@ from math import lcm, prod
 from .abelian import (
     FinAbGroup,
     GuardError,
-    Hom,
     Subgroup,
     automorphisms,
     canonical_presentation,
     congruence_kernel,
-    full_subgroup,
     Character,
 )
-from .scalars import Cyclotomic, rational_phase, root_of_unity, sqrt_nonneg_int
+from .scalars import Cyclotomic, factorize, rational_phase, root_of_unity, sqrt_nonneg_int
+
+PAIRING_GUARD = 10**6
 
 
 def mod1(x) -> Fraction:
@@ -149,8 +149,8 @@ class Pairing:
     def pull_back(self, JL: FinAbGroup, JR: FinAbGroup, embedL, embedR) -> "Pairing":
         """Pairing obtained by composing with coordinate maps into each side."""
         M = [
-            [self.phase(embedL(ei), embedR(ej)) for ej in _basis(JR)]
-            for ei in _basis(JL)
+            [self.phase(embedL(ei), embedR(ej)) for ej in JR.basis()]
+            for ei in JL.basis()
         ]
         return Pairing(JL, JR, M)
 
@@ -197,11 +197,6 @@ class AlternatingPairing(Pairing):
         return self.left
 
 
-def _basis(G: FinAbGroup):
-    t = G.rank
-    return [tuple(int(i == j) for j in range(t)) for i in range(t)]
-
-
 def standard_pairing(G: FinAbGroup) -> Pairing:
     t = G.rank
     return Pairing(
@@ -212,12 +207,6 @@ def standard_pairing(G: FinAbGroup) -> Pairing:
 def zero_pairing(left: FinAbGroup, right: FinAbGroup | None = None) -> Pairing:
     right = left if right is None else right
     return Pairing(left, right, [[0] * right.rank for _ in range(left.rank)])
-
-
-def pairing_radical(p: Pairing) -> Subgroup:
-    if not p.is_square:
-        raise ValueError("radical of a square pairing only")
-    return p.radical()
 
 
 class QuadraticForm:
@@ -258,7 +247,7 @@ class QuadraticForm:
     def polarization(self) -> Pairing:
         if self._polar is None:
             G = self.group
-            basis = _basis(G)
+            basis = G.basis()
             E = [
                 [
                     mod1(self.table[ei] + self.table[ej] - self.table[G.add(ei, ej)])
@@ -326,10 +315,6 @@ class QuadraticForm:
         return QuadraticForm(G, {g: Fraction(s) for g, s in zip(elems, obj["values"])})
 
 
-def polarization(q: QuadraticForm) -> Pairing:
-    return q.polarization()
-
-
 def forms_for_pairing(gamma: Pairing) -> list[QuadraticForm]:
     """All quadratic forms whose polarization is the given pairing."""
     if not gamma.is_square or not gamma.is_symmetric():
@@ -384,7 +369,8 @@ def gauss_sum(q: QuadraticForm):
     raise ValueError("normalized Gauss sum is not an 8th root of unity")
 
 
-def _legendre(a: int, p: int) -> int:
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) in {-1, 0, 1} for an odd prime p."""
     r = pow(a % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
 
@@ -457,7 +443,7 @@ def indecomposable_form(descriptor: str):
         eps = -1 if (k % 2 == 1 and m % 8 in (3, 5)) else 1
         x3 = Cyclotomic.from_rational(Fraction(eps)) * root_of_unity(8, -m)
         return QuadraticForm(G, table), x3
-    if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, int(p**0.5) + 1, 2)):
+    if factorize(p) != {p: 1}:
         raise ValueError(f"p must be an odd prime in {descriptor!r}")
     if sub in ("+", "+1", "1"):
         s = 1
@@ -468,7 +454,7 @@ def indecomposable_form(descriptor: str):
     if s == 1:
         m = 1
     else:
-        m = next(a for a in range(2, p) if _legendre(a, p) == -1)
+        m = next(a for a in range(2, p) if legendre(a, p) == -1)
     N = p**k
     G = FinAbGroup((N,))
     table = {g: mod1(Fraction(m * g[0] * g[0], N)) for g in G.elements()}
@@ -492,8 +478,8 @@ def alternating_pairings(G: FinAbGroup) -> list[AlternatingPairing]:
     n = G.factors
     pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
     count = prod(n[j] for _, j in pairs) if pairs else 1
-    if count > 10**6:
-        raise GuardError(f"alternating pairing count {count} exceeds guard")
+    if count > PAIRING_GUARD:
+        raise GuardError(f"alternating pairing count {count} exceeds guard {PAIRING_GUARD}")
     out = []
     for choice in itertools.product(*[range(n[j]) for _, j in pairs]):
         E = [[Fraction(0)] * t for _ in range(t)]

@@ -13,32 +13,26 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 
-from sympy import Matrix, primerange
-
 from .abelian import (
-    FinAbGroup,
     GuardError,
     Subgroup,
     hermite_rows,
-    smith_with_inverses,
+    invariant_factor_group,
 )
 from .forms import (
     Pairing,
     QuadraticForm,
     forms_equivalent,
     indecomposable_form,
+    legendre,
     mod1,
 )
+from .scalars import factorize
 
 DISCRIMINANT_GUARD = 10**5
 PRIME_BOUND = 10**4
 FORM_ORDER_GUARD = 512
 FORM_RANK_GUARD = 4
-
-
-def _legendre(a: int, p: int) -> int:
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
 
 
 def _elimination_pivots(rows) -> list[Fraction]:
@@ -62,7 +56,7 @@ def _elimination_pivots(rows) -> list[Fraction]:
 class Lattice:
     """Integer Gram matrix, symmetric, even on the diagonal, positive definite."""
 
-    __slots__ = ("gram", "det", "_inv")
+    __slots__ = ("gram", "det")
 
     def __init__(self, gram):
         rows = tuple(tuple(int(x) for x in row) for row in gram)
@@ -81,21 +75,10 @@ class Lattice:
         det = prod(pivots, start=Fraction(1))
         self.gram = rows
         self.det = int(det)
-        self._inv = None
 
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    def inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Gram inverse; its columns span the dual in lattice coordinates."""
-        if self._inv is None:
-            inv = Matrix(self.gram).inv() if self.gram else Matrix(0, 0, [])
-            self._inv = tuple(
-                tuple(Fraction(int(inv[i, j].p), int(inv[i, j].q)) for j in range(self.rank))
-                for i in range(self.rank)
-            )
-        return self._inv
 
     def direct_sum(self, other: "Lattice") -> "Lattice":
         n, m = self.rank, other.rank
@@ -185,20 +168,17 @@ def discriminant(L: Lattice):
     n = L.rank
     if L.det > DISCRIMINANT_GUARD:
         raise GuardError(f"discriminant order {L.det} exceeds guard")
-    P, Pinv, D, Q, Qinv = smith_with_inverses([list(r) for r in L.gram])
-    ds = [D[i][i] for i in range(n)]
-    keep = [i for i in range(n) if ds[i] > 1]
-    keep.reverse()
-    G = FinAbGroup(tuple(ds[i] for i in keep))
+    G, _, _, cols = invariant_factor_group([list(r) for r in L.gram])
     reps = tuple(
-        DualVector(L, tuple(Fraction(Q[r][i], ds[i]) for r in range(n))) for i in keep
+        DualVector(L, tuple(Fraction(cols[r][j], d) for r in range(n)))
+        for j, d in enumerate(G.factors)
     )
     table = {}
     for g in G.elements():
         v = DualVector(
             L,
             tuple(
-                sum((g[j] * reps[j].coords[r] for j in range(len(keep))), Fraction(0))
+                sum((g[j] * reps[j].coords[r] for j in range(len(reps))), Fraction(0))
                 for r in range(n)
             ),
         )
@@ -334,20 +314,21 @@ def _verify_realization(L: Lattice, q: QuadraticForm) -> Lattice:
     return L
 
 
-def _odd_prime_glue(p: int, k: int, s: int, prime_bound: int) -> Lattice:
+def _odd_prime_glue(p: int, k: int, s: int) -> Lattice:
     """Auxiliary-prime gluing for the sign the A-series misses.
 
     Needs a prime p' = 3 mod 4 whose residue class matches the target sign
     and for which 2 p^k is a square mod p'; both the A-series coset and the
-    rank-1 + A + (A1 or E7) glue below then exist.
+    rank-1 + A + (A1 or E7) glue below then exist.  Candidates p' are
+    scanned upwards below PRIME_BOUND.
     """
     N = p**k
-    for pp in primerange(3, prime_bound):
-        if pp % 4 != 3 or pp == p:
+    for pp in range(3, PRIME_BOUND):
+        if pp % 4 != 3 or pp == p or factorize(pp) != {pp: 1}:
             continue
-        if _legendre(pp, p) != s:
+        if legendre(pp, p) != s:
             continue
-        if _legendre(2 * N, pp) != 1:
+        if legendre(2 * N, pp) != 1:
             continue
         c = next(c for c in range(1, pp) if (c * c - 2 * N) % pp == 0)
         A = named(f"A{pp - 1}")
@@ -364,7 +345,7 @@ def _odd_prime_glue(p: int, k: int, s: int, prime_bound: int) -> Lattice:
         u1 = (Fraction(1, 2),) + zeros_a + w3
         u2 = (Fraction(1, pp),) + omega + zeros_t
         return glue(base, [u1, u2])
-    raise GuardError(f"no admissible auxiliary prime below {prime_bound}")
+    raise GuardError(f"no admissible auxiliary prime below {PRIME_BOUND}")
 
 
 def _glue_scaled(k: int, mprime: int, ingredient: Lattice) -> Lattice:
@@ -376,7 +357,7 @@ def _glue_scaled(k: int, mprime: int, ingredient: Lattice) -> Lattice:
     return glue(base, [coset])
 
 
-def _realize_two_power(k: int, m: int, prime_bound: int) -> Lattice:
+def _realize_two_power(k: int, m: int) -> Lattice:
     if k == 1:
         return named("A1") if m % 4 == 1 else named("E7")
     m8 = m % 8
@@ -389,18 +370,18 @@ def _realize_two_power(k: int, m: int, prime_bound: int) -> Lattice:
     if m8 == 3:
         ingredient = named("A2") if k % 2 == 0 else named("E6")
         return _glue_scaled(k, 3, ingredient)
-    ingredient = named("A4") if k % 2 == 0 else realize("5^1_+", prime_bound)
+    ingredient = named("A4") if k % 2 == 0 else realize("5^1_+")
     return _glue_scaled(k, 5, ingredient)
 
 
-def _realize_factor(desc: str, prime_bound: int) -> Lattice:
+def _realize_factor(desc: str) -> Lattice:
     q_target, _ = indecomposable_form(desc)
     head, sub = desc.strip().rsplit("_", 1)
     if head.count("^") == 2:
         k = int(head[: len(head) // 2][2:])
         N = 2**k
         if sub == "i":
-            ingredient = _realize_two_power(k, -1, prime_bound)
+            ingredient = _realize_two_power(k, -1)
             gamma = _class_with_norm(ingredient, Fraction(-1, N))
             base = (
                 Lattice([[N]])
@@ -410,7 +391,7 @@ def _realize_factor(desc: str, prime_bound: int) -> Lattice:
             )
             coset = (Fraction(1, N), Fraction(1, N)) + gamma.coords + gamma.coords
         else:
-            ingredient = _realize_two_power(k, -3, prime_bound)
+            ingredient = _realize_two_power(k, -3)
             gamma = _class_with_norm(ingredient, Fraction(-3, N))
             base = (
                 Lattice([[N]])
@@ -424,16 +405,16 @@ def _realize_factor(desc: str, prime_bound: int) -> Lattice:
     p, k = int(p_str), int(k_str)
     if p == 2:
         return _verify_realization(
-            _realize_two_power(k, int(sub), prime_bound), q_target
+            _realize_two_power(k, int(sub)), q_target
         )
     s = 1 if sub in ("+", "+1", "1") else -1
     N = p**k
-    if _legendre((N - 1) // 2, p) == s:
+    if legendre((N - 1) // 2, p) == s:
         L = named(f"A{N - 1}")
     elif (p, k, s) == (3, 1, -1):
         L = named("E6")
     else:
-        L = _odd_prime_glue(p, k, s, prime_bound)
+        L = _odd_prime_glue(p, k, s)
     return _verify_realization(L, q_target)
 
 
@@ -462,27 +443,9 @@ def _matching_descriptor(q: QuadraticForm) -> str:
         raise GuardError(f"form rank {G.rank} exceeds guard")
     if not q.polarization().is_nondegenerate():
         raise ValueError("only nondegenerate forms decompose into indecomposables")
-    primes = []
-    x = G.order
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            primes.append(d)
-            while x % d == 0:
-                x //= d
-        d += 1
-    if x > 1:
-        primes.append(x)
     per_prime = []
-    for p in primes:
-        ks = []
-        for f in G.factors:
-            k = 0
-            while f % p == 0:
-                f //= p
-                k += 1
-            if k:
-                ks.append(k)
+    for p in factorize(G.order):
+        ks = [factorize(f)[p] for f in G.factors if f % p == 0]
         options = []
         if p == 2:
             for split in set(_two_group_splittings(tuple(ks))):
@@ -517,7 +480,7 @@ def _products(pools):
     return out
 
 
-def realize(target, prime_bound: int = PRIME_BOUND) -> Lattice:
+def realize(target) -> Lattice:
     """An even positive-definite lattice whose discriminant form is the target.
 
     Accepts an indecomposable-descriptor product or a QuadraticForm (small
@@ -526,12 +489,12 @@ def realize(target, prime_bound: int = PRIME_BOUND) -> Lattice:
     if isinstance(target, QuadraticForm):
         if target.group.order == 1:
             return Lattice(())
-        return realize(_matching_descriptor(target), prime_bound)
+        return realize(_matching_descriptor(target))
     desc = str(target).strip().replace("*", " x ")
     parts = [part.strip() for part in desc.split(" x ")]
     lat = None
     for part in parts:
-        piece = _realize_factor(part, prime_bound)
+        piece = _realize_factor(part)
         lat = piece if lat is None else lat.direct_sum(piece)
     if len(parts) > 1:
         q, _ = indecomposable_form(desc)
@@ -566,24 +529,15 @@ def lattice_quotient(L: Lattice, M: Lattice, embed):
     B = _check_embedding(L, M, embed)
     n = M.rank
     Bt = [[B[r][c] for r in range(n)] for c in range(n)]
-    P, Pinv, D, _, _ = smith_with_inverses(Bt)
-    ds = [D[i][i] for i in range(n)]
-    keep = [i for i in range(n) if ds[i] > 1]
-    keep.reverse()
-    G = FinAbGroup(tuple(ds[i] for i in keep))
+    G, to, frm, _ = invariant_factor_group(Bt)
 
     def project(v):
         return tuple(
-            sum(P[i][r] * int(v[r]) for r in range(n)) % ds[i] for i in keep
+            sum(row[r] * int(v[r]) for r in range(n)) % d for row, d in zip(to, G.factors)
         )
 
     def section(g):
-        full = [0] * n
-        for slot, i in enumerate(keep):
-            full[i] = int(g[slot])
-        return tuple(
-            sum(Pinv[r][i] * full[i] for i in range(n)) for r in range(n)
-        )
+        return tuple(sum(row[j] * int(g[j]) for j in range(G.rank)) for row in frm)
 
     return G, project, section
 

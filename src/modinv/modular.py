@@ -577,16 +577,16 @@ class _Inconsistent(Exception):
     pass
 
 
-def brute_force_invariants(md: ModularData, entry_bound: int | None = None):
+def brute_force_invariants(md: ModularData):
     """All nonnegative integer matrices commuting with S and T.
 
-    Entries are bounded by entry_bound (default: the primary count) and the
-    unit entry is fixed to 1.  Complete within the bound.
+    Entries are bounded by the primary count and the unit entry is fixed to
+    1.  Complete within the bound.
     """
     n = md.dim
     if n > BRUTE_GUARD:
         raise GuardError(f"primary count {n} exceeds guard {BRUTE_GUARD}")
-    bound = n if entry_bound is None else int(entry_bound)
+    bound = n
     positions = [
         (a, b) for a in range(n) for b in range(n) if md.T[a] == md.T[b]
     ]

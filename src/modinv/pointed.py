@@ -27,7 +27,7 @@ from .modular import ModularData, ModularInvariant
 from .scalars import Cyclotomic, rational_phase, sqrt_nonneg_int
 from .simple_current import phase_fraction
 
-DISCRIMINANT_GUARD = 64
+QUOTIENT_GUARD = 64
 
 
 class PointedData:
@@ -147,9 +147,9 @@ def enum_dpm(q: QuadraticForm) -> list[DPMParam]:
     data = isotropic_subgroups(q)
     out = []
     for plus in data:
-        if plus.group.order > DISCRIMINANT_GUARD:
+        if plus.group.order > QUOTIENT_GUARD:
             raise GuardError(
-                f"discriminant quotient of order {plus.group.order} exceeds guard"
+                f"isotropic quotient of order {plus.group.order} exceeds guard {QUOTIENT_GUARD}"
             )
         for minus in data:
             if plus.group.factors != minus.group.factors:
@@ -197,10 +197,7 @@ def square_pairing(q: QuadraticForm) -> Pairing:
     """Pairing on the square group: first factor minus second factor."""
     square, pair, split = square_group(q)
     P = q.polarization()
-    gens = []
-    for i in range(square.rank):
-        e = tuple(1 if j == i else 0 for j in range(square.rank))
-        gens.append(split(e))
+    gens = [split(e) for e in square.basis()]
     matrix = [
         [
             mod1(P.phase(ga, gb) - P.phase(ha, hb))
@@ -303,8 +300,7 @@ def jpsi_to_dpm(md: ModularData, param) -> DPMParam:
     elems = list(param.group.elements())
     emb = {z: label_of(z) for z in elems}
     images = []
-    for i in range(plus.group.rank):
-        e = tuple(1 if k == i else 0 for k in range(plus.group.rank))
+    for e in plus.group.basis():
         h = plus.lift(e)
         y = next(
             y

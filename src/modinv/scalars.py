@@ -6,6 +6,10 @@ equality, serialization or hashing-style normal forms are needed.  Mixed-order
 arithmetic promotes both operands to the lcm of their orders.  All
 coefficients are ``fractions.Fraction``; nothing here ever touches floats
 except the display-only ``approx`` helper.
+
+This lowest layer also holds what every layer above shares: ``GuardError``,
+the one error a size guard raises before it starts work, and ``factorize``,
+the one trial-division factorization.
 """
 
 from __future__ import annotations
@@ -18,15 +22,32 @@ from math import gcd, lcm
 ORDER_GUARD = 10**6
 
 
-class OrderGuardError(ValueError):
-    """Requested cyclotomic order exceeds the configured guard."""
+class GuardError(ValueError):
+    """A size exceeds its guard; raised before the guarded work starts."""
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of a positive integer by trial division.
+
+    Primes come in increasing order; factorize(1) is empty.
+    """
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def _check_order(n: int) -> None:
     if n <= 0:
         raise ValueError("cyclotomic order must be a positive integer")
     if n > ORDER_GUARD:
-        raise OrderGuardError(f"cyclotomic order {n} exceeds guard {ORDER_GUARD}")
+        raise GuardError(f"cyclotomic order {n} exceeds guard {ORDER_GUARD}")
 
 
 @lru_cache(maxsize=None)
@@ -372,13 +393,10 @@ def sqrt_nonneg_int(n: int) -> Cyclotomic:
         raise ValueError("negative input")
     if n == 0:
         return Cyclotomic.zero()
-    m, f = 1, n
-    d = 2
-    while d * d <= f:
-        while f % (d * d) == 0:
-            f //= d * d
-            m *= d
-        d += 1
+    m = f = 1
+    for p, e in factorize(n).items():
+        m *= p ** (e // 2)
+        f *= p ** (e % 2)
     out = Cyclotomic.from_rational(m)
     if f % 2 == 0:
         out = out * _sqrt2()
@@ -401,8 +419,3 @@ def _sqrt_odd_squarefree(f: int) -> Cyclotomic:
     if f % 4 == 1:
         return g
     return root_of_unity(4, -1) * g
-
-
-def compare(a: Cyclotomic, b: Cyclotomic) -> bool:
-    """True iff a and b are equal as complex numbers (canonical forms agree)."""
-    return a == b

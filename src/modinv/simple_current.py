@@ -39,10 +39,7 @@ def _chain_embed(group: FinAbGroup, chain):
 
 def _canonical_chain(sc, J: Subgroup):
     Jab, embed, _ = subgroup_group(J)
-    basis = [
-        tuple(1 if i == k else 0 for i in range(Jab.rank)) for k in range(Jab.rank)
-    ]
-    return Jab, [embed(e) for e in basis]
+    return Jab, [embed(e) for e in Jab.basis()]
 
 
 def _check_chain(sc, J: Subgroup, chain):
@@ -95,6 +92,24 @@ def _base_epsilon(sc, J: Subgroup, chain=None):
     return Jab, chain, Pairing(Jab, Jab, matrix)
 
 
+def _twisted_epsilon(sc, J: Subgroup, psi: AlternatingPairing | None, chain):
+    """(Jab, chain, psi, base + psi as a matrix); psi defaults to zero.
+
+    psi must be a pairing on the chain group Jab.
+    """
+    Jab, chain, base = _base_epsilon(sc, J, chain)
+    rank = Jab.rank
+    if psi is None:
+        psi = AlternatingPairing(Jab, [[Fraction(0)] * rank for _ in range(rank)])
+    if psi.left.factors != Jab.factors:
+        raise ValueError("psi must live on the subgroup's chain group")
+    matrix = [
+        [mod1(base.matrix[i][j] + psi.matrix[i][j]) for j in range(rank)]
+        for i in range(rank)
+    ]
+    return Jab, chain, psi, matrix
+
+
 class SCParam:
     """Current subgroup with a validated torsion form."""
 
@@ -145,15 +160,7 @@ def make_epsilon(
 ) -> SCParam:
     """Torsion parameter with epsilon = psi plus the canonical base form."""
     sc = simple_currents(md)
-    Jab, chain, base = _base_epsilon(sc, J, chain)
-    if psi is None:
-        psi = AlternatingPairing(Jab, [[Fraction(0)] * Jab.rank for _ in range(Jab.rank)])
-    if psi.left.factors != Jab.factors:
-        raise ValueError("psi must live on the subgroup's chain group")
-    matrix = [
-        [mod1(base.matrix[i][j] + psi.matrix[i][j]) for j in range(Jab.rank)]
-        for i in range(Jab.rank)
-    ]
+    Jab, chain, psi, matrix = _twisted_epsilon(sc, J, psi, chain)
     return SCParam(sc, J, Jab, chain, psi, Pairing(Jab, Jab, matrix))
 
 
@@ -207,20 +214,12 @@ def s_only_matrix(
 ):
     """S-commuting matrix from a sign-twisted chain; T-commutation may fail."""
     sc = simple_currents(md)
-    Jab, chain, base = _base_epsilon(sc, J, chain)
-    rank = Jab.rank
-    if psi is None:
-        psi = AlternatingPairing(Jab, [[Fraction(0)] * rank for _ in range(rank)])
-    matrix = [
-        [mod1(base.matrix[i][j] + psi.matrix[i][j]) for j in range(rank)]
-        for i in range(rank)
-    ]
+    Jab, chain, _, matrix = _twisted_epsilon(sc, J, psi, chain)
     if phi is not None:
         if phi.ambient.factors != Jab.factors:
             raise ValueError("phi must be a character of the chain group")
-        for i in range(rank):
-            basis = tuple(1 if k == i else 0 for k in range(rank))
-            p = phi.phase(basis)
+        for i, e in enumerate(Jab.basis()):
+            p = phi.phase(e)
             if mod1(2 * p) != 0:
                 raise ValueError("phi must square to the trivial character")
             matrix[i][i] = mod1(matrix[i][i] + p)

@@ -681,7 +681,7 @@ def ty_module_nimrep(data: TYData, H: Subgroup, psi: AlternatingPairing | None =
     cs = [("c", c) for c in Q.elements()]
     labels = xs + cs
     index = {la: k for k, la in enumerate(labels)}
-    rgens = [tuple(int(i == j) for j in range(Rab.rank)) for i in range(Rab.rank)]
+    rgens = Rab.basis()
 
     def dual_shift(g):
         """Element of Rab pairing like the ambient pairing against g."""

@@ -1,5 +1,6 @@
 """Group layer: SNF/HNF, subgroup lattice, quotients, homs, characters."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,9 +24,9 @@ from modinv.abelian import (
     full_subgroup,
     hermite_rows,
     hom_kernel_image,
+    invariant_factor_group,
     mat_mul_int,
     quotient,
-    smith_normal_form,
     smith_with_inverses,
     trivial_subgroup,
 )
@@ -55,7 +56,7 @@ def snf_check(M):
 
 class TestSmith:
     def test_fixed_example(self):
-        P, D, Q = smith_normal_form([[2, 4], [-2, 6]])
+        _, _, D, _, _ = smith_with_inverses([[2, 4], [-2, 6]])
         assert [D[0][0], D[1][1]] == [2, 10]
         snf_check([[2, 4], [-2, 6]])
 
@@ -81,6 +82,49 @@ class TestSmith:
     @settings(max_examples=120, deadline=None)
     def test_random(self, M):
         snf_check(M)
+
+
+class TestInvariantFactorGroup:
+    def test_random_nonsingular(self):
+        rng = random.Random(20031)
+        tried = 0
+        while tried < 150:
+            n = rng.randint(1, 4)
+            M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            det = _det(M)
+            if det == 0:
+                continue
+            tried += 1
+            G, to, frm, cols = invariant_factor_group(M)
+            assert G.order == abs(det)
+            assert all(a % b == 0 for a, b in zip(G.factors, G.factors[1:]))
+            assert len(to) == len(cols[0]) == G.rank
+            # to kills the column span of M and inverts frm on G's coordinates
+            toM = mat_mul_int(to, M)
+            assert all(x % d == 0 for row, d in zip(toM, G.factors) for x in row)
+            # M maps Q's kept column j into d_j Z^n
+            Mc = mat_mul_int(M, cols)
+            assert all(row[j] % d == 0 for row in Mc for j, d in enumerate(G.factors))
+            tofrm = mat_mul_int(to, frm)
+            for i, d in enumerate(G.factors):
+                for j in range(G.rank):
+                    assert (tofrm[i][j] - (i == j)) % d == 0
+
+    def test_trivial_and_cyclic(self):
+        G, to, frm, cols = invariant_factor_group([[1, 0], [0, 1]])
+        assert G == FinAbGroup(()) and to == [] and frm == [[], []]
+        G, _, _, _ = invariant_factor_group([[2, 0], [0, 3]])
+        assert G.factors == (6,)
+
+
+def _det(M):
+    """Integer determinant by Laplace expansion along the first row."""
+    if len(M) == 1:
+        return M[0][0]
+    return sum(
+        (-1) ** j * M[0][j] * _det([row[:j] + row[j + 1 :] for row in M[1:]])
+        for j in range(len(M))
+    )
 
 
 class TestHermite:
@@ -376,7 +420,7 @@ class TestAutomorphisms:
 
     def test_guard(self):
         with pytest.raises(GuardError):
-            endomorphisms(FinAbGroup((2,) * 10), limit=10**6)
+            endomorphisms(FinAbGroup((2,) * 10))
 
 
 class TestCharacters:

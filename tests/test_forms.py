@@ -28,8 +28,6 @@ from modinv.forms import (
     indecomposable_form,
     mod1,
     pairing_image_data,
-    pairing_radical,
-    polarization,
     standard_pairing,
     zero_pairing,
 )
@@ -48,7 +46,7 @@ class TestPairing:
         G = FinAbGroup((2, 2))
         p = standard_pairing(G)
         assert p.matrix == ((F(1, 2), F(0)), (F(0), F(1, 2)))
-        assert pairing_radical(p).order == 1
+        assert p.radical().order == 1
 
     def test_trivial_group(self):
         p = standard_pairing(FinAbGroup(()))
@@ -64,11 +62,11 @@ class TestPairing:
 
     def test_radical(self):
         Z4 = FinAbGroup((4,))
-        assert pairing_radical(standard_pairing(Z4)).order == 1
+        assert standard_pairing(Z4).radical().order == 1
         halved = Pairing(Z4, Z4, [[F(1, 2)]])
-        rad = pairing_radical(halved)
+        rad = halved.radical()
         assert set(rad.elements()) == {(0,), (2,)}
-        assert set(pairing_radical(zero_pairing(Z4)).elements()) == {(0,), (1,), (2,), (3,)}
+        assert set(zero_pairing(Z4).radical().elements()) == {(0,), (1,), (2,), (3,)}
 
     def test_eval_matches_float(self):
         G = FinAbGroup((6,))
@@ -155,19 +153,19 @@ class TestQuadraticForm:
         G = FinAbGroup((3,))
         q = QuadraticForm(G, {(0,): 0, (1,): F(1, 3), (2,): F(1, 3)})
         assert q.phase((2,)) == F(1, 3)
-        pol = polarization(q)
+        pol = q.polarization()
         assert pol.matrix == ((F(1, 3),),)
 
     def test_z3_doubled_form(self):
         # polarization of the doubled form has matrix [[2/3]]
         G = FinAbGroup((3,))
         q = QuadraticForm(G, {(0,): 0, (1,): F(2, 3), (2,): F(2, 3)})
-        assert polarization(q).matrix == ((F(2, 3),),)
+        assert q.polarization().matrix == ((F(2, 3),),)
 
     def test_z4_eighth_root_form(self):
         G = FinAbGroup((4,))
         q = QuadraticForm(G, {(0,): 0, (1,): F(1, 8), (2,): F(1, 2), (3,): F(1, 8)})
-        assert polarization(q).matrix == ((F(3, 4),),)
+        assert q.polarization().matrix == ((F(3, 4),),)
         assert q.pair_phase((1,), (1,)) == F(3, 4)
 
     def test_rejects_broken_tables(self):
@@ -181,11 +179,11 @@ class TestQuadraticForm:
         # additive character: biadditivity of the polarization fails only at
         # nondegeneracy, so a flat table is still a valid (degenerate) form
         flat = QuadraticForm(G, {g: 0 for g in G.elements()})
-        assert pairing_radical(polarization(flat)).order == 4
+        assert flat.polarization().radical().order == 4
 
     def test_trivial_group(self):
         q = QuadraticForm(FinAbGroup(()), {(): 0})
-        assert polarization(q).matrix == ()
+        assert q.polarization().matrix == ()
 
     def test_times_character_and_conj(self):
         G = FinAbGroup((4,))
@@ -241,7 +239,7 @@ class TestFormsForPairing:
         l = sum(1 for n in factors if n % 2 == 0)
         assert len(forms) == 2**l
         for q in forms:
-            assert polarization(q) == gamma
+            assert q.polarization() == gamma
         assert len(set(forms)) == len(forms)
         # quotient of any two is a character of order at most 2
         base = forms[0]

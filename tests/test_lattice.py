@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modinv import lattice
 from modinv.abelian import FinAbGroup, GuardError, Subgroup
 from modinv.forms import (
     QuadraticForm,
@@ -311,9 +312,10 @@ def test_realize_rejects_degenerate_form():
         realize(zero)
 
 
-def test_realize_prime_bound_guard():
+def test_realize_prime_bound_guard(monkeypatch):
+    monkeypatch.setattr(lattice, "PRIME_BOUND", 5)
     with pytest.raises(GuardError):
-        realize("5^1_+", prime_bound=5)
+        realize("5^1_+")
 
 
 def test_realize_rejects_malformed_descriptor():

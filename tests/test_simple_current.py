@@ -341,6 +341,18 @@ class TestSOnly:
         with pytest.raises(ValueError):
             s_only_matrix(md, J, phi=phi)
 
+    @pytest.mark.parametrize("factors", [(3, 3, 3), (3,)])
+    def test_rejects_psi_off_the_chain_group(self, factors):
+        # J is the whole current group Z3 x Z3; psi lives on another group
+        md = weil(indecomposable_form("3^1_+ x 3^1_+")[0])
+        sc, J = current_subgroup(md, [(1, 0), (0, 1)])
+        assert J.order == 9
+        psi = AlternatingPairing(FinAbGroup(factors), [[Fraction(0)] * len(factors) for _ in factors])
+        with pytest.raises(ValueError):
+            make_epsilon(md, J, psi)
+        with pytest.raises(ValueError):
+            s_only_matrix(md, J, psi)
+
 
 class TestNormalization:
     def test_row_sums_match_kernel_orbits(self):
