@@ -17,8 +17,9 @@ from .abelian import (
     GuardError,
     Subgroup,
     automorphisms,
-    canonical_presentation,
     congruence_kernel,
+    full_subgroup,
+    product_with_maps,
     Character,
 )
 from .scalars import Cyclotomic, factorize, rational_phase, root_of_unity, sqrt_nonneg_int
@@ -107,26 +108,11 @@ class Pairing:
             exps.append(int(r * m) % m)
         return Character(self.right, exps)
 
-    def _radical(self, side: str) -> Subgroup:
-        E = self.matrix if side == "left" else [
-            [self.matrix[i][j] for i in range(self.left.rank)]
-            for j in range(self.right.rank)
-        ]
-        grp = self.left if side == "left" else self.right
-        other_rank = self.right.rank if side == "left" else self.left.rank
-        rows, moduli = [], []
-        for j in range(other_rank):
-            col = [E[i][j] for i in range(grp.rank)]
-            d = lcm(1, *(c.denominator for c in col))
-            rows.append([int(c * d) for c in col])
-            moduli.append(d)
-        return congruence_kernel(grp, rows, moduli)
-
     def radical(self) -> Subgroup:
-        return self._radical("left")
+        return self.perp(full_subgroup(self.right))
 
     def right_radical(self) -> Subgroup:
-        return self._radical("right")
+        return self.transpose().perp(full_subgroup(self.left))
 
     def is_nondegenerate(self) -> bool:
         return self.radical().order == 1 and self.right_radical().order == 1
@@ -214,14 +200,23 @@ class QuadraticForm:
 
     __slots__ = ("group", "table", "_polar")
 
-    def __init__(self, group: FinAbGroup, table, check=True):
+    def __init__(self, group: FinAbGroup, table):
         self.group = group
         self.table = {g: mod1(v) for g, v in table.items()}
         self._polar = None
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
+        """Check that the table is a quadratic form with a bilinear polarization.
+
+        Biadditivity is checked only against the basis: B(g, e_i) = b(g, e_i)
+        for every g and i, where B(g, h) = q(g) + q(h) - q(g + h) and b is the
+        bilinear pairing with matrix B(e_i, e_j).  That gives B(g, h) = b(g, h)
+        for every pair by induction on h: B(g, 0) = q(0) = 0 = b(g, 0), and
+        expanding q(g + h + e_i) and q(h + e_i) with the basis identity gives
+        B(g, h + e_i) = B(g, h) + b(g, e_i).  So the O(rank |G|) check accepts
+        exactly the tables the all-pairs check does.
+        """
         G = self.group
         elems = G.elements()
         if set(self.table) != set(elems):
@@ -232,10 +227,11 @@ class QuadraticForm:
             if self.table[g] != self.table[G.neg(g)]:
                 raise ValueError("q(-g) = q(g) fails")
         pol = self.polarization()
-        for g in elems:
-            for h in elems:
-                lhs = mod1(self.table[g] + self.table[h] - self.table[G.add(g, h)])
-                if lhs != pol.phase(g, h):
+        for e in G.basis():
+            qe = self.table[e]
+            for g in elems:
+                lhs = mod1(self.table[g] + qe - self.table[G.add(g, e)])
+                if lhs != pol.phase(g, e):
                     raise ValueError("polarization is not biadditive")
 
     def phase(self, g) -> Fraction:
@@ -271,21 +267,16 @@ class QuadraticForm:
         return QuadraticForm(self.group, table)
 
     def conj(self) -> "QuadraticForm":
-        return QuadraticForm(self.group, {g: mod1(-v) for g, v in self.table.items()}, check=False)
+        return QuadraticForm(self.group, {g: -v for g, v in self.table.items()})
 
     def direct_sum(self, other: "QuadraticForm") -> "QuadraticForm":
         """Orthogonal sum, renormalized to invariant-factor coordinates."""
-        raw = self.group.factors + other.group.factors
-        G, _, from_c = canonical_presentation(raw)
-        k1 = self.group.rank
+        G, _, split = product_with_maps(self.group, other.group)
         table = {}
         for g in G.elements():
-            x = tuple(
-                sum(from_c[r][j] * g[j] for j in range(len(g))) % raw[r]
-                for r in range(len(raw))
-            )
-            table[g] = mod1(self.table[self.group.reduce(x[:k1])] + other.table[other.group.reduce(x[k1:])])
-        return QuadraticForm(G, table, check=False)
+            a, b = split(g)
+            table[g] = self.table[a] + other.table[b]
+        return QuadraticForm(G, table)
 
     def key(self):
         return (self.group.factors, tuple(sorted(self.table.items())))

@@ -6,6 +6,10 @@ module provides the constructions that move between lattices and forms:
 discriminant extraction, dual-coset gluing, a table of standard root and
 scaled-cubic lattices, realization of an arbitrary nondegenerate form, and
 the subgroup correspondence for intermediate lattices.
+
+Every Gram product goes through ``_congruent(A, gram)``, the integer matrix
+A·gram·Aᵀ: rational vectors are scaled to integer numerators first and the
+result is divided by the common denominator once.
 """
 
 from __future__ import annotations
@@ -35,6 +39,29 @@ FORM_ORDER_GUARD = 512
 FORM_RANK_GUARD = 4
 
 
+def _times(A, gram) -> list[list[int]]:
+    """A·gram for integer rows A and a symmetric integer gram."""
+    return [[sum(a * g for a, g in zip(row, col)) for col in gram] for row in A]
+
+
+def _congruent(A, gram) -> list[list[int]]:
+    """A·gram·Aᵀ: the Gram matrix of the integer vectors A's rows spell."""
+    return [[sum(x * y for x, y in zip(r, s)) for s in A] for r in _times(A, gram)]
+
+
+def _numerators(vectors) -> tuple[list[list[int]], int]:
+    """(W, den) with den the least common denominator and W = den·vectors."""
+    den = lcm(1, *(Fraction(c).denominator for v in vectors for c in v))
+    return [[int(c * den) for c in v] for v in vectors], den
+
+
+def _integer(x) -> int:
+    n = int(x)
+    if n != x:
+        raise ValueError("gram entries must be integers")
+    return n
+
+
 def _elimination_pivots(rows) -> list[Fraction]:
     """Pivots of symmetric Gaussian elimination; all positive iff definite."""
     n = len(rows)
@@ -59,7 +86,7 @@ class Lattice:
     __slots__ = ("gram", "det")
 
     def __init__(self, gram):
-        rows = tuple(tuple(int(x) for x in row) for row in gram)
+        rows = tuple(tuple(_integer(x) for x in row) for row in gram)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("gram matrix must be square")
@@ -126,24 +153,16 @@ class DualVector:
     def dot(self, other: "DualVector") -> Fraction:
         if other.lattice.gram != self.lattice.gram:
             raise ValueError("vectors live in different lattices")
-        g = self.lattice.gram
-        n = self.lattice.rank
-        return sum(
-            (self.coords[i] * g[i][j] * other.coords[j] for i in range(n) for j in range(n)),
-            Fraction(0),
-        )
+        W, den = _numerators((self.coords, other.coords))
+        return Fraction(_congruent(W, self.lattice.gram)[0][1], den * den)
 
     def norm(self) -> Fraction:
         return self.dot(self)
 
     def in_dual(self) -> bool:
         """Pairing with every lattice vector is an integer."""
-        g = self.lattice.gram
-        n = self.lattice.rank
-        for j in range(n):
-            if sum((self.coords[i] * g[i][j] for i in range(n)), Fraction(0)).denominator != 1:
-                return False
-        return True
+        W, den = _numerators([self.coords])
+        return all(x % den == 0 for x in _times(W, self.lattice.gram)[0])
 
     def is_lattice_vector(self) -> bool:
         return all(c.denominator == 1 for c in self.coords)
@@ -163,7 +182,8 @@ def discriminant(L: Lattice):
 
     The group is Z^n modulo the Gram column span; the form is half the norm
     of any representative, mod 1.  Representative i spans the i-th invariant
-    factor.
+    factor.  With e the exponent, row j of the integer matrix N is e times
+    representative j, so q(g) = gᵀRg / 2e² mod 1 for R = N·gram·Nᵀ.
     """
     n = L.rank
     if L.det > DISCRIMINANT_GUARD:
@@ -173,16 +193,14 @@ def discriminant(L: Lattice):
         DualVector(L, tuple(Fraction(cols[r][j], d) for r in range(n)))
         for j, d in enumerate(G.factors)
     )
-    table = {}
-    for g in G.elements():
-        v = DualVector(
-            L,
-            tuple(
-                sum((g[j] * reps[j].coords[r] for j in range(len(reps))), Fraction(0))
-                for r in range(n)
-            ),
-        )
-        table[g] = mod1(v.norm() / 2)
+    e = G.exponent
+    N = [[e // d * cols[r][j] for r in range(n)] for j, d in enumerate(G.factors)]
+    R = _congruent(N, L.gram)
+    m = 2 * e * e
+    table = {
+        g: Fraction(sum(gi * gj * x for gi, row in zip(g, R) for gj, x in zip(g, row)) % m, m)
+        for g in G.elements()
+    }
     return G, QuadraticForm(G, table), reps
 
 
@@ -196,39 +214,28 @@ def glue(L: Lattice, cosets) -> Lattice:
         v = c if isinstance(c, DualVector) else DualVector(L, c)
         if v.lattice.gram != L.gram:
             raise ValueError("coset belongs to a different lattice")
-        vecs.append(v)
-    for v in vecs:
-        if not v.in_dual():
-            raise ValueError("coset representative is not in the dual")
-        if mod1(v.norm() / 2) != 0:
-            raise ValueError("coset norm must be an even integer")
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            if vecs[i].dot(vecs[j]).denominator != 1:
-                raise ValueError("coset products must be integers")
+        vecs.append(v.coords)
     if not vecs:
         return L
     n = L.rank
-    den = lcm(*[c.denominator for v in vecs for c in v.coords], 1)
-    rows = [[den if i == j else 0 for j in range(n)] for i in range(n)]
-    rows += [[int(c * den) for c in v.coords] for v in vecs]
+    W, den = _numerators(vecs)
+    WGW = _congruent(W, L.gram)
+    for i, row in enumerate(_times(W, L.gram)):
+        if any(x % den for x in row):
+            raise ValueError("coset representative is not in the dual")
+        if WGW[i][i] % (2 * den * den):
+            raise ValueError("coset norm must be an even integer")
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            if WGW[i][j] % (den * den):
+                raise ValueError("coset products must be integers")
+    rows = [[den if i == j else 0 for j in range(n)] for i in range(n)] + W
     H = hermite_rows(rows, n)
     index = den**n // prod(H[i][i] for i in range(n))
-    B = [[Fraction(H[i][j], den) for j in range(n)] for i in range(n)]
-    g = L.gram
-    new = [
-        [
-            sum(
-                (B[a][i] * g[i][j] * B[b][j] for i in range(n) for j in range(n)),
-                Fraction(0),
-            )
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
-    if any(x.denominator != 1 for row in new for x in row):
+    new = _congruent(H, L.gram)
+    if any(x % (den * den) for row in new for x in row):
         raise ValueError("glued Gram matrix is not integral")
-    out = Lattice([[int(x) for x in row] for row in new])
+    out = Lattice([[x // (den * den) for x in row] for row in new])
     if out.det * index * index != L.det:
         raise RuntimeError("glue determinant law violated")
     return out
@@ -292,19 +299,12 @@ def named(name: str) -> Lattice:
 
 def _class_with_norm(L: Lattice, target: Fraction) -> DualVector:
     """A dual class whose norm is the target mod 2."""
-    G, _, reps = discriminant(L)
-    n = L.rank
-    for g in G.elements():
-        v = DualVector(
-            L,
-            tuple(
-                sum((g[j] * reps[j].coords[r] for j in range(len(reps))), Fraction(0))
-                for r in range(n)
-            ),
-        )
-        if mod1((v.norm() - target) / 2) == 0:
-            return v
-    raise RuntimeError("no dual class with the requested norm")
+    _, q, reps = discriminant(L)
+    want = mod1(target / 2)
+    g = next((g for g, v in q.table.items() if v == want), None)
+    if g is None:
+        raise RuntimeError("no dual class with the requested norm")
+    return DualVector(L, [sum(gj * r.coords[i] for gj, r in zip(g, reps)) for i in range(L.rank)])
 
 
 def _verify_realization(L: Lattice, q: QuadraticForm) -> Lattice:
@@ -511,12 +511,8 @@ def _check_embedding(L: Lattice, M: Lattice, embed) -> list[list[int]]:
     n = M.rank
     if len(B) != n or any(len(r) != n for r in B):
         raise ValueError("embedding must be a square integer matrix")
-    g = M.gram
-    for a in range(n):
-        for b in range(n):
-            v = sum(B[a][i] * g[i][j] * B[b][j] for i in range(n) for j in range(n))
-            if v != L.gram[a][b]:
-                raise ValueError("embedding rows do not reproduce the sublattice Gram")
+    if _congruent(B, M.gram) != [list(r) for r in L.gram]:
+        raise ValueError("embedding rows do not reproduce the sublattice Gram")
     return B
 
 
@@ -551,24 +547,15 @@ def intermediate(L: Lattice, M: Lattice, H: Subgroup, embed, pairing: Pairing):
         raise ValueError("pairing must be defined on the quotient group")
     if not pairing.is_nondegenerate():
         raise ValueError("pairing must be nondegenerate")
-    B = _check_embedding(L, M, embed)
     n = M.rank
 
     def matching(sub: Subgroup) -> Lattice:
-        rows = [list(r) for r in B] + [list(section(h)) for h in sub.gens()]
+        rows = [[int(x) for x in r] for r in embed] + [list(section(h)) for h in sub.gens()]
         Bh = hermite_rows(rows, n)
         gens = [project(row) for row in Bh]
         if Subgroup(G, gens) != sub:
             raise RuntimeError("intermediate lattice misses its subgroup")
-        g = M.gram
-        gram = [
-            [
-                sum(Bh[a][i] * g[i][j] * Bh[b][j] for i in range(n) for j in range(n))
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
-        out = Lattice(gram)
+        out = Lattice(_congruent(Bh, M.gram))
         index = G.order // sub.order
         if out.det != M.det * index * index:
             raise RuntimeError("intermediate lattice index mismatch")

@@ -459,12 +459,7 @@ def ty_double(data: TYData, q: QuadraticForm, conv: SqrtConvention | None = None
     unit = labels.index(("one", G.zero(), 0))
 
     inv_rt_n = sqrt_nonneg_int(n).inverse()
-    gs = {}
-    for a in els:
-        tot = Cyclotomic.zero()
-        for k in els:
-            tot = tot + zeta(G.sub(k, a), k)
-        gs[a] = tot
+    gs = {a: shifted_pair_sum(q, a) for a in els}
     pref = inv_anchor * inv_anchor
 
     def s_entry(la, lb):

@@ -181,6 +181,19 @@ class TestQuadraticForm:
         flat = QuadraticForm(G, {g: 0 for g in G.elements()})
         assert flat.polarization().radical().order == 4
 
+    def test_rejects_non_biadditive_table(self):
+        # q(0) = 0, q(-g) = q(g) and the polarization matrix [[0]] is well
+        # defined, but B(1, 2) = 1/5 + 2/5 - 2/5 differs from b(1, 2) = 0
+        G = FinAbGroup((5,))
+        table = {(0,): 0, (1,): F(1, 5), (2,): F(2, 5), (3,): F(2, 5), (4,): F(1, 5)}
+        with pytest.raises(ValueError, match="polarization is not biadditive"):
+            QuadraticForm(G, table)
+        # q(x, y) = f(y) on Z4 x Z4 is biadditive along e_0 but not along e_1
+        G = FinAbGroup((4, 4))
+        table = {g: F(1, 4) if g[1] == 2 else 0 for g in G.elements()}
+        with pytest.raises(ValueError, match="polarization is not biadditive"):
+            QuadraticForm(G, table)
+
     def test_trivial_group(self):
         q = QuadraticForm(FinAbGroup(()), {(): 0})
         assert q.polarization().matrix == ()
@@ -519,7 +532,82 @@ def random_form(draw):
     return draw(st.sampled_from(forms))
 
 
+SMALL_GROUPS = [
+    (), (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (10,), (11,), (12,), (13,),
+    (14,), (15,), (16,), (2, 2), (4, 2), (6, 2), (8, 2), (4, 4), (3, 3), (2, 2, 2),
+    (4, 2, 2), (2, 2, 2, 2),
+]
+
+
+@st.composite
+def form_tables(draw):
+    """(G, table) with |G| <= 16: a quadratic function, then a few edits.
+
+    The function is sum_i c_i g_i^2 / 2n_i + sum_{i<j} c_ij g_i g_j / n_j with
+    c_i n_i even; each edit shifts the value at g and -g together, at g
+    alone, or at every h with h[1:] = +-g[1:], or drops g.
+    """
+    G = FinAbGroup(draw(st.sampled_from(SMALL_GROUPS)))
+    n, t = G.factors, G.rank
+    diag = [draw(st.integers(0, 2 * m - 1)) * (1 + m % 2) for m in n]
+    cross = {(i, j): draw(st.integers(0, n[j] - 1)) for i in range(t) for j in range(i + 1, t)}
+    table = {
+        g: sum(F(c * x * x, 2 * m) for c, x, m in zip(diag, g, n))
+        + sum(F(c * g[i] * g[j], n[j]) for (i, j), c in cross.items())
+        for g in G.elements()
+    }
+    elems = G.elements()
+    for _ in range(draw(st.integers(0, 3))):
+        g = draw(st.sampled_from(elems))
+        kind = draw(st.sampled_from(["pair", "pair", "line", "line", "single", "drop"]))
+        delta = F(draw(st.integers(1, 15)), draw(st.sampled_from([2 * G.exponent, 3, 7])))
+        if kind == "drop":
+            table.pop(g, None)
+        elif kind == "line":
+            for h in table:
+                if h[1:] in (g[1:], G.neg(g)[1:]):
+                    table[h] += delta
+        elif g in table:
+            table[g] += delta
+            if kind == "pair" and G.neg(g) != g and G.neg(g) in table:
+                table[G.neg(g)] += delta
+    return G, table
+
+
+def all_pairs_accepts(G, table) -> bool:
+    """The quadratic-form conditions, biadditivity tested on every pair."""
+    elems = G.elements()
+    if set(table) != set(elems):
+        return False
+    q = {g: mod1(v) for g, v in table.items()}
+    if q[G.zero()] != 0 or any(q[g] != q[G.neg(g)] for g in elems):
+        return False
+    basis, n, t = G.basis(), G.factors, G.rank
+    E = [[mod1(q[a] + q[b] - q[G.add(a, b)]) for b in basis] for a in basis]
+    for i in range(t):
+        for j in range(t):
+            if (n[i] * E[i][j]).denominator != 1 or (n[j] * E[i][j]).denominator != 1:
+                return False
+    return all(
+        mod1(q[g] + q[h] - q[G.add(g, h)])
+        == mod1(sum(g[i] * E[i][j] * h[j] for i in range(t) for j in range(t)))
+        for g in elems
+        for h in elems
+    )
+
+
 class TestProperties:
+    @given(form_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_basis_check_matches_all_pairs(self, case):
+        G, table = case
+        try:
+            QuadraticForm(G, table)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == all_pairs_accepts(G, table)
+
     @given(random_form())
     @settings(max_examples=60, deadline=None)
     def test_gauss_magnitude(self, q):

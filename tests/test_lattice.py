@@ -80,6 +80,15 @@ def test_lattice_validation():
         Lattice([[0]])
 
 
+def test_lattice_rejects_non_integer_entries():
+    for gram in ([[2.7]], [[Fraction(5, 2)]]):
+        with pytest.raises(ValueError, match="integers"):
+            Lattice(gram)
+    with pytest.raises(ValueError, match="integers"):
+        Lattice.from_json({"gram": [[4.9, -1.2], [-1.2, 2.0]]})
+    assert Lattice([[4.0, Fraction(2)], [2, 4]]).gram == ((4, 2), (2, 4))
+
+
 def test_rank_zero_lattice():
     L = Lattice(())
     assert L.rank == 0 and L.det == 1
@@ -342,6 +351,11 @@ def test_lattice_quotient_rejects_bad_embedding():
         lattice_quotient(Lattice([[32]]), named("A1"), [[3]])
     with pytest.raises(ValueError, match="square"):
         lattice_quotient(Lattice([[32]]), named("A1"), [[4, 0]])
+    # the sublattice's rank must match too, larger or smaller
+    with pytest.raises(ValueError, match="Gram"):
+        lattice_quotient(Lattice([[8, 0], [0, 2]]), named("A1"), [[2]])
+    with pytest.raises(ValueError, match="Gram"):
+        lattice_quotient(named("A1"), named("A1").direct_sum(named("A1")), [[1, 0], [0, 1]])
 
 
 def test_intermediate_rank_one_tower():
