@@ -341,6 +341,16 @@ class Subgroup:
     def contains(self, g) -> bool:
         return self.coefficients(g) is not None
 
+    def coset_representatives(self) -> list[tuple[int, ...]]:
+        """One element of each coset other than the subgroup itself.
+
+        The lattice is upper triangular with pivots d_j dividing n_j, so the
+        box 0 <= x_j < d_j meets each coset exactly once; zero is skipped.
+        """
+        box = itertools.product(*[range(row[j]) for j, row in enumerate(self.lattice)])
+        next(box)
+        return list(box)
+
     def elements(self) -> list[tuple[int, ...]]:
         if self._elems is None:
             if self.order > SUBGROUP_GUARD:
@@ -385,24 +395,41 @@ def full_subgroup(G: FinAbGroup) -> Subgroup:
     return Subgroup(G, G.basis())
 
 
-def all_subgroups(G: FinAbGroup) -> list[Subgroup]:
-    """Every subgroup, by closure search; complete and duplicate-free."""
+def all_subgroups(G: FinAbGroup, admissible=None) -> list[Subgroup]:
+    """Subgroups by closure search, sorted by (order, lattice); duplicate-free.
+
+    The search starts at the trivial subgroup and extends each subgroup H it
+    reaches to H + <g>, for one g from each coset g + H other than H itself
+    (H + <g> = H + <g + h>), namely the coset's representative
+    ``H.coset_representatives()`` lists.  With ``admissible`` given, H is
+    extended only by the g with ``admissible(H.gens(), g)``.
+
+    Contract: a wanted subgroup K is returned if, for every reached H < K,
+    every g in K \\ H is admissible (K \\ H is a union of cosets of H, so one
+    representative lies in it, and H + <g> is a reached subgroup of K larger
+    than H; induction on |K : H|).  Without ``admissible`` every subgroup is
+    returned.  The isotropy predicates meet it: they ask q(g) = 0 (or
+    b(g, g) = 0) and b(g, h) = 0 for the generators h of H, and every g of an
+    isotropic (or self-orthogonal) K >= H has both.  They also reach nothing
+    else, since q(ng + h) = n²q(g) + q(h) + n·b(g, h) and, b symmetric,
+    b(ng + h, n'g + h') = nn'·b(g, g) + n·b(g, h') + n'·b(g, h) + b(h, h').
+    """
     if G.order > SUBGROUP_GUARD:
         raise GuardError(f"group order {G.order} exceeds guard {SUBGROUP_GUARD}")
-    elems = G.elements()
     triv = trivial_subgroup(G)
     found = {triv.key(): triv}
     frontier = [triv]
     while frontier:
         nxt = []
         for H in frontier:
-            hset = set(H.elements())
-            for g in elems:
-                if g not in hset:
-                    K = Subgroup(G, H.gens() + [g])
-                    if K.key() not in found:
-                        found[K.key()] = K
-                        nxt.append(K)
+            gens = H.gens()
+            for g in H.coset_representatives():
+                if admissible is not None and not admissible(gens, g):
+                    continue
+                K = Subgroup(G, gens + [g])
+                if K.key() not in found:
+                    found[K.key()] = K
+                    nxt.append(K)
         frontier = nxt
     return sorted(found.values(), key=lambda s: (s.order, s.lattice))
 

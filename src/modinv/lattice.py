@@ -55,10 +55,10 @@ def _numerators(vectors) -> tuple[list[list[int]], int]:
     return [[int(c * den) for c in v] for v in vectors], den
 
 
-def _integer(x) -> int:
+def _integer(x, message="gram entries must be integers") -> int:
     n = int(x)
     if n != x:
-        raise ValueError("gram entries must be integers")
+        raise ValueError(message)
     return n
 
 
@@ -507,10 +507,11 @@ def realize(target) -> Lattice:
 
 
 def _check_embedding(L: Lattice, M: Lattice, embed) -> list[list[int]]:
-    B = [[int(x) for x in row] for row in embed]
+    message = "embedding must be a square integer matrix"
+    B = [[_integer(x, message) for x in row] for row in embed]
     n = M.rank
     if len(B) != n or any(len(r) != n for r in B):
-        raise ValueError("embedding must be a square integer matrix")
+        raise ValueError(message)
     if _congruent(B, M.gram) != [list(r) for r in L.gram]:
         raise ValueError("embedding rows do not reproduce the sublattice Gram")
     return B

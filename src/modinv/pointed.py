@@ -113,12 +113,16 @@ class IsotropicDatum:
 
 
 def isotropic_subgroups(q: QuadraticForm) -> list[IsotropicDatum]:
-    """All subgroups on which the form vanishes, with induced quotient data."""
-    out = []
-    for D in all_subgroups(q.group):
-        if all(q.phase(d) == 0 for d in D.elements()):
-            out.append(IsotropicDatum(q, D))
-    return out
+    """All subgroups on which the form vanishes, with induced quotient data.
+
+    The search adds only g with q(g) = 0 orthogonal to the subgroup so far.
+    """
+    P = q.polarization()
+
+    def admissible(gens, g):
+        return q.phase(g) == 0 and all(P.phase(g, h) == 0 for h in gens)
+
+    return [IsotropicDatum(q, D) for D in all_subgroups(q.group, admissible)]
 
 
 class DPMParam:
@@ -146,15 +150,19 @@ def enum_dpm(q: QuadraticForm) -> list[DPMParam]:
     """All isotropic-pair parameters, by brute force over isomorphisms."""
     data = isotropic_subgroups(q)
     out = []
+    autos = {}
     for plus in data:
         if plus.group.order > QUOTIENT_GUARD:
             raise GuardError(
                 f"isotropic quotient of order {plus.group.order} exceeds guard {QUOTIENT_GUARD}"
             )
+        factors = plus.group.factors
+        if factors not in autos:
+            autos[factors] = automorphisms(plus.group)
         for minus in data:
-            if plus.group.factors != minus.group.factors:
+            if factors != minus.group.factors:
                 continue
-            for a in automorphisms(plus.group):
+            for a in autos[factors]:
                 sigma = Hom(plus.group, minus.group, a.matrix, check=False)
                 try:
                     out.append(DPMParam(plus, minus, sigma))
@@ -209,11 +217,27 @@ def square_pairing(q: QuadraticForm) -> Pairing:
 
 
 def enum_z(q: QuadraticForm, require_isotropy: bool = True) -> list[ZParam]:
-    """All self-dual subgroups of the square group, optionally isotropic."""
+    """All self-dual subgroups of the square group, optionally isotropic.
+
+    The search adds only g = (x, y) orthogonal under ``square_pairing`` to
+    the subgroup so far, with q(x) = q(y) (isotropy for q + (-q)) or, without
+    ``require_isotropy``, b(g, g) = 0; ``ZParam`` then checks order and perp.
+    """
     square, pair, split = square_group(q)
+    B = square_pairing(q)
+
+    def admissible(gens, g):
+        if require_isotropy:
+            x, y = split(g)
+            if q.phase(x) != q.phase(y):
+                return False
+        elif B.phase(g, g) != 0:
+            return False
+        return all(B.phase(g, h) == 0 for h in gens)
+
     order = q.group.order
     out = []
-    for Z in all_subgroups(square):
+    for Z in all_subgroups(square, admissible):
         if Z.order != order:
             continue
         try:

@@ -254,18 +254,36 @@ class TestSubgroup:
 
     @pytest.mark.parametrize(
         "factors,count",
-        [((2, 2), 5), ((6,), 4), ((3, 3), 6), ((4, 2), 8), ((5, 5), 8), ((12,), 6)],
+        [
+            ((2, 2), 5), ((6,), 4), ((3, 3), 6), ((4, 2), 8), ((5, 5), 8), ((12,), 6),
+            ((3, 3, 3, 3), 212), ((2,) * 6, 2825), ((4, 4, 2, 2), 249),
+        ],
     )
     def test_subgroup_counts(self, factors, count):
         G = FinAbGroup(factors)
         subs = all_subgroups(G)
         assert len(subs) == count
 
-    @pytest.mark.parametrize("factors", [(2, 2), (6,), (4, 2), (3, 3), (8,)])
+    @pytest.mark.parametrize(
+        "factors", [(2, 2), (6,), (4, 2), (3, 3), (8,), (4, 4), (3, 3, 3), (2, 2, 2, 2)]
+    )
     def test_subgroups_match_oracle_sets(self, factors):
         G = FinAbGroup(factors)
         ours = {frozenset(H.elements()) for H in all_subgroups(G)}
         assert ours == all_subgroup_sets(list(factors))
+
+    def test_nothing_admissible_gives_trivial_only(self):
+        G = FinAbGroup((4, 2))
+        assert all_subgroups(G, lambda gens, g: False) == [Subgroup(G, [])]
+
+    @pytest.mark.parametrize("factors", [(), (2,), (4, 2), (6, 3), (8, 4, 2)])
+    def test_coset_representatives(self, factors):
+        G = FinAbGroup(factors)
+        for H in all_subgroups(G):
+            reps = H.coset_representatives()
+            assert len(reps) == G.order // H.order - 1
+            assert not any(H.contains(g) for g in reps)
+            assert all(not H.contains(G.sub(a, b)) for a in reps for b in reps if a != b)
 
     def test_order_divides(self):
         G = FinAbGroup((12, 2))

@@ -358,6 +358,19 @@ def test_lattice_quotient_rejects_bad_embedding():
         lattice_quotient(named("A1"), named("A1").direct_sum(named("A1")), [[1, 0], [0, 1]])
 
 
+@pytest.mark.parametrize("entry", [2.5, Fraction(5, 2)])
+def test_lattice_quotient_rejects_non_integer_embedding(entry):
+    # truncating 2.5 to 2 would give the quotient Z2
+    with pytest.raises(ValueError, match="embedding must be a square integer matrix"):
+        lattice_quotient(Lattice([[8]]), named("A1"), [[entry]])
+
+
+@pytest.mark.parametrize("entry", [2.0, Fraction(4, 2)])
+def test_lattice_quotient_accepts_integral_embedding(entry):
+    G, _, _ = lattice_quotient(Lattice([[8]]), named("A1"), [[entry]])
+    assert G.factors == (2,)
+
+
 def test_intermediate_rank_one_tower():
     M = named("A1")
     L = Lattice([[32]])

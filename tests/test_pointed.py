@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from modinv.abelian import FinAbGroup, GuardError, Subgroup, quotient
+from modinv.abelian import FinAbGroup, GuardError, Subgroup, all_subgroups, quotient
 from modinv.forms import (
     QuadraticForm,
     alternating_pairings,
@@ -246,6 +246,50 @@ class TestEnumAgreement:
         for p in enum_z(q):
             ok, report = check_invariant(md, z_to_matrix(p).matrix)
             assert ok, report
+
+
+PRUNING_FORMS = SMALL_FORMS + [
+    hyperbolic(3),
+    indecomposable_form("2^12^1_i")[0],
+    indecomposable_form("2^22^2_i")[0],
+]
+
+
+@pytest.mark.parametrize("q", PRUNING_FORMS, ids=lambda q: repr(q.group))
+class TestPrunedSearch:
+    """The pruned searches list what a filter over every subgroup lists."""
+
+    def test_isotropic_subgroups_match_filter(self, q):
+        expect = [
+            D.key()
+            for D in all_subgroups(q.group)
+            if all(q.phase(d) == 0 for d in D.elements())
+        ]
+        assert [datum.subgroup.key() for datum in isotropic_subgroups(q)] == expect
+
+    def test_enum_z_matches_filter(self, q):
+        square, _, split = square_group(q)
+        B = square_pairing(q)
+        lagrangian = [
+            Z
+            for Z in all_subgroups(square)
+            if Z.order == q.group.order and B.perp(Z) == Z
+        ]
+        isotropic = [
+            Z
+            for Z in lagrangian
+            if all(q.phase(x) == q.phase(y) for x, y in map(split, Z.elements()))
+        ]
+        assert [p.key() for p in enum_z(q)] == [Z.key() for Z in isotropic]
+        relaxed = [p.key() for p in enum_z(q, require_isotropy=False)]
+        assert relaxed == [Z.key() for Z in lagrangian]
+
+
+def test_subgroup_guard_before_search():
+    with pytest.raises(GuardError):
+        enum_z(hyperbolic(6))  # square group of order 1296
+    with pytest.raises(GuardError):
+        isotropic_subgroups(hyperbolic(33))  # order 1089
 
 
 class TestJpsiToDpm:
