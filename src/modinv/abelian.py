@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from .scalars import Cyclotomic, GuardError, rational_phase
+from .scalars import Cyclotomic, GuardError, as_integer, rational_phase
 
 SUBGROUP_GUARD = 1024
 HOM_GUARD = 10**7
@@ -204,7 +204,7 @@ class FinAbGroup:
     __slots__ = ("factors",)
 
     def __init__(self, factors):
-        factors = tuple(int(n) for n in factors)
+        factors = tuple(as_integer(n, "invariant factors must be integers") for n in factors)
         for n in factors:
             if n < 2:
                 raise ValueError("invariant factors must be >= 2")

@@ -69,6 +69,19 @@ class Pairing:
     def eval(self, g, h) -> Cyclotomic:
         return rational_phase(self.phase(g, h))
 
+    def phase_table(self) -> dict:
+        """{g: (phase(g, h) for h in right.elements())} for every g of left,
+        from integer dot products: phase(g, h) = (g^T (d E) h mod d) / d."""
+        d = lcm(1, *(x.denominator for row in self.matrix for x in row))
+        D = [[int(x * d) for x in row] for row in self.matrix]
+        phases = [Fraction(k, d) for k in range(d)]
+        right, rank = self.right.elements(), self.right.rank
+        table = {}
+        for g in self.left.elements():
+            u = [sum(gi * row[j] for gi, row in zip(g, D)) for j in range(rank)]
+            table[g] = tuple(phases[sum(a * b for a, b in zip(u, h)) % d] for h in right)
+        return table
+
     def is_symmetric(self) -> bool:
         if not self.is_square:
             return False

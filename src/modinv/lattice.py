@@ -31,7 +31,7 @@ from .forms import (
     legendre,
     mod1,
 )
-from .scalars import factorize
+from .scalars import as_integer, factorize
 
 DISCRIMINANT_GUARD = 10**5
 PRIME_BOUND = 10**4
@@ -53,13 +53,6 @@ def _numerators(vectors) -> tuple[list[list[int]], int]:
     """(W, den) with den the least common denominator and W = den·vectors."""
     den = lcm(1, *(Fraction(c).denominator for v in vectors for c in v))
     return [[int(c * den) for c in v] for v in vectors], den
-
-
-def _integer(x, message="gram entries must be integers") -> int:
-    n = int(x)
-    if n != x:
-        raise ValueError(message)
-    return n
 
 
 def _elimination_pivots(rows) -> list[Fraction]:
@@ -86,7 +79,8 @@ class Lattice:
     __slots__ = ("gram", "det")
 
     def __init__(self, gram):
-        rows = tuple(tuple(_integer(x) for x in row) for row in gram)
+        message = "gram entries must be integers"
+        rows = tuple(tuple(as_integer(x, message) for x in row) for row in gram)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("gram matrix must be square")
@@ -508,7 +502,7 @@ def realize(target) -> Lattice:
 
 def _check_embedding(L: Lattice, M: Lattice, embed) -> list[list[int]]:
     message = "embedding must be a square integer matrix"
-    B = [[_integer(x, message) for x in row] for row in embed]
+    B = [[as_integer(x, message) for x in row] for row in embed]
     n = M.rank
     if len(B) != n or any(len(r) != n for r in B):
         raise ValueError(message)

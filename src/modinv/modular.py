@@ -29,9 +29,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
-from .abelian import GuardError, abelian_structure
-from .scalars import Cyclotomic, reduce_mod_phi
+from .abelian import FinAbGroup, GuardError, abelian_structure
+from .scalars import Cyclotomic, as_integer, phase_fraction, reduce_mod_phi
 
 BRUTE_GUARD = 64
 
@@ -187,7 +188,7 @@ class ModularData:
 
     def __init__(self, labels, unit, S, T):
         self.labels = tuple(labels)
-        self.unit = int(unit)
+        self.unit = as_integer(unit, "unit must be an integer index")
         self.S = tuple(tuple(row) for row in S)
         self.T = tuple(T)
         if len(self.S) != len(self.labels) or any(
@@ -233,13 +234,14 @@ class ModularData:
 
     @staticmethod
     def from_json(obj) -> "ModularData":
-        labels = [tuple(l) if isinstance(l, list) else l for l in obj["labels"]]
-        return ModularData(
-            labels,
-            obj["unit"],
-            [[Cyclotomic.from_json(x) for x in row] for row in obj["S"]],
-            [Cyclotomic.from_json(x) for x in obj["T"]],
-        )
+        try:
+            labels = [tuple(l) if isinstance(l, list) else l for l in obj["labels"]]
+            S = [[Cyclotomic.from_json(x) for x in row] for row in obj["S"]]
+            T = [Cyclotomic.from_json(x) for x in obj["T"]]
+            unit = obj["unit"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed modular data JSON: {exc!r}") from exc
+        return ModularData(labels, unit, S, T)
 
 
 def validate_modular(md: ModularData) -> list[str]:
@@ -312,61 +314,46 @@ def verlinde(md: ModularData):
     return tuple(out)
 
 
-class SimpleCurrentStructure:
-    """Invertible simples of a modular datum, with grading and twists."""
+class SimpleCurrentStructure(NamedTuple):
+    """Invertible simples of a modular datum, with their charges and twists.
 
-    __slots__ = (
-        "md",
-        "group",
-        "coords",
-        "label_index",
-        "action_table",
-        "quaternionic",
-        "sufficiently_nonzero",
-    )
+    Currents are keyed by their coordinates in ``group``.  Phases are
+    Fractions in [0, 1), read as e^(2 pi i r):
 
-    def __init__(self, md, group, coords, label_index, action_table, quaternionic, suff):
-        self.md = md
-        self.group = group
-        self.coords = coords
-        self.label_index = label_index
-        self.action_table = action_table
-        self.quaternionic = quaternionic
-        self.sufficiently_nonzero = suff
+    * the monodromy charge Q_J(a) = ``grading(a, J)`` is defined by
+      S_{J,a} = e^(2 pi i Q_J(a)) S_{0,a};
+    * the twist ``q(J)`` = h_J - h_0 mod 1 is defined by
+      T_J = e^(2 pi i q(J)) T_0.
 
-    def act(self, j, a: int) -> int:
-        """Index of j applied to primary index a; j given in group coordinates."""
-        return self.action_table[j][a]
+    Both are tabulated once per datum, so every comparison is in Q/Z.
+    """
 
-    def q(self, j) -> Cyclotomic:
-        md = self.md
-        return md.T[self.label_index[j]] * md.T[md.unit].conj()
+    group: FinAbGroup
+    coords: dict  # primary index -> current coordinates
+    label_index: dict  # current coordinates -> primary index
+    action_table: dict  # current -> permutation of the primary indices
+    quaternionic: set
+    sufficiently_nonzero: bool
+    charges: dict  # current J -> (Q_J(a) for each primary index a)
+    twists: dict  # current J -> h_J - h_0
 
-    def grading(self, a: int, j) -> Cyclotomic:
-        """Monodromy charge of primary a against current j, a root of unity."""
-        md = self.md
-        num = md.S[self.label_index[j]][a]
-        den = md.S[md.unit][a]
-        return num * den.inverse()
+    def q(self, j) -> Fraction:
+        """Twist h_J - h_0 mod 1 of the current j (group coordinates)."""
+        return self.twists[j]
+
+    def grading(self, a: int, j) -> Fraction:
+        """Monodromy charge Q_J(a) mod 1 of primary index a against current j."""
+        return self.charges[j][a]
 
     def is_quaternionic(self, j) -> bool:
         return j in self.quaternionic
 
-    def pairing_phase_check(self, j, jp) -> bool:
-        G = self.group
-        lhs = self.q(j) * self.q(jp) * self.q(G.add(j, jp)).conj()
-        rhs = self.grading(self.label_index[jp], j)
-        return lhs == rhs
-
 
 def simple_currents(md: ModularData) -> SimpleCurrentStructure:
     """Invertible simples of md; computed once and cached on md."""
-    # The cache holds the structure's parts, not the structure, which points
-    # back at md: a reference cycle would keep every datum alive until the
-    # cyclic garbage collector ran.
     if md._currents is None:
         md._currents = _find_simple_currents(md)
-    return SimpleCurrentStructure(md, *md._currents)
+    return md._currents
 
 
 def _find_simple_currents(md: ModularData):
@@ -393,43 +380,43 @@ def _find_simple_currents(md: ModularData):
     )
     label_index = {coords[j]: j for j, _ in invertible}
     action_table = {coords[j]: p for j, p in invertible}
+    unit_conj = md.T[md.unit].conj()
+    twists = {}
     quaternionic = set()
     for j, _ in invertible:
         cj = coords[j]
-        order = group.element_order(cj)
-        tw = md.T[j] * md.T[md.unit].conj()
-        if (tw**order) == Cyclotomic.from_rational(Fraction(-1)):
+        twists[cj] = phase_fraction(md.T[j] * unit_conj)
+        if (group.element_order(cj) * twists[cj]) % 1 == Fraction(1, 2):
             quaternionic.add(cj)
-    # class labels by their restriction of the grading to the current group
-    jlist = [coords[j] for j, _ in invertible]
-    sig_of = []
-    signatures = []
+    # Q_J(a) from one inverse of S_{0,a} per primary
+    charges = {coords[j]: [None] * n for j, _ in invertible}
     for a in range(n):
         inv = md.S[md.unit][a].inverse()
-        sig = tuple(md.S[label_index[j]][a] * inv for j in jlist)
-        for idx, s in enumerate(signatures):
-            if all(x == y for x, y in zip(s, sig)):
-                sig_of.append(idx)
-                break
-        else:
-            signatures.append(sig)
-            sig_of.append(len(signatures) - 1)
-    suff = True
-    for x in range(len(signatures)):
-        for y in range(len(signatures)):
-            found = False
-            for a in range(n):
-                if sig_of[a] != x:
-                    continue
-                for b in range(n):
-                    if sig_of[b] == y and not md.S[a][b].is_zero():
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                suff = False
-    return group, coords, label_index, action_table, quaternionic, suff
+        for j, _ in invertible:
+            try:
+                charges[coords[j]][a] = phase_fraction(md.S[j][a] * inv)
+            except ValueError:
+                raise ValueError(
+                    f"S ratio of current {md.labels[j]!r} at primary {md.labels[a]!r}"
+                    " is not a root of unity"
+                ) from None
+    charges = {cj: tuple(row) for cj, row in charges.items()}
+    # class labels by their restriction of the grading to the current group
+    classes: dict = {}
+    sig_of = [
+        classes.setdefault(tuple(row[a] for row in charges.values()), len(classes))
+        for a in range(n)
+    ]
+    linked = {
+        (sig_of[a], sig_of[b])
+        for a in range(n)
+        for b in range(n)
+        if not md.S[a][b].is_zero()
+    }
+    suff = len(linked) == len(classes) ** 2
+    return SimpleCurrentStructure(
+        group, coords, label_index, action_table, quaternionic, suff, charges, twists
+    )
 
 
 class ModularInvariant:

@@ -24,8 +24,7 @@ from .abelian import (
 )
 from .forms import Pairing, QuadraticForm, gauss_sum, mod1
 from .modular import ModularData, ModularInvariant
-from .scalars import Cyclotomic, rational_phase, sqrt_nonneg_int
-from .simple_current import phase_fraction
+from .scalars import Cyclotomic, phase_fraction, rational_phase, sqrt_nonneg_int
 
 QUOTIENT_GUARD = 64
 
@@ -176,7 +175,8 @@ class ZParam:
 
     __slots__ = ("q", "square", "pair", "split", "Z", "isotropic")
 
-    def __init__(self, q: QuadraticForm, square, pair, split, Z: Subgroup):
+    def __init__(self, q: QuadraticForm, square, pair, split, B: Pairing, Z: Subgroup):
+        """B is ``square_pairing(q)``; the caller builds it once for all Z."""
         self.q = q
         self.square = square
         self.pair = pair
@@ -185,7 +185,7 @@ class ZParam:
         G = q.group
         if Z.order != G.order:
             raise ValueError("self-dual subgroup must have the ambient order")
-        if square_pairing(q).perp(Z) != Z:
+        if B.perp(Z) != Z:
             raise ValueError("subgroup is not self-dual")
         self.isotropic = all(
             q.phase(g) == q.phase(h)
@@ -241,7 +241,7 @@ def enum_z(q: QuadraticForm, require_isotropy: bool = True) -> list[ZParam]:
         if Z.order != order:
             continue
         try:
-            param = ZParam(q, square, pair, split, Z)
+            param = ZParam(q, square, pair, split, B, Z)
         except ValueError:
             continue
         if require_isotropy and not param.isotropic:
@@ -252,11 +252,11 @@ def enum_z(q: QuadraticForm, require_isotropy: bool = True) -> list[ZParam]:
 
 def z_to_matrix(z: ZParam) -> ModularInvariant:
     """0/1 invariant matrix: entry 1 exactly at the member pairs."""
-    labels = sorted(z.q.group.elements())
-    M = [
-        [1 if z.Z.contains(z.pair(g, h)) else 0 for h in labels]
-        for g in labels
-    ]
+    index = {g: i for i, g in enumerate(sorted(z.q.group.elements()))}
+    M = [[0] * len(index) for _ in index]
+    for member in z.Z.elements():
+        g, h = z.split(member)
+        M[index[g]][index[h]] = 1
     return ModularInvariant(M, {"source": "z", "Z": z.Z.key()})
 
 
@@ -271,7 +271,7 @@ def dpm_to_z(q: QuadraticForm, dpm: DPMParam) -> ZParam:
     for d in dpm.minus.subgroup.gens():
         gens.append(pair(G.zero(), d))
     Z = Subgroup(square, gens)
-    return ZParam(q, square, pair, split, Z)
+    return ZParam(q, square, pair, split, square_pairing(q), Z)
 
 
 def dpm_to_matrix(q: QuadraticForm, dpm: DPMParam) -> ModularInvariant:

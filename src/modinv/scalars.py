@@ -8,8 +8,9 @@ coefficients are ``fractions.Fraction``; nothing here ever touches floats
 except the display-only ``approx`` helper.
 
 This lowest layer also holds what every layer above shares: ``GuardError``,
-the one error a size guard raises before it starts work, and ``factorize``,
-the one trial-division factorization.
+the one error a size guard raises before it starts work, ``factorize``, the
+one trial-division factorization, and ``as_integer``, the one check that an
+input number is integral.
 """
 
 from __future__ import annotations
@@ -41,6 +42,17 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = 1
     return out
+
+
+def as_integer(x, message: str) -> int:
+    """x as an int; ``ValueError(message)`` unless x is an integral number."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(message) from exc
+    if n != x:
+        raise ValueError(message)
+    return n
 
 
 def _check_order(n: int) -> None:
@@ -319,9 +331,12 @@ class Cyclotomic:
 
     @staticmethod
     def from_json(obj: dict) -> "Cyclotomic":
-        n = int(obj["N"])
-        coeffs = [Fraction(s) for s in obj["c"]]
-        if len(coeffs) != n:
+        try:
+            n = as_integer(obj["N"], "cyclotomic JSON needs an integer order 'N'")
+            coeffs = [Fraction(s) for s in obj["c"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed cyclotomic JSON: {exc!r}") from exc
+        if not isinstance(obj["c"], list) or len(coeffs) != n:
             raise ValueError("coefficient list must have exactly N entries")
         return Cyclotomic(n, {i: c for i, c in enumerate(coeffs) if c})
 
@@ -385,6 +400,28 @@ def rational_phase(r: Fraction) -> Cyclotomic:
     """e^(2 pi i r) for rational r, as an exact root of unity."""
     r = Fraction(r)
     return root_of_unity(r.denominator, r.numerator)
+
+
+@lru_cache(maxsize=None)
+def _phases(m: int) -> dict[tuple[Fraction, ...], Fraction]:
+    # canonical form in Q(zeta_m) of each m-th root of unity -> its phase
+    return {
+        rational_phase(Fraction(k, m)).at_order(m).canonical(): Fraction(k, m)
+        for k in range(m)
+    }
+
+
+def phase_fraction(x: Cyclotomic) -> Fraction:
+    """The r in [0, 1) with x = e^(2 pi i r); inverse of ``rational_phase``.
+
+    The roots of unity in Q(zeta_n) are the lcm(2, n)-th ones, so one table
+    lookup at that order decides; anything else raises ``ValueError``.
+    """
+    m = lcm(2, x.order)
+    r = _phases(m).get(x.at_order(m).canonical())
+    if r is None:
+        raise ValueError(f"{x!r} is not a root of unity")
+    return r
 
 
 def sqrt_nonneg_int(n: int) -> Cyclotomic:

@@ -9,22 +9,12 @@ stabilizers.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .abelian import Character, FinAbGroup, Subgroup, all_subgroups, subgroup_group
-from .forms import AlternatingPairing, Pairing, mod1, pairing_image_data
+from .forms import AlternatingPairing, Pairing, mod1
 from .modular import ModularData, ModularInvariant, s_commutes, simple_currents
-from .scalars import Cyclotomic, rational_phase
-
-
-def phase_fraction(x: Cyclotomic) -> Fraction:
-    """The rational r with x = exp(2 pi i r); x must be a root of unity."""
-    m = lcm(2, x.order)
-    for k in range(m):
-        r = Fraction(k, m)
-        if x == rational_phase(r):
-            return r
-    raise ValueError("not a root of unity")
+from .scalars import phase_fraction  # noqa: F401  (kept importable from here)
 
 
 def _chain_embed(group: FinAbGroup, chain):
@@ -35,11 +25,6 @@ def _chain_embed(group: FinAbGroup, chain):
         return out
 
     return embed
-
-
-def _canonical_chain(sc, J: Subgroup):
-    Jab, embed, _ = subgroup_group(J)
-    return Jab, [embed(e) for e in Jab.basis()]
 
 
 def _check_chain(sc, J: Subgroup, chain):
@@ -72,16 +57,14 @@ def _base_epsilon(sc, J: Subgroup, chain=None):
         raise ValueError("subgroup must live in the current group")
     _quaternionic_guard(sc, J)
     if chain is None:
-        Jab, chain = _canonical_chain(sc, J)
+        Jab, embed, _ = subgroup_group(J)
+        chain = [embed(e) for e in Jab.basis()]
     else:
         chain = [sc.group.reduce(h) for h in chain]
         Jab = _check_chain(sc, J, chain)
     s = Jab.rank
-    tw = [phase_fraction(sc.q(h)) for h in chain]
-    mono = [
-        [phase_fraction(sc.grading(sc.label_index[ha], hb)) for hb in chain]
-        for ha in chain
-    ]
+    tw = [sc.q(h) for h in chain]
+    mono = [[sc.grading(sc.label_index[ha], hb) for hb in chain] for ha in chain]
     matrix = [
         [
             mod1(tw[a] if a == b else (-mono[a][b] if a > b else Fraction(0)))
@@ -92,12 +75,8 @@ def _base_epsilon(sc, J: Subgroup, chain=None):
     return Jab, chain, Pairing(Jab, Jab, matrix)
 
 
-def _twisted_epsilon(sc, J: Subgroup, psi: AlternatingPairing | None, chain):
-    """(Jab, chain, psi, base + psi as a matrix); psi defaults to zero.
-
-    psi must be a pairing on the chain group Jab.
-    """
-    Jab, chain, base = _base_epsilon(sc, J, chain)
+def _add_psi(Jab: FinAbGroup, base: Pairing, psi: AlternatingPairing | None):
+    """(psi, base + psi as a matrix); psi defaults to zero and must live on Jab."""
     rank = Jab.rank
     if psi is None:
         psi = AlternatingPairing(Jab, [[Fraction(0)] * rank for _ in range(rank)])
@@ -107,13 +86,13 @@ def _twisted_epsilon(sc, J: Subgroup, psi: AlternatingPairing | None, chain):
         [mod1(base.matrix[i][j] + psi.matrix[i][j]) for j in range(rank)]
         for i in range(rank)
     ]
-    return Jab, chain, psi, matrix
+    return psi, matrix
 
 
 class SCParam:
     """Current subgroup with a validated torsion form."""
 
-    __slots__ = ("sc", "J", "group", "chain", "psi", "epsilon", "phi")
+    __slots__ = ("sc", "J", "group", "chain", "psi", "epsilon", "phi", "rows")
 
     def __init__(self, sc, J, group, chain, psi, epsilon, phi=None):
         self.sc = sc
@@ -123,6 +102,7 @@ class SCParam:
         self.psi = psi
         self.epsilon = epsilon
         self.phi = phi
+        self.rows = epsilon.phase_table()
         self._validate()
 
     def embed(self, y):
@@ -131,20 +111,16 @@ class SCParam:
     def _validate(self):
         sc = self.sc
         embed = _chain_embed(sc.group, self.chain)
-        elems = list(self.group.elements())
-        for y in elems:
-            j = embed(y)
-            if self.epsilon.phase(y, y) != phase_fraction(sc.q(j)):
+        rows = self.rows
+        elems = list(rows)
+        currents = [embed(y) for y in elems]
+        primaries = [sc.label_index[j] for j in currents]
+        for i, (y, j) in enumerate(zip(elems, currents)):
+            if rows[y][i] != sc.q(j):
                 raise ValueError("diagonal of epsilon must match the twists")
-        for y in elems:
-            jy = embed(y)
-            for z in elems:
-                total = mod1(
-                    phase_fraction(sc.grading(sc.label_index[embed(z)], jy))
-                    + self.epsilon.phase(y, z)
-                    + self.epsilon.phase(z, y)
-                )
-                if total != 0:
+            charge = sc.charges[j]
+            for k, (z, a) in enumerate(zip(elems, primaries)):
+                if (charge[a] + rows[y][k] + rows[z][i]) % 1:
                     raise ValueError("epsilon is not balanced against the monodromy")
 
     def to_json(self):
@@ -160,7 +136,8 @@ def make_epsilon(
 ) -> SCParam:
     """Torsion parameter with epsilon = psi plus the canonical base form."""
     sc = simple_currents(md)
-    Jab, chain, psi, matrix = _twisted_epsilon(sc, J, psi, chain)
+    Jab, chain, base = _base_epsilon(sc, J, chain)
+    psi, matrix = _add_psi(Jab, base, psi)
     return SCParam(sc, J, Jab, chain, psi, Pairing(Jab, Jab, matrix))
 
 
@@ -178,30 +155,35 @@ def param_from_epsilon(md: ModularData, J: Subgroup, epsilon: Pairing, chain=Non
     return SCParam(sc, J, Jab, chain, psi, epsilon)
 
 
-def _matrix_from_epsilon(md: ModularData, sc, group, embed, eps: Pairing):
+def _matrix_from_epsilon(md: ModularData, sc, embed, rows: dict):
+    """Invariant of a torsion form given by its table ``rows`` (``phase_table()``).
+
+    M[a][y a] = |J0| / |J0 a|, J0 the right radical, for each current y whose
+    row of the form equals the charges (Q_{embed z}(a))_z of primary a.
+    """
     n = md.dim
-    elems = list(group.elements())
-    eps_cyc = {
-        y: {z: rational_phase(eps.phase(y, z)) for z in elems} for y in elems
-    }
-    J0ab, _ = pairing_image_data(eps)
-    j0_elems = [embed(y) for y in J0ab.elements()]
+    elems = list(rows)
+    charge_rows = [sc.charges[embed(z)] for z in elems]
+    selected: dict = {}
+    for y, row in rows.items():
+        selected.setdefault(row, []).append(sc.action_table[embed(y)])
+    j0 = [
+        sc.action_table[embed(z)]
+        for k, z in enumerate(elems)
+        if not any(row[k] for row in rows.values())
+    ]
     M = [[0] * n for _ in range(n)]
     for a in range(n):
-        charge = {z: sc.grading(a, embed(z)) for z in elems}
-        orbit = {sc.action_table[j0][a] for j0 in j0_elems}
-        value = J0ab.order // len(orbit)
-        for y in elems:
-            if all(charge[z] == eps_cyc[y][z] for z in elems):
-                b = sc.action_table[embed(y)][a]
-                M[a][b] = value
+        value = len(j0) // len({act[a] for act in j0})
+        for act in selected.get(tuple(q[a] for q in charge_rows), ()):
+            M[a][act[a]] = value
     return M
 
 
 def sc_matrix(md: ModularData, param: SCParam) -> ModularInvariant:
     """Invariant supported on current orbits selected by the torsion form."""
     embed = _chain_embed(param.sc.group, param.chain)
-    M = _matrix_from_epsilon(md, param.sc, param.group, embed, param.epsilon)
+    M = _matrix_from_epsilon(md, param.sc, embed, param.rows)
     return ModularInvariant(M, {"source": "sc", "J": param.J.key()})
 
 
@@ -214,7 +196,8 @@ def s_only_matrix(
 ):
     """S-commuting matrix from a sign-twisted chain; T-commutation may fail."""
     sc = simple_currents(md)
-    Jab, chain, _, matrix = _twisted_epsilon(sc, J, psi, chain)
+    Jab, chain, base = _base_epsilon(sc, J, chain)
+    _, matrix = _add_psi(Jab, base, psi)
     if phi is not None:
         if phi.ambient.factors != Jab.factors:
             raise ValueError("phi must be a character of the chain group")
@@ -223,9 +206,8 @@ def s_only_matrix(
             if mod1(2 * p) != 0:
                 raise ValueError("phi must square to the trivial character")
             matrix[i][i] = mod1(matrix[i][i] + p)
-    eps = Pairing(Jab, Jab, matrix)
     embed = _chain_embed(sc.group, chain)
-    M = _matrix_from_epsilon(md, sc, Jab, embed, eps)
+    M = _matrix_from_epsilon(md, sc, embed, Pairing(Jab, Jab, matrix).phase_table())
     if not s_commutes(md, M):
         raise ValueError("matrix does not commute with S")
     return tuple(tuple(row) for row in M)
@@ -241,13 +223,6 @@ class SCEnumeration:
         self.collisions = collisions
         self.sufficiently_nonzero = suff
 
-    def matrices(self):
-        out = []
-        for _, z in self.entries:
-            if z not in out:
-                out.append(z)
-        return out
-
     def matrix_set(self):
         return {z.matrix for _, z in self.entries}
 
@@ -261,9 +236,10 @@ def enumerate_sc(md: ModularData) -> SCEnumeration:
     for J in all_subgroups(sc.group):
         if any(sc.is_quaternionic(j) for j in J.elements()):
             continue
-        Jab, chain = _canonical_chain(sc, J)
+        Jab, chain, base = _base_epsilon(sc, J)
         for psi in alternating_pairings(Jab):
-            param = make_epsilon(md, J, psi)
+            psi, matrix = _add_psi(Jab, base, psi)
+            param = SCParam(sc, J, Jab, chain, psi, Pairing(Jab, Jab, matrix))
             entries.append((param, sc_matrix(md, param)))
     by_matrix: dict = {}
     for param, z in entries:

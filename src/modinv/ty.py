@@ -69,13 +69,6 @@ class FusionRing:
     def product(self, a, b) -> dict:
         return dict(self.table[(a, b)])
 
-    def structure_constants(self) -> dict:
-        return {
-            (a, b): dict(self.table[(a, b)])
-            for a in self.labels
-            for b in self.labels
-        }
-
     def is_commutative(self) -> bool:
         return all(
             self.table[(a, b)] == self.table[(b, a)]

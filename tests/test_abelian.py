@@ -152,6 +152,14 @@ class TestGroup:
         with pytest.raises(ValueError):
             FinAbGroup((1,))
 
+    @pytest.mark.parametrize("factors", [[2.5], [4, 1.5], ["2"], [None], [Fraction(5, 2)]])
+    def test_rejects_non_integral_factors(self, factors):
+        with pytest.raises(ValueError, match="integers"):
+            FinAbGroup(factors)
+
+    def test_accepts_integral_floats_and_fractions(self):
+        assert FinAbGroup([4.0, Fraction(2)]).factors == (4, 2)
+
     def test_arithmetic(self):
         G = FinAbGroup((4, 2))
         assert G.add((3, 1), (2, 1)) == (1, 0)

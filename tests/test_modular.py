@@ -23,7 +23,14 @@ from modinv.modular import (
     verlinde,
 )
 from modinv.pointed import weil
-from modinv.scalars import Cyclotomic, rational_phase, root_of_unity, sqrt_nonneg_int
+from modinv.scalars import (
+    Cyclotomic,
+    phase_fraction,
+    rational_phase,
+    root_of_unity,
+    sqrt_nonneg_int,
+)
+from modinv.ty import TYData, ty_double
 
 
 def std_form(factors, num=1):
@@ -109,6 +116,27 @@ class TestWeil:
         back = ModularData.from_json(md.to_json())
         assert back.labels == md.labels
         assert back.S == md.S and back.T == md.T
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda obj: None,
+            lambda obj: {},
+            lambda obj: [obj],
+            lambda obj: {k: v for k, v in obj.items() if k != "T"},
+            lambda obj: {k: v for k, v in obj.items() if k != "labels"},
+            lambda obj: {**obj, "unit": "0"},
+            lambda obj: {**obj, "unit": None},
+            lambda obj: {**obj, "S": "S"},
+            lambda obj: {**obj, "S": [None] * len(obj["S"])},
+            lambda obj: {**obj, "T": {"N": 1, "c": ["1"]}},
+            lambda obj: {**obj, "T": [None] * len(obj["T"])},
+            lambda obj: {**obj, "T": obj["T"][1:]},
+        ],
+    )
+    def test_from_json_rejects_malformed(self, edit):
+        with pytest.raises(ValueError):
+            ModularData.from_json(edit(weil(Z4_FORM).to_json()))
 
 
 class TestValidate:
@@ -302,6 +330,39 @@ class TestKernel:
         assert s_commutes(md, Z) == expected
 
 
+def _double(descriptor, sign=1):
+    q = indecomposable_form(descriptor)[0]
+    return ty_double(TYData(q.group, q.polarization(), sign), q)
+
+
+CURRENT_DATA = [
+    lambda: weil(Z2_FORM),
+    lambda: weil(Z3_FORM),
+    lambda: weil(Z4_FORM),
+    lambda: weil(std_form((2, 2))),
+    lambda: weil(std_form((6,))),
+    lambda: weil(indecomposable_form("3^1_+ x 3^1_+")[0]),
+    lambda: weil(indecomposable_form("2^12^1_i")[0]),
+    lambda: _double("2^1_1"),
+    lambda: _double("3^1_+", -1),
+    lambda: _double("2^2_1"),
+    lambda: _double("5^1_+"),
+]
+CURRENT_IDS = [
+    "weil-2^1_1",
+    "weil-3^1_+",
+    "weil-2^2_1",
+    "weil-Z2xZ2",
+    "weil-Z6",
+    "weil-3^1_+x3^1_+",
+    "weil-2^12^1_i",
+    "ty-2^1_1",
+    "ty-3^1_+-",
+    "ty-2^2_1",
+    "ty-5^1_+",
+]
+
+
 class TestSimpleCurrents:
     def test_weil_all_invertible(self):
         md = weil(Z4_FORM)
@@ -315,7 +376,7 @@ class TestSimpleCurrents:
         sc = simple_currents(md)
         for g in q.group.elements():
             j = sc.coords[md.index(g)]
-            assert sc.q(j) == q.eval(g)
+            assert sc.q(j) == q.phase(g)
 
     def test_quaternionic_half_spin(self):
         md = weil(Z2_FORM)
@@ -336,7 +397,42 @@ class TestSimpleCurrents:
         for g in q.group.elements():
             j = sc.coords[md.index(g)]
             for a, ga in enumerate(md.labels):
-                assert sc.grading(a, j) == P.eval(g, ga)
+                assert sc.grading(a, j) == P.phase(g, ga)
+
+    @pytest.mark.parametrize("build", CURRENT_DATA, ids=CURRENT_IDS)
+    def test_charges_are_s_ratio_phases(self, build):
+        md = build()
+        sc = simple_currents(md)
+        for j, row in sc.charges.items():
+            J = sc.label_index[j]
+            for a in range(md.dim):
+                ratio = md.S[J][a] * md.S[md.unit][a].inverse()
+                assert row[a] == phase_fraction(ratio)
+
+    @pytest.mark.parametrize("build", CURRENT_DATA, ids=CURRENT_IDS)
+    def test_charges_match_twists(self, build):
+        # Q_J(a) = h_J + h_a - h_{Ja} mod 1, with every h read off T alone
+        md = build()
+        sc = simple_currents(md)
+        unit_conj = md.T[md.unit].conj()
+        h = [phase_fraction(t * unit_conj) for t in md.T]
+        for j, act in sc.action_table.items():
+            assert sc.q(j) == h[sc.label_index[j]]
+            for a in range(md.dim):
+                assert sc.grading(a, j) == (h[sc.label_index[j]] + h[a] - h[act[a]]) % 1
+
+    def test_non_root_charge_names_current_and_primary(self):
+        md = weil(Z4_FORM)
+        j, a = md.index((1,)), md.index((2,))
+        S = [list(row) for row in md.S]
+        S[j][a] = 2 * S[j][a]
+        bad = ModularData(md.labels, md.unit, S, md.T)
+        # reuse the fusion and conjugation of md, so the doubled entry
+        # reaches the charge table
+        bad._fusion = md.fusion()
+        bad._charge = md.charge_conjugation()
+        with pytest.raises(ValueError, match=r"current \(1,\) at primary \(2,\)"):
+            simple_currents(bad)
 
     def test_sufficiently_nonzero(self):
         assert simple_currents(weil(Z4_FORM)).sufficiently_nonzero

@@ -167,7 +167,7 @@ class TestZParams:
         for q in [std_form((4,)), hyperbolic(2)]:
             square, pair, split = square_group(q)
             Z = Subgroup(square, [pair(g, g) for g in q.group.elements()])
-            param = ZParam(q, square, pair, split, Z)
+            param = ZParam(q, square, pair, split, square_pairing(q), Z)
             assert param.isotropic
             assert z_to_matrix(param).matrix == identity_matrix(q.group.order)
 
@@ -177,14 +177,14 @@ class TestZParams:
         Z = Subgroup(
             square, [pair(g, q.group.neg(g)) for g in q.group.elements()]
         )
-        param = ZParam(q, square, pair, split, Z)
+        param = ZParam(q, square, pair, split, square_pairing(q), Z)
         assert z_to_matrix(param).matrix == conj_matrix(q)
 
     def test_wrong_order_rejected(self):
         q = std_form((4,))
         square, pair, split = square_group(q)
         with pytest.raises(ValueError):
-            ZParam(q, square, pair, split, Subgroup(square, []))
+            ZParam(q, square, pair, split, square_pairing(q), Subgroup(square, []))
 
     def test_sqrt4_count(self):
         assert len(enum_z(std_form((4,)))) == 2

@@ -1,6 +1,7 @@
 import cmath
 from fractions import Fraction
-from math import prod
+from functools import lru_cache
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from modinv.scalars import (
     GuardError,
     cyclotomic_polynomial,
     factorize,
+    phase_fraction,
     rational_phase,
     root_of_unity,
     sqrt_nonneg_int,
@@ -125,6 +127,62 @@ def test_serialization_round_trip():
     j = a.to_json()
     assert len(j["c"]) == j["N"]
     assert Cyclotomic.from_json(j) == a
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        None,
+        {},
+        [4, ["0", "1", "0", "0"]],
+        {"N": 2},
+        {"c": ["0", "1"]},
+        {"N": "2", "c": ["0", "1"]},
+        {"N": 2.5, "c": ["0", "1"]},
+        {"N": None, "c": ["0", "1"]},
+        {"N": 2, "c": "01"},
+        {"N": 2, "c": [None, "1"]},
+        {"N": 2, "c": [[1], "0"]},
+        {"N": 2, "c": ["0"]},
+    ],
+)
+def test_from_json_rejects_malformed(obj):
+    with pytest.raises(ValueError):
+        Cyclotomic.from_json(obj)
+
+
+@lru_cache(maxsize=None)
+def _candidates(m):
+    return [rational_phase(Fraction(k, m)).at_order(m).canonical() for k in range(m)]
+
+
+def _scan_phase(x):
+    # reference: compare x with each e^(2 pi i k/m), m = lcm(2, order), in turn
+    m = lcm(2, x.order)
+    key = x.at_order(m).canonical()
+    for k, candidate in enumerate(_candidates(m)):
+        if key == candidate:
+            return Fraction(k, m)
+    raise ValueError("not a root of unity")
+
+
+def test_phase_fraction_matches_scan():
+    for m in range(1, 49):
+        for k in range(m):
+            x = rational_phase(Fraction(k, m))
+            assert phase_fraction(x) == _scan_phase(x) == Fraction(k, m)
+            # the same value written at a larger order
+            assert phase_fraction(x.at_order(2 * m)) == Fraction(k, m)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [Cyclotomic.zero(), Cyclotomic.from_rational(2), 1 + root_of_unity(4, 1)],
+    ids=["0", "2", "1+i"],
+)
+def test_phase_fraction_rejects_non_roots(x):
+    with pytest.raises(ValueError, match="not a root of unity"):
+        phase_fraction(x)
 
 
 def test_serialization_shape():

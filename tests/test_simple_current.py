@@ -99,7 +99,7 @@ class TestBaseEpsilon:
         param = make_epsilon(md, J)
         for y in param.group.elements():
             j = param.embed(y)
-            assert param.epsilon.phase(y, y) == phase_fraction(param.sc.q(j))
+            assert param.epsilon.phase(y, y) == param.sc.q(j)
 
 
 class TestMakeEpsilon:
