@@ -564,16 +564,9 @@ def homs(dom: FinAbGroup, cod: FinAbGroup) -> list[Hom]:
     return out
 
 
-def endomorphisms(G: FinAbGroup, invertible_only=False):
-    """All endomorphisms (or automorphisms) of G by direct enumeration."""
-    out = homs(G, G)
-    if invertible_only:
-        out = [f for f in out if f.is_bijective()]
-    return out
-
-
 def automorphisms(G: FinAbGroup) -> list[Hom]:
-    return endomorphisms(G, invertible_only=True)
+    """All automorphisms of G by brute force: the reference for ``forms.isometries``."""
+    return [f for f in homs(G, G) if f.is_bijective()]
 
 
 def product_with_maps(A: FinAbGroup, B: FinAbGroup):

@@ -13,10 +13,11 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .abelian import (
+    HOM_GUARD,
     FinAbGroup,
     GuardError,
+    Hom,
     Subgroup,
-    automorphisms,
     congruence_kernel,
     full_subgroup,
     product_with_maps,
@@ -25,6 +26,7 @@ from .abelian import (
 from .scalars import Cyclotomic, factorize, rational_phase, root_of_unity, sqrt_nonneg_int
 
 PAIRING_GUARD = 10**6
+DISCRIMINANT_GUARD = 10**5  # largest order of a tabulated form
 
 
 def mod1(x) -> Fraction:
@@ -174,11 +176,15 @@ class Pairing:
 
     @staticmethod
     def from_json(obj) -> "Pairing":
-        return Pairing(
-            FinAbGroup(obj["left"]["factors"]),
-            FinAbGroup(obj["right"]["factors"]),
-            [[Fraction(s) for s in row] for row in obj["E"]],
-        )
+        try:
+            left = FinAbGroup(obj["left"]["factors"])
+            right = FinAbGroup(obj["right"]["factors"])
+            E = [[Fraction(s) for s in row] for row in obj["E"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed pairing JSON: {exc!r}") from exc
+        if len(E) != left.rank or any(len(row) != right.rank for row in E):
+            raise ValueError("pairing matrix shape must be left rank x right rank")
+        return Pairing(left, right, E)
 
 
 class AlternatingPairing(Pairing):
@@ -312,11 +318,14 @@ class QuadraticForm:
 
     @staticmethod
     def from_json(obj) -> "QuadraticForm":
-        G = FinAbGroup(obj["group"]["factors"])
-        elems = sorted(G.elements())
-        if len(obj["values"]) != len(elems):
+        try:
+            G = FinAbGroup(obj["group"]["factors"])
+            values = [Fraction(s) for s in obj["values"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed quadratic form JSON: {exc!r}") from exc
+        if len(values) != G.order:
             raise ValueError("value array length must equal the group order")
-        return QuadraticForm(G, {g: Fraction(s) for g, s in zip(elems, obj["values"])})
+        return QuadraticForm(G, dict(zip(sorted(G.elements()), values)))
 
 
 def forms_for_pairing(gamma: Pairing) -> list[QuadraticForm]:
@@ -388,92 +397,131 @@ def _eps_unit(n: int) -> Cyclotomic:
     raise ValueError("n must be odd")
 
 
-def indecomposable_form(descriptor: str):
-    """(QuadraticForm, x_cubed) for one indecomposable descriptor.
+def _parse_descriptor(part: str):
+    """Parse one indecomposable descriptor into (p, k, sub, order).
 
-    Grammar: "p^k_s" with p an odd prime and s one of +,-;
-    "2^k_m" with m in {1,-1,3,-3}; "2^k2^k_i" and "2^k2^k_ii".
-    Products join descriptors with " x ".
+    sub is "i" or "ii" for the pair types 2^k2^k, m in {1, -1, 3, -3} for
+    2^k_m and the sign +1 or -1 for p^k_s.  The order is checked against
+    DISCRIMINANT_GUARD before p^k is formed, so huge exponents fail fast.
     """
-    desc = descriptor.strip()
-    if " x " in desc or "*" in desc:
-        parts = desc.replace("*", " x ").split(" x ")
-        q, x3 = indecomposable_form(parts[0])
-        for part in parts[1:]:
-            q2, x32 = indecomposable_form(part)
-            q = q.direct_sum(q2)
-            x3 = x3 * x32
-        return q, x3
+    bad = ValueError(f"bad descriptor {part!r}")
     try:
-        head, sub = desc.rsplit("_", 1)
+        head, sub = part.strip().rsplit("_", 1)
+        if head.count("^") == 2:
+            half = head[: len(head) // 2]
+            if half * 2 != head or not half.startswith("2^") or sub not in ("i", "ii"):
+                raise bad
+            p, k, rank = 2, int(half[2:]), 2
+        else:
+            p_str, k_str = head.split("^")
+            p, k, rank = int(p_str), int(k_str), 1
+            if p == 2:
+                sub = int(sub)
+                if sub not in (1, -1, 3, -3):
+                    raise bad
+            elif sub in ("+", "+1", "1", "-", "-1"):
+                sub = -1 if sub.startswith("-") else 1
+            else:
+                raise bad
     except ValueError:
-        raise ValueError(f"bad descriptor {descriptor!r}") from None
-    if head.count("^") == 2:
-        # pair type 2^k2^k
-        half = head[: len(head) // 2]
-        if half * 2 != head or not half.startswith("2^"):
-            raise ValueError(f"bad descriptor {descriptor!r}")
-        k = int(half[2:])
-        if k < 1:
-            raise ValueError(f"bad descriptor {descriptor!r}")
-        N = 2**k
+        raise bad from None
+    if k < 1 or p < 2:
+        raise bad
+    # the order is p^(rank k) with p >= 2: past the guard once rank k reaches its bit length
+    e = rank * k
+    if e >= DISCRIMINANT_GUARD.bit_length() or p**e > DISCRIMINANT_GUARD:
+        raise GuardError(f"descriptor {part!r} exceeds the form order guard {DISCRIMINANT_GUARD}")
+    if p != 2 and factorize(p) != {p: 1}:
+        raise ValueError(f"p must be an odd prime in {part!r}")
+    return p, k, sub, p**e
+
+
+def _tabulate(p: int, k: int, sub):
+    """(QuadraticForm, x_cubed) for one parsed indecomposable descriptor."""
+    N = p**k
+    if sub in ("i", "ii"):
         G = FinAbGroup((N, N))
         if sub == "i":
             table = {g: mod1(Fraction(g[0] * g[1], N)) for g in G.elements()}
             x3 = Cyclotomic.one()
-        elif sub == "ii":
+        else:
             table = {
                 g: mod1(Fraction(g[0] * g[0] + g[0] * g[1] + g[1] * g[1], N))
                 for g in G.elements()
             }
             x3 = Cyclotomic.from_rational(Fraction((-1) ** k))
-        else:
-            raise ValueError(f"bad descriptor {descriptor!r}")
         return QuadraticForm(G, table), x3
-    try:
-        p_str, k_str = head.split("^")
-        p, k = int(p_str), int(k_str)
-    except ValueError:
-        raise ValueError(f"bad descriptor {descriptor!r}") from None
-    if k < 1:
-        raise ValueError(f"bad descriptor {descriptor!r}")
-    if p == 2:
-        m = int(sub)
-        if m not in (1, -1, 3, -3):
-            raise ValueError(f"bad descriptor {descriptor!r}")
-        N = 2**k
-        G = FinAbGroup((N,))
-        table = {g: mod1(Fraction(m * g[0] * g[0], 2 * N)) for g in G.elements()}
-        eps = -1 if (k % 2 == 1 and m % 8 in (3, 5)) else 1
-        x3 = Cyclotomic.from_rational(Fraction(eps)) * root_of_unity(8, -m)
-        return QuadraticForm(G, table), x3
-    if factorize(p) != {p: 1}:
-        raise ValueError(f"p must be an odd prime in {descriptor!r}")
-    if sub in ("+", "+1", "1"):
-        s = 1
-    elif sub in ("-", "-1"):
-        s = -1
-    else:
-        raise ValueError(f"bad descriptor {descriptor!r}")
-    if s == 1:
-        m = 1
-    else:
-        m = next(a for a in range(2, p) if legendre(a, p) == -1)
-    N = p**k
     G = FinAbGroup((N,))
+    if p == 2:
+        table = {g: mod1(Fraction(sub * g[0] * g[0], 2 * N)) for g in G.elements()}
+        eps = -1 if (k % 2 == 1 and sub % 8 in (3, 5)) else 1
+        x3 = Cyclotomic.from_rational(Fraction(eps)) * root_of_unity(8, -sub)
+        return QuadraticForm(G, table), x3
+    m = 1 if sub == 1 else next(a for a in range(2, p) if legendre(a, p) == -1)
     table = {g: mod1(Fraction(m * g[0] * g[0], N)) for g in G.elements()}
-    x3 = _eps_unit(N) if s**k == 1 else _eps_unit(N) * Cyclotomic.from_rational(Fraction(-1))
+    x3 = _eps_unit(N) if sub**k == 1 else _eps_unit(N) * Cyclotomic.from_rational(Fraction(-1))
     return QuadraticForm(G, table), x3
 
 
+def indecomposable_form(descriptor: str):
+    """(QuadraticForm, x_cubed) for one indecomposable descriptor.
+
+    Grammar: "p^k_s" with p an odd prime and s one of +,-;
+    "2^k_m" with m in {1,-1,3,-3}; "2^k2^k_i" and "2^k2^k_ii".
+    Products join descriptors with " x ".  Every part is parsed, and the
+    order of the product checked against DISCRIMINANT_GUARD, before any
+    table is built.
+    """
+    parts = [
+        _parse_descriptor(part)
+        for part in descriptor.strip().replace("*", " x ").split(" x ")
+    ]
+    order = prod(order for *_, order in parts)
+    if order > DISCRIMINANT_GUARD:
+        raise GuardError(f"form order {order} exceeds guard {DISCRIMINANT_GUARD}")
+    (q, x3), *rest = [_tabulate(p, k, sub) for p, k, sub, _ in parts]
+    for q2, x32 in rest:
+        q = q.direct_sum(q2)
+        x3 = x3 * x32
+    return q, x3
+
+
+def isometries(q1: QuadraticForm, q2: QuadraticForm):
+    """Every isomorphism alpha: q1.group -> q2.group with q2(alpha(g)) = q1(g).
+
+    Backtracks over the images of the generators e_i: the image of e_i has
+    order dividing n_i and q2-value q1(e_i), and its b2-pairing with each
+    earlier image is b1(e_i, e_j).  As q(g + h) = q(g) + q(h) - b(g, h), such
+    a map preserves q everywhere; it is yielded if bijective (q1 may be degenerate).
+    """
+    G, H = q1.group, q2.group
+    b1, b2 = q1.polarization(), q2.polarization()
+    basis = G.basis()
+    candidates = [
+        [h for h in H.elements() if n % H.element_order(h) == 0 and q2.table[h] == q1.table[e]]
+        for e, n in zip(basis, G.factors)
+    ]
+    count = prod(len(c) for c in candidates)
+    if count > HOM_GUARD:
+        raise GuardError(f"isometry candidate count {count} exceeds guard {HOM_GUARD}")
+
+    def extend(images):
+        i = len(images)
+        if i == len(basis):
+            alpha = Hom(G, H, [[h[j] for h in images] for j in range(H.rank)], check=False)
+            if alpha.is_bijective():
+                yield alpha
+            return
+        for h in candidates[i]:
+            if all(b2.phase(h, prev) == b1.matrix[i][j] for j, prev in enumerate(images)):
+                yield from extend(images + [h])
+
+    return extend([])
+
+
 def forms_equivalent(q1: QuadraticForm, q2: QuadraticForm):
-    """An automorphism alpha with q1(alpha(g)) = q2(g) for all g, if one exists."""
-    if q1.group != q2.group:
-        return None
-    for alpha in automorphisms(q1.group):
-        if all(q1.phase(alpha.apply(g)) == q2.phase(g) for g in q1.group.elements()):
-            return alpha
-    return None
+    """An isomorphism alpha: q2.group -> q1.group with q1(alpha(g)) = q2(g), or None."""
+    return next(isometries(q2, q1), None)
 
 
 def alternating_pairings(G: FinAbGroup) -> list[AlternatingPairing]:

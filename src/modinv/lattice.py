@@ -24,6 +24,7 @@ from .abelian import (
     invariant_factor_group,
 )
 from .forms import (
+    DISCRIMINANT_GUARD,
     Pairing,
     QuadraticForm,
     forms_equivalent,
@@ -33,7 +34,6 @@ from .forms import (
 )
 from .scalars import as_integer, factorize
 
-DISCRIMINANT_GUARD = 10**5
 PRIME_BOUND = 10**4
 FORM_ORDER_GUARD = 512
 FORM_RANK_GUARD = 4
@@ -129,7 +129,11 @@ class Lattice:
 
     @staticmethod
     def from_json(obj) -> "Lattice":
-        return Lattice(obj["gram"])
+        try:
+            gram = [list(row) for row in obj["gram"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed lattice JSON: {exc!r}") from exc
+        return Lattice(gram)
 
 
 class DualVector:
@@ -456,12 +460,9 @@ def _matching_descriptor(q: QuadraticForm) -> str:
             pools = [[f"{p}^{k}_+", f"{p}^{k}_-"] for k in ks]
             options.extend(_products(pools))
         per_prime.append(options)
-    target_values = sorted(q.table.values())
     for combo in _products(per_prime):
         desc = " x ".join(part for group_part in combo for part in group_part)
         cand, _ = indecomposable_form(desc)
-        if cand.group != G or sorted(cand.table.values()) != target_values:
-            continue
         if forms_equivalent(cand, q) is not None:
             return desc
     raise ValueError("no indecomposable product matches the form")
@@ -490,9 +491,9 @@ def realize(target) -> Lattice:
     for part in parts:
         piece = _realize_factor(part)
         lat = piece if lat is None else lat.direct_sum(piece)
-    if len(parts) > 1:
+    if len(parts) > 1 and lat.det <= FORM_ORDER_GUARD:
         q, _ = indecomposable_form(desc)
-        if q.group.order <= FORM_ORDER_GUARD and q.group.rank <= FORM_RANK_GUARD:
+        if q.group.rank <= FORM_RANK_GUARD:
             _verify_realization(lat, q)
     return lat
 

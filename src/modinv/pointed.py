@@ -16,13 +16,12 @@ from .abelian import (
     Hom,
     Subgroup,
     all_subgroups,
-    automorphisms,
     homs,
     product_with_maps,
     quotient,
     subgroup_group,
 )
-from .forms import Pairing, QuadraticForm, gauss_sum, mod1
+from .forms import Pairing, QuadraticForm, gauss_sum, isometries, mod1
 from .modular import ModularData, ModularInvariant
 from .scalars import Cyclotomic, phase_fraction, rational_phase, sqrt_nonneg_int
 
@@ -146,27 +145,18 @@ class DPMParam:
 
 
 def enum_dpm(q: QuadraticForm) -> list[DPMParam]:
-    """All isotropic-pair parameters, by brute force over isomorphisms."""
+    """All isotropic-pair parameters: each pair of isotropic data joined by
+    each isometry of the plus quotient form onto the minus one."""
     data = isotropic_subgroups(q)
     out = []
-    autos = {}
     for plus in data:
         if plus.group.order > QUOTIENT_GUARD:
             raise GuardError(
                 f"isotropic quotient of order {plus.group.order} exceeds guard {QUOTIENT_GUARD}"
             )
-        factors = plus.group.factors
-        if factors not in autos:
-            autos[factors] = automorphisms(plus.group)
         for minus in data:
-            if factors != minus.group.factors:
-                continue
-            for a in autos[factors]:
-                sigma = Hom(plus.group, minus.group, a.matrix, check=False)
-                try:
-                    out.append(DPMParam(plus, minus, sigma))
-                except ValueError:
-                    continue
+            for sigma in isometries(plus.form, minus.form):
+                out.append(DPMParam(plus, minus, sigma))
     return out
 
 

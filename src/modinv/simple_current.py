@@ -14,7 +14,6 @@ from math import prod
 from .abelian import Character, FinAbGroup, Subgroup, all_subgroups, subgroup_group
 from .forms import AlternatingPairing, Pairing, mod1
 from .modular import ModularData, ModularInvariant, s_commutes, simple_currents
-from .scalars import phase_fraction  # noqa: F401  (kept importable from here)
 
 
 def _chain_embed(group: FinAbGroup, chain):

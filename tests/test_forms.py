@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from oracle import close, cphase
 
 from modinv.abelian import (
+    HOM_GUARD,
     FinAbGroup,
+    GuardError,
     Subgroup,
+    automorphisms,
     dual_characters,
     full_subgroup,
     subgroup_group,
@@ -26,6 +29,7 @@ from modinv.forms import (
     forms_for_pairing,
     gauss_sum,
     indecomposable_form,
+    isometries,
     mod1,
     pairing_image_data,
     standard_pairing,
@@ -372,6 +376,22 @@ class TestIndecomposable:
             with pytest.raises(ValueError):
                 indecomposable_form(bad)
 
+    @pytest.mark.parametrize(
+        "desc,error,match",
+        [
+            ("2^1_", ValueError, "bad descriptor '2\\^1_'"),
+            ("2^1_1 x", ValueError, "bad descriptor '2\\^1_1 x'"),
+            ("2^1_1/2", ValueError, "bad descriptor '2\\^1_1/2'"),
+            ("2^100_1", GuardError, "guard"),
+            ("3^40_+", GuardError, "guard"),
+            ("5^12_+", GuardError, "guard"),  # 244M entries if tabulated
+            ("2^10_1 x 3^5_+", GuardError, "guard"),  # each part alone is legal
+        ],
+    )
+    def test_malformed_or_oversized(self, desc, error, match):
+        with pytest.raises(error, match=match):
+            indecomposable_form(desc)
+
     @pytest.mark.parametrize("desc", DESCRIPTORS)
     def test_gauss_consistency(self, desc):
         # normalized Gauss sum is the inverse of x cubed
@@ -456,6 +476,69 @@ class TestEquivalence:
         assert self.class_count(standard_pairing(G)) == 3
         sigmas = sorted(gauss_sum(q)[2] for q in forms)
         assert sigmas == [0, 0, 2, 6]
+
+
+def _hyperbolic_pairing():
+    G = FinAbGroup((2, 2))
+    return Pairing(G, G, [[0, F(1, 2)], [F(1, 2), 0]])
+
+
+def _degenerate_forms():
+    """Forms with a radical, where a map preserving the values need not be injective."""
+    G = FinAbGroup((4, 2))
+    return [
+        QuadraticForm(G, {g: 0 for g in G.elements()}),
+        QuadraticForm(G, {g: F(g[1], 2) for g in G.elements()}),
+        QuadraticForm(G, {g: F(g[0] * g[0], 4) % 1 for g in G.elements()}),
+    ]
+
+
+class TestIsometries:
+    @pytest.mark.parametrize(
+        "forms",
+        [
+            pytest.param(forms_for_pairing(standard_pairing(FinAbGroup(f))), id=repr(f))
+            for f in [(3,), (4,), (8,), (9, 3), (4, 2), (2, 2, 2)]
+        ]
+        + [
+            pytest.param(forms_for_pairing(_hyperbolic_pairing()), id="hyperbolic"),
+            pytest.param(_degenerate_forms(), id="degenerate"),
+        ],
+    )
+    def test_matches_brute_force(self, forms):
+        G = forms[0].group
+        autos = automorphisms(G)
+        for q1 in forms:
+            for q2 in forms:
+                brute = {
+                    a.matrix
+                    for a in autos
+                    if all(q2.phase(a.apply(g)) == q1.phase(g) for g in G.elements())
+                }
+                assert {a.matrix for a in isometries(q1, q2)} == brute
+
+    @pytest.mark.parametrize(
+        "desc,count",
+        [
+            ("2^1_1 x 2^1_1 x 2^1_1 x 2^1_1", 24),
+            ("3^1_+ x 3^1_+ x 3^1_+", 48),
+            ("2^8_1", 2),
+            ("3^5_+", 2),
+        ],
+    )
+    def test_orthogonal_group_orders(self, desc, count):
+        q, _ = indecomposable_form(desc)
+        found = list(isometries(q, q))
+        assert len(found) == len({a.matrix for a in found}) == count
+        for a in found:
+            assert a.is_bijective()
+            assert all(q.phase(a.apply(g)) == q.phase(g) for g in q.group.elements())
+
+    def test_guard_before_search(self):
+        # 64 candidates for each of the 8 generators
+        q, _ = indecomposable_form(" x ".join(["2^1_1"] * 8))
+        with pytest.raises(GuardError, match=str(HOM_GUARD)):
+            isometries(q, q)
 
 
 class TestAlternating:

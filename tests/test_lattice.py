@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from modinv import lattice
 from modinv.abelian import FinAbGroup, GuardError, Subgroup
 from modinv.forms import (
+    Pairing,
     QuadraticForm,
     forms_equivalent,
     gauss_sum,
@@ -107,6 +108,25 @@ def test_json_roundtrip():
         L = named(name)
         blob = json.dumps(L.to_json())
         assert Lattice.from_json(json.loads(blob)) == L
+
+
+@pytest.mark.parametrize(
+    "from_json,obj",
+    [
+        (Lattice.from_json, {"gram": None}),
+        (Lattice.from_json, None),
+        (Lattice.from_json, {"gram": [None]}),
+        (QuadraticForm.from_json, {}),
+        (QuadraticForm.from_json, {"group": {"factors": [2]}, "values": ["0", None]}),
+        (QuadraticForm.from_json, {"group": {"factors": [10**12]}, "values": []}),
+        (Pairing.from_json, None),
+        (Pairing.from_json, {"left": {"factors": [2]}}),
+        (Pairing.from_json, {"left": {"factors": [2]}, "right": {"factors": [2]}, "E": []}),
+    ],
+)
+def test_from_json_rejects_malformed(from_json, obj):
+    with pytest.raises(ValueError):
+        from_json(obj)
 
 
 # -- discriminant groups and forms -------------------------------------------------

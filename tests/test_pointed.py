@@ -240,6 +240,17 @@ class TestEnumAgreement:
             zs = {dpm_to_z(q, d).key() for d in dpms}
             assert len(zs) == len(dpms) == len(enum_z(q))
 
+    @pytest.mark.parametrize(
+        "desc,count",
+        [("2^1_1 x 2^1_1 x 2^1_1 x 2^1_1", 30), ("3^1_+ x 3^1_+ x 3^1_+", 80)],
+    )
+    def test_paper_scale_dpm_matches_sc(self, desc, count):
+        q, _ = indecomposable_form(desc)
+        sc_set = enumerate_sc(weil(q)).matrix_set()
+        dpm_set = {dpm_to_matrix(q, d).matrix for d in enum_dpm(q)}
+        assert sc_set == dpm_set
+        assert len(dpm_set) == count
+
     def test_all_pass_check_invariant(self):
         q = hyperbolic(2)
         md = weil(q)

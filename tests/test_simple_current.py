@@ -20,11 +20,10 @@ from modinv.simple_current import (
     invariant_product,
     make_epsilon,
     param_from_epsilon,
-    phase_fraction,
     s_only_matrix,
     sc_matrix,
 )
-from modinv.scalars import Cyclotomic, rational_phase, root_of_unity
+from modinv.scalars import Cyclotomic, phase_fraction, rational_phase, root_of_unity
 
 
 def std_form(factors, num=1):
