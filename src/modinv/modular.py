@@ -1,8 +1,9 @@
 """Modular data containers, Verlinde fusion, simple currents, invariants.
 
 All arithmetic is exact over cyclotomic numbers.  Matrix work (``mat_mul``,
-``verlinde`` and the S-commutation check) goes through one integer kernel
-instead of per-entry ``Cyclotomic`` arithmetic:
+``verlinde``, ``validate_modular``, the charge conjugation and the
+S-commutation check) goes through one integer kernel instead of per-entry
+``Cyclotomic`` arithmetic:
 
 * The matrices of one computation are written over one conductor N (the lcm
   of their entry orders), each over one common denominator, so every entry
@@ -19,20 +20,31 @@ instead of per-entry ``Cyclotomic`` arithmetic:
   ||q||_1).  B is chosen from that bound plus a sign bit and one guard bit,
   so the signed B-bit digits unpacked from a result are exactly its
   coefficients, with no overflow check or fallback.  They are reduced
-  modulo Phi_N only where a value or an equality is needed.
+  modulo Phi_N only where a value or an equality is needed.  ``_product``
+  returns a product as these reduced integer lists; ``mat_mul`` wraps them
+  as ``Cyclotomic`` values, and the identity checks compare the lists.
 
-The brute-force invariant search solves the commutant linear system over the
-rationals and enumerates bounded nonnegative integer points.
+The brute-force invariant search writes the commutant linear system SZ = ZS
+as integer rows (one per coefficient of zeta_N), brings it to a fully reduced
+echelon form by fraction-free elimination, and enumerates bounded
+nonnegative integer points by divisibility checks on the pivot rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .abelian import FinAbGroup, GuardError, abelian_structure
-from .scalars import Cyclotomic, as_integer, phase_fraction, reduce_mod_phi
+from .scalars import (
+    Cyclotomic,
+    as_integer,
+    cyclotomic_polynomial,
+    phase_fraction,
+    reduce_mod_phi,
+)
 
 BRUTE_GUARD = 64
 
@@ -99,10 +111,28 @@ class _Packing:
         ]
         return reduce_mod_phi(coeffs, N)
 
-    def value(self, v: int, den: int) -> Cyclotomic:
-        return Cyclotomic(
-            self.N, {k: Fraction(c, den) for k, c in enumerate(self.reduced(v)) if c}
-        )
+
+def _reduced(p: dict, N: int) -> list[int]:
+    """Coefficients of one integer polynomial in zeta_N, reduced modulo Phi_N."""
+    coeffs = [0] * N
+    for k, c in p.items():
+        coeffs[k] = c
+    return reduce_mod_phi(coeffs, N)
+
+
+def _product(iA, iB, N: int):
+    """Product of two integer polynomial matrices over zeta_N.
+
+    Entry (i, j) is Sum_t iA[i][t] iB[t][j] as its length-N coefficient list
+    reduced modulo Phi_N, so equal values have equal lists.
+    """
+    pk = _Packing(N, len(iB) * _norm(iA) * _norm(iB))
+    cols = list(zip(*([pk.pack(p) for p in row] for row in iB)))
+    out = []
+    for row in iA:
+        packed = [pk.pack(p) for p in row]
+        out.append([pk.reduced(sum(map(mul, packed, col))) for col in cols])
+    return out
 
 
 def mat_mul(A, B):
@@ -110,15 +140,11 @@ def mat_mul(A, B):
     N = _conductor(A, B)
     dA, iA = _integral(A, N)
     dB, iB = _integral(B, N)
-    pk = _Packing(N, len(B) * _norm(iA) * _norm(iB))
-    pB = [[pk.pack(p) for p in row] for row in iB]
-    cols = list(zip(*pB))
     den = dA * dB
-    out = []
-    for row in iA:
-        terms = [(t, pk.pack(p)) for t, p in enumerate(row) if p]
-        out.append([pk.value(sum(x * col[t] for t, x in terms), den) for col in cols])
-    return out
+    return [
+        [Cyclotomic(N, {k: Fraction(c, den) for k, c in enumerate(x) if c}) for x in row]
+        for row in _product(iA, iB, N)
+    ]
 
 
 def s_commutes(md: ModularData, matrix) -> bool:
@@ -139,40 +165,36 @@ def s_commutes(md: ModularData, matrix) -> bool:
     return True
 
 
-def mat_dagger(A):
-    n = len(A)
-    return [[A[j][i].conj() for j in range(n)] for i in range(n)]
+def _poly_mul(p: dict, q: dict, N: int) -> dict:
+    """Product of two integer polynomials in Z[x]/(x^N - 1)."""
+    out: dict = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            k = (k1 + k2) % N
+            out[k] = out.get(k, 0) + c1 * c2
+    return out
 
 
-def is_identity_matrix(A) -> bool:
-    for i, row in enumerate(A):
-        for j, x in enumerate(row):
-            if i == j:
-                if not x.is_one():
-                    return False
-            elif not x.is_zero():
-                return False
-    return True
+def _permutation(rows, den: int):
+    """Permutation p with rows[i][p[i]] = 1 and every other entry 0, else None.
+
+    Entries are reduced coefficient lists over the denominator ``den``, as
+    ``_product`` returns them.
+    """
+    perm = []
+    for row in rows:
+        hits = [j for j, c in enumerate(row) if any(c)]
+        if len(hits) != 1 or row[hits[0]][0] != den or any(row[hits[0]][1:]):
+            return None
+        perm.append(hits[0])
+    return perm if sorted(perm) == list(range(len(rows))) else None
 
 
 def as_permutation(A):
     """Permutation p with A[i][p[i]] = 1 if A is a permutation matrix, else None."""
-    n = len(A)
-    perm = []
-    for i in range(n):
-        hit = None
-        for j in range(n):
-            x = A[i][j]
-            if x.is_one():
-                if hit is not None:
-                    return None
-                hit = j
-            elif not x.is_zero():
-                return None
-        if hit is None:
-            return None
-        perm.append(hit)
-    return perm if sorted(perm) == list(range(n)) else None
+    N = _conductor(A)
+    den, iA = _integral(A, N)
+    return _permutation([[_reduced(p, N) for p in row] for row in iA], den)
 
 
 def _is_root_of_unity(x: Cyclotomic) -> bool:
@@ -213,7 +235,9 @@ class ModularData:
     def charge_conjugation(self):
         """Permutation c with S^2 the matrix of a -> c(a)."""
         if self._charge is None:
-            perm = as_permutation(mat_mul(self.S, self.S))
+            N = _conductor(self.S)
+            den, iS = _integral(self.S, N)
+            perm = _permutation(_product(iS, iS, N), den * den)
             if perm is None:
                 raise ValueError("S^2 is not a permutation matrix")
             self._charge = tuple(perm)
@@ -245,28 +269,46 @@ class ModularData:
 
 
 def validate_modular(md: ModularData) -> list[str]:
-    """List of failed identities; empty means the data is modular."""
+    """List of failed identities; empty means the data is modular.
+
+    The matrix identities are decided on integer coefficient lists over one
+    conductor N, with S over its common denominator d and T over its own
+    denominator e: S S-bar^T = d^2 I, S^2 = d^2 times a permutation matrix,
+    and (ST)^3 = S^2 as lists over (d e)^3.  A permutation S^2 is kept as the
+    charge conjugation of md.
+    """
     report = []
     n = md.dim
-    S, T = md.S, md.T
-    if any(S[i][j] != S[j][i] for i in range(n) for j in range(i + 1, n)):
+    N = _conductor(md.S, [md.T])
+    dS, iS = _integral(md.S, N)
+    dT, (iT,) = _integral([md.T], N)
+    rS = [[_reduced(p, N) for p in row] for row in iS]
+    if any(rS[i][j] != rS[j][i] for i in range(n) for j in range(i + 1, n)):
         report.append("S symmetric")
-    if not is_identity_matrix(mat_mul(S, mat_dagger(S))):
+    one, zero = [dS * dS] + [0] * (N - 1), [0] * N
+    dagger = [[{-k % N: c for k, c in iS[j][i].items()} for j in range(n)] for i in range(n)]
+    if _product(iS, dagger, N) != [[one if i == j else zero for j in range(n)] for i in range(n)]:
         report.append("S unitary")
-    if not all(_is_root_of_unity(t) for t in T):
+    if not all(_is_root_of_unity(t) for t in md.T):
         report.append("T root of unity")
-    S2 = mat_mul(S, S)
-    perm = as_permutation(S2)
+    S2 = _product(iS, iS, N)
+    perm = _permutation(S2, dS * dS)
     if perm is None:
         report.append("S^2 permutation")
     else:
+        md._charge = tuple(perm)
         if perm[md.unit] != md.unit:
             report.append("S^2 fixes unit")
         if any(perm[perm[i]] != i for i in range(n)):
             report.append("S^2 involution")
-    ST = [[S[i][j] * T[j] for j in range(n)] for i in range(n)]
-    lhs = mat_mul(ST, mat_mul(ST, ST))
-    if any(lhs[i][j] != S2[i][j] for i in range(n) for j in range(n)):
+    ST = [[_poly_mul(p, t, N) for p, t in zip(row, iT)] for row in iS]
+    cube = _product([[dict(enumerate(c)) for c in row] for row in _product(ST, ST, N)], ST, N)
+    scale = dS * dT**3
+    if any(
+        c != [scale * x for x in s]
+        for crow, srow in zip(cube, S2)
+        for c, s in zip(crow, srow)
+    ):
         report.append("(ST)^3 = S^2")
     return report
 
@@ -425,7 +467,10 @@ class ModularInvariant:
     __slots__ = ("matrix", "provenance")
 
     def __init__(self, matrix, provenance=None):
-        self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        self.matrix = tuple(
+            tuple(as_integer(x, "invariant entries must be integers") for x in row)
+            for row in matrix
+        )
         self.provenance = provenance or {}
 
     def __eq__(self, other):
@@ -467,7 +512,7 @@ def check_invariant(md: ModularData, matrix) -> tuple[bool, dict]:
     secondary entry.
     """
     n = md.dim
-    M = [list(map(int, row)) for row in matrix]
+    M = [[as_integer(x, "invariant entries must be integers") for x in row] for row in matrix]
     if len(M) != n or any(len(r) != n for r in M):
         raise ValueError("matrix dimension mismatch")
     report = {}
@@ -497,67 +542,80 @@ def check_invariant(md: ModularData, matrix) -> tuple[bool, dict]:
 # -- exact commutant enumeration ----------------------------------------------
 
 
-def _commutant_rows(md: ModularData, positions, pos_index):
-    """Rational linear system rows for SZ = ZS restricted to allowed positions."""
+def _commutant_rows(md: ModularData, pos_index):
+    """Integer rows of SZ = ZS, with Z supported on the allowed positions.
+
+    S is written over its conductor N and one denominator, which the
+    homogeneous system drops.  Each entry is reduced modulo Phi_N once; the
+    coefficient of zeta_N^k (k < deg Phi_N) in (SZ - ZS)_ij gives one row.
+    """
     n = md.dim
-    S = md.S
+    N = _conductor(md.S)
+    _, iS = _integral(md.S, N)
+    deg = len(cyclotomic_polynomial(N)) - 1
+    R = [[_reduced(p, N)[:deg] for p in row] for row in iS]
     for i in range(n):
         for j in range(n):
             terms = {}
             for b in range(n):
-                if (b, j) in pos_index and not S[i][b].is_zero():
-                    terms.setdefault((b, j), Cyclotomic.zero())
-                    terms[(b, j)] = terms[(b, j)] + S[i][b]
+                v = pos_index.get((b, j))
+                if v is not None:
+                    terms[v] = R[i][b]
             for a in range(n):
-                if (i, a) in pos_index and not S[a][j].is_zero():
-                    terms.setdefault((i, a), Cyclotomic.zero())
-                    terms[(i, a)] = terms[(i, a)] - S[a][j]
-            terms = {v: c for v, c in terms.items() if not c.is_zero()}
-            if not terms:
-                continue
-            order = lcm(*[c.order for c in terms.values()])
-            comps = {v: c.at_order(order).canonical() for v, c in terms.items()}
-            for k in range(order):
-                row = {}
-                for v, vec in comps.items():
-                    if vec[k]:
-                        row[pos_index[v]] = vec[k]
+                v = pos_index.get((i, a))
+                if v is not None:
+                    acc = terms.get(v, [0] * deg)
+                    terms[v] = [x - y for x, y in zip(acc, R[a][j])]
+            for k in range(deg):
+                row = {v: vec[k] for v, vec in terms.items() if vec[k]}
                 if row:
                     yield row
 
 
+def _eliminate(row, const, var, pc, prow, pconst):
+    """pc * (row, const) - row[var] * (pc x_var + prow = pconst): var drops out."""
+    c = row[var]
+    out = {v: pc * x for v, x in row.items() if v != var}
+    for v, x in prow.items():
+        y = out.get(v, 0) - c * x
+        if y:
+            out[v] = y
+        else:
+            out.pop(v, None)
+    return out, pc * const - c * pconst
+
+
+def _primitive(pc, row, const):
+    """pc x + Sum row = const divided by its content, signed so that pc > 0."""
+    g = gcd(pc, const, *row.values())
+    if pc < 0:
+        g = -g
+    return pc // g, {v: x // g for v, x in row.items()}, const // g
+
+
 def _rref_insert(pivots, row, const):
-    """Reduce (row, const) by current pivots; install if independent."""
-    while True:
-        var = next((v for v in row if v in pivots), None)
-        if var is None:
-            break
-        coeff = row.pop(var)
-        prow, pconst = pivots[var]
-        for v2, c2 in prow.items():
-            row[v2] = row.get(v2, Fraction(0)) - coeff * c2
-            if row[v2] == 0:
-                del row[v2]
-        const = const - coeff * pconst
-    row = {v: c for v, c in row.items() if c != 0}
+    """Reduce the equation Sum row[v] x_v = const by the pivots; install it if independent.
+
+    ``pivots`` maps each pivot variable p to (pc, row, const), meaning
+    pc x_p + Sum row[v] x_v = const with integers of content 1 and pc > 0.
+    p is the largest variable of its equation, and no other pivot variable
+    occurs in it, so the system is a fully reduced echelon form: unique for
+    its row space up to the positive scale of each row.
+    """
+    for var in [v for v in row if v in pivots]:
+        row, const = _eliminate(row, const, var, *pivots[var])
     if not row:
-        if const != 0:
+        if const:
             raise _Inconsistent()
         return
     piv = max(row)
-    cp = row.pop(piv)
-    row = {v: c / cp for v, c in row.items()}
-    const = const / cp
+    pc, row, const = _primitive(row.pop(piv), row, const)
     # back substitute into existing rows
-    for var, (prow, pconst) in list(pivots.items()):
-        if piv in prow:
-            coeff = prow.pop(piv)
-            for v2, c2 in row.items():
-                prow[v2] = prow.get(v2, Fraction(0)) - coeff * c2
-                if prow[v2] == 0:
-                    del prow[v2]
-            pivots[var] = (prow, pconst - coeff * const)
-    pivots[piv] = (row, const)
+    for var, (qc, qrow, qconst) in list(pivots.items()):
+        if piv in qrow:
+            qrow, qconst = _eliminate(qrow, qconst, piv, pc, row, const)
+            pivots[var] = _primitive(pc * qc, qrow, qconst)
+    pivots[piv] = (pc, row, const)
 
 
 class _Inconsistent(Exception):
@@ -574,64 +632,59 @@ def brute_force_invariants(md: ModularData):
     if n > BRUTE_GUARD:
         raise GuardError(f"primary count {n} exceeds guard {BRUTE_GUARD}")
     bound = n
-    positions = [
-        (a, b) for a in range(n) for b in range(n) if md.T[a] == md.T[b]
-    ]
+    order = lcm(*(t.order for t in md.T))
+    twist = [t.at_order(order).canonical() for t in md.T]
+    positions = [(a, b) for a in range(n) for b in range(n) if twist[a] == twist[b]]
     pos_index = {p: i for i, p in enumerate(positions)}
     if (md.unit, md.unit) not in pos_index:
         raise ValueError("unit diagonal position missing")
     pivots: dict = {}
     try:
-        for row in _commutant_rows(md, positions, pos_index):
-            _rref_insert(pivots, dict(row), Fraction(0))
-        _rref_insert(
-            pivots, {pos_index[(md.unit, md.unit)]: Fraction(1)}, Fraction(1)
-        )
+        for row in _commutant_rows(md, pos_index):
+            _rref_insert(pivots, row, 0)
+        _rref_insert(pivots, {pos_index[(md.unit, md.unit)]: 1}, 1)
     except _Inconsistent:
         return []
     nvars = len(positions)
     free = [v for v in range(nvars) if v not in pivots]
-    # pivot rows grouped by the free variables they depend on
+    # pivot rows grouped by the last free variable they depend on; the row of
+    # pivot p passes once pc * x_p = const - Sum c x_v lies in [0, pc * bound]
+    # and is divisible by pc
     order_of = {v: i for i, v in enumerate(free)}
-    checks = []  # (last_free_order, pivot_var, row, const)
-    for var, (row, const) in pivots.items():
-        last = max((order_of[v] for v in row), default=-1)
-        checks.append((last, var, row, const))
     by_depth: dict[int, list] = {}
-    for last, var, row, const in checks:
-        by_depth.setdefault(last, []).append((var, row, const))
+    for var, (pc, row, const) in pivots.items():
+        last = max((order_of[v] for v in row), default=-1)
+        by_depth.setdefault(last, []).append((pc, row, const))
     out = []
     assign = {}
 
     def emit():
         M = [[0] * n for _ in range(n)]
         vals = dict(assign)
-        for var, (row, const) in pivots.items():
-            vals[var] = const - sum(c * vals[v] for v, c in row.items())
+        for var, (pc, row, const) in pivots.items():
+            vals[var] = (const - sum(c * vals[v] for v, c in row.items())) // pc
         for (a, b), idx in pos_index.items():
-            M[a][b] = int(vals[idx])
+            M[a][b] = vals[idx]
         out.append(ModularInvariant(M, {"source": "brute_force"}))
+
+    def passes(pc, v):
+        return v % pc == 0 and 0 <= v <= pc * bound
 
     def dfs(depth):
         if depth == len(free):
             emit()
             return
         for val in range(bound + 1):
-            assign[free[depth]] = Fraction(val)
-            ok = True
-            for var, row, const in by_depth.get(depth, []):
-                v = const - sum(c * assign[u] for u, c in row.items())
-                if v.denominator != 1 or v < 0 or v > bound:
-                    ok = False
-                    break
-            if ok:
+            assign[free[depth]] = val
+            if all(
+                passes(pc, const - sum(c * assign[u] for u, c in row.items()))
+                for pc, row, const in by_depth.get(depth, [])
+            ):
                 dfs(depth + 1)
         del assign[free[depth]]
 
     # pivots depending on no free variable get checked before any branching
-    for var, row, const in by_depth.get(-1, []):
-        if const.denominator != 1 or const < 0 or const > bound:
-            return []
-    dfs(0)
+    if all(passes(pc, const) for pc, _, const in by_depth.get(-1, [])):
+        dfs(0)
     out.sort(key=lambda z: z.matrix)
     return out

@@ -1,6 +1,7 @@
 """Modular data, Verlinde fusion, currents, and invariant enumeration."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracle
 
+from modinv import modular
 from modinv.abelian import FinAbGroup, abelian_structure
 from modinv.forms import QuadraticForm, indecomposable_form
 from modinv.modular import (
@@ -560,3 +562,354 @@ class TestPermutationHelpers:
         z = ModularInvariant([[1, 0], [0, 1]], {"source": "test"})
         assert z.transpose() == z
         assert z.to_json()["matrix"] == [[1, 0], [0, 1]]
+
+
+# -- integer entries of invariants ----------------------------------------------
+
+
+class TestIntegerEntries:
+    @pytest.mark.parametrize("entry", [1.5, 0.5, Fraction(3, 2), "1", None], ids=repr)
+    def test_check_invariant_rejects_non_integers(self, entry):
+        with pytest.raises(ValueError, match="invariant entries must be integers"):
+            check_invariant(weil(Z2_FORM), [[entry, 0], [0, entry]])
+
+    @pytest.mark.parametrize("entry", [1.7, Fraction(1, 2), "2", None], ids=repr)
+    def test_invariant_rejects_non_integers(self, entry):
+        with pytest.raises(ValueError, match="invariant entries must be integers"):
+            ModularInvariant([[entry, 0], [0, 1]])
+
+    @pytest.mark.parametrize("one", [1, 1.0, Fraction(1), True], ids=repr)
+    def test_integral_entries_accepted(self, one):
+        ok, _ = check_invariant(weil(Z2_FORM), [[one, 0], [0, one]])
+        assert ok
+        z = ModularInvariant([[one, 0.0], [Fraction(0), one]])
+        assert z.matrix == ((1, 0), (0, 1))
+        assert all(type(x) is int for row in z.matrix for x in row)
+
+
+# -- the brute-force search against a rational reference solver ----------------
+
+
+def reference_commutant_rows(md, pos_index):
+    """Rational rows of SZ = ZS from per-entry Cyclotomic sums, one per coefficient."""
+    n = md.dim
+    S = md.S
+    for i in range(n):
+        for j in range(n):
+            terms = {}
+            for b in range(n):
+                if (b, j) in pos_index and not S[i][b].is_zero():
+                    terms[(b, j)] = terms.get((b, j), Cyclotomic.zero()) + S[i][b]
+            for a in range(n):
+                if (i, a) in pos_index and not S[a][j].is_zero():
+                    terms[(i, a)] = terms.get((i, a), Cyclotomic.zero()) - S[a][j]
+            terms = {v: c for v, c in terms.items() if not c.is_zero()}
+            if not terms:
+                continue
+            order = lcm(*(c.order for c in terms.values()))
+            comps = {v: c.at_order(order).canonical() for v, c in terms.items()}
+            for k in range(order):
+                row = {pos_index[v]: vec[k] for v, vec in comps.items() if vec[k]}
+                if row:
+                    yield row
+
+
+def reference_rref_insert(pivots, row, const):
+    """Gauss-Jordan over the rationals; pivots[p] = (row, const): x_p = const - row . x."""
+    for var in [v for v in row if v in pivots]:
+        coeff = row.pop(var)
+        prow, pconst = pivots[var]
+        for v2, c2 in prow.items():
+            row[v2] = row.get(v2, Fraction(0)) - coeff * c2
+            if row[v2] == 0:
+                del row[v2]
+        const -= coeff * pconst
+    if not row:
+        assert const == 0  # the identity always solves the system
+        return
+    piv = max(row)
+    cp = row.pop(piv)
+    row = {v: c / cp for v, c in row.items()}
+    const /= cp
+    for var, (prow, pconst) in list(pivots.items()):
+        if piv in prow:
+            coeff = prow.pop(piv)
+            for v2, c2 in row.items():
+                prow[v2] = prow.get(v2, Fraction(0)) - coeff * c2
+                if prow[v2] == 0:
+                    del prow[v2]
+            pivots[var] = (prow, pconst - coeff * const)
+    pivots[piv] = (row, const)
+
+
+def reference_brute_force(md):
+    """Every nonnegative integer Z <= dim commuting with S and T, with Z_00 = 1, sorted."""
+    n = md.dim
+    positions = [(a, b) for a in range(n) for b in range(n) if md.T[a] == md.T[b]]
+    pos_index = {p: i for i, p in enumerate(positions)}
+    pivots = {}
+    for row in reference_commutant_rows(md, pos_index):
+        reference_rref_insert(pivots, dict(row), Fraction(0))
+    reference_rref_insert(pivots, {pos_index[(md.unit, md.unit)]: Fraction(1)}, Fraction(1))
+    free = [v for v in range(len(positions)) if v not in pivots]
+    out = []
+
+    def search(assign):
+        vals = dict(assign)
+        for var, (row, const) in pivots.items():
+            vals[var] = const - sum(c * vals[v] for v, c in row.items() if v in assign)
+        # a pivot whose free variables are all assigned must already be in range
+        for var, (row, _) in pivots.items():
+            if all(v in assign for v in row):
+                x = vals[var]
+                if x.denominator != 1 or not 0 <= x <= n:
+                    return
+        if len(assign) == len(free):
+            M = [[0] * n for _ in range(n)]
+            for (a, b), idx in pos_index.items():
+                M[a][b] = int(vals[idx])
+            out.append(tuple(tuple(r) for r in M))
+            return
+        for val in range(n + 1):
+            search({**assign, free[len(assign)]: Fraction(val)})
+
+    search({})
+    return sorted(out)
+
+
+def _twisted_t(md, k, phase):
+    """md with T_k multiplied by a root of unity."""
+    T = list(md.T)
+    T[k] = T[k] * phase
+    return ModularData(md.labels, md.unit, md.S, T)
+
+
+BRUTE_DATA = [
+    lambda: weil(std_form(())),
+    lambda: weil(Z2_FORM),
+    lambda: weil(Z3_FORM),
+    lambda: weil(Z4_FORM),
+    lambda: weil(std_form((2, 2))),
+    lambda: weil(std_form((6,))),
+    lambda: weil(std_form((8,))),
+    lambda: weil(indecomposable_form("5^1_+")[0]),
+    lambda: weil(indecomposable_form("2^12^1_ii")[0]),
+    lambda: weil(indecomposable_form("3^1_+ x 3^1_+")[0]),
+    lambda: _double("2^1_1"),
+    lambda: _double("2^1_1", -1),
+    lambda: _double("3^1_+"),
+    lambda: _double("3^1_+", -1),
+    lambda: _double("3^1_-"),
+    lambda: _twisted_t(weil(Z4_FORM), 1, root_of_unity(3, 1)),
+    lambda: _twisted_t(_double("2^1_1"), 2, root_of_unity(5, 2)),
+    # commutant span{I, S}: 2 Z_01 = 3 Z_10 admits Z_01 = 1 only rationally
+    lambda: two_by_two([[rat(0), rat(2)], [rat(3), rat(0)]]),
+]
+BRUTE_IDS = [
+    "weil-trivial",
+    "weil-2^1_1",
+    "weil-3^1_+",
+    "weil-2^2_1",
+    "weil-Z2xZ2",
+    "weil-Z6",
+    "weil-Z8",
+    "weil-5^1_+",
+    "weil-2^12^1_ii",
+    "weil-3^1_+x3^1_+",
+    "ty-2^1_1",
+    "ty-2^1_1-",
+    "ty-3^1_+",
+    "ty-3^1_+-",
+    "ty-3^1_-",
+    "weil-2^2_1-twisted-T",
+    "ty-2^1_1-twisted-T",
+    "rational-commutant",
+]
+
+
+@pytest.mark.parametrize("build", BRUTE_DATA, ids=BRUTE_IDS)
+def test_brute_force_matches_rational_reference(build):
+    md = build()
+    got = [z.matrix for z in brute_force_invariants(md)]
+    assert got == reference_brute_force(md)
+
+
+def denominator(rows):
+    return lcm(*(c.denominator for row in rows for x in row for _, c in x.terms()))
+
+
+def written_with_halves(x):
+    """x times 1 = (1 - zeta_2) / 2: the same value with denominator-2 terms."""
+    return x * Cyclotomic(2, {0: Fraction(1, 2), 1: Fraction(-1, 2)})
+
+
+@pytest.mark.parametrize("which", ["S", "T", "both"])
+def test_checks_ignore_how_entries_are_written(which):
+    # equal values written over larger denominators change every integer
+    # form's denominator, never a result
+    md = _double("2^1_1")
+    S = [[written_with_halves(x) if which != "T" else x for x in row] for row in md.S]
+    T = [written_with_halves(t) if which != "S" else t for t in md.T]
+    same = ModularData(md.labels, md.unit, S, T)
+    if which != "T":
+        assert denominator(same.S) > denominator(md.S)
+    if which != "S":
+        assert denominator([same.T]) > denominator([md.T])
+    assert validate_modular(same) == []
+    assert same.charge_conjugation() == md.charge_conjugation()
+    assert brute_force_invariants(same) == brute_force_invariants(md)
+    assert validate_modular(_twisted_t(same, 1, -Cyclotomic.one())) == ["(ST)^3 = S^2"]
+
+
+def test_twisted_t_loses_invariants():
+    # the charge conjugation of Z4 pairs the labels 1 and 3; a new twist on
+    # label 1 leaves the identity alone
+    md = weil(Z4_FORM)
+    assert len(brute_force_invariants(md)) == 2
+    assert [z.matrix for z in brute_force_invariants(_twisted_t(md, 1, root_of_unity(3, 1)))] == [
+        tuple(tuple(r) for r in identity_matrix(4))
+    ]
+
+
+# -- validate_modular against entrywise Cyclotomic arithmetic ------------------
+
+
+def reference_report(md):
+    """validate_modular's labels, each decided by naive_mat_mul and entry equality."""
+    n = md.dim
+    S, T = md.S, md.T
+    report = []
+    if any(S[i][j] != S[j][i] for i in range(n) for j in range(n)):
+        report.append("S symmetric")
+    SSd = naive_mat_mul(S, [[S[j][i].conj() for j in range(n)] for i in range(n)])
+    if any(SSd[i][j] != int(i == j) for i in range(n) for j in range(n)):
+        report.append("S unitary")
+    try:
+        for t in T:
+            phase_fraction(t)
+    except ValueError:
+        report.append("T root of unity")
+    S2 = naive_mat_mul(S, S)
+    perm = []
+    for row in S2:
+        ones = [j for j, x in enumerate(row) if x == 1]
+        if len(ones) != 1 or any(x != 0 for j, x in enumerate(row) if j != ones[0]):
+            break
+        perm.append(ones[0])
+    if len(perm) != n or sorted(perm) != list(range(n)):
+        report.append("S^2 permutation")
+    else:
+        if perm[md.unit] != md.unit:
+            report.append("S^2 fixes unit")
+        if any(perm[perm[i]] != i for i in range(n)):
+            report.append("S^2 involution")
+    ST = [[S[i][j] * T[j] for j in range(n)] for i in range(n)]
+    cube = naive_mat_mul(ST, naive_mat_mul(ST, ST))
+    if any(cube[i][j] != S2[i][j] for i in range(n) for j in range(n)):
+        report.append("(ST)^3 = S^2")
+    return report
+
+
+VALIDATE_DATA = [
+    lambda: weil(Z2_FORM),
+    lambda: weil(Z3_FORM),
+    lambda: weil(Z4_FORM),
+    lambda: weil(std_form((2, 2))),
+    lambda: _double("2^1_1"),
+]
+PERTURBATIONS = [
+    Cyclotomic.one(),
+    -Cyclotomic.one(),
+    Cyclotomic.from_rational(Fraction(-1, 2)),
+    root_of_unity(4, 1),
+    root_of_unity(8, 1),
+    root_of_unity(3, 1),
+    root_of_unity(5, 2),
+    sqrt_nonneg_int(2),
+]
+
+
+def perturbed_datum(md, kind, i, j, x):
+    """md with x added to S_ij, the pair S_ij, S_ji scaled by x, or T_i scaled by x."""
+    S = [list(row) for row in md.S]
+    T = list(md.T)
+    if kind == "entry":
+        S[i][j] = S[i][j] + x
+    elif kind == "pair":
+        S[i][j] = S[j][i] = S[i][j] * x
+    else:
+        T[i] = T[i] * x
+    return ModularData(md.labels, md.unit, S, T)
+
+
+@st.composite
+def perturbed_data(draw):
+    md = draw(st.sampled_from(VALIDATE_DATA))()
+    n = md.dim
+    kind = draw(st.sampled_from(["entry", "pair", "twist"]))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    return perturbed_datum(md, kind, i, j, draw(st.sampled_from(PERTURBATIONS)))
+
+
+def permutation_datum(p):
+    """S the permutation matrix of i -> p[i], T trivial: S^2 is a permutation."""
+    n = len(p)
+    one, zero = Cyclotomic.one(), Cyclotomic.zero()
+    S = [[one if p[i] == j else zero for j in range(n)] for i in range(n)]
+    return ModularData(list(range(n)), 0, S, [one] * n)
+
+
+class TestValidateLabels:
+    @settings(max_examples=40, deadline=None)
+    @given(perturbed_data())
+    def test_report_matches_entrywise_reference(self, md):
+        assert validate_modular(md) == reference_report(md)
+
+    @pytest.mark.parametrize(
+        "build,label",
+        [
+            (lambda: perturbed_datum(weil(Z3_FORM), "entry", 0, 1, Cyclotomic.one()), "S symmetric"),
+            (lambda: perturbed_datum(weil(Z3_FORM), "pair", 1, 2, root_of_unity(4, 1)), "S^2 permutation"),
+            (lambda: perturbed_datum(weil(Z4_FORM), "twist", 1, 1, -Cyclotomic.one()), "(ST)^3 = S^2"),
+            (lambda: perturbed_datum(weil(Z4_FORM), "twist", 1, 1, 2 * Cyclotomic.one()), "T root of unity"),
+            (lambda: permutation_datum([1, 2, 3, 0]), "S^2 fixes unit"),
+            (lambda: permutation_datum([0, 2, 3, 1]), "S^2 involution"),
+        ],
+        ids=["symmetric", "permutation", "cube", "root", "fixes-unit", "involution"],
+    )
+    def test_each_label_fails(self, build, label):
+        md = build()
+        report = validate_modular(md)
+        assert label in report
+        assert report == reference_report(md)
+
+
+# -- the charge conjugation shared with validate_modular ------------------------
+
+
+@pytest.mark.parametrize("build", CURRENT_DATA, ids=CURRENT_IDS)
+def test_validate_keeps_charge_conjugation(build, monkeypatch):
+    fresh = build().charge_conjugation()
+    md = build()
+    assert validate_modular(md) == []
+
+    def no_product(*args):
+        raise AssertionError("S^2 recomputed")
+
+    monkeypatch.setattr(modular, "_product", no_product)
+    assert md.charge_conjugation() == fresh
+
+
+@pytest.mark.parametrize("validate_first", [True, False])
+def test_non_permutation_square_raises_either_way(validate_first):
+    md = weil(Z3_FORM)
+    S = [list(row) for row in md.S]
+    S[0][1] = S[0][1] + Cyclotomic.one()
+    bad = ModularData(md.labels, md.unit, S, md.T)
+    if validate_first:
+        assert "S^2 permutation" in validate_modular(bad)
+    with pytest.raises(ValueError, match=r"^S\^2 is not a permutation matrix$"):
+        bad.charge_conjugation()
+    assert "S^2 permutation" in validate_modular(bad)
+    with pytest.raises(ValueError, match=r"^S\^2 is not a permutation matrix$"):
+        bad.charge_conjugation()
