@@ -204,7 +204,11 @@ class FinAbGroup:
     __slots__ = ("factors",)
 
     def __init__(self, factors):
-        factors = tuple(as_integer(n, "invariant factors must be integers") for n in factors)
+        message = "invariant factors must be integers"
+        try:
+            factors = tuple(as_integer(n, message) for n in factors)
+        except TypeError:
+            raise ValueError(message) from None
         for n in factors:
             if n < 2:
                 raise ValueError("invariant factors must be >= 2")

@@ -405,6 +405,8 @@ def _parse_descriptor(part: str):
     DISCRIMINANT_GUARD before p^k is formed, so huge exponents fail fast.
     """
     bad = ValueError(f"bad descriptor {part!r}")
+    if not isinstance(part, str):
+        raise bad
     try:
         head, sub = part.strip().rsplit("_", 1)
         if head.count("^") == 2:
@@ -472,6 +474,8 @@ def indecomposable_form(descriptor: str):
     order of the product checked against DISCRIMINANT_GUARD, before any
     table is built.
     """
+    if not isinstance(descriptor, str):
+        raise ValueError(f"bad descriptor {descriptor!r}")
     parts = [
         _parse_descriptor(part)
         for part in descriptor.strip().replace("*", " x ").split(" x ")

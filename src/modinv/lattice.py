@@ -27,6 +27,8 @@ from .forms import (
     DISCRIMINANT_GUARD,
     Pairing,
     QuadraticForm,
+    _parse_descriptor,
+    _tabulate,
     forms_equivalent,
     indecomposable_form,
     legendre,
@@ -372,11 +374,10 @@ def _realize_two_power(k: int, m: int) -> Lattice:
     return _glue_scaled(k, 5, ingredient)
 
 
-def _realize_factor(desc: str) -> Lattice:
-    q_target, _ = indecomposable_form(desc)
-    head, sub = desc.strip().rsplit("_", 1)
-    if head.count("^") == 2:
-        k = int(head[: len(head) // 2][2:])
+def _realize_factor(p: int, k: int, sub) -> Lattice:
+    """A lattice for one descriptor part, as parsed by ``_parse_descriptor``."""
+    q_target, _ = _tabulate(p, k, sub)
+    if sub in ("i", "ii"):
         N = 2**k
         if sub == "i":
             ingredient = _realize_two_power(k, -1)
@@ -399,20 +400,15 @@ def _realize_factor(desc: str) -> Lattice:
             )
             coset = (Fraction(1, N),) * 3 + gamma.coords
         return _verify_realization(glue(base, [coset]), q_target)
-    p_str, k_str = head.split("^")
-    p, k = int(p_str), int(k_str)
     if p == 2:
-        return _verify_realization(
-            _realize_two_power(k, int(sub)), q_target
-        )
-    s = 1 if sub in ("+", "+1", "1") else -1
+        return _verify_realization(_realize_two_power(k, sub), q_target)
     N = p**k
-    if legendre((N - 1) // 2, p) == s:
+    if legendre((N - 1) // 2, p) == sub:
         L = named(f"A{N - 1}")
-    elif (p, k, s) == (3, 1, -1):
+    elif (p, k, sub) == (3, 1, -1):
         L = named("E6")
     else:
-        L = _odd_prime_glue(p, k, s)
+        L = _odd_prime_glue(p, k, sub)
     return _verify_realization(L, q_target)
 
 
@@ -486,10 +482,11 @@ def realize(target) -> Lattice:
             return Lattice(())
         return realize(_matching_descriptor(target))
     desc = str(target).strip().replace("*", " x ")
-    parts = [part.strip() for part in desc.split(" x ")]
+    # every part is legal and within the guard before any is built
+    parts = [_parse_descriptor(part) for part in desc.split(" x ")]
     lat = None
-    for part in parts:
-        piece = _realize_factor(part)
+    for p, k, sub, _ in parts:
+        piece = _realize_factor(p, k, sub)
         lat = piece if lat is None else lat.direct_sum(piece)
     if len(parts) > 1 and lat.det <= FORM_ORDER_GUARD:
         q, _ = indecomposable_form(desc)

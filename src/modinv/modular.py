@@ -221,6 +221,11 @@ class ModularData:
             raise ValueError("T must be the diagonal over the labels")
         if not 0 <= self.unit < len(self.labels):
             raise ValueError("unit index out of range")
+        for i, row in enumerate(self.S + (self.T,)):
+            for j, x in enumerate(row):
+                if not isinstance(x, Cyclotomic):
+                    where = f"T[{j}]" if i == len(self.S) else f"S[{i}][{j}]"
+                    raise ValueError(f"{where} must be a Cyclotomic, not {x!r}")
         self._fusion = None
         self._charge = None
         self._currents = None

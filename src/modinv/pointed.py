@@ -147,13 +147,14 @@ class DPMParam:
 def enum_dpm(q: QuadraticForm) -> list[DPMParam]:
     """All isotropic-pair parameters: each pair of isotropic data joined by
     each isometry of the plus quotient form onto the minus one."""
+    # the trivial subgroup's quotient is all of G, the largest of them
+    if q.group.order > QUOTIENT_GUARD:
+        raise GuardError(
+            f"isotropic quotient of order {q.group.order} exceeds guard {QUOTIENT_GUARD}"
+        )
     data = isotropic_subgroups(q)
     out = []
     for plus in data:
-        if plus.group.order > QUOTIENT_GUARD:
-            raise GuardError(
-                f"isotropic quotient of order {plus.group.order} exceeds guard {QUOTIENT_GUARD}"
-            )
         for minus in data:
             for sigma in isometries(plus.form, minus.form):
                 out.append(DPMParam(plus, minus, sigma))

@@ -91,16 +91,15 @@ def _add_psi(Jab: FinAbGroup, base: Pairing, psi: AlternatingPairing | None):
 class SCParam:
     """Current subgroup with a validated torsion form."""
 
-    __slots__ = ("sc", "J", "group", "chain", "psi", "epsilon", "phi", "rows")
+    __slots__ = ("sc", "J", "group", "chain", "psi", "epsilon", "rows")
 
-    def __init__(self, sc, J, group, chain, psi, epsilon, phi=None):
+    def __init__(self, sc, J, group, chain, psi, epsilon):
         self.sc = sc
         self.J = J
         self.group = group
         self.chain = chain
         self.psi = psi
         self.epsilon = epsilon
-        self.phi = phi
         self.rows = epsilon.phase_table()
         self._validate()
 
@@ -126,7 +125,6 @@ class SCParam:
         return {
             "J": [list(g) for g in self.J.gens()],
             "psi": self.psi.to_json(),
-            "phi": list(self.phi.exponents) if self.phi is not None else None,
         }
 
 

@@ -15,6 +15,7 @@ point except the Perron eigenvalue helper on fusion rings.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 from .abelian import FinAbGroup, Subgroup, quotient, subgroup_group
@@ -22,6 +23,8 @@ from .forms import (
     AlternatingPairing,
     Pairing,
     QuadraticForm,
+    _parse_descriptor,
+    _tabulate,
     forms_for_pairing,
     gauss_sum,
     mod1,
@@ -29,7 +32,7 @@ from .forms import (
 )
 from .modular import ModularData, ModularInvariant, simple_currents
 from .pointed import PointedData, weil
-from .scalars import Cyclotomic, rational_phase, root_of_unity, sqrt_nonneg_int
+from .scalars import Cyclotomic, as_integer, rational_phase, root_of_unity, sqrt_nonneg_int
 from .simple_current import make_epsilon, sc_matrix
 
 
@@ -194,93 +197,46 @@ def ty_associator(data: TYData) -> dict:
     return table
 
 
-def _compose(f: dict, g: dict) -> dict:
-    """Composition g after f for sparse maps src -> {dst: scalar}."""
-    out: dict = {}
-    for src, row in f.items():
-        acc = out.setdefault(src, {})
-        for mid, c1 in row.items():
-            for dst, c2 in g.get(mid, {}).items():
-                acc[dst] = acc.get(dst, Cyclotomic.zero()) + c1 * c2
-    return out
-
-
 def pentagon_check(fusion: FusionRing, associators: dict):
-    """Exhaustively verify coherence over all ordered quadruples.
+    """Exhaustively verify the pentagon equation over all ordered quadruples.
 
-    Returns (True, None) on success, else (False, witness) where the
-    witness records the quadruple, the path pair, and both scalars.
+    Write F(X, Y, Z)[t, p, m] for associators[(X, Y, Z)][(t, p, m)].  For
+    every quadruple (X, Y, Z, W), every source path p in XY, q in pZ, r in
+    qW and every target path n in ZW, w in Yn with r in Xw, the pentagon
+    equation reads
+
+        sum over m in YZ with q in Xm and w in mW of
+            F(X, Y, Z)[q, p, m] * F(X, m, W)[r, q, w] * F(Y, Z, W)[w, m, n]
+        = F(p, Z, W)[r, q, n] * F(X, Y, n)[r, p, w]   (0 unless r in pn).
+
+    Returns (True, None) on success, else (False, witness) for the first
+    failure, with witness (quadruple, (p, q, r), (n, w, r), lhs, rhs).
     """
-    for key, out in fusion.table.items():
-        if any(k > 1 for k in out.values()):
-            raise ValueError("pentagon path basis requires multiplicity-free fusion")
-
-    def comp(X, Y, Z, t, p, m):
-        return associators[(X, Y, Z)][(t, p, m)]
-
-    labels = fusion.labels
-    prod = fusion.product
-    for X in labels:
-        for Y in labels:
-            for Z in labels:
-                for W in labels:
-                    b1 = [
-                        (p, q, r)
-                        for p in prod(X, Y)
-                        for q in prod(p, Z)
-                        for r in prod(q, W)
-                    ]
-                    a1 = {
-                        (p, q, r): {
-                            (m, q, r): comp(X, Y, Z, q, p, m)
-                            for m in prod(Y, Z)
-                            if q in prod(X, m)
-                        }
-                        for (p, q, r) in b1
-                    }
-                    a2 = {}
-                    for row in a1.values():
-                        for (m, q, r) in row:
-                            a2[(m, q, r)] = {
-                                (m, w, r): comp(X, m, W, r, q, w)
-                                for w in prod(m, W)
-                                if r in prod(X, w)
-                            }
-                    a3 = {}
-                    for row in a2.values():
-                        for (m, w, r) in row:
-                            a3[(m, w, r)] = {
-                                (n, w, r): comp(Y, Z, W, w, m, n)
-                                for n in prod(Z, W)
-                                if w in prod(Y, n)
-                            }
-                    b_1 = {
-                        (p, q, r): {
-                            (p, n, r): comp(p, Z, W, r, q, n)
-                            for n in prod(Z, W)
-                            if r in prod(p, n)
-                        }
-                        for (p, q, r) in b1
-                    }
-                    b_2 = {}
-                    for row in b_1.values():
-                        for (p, n, r) in row:
-                            b_2[(p, n, r)] = {
-                                (n, w, r): comp(X, Y, n, r, p, w)
-                                for w in prod(Y, n)
-                                if r in prod(X, w)
-                            }
-                    lhs = _compose(_compose(a1, a2), a3)
-                    rhs = _compose(b_1, b_2)
-                    for src in b1:
-                        lrow = {k: v for k, v in lhs.get(src, {}).items() if not v.is_zero()}
-                        rrow = {k: v for k, v in rhs.get(src, {}).items() if not v.is_zero()}
-                        keys = set(lrow) | set(rrow)
-                        for dst in keys:
-                            lv = lrow.get(dst, Cyclotomic.zero())
-                            rv = rrow.get(dst, Cyclotomic.zero())
-                            if lv != rv:
-                                return False, ((X, Y, Z, W), src, dst, lv, rv)
+    table = fusion.table
+    if any(k > 1 for out in table.values() for k in out.values()):
+        raise ValueError("pentagon path basis requires multiplicity-free fusion")
+    F = associators
+    zero = Cyclotomic.zero()
+    for X, Y, Z, W in product(fusion.labels, repeat=4):
+        sources = (
+            (p, q, r) for p in table[(X, Y)] for q in table[(p, Z)] for r in table[(q, W)]
+        )
+        for p, q, r in sources:
+            targets = (
+                (n, w) for n in table[(Z, W)] for w in table[(Y, n)] if r in table[(X, w)]
+            )
+            for n, w in targets:
+                terms = (
+                    F[(X, Y, Z)][(q, p, m)] * F[(X, m, W)][(r, q, w)] * F[(Y, Z, W)][(w, m, n)]
+                    for m in table[(Y, Z)]
+                    if q in table[(X, m)] and w in table[(m, W)]
+                )
+                lhs = sum(terms, zero)
+                rhs = zero
+                if r in table[(p, n)]:
+                    rhs = F[(p, Z, W)][(r, q, n)] * F[(X, Y, n)][(r, p, w)]
+                if lhs != rhs:
+                    return False, ((X, Y, Z, W), (p, q, r), (n, w, r), lhs, rhs)
     return True, None
 
 
@@ -371,44 +327,35 @@ def shifted_pair_sum_closed(descriptor: str, a: int) -> Cyclotomic:
     """Closed form of the shifted sum for a single indecomposable factor.
 
     Supports the odd prime-power types "p^k_s" and the cyclic two-power
-    types "2^k_m".  Raises for anything else.
+    types "2^k_m".  Raises ValueError for anything else.
     """
-    from .forms import indecomposable_form
-
-    q, _ = indecomposable_form(descriptor)
-    G = q.group
-    n = G.order
-    P = q.polarization()
-    base, _, tag = descriptor.partition("_")
-    p, _, kk = base.partition("^")
-    p = int(p)
-    k = int(kk) if kk else 1
-    if p ** k != n:
+    p, k, sub, n = _parse_descriptor(descriptor)
+    if sub in ("i", "ii"):
         raise ValueError("descriptor is not a single cyclic factor")
-    a = a % n
+    q, _ = _tabulate(p, k, sub)
+    P = q.polarization()
+    a = as_integer(a, "shift must be an integer") % n
 
     def conj_half_pair(ah):
         return rational_phase(mod1(-P.phase((ah,), (ah,))))
 
     if p % 2 == 1:
-        s = 1 if tag == "+" else -1
         inv2 = pow(2, -1, n)
         eps_inv = root_of_unity(8, (n - 1) % 8)
         return (
             eps_inv
-            * Fraction(s**k)
+            * Fraction(sub**k)
             * conj_half_pair((a * inv2) % n)
             * sqrt_nonneg_int(n)
         )
-    m = int(tag)
     if k == 1:
         if a % 2 == 1:
             return Cyclotomic.from_rational(Fraction(2))
         return Cyclotomic.zero()
     if a % 2 == 1:
         return Cyclotomic.zero()
-    eps = Cyclotomic.one() if m % 4 == 1 else root_of_unity(4, 1)
-    jac = 1 if abs(m) == 1 else -1
+    eps = Cyclotomic.one() if sub % 4 == 1 else root_of_unity(4, 1)
+    jac = 1 if abs(sub) == 1 else -1
     one_minus_i = Cyclotomic.one() + root_of_unity(4, 3)
     return (
         one_minus_i
@@ -530,93 +477,71 @@ def _plus_minus_classes(G: FinAbGroup):
 def ty_equiv(data: TYData):
     """Modular data of the parity equivariantization, for odd group order.
 
-    For even order the matrix is degenerate; a DegenerateData certificate
-    with two identical rows is returned instead.
+    The simples are ("one", t) for odd order and ("one", h, t) over the
+    fixed points h of negation for even order, then ("two", r) for one r
+    in each pair {r, -r} with r != -r, then ("root", t), with t = +-1.
+    With lam = 1/sqrt(4|G|) and b the pairing, S has the blocks
+
+        one-one lam,  one-two 2 lam,  two-two 2 lam (b(r, s)^2 + b(r, s)^-2),
+        root-two 0,  one-root t b(h, h)/2 (t/2 for odd order),
+        root-root 0 for even order, t t' x^3 lam sign sum_g b(g, g) for odd,
+
+    where x^3 inverts the normalized Gauss sum of a form q polarizing to b.
+    For even order the matrix is degenerate, and a DegenerateData
+    certificate with the first pair of identical rows is returned instead.
     """
     G = data.G
     n = G.order
-    forms = forms_for_pairing(data.pairing)
+    q = forms_for_pairing(data.pairing)[0]
+    P = q.polarization()
     fixed, reps = _plus_minus_classes(G)
     lam = sqrt_nonneg_int(4 * n).inverse()
 
+    def zeta(g, h, k=1):
+        return rational_phase(mod1(k * P.phase(g, h)))
+
     if n % 2 == 0:
-        P = forms[0].polarization()
+        ones = [("one", h, t) for h in fixed for t in (1, -1)]
+        pref = Cyclotomic.zero()
 
-        def chi(h):
-            return rational_phase(mod1(P.phase(h, h)))
+        def one_root(la):
+            return zeta(la[1], la[1]) * Fraction(la[2], 2)
 
-        labels = [("one", h, t) for h in fixed for t in (1, -1)]
-        labels += [("two", r) for r in reps]
-        labels += [("root", 1), ("root", -1)]
+    else:
+        ones = [("one", 1), ("one", -1)]
+        doubled = QuadraticForm(G, {g: mod1(P.phase(g, g)) for g in G.elements()})
+        gs2, _, sig2 = gauss_sum(doubled)
+        pref = (PointedData(q).x ** 3) * gs2 * lam * data.sign
 
-        def s_entry(la, lb):
-            ka, kb = la[0], lb[0]
-            if ka > kb:
-                la, lb = lb, la
-                ka, kb = kb, ka
-            if (ka, kb) == ("one", "one"):
-                return lam
-            if (ka, kb) == ("one", "two"):
-                return lam + lam
-            if (ka, kb) == ("one", "root"):
-                return chi(la[1]) * Fraction(la[2], 2)
-            if (ka, kb) == ("two", "two"):
-                z = rational_phase(mod1(2 * P.phase(la[1], lb[1])))
-                return (z + z.conj()) * lam * 2
-            return Cyclotomic.zero()
+        def one_root(la):
+            return Cyclotomic.from_rational(Fraction(la[1], 2))
 
-        S = [[s_entry(la, lb) for lb in labels] for la in labels]
-        dup = None
-        for i in range(len(labels)):
-            for j in range(i + 1, len(labels)):
-                if all(S[i][k] == S[j][k] for k in range(len(labels))):
-                    dup = (i, j)
-                    break
-            if dup:
-                break
-        return DegenerateData(labels, S, dup)
-
-    q = forms[0]
-    P = q.polarization()
-    els = G.elements()
-    pd = PointedData(q)
-
-    def zp(g, h):
-        return mod1(P.phase(g, h))
-
-    def zeta(g, h):
-        return rational_phase(zp(g, h))
-
-    inv_anchor = _half_phase(-_anchor_phase(q, data.sign))
-    labels = [("one", 1), ("one", -1)] + [("two", r) for r in reps]
-    labels += [("root", 1), ("root", -1)]
-    gs2 = Cyclotomic.zero()
-    for g in els:
-        gs2 = gs2 + zeta(g, g)
-    doubled = QuadraticForm(G, {g: mod1(P.phase(g, g)) for g in els})
-    _, _, sig2 = gauss_sum(doubled)
-    u = rational_phase(mod1(Fraction(-sig2, 24)))
-    pref = (pd.x ** 3) * gs2 * lam * data.sign
+    labels = ones + [("two", r) for r in reps] + [("root", 1), ("root", -1)]
 
     def s_entry(la, lb):
-        ka, kb = la[0], lb[0]
-        if ka > kb:
+        if la[0] > lb[0]:
             la, lb = lb, la
-            ka, kb = kb, ka
-        if (ka, kb) == ("one", "one"):
+        kinds = (la[0], lb[0])
+        if kinds == ("one", "one"):
             return lam
-        if (ka, kb) == ("one", "two"):
+        if kinds == ("one", "two"):
             return lam + lam
-        if (ka, kb) == ("one", "root"):
-            return Cyclotomic.from_rational(Fraction(la[1], 2))
-        if (ka, kb) == ("two", "two"):
-            z = rational_phase(mod1(2 * zp(la[1], lb[1])))
+        if kinds == ("two", "two"):
+            z = zeta(la[1], lb[1], 2)
             return (z + z.conj()) * lam * 2
-        if (ka, kb) in (("root", "two"), ("two", "root")):
-            return Cyclotomic.zero()
-        return pref * Fraction(la[1] * lb[1])
+        if kinds == ("one", "root"):
+            return one_root(la)
+        if kinds == ("root", "root"):
+            return pref * Fraction(la[1] * lb[1])
+        return Cyclotomic.zero()
 
     S = [[s_entry(la, lb) for lb in labels] for la in labels]
+    if n % 2 == 0:
+        rows = range(len(S))
+        dup = next(((i, j) for i in rows for j in rows[i + 1 :] if S[i] == S[j]), None)
+        return DegenerateData(labels, S, dup)
+    u = rational_phase(mod1(Fraction(-sig2, 24)))
+    inv_anchor = _half_phase(-_anchor_phase(q, data.sign))
     T = []
     for la in labels:
         if la[0] == "one":

@@ -152,7 +152,9 @@ class TestGroup:
         with pytest.raises(ValueError):
             FinAbGroup((1,))
 
-    @pytest.mark.parametrize("factors", [[2.5], [4, 1.5], ["2"], [None], [Fraction(5, 2)]])
+    @pytest.mark.parametrize(
+        "factors", [[2.5], [4, 1.5], ["2"], [None], [Fraction(5, 2)], None, 6]
+    )
     def test_rejects_non_integral_factors(self, factors):
         with pytest.raises(ValueError, match="integers"):
             FinAbGroup(factors)

@@ -386,11 +386,23 @@ class TestIndecomposable:
             ("3^40_+", GuardError, "guard"),
             ("5^12_+", GuardError, "guard"),  # 244M entries if tabulated
             ("2^10_1 x 3^5_+", GuardError, "guard"),  # each part alone is legal
+            (None, ValueError, "bad descriptor None"),
+            (5, ValueError, "bad descriptor 5"),
         ],
     )
     def test_malformed_or_oversized(self, desc, error, match):
         with pytest.raises(error, match=match):
             indecomposable_form(desc)
+
+    # short strings only: valid descriptors near the order guard take seconds to tabulate
+    @given(st.text(alphabet="0123456789^_+-ix *", max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_descriptor_builds_or_raises_value_error(self, desc):
+        try:
+            q, x3 = indecomposable_form(desc)
+        except ValueError:
+            return
+        assert isinstance(q, QuadraticForm) and (x3**24).is_one()
 
     @pytest.mark.parametrize("desc", DESCRIPTORS)
     def test_gauss_consistency(self, desc):

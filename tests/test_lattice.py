@@ -352,6 +352,35 @@ def test_realize_rejects_malformed_descriptor():
         realize("4^1_+")
 
 
+def _no_factor(p, k, sub):
+    raise AssertionError(f"factor {p}^{k}_{sub} built before every part was checked")
+
+
+@pytest.mark.parametrize(
+    "desc,error",
+    [
+        ("2^3_-3 x 3^1_q", ValueError),
+        ("2^3_-3 x 4^1_+", ValueError),
+        ("2^3_-3 x ", ValueError),
+        ("2^3_-3 x 2^100_1", GuardError),
+        ("2^3_-3 x 3^40_+", GuardError),
+    ],
+)
+def test_realize_checks_every_part_before_building(monkeypatch, desc, error):
+    monkeypatch.setattr(lattice, "_realize_factor", _no_factor)
+    with pytest.raises(error):
+        realize(desc)
+
+
+def test_realize_builds_legal_parts_past_the_form_guard(monkeypatch):
+    # 2^10 * 3^5 exceeds DISCRIMINANT_GUARD, but each part is legal on its own
+    built = []
+    piece = Lattice([[1000]])
+    monkeypatch.setattr(lattice, "_realize_factor", lambda *part: built.append(part) or piece)
+    assert realize("2^10_1 x 3^5_+").rank == 2
+    assert built == [(2, 10, 1), (3, 5, 1)]
+
+
 # -- quotients and intermediate lattices --------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Modular data, Verlinde fusion, currents, and invariant enumeration."""
 
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -139,6 +140,21 @@ class TestWeil:
     def test_from_json_rejects_malformed(self, edit):
         with pytest.raises(ValueError):
             ModularData.from_json(edit(weil(Z4_FORM).to_json()))
+
+    @pytest.mark.parametrize(
+        "S,T,where",
+        [
+            ([[1]], [1], "S[0][0]"),
+            ([[Cyclotomic.one()]], [1], "T[0]"),
+            ([[Fraction(1)]], [Cyclotomic.one()], "S[0][0]"),
+            ([[Cyclotomic.one(), None], [Cyclotomic.one()] * 2], [Cyclotomic.one()] * 2, "S[0][1]"),
+            ([[Cyclotomic.one()] * 2] * 2, [Cyclotomic.one(), 1.0], "T[1]"),
+        ],
+    )
+    def test_rejects_non_cyclotomic_entries(self, S, T, where):
+        labels = [chr(ord("a") + i) for i in range(len(T))]
+        with pytest.raises(ValueError, match=f"^{re.escape(where)} must be a Cyclotomic"):
+            ModularData(labels, 0, S, T)
 
 
 class TestValidate:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from modinv import pointed
 from modinv.abelian import FinAbGroup, GuardError, Subgroup, all_subgroups, quotient
 from modinv.forms import (
     QuadraticForm,
@@ -301,6 +302,16 @@ def test_subgroup_guard_before_search():
         enum_z(hyperbolic(6))  # square group of order 1296
     with pytest.raises(GuardError):
         isotropic_subgroups(hyperbolic(33))  # order 1089
+
+
+def test_dpm_guard_before_search(monkeypatch):
+    def no_search(q):
+        raise AssertionError("isotropic subgroups searched before the quotient guard")
+
+    monkeypatch.setattr(pointed, "isotropic_subgroups", no_search)
+    q, _ = indecomposable_form("2^7_1")  # order 128
+    with pytest.raises(GuardError, match="isotropic quotient of order 128 exceeds guard"):
+        enum_dpm(q)
 
 
 class TestJpsiToDpm:

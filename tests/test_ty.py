@@ -1,12 +1,14 @@
 """Tests for the fusion, associator, double, and equivariantization module."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from modinv.abelian import FinAbGroup, Subgroup
 from modinv.forms import (
     AlternatingPairing,
+    Pairing,
     QuadraticForm,
     forms_for_pairing,
     indecomposable_form,
@@ -153,13 +155,104 @@ def test_associator_negative_sign_flips_root_block():
 # -- pentagon ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("factors", [(2,), (3,)])
+def _compose(f, g):
+    """Composition g after f for sparse maps src -> {dst: scalar}."""
+    out = {}
+    for src, row in f.items():
+        acc = out.setdefault(src, {})
+        for mid, c1 in row.items():
+            for dst, c2 in g.get(mid, {}).items():
+                acc[dst] = acc.get(dst, Cyclotomic.zero()) + c1 * c2
+    return out
+
+
+def reference_pentagon_sides(fusion, A, X, Y, Z, W):
+    """(source paths, lhs, rhs) for one quadruple, as composites of path-basis maps.
+
+    The left side is the three-associator composite ((XY)Z)W -> (X(YZ))W ->
+    X((YZ)W) -> X(Y(ZW)), the right side the two-associator composite through
+    (XY)(ZW); each side maps a source path to {target path: scalar}.
+    """
+    prod = fusion.product
+    src = [(p, q, r) for p in prod(X, Y) for q in prod(p, Z) for r in prod(q, W)]
+    a1 = {
+        (p, q, r): {(m, q, r): A[(X, Y, Z)][(q, p, m)] for m in prod(Y, Z) if q in prod(X, m)}
+        for p, q, r in src
+    }
+    a2 = {
+        (m, q, r): {(m, w, r): A[(X, m, W)][(r, q, w)] for w in prod(m, W) if r in prod(X, w)}
+        for row in a1.values()
+        for m, q, r in row
+    }
+    a3 = {
+        (m, w, r): {(n, w, r): A[(Y, Z, W)][(w, m, n)] for n in prod(Z, W) if w in prod(Y, n)}
+        for row in a2.values()
+        for m, w, r in row
+    }
+    b1 = {
+        (p, q, r): {(p, n, r): A[(p, Z, W)][(r, q, n)] for n in prod(Z, W) if r in prod(p, n)}
+        for p, q, r in src
+    }
+    b2 = {
+        (p, n, r): {(n, w, r): A[(X, Y, n)][(r, p, w)] for w in prod(Y, n) if r in prod(X, w)}
+        for row in b1.values()
+        for p, n, r in row
+    }
+    return src, _compose(_compose(a1, a2), a3), _compose(b1, b2)
+
+
+def reference_pentagon_check(fusion, A):
+    """(True, None) or (False, (quad, source path, lhs row, rhs row)) for the first failure."""
+    for quad in product(fusion.labels, repeat=4):
+        src, lhs, rhs = reference_pentagon_sides(fusion, A, *quad)
+        for s in src:
+            lrow = {k: v for k, v in lhs.get(s, {}).items() if not v.is_zero()}
+            rrow = {k: v for k, v in rhs.get(s, {}).items() if not v.is_zero()}
+            if lrow != rrow:
+                return False, (quad, s, lrow, rrow)
+    return True, None
+
+
+@pytest.mark.parametrize("factors", [(2,), (3,), (4,), (2, 2), (5,)])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_pentagon_small_groups(factors, sign):
     G = FinAbGroup(factors)
     data = TYData(G, standard_pairing(G), sign)
     ok, witness = pentagon_check(ty_fusion(G), ty_associator(data))
     assert ok and witness is None
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_pentagon_nonstandard_pairing(sign):
+    G = FinAbGroup((5,))
+    data = TYData(G, Pairing(G, G, [[Fraction(2, 5)]]), sign)
+    ok, witness = pentagon_check(ty_fusion(G), ty_associator(data))
+    assert ok and witness is None
+
+
+def _single_sign_flips():
+    for n in (2, 3):
+        G = FinAbGroup((n,))
+        A = ty_associator(TYData(G, standard_pairing(G), 1))
+        for triple, comp in A.items():
+            for key in comp:
+                yield n, triple, key
+
+
+@pytest.mark.parametrize("n,triple,key", list(_single_sign_flips()))
+def test_pentagon_matches_composition_reference(n, triple, key):
+    G = FinAbGroup((n,))
+    fus = ty_fusion(G)
+    A = ty_associator(TYData(G, standard_pairing(G), 1))
+    A[triple][key] = A[triple][key] * Fraction(-1)
+    ok, (quad, src, dst, lhs, rhs) = pentagon_check(fus, A)
+    ref_ok, (ref_quad, ref_src, lrow, rrow) = reference_pentagon_check(fus, A)
+    assert not ok and not ref_ok
+    assert (quad, src) == (ref_quad, ref_src)
+    # the target path is an entry where the composites differ
+    zero = Cyclotomic.zero()
+    assert lhs != rhs
+    assert lhs == lrow.get(dst, zero) and rhs == rrow.get(dst, zero)
 
 
 def test_pentagon_mutation_gives_witness():
@@ -407,6 +500,10 @@ def test_double_form_choice_preserves_sign():
         "2^3_3",
         "2^3_-1",
         "2^4_1",
+        "3^1_+1",
+        "3^1_1",
+        "5^1_+1",
+        "5^1_1",
     ],
 )
 def test_shifted_pair_sum_closed_form(descriptor):
@@ -427,6 +524,22 @@ def test_shifted_pair_sum_two_power_parity():
 def test_shifted_pair_sum_closed_rejects_products():
     with pytest.raises(ValueError):
         shifted_pair_sum_closed("3^1_+ x 3^1_+", 0)
+
+
+@pytest.mark.parametrize(
+    "descriptor,a",
+    [
+        ("2^12^1_i", 0),
+        ("2^12^1_ii", 1),
+        ("3^1_q", 0),
+        (None, 0),
+        ("3^1_+", "a"),
+        ("3^1_+", 1.5),
+    ],
+)
+def test_shifted_pair_sum_closed_rejects_bad_input(descriptor, a):
+    with pytest.raises(ValueError):
+        shifted_pair_sum_closed(descriptor, a)
 
 
 # -- parity equivariantization ---------------------------------------------------
