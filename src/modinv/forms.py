@@ -23,7 +23,15 @@ from .abelian import (
     product_with_maps,
     Character,
 )
-from .scalars import Cyclotomic, factorize, rational_phase, root_of_unity, sqrt_nonneg_int
+from .scalars import (
+    Cyclotomic,
+    factorize,
+    json_list,
+    json_rational,
+    rational_phase,
+    root_of_unity,
+    sqrt_nonneg_int,
+)
 
 PAIRING_GUARD = 10**6
 DISCRIMINANT_GUARD = 10**5  # largest order of a tabulated form
@@ -177,9 +185,12 @@ class Pairing:
     @staticmethod
     def from_json(obj) -> "Pairing":
         try:
-            left = FinAbGroup(obj["left"]["factors"])
-            right = FinAbGroup(obj["right"]["factors"])
-            E = [[Fraction(s) for s in row] for row in obj["E"]]
+            left = FinAbGroup(json_list(obj["left"]["factors"], "'factors'"))
+            right = FinAbGroup(json_list(obj["right"]["factors"], "'factors'"))
+            E = [
+                [json_rational(s) for s in json_list(row, "a row of 'E'")]
+                for row in json_list(obj["E"], "'E'")
+            ]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed pairing JSON: {exc!r}") from exc
         if len(E) != left.rank or any(len(row) != right.rank for row in E):
@@ -319,8 +330,8 @@ class QuadraticForm:
     @staticmethod
     def from_json(obj) -> "QuadraticForm":
         try:
-            G = FinAbGroup(obj["group"]["factors"])
-            values = [Fraction(s) for s in obj["values"]]
+            G = FinAbGroup(json_list(obj["group"]["factors"], "'factors'"))
+            values = [json_rational(s) for s in json_list(obj["values"], "'values'")]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed quadratic form JSON: {exc!r}") from exc
         if len(values) != G.order:

@@ -34,7 +34,7 @@ from .forms import (
     legendre,
     mod1,
 )
-from .scalars import as_integer, factorize
+from .scalars import as_integer, factorize, json_list
 
 PRIME_BOUND = 10**4
 FORM_ORDER_GUARD = 512
@@ -132,7 +132,7 @@ class Lattice:
     @staticmethod
     def from_json(obj) -> "Lattice":
         try:
-            gram = [list(row) for row in obj["gram"]]
+            gram = [json_list(row, "a Gram row") for row in json_list(obj["gram"], "'gram'")]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed lattice JSON: {exc!r}") from exc
         return Lattice(gram)

@@ -19,10 +19,16 @@ S-commutation check) goes through one integer kernel instead of per-entry
   largest l1 norms of the entries of its factors (||pq||_1 <= ||p||_1
   ||q||_1).  B is chosen from that bound plus a sign bit and one guard bit,
   so the signed B-bit digits unpacked from a result are exactly its
-  coefficients, with no overflow check or fallback.  They are reduced
-  modulo Phi_N only where a value or an equality is needed.  ``_product``
-  returns a product as these reduced integer lists; ``mat_mul`` wraps them
-  as ``Cyclotomic`` values, and the identity checks compare the lists.
+  coefficients, with no overflow check or fallback.
+* Rationality and vanishing are decided without unpacking, by the cofactor
+  F = (x^N - 1) / Phi_N: for integer polynomials v and r, v = r modulo
+  Phi_N exactly when v F = r F modulo x^N - 1.  So ``verlinde`` and
+  ``s_commutes`` fold F into one packed factor once and test each result
+  with one big-integer comparison (their bounds carry the norms of F).
+* Results are unpacked and reduced modulo Phi_N only where a value is
+  returned: ``_product`` gives a product as reduced integer lists,
+  ``mat_mul`` wraps them as ``Cyclotomic`` values, and ``validate_modular``
+  compares the lists.
 
 The brute-force invariant search writes the commutant linear system SZ = ZS
 as integer rows (one per coefficient of zeta_N), brings it to a fully reduced
@@ -41,7 +47,9 @@ from .abelian import FinAbGroup, GuardError, abelian_structure
 from .scalars import (
     Cyclotomic,
     as_integer,
+    cyclotomic_cofactor,
     cyclotomic_polynomial,
+    json_list,
     phase_fraction,
     reduce_mod_phi,
 )
@@ -80,10 +88,10 @@ class _Packing:
     """Z[x]/(x^N - 1) inside the integers mod 2^(B N) - 1, with x = 2^B.
 
     Any result whose coefficients are at most ``bound`` in absolute value
-    unpacks exactly.
+    unpacks exactly.  ``PF`` is the packed cofactor F = (x^N - 1) / Phi_N.
     """
 
-    __slots__ = ("N", "width", "shift", "M", "half", "bias")
+    __slots__ = ("N", "width", "shift", "M", "half", "bias", "PF", "f0")
 
     def __init__(self, N: int, bound: int):
         # |c| <= bound < 2^(B-2) keeps every biased digit c + 2^(B-1) inside
@@ -95,6 +103,9 @@ class _Packing:
         self.M = (1 << (self.shift * N)) - 1
         self.half = 1 << (self.shift - 1)
         self.bias = self.half * (self.M // ((1 << self.shift) - 1))
+        F = cyclotomic_cofactor(N)
+        self.PF = self.pack(dict(enumerate(F)))
+        self.f0 = F[0]  # 1 for N = 1, else -1
 
     def pack(self, p: dict) -> int:
         return sum(c << (self.shift * k) for k, c in p.items()) % self.M
@@ -103,13 +114,28 @@ class _Packing:
         """Coefficients of the packed value v, reduced modulo Phi_N (length N)."""
         N, w, half = self.N, self.width, self.half
         v %= self.M
-        if not v:  # about half of all Verlinde sums vanish before reduction
+        if not v:
             return [0] * N
         raw = ((v + self.bias) % self.M).to_bytes(w * N, "little")
         coeffs = [
             int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * N, w)
         ]
         return reduce_mod_phi(coeffs, N)
+
+    def rational(self, u: int) -> int | None:
+        """The integer r with v = r modulo Phi_N if u packs v F, else None.
+
+        v = r (mod Phi_N) exactly when v F = r F (mod x^N - 1), and then the
+        lowest digit of u is r F(0), i.e. r for N = 1 and -r otherwise.  The
+        comparison of u with r F is exact when the coefficients of v F and
+        v F - r F are within ``bound``.
+        """
+        M, half = self.M, self.half
+        u %= M
+        if u > M >> 1:  # the packed polynomial is negative as an integer
+            u -= M
+        r = self.f0 * (((u + half) & (2 * half - 1)) - half)
+        return None if (u - r * self.PF) % M else r
 
 
 def _reduced(p: dict, N: int) -> list[int]:
@@ -153,14 +179,17 @@ def s_commutes(md: ModularData, matrix) -> bool:
     N = _conductor(md.S)
     _, iS = _integral(md.S, N)
     zmax = max((abs(x) for row in matrix for x in row), default=0)
-    pk = _Packing(N, 2 * n * _norm(iS) * zmax)
-    P = [[pk.pack(p) for p in row] for row in iS]
+    pk = _Packing(N, 2 * n * _norm(iS) * zmax * sum(map(abs, cyclotomic_cofactor(N))))
+    M = pk.M
+    # entries of S F: (SZ - ZS)_ij vanishes modulo Phi_N iff its multiple by F
+    # vanishes modulo x^N - 1
+    P = [[pk.pack(p) * pk.PF % M for p in row] for row in iS]
     rows = [[(t, x) for t, x in enumerate(r) if x] for r in matrix]
     cols = [[(t, x) for t, x in enumerate(c) if x] for c in zip(*matrix)]
     for i in range(n):
         for j in range(n):
             v = sum(P[i][t] * x for t, x in cols[j]) - sum(x * P[t][j] for t, x in rows[i])
-            if any(pk.reduced(v)):
+            if v % M:
                 return False
     return True
 
@@ -264,9 +293,15 @@ class ModularData:
     @staticmethod
     def from_json(obj) -> "ModularData":
         try:
-            labels = [tuple(l) if isinstance(l, list) else l for l in obj["labels"]]
-            S = [[Cyclotomic.from_json(x) for x in row] for row in obj["S"]]
-            T = [Cyclotomic.from_json(x) for x in obj["T"]]
+            labels = [
+                tuple(l) if isinstance(l, list) else l
+                for l in json_list(obj["labels"], "'labels'")
+            ]
+            S = [
+                [Cyclotomic.from_json(x) for x in json_list(row, "a row of 'S'")]
+                for row in json_list(obj["S"], "'S'")
+            ]
+            T = [Cyclotomic.from_json(x) for x in json_list(obj["T"], "'T'")]
             unit = obj["unit"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed modular data JSON: {exc!r}") from exc
@@ -322,7 +357,15 @@ def verlinde(md: ModularData):
     """Fusion tensor N[a][b][c] via the S-matrix; entries must be nonnegative integers.
 
     N_ab^c = Sum_k (S_ak / S_0k) S_bk conj(S_ck), one packed dot product per
-    (a, b, c), streamed over a.
+    (a, b, c), streamed over a.  The formula is symmetric in a and b, so only
+    the planes' entries with b >= a are summed and the rest are mirrored; the
+    first failing (a, b, c) in lexicographic order has a <= b, so it is the
+    one reported.  The columns conj(S_c) are multiplied by the cofactor F =
+    (x^N - 1) / Phi_N once, and ``_Packing.rational`` decides each sum with
+    one comparison.  Digits are B bits with n ||S||^3 ||1/S_0|| ||F||_1
+    (1 + ||F||_inf) < 2^(B-2), norms being the largest l1 norms of entries
+    (||F||_inf the largest coefficient of F), which bounds both v F and
+    v F - r F for a sum v.
     """
     n = md.dim
     S = md.S
@@ -335,24 +378,28 @@ def verlinde(md: ModularData):
     N = _conductor(S, [inv0])
     dS, iS = _integral(S, N)
     dI, (iI,) = _integral([inv0], N)
-    pk = _Packing(N, n * _norm(iS) ** 3 * _norm([iI]))
-    P = [[pk.pack(p) for p in row] for row in iS]
-    Pbar = [[pk.pack({-k % N: c for k, c in p.items()}) for p in row] for row in iS]
-    Pinv = [pk.pack(p) for p in iI]
+    F = cyclotomic_cofactor(N)
+    pk = _Packing(
+        N, n * _norm(iS) ** 3 * _norm([iI]) * sum(map(abs, F)) * (1 + max(map(abs, F)))
+    )
     M = pk.M
+    P = [[pk.pack(p) for p in row] for row in iS]
+    PbarF = [
+        [pk.pack({-k % N: c for k, c in p.items()}) * pk.PF % M for p in row] for row in iS
+    ]
+    Pinv = [pk.pack(p) for p in iI]
     den = dS**3 * dI
     out = []
     for a in range(n):
         W = [x * y % M for x, y in zip(P[a], Pinv)]
-        plane = []
-        for b in range(n):
+        plane = [out[b][a] for b in range(a)]
+        for b in range(a, n):
             wb = [(k, w * x % M) for k, (w, x) in enumerate(zip(W, P[b])) if w and x]
             row = []
             for c in range(n):
-                coeffs = pk.reduced(sum(w * Pbar[c][k] for k, w in wb))
-                if any(coeffs[1:]):
+                r = pk.rational(sum(w * PbarF[c][k] for k, w in wb))
+                if r is None:
                     raise ValueError(f"fusion coefficient not rational at {(a, b, c)}")
-                r = coeffs[0]
                 if r % den or r < 0:
                     raise ValueError(f"fusion coefficient {Fraction(r, den)} at {(a, b, c)}")
                 row.append(r // den)

@@ -9,8 +9,9 @@ except the display-only ``approx`` helper.
 
 This lowest layer also holds what every layer above shares: ``GuardError``,
 the one error a size guard raises before it starts work, ``factorize``, the
-one trial-division factorization, and ``as_integer``, the one check that an
-input number is integral.
+one trial-division factorization, ``as_integer``, the one check that an
+input number is integral, and ``json_rational`` and ``json_list``, the one
+reader of exact rationals and lists in JSON input.
 """
 
 from __future__ import annotations
@@ -55,6 +56,26 @@ def as_integer(x, message: str) -> int:
     return n
 
 
+def json_list(x, what: str) -> list:
+    """x if it is a JSON array, else ``ValueError``; a string is never iterated."""
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a list, not {x!r}")
+    return x
+
+
+def json_rational(x) -> Fraction:
+    """Exact rational from JSON: an ``int`` (not a ``bool``) or a string like "-3/4".
+
+    Anything else, floats included, and a zero denominator raise ``ValueError``.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError(f"a rational must be an integer or a string, not {x!r}")
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational {x!r}") from exc
+
+
 def _check_order(n: int) -> None:
     if n <= 0:
         raise ValueError("cyclotomic order must be a positive integer")
@@ -72,6 +93,12 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if n % d == 0:
             poly = _exact_div(poly, list(cyclotomic_polynomial(d)))
     return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_cofactor(n: int) -> tuple[int, ...]:
+    """Coefficients (low degree first) of (x^n - 1) / Phi_n, an integer polynomial."""
+    return tuple(_exact_div([-1] + [0] * (n - 1) + [1], list(cyclotomic_polynomial(n))))
 
 
 def _exact_div(num: list[int], den: list[int]) -> list[int]:
@@ -333,10 +360,10 @@ class Cyclotomic:
     def from_json(obj: dict) -> "Cyclotomic":
         try:
             n = as_integer(obj["N"], "cyclotomic JSON needs an integer order 'N'")
-            coeffs = [Fraction(s) for s in obj["c"]]
+            coeffs = [json_rational(s) for s in json_list(obj["c"], "'c'")]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed cyclotomic JSON: {exc!r}") from exc
-        if not isinstance(obj["c"], list) or len(coeffs) != n:
+        if len(coeffs) != n:
             raise ValueError("coefficient list must have exactly N entries")
         return Cyclotomic(n, {i: c for i, c in enumerate(coeffs) if c})
 

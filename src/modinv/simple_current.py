@@ -9,7 +9,7 @@ stabilizers.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from .abelian import Character, FinAbGroup, Subgroup, all_subgroups, subgroup_group
 from .forms import AlternatingPairing, Pairing, mod1
@@ -107,19 +107,30 @@ class SCParam:
         return _chain_embed(self.sc.group, self.chain)(y)
 
     def _validate(self):
+        """Diagonal against the twists, then each row against the monodromy.
+
+        Every phase is compared as an integer numerator over one common
+        denominator L of the form, the charges and the twists.
+        """
         sc = self.sc
         embed = _chain_embed(sc.group, self.chain)
-        rows = self.rows
-        elems = list(rows)
-        currents = [embed(y) for y in elems]
+        currents = [embed(y) for y in self.rows]
         primaries = [sc.label_index[j] for j in currents]
-        for i, (y, j) in enumerate(zip(elems, currents)):
-            if rows[y][i] != sc.q(j):
+        tables = (
+            list(self.rows.values()),
+            [[sc.charges[j][a] for a in primaries] for j in currents],
+            [[sc.q(j) for j in currents]],
+        )
+        L = lcm(*{x.denominator for table in tables for row in table for x in row})
+        eps, charges, (twists,) = (
+            [[x.numerator * (L // x.denominator) for x in row] for row in table]
+            for table in tables
+        )
+        for i, (row, col, charge) in enumerate(zip(eps, zip(*eps), charges)):
+            if row[i] != twists[i]:
                 raise ValueError("diagonal of epsilon must match the twists")
-            charge = sc.charges[j]
-            for k, (z, a) in enumerate(zip(elems, primaries)):
-                if (charge[a] + rows[y][k] + rows[z][i]) % 1:
-                    raise ValueError("epsilon is not balanced against the monodromy")
+            if any((c + e1 + e2) % L for c, e1, e2 in zip(charge, row, col)):
+                raise ValueError("epsilon is not balanced against the monodromy")
 
     def to_json(self):
         return {

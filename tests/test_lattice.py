@@ -27,7 +27,8 @@ from modinv.lattice import (
     named,
     realize,
 )
-from modinv.scalars import root_of_unity
+from modinv.modular import ModularData
+from modinv.scalars import Cyclotomic, root_of_unity
 
 ALL_DESCRIPTORS = [
     "3^1_+", "3^1_-", "5^1_+", "5^1_-", "7^1_+", "7^1_-", "3^2_+", "3^2_-",
@@ -122,6 +123,25 @@ def test_json_roundtrip():
         (Pairing.from_json, None),
         (Pairing.from_json, {"left": {"factors": [2]}}),
         (Pairing.from_json, {"left": {"factors": [2]}, "right": {"factors": [2]}, "E": []}),
+        # a zero denominator
+        (Cyclotomic.from_json, {"N": 1, "c": ["1/0"]}),
+        (ModularData.from_json, {"labels": [0], "unit": 0, "S": [[{"N": 1, "c": ["1/0"]}]],
+                                 "T": [{"N": 1, "c": ["1"]}]}),
+        (Pairing.from_json, {"left": {"factors": [2]}, "right": {"factors": [2]}, "E": [["1/0"]]}),
+        (QuadraticForm.from_json, {"group": {"factors": [2]}, "values": ["0", "1/0"]}),
+        # a string where a list belongs
+        (QuadraticForm.from_json, {"group": {"factors": [4]}, "values": "0140"}),
+        (Pairing.from_json, {"left": {"factors": [2, 2]}, "right": {"factors": [2, 2]},
+                             "E": ["00", "00"]}),
+        (Pairing.from_json, {"left": {"factors": "2"}, "right": {"factors": [2]}, "E": [["0"]]}),
+        (Lattice.from_json, {"gram": ["2"]}),
+        (ModularData.from_json, {"labels": "a", "unit": 0, "S": [[{"N": 1, "c": ["1"]}]],
+                                 "T": [{"N": 1, "c": ["1"]}]}),
+        # binary floats and booleans are not exact rationals
+        (Cyclotomic.from_json, {"N": 1, "c": [0.1]}),
+        (Cyclotomic.from_json, {"N": 1, "c": [True]}),
+        (QuadraticForm.from_json, {"group": {"factors": [2]}, "values": [0, 0.5]}),
+        (Pairing.from_json, {"left": {"factors": [2]}, "right": {"factors": [2]}, "E": [[0.5]]}),
     ],
 )
 def test_from_json_rejects_malformed(from_json, obj):

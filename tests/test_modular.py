@@ -28,8 +28,11 @@ from modinv.modular import (
 from modinv.pointed import weil
 from modinv.scalars import (
     Cyclotomic,
+    cyclotomic_cofactor,
+    cyclotomic_polynomial,
     phase_fraction,
     rational_phase,
+    reduce_mod_phi,
     root_of_unity,
     sqrt_nonneg_int,
 )
@@ -929,3 +932,196 @@ def test_non_permutation_square_raises_either_way(validate_first):
     assert "S^2 permutation" in validate_modular(bad)
     with pytest.raises(ValueError, match=r"^S\^2 is not a permutation matrix$"):
         bad.charge_conjugation()
+
+
+# -- Verlinde against the unpack-and-reduce reference ----------------------------
+
+
+def reference_verlinde(md):
+    """Fusion tensor with every Verlinde sum unpacked and reduced modulo Phi_N.
+
+    Each (a, b, c) is computed, none mirrored, and the errors are those of
+    ``verlinde``.
+    """
+    n = md.dim
+    S = md.S
+    inv0 = []
+    for k in range(n):
+        x = S[md.unit][k]
+        if x.is_zero():
+            raise ValueError("unit row of S has a zero entry")
+        inv0.append(x.inverse())
+    N = modular._conductor(S, [inv0])
+    dS, iS = modular._integral(S, N)
+    dI, (iI,) = modular._integral([inv0], N)
+    pk = modular._Packing(N, n * modular._norm(iS) ** 3 * modular._norm([iI]))
+    P = [[pk.pack(p) for p in row] for row in iS]
+    Pbar = [[pk.pack({-k % N: c for k, c in p.items()}) for p in row] for row in iS]
+    Pinv = [pk.pack(p) for p in iI]
+    den = dS**3 * dI
+    out = []
+    for a in range(n):
+        plane = []
+        for b in range(n):
+            row = []
+            for c in range(n):
+                v = sum(P[a][k] * Pinv[k] * P[b][k] * Pbar[c][k] for k in range(n))
+                coeffs = pk.reduced(v)
+                if any(coeffs[1:]):
+                    raise ValueError(f"fusion coefficient not rational at {(a, b, c)}")
+                r = coeffs[0]
+                if r % den or r < 0:
+                    raise ValueError(f"fusion coefficient {Fraction(r, den)} at {(a, b, c)}")
+                row.append(r // den)
+            plane.append(tuple(row))
+        out.append(tuple(plane))
+    return tuple(out)
+
+
+def verlinde_outcome(fn, md):
+    """The tensor, or the message of the ValueError raised."""
+    try:
+        return fn(md)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+VERLINDE_DATA = {**dict(zip(CURRENT_IDS, CURRENT_DATA)), **dict(zip(BRUTE_IDS, BRUTE_DATA))}
+
+
+@pytest.mark.parametrize("build", VERLINDE_DATA.values(), ids=VERLINDE_DATA.keys())
+def test_verlinde_matches_reference(build):
+    md = build()
+    assert verlinde_outcome(verlinde, md) == verlinde_outcome(reference_verlinde, md)
+
+
+def with_entry(md, i, j, f, symmetric=True):
+    """md with S[i][j] (and S[j][i] if symmetric) replaced by f of itself."""
+    S = [list(row) for row in md.S]
+    S[i][j] = f(S[i][j])
+    if symmetric and i != j:
+        S[j][i] = f(S[j][i])
+    return ModularData(md.labels, md.unit, S, md.T)
+
+
+def with_rows(md, perm):
+    """md with S's rows permuted; S is no longer symmetric."""
+    return ModularData(md.labels, md.unit, [md.S[p] for p in perm], md.T)
+
+
+def with_columns(md, perm):
+    """md with S's columns permuted; each Verlinde sum only changes its order."""
+    return ModularData(md.labels, md.unit, [[row[p] for p in perm] for row in md.S], md.T)
+
+
+ORTHOGONAL_3 = [[rat(Fraction(x, 3)) for x in row] for row in ((1, 2, 2), (2, 1, -2), (2, -2, 1))]
+
+
+def three_by_three(S):
+    one = Cyclotomic.one()
+    return ModularData([0, 1, 2], 0, S, [one] * 3)
+
+
+CORRUPTED = {
+    "not-rational": (
+        lambda: with_entry(_double("2^1_1"), 1, 2, lambda x: x * sqrt_nonneg_int(2)),
+        "fusion coefficient not rational at (0, 0, 1)",
+    ),
+    "not-rational-weil": (
+        lambda: with_entry(weil(Z3_FORM), 1, 1, lambda x: -x),
+        "fusion coefficient not rational at (0, 0, 1)",
+    ),
+    "non-integer": (
+        lambda: with_entry(_double("2^1_1"), 0, 1, lambda x: x / 2),
+        "fusion coefficient 61/64 at (0, 0, 0)",
+    ),
+    "negative": (
+        lambda: with_entry(_double("3^1_+"), 1, 2, lambda x: -x),
+        "fusion coefficient -1/18 at (0, 0, 1)",
+    ),
+    "non-symmetric-entry": (
+        lambda: with_entry(_double("3^1_+"), 2, 3, lambda x: 3 * x, symmetric=False),
+        "fusion coefficient not rational at (0, 0, 2)",
+    ),
+    "orthogonal-plane-1": (
+        lambda: three_by_three(ORTHOGONAL_3),
+        "fusion coefficient 1/2 at (1, 1, 1)",
+    ),
+    "orthogonal-non-symmetric": (
+        lambda: three_by_three([ORTHOGONAL_3[0], ORTHOGONAL_3[2], ORTHOGONAL_3[1]]),
+        "fusion coefficient 1/2 at (1, 1, 1)",
+    ),
+    "zero-unit-entry": (
+        lambda: with_entry(weil(Z3_FORM), 0, 2, lambda x: Cyclotomic.zero(), symmetric=False),
+        "unit row of S has a zero entry",
+    ),
+}
+
+
+@pytest.mark.parametrize("build,message", CORRUPTED.values(), ids=CORRUPTED.keys())
+def test_verlinde_errors_match_reference(build, message):
+    md = build()
+    assert verlinde_outcome(verlinde, md) == f"ValueError: {message}"
+    assert verlinde_outcome(reference_verlinde, md) == f"ValueError: {message}"
+
+
+@pytest.mark.parametrize(
+    "descriptor,sign,perm",
+    [("2^1_1", 1, [0, 2, 1, 4, 3, 5, 6, 8, 7]), ("3^1_+", -1, [0] + list(range(14, 0, -1)))],
+)
+def test_verlinde_on_non_symmetric_s(descriptor, sign, perm):
+    md = _double(descriptor, sign)
+    # permuting the summation index k keeps every sum; permuting rows relabels a, b, c
+    # for S only, which breaks the a <-> b symmetry of S but not of the formula
+    assert verlinde(with_columns(md, perm)) == verlinde(md)
+    md_rows = with_rows(md, perm)
+    assert md_rows.S != tuple(zip(*md_rows.S))
+    assert verlinde_outcome(verlinde, md_rows) == verlinde_outcome(reference_verlinde, md_rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["weil-3^1_+", "weil-2^2_1", "ty-2^1_1", "ty-3^1_+-"]),
+    st.data(),
+)
+def test_verlinde_on_perturbed_s_matches_reference(name, data):
+    md = VERLINDE_DATA[name]()
+    n = md.dim
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, n - 1))
+    factor = data.draw(
+        st.sampled_from(
+            [-1, 2, Fraction(1, 2), root_of_unity(5, 1), root_of_unity(4, 1), sqrt_nonneg_int(2)]
+        )
+    )
+    bad = with_entry(md, i, j, lambda x: x * factor, symmetric=data.draw(st.booleans()))
+    assert verlinde_outcome(verlinde, bad) == verlinde_outcome(reference_verlinde, bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 8, 12, 16, 24, 56]), st.data())
+def test_packing_rational_is_the_reduction_test(N, data):
+    phi = cyclotomic_polynomial(N)
+    F = cyclotomic_cofactor(N)
+    deg = len(phi) - 1
+    bound = data.draw(st.sampled_from([1, 7, 255, 10**6, 2**80]))
+    small = st.integers(-bound, bound)
+    kind = data.draw(st.sampled_from(["random", "rational", "near-rational"]))
+    if kind == "random":
+        v = data.draw(st.lists(small, min_size=N, max_size=N))
+    else:
+        # r + g Phi_N, with deg g < N - deg Phi_N, so no power of x wraps around
+        r = data.draw(small)
+        g = data.draw(st.lists(st.integers(-3, 3), min_size=N - deg, max_size=N - deg))
+        v = [0] * N
+        v[0] = r
+        for s, gs in enumerate(g):
+            for t, pt in enumerate(phi):
+                v[s + t] += gs * pt
+        if kind == "near-rational":
+            v[data.draw(st.integers(0, N - 1))] += data.draw(st.sampled_from([-1, 1]))
+    norm = max(map(abs, v))
+    pk = modular._Packing(N, max(norm, bound) * sum(map(abs, F)) * (1 + max(map(abs, F))))
+    reduced = reduce_mod_phi(list(v), N)
+    expected = None if any(reduced[1:]) else reduced[0]
+    assert pk.rational(pk.pack(dict(enumerate(v))) * pk.PF) == expected

@@ -1,12 +1,14 @@
 """Current-subgroup invariants: base form, enumeration, products."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from modinv.abelian import Character, FinAbGroup, Subgroup
 from modinv.forms import (
     AlternatingPairing,
+    Pairing,
     QuadraticForm,
     alternating_pairings,
     indecomposable_form,
@@ -369,3 +371,62 @@ class TestNormalization:
                         continue
                     orbit = {sc.action_table[jj][a] for jj in j0}
                     assert row == kernel.order // len(orbit)
+
+
+# -- the parameter check against a Fraction reference ----------------------------
+
+
+def reference_validate_error(param, epsilon):
+    """Message of the first failed check of epsilon, by Fraction sums mod 1, or None."""
+    sc = param.sc
+    rows = epsilon.phase_table()
+    elems = list(rows)
+    currents = [param.embed(y) for y in elems]
+    primaries = [sc.label_index[j] for j in currents]
+    for i, (y, j) in enumerate(zip(elems, currents)):
+        if rows[y][i] != sc.q(j):
+            return "diagonal of epsilon must match the twists"
+        for k, (z, a) in enumerate(zip(elems, primaries)):
+            if (sc.charges[j][a] + rows[y][k] + rows[z][i]) % 1:
+                return "epsilon is not balanced against the monodromy"
+    return None
+
+
+def validate_error(param, epsilon):
+    """Message of the ValueError that SCParam raises for epsilon, or None."""
+    try:
+        SCParam(param.sc, param.J, param.group, param.chain, param.psi, epsilon)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+VALIDATE_DATA = {
+    "Z3xZ3": (lambda: weil(std_form((3, 3))), [(1, 0), (0, 1)]),
+    "3^1_+x3^1_-": (lambda: weil(indecomposable_form("3^1_+ x 3^1_-")[0]), [(1, 0), (0, 1)]),
+    "Z5": (lambda: weil(indecomposable_form("5^1_+")[0]), [(1,)]),
+    "Z4-half": (lambda: weil(Z4_FORM), [(2,)]),
+    "Z6-third": (lambda: weil(std_form((6,))), [(2,)]),
+}
+
+
+@pytest.mark.parametrize("build,gens", VALIDATE_DATA.values(), ids=VALIDATE_DATA.keys())
+def test_validate_matches_fraction_reference(build, gens):
+    md = build()
+    _, J = current_subgroup(md, gens)
+    param = make_epsilon(md, J)
+    assert reference_validate_error(param, param.epsilon) is None
+    G = param.group
+    seen = set()
+    for i, n in enumerate(G.factors):
+        for j, m in enumerate(G.factors):
+            for k in range(1, gcd(n, m)):
+                matrix = [list(row) for row in param.epsilon.matrix]
+                matrix[i][j] += Fraction(k, gcd(n, m))
+                epsilon = Pairing(G, G, matrix)
+                got = validate_error(param, epsilon)
+                assert got == reference_validate_error(param, epsilon)
+                seen.add(got)
+    assert "diagonal of epsilon must match the twists" in seen
+    if G.rank > 1:
+        assert "epsilon is not balanced against the monodromy" in seen
