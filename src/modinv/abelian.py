@@ -608,13 +608,10 @@ class Character:
         self.exponents = tuple(int(a) % n for a, n in zip(exponents, ambient.factors))
 
     def phase(self, g) -> Fraction:
-        """Exponent of chi(g) as a rational mod 1."""
-        g = self.ambient.reduce(g)
-        r = sum(
-            Fraction(a * x, n)
-            for a, x, n in zip(self.exponents, g, self.ambient.factors)
-        )
-        return r % 1 if self.exponents else Fraction(0)
+        """Exponent of chi(g) mod 1, as sum_i a_i g_i (e / n_i) mod e over e = exp."""
+        e = self.ambient.exponent
+        k = sum(a * x * (e // n) for a, x, n in zip(self.exponents, g, self.ambient.factors))
+        return Fraction(k % e, e)
 
     def eval(self, g) -> Cyclotomic:
         return rational_phase(self.phase(g))

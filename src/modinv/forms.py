@@ -1,16 +1,23 @@
 """Pairings and quadratic forms on finite abelian groups.
 
-Pairings are stored by an exponent matrix of rationals mod 1; quadratic forms
-by a full value table of rationals mod 1.  The polarization convention is
-pair(g, h) = q(g) * q(h) * conj(q(g + h)), i.e. on exponents
-B(g, h) = q(g) + q(h) - q(g + h).
+Every value in Q/Z is an integer numerator over one denominator fixed by the
+groups, so equal objects have equal integers.  A pairing keeps its exponent
+matrix mod den = gcd(exp left, exp right): n_i E_ij and E_ij m_j are
+integers, so E_ij lies in (1/gcd(n_i, m_j))Z.  A form keeps q(g) mod den =
+exp G for odd exp G and 2 exp G for even: with n = ord g, n^2 q(g) = q(ng) = 0
+and 2n q(g) = -b(ng, g) = 0, so q(g) lies in (1/n)Z for odd n, (1/2n)Z for
+even n.  ``Fraction`` appears only in the rational-table constructors,
+``phase``, ``Pairing.matrix``, ``phase_table`` and ``to_json``.  The
+polarization convention is pair(g, h) = q(g) * q(h) * conj(q(g + h)), i.e. on
+exponents B(g, h) = q(g) + q(h) - q(g + h).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, prod
 
 from .abelian import (
     HOM_GUARD,
@@ -28,107 +35,126 @@ from .scalars import (
     factorize,
     json_list,
     json_rational,
-    rational_phase,
     root_of_unity,
     sqrt_nonneg_int,
 )
 
 PAIRING_GUARD = 10**6
 DISCRIMINANT_GUARD = 10**5  # largest order of a tabulated form
+_ENTRY_DENOMINATORS = "entry denominators must divide both factor pairs"
 
 
 def mod1(x) -> Fraction:
     return Fraction(x) % 1
 
 
+def _numerator(x, den: int, message: str) -> int:
+    """den * x as an int; ``ValueError(message)`` unless x lies in (1/den)Z."""
+    k = Fraction(x) * den
+    if k.denominator != 1:
+        raise ValueError(message)
+    return k.numerator
+
+
+def form_denominator(G: FinAbGroup) -> int:
+    """The common denominator of every quadratic form on G (module docstring)."""
+    e = G.exponent
+    return e if e % 2 else 2 * e
+
+
 class Pairing:
-    """Bicharacter gamma: left x right -> roots of unity.
+    """Bicharacter gamma(g, h) = e^(2 pi i g^T num h / den), den = gcd(exp left, exp right)."""
 
-    gamma(g, h) = e^(2 pi i g^T E h) with E a matrix of rationals mod 1.
-    """
-
-    __slots__ = ("left", "right", "matrix")
+    __slots__ = ("left", "right", "den", "num")
 
     def __init__(self, left: FinAbGroup, right: FinAbGroup, matrix):
+        """``matrix[i][j]`` is the rational exponent E_ij mod 1."""
+        den = gcd(left.exponent, right.exponent)
+        num = [
+            [_numerator(matrix[i][j], den, _ENTRY_DENOMINATORS) for j in range(right.rank)]
+            for i in range(left.rank)
+        ]
+        self._setup(left, right, num)
+
+    @classmethod
+    def from_numerators(cls, left: FinAbGroup, right: FinAbGroup, num):
+        """The pairing with exponent matrix num / den, num any integer matrix."""
+        self = cls.__new__(cls)
+        self._setup(left, right, num)
+        return self
+
+    def _setup(self, left, right, num):
         self.left = left
         self.right = right
-        E = tuple(
-            tuple(mod1(matrix[i][j]) for j in range(right.rank))
-            for i in range(left.rank)
+        self.den = d = gcd(left.exponent, right.exponent)
+        self.num = tuple(
+            tuple(num[i][j] % d for j in range(right.rank)) for i in range(left.rank)
         )
-        for i, n in enumerate(left.factors):
-            for j, m in enumerate(right.factors):
-                if (n * E[i][j]).denominator != 1 or (E[i][j] * m).denominator != 1:
-                    raise ValueError("entry denominators must divide both factor pairs")
-        self.matrix = E
+        for row, n in zip(self.num, left.factors):
+            for x, m in zip(row, right.factors):
+                if (n * x) % d or (x * m) % d:
+                    raise ValueError(_ENTRY_DENOMINATORS)
 
     @property
     def is_square(self) -> bool:
         return self.left == self.right
 
+    @property
+    def matrix(self) -> tuple:
+        """The exponent matrix as rationals in [0, 1)."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
+
+    def dot(self, g, h) -> int:
+        """g^T num h mod den, the numerator of the phase at (g, h).  Coordinates
+        need not be reduced: the constructor makes n_i num_ij and num_ij m_j
+        multiples of den, so adding n_i to g_i or m_j to h_j changes nothing."""
+        return sum(
+            gi * sum(x * hj for x, hj in zip(row, h)) for gi, row in zip(g, self.num) if gi
+        ) % self.den
+
     def phase(self, g, h) -> Fraction:
-        g = self.left.reduce(g)
-        h = self.right.reduce(h)
-        total = Fraction(0)
-        for i, gi in enumerate(g):
-            if gi:
-                row = self.matrix[i]
-                total += gi * sum(row[j] * h[j] for j in range(len(h)) if h[j])
-        return mod1(total)
+        return Fraction(self.dot(g, h), self.den)
 
     def eval(self, g, h) -> Cyclotomic:
-        return rational_phase(self.phase(g, h))
+        return root_of_unity(self.den, self.dot(g, h))
 
     def phase_table(self) -> dict:
-        """{g: (phase(g, h) for h in right.elements())} for every g of left,
-        from integer dot products: phase(g, h) = (g^T (d E) h mod d) / d."""
-        d = lcm(1, *(x.denominator for row in self.matrix for x in row))
-        D = [[int(x * d) for x in row] for row in self.matrix]
+        """{g: (phase(g, h) for h in right.elements())} for every g of left."""
+        d = self.den
         phases = [Fraction(k, d) for k in range(d)]
         right, rank = self.right.elements(), self.right.rank
         table = {}
         for g in self.left.elements():
-            u = [sum(gi * row[j] for gi, row in zip(g, D)) for j in range(rank)]
+            u = [sum(gi * row[j] for gi, row in zip(g, self.num)) for j in range(rank)]
             table[g] = tuple(phases[sum(a * b for a, b in zip(u, h)) % d] for h in right)
         return table
 
     def is_symmetric(self) -> bool:
-        if not self.is_square:
-            return False
-        E = self.matrix
-        return all(
-            E[i][j] == E[j][i] for i in range(len(E)) for j in range(i + 1, len(E))
-        )
+        return self.is_square and self.num == tuple(zip(*self.num))
 
     def is_alternating(self) -> bool:
         if not self.is_square:
             return False
-        E = self.matrix
+        E, d = self.num, self.den
         t = len(E)
         return all(E[i][i] == 0 for i in range(t)) and all(
-            mod1(E[i][j] + E[j][i]) == 0 for i in range(t) for j in range(i + 1, t)
+            (E[i][j] + E[j][i]) % d == 0 for i in range(t) for j in range(i + 1, t)
         )
 
     def transpose(self) -> "Pairing":
-        return Pairing(
-            self.right,
-            self.left,
-            [
-                [self.matrix[i][j] for i in range(self.left.rank)]
-                for j in range(self.right.rank)
-            ],
-        )
+        return Pairing.from_numerators(self.right, self.left, tuple(zip(*self.num)))
 
     def conj(self) -> "Pairing":
-        return Pairing(self.left, self.right, [[-x for x in row] for row in self.matrix])
+        return Pairing.from_numerators(
+            self.left, self.right, [[-x for x in row] for row in self.num]
+        )
 
     def row_character(self, g) -> Character:
         """gamma(g, .) as a character of the right group."""
-        g = self.left.reduce(g)
-        exps = []
-        for j, m in enumerate(self.right.factors):
-            r = sum(g[i] * self.matrix[i][j] for i in range(len(g)))
-            exps.append(int(r * m) % m)
+        exps = [
+            m * sum(gi * row[j] for gi, row in zip(g, self.num)) // self.den
+            for j, m in enumerate(self.right.factors)
+        ]
         return Character(self.right, exps)
 
     def radical(self) -> Subgroup:
@@ -144,16 +170,9 @@ class Pairing:
         """{g in left : gamma(g, h) = 1 for all h in H}, H a subgroup of right."""
         if H.ambient != self.right:
             raise ValueError("subgroup of the wrong group")
-        rows, moduli = [], []
-        for h in H.gens():
-            col = [
-                sum(self.matrix[i][j] * h[j] for j in range(len(h)))
-                for i in range(self.left.rank)
-            ]
-            d = lcm(1, *(Fraction(c).denominator for c in col))
-            rows.append([int(c * d) for c in col])
-            moduli.append(d)
-        return congruence_kernel(self.left, rows, moduli)
+        d = self.den
+        rows = [[sum(x * hj for x, hj in zip(row, h)) % d for row in self.num] for h in H.gens()]
+        return congruence_kernel(self.left, rows, [d] * len(rows))
 
     def pull_back(self, JL: FinAbGroup, JR: FinAbGroup, embedL, embedR) -> "Pairing":
         """Pairing obtained by composing with coordinate maps into each side."""
@@ -164,7 +183,7 @@ class Pairing:
         return Pairing(JL, JR, M)
 
     def key(self):
-        return (self.left.factors, self.right.factors, self.matrix)
+        return (self.left.factors, self.right.factors, self.num)
 
     def __eq__(self, other):
         return isinstance(other, Pairing) and self.key() == other.key()
@@ -205,6 +224,9 @@ class AlternatingPairing(Pairing):
 
     def __init__(self, group: FinAbGroup, matrix):
         super().__init__(group, group, matrix)
+
+    def _setup(self, left, right, num):
+        super()._setup(left, right, num)
         if not self.is_alternating():
             raise ValueError("pairing is not alternating")
 
@@ -214,30 +236,37 @@ class AlternatingPairing(Pairing):
 
 
 def standard_pairing(G: FinAbGroup) -> Pairing:
-    t = G.rank
-    return Pairing(
-        G, G, [[Fraction(1, G.factors[i]) if i == j else 0 for j in range(t)] for i in range(t)]
+    e = G.exponent
+    return Pairing.from_numerators(
+        G, G, [[e // n if i == j else 0 for j in range(G.rank)] for i, n in enumerate(G.factors)]
     )
 
 
 def zero_pairing(left: FinAbGroup, right: FinAbGroup | None = None) -> Pairing:
     right = left if right is None else right
-    return Pairing(left, right, [[0] * right.rank for _ in range(left.rank)])
+    return Pairing.from_numerators(left, right, [[0] * right.rank for _ in range(left.rank)])
 
 
 class QuadraticForm:
-    """q: G -> roots of unity stored as the full table of exponents mod 1."""
+    """q(g) = e^(2 pi i num[g] / den) on G, with den = ``form_denominator(G)``."""
 
-    __slots__ = ("group", "table", "_polar")
+    __slots__ = ("group", "den", "num", "_polar")
 
     def __init__(self, group: FinAbGroup, table):
-        self.group = group
-        self.table = {g: mod1(v) for g, v in table.items()}
-        self._polar = None
-        self._validate()
+        """``table`` maps each element of the group to q's rational exponent mod 1."""
+        den = form_denominator(group)
+        message = f"form values must lie in (1/{den})Z"
+        self._setup(group, {g: _numerator(v, den, message) for g, v in table.items()})
 
-    def _validate(self):
-        """Check that the table is a quadratic form with a bilinear polarization.
+    @classmethod
+    def from_numerators(cls, group: FinAbGroup, num) -> "QuadraticForm":
+        """The form with q(g) = num[g] / den, num any integer table."""
+        self = cls.__new__(cls)
+        self._setup(group, num)
+        return self
+
+    def _setup(self, group, num):
+        """Store num mod den; check it is a quadratic form with a bilinear polarization.
 
         Biadditivity is checked only against the basis: B(g, e_i) = b(g, e_i)
         for every g and i, where B(g, h) = q(g) + q(h) - q(g + h) and b is the
@@ -247,69 +276,69 @@ class QuadraticForm:
         B(g, h + e_i) = B(g, h) + b(g, e_i).  So the O(rank |G|) check accepts
         exactly the tables the all-pairs check does.
         """
-        G = self.group
+        G = self.group = group
+        d = self.den = form_denominator(group)
+        num = self.num = {g: k % d for g, k in num.items()}
+        self._polar = None
         elems = G.elements()
-        if set(self.table) != set(elems):
+        if len(num) != len(elems) or any(g not in num for g in elems):
             raise ValueError("table must cover the group exactly")
-        if self.table[G.zero()] != 0:
+        if num[G.zero()]:
             raise ValueError("q(0) must be 1")
-        for g in elems:
-            if self.table[g] != self.table[G.neg(g)]:
-                raise ValueError("q(-g) = q(g) fails")
+        if any(num[g] != num[G.neg(g)] for g in elems):
+            raise ValueError("q(-g) = q(g) fails")
         pol = self.polarization()
-        for e in G.basis():
-            qe = self.table[e]
+        r = d // pol.den
+        for i, e in enumerate(G.basis()):
+            qe = num[e]
+            col = [r * row[i] for row in pol.num]
             for g in elems:
-                lhs = mod1(self.table[g] + qe - self.table[G.add(g, e)])
-                if lhs != pol.phase(g, e):
+                if (num[g] + qe - num[G.add(g, e)] - sum(x * c for x, c in zip(g, col))) % d:
                     raise ValueError("polarization is not biadditive")
 
     def phase(self, g) -> Fraction:
-        return self.table[self.group.reduce(g)]
+        return Fraction(self.num[self.group.reduce(g)], self.den)
 
     def eval(self, g) -> Cyclotomic:
-        return rational_phase(self.phase(g))
+        return root_of_unity(self.den, self.num[self.group.reduce(g)])
 
     def polarization(self) -> Pairing:
+        """B(e_i, e_j) over den; it must halve to the pairing's den = exp G."""
         if self._polar is None:
-            G = self.group
+            G, num = self.group, self.num
+            r = self.den // G.exponent
             basis = G.basis()
-            E = [
-                [
-                    mod1(self.table[ei] + self.table[ej] - self.table[G.add(ei, ej)])
-                    for ej in basis
-                ]
-                for ei in basis
-            ]
-            self._polar = Pairing(G, G, E)
+            B = [[num[ei] + num[ej] - num[G.add(ei, ej)] for ej in basis] for ei in basis]
+            if any(x % r for row in B for x in row):
+                raise ValueError(_ENTRY_DENOMINATORS)
+            self._polar = Pairing.from_numerators(G, G, [[x // r for x in row] for row in B])
         return self._polar
-
-    def pair_phase(self, g, h) -> Fraction:
-        """Exponent of the polarization pairing at (g, h)."""
-        G = self.group
-        return mod1(self.table[G.reduce(g)] + self.table[G.reduce(h)] - self.table[G.add(g, h)])
 
     def times_character(self, chi: Character) -> "QuadraticForm":
         """Pointwise product with a character of order at most 2."""
         if chi.ambient != self.group:
             raise ValueError("character on the wrong group")
-        table = {g: mod1(v + chi.phase(g)) for g, v in self.table.items()}
-        return QuadraticForm(self.group, table)
+        d = self.den
+        return QuadraticForm.from_numerators(
+            self.group, {g: k + int(chi.phase(g) * d) for g, k in self.num.items()}
+        )
 
     def conj(self) -> "QuadraticForm":
-        return QuadraticForm(self.group, {g: -v for g, v in self.table.items()})
+        return QuadraticForm.from_numerators(self.group, {g: -k for g, k in self.num.items()})
 
     def direct_sum(self, other: "QuadraticForm") -> "QuadraticForm":
         """Orthogonal sum, renormalized to invariant-factor coordinates."""
         G, _, split = product_with_maps(self.group, other.group)
-        table = {}
+        d = form_denominator(G)
+        ra, rb = d // self.den, d // other.den
+        num = {}
         for g in G.elements():
             a, b = split(g)
-            table[g] = self.table[a] + other.table[b]
-        return QuadraticForm(G, table)
+            num[g] = ra * self.num[a] + rb * other.num[b]
+        return QuadraticForm.from_numerators(G, num)
 
     def key(self):
-        return (self.group.factors, tuple(sorted(self.table.items())))
+        return (self.group.factors, tuple(sorted(self.num.items())))
 
     def __eq__(self, other):
         return isinstance(other, QuadraticForm) and self.key() == other.key()
@@ -318,13 +347,13 @@ class QuadraticForm:
         return hash(self.key())
 
     def __repr__(self):
-        vals = ", ".join(f"{g}:{v}" for g, v in sorted(self.table.items()))
+        vals = ", ".join(f"{g}:{Fraction(k, self.den)}" for g, k in sorted(self.num.items()))
         return f"QuadraticForm({self.group}, {{{vals}}})"
 
     def to_json(self):
         return {
             "group": self.group.to_json(),
-            "values": [str(self.table[g]) for g in sorted(self.group.elements())],
+            "values": [str(Fraction(self.num[g], self.den)) for g in sorted(self.group.elements())],
         }
 
     @staticmethod
@@ -340,38 +369,31 @@ class QuadraticForm:
 
 
 def forms_for_pairing(gamma: Pairing) -> list[QuadraticForm]:
-    """All quadratic forms whose polarization is the given pairing."""
+    """All quadratic forms whose polarization is the given pairing: one base
+    form, times each character g -> (-1)^(sum of g_i over a set of even n_i)."""
     if not gamma.is_square or not gamma.is_symmetric():
         raise ValueError("need a symmetric pairing on a single group")
     if not gamma.is_nondegenerate():
         raise ValueError("need a nondegenerate pairing")
     G = gamma.left
     n = G.factors
-    E = gamma.matrix
-    diag = []
-    for i, ni in enumerate(n):
-        if ni % 2:
-            diag.append(mod1(E[i][i] * ((ni - 1) // 2)))
-        else:
-            diag.append(mod1(-E[i][i] / 2))
-    base = {}
-    for g in G.elements():
-        v = sum(g[i] * g[i] * diag[i] for i in range(len(g)))
-        v -= sum(
-            g[i] * g[j] * E[i][j]
-            for i in range(len(g))
-            for j in range(i + 1, len(g))
-        )
-        base[g] = mod1(v)
+    E, t = gamma.num, G.rank
+    d = form_denominator(G)
+    r = d // gamma.den
+    diag = [E[i][i] * r * (ni - 1) // 2 if ni % 2 else -E[i][i] for i, ni in enumerate(n)]
+    cross = [(i, j, r * E[i][j]) for i in range(t) for j in range(i + 1, t)]
+    base = {
+        g: sum(x * x * c for x, c in zip(g, diag)) - sum(g[i] * g[j] * c for i, j, c in cross)
+        for g in G.elements()
+    }
     out = []
     two_torsion = [i for i, ni in enumerate(n) if ni % 2 == 0]
     for bits in itertools.product((0, 1), repeat=len(two_torsion)):
-        exps = [0] * G.rank
-        for b, i in zip(bits, two_torsion):
-            exps[i] = b * (n[i] // 2)
-        chi = Character(G, exps)
+        chosen = [i for b, i in zip(bits, two_torsion) if b]
         out.append(
-            QuadraticForm(G, {g: mod1(base[g] + chi.phase(g)) for g in base})
+            QuadraticForm.from_numerators(
+                G, {g: v + d // 2 * sum(g[i] for i in chosen) for g, v in base.items()}
+            )
         )
     out.sort(key=lambda q: q.key())
     return out
@@ -380,9 +402,7 @@ def forms_for_pairing(gamma: Pairing) -> list[QuadraticForm]:
 def gauss_sum(q: QuadraticForm):
     """(sum, normalized, signature mod 8) of sum_g q(g)."""
     G = q.group
-    total = Cyclotomic.zero()
-    for g in G.elements():
-        total = total + q.eval(g)
+    total = Cyclotomic(q.den, Counter(q.num.values()))
     norm = (total * total.conj()).as_rational()
     if norm != G.order:
         raise ValueError("Gauss sum magnitude is not sqrt(|G|); form is degenerate")
@@ -453,27 +473,24 @@ def _tabulate(p: int, k: int, sub):
     """(QuadraticForm, x_cubed) for one parsed indecomposable descriptor."""
     N = p**k
     if sub in ("i", "ii"):
-        G = FinAbGroup((N, N))
+        G = FinAbGroup((N, N))  # N = 2^k, so den = 2N
         if sub == "i":
-            table = {g: mod1(Fraction(g[0] * g[1], N)) for g in G.elements()}
+            num = {g: 2 * g[0] * g[1] for g in G.elements()}
             x3 = Cyclotomic.one()
         else:
-            table = {
-                g: mod1(Fraction(g[0] * g[0] + g[0] * g[1] + g[1] * g[1], N))
-                for g in G.elements()
-            }
+            num = {g: 2 * (g[0] * g[0] + g[0] * g[1] + g[1] * g[1]) for g in G.elements()}
             x3 = Cyclotomic.from_rational(Fraction((-1) ** k))
-        return QuadraticForm(G, table), x3
+        return QuadraticForm.from_numerators(G, num), x3
     G = FinAbGroup((N,))
     if p == 2:
-        table = {g: mod1(Fraction(sub * g[0] * g[0], 2 * N)) for g in G.elements()}
+        num = {g: sub * g[0] * g[0] for g in G.elements()}  # over den = 2N
         eps = -1 if (k % 2 == 1 and sub % 8 in (3, 5)) else 1
         x3 = Cyclotomic.from_rational(Fraction(eps)) * root_of_unity(8, -sub)
-        return QuadraticForm(G, table), x3
+        return QuadraticForm.from_numerators(G, num), x3
     m = 1 if sub == 1 else next(a for a in range(2, p) if legendre(a, p) == -1)
-    table = {g: mod1(Fraction(m * g[0] * g[0], N)) for g in G.elements()}
+    num = {g: m * g[0] * g[0] for g in G.elements()}  # over den = N
     x3 = _eps_unit(N) if sub**k == 1 else _eps_unit(N) * Cyclotomic.from_rational(Fraction(-1))
-    return QuadraticForm(G, table), x3
+    return QuadraticForm.from_numerators(G, num), x3
 
 
 def indecomposable_form(descriptor: str):
@@ -508,12 +525,15 @@ def isometries(q1: QuadraticForm, q2: QuadraticForm):
     order dividing n_i and q2-value q1(e_i), and its b2-pairing with each
     earlier image is b1(e_i, e_j).  As q(g + h) = q(g) + q(h) - b(g, h), such
     a map preserves q everywhere; it is yielded if bijective (q1 may be degenerate).
+    Groups of different exponents, hence different denominators, have none.
     """
     G, H = q1.group, q2.group
+    if q1.den != q2.den:
+        return iter(())
     b1, b2 = q1.polarization(), q2.polarization()
     basis = G.basis()
     candidates = [
-        [h for h in H.elements() if n % H.element_order(h) == 0 and q2.table[h] == q1.table[e]]
+        [h for h in H.elements() if n % H.element_order(h) == 0 and q2.num[h] == q1.num[e]]
         for e, n in zip(basis, G.factors)
     ]
     count = prod(len(c) for c in candidates)
@@ -528,7 +548,7 @@ def isometries(q1: QuadraticForm, q2: QuadraticForm):
                 yield alpha
             return
         for h in candidates[i]:
-            if all(b2.phase(h, prev) == b1.matrix[i][j] for j, prev in enumerate(images)):
+            if all(b2.dot(h, prev) == b1.num[i][j] for j, prev in enumerate(images)):
                 yield from extend(images + [h])
 
     return extend([])
@@ -549,11 +569,11 @@ def alternating_pairings(G: FinAbGroup) -> list[AlternatingPairing]:
         raise GuardError(f"alternating pairing count {count} exceeds guard {PAIRING_GUARD}")
     out = []
     for choice in itertools.product(*[range(n[j]) for _, j in pairs]):
-        E = [[Fraction(0)] * t for _ in range(t)]
+        E = [[0] * t for _ in range(t)]
         for (i, j), c in zip(pairs, choice):
-            E[i][j] = Fraction(c, n[j])
-            E[j][i] = mod1(-E[i][j])
-        out.append(AlternatingPairing(G, E))
+            E[i][j] = c * (G.exponent // n[j])
+            E[j][i] = -E[i][j]
+        out.append(AlternatingPairing.from_numerators(G, G, E))
     return out
 
 

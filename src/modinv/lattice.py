@@ -32,9 +32,8 @@ from .forms import (
     forms_equivalent,
     indecomposable_form,
     legendre,
-    mod1,
 )
-from .scalars import as_integer, factorize, json_list
+from .scalars import as_integer, factorize, json_integer, json_list
 
 PRIME_BOUND = 10**4
 FORM_ORDER_GUARD = 512
@@ -132,7 +131,11 @@ class Lattice:
     @staticmethod
     def from_json(obj) -> "Lattice":
         try:
-            gram = [json_list(row, "a Gram row") for row in json_list(obj["gram"], "'gram'")]
+            message = "gram entries must be integers"
+            gram = [
+                [json_integer(x, message) for x in json_list(row, "a Gram row")]
+                for row in json_list(obj["gram"], "'gram'")
+            ]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed lattice JSON: {exc!r}") from exc
         return Lattice(gram)
@@ -300,8 +303,8 @@ def named(name: str) -> Lattice:
 def _class_with_norm(L: Lattice, target: Fraction) -> DualVector:
     """A dual class whose norm is the target mod 2."""
     _, q, reps = discriminant(L)
-    want = mod1(target / 2)
-    g = next((g for g, v in q.table.items() if v == want), None)
+    want = target / 2 * q.den % q.den  # not an integer when no class can match
+    g = next((g for g, k in q.num.items() if k == want), None)
     if g is None:
         raise RuntimeError("no dual class with the requested norm")
     return DualVector(L, [sum(gj * r.coords[i] for gj, r in zip(g, reps)) for i in range(L.rank)])

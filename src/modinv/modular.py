@@ -49,6 +49,7 @@ from .scalars import (
     as_integer,
     cyclotomic_cofactor,
     cyclotomic_polynomial,
+    json_integer,
     json_list,
     phase_fraction,
     reduce_mod_phi,
@@ -302,7 +303,7 @@ class ModularData:
                 for row in json_list(obj["S"], "'S'")
             ]
             T = [Cyclotomic.from_json(x) for x in json_list(obj["T"], "'T'")]
-            unit = obj["unit"]
+            unit = json_integer(obj["unit"], "unit must be an integer index")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed modular data JSON: {exc!r}") from exc
         return ModularData(labels, unit, S, T)

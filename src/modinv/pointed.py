@@ -21,9 +21,9 @@ from .abelian import (
     quotient,
     subgroup_group,
 )
-from .forms import Pairing, QuadraticForm, gauss_sum, isometries, mod1
+from .forms import Pairing, QuadraticForm, gauss_sum, isometries
 from .modular import ModularData, ModularInvariant
-from .scalars import Cyclotomic, phase_fraction, rational_phase, sqrt_nonneg_int
+from .scalars import Cyclotomic, phase_fraction, root_of_unity, sqrt_nonneg_int
 
 QUOTIENT_GUARD = 64
 
@@ -39,7 +39,7 @@ class PointedData:
         _, normalized, sigma = gauss_sum(q)
         self.signature = sigma
         if x is None:
-            x = rational_phase(mod1(Fraction(-sigma, 24)))
+            x = root_of_unity(24, -sigma)
         if not ((x**3) * normalized).is_one():
             raise ValueError("x^3 must invert the normalized Gauss sum")
         if not (x**24).is_one():
@@ -74,7 +74,7 @@ class IsotropicDatum:
     def __init__(self, q: QuadraticForm, D: Subgroup):
         G = q.group
         for d in D.elements():
-            if q.phase(d) != 0:
+            if q.num[d]:
                 raise ValueError("subgroup is not isotropic for the form")
         P = q.polarization()
         perp = P.perp(D)
@@ -89,10 +89,10 @@ class IsotropicDatum:
         for y in Q.elements():
             g = embed(rep_of[y])
             lift[y] = g
-            table[y] = q.phase(g)
-            for d in D.elements():
-                if q.phase(G.add(g, d)) != table[y]:
-                    raise ValueError("form is not constant on the cosets")
+            k = q.num[g]
+            if any(q.num[G.add(g, d)] != k for d in D.elements()):
+                raise ValueError("form is not constant on the cosets")
+            table[y] = Fraction(k, q.den)
         self.subgroup = D
         self.perp = perp
         self.group = Q
@@ -118,7 +118,7 @@ def isotropic_subgroups(q: QuadraticForm) -> list[IsotropicDatum]:
     P = q.polarization()
 
     def admissible(gens, g):
-        return q.phase(g) == 0 and all(P.phase(g, h) == 0 for h in gens)
+        return not q.num[g] and not any(P.dot(g, h) for h in gens)
 
     return [IsotropicDatum(q, D) for D in all_subgroups(q.group, admissible)]
 
@@ -134,7 +134,7 @@ class DPMParam:
         if not sigma.is_bijective():
             raise ValueError("sigma must be an isomorphism")
         for k in plus.group.elements():
-            if minus.form.phase(sigma.apply(k)) != plus.form.phase(k):
+            if minus.form.num[sigma.apply(k)] != plus.form.num[k]:
                 raise ValueError("sigma must preserve the induced form")
         self.plus = plus
         self.minus = minus
@@ -179,7 +179,7 @@ class ZParam:
         if B.perp(Z) != Z:
             raise ValueError("subgroup is not self-dual")
         self.isotropic = all(
-            q.phase(g) == q.phase(h)
+            q.num[g] == q.num[h]
             for g, h in (split(z) for z in Z.elements())
         )
 
@@ -197,14 +197,8 @@ def square_pairing(q: QuadraticForm) -> Pairing:
     square, pair, split = square_group(q)
     P = q.polarization()
     gens = [split(e) for e in square.basis()]
-    matrix = [
-        [
-            mod1(P.phase(ga, gb) - P.phase(ha, hb))
-            for (gb, hb) in gens
-        ]
-        for (ga, ha) in gens
-    ]
-    return Pairing(square, square, matrix)
+    matrix = [[P.dot(ga, gb) - P.dot(ha, hb) for (gb, hb) in gens] for (ga, ha) in gens]
+    return Pairing.from_numerators(square, square, matrix)
 
 
 def enum_z(q: QuadraticForm, require_isotropy: bool = True) -> list[ZParam]:
@@ -220,11 +214,11 @@ def enum_z(q: QuadraticForm, require_isotropy: bool = True) -> list[ZParam]:
     def admissible(gens, g):
         if require_isotropy:
             x, y = split(g)
-            if q.phase(x) != q.phase(y):
+            if q.num[x] != q.num[y]:
                 return False
-        elif B.phase(g, g) != 0:
+        elif B.dot(g, g):
             return False
-        return all(B.phase(g, h) == 0 for h in gens)
+        return not any(B.dot(g, h) for h in gens)
 
     order = q.group.order
     out = []
@@ -320,7 +314,7 @@ def jpsi_to_dpm(md: ModularData, param) -> DPMParam:
         y = next(
             y
             for y in elems
-            if all(eps.phase(y, z) == P.phase(h, emb[z]) for z in elems)
+            if all(eps.dot(y, z) * P.den == P.dot(h, emb[z]) * eps.den for z in elems)
         )
         images.append(minus.to_quotient(G.add(h, emb[y])))
     matrix = [

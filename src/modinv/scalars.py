@@ -10,8 +10,9 @@ except the display-only ``approx`` helper.
 This lowest layer also holds what every layer above shares: ``GuardError``,
 the one error a size guard raises before it starts work, ``factorize``, the
 one trial-division factorization, ``as_integer``, the one check that an
-input number is integral, and ``json_rational`` and ``json_list``, the one
-reader of exact rationals and lists in JSON input.
+input number is integral, and ``json_integer``, ``json_rational`` and
+``json_list``, the one reader of integers, exact rationals and lists in JSON
+input.
 """
 
 from __future__ import annotations
@@ -54,6 +55,13 @@ def as_integer(x, message: str) -> int:
     if n != x:
         raise ValueError(message)
     return n
+
+
+def json_integer(x, message: str) -> int:
+    """``as_integer`` for JSON input, where ``true`` and ``false`` are not integers."""
+    if isinstance(x, bool):
+        raise ValueError(message)
+    return as_integer(x, message)
 
 
 def json_list(x, what: str) -> list:
@@ -359,7 +367,7 @@ class Cyclotomic:
     @staticmethod
     def from_json(obj: dict) -> "Cyclotomic":
         try:
-            n = as_integer(obj["N"], "cyclotomic JSON needs an integer order 'N'")
+            n = json_integer(obj["N"], "cyclotomic JSON needs an integer order 'N'")
             coeffs = [json_rational(s) for s in json_list(obj["c"], "'c'")]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed cyclotomic JSON: {exc!r}") from exc

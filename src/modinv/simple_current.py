@@ -8,11 +8,10 @@ stabilizers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm, prod
 
 from .abelian import Character, FinAbGroup, Subgroup, all_subgroups, subgroup_group
-from .forms import AlternatingPairing, Pairing, mod1
+from .forms import AlternatingPairing, Pairing
 from .modular import ModularData, ModularInvariant, s_commutes, simple_currents
 
 
@@ -65,31 +64,28 @@ def _base_epsilon(sc, J: Subgroup, chain=None):
     tw = [sc.q(h) for h in chain]
     mono = [[sc.grading(sc.label_index[ha], hb) for hb in chain] for ha in chain]
     matrix = [
-        [
-            mod1(tw[a] if a == b else (-mono[a][b] if a > b else Fraction(0)))
-            for b in range(s)
-        ]
+        [tw[a] if a == b else (-mono[a][b] if a > b else 0) for b in range(s)]
         for a in range(s)
     ]
     return Jab, chain, Pairing(Jab, Jab, matrix)
 
 
 def _add_psi(Jab: FinAbGroup, base: Pairing, psi: AlternatingPairing | None):
-    """(psi, base + psi as a matrix); psi defaults to zero and must live on Jab."""
+    """(psi, numerators of base + psi); psi defaults to zero and must live on Jab."""
     rank = Jab.rank
     if psi is None:
-        psi = AlternatingPairing(Jab, [[Fraction(0)] * rank for _ in range(rank)])
+        psi = AlternatingPairing(Jab, [[0] * rank for _ in range(rank)])
     if psi.left.factors != Jab.factors:
         raise ValueError("psi must live on the subgroup's chain group")
-    matrix = [
-        [mod1(base.matrix[i][j] + psi.matrix[i][j]) for j in range(rank)]
-        for i in range(rank)
-    ]
-    return psi, matrix
+    return psi, [[b + p for b, p in zip(*rows)] for rows in zip(base.num, psi.num)]
 
 
 class SCParam:
-    """Current subgroup with a validated torsion form."""
+    """Current subgroup with a validated torsion form.
+
+    ``rows`` is ``epsilon.phase_table()``: rows of ``Fraction`` phases, since
+    they meet the ``Fraction`` charge and twist tables of ``modular``.
+    """
 
     __slots__ = ("sc", "J", "group", "chain", "psi", "epsilon", "rows")
 
@@ -145,8 +141,8 @@ def make_epsilon(
     """Torsion parameter with epsilon = psi plus the canonical base form."""
     sc = simple_currents(md)
     Jab, chain, base = _base_epsilon(sc, J, chain)
-    psi, matrix = _add_psi(Jab, base, psi)
-    return SCParam(sc, J, Jab, chain, psi, Pairing(Jab, Jab, matrix))
+    psi, num = _add_psi(Jab, base, psi)
+    return SCParam(sc, J, Jab, chain, psi, Pairing.from_numerators(Jab, Jab, num))
 
 
 def param_from_epsilon(md: ModularData, J: Subgroup, epsilon: Pairing, chain=None) -> SCParam:
@@ -155,11 +151,8 @@ def param_from_epsilon(md: ModularData, J: Subgroup, epsilon: Pairing, chain=Non
     Jab, chain, base = _base_epsilon(sc, J, chain)
     if epsilon.left.factors != Jab.factors:
         raise ValueError("epsilon must live on the subgroup's chain group")
-    diff = [
-        [mod1(epsilon.matrix[i][j] - base.matrix[i][j]) for j in range(Jab.rank)]
-        for i in range(Jab.rank)
-    ]
-    psi = AlternatingPairing(Jab, diff)
+    diff = [[e - b for e, b in zip(*rows)] for rows in zip(epsilon.num, base.num)]
+    psi = AlternatingPairing.from_numerators(Jab, Jab, diff)
     return SCParam(sc, J, Jab, chain, psi, epsilon)
 
 
@@ -167,7 +160,8 @@ def _matrix_from_epsilon(md: ModularData, sc, embed, rows: dict):
     """Invariant of a torsion form given by its table ``rows`` (``phase_table()``).
 
     M[a][y a] = |J0| / |J0 a|, J0 the right radical, for each current y whose
-    row of the form equals the charges (Q_{embed z}(a))_z of primary a.
+    row of the form equals the charges (Q_{embed z}(a))_z of primary a.  Rows
+    are keyed by tuples of ``Fraction``s, the type of ``modular``'s charges.
     """
     n = md.dim
     elems = list(rows)
@@ -205,17 +199,17 @@ def s_only_matrix(
     """S-commuting matrix from a sign-twisted chain; T-commutation may fail."""
     sc = simple_currents(md)
     Jab, chain, base = _base_epsilon(sc, J, chain)
-    _, matrix = _add_psi(Jab, base, psi)
+    _, num = _add_psi(Jab, base, psi)
     if phi is not None:
         if phi.ambient.factors != Jab.factors:
             raise ValueError("phi must be a character of the chain group")
         for i, e in enumerate(Jab.basis()):
-            p = phi.phase(e)
-            if mod1(2 * p) != 0:
+            k = int(phi.phase(e) * base.den)
+            if 2 * k % base.den:
                 raise ValueError("phi must square to the trivial character")
-            matrix[i][i] = mod1(matrix[i][i] + p)
+            num[i][i] += k
     embed = _chain_embed(sc.group, chain)
-    M = _matrix_from_epsilon(md, sc, embed, Pairing(Jab, Jab, matrix).phase_table())
+    M = _matrix_from_epsilon(md, sc, embed, Pairing.from_numerators(Jab, Jab, num).phase_table())
     if not s_commutes(md, M):
         raise ValueError("matrix does not commute with S")
     return tuple(tuple(row) for row in M)
@@ -246,8 +240,8 @@ def enumerate_sc(md: ModularData) -> SCEnumeration:
             continue
         Jab, chain, base = _base_epsilon(sc, J)
         for psi in alternating_pairings(Jab):
-            psi, matrix = _add_psi(Jab, base, psi)
-            param = SCParam(sc, J, Jab, chain, psi, Pairing(Jab, Jab, matrix))
+            psi, num = _add_psi(Jab, base, psi)
+            param = SCParam(sc, J, Jab, chain, psi, Pairing.from_numerators(Jab, Jab, num))
             entries.append((param, sc_matrix(md, param)))
     by_matrix: dict = {}
     for param, z in entries:

@@ -14,6 +14,7 @@ point except the Perron eigenvalue helper on fusion rings.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -27,12 +28,11 @@ from .forms import (
     _tabulate,
     forms_for_pairing,
     gauss_sum,
-    mod1,
     standard_pairing,
 )
 from .modular import ModularData, ModularInvariant, simple_currents
 from .pointed import PointedData, weil
-from .scalars import Cyclotomic, as_integer, rational_phase, root_of_unity, sqrt_nonneg_int
+from .scalars import Cyclotomic, as_integer, root_of_unity, sqrt_nonneg_int
 from .simple_current import make_epsilon, sc_matrix
 
 
@@ -166,10 +166,6 @@ def ty_associator(data: TYData) -> dict:
     fus = ty_fusion(G)
     pair = data.pairing
     inv_rt = sqrt_nonneg_int(G.order).inverse()
-
-    def phase(g, h):
-        return rational_phase(mod1(pair.phase(g, h)))
-
     table: dict = {}
     for X in fus.labels:
         for Y in fus.labels:
@@ -181,12 +177,12 @@ def ty_associator(data: TYData) -> dict:
                             if t not in fus.product(X, m):
                                 continue
                             if X[0] == "inv" and Y[0] == "root" and Z[0] == "inv":
-                                val = phase(X[1], Z[1])
+                                val = pair.eval(X[1], Z[1])
                             elif X[0] == "root" and Y[0] == "inv" and Z[0] == "root":
-                                val = phase(Y[1], t[1])
+                                val = pair.eval(Y[1], t[1])
                             elif X[0] == "root" and Y[0] == "root" and Z[0] == "root":
                                 val = (
-                                    phase(p[1], m[1]).conj()
+                                    pair.eval(p[1], m[1]).conj()
                                     * inv_rt
                                     * Fraction(data.sign)
                                 )
@@ -243,13 +239,14 @@ def pentagon_check(fusion: FusionRing, associators: dict):
 # -- square-root conventions ---------------------------------------------------
 
 
-def _half_phase(r: Fraction) -> Cyclotomic:
-    return rational_phase(mod1(r) / 2)
+def _half_phase(k: int, den: int) -> Cyclotomic:
+    """e^(pi i r) for the representative r in [0, 1) of k / den mod 1."""
+    return root_of_unity(2 * den, k % den)
 
 
-def _anchor_phase(q: QuadraticForm, sign: int) -> Fraction:
-    pd = PointedData(q)
-    return mod1(Fraction(-pd.signature, 8) + (Fraction(0) if sign == 1 else Fraction(1, 2)))
+def _anchor(q: QuadraticForm, sign: int) -> int:
+    """Numerator over 8 of the anchor phase -signature / 8 (+ 1/2 for sign -1)."""
+    return (4 * (sign != 1) - PointedData(q).signature) % 8
 
 
 class SqrtConvention:
@@ -265,7 +262,7 @@ class SqrtConvention:
         for g in q.group.elements():
             if root[g] * root[g] != q.eval(g):
                 raise ValueError(f"root at {g} does not square to the form value")
-        target = rational_phase(mod1(-_anchor_phase(q, sign)))
+        target = root_of_unity(8, -_anchor(q, sign))
         if inv_anchor * inv_anchor != target:
             raise ValueError("anchor root does not square to the anchor unit")
         self.q = q
@@ -276,8 +273,8 @@ class SqrtConvention:
     @classmethod
     def canonical(cls, q: QuadraticForm, sign: int) -> "SqrtConvention":
         """Half the canonical phase in [0, 1) for every square root."""
-        root = {g: _half_phase(q.phase(g)) for g in q.group.elements()}
-        return cls(q, sign, root, _half_phase(-_anchor_phase(q, sign)))
+        root = {g: _half_phase(k, q.den) for g, k in q.num.items()}
+        return cls(q, sign, root, _half_phase(-_anchor(q, sign), 8))
 
     @classmethod
     def fusion_faithful(cls, q: QuadraticForm, sign: int) -> "SqrtConvention":
@@ -293,10 +290,10 @@ class SqrtConvention:
         root = {}
         for h in G.elements():
             g = G.scale(inv2, h)
-            ph = mod1(P.phase(g, g)) + Fraction(mod1(q.phase(h)), 2)
-            tau = 1 if rational_phase(mod1(ph)).is_one() else -1
-            root[h] = _half_phase(q.phase(h)) * tau
-        return cls(q, sign, root, _half_phase(-_anchor_phase(q, sign)))
+            # tau = 1 exactly when b(g, g) + q(h) / 2 = 0 mod 1; P.den = q.den for odd order
+            tau = -1 if (2 * P.dot(g, g) + q.num[h]) % (2 * q.den) else 1
+            root[h] = _half_phase(q.num[h], q.den) * tau
+        return cls(q, sign, root, _half_phase(-_anchor(q, sign), 8))
 
     def flip(self, g) -> "SqrtConvention":
         root = dict(self.root)
@@ -317,10 +314,7 @@ def shifted_pair_sum(q: QuadraticForm, a) -> Cyclotomic:
     G = q.group
     P = q.polarization()
     a = G.reduce(a)
-    total = Cyclotomic.zero()
-    for l in G.elements():
-        total = total + rational_phase(mod1(P.phase(G.sub(l, a), l)))
-    return total
+    return Cyclotomic(P.den, Counter(P.dot(G.sub(l, a), l) for l in G.elements()))
 
 
 def shifted_pair_sum_closed(descriptor: str, a: int) -> Cyclotomic:
@@ -335,17 +329,13 @@ def shifted_pair_sum_closed(descriptor: str, a: int) -> Cyclotomic:
     q, _ = _tabulate(p, k, sub)
     P = q.polarization()
     a = as_integer(a, "shift must be an integer") % n
-
-    def conj_half_pair(ah):
-        return rational_phase(mod1(-P.phase((ah,), (ah,))))
-
     if p % 2 == 1:
         inv2 = pow(2, -1, n)
         eps_inv = root_of_unity(8, (n - 1) % 8)
         return (
             eps_inv
             * Fraction(sub**k)
-            * conj_half_pair((a * inv2) % n)
+            * root_of_unity(P.den, -P.dot((a * inv2,), (a * inv2,)))
             * sqrt_nonneg_int(n)
         )
     if k == 1:
@@ -362,7 +352,7 @@ def shifted_pair_sum_closed(descriptor: str, a: int) -> Cyclotomic:
         * eps
         * sqrt_nonneg_int(n)
         * Fraction(jac**k)
-        * conj_half_pair(a // 2)
+        * root_of_unity(P.den, -P.dot((a // 2,), (a // 2,)))
     )
 
 
@@ -384,13 +374,6 @@ def ty_double(data: TYData, q: QuadraticForm, conv: SqrtConvention | None = None
         raise ValueError("convention was built for a different sign")
     P = q.polarization()
     els = G.elements()
-
-    def zp(g, h):
-        return mod1(P.phase(g, h))
-
-    def zeta(g, h):
-        return rational_phase(zp(g, h))
-
     inv_anchor = conv.inv_anchor
     sqrt_q = conv.root
     labels = [("one", g, i) for g in els for i in (0, 1)]
@@ -408,18 +391,18 @@ def ty_double(data: TYData, q: QuadraticForm, conv: SqrtConvention | None = None
             la, lb = lb, la
             ka, kb = kb, ka
         if (ka, kb) == ("one", "one"):
-            return rational_phase(mod1(-2 * zp(la[1], lb[1]))) * Fraction(1, 2 * n)
+            return root_of_unity(P.den, -2 * P.dot(la[1], lb[1])) * Fraction(1, 2 * n)
         if (ka, kb) == ("one", "root"):
             sgn = 1 if la[2] == 0 else -1
-            return zeta(la[1], lb[1]).conj() * inv_rt_n * Fraction(sgn, 2)
+            return P.eval(la[1], lb[1]).conj() * inv_rt_n * Fraction(sgn, 2)
         if (ka, kb) == ("one", "two"):
-            return zeta(la[1], G.add(lb[1], lb[2])).conj() * Fraction(1, n)
+            return P.eval(la[1], G.add(lb[1], lb[2])).conj() * Fraction(1, n)
         if (ka, kb) == ("root", "two"):
             return Cyclotomic.zero()
         if (ka, kb) == ("two", "two"):
             g, h = la[1], la[2]
             gp, hp = lb[1], lb[2]
-            tot = zeta(g, hp) * zeta(h, gp) + zeta(g, gp) * zeta(h, hp)
+            tot = P.eval(g, hp) * P.eval(h, gp) + P.eval(g, gp) * P.eval(h, hp)
             return tot.conj() * Fraction(1, n)
         g, h = la[1], lb[1]
         sgn = (-1) ** (la[2] + lb[2])
@@ -430,9 +413,9 @@ def ty_double(data: TYData, q: QuadraticForm, conv: SqrtConvention | None = None
     T = []
     for la in labels:
         if la[0] == "one":
-            T.append(zeta(la[1], la[1]))
+            T.append(P.eval(la[1], la[1]))
         elif la[0] == "two":
-            T.append(zeta(la[1], la[2]))
+            T.append(P.eval(la[1], la[2]))
         else:
             sgn = 1 if la[2] == 0 else -1
             T.append(inv_anchor * sqrt_q[la[1]].inverse() * Fraction(sgn))
@@ -497,19 +480,16 @@ def ty_equiv(data: TYData):
     fixed, reps = _plus_minus_classes(G)
     lam = sqrt_nonneg_int(4 * n).inverse()
 
-    def zeta(g, h, k=1):
-        return rational_phase(mod1(k * P.phase(g, h)))
-
     if n % 2 == 0:
         ones = [("one", h, t) for h in fixed for t in (1, -1)]
         pref = Cyclotomic.zero()
 
         def one_root(la):
-            return zeta(la[1], la[1]) * Fraction(la[2], 2)
+            return P.eval(la[1], la[1]) * Fraction(la[2], 2)
 
     else:
         ones = [("one", 1), ("one", -1)]
-        doubled = QuadraticForm(G, {g: mod1(P.phase(g, g)) for g in G.elements()})
+        doubled = QuadraticForm.from_numerators(G, {g: P.dot(g, g) for g in G.elements()})
         gs2, _, sig2 = gauss_sum(doubled)
         pref = (PointedData(q).x ** 3) * gs2 * lam * data.sign
 
@@ -527,7 +507,7 @@ def ty_equiv(data: TYData):
         if kinds == ("one", "two"):
             return lam + lam
         if kinds == ("two", "two"):
-            z = zeta(la[1], lb[1], 2)
+            z = root_of_unity(P.den, 2 * P.dot(la[1], lb[1]))
             return (z + z.conj()) * lam * 2
         if kinds == ("one", "root"):
             return one_root(la)
@@ -540,14 +520,14 @@ def ty_equiv(data: TYData):
         rows = range(len(S))
         dup = next(((i, j) for i in rows for j in rows[i + 1 :] if S[i] == S[j]), None)
         return DegenerateData(labels, S, dup)
-    u = rational_phase(mod1(Fraction(-sig2, 24)))
-    inv_anchor = _half_phase(-_anchor_phase(q, data.sign))
+    u = root_of_unity(24, -sig2)
+    inv_anchor = _half_phase(-_anchor(q, data.sign), 8)
     T = []
     for la in labels:
         if la[0] == "one":
             T.append(u)
         elif la[0] == "two":
-            T.append(u * zeta(la[1], la[1]))
+            T.append(u * P.eval(la[1], la[1]))
         else:
             T.append(u * inv_anchor * Fraction(la[1]))
     return ModularData(labels, 0, S, T)
@@ -578,7 +558,7 @@ def ty_module_nimrep(data: TYData, H: Subgroup, psi: AlternatingPairing | None =
         raise ValueError("subgroup of a different group")
     J, embed_J, _ = subgroup_group(H)
     if psi is None:
-        psi = AlternatingPairing(J, [[Fraction(0)] * J.rank for _ in range(J.rank)])
+        psi = AlternatingPairing(J, [[0] * J.rank for _ in range(J.rank)])
     if psi.left.factors != J.factors:
         raise ValueError("twist must live on the subgroup's presentation")
     R = psi.radical()
@@ -587,7 +567,7 @@ def ty_module_nimrep(data: TYData, H: Subgroup, psi: AlternatingPairing | None =
     d = isqrt(d2)
     if rem or d * d != d2:
         raise ValueError("twist radical does not have symplectic index")
-    sp = standard_pairing(Rab)
+    sp, P = standard_pairing(Rab), data.pairing
     Q, proj, _ = quotient(G, H)
 
     xs = [("x", y) for y in Rab.elements()]
@@ -600,7 +580,7 @@ def ty_module_nimrep(data: TYData, H: Subgroup, psi: AlternatingPairing | None =
         """Element of Rab pairing like the ambient pairing against g."""
         for y in Rab.elements():
             if all(
-                mod1(sp.phase(y, r)) == mod1(-data.pairing.phase(g, embed_J(embed_R(r))))
+                sp.dot(y, r) * P.den == P.dot(G.neg(g), embed_J(embed_R(r))) * sp.den
                 for r in rgens
             ):
                 return y
@@ -638,7 +618,7 @@ def equiv_invariant(data: TYData, q: QuadraticForm, H: Subgroup, psi=None) -> Mo
         raise ValueError("transport needs a group of odd order")
     if q.polarization().key() != data.pairing.key():
         raise ValueError("form does not polarize to the datum's pairing")
-    doubled = QuadraticForm(G, {g: mod1(-2 * q.phase(g)) for g in G.elements()})
+    doubled = QuadraticForm.from_numerators(G, {g: -2 * k for g, k in q.num.items()})
     md_w = weil(doubled)
     sc = simple_currents(md_w)
     row_of = {g: k for k, g in enumerate(md_w.labels)}

@@ -170,7 +170,7 @@ class TestQuadraticForm:
         G = FinAbGroup((4,))
         q = QuadraticForm(G, {(0,): 0, (1,): F(1, 8), (2,): F(1, 2), (3,): F(1, 8)})
         assert q.polarization().matrix == ((F(3, 4),),)
-        assert q.pair_phase((1,), (1,)) == F(3, 4)
+        assert q.polarization().phase((1,), (1,)) == F(3, 4)
 
     def test_rejects_broken_tables(self):
         G = FinAbGroup((4,))
@@ -219,12 +219,46 @@ class TestQuadraticForm:
         q = q1.direct_sum(q2)
         assert q.group.factors == (6,)
         # the order-6 generator decomposes into the two components
-        vals = sorted(q.table.values())
         assert q.phase(q.group.zero()) == 0
 
     def test_json_round_trip(self):
         q, _ = indecomposable_form("2^2_1")
         assert QuadraticForm.from_json(q.to_json()) == q
+
+    def test_value_outside_denominator_rejected(self):
+        # forms on Z3 take values in (1/3)Z
+        G = FinAbGroup((3,))
+        with pytest.raises(ValueError, match=r"\(1/3\)Z"):
+            QuadraticForm(G, {(0,): 0, (1,): F(1, 9), (2,): F(1, 9)})
+
+    @pytest.mark.parametrize(
+        "factors,table,match",
+        [
+            ((4,), {(0,): 0, (1,): F(1, 8)}, "cover the group"),
+            ((4,), {(0,): F(1, 2), (1,): 0, (2,): 0, (3,): 0}, "q\\(0\\)"),
+            ((4,), {(0,): 0, (1,): F(1, 8), (2,): F(1, 2), (3,): F(3, 8)}, "q\\(-g\\)"),
+            ((5,), {(g,): F(k, 5) for g, k in enumerate([0, 1, 2, 2, 1])}, "biadditive"),
+            # B(e_0, e_1) = -1/4 is not a pairing value on Z2 x Z2
+            ((2, 2), {(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): F(1, 4)}, "entry denominators"),
+        ],
+    )
+    def test_both_constructors_check(self, factors, table, match):
+        G = FinAbGroup(factors)
+        d = 2 * G.exponent if G.exponent % 2 == 0 else G.exponent
+        with pytest.raises(ValueError, match=match):
+            QuadraticForm(G, table)
+        with pytest.raises(ValueError, match=match):
+            QuadraticForm.from_numerators(G, {g: int(v * d) for g, v in table.items()})
+
+    def test_pairing_constructors_check(self):
+        G, H = FinAbGroup((4, 2)), FinAbGroup((4,))
+        with pytest.raises(ValueError, match="entry denominators"):
+            Pairing(G, H, [[0], [F(1, 4)]])
+        with pytest.raises(ValueError, match="entry denominators"):
+            Pairing.from_numerators(G, H, [[0], [1]])
+        Z2 = FinAbGroup((2,))
+        with pytest.raises(ValueError, match="not alternating"):
+            AlternatingPairing.from_numerators(Z2, Z2, [[1]])
 
 
 class TestFormsForPairing:
@@ -709,6 +743,24 @@ class TestProperties:
         total, normalized, sigma = gauss_sum(q)
         assert (total * total.conj()).as_rational() == q.group.order
         assert (normalized * normalized.conj()).is_one()
+
+    @given(random_form())
+    @settings(max_examples=40, deadline=None)
+    def test_integer_representation(self, q):
+        G = q.group
+        assert QuadraticForm.from_numerators(G, q.num) == q
+        assert all(q.phase(g) == F(q.num[g], q.den) for g in G.elements())
+        P = q.polarization()
+        assert Pairing(P.left, P.right, P.matrix) == P
+        E, t = P.matrix, G.rank
+        for g in G.elements():
+            for h in G.elements():
+                for i, n in enumerate(G.factors):
+                    # g + n_i e_i and h + n_i e_i: the same elements, unreduced
+                    g2 = tuple(x + n * (j == i) for j, x in enumerate(g))
+                    h2 = tuple(x + n * (j == i) for j, x in enumerate(h))
+                    exact = sum(g2[a] * E[a][b] * h2[b] for a in range(t) for b in range(t))
+                    assert F(P.dot(g2, h2), P.den) == mod1(exact) == P.phase(g, h)
 
     @given(random_form())
     @settings(max_examples=40, deadline=None)

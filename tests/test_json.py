@@ -131,3 +131,17 @@ def test_mutated_json_returns_or_raises_value_error(cls, objects, data):
         cls.from_json(doc)
     except ValueError:  # GuardError included
         pass
+
+
+@pytest.mark.parametrize(
+    "cls,doc",
+    [
+        (ModularData, {**weil(indecomposable_form("2^1_1")[0]).to_json(), "unit": True}),
+        (Cyclotomic, {"N": True, "c": ["1"]}),
+        (Lattice, {"gram": [[2, True], [True, 2]]}),
+    ],
+    ids=["modular-unit", "cyclotomic-order", "lattice-gram"],
+)
+def test_json_true_is_not_an_integer(cls, doc):
+    with pytest.raises(ValueError, match="integer"):
+        cls.from_json(doc)

@@ -117,7 +117,7 @@ class TestFormFromPointed:
             md = weil(q)
             back = form_from_pointed(md)
             assert back.group.factors == q.group.factors
-            assert back.table == q.table
+            assert back == q
 
     def test_rejects_non_group_labels(self):
         md = weil(std_form((4,)))
