@@ -28,6 +28,18 @@ HOM_GUARD = 10**7
 # -- integer matrix utilities -------------------------------------------------
 
 
+def _integer_rows(rows, width: int, what: str) -> list[tuple[int, ...]]:
+    """rows as tuples of ints of length width; ``ValueError`` naming what else."""
+    message = f"{what} must be integers"
+    try:
+        out = [tuple(as_integer(x, message) for x in row) for row in rows]
+    except TypeError:
+        raise ValueError(message) from None
+    if any(len(row) != width for row in out):
+        raise ValueError(f"{what} must come in rows of {width}")
+    return out
+
+
 def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -310,7 +322,10 @@ class Subgroup:
     def __init__(self, ambient: FinAbGroup, gens):
         self.ambient = ambient
         t = ambient.rank
-        rows = [list(ambient.reduce(g)) for g in gens]
+        rows = [
+            [x % n for x, n in zip(g, ambient.factors)]
+            for g in _integer_rows(gens, t, "generator coordinates")
+        ]
         rows += [[ambient.factors[i] if i == j else 0 for j in range(t)] for i in range(t)]
         self.lattice = hermite_rows(rows, t) if t else ()
         self._elems = None
@@ -473,9 +488,11 @@ class Hom:
     def __init__(self, domain: FinAbGroup, codomain: FinAbGroup, matrix, check=True):
         self.domain = domain
         self.codomain = codomain
+        rows = _integer_rows(matrix, domain.rank, "hom matrix entries")
+        if len(rows) != codomain.rank:
+            raise ValueError(f"hom matrix must have {codomain.rank} rows")
         self.matrix = tuple(
-            tuple(int(matrix[j][i]) % codomain.factors[j] for i in range(domain.rank))
-            for j in range(codomain.rank)
+            tuple(x % m for x in row) for row, m in zip(rows, codomain.factors)
         )
         if check and not self.is_well_defined():
             raise ValueError("matrix does not respect the domain relations")
@@ -605,7 +622,8 @@ class Character:
 
     def __init__(self, ambient: FinAbGroup, exponents):
         self.ambient = ambient
-        self.exponents = tuple(int(a) % n for a, n in zip(exponents, ambient.factors))
+        (exps,) = _integer_rows([exponents], ambient.rank, "character exponents")
+        self.exponents = tuple(a % n for a, n in zip(exps, ambient.factors))
 
     def phase(self, g) -> Fraction:
         """Exponent of chi(g) mod 1, as sum_i a_i g_i (e / n_i) mod e over e = exp."""

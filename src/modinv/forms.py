@@ -7,9 +7,11 @@ integers, so E_ij lies in (1/gcd(n_i, m_j))Z.  A form keeps q(g) mod den =
 exp G for odd exp G and 2 exp G for even: with n = ord g, n^2 q(g) = q(ng) = 0
 and 2n q(g) = -b(ng, g) = 0, so q(g) lies in (1/n)Z for odd n, (1/2n)Z for
 even n.  ``Fraction`` appears only in the rational-table constructors,
-``phase``, ``Pairing.matrix``, ``phase_table`` and ``to_json``.  The
-polarization convention is pair(g, h) = q(g) * q(h) * conj(q(g + h)), i.e. on
-exponents B(g, h) = q(g) + q(h) - q(g + h).
+``phase``, ``Pairing.matrix`` and ``to_json``; ``Pairing.dot_table`` lifts
+the numerators to a multiple of den, to meet tables kept over another one
+(the simple-current charges of ``modular``).  The polarization convention
+is pair(g, h) = q(g) * q(h) * conj(q(g + h)), i.e. on exponents
+B(g, h) = q(g) + q(h) - q(g + h).
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ from .scalars import (
 PAIRING_GUARD = 10**6
 DISCRIMINANT_GUARD = 10**5  # largest order of a tabulated form
 _ENTRY_DENOMINATORS = "entry denominators must divide both factor pairs"
-
-
-def mod1(x) -> Fraction:
-    return Fraction(x) % 1
 
 
 def _numerator(x, den: int, message: str) -> int:
@@ -118,15 +116,15 @@ class Pairing:
     def eval(self, g, h) -> Cyclotomic:
         return root_of_unity(self.den, self.dot(g, h))
 
-    def phase_table(self) -> dict:
-        """{g: (phase(g, h) for h in right.elements())} for every g of left."""
-        d = self.den
-        phases = [Fraction(k, d) for k in range(d)]
+    def dot_table(self, den: int) -> dict:
+        """{g: (dot(g, h) lifted to numerators over den, for h in right.elements())}
+        for every g of left; den must be a multiple of ``self.den``."""
+        d, lift = self.den, den // self.den
         right, rank = self.right.elements(), self.right.rank
         table = {}
         for g in self.left.elements():
             u = [sum(gi * row[j] for gi, row in zip(g, self.num)) for j in range(rank)]
-            table[g] = tuple(phases[sum(a * b for a, b in zip(u, h)) % d] for h in right)
+            table[g] = tuple(sum(a * b for a, b in zip(u, h)) % d * lift for h in right)
         return table
 
     def is_symmetric(self) -> bool:

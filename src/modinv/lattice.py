@@ -56,22 +56,22 @@ def _numerators(vectors) -> tuple[list[list[int]], int]:
     return [[int(c * den) for c in v] for v in vectors], den
 
 
-def _elimination_pivots(rows) -> list[Fraction]:
-    """Pivots of symmetric Gaussian elimination; all positive iff definite."""
+def _leading_minors(rows) -> list[int]:
+    """Leading principal minors by fraction-free (Bareiss) elimination, up to
+    the first that is not positive; all n positive iff definite (Sylvester)."""
     n = len(rows)
-    work = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
+    work = [list(row) for row in rows]
+    minors, prev = [], 1
     for i in range(n):
         piv = work[i][i]
         if piv <= 0:
-            return []
-        pivots.append(piv)
+            return minors
+        minors.append(piv)
         for r in range(i + 1, n):
-            f = work[r][i] / piv
-            if f:
-                for c in range(i, n):
-                    work[r][c] -= f * work[i][c]
-    return pivots
+            for c in range(i + 1, n):
+                work[r][c] = (piv * work[r][c] - work[r][i] * work[i][c]) // prev
+        prev = piv
+    return minors
 
 
 class Lattice:
@@ -91,12 +91,11 @@ class Lattice:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-        pivots = _elimination_pivots(rows)
-        if n and len(pivots) < n:
+        minors = _leading_minors(rows)
+        if len(minors) < n:
             raise ValueError("gram matrix must be positive definite")
-        det = prod(pivots, start=Fraction(1))
         self.gram = rows
-        self.det = int(det)
+        self.det = minors[-1] if n else 1
 
     @property
     def rank(self) -> int:

@@ -412,15 +412,20 @@ def verlinde(md: ModularData):
 class SimpleCurrentStructure(NamedTuple):
     """Invertible simples of a modular datum, with their charges and twists.
 
-    Currents are keyed by their coordinates in ``group``.  Phases are
-    Fractions in [0, 1), read as e^(2 pi i r):
+    Currents are keyed by their coordinates in ``group``.  A phase r in Q/Z,
+    read as e^(2 pi i r), is stored as the integer r * den mod den, where
+    den = lcm(2, N, exp group) and N is the conductor of S and T: every root of
+    unity in Q(zeta_N) is a lcm(2, N)-th root, so den is a multiple of each
+    charge and twist denominator, and of exp J, the denominator of every
+    torsion form on a subgroup J.
 
-    * the monodromy charge Q_J(a) = ``grading(a, J)`` is defined by
+    * the monodromy charge Q_J(a) = ``charges[J][a] / den`` is defined by
       S_{J,a} = e^(2 pi i Q_J(a)) S_{0,a};
-    * the twist ``q(J)`` = h_J - h_0 mod 1 is defined by
-      T_J = e^(2 pi i q(J)) T_0.
+    * the twist h_J - h_0 = ``twists[J] / den`` is defined by
+      T_J = e^(2 pi i (h_J - h_0)) T_0.
 
-    Both are tabulated once per datum, so every comparison is in Q/Z.
+    Both are tabulated once per datum, so every comparison is of integers.
+    ``grading`` and ``q`` return them as ``Fraction``s in [0, 1).
     """
 
     group: FinAbGroup
@@ -429,16 +434,17 @@ class SimpleCurrentStructure(NamedTuple):
     action_table: dict  # current -> permutation of the primary indices
     quaternionic: set
     sufficiently_nonzero: bool
-    charges: dict  # current J -> (Q_J(a) for each primary index a)
-    twists: dict  # current J -> h_J - h_0
+    den: int
+    charges: dict  # current J -> (den * Q_J(a) for each primary index a)
+    twists: dict  # current J -> den * (h_J - h_0)
 
     def q(self, j) -> Fraction:
         """Twist h_J - h_0 mod 1 of the current j (group coordinates)."""
-        return self.twists[j]
+        return Fraction(self.twists[j], self.den)
 
     def grading(self, a: int, j) -> Fraction:
         """Monodromy charge Q_J(a) mod 1 of primary index a against current j."""
-        return self.charges[j][a]
+        return Fraction(self.charges[j][a], self.den)
 
     def is_quaternionic(self, j) -> bool:
         return j in self.quaternionic
@@ -475,13 +481,14 @@ def _find_simple_currents(md: ModularData):
     )
     label_index = {coords[j]: j for j, _ in invertible}
     action_table = {coords[j]: p for j, p in invertible}
+    den = lcm(2, _conductor(md.S, [md.T]), group.exponent)
     unit_conj = md.T[md.unit].conj()
     twists = {}
     quaternionic = set()
     for j, _ in invertible:
         cj = coords[j]
-        twists[cj] = phase_fraction(md.T[j] * unit_conj)
-        if (group.element_order(cj) * twists[cj]) % 1 == Fraction(1, 2):
+        twists[cj] = (phase_fraction(md.T[j] * unit_conj) * den).numerator
+        if group.element_order(cj) * twists[cj] % den == den // 2:
             quaternionic.add(cj)
     # Q_J(a) from one inverse of S_{0,a} per primary
     charges = {coords[j]: [None] * n for j, _ in invertible}
@@ -489,7 +496,7 @@ def _find_simple_currents(md: ModularData):
         inv = md.S[md.unit][a].inverse()
         for j, _ in invertible:
             try:
-                charges[coords[j]][a] = phase_fraction(md.S[j][a] * inv)
+                charges[coords[j]][a] = (phase_fraction(md.S[j][a] * inv) * den).numerator
             except ValueError:
                 raise ValueError(
                     f"S ratio of current {md.labels[j]!r} at primary {md.labels[a]!r}"
@@ -510,7 +517,7 @@ def _find_simple_currents(md: ModularData):
     }
     suff = len(linked) == len(classes) ** 2
     return SimpleCurrentStructure(
-        group, coords, label_index, action_table, quaternionic, suff, charges, twists
+        group, coords, label_index, action_table, quaternionic, suff, den, charges, twists
     )
 
 

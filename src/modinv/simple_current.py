@@ -8,7 +8,7 @@ stabilizers.
 
 from __future__ import annotations
 
-from math import lcm, prod
+from math import prod
 
 from .abelian import Character, FinAbGroup, Subgroup, all_subgroups, subgroup_group
 from .forms import AlternatingPairing, Pairing
@@ -83,11 +83,11 @@ def _add_psi(Jab: FinAbGroup, base: Pairing, psi: AlternatingPairing | None):
 class SCParam:
     """Current subgroup with a validated torsion form.
 
-    ``rows`` is ``epsilon.phase_table()``: rows of ``Fraction`` phases, since
-    they meet the ``Fraction`` charge and twist tables of ``modular``.
+    The form is checked as integer numerators over ``sc.den``, the one
+    denominator of ``modular``'s charge and twist tables.
     """
 
-    __slots__ = ("sc", "J", "group", "chain", "psi", "epsilon", "rows")
+    __slots__ = ("sc", "J", "group", "chain", "psi", "epsilon")
 
     def __init__(self, sc, J, group, chain, psi, epsilon):
         self.sc = sc
@@ -96,36 +96,24 @@ class SCParam:
         self.chain = chain
         self.psi = psi
         self.epsilon = epsilon
-        self.rows = epsilon.phase_table()
         self._validate()
 
     def embed(self, y):
         return _chain_embed(self.sc.group, self.chain)(y)
 
     def _validate(self):
-        """Diagonal against the twists, then each row against the monodromy.
-
-        Every phase is compared as an integer numerator over one common
-        denominator L of the form, the charges and the twists.
-        """
+        """Diagonal against the twists, then each row against the monodromy."""
         sc = self.sc
+        table = self.epsilon.dot_table(sc.den)
         embed = _chain_embed(sc.group, self.chain)
-        currents = [embed(y) for y in self.rows]
+        currents = [embed(y) for y in table]
         primaries = [sc.label_index[j] for j in currents]
-        tables = (
-            list(self.rows.values()),
-            [[sc.charges[j][a] for a in primaries] for j in currents],
-            [[sc.q(j) for j in currents]],
-        )
-        L = lcm(*{x.denominator for table in tables for row in table for x in row})
-        eps, charges, (twists,) = (
-            [[x.numerator * (L // x.denominator) for x in row] for row in table]
-            for table in tables
-        )
-        for i, (row, col, charge) in enumerate(zip(eps, zip(*eps), charges)):
-            if row[i] != twists[i]:
+        eps = list(table.values())
+        for i, (row, col, j) in enumerate(zip(eps, zip(*eps), currents)):
+            if row[i] != sc.twists[j]:
                 raise ValueError("diagonal of epsilon must match the twists")
-            if any((c + e1 + e2) % L for c, e1, e2 in zip(charge, row, col)):
+            charge = sc.charges[j]
+            if any((charge[a] + e1 + e2) % sc.den for a, e1, e2 in zip(primaries, row, col)):
                 raise ValueError("epsilon is not balanced against the monodromy")
 
     def to_json(self):
@@ -156,14 +144,15 @@ def param_from_epsilon(md: ModularData, J: Subgroup, epsilon: Pairing, chain=Non
     return SCParam(sc, J, Jab, chain, psi, epsilon)
 
 
-def _matrix_from_epsilon(md: ModularData, sc, embed, rows: dict):
-    """Invariant of a torsion form given by its table ``rows`` (``phase_table()``).
+def _matrix_from_epsilon(md: ModularData, sc, embed, epsilon: Pairing):
+    """Invariant of the torsion form ``epsilon`` on the chain group.
 
     M[a][y a] = |J0| / |J0 a|, J0 the right radical, for each current y whose
     row of the form equals the charges (Q_{embed z}(a))_z of primary a.  Rows
-    are keyed by tuples of ``Fraction``s, the type of ``modular``'s charges.
+    are keyed by integer numerators over ``sc.den``, as the charges are.
     """
     n = md.dim
+    rows = epsilon.dot_table(sc.den)
     elems = list(rows)
     charge_rows = [sc.charges[embed(z)] for z in elems]
     selected: dict = {}
@@ -185,7 +174,7 @@ def _matrix_from_epsilon(md: ModularData, sc, embed, rows: dict):
 def sc_matrix(md: ModularData, param: SCParam) -> ModularInvariant:
     """Invariant supported on current orbits selected by the torsion form."""
     embed = _chain_embed(param.sc.group, param.chain)
-    M = _matrix_from_epsilon(md, param.sc, embed, param.rows)
+    M = _matrix_from_epsilon(md, param.sc, embed, param.epsilon)
     return ModularInvariant(M, {"source": "sc", "J": param.J.key()})
 
 
@@ -209,7 +198,7 @@ def s_only_matrix(
                 raise ValueError("phi must square to the trivial character")
             num[i][i] += k
     embed = _chain_embed(sc.group, chain)
-    M = _matrix_from_epsilon(md, sc, embed, Pairing.from_numerators(Jab, Jab, num).phase_table())
+    M = _matrix_from_epsilon(md, sc, embed, Pairing.from_numerators(Jab, Jab, num))
     if not s_commutes(md, M):
         raise ValueError("matrix does not commute with S")
     return tuple(tuple(row) for row in M)

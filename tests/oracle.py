@@ -23,6 +23,11 @@ def cphase(r) -> complex:
     return cmath.exp(2j * cmath.pi * float(r))
 
 
+def mod1(x) -> Fraction:
+    """The representative of x mod 1 in [0, 1), as an exact rational."""
+    return Fraction(x) % 1
+
+
 def close(a: complex, b: complex, tol: float = TOL) -> bool:
     return abs(a - b) <= tol
 

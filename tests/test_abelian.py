@@ -500,3 +500,31 @@ class TestCharacters:
         for g in G.elements():
             if g != G.zero():
                 assert any(chi.phase(g) != 0 for chi in dual_characters(G))
+
+
+# -- malformed input to the constructors -------------------------------------------
+
+Z4 = FinAbGroup((4,))
+MALFORMED = {
+    "hom-non-integer": (lambda: Hom(Z4, Z4, [[1.5]]), "integers"),
+    "hom-long-row": (lambda: Hom(Z4, Z4, [[1, 2]]), "rows of 1"),
+    "hom-empty-row": (lambda: Hom(Z4, Z4, [[]]), "rows of 1"),
+    "hom-extra-row": (lambda: Hom(Z4, Z4, [[1], [1]]), "1 rows"),
+    "hom-no-rows": (lambda: Hom(Z4, Z4, []), "1 rows"),
+    "character-non-integer": (lambda: Character(Z4, [2.7]), "integers"),
+    "character-short": (lambda: Character(FinAbGroup((4, 2)), [1]), "rows of 2"),
+    "subgroup-long-generator": (lambda: Subgroup(Z4, [(1, 2, 3)]), "rows of 1"),
+    "subgroup-non-integer": (lambda: Subgroup(Z4, [(1.5,)]), "integers"),
+}
+
+
+@pytest.mark.parametrize("build,match", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_rejected(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_integral_input_accepted():
+    assert Hom(Z4, Z4, [[Fraction(5)]]).matrix == ((1,),)
+    assert Character(Z4, [-2.0]).exponents == (2,)
+    assert Subgroup(Z4, [(2.0,)]) == Subgroup(Z4, [(2,)])

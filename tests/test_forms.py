@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import close, cphase
+from oracle import close, cphase, mod1
 
 from modinv.abelian import (
     HOM_GUARD,
@@ -30,7 +30,6 @@ from modinv.forms import (
     gauss_sum,
     indecomposable_form,
     isometries,
-    mod1,
     pairing_image_data,
     standard_pairing,
     zero_pairing,
@@ -761,6 +760,16 @@ class TestProperties:
                     h2 = tuple(x + n * (j == i) for j, x in enumerate(h))
                     exact = sum(g2[a] * E[a][b] * h2[b] for a in range(t) for b in range(t))
                     assert F(P.dot(g2, h2), P.den) == mod1(exact) == P.phase(g, h)
+
+    @given(random_form(), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_dot_table_lifts_phases(self, q, lift):
+        P = q.polarization()
+        den = lift * P.den
+        table = P.dot_table(den)
+        assert list(table) == P.left.elements()
+        for g, row in table.items():
+            assert row == tuple(P.phase(g, h) * den for h in P.right.elements())
 
     @given(random_form())
     @settings(max_examples=40, deadline=None)

@@ -2,6 +2,9 @@
 
 import json
 from fractions import Fraction
+from itertools import accumulate
+from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +99,60 @@ def test_rank_zero_lattice():
     assert L.rank == 0 and L.det == 1
     G, q, reps = discriminant(L)
     assert G.order == 1 and reps == ()
+
+
+def reference_pivots(rows):
+    """Pivots of symmetric Gaussian elimination over Fraction, up to the first
+    that is not positive: all n are positive iff the matrix is definite, and
+    their product is then the determinant."""
+    n = len(rows)
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for i in range(n):
+        piv = work[i][i]
+        if piv <= 0:
+            return pivots
+        pivots.append(piv)
+        for r in range(i + 1, n):
+            f = work[r][i] / piv
+            for c in range(i, n):
+                work[r][c] -= f * work[i][c]
+    return pivots
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Random symmetric integer matrices (mostly indefinite), A·Aᵀ (singular
+    when A has fewer columns than rows) and A·Aᵀ + I (definite)."""
+    n = draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["symmetric", "gram", "definite"]))
+    if kind == "symmetric":
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                rows[i][j] = rows[j][i] = draw(st.integers(-6, 6))
+        return rows
+    m = draw(st.integers(0, n + 1))
+    A = [[draw(st.integers(-3, 3)) for _ in range(m)] for _ in range(n)]
+    shift = int(kind == "definite")
+    return [
+        [sum(x * y for x, y in zip(r, s)) + shift * (i == j) for j, s in enumerate(A)]
+        for i, r in enumerate(A)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_leading_minors_match_fraction_pivots(rows):
+    pivots = reference_pivots(rows)
+    assert lattice._leading_minors(rows) == list(accumulate(pivots, mul))
+    n = len(rows)
+    doubled = [[2 * x for x in row] for row in rows]
+    if len(pivots) == n:
+        assert Lattice(doubled).det == 2**n * prod(pivots, start=Fraction(1))
+    else:
+        with pytest.raises(ValueError, match="positive definite"):
+            Lattice(doubled)
 
 
 def test_direct_sum_blocks():

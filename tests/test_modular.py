@@ -424,11 +424,36 @@ class TestSimpleCurrents:
     def test_charges_are_s_ratio_phases(self, build):
         md = build()
         sc = simple_currents(md)
-        for j, row in sc.charges.items():
-            J = sc.label_index[j]
+        for j, J in sc.label_index.items():
             for a in range(md.dim):
                 ratio = md.S[J][a] * md.S[md.unit][a].inverse()
-                assert row[a] == phase_fraction(ratio)
+                assert sc.grading(a, j) == phase_fraction(ratio)
+
+    @pytest.mark.parametrize("build", CURRENT_DATA, ids=CURRENT_IDS)
+    def test_tables_are_numerators_over_den(self, build):
+        md = build()
+        sc = simple_currents(md)
+        assert sc.den % 2 == 0 and sc.den % sc.group.exponent == 0
+        unit_conj = md.T[md.unit].conj()
+        for j, J in sc.label_index.items():
+            twist = phase_fraction(md.T[J] * unit_conj)
+            assert sc.den % twist.denominator == 0
+            assert sc.q(j) == twist == Fraction(sc.twists[j], sc.den)
+            assert 0 <= sc.twists[j] < sc.den
+            for a in range(md.dim):
+                charge = phase_fraction(md.S[J][a] * md.S[md.unit][a].inverse())
+                assert sc.den % charge.denominator == 0
+                assert Fraction(sc.charges[j][a], sc.den) == charge
+                assert 0 <= sc.charges[j][a] < sc.den
+
+    @pytest.mark.parametrize("build", CURRENT_DATA, ids=CURRENT_IDS)
+    def test_quaternionic_is_half_twist_power(self, build):
+        # j is quaternionic when (h_j - h_0) times the order of j is 1/2 mod 1
+        md = build()
+        sc = simple_currents(md)
+        for j in sc.label_index:
+            rule = (sc.group.element_order(j) * sc.q(j)) % 1 == Fraction(1, 2)
+            assert sc.is_quaternionic(j) == rule
 
     @pytest.mark.parametrize("build", CURRENT_DATA, ids=CURRENT_IDS)
     def test_charges_match_twists(self, build):

@@ -11,7 +11,6 @@ from modinv.forms import (
     alternating_pairings,
     gauss_sum,
     indecomposable_form,
-    mod1,
 )
 from modinv.modular import brute_force_invariants, check_invariant
 from modinv.pointed import (

@@ -379,15 +379,14 @@ class TestNormalization:
 def reference_validate_error(param, epsilon):
     """Message of the first failed check of epsilon, by Fraction sums mod 1, or None."""
     sc = param.sc
-    rows = epsilon.phase_table()
-    elems = list(rows)
+    elems = epsilon.left.elements()
     currents = [param.embed(y) for y in elems]
     primaries = [sc.label_index[j] for j in currents]
-    for i, (y, j) in enumerate(zip(elems, currents)):
-        if rows[y][i] != sc.q(j):
+    for y, j in zip(elems, currents):
+        if epsilon.phase(y, y) != sc.q(j):
             return "diagonal of epsilon must match the twists"
-        for k, (z, a) in enumerate(zip(elems, primaries)):
-            if (sc.charges[j][a] + rows[y][k] + rows[z][i]) % 1:
+        for z, a in zip(elems, primaries):
+            if (sc.grading(a, j) + epsilon.phase(y, z) + epsilon.phase(z, y)) % 1:
                 return "epsilon is not balanced against the monodromy"
     return None
 

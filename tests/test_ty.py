@@ -12,7 +12,6 @@ from modinv.forms import (
     QuadraticForm,
     forms_for_pairing,
     indecomposable_form,
-    mod1,
     standard_pairing,
 )
 from modinv.modular import check_invariant, simple_currents, validate_modular
@@ -36,6 +35,7 @@ from modinv.ty import (
 )
 
 import oracle
+from oracle import mod1
 
 
 def datum(descriptor, sign=1):
