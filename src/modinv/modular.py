@@ -1,13 +1,14 @@
 """Modular data containers, Verlinde fusion, simple currents, invariants.
 
 All arithmetic is exact over cyclotomic numbers.  Matrix work (``mat_mul``,
-``verlinde``, ``validate_modular``, the charge conjugation and the
-S-commutation check) goes through one integer kernel instead of per-entry
-``Cyclotomic`` arithmetic:
+``verlinde``, ``validate_modular``, the charge conjugation, the
+S-commutation check and the simple-current tables) goes through one integer
+kernel instead of per-entry ``Cyclotomic`` arithmetic:
 
 * The matrices of one computation are written over one conductor N (the lcm
   of their entry orders), each over one common denominator, so every entry
-  becomes an integer polynomial in zeta_N.
+  becomes an integer polynomial in zeta_N.  A datum's S is written so once
+  per order and cached on it.
 * Kronecker substitution: a polynomial Sum c_k x^k is packed as the integer
   Sum c_k 2^(B k), taken modulo 2^(B N) - 1.  Since x^N - 1 maps to 0, this
   is a ring homomorphism from Z[x]/(x^N - 1) into the integers mod
@@ -25,6 +26,12 @@ S-commutation check) goes through one integer kernel instead of per-entry
   Phi_N exactly when v F = r F modulo x^N - 1.  So ``verlinde`` and
   ``s_commutes`` fold F into one packed factor once and test each result
   with one big-integer comparison (their bounds carry the norms of F).
+* Roots of unity are digit rotations: at an even order m, every root of unity
+  in Q(zeta_m) is zeta_m^k, i.e. x^k, and multiplying a packed value by x^k
+  rotates its digits by k places.  ``simple_currents`` decides each
+  S_{J,a} = zeta_m^k S_{0,a} and T_J conj(T_0) = zeta_m^k by looking up one
+  packed value (times F) among the m rotations of another, so the monodromy
+  charges, the twists and the zero pattern of S need no unpacking.
 * Results are unpacked and reduced modulo Phi_N only where a value is
   returned: ``_product`` gives a product as reduced integer lists,
   ``mat_mul`` wraps them as ``Cyclotomic`` values, and ``validate_modular``
@@ -51,7 +58,6 @@ from .scalars import (
     cyclotomic_polynomial,
     json_integer,
     json_list,
-    phase_fraction,
     reduce_mod_phi,
 )
 
@@ -177,10 +183,9 @@ def mat_mul(A, B):
 def s_commutes(md: ModularData, matrix) -> bool:
     """True iff the integer matrix commutes with S, decided exactly by the kernel."""
     n = md.dim
-    N = _conductor(md.S)
-    _, iS = _integral(md.S, N)
+    N, _, iS, norm = md._integral_S()
     zmax = max((abs(x) for row in matrix for x in row), default=0)
-    pk = _Packing(N, 2 * n * _norm(iS) * zmax * sum(map(abs, cyclotomic_cofactor(N))))
+    pk = _Packing(N, 2 * n * norm * zmax * sum(map(abs, cyclotomic_cofactor(N))))
     M = pk.M
     # entries of S F: (SZ - ZS)_ij vanishes modulo Phi_N iff its multiple by F
     # vanishes modulo x^N - 1
@@ -236,7 +241,7 @@ def _is_root_of_unity(x: Cyclotomic) -> bool:
 class ModularData:
     """Labelled (S, T) pair with a distinguished unit row."""
 
-    __slots__ = ("labels", "unit", "S", "T", "_fusion", "_charge", "_currents")
+    __slots__ = ("labels", "unit", "S", "T", "_fusion", "_charge", "_currents", "_int_S")
 
     def __init__(self, labels, unit, S, T):
         self.labels = tuple(labels)
@@ -259,6 +264,7 @@ class ModularData:
         self._fusion = None
         self._charge = None
         self._currents = None
+        self._int_S = {}
 
     @property
     def dim(self) -> int:
@@ -267,11 +273,25 @@ class ModularData:
     def index(self, label) -> int:
         return self.labels.index(label)
 
+    def _integral_S(self, N: int = 0):
+        """(N, d, iS, norm): S = iS / d over zeta_N, norm the largest l1 norm
+        of an entry of iS.  N = 0 stands for the conductor of S.  Computed
+        once per order; callers must not mutate iS."""
+        cache = self._int_S
+        if not N:
+            if 0 not in cache:
+                cache[0] = _conductor(self.S)
+            N = cache[0]
+        hit = cache.get(N)
+        if hit is None:
+            d, iS = _integral(self.S, N)
+            hit = cache[N] = (N, d, iS, _norm(iS))
+        return hit
+
     def charge_conjugation(self):
         """Permutation c with S^2 the matrix of a -> c(a)."""
         if self._charge is None:
-            N = _conductor(self.S)
-            den, iS = _integral(self.S, N)
+            N, den, iS, _ = self._integral_S()
             perm = _permutation(_product(iS, iS, N), den * den)
             if perm is None:
                 raise ValueError("S^2 is not a permutation matrix")
@@ -321,7 +341,7 @@ def validate_modular(md: ModularData) -> list[str]:
     report = []
     n = md.dim
     N = _conductor(md.S, [md.T])
-    dS, iS = _integral(md.S, N)
+    _, dS, iS, _ = md._integral_S(N)
     dT, (iT,) = _integral([md.T], N)
     rS = [[_reduced(p, N) for p in row] for row in iS]
     if any(rS[i][j] != rS[j][i] for i in range(n) for j in range(i + 1, n)):
@@ -377,11 +397,11 @@ def verlinde(md: ModularData):
             raise ValueError("unit row of S has a zero entry")
         inv0.append(x.inverse())
     N = _conductor(S, [inv0])
-    dS, iS = _integral(S, N)
+    _, dS, iS, norm_S = md._integral_S(N)
     dI, (iI,) = _integral([inv0], N)
     F = cyclotomic_cofactor(N)
     pk = _Packing(
-        N, n * _norm(iS) ** 3 * _norm([iI]) * sum(map(abs, F)) * (1 + max(map(abs, F)))
+        N, n * norm_S ** 3 * _norm([iI]) * sum(map(abs, F)) * (1 + max(map(abs, F)))
     )
     M = pk.M
     P = [[pk.pack(p) for p in row] for row in iS]
@@ -424,7 +444,8 @@ class SimpleCurrentStructure(NamedTuple):
     * the twist h_J - h_0 = ``twists[J] / den`` is defined by
       T_J = e^(2 pi i (h_J - h_0)) T_0.
 
-    Both are tabulated once per datum, so every comparison is of integers.
+    Both are tabulated once per datum by digit rotation in the packed kernel
+    (``_find_simple_currents``), so every comparison is of integers.
     ``grading`` and ``q`` return them as ``Fraction``s in [0, 1).
     """
 
@@ -458,6 +479,29 @@ def simple_currents(md: ModularData) -> SimpleCurrentStructure:
 
 
 def _find_simple_currents(md: ModularData):
+    """Invertible simples with their charges and twists, and the zero pattern of S.
+
+    All three are read off one ``_Packing`` at m = lcm(2, N), N the conductor
+    of S and T.  Every root of unity in Q(zeta_N) is then zeta_m^k, the
+    monomial x^k in Z[x]/(x^m - 1), and multiplying a packed value by x^k
+    rotates its digits by k places.  Each S entry is packed times the cofactor
+    F = (x^m - 1) / Phi_m, as u_ab.  Because x^m - 1 = Phi_m F is squarefree,
+    v F = w F modulo x^m - 1 exactly when v = w modulo Phi_m.  Hence:
+
+    * S_{J,a} = zeta_m^k S_{0,a} exactly when u_{J,a} is u_{0,a} rotated by
+      k digits.  The m rotations of u_{0,a} are distinct since S_{0,a} != 0,
+      so one dict lookup per (J, a) gives Q_J(a) = k / m, and a miss means
+      the ratio is no root of unity;
+    * T_J conj(T_0) = zeta_m^k exactly when the packed t_J conj(t_0) F (T over
+      its denominator d_T) is the packed d_T^2 F, the value 1, rotated by k;
+    * S_ab = 0 exactly when u_ab = 0.
+
+    Exactness: every compared value has coefficients at most ``bound`` ||F||_1,
+    ``bound`` the largest l1 norm of an S entry, of a t_J conj(t_0) and of d_T^2.
+    The digits of the difference of two such values are below 2^(B-1) in
+    absolute value, and a packed value with such digits is 0 only if every
+    digit is, so equal packed values are equal polynomials.
+    """
     N = md.fusion()
     n = md.dim
     conj = md.charge_conjugation()
@@ -465,43 +509,61 @@ def _find_simple_currents(md: ModularData):
     for j in range(n):
         if N[j][conj[j]][md.unit] != 1:
             continue
-        perm = [None] * n
-        ok = True
-        for a in range(n):
-            hits = [c for c in range(n) if N[j][a][c]]
-            if len(hits) != 1 or N[j][a][hits[0]] != 1:
-                ok = False
-                break
-            perm[a] = hits[0]
-        if ok and sorted(perm) == list(range(n)):
-            invertible.append((j, tuple(perm)))
+        # fusion coefficients are nonnegative: a row summing to 1 is a single 1
+        if all(sum(row) == 1 for row in N[j]):
+            perm = tuple(row.index(1) for row in N[j])
+            if sorted(perm) == list(range(n)):
+                invertible.append((j, perm))
     perms = {j: p for j, p in invertible}
     group, coords = abelian_structure(
         [j for j, _ in invertible], lambda a, b: perms[a][b], md.unit
     )
     label_index = {coords[j]: j for j, _ in invertible}
     action_table = {coords[j]: p for j, p in invertible}
-    den = lcm(2, _conductor(md.S, [md.T]), group.exponent)
-    unit_conj = md.T[md.unit].conj()
+    m = lcm(2, _conductor(md.S, [md.T]))
+    den = lcm(m, group.exponent)
+    _, _, iS, norm_S = md._integral_S(m)
+    dT, (iT,) = _integral([md.T], m)
+    unit = md.unit
+    unit_bar = {-k % m: c for k, c in iT[unit].items()}
+    ratios = {j: _poly_mul(iT[j], unit_bar, m) for j, _ in invertible}
+    bound = max(norm_S, _norm([ratios.values()]), dT * dT)
+    pk = _Packing(m, bound * sum(map(abs, cyclotomic_cofactor(m))))
+    M, PF, shift = pk.M, pk.PF, pk.shift
+
+    def rotations(u):
+        """{x^k u: k for k < m}: u times every root of unity."""
+        out = {}
+        for k in range(m):
+            out[u] = k
+            u = (u << shift) % M
+        return out
+
+    U = [[pk.pack(p) * PF % M for p in row] for row in iS]
+    ones = rotations(dT * dT * PF % M)
     twists = {}
     quaternionic = set()
     for j, _ in invertible:
+        k = ones.get(pk.pack(ratios[j]) * PF % M)
+        if k is None:
+            raise ValueError(f"{md.T[j] * md.T[unit].conj()!r} is not a root of unity")
         cj = coords[j]
-        twists[cj] = (phase_fraction(md.T[j] * unit_conj) * den).numerator
+        twists[cj] = k * den // m
         if group.element_order(cj) * twists[cj] % den == den // 2:
             quaternionic.add(cj)
-    # Q_J(a) from one inverse of S_{0,a} per primary
     charges = {coords[j]: [None] * n for j, _ in invertible}
     for a in range(n):
-        inv = md.S[md.unit][a].inverse()
+        if not U[unit][a]:
+            raise ValueError("unit row of S has a zero entry")
+        phases = rotations(U[unit][a])
         for j, _ in invertible:
-            try:
-                charges[coords[j]][a] = (phase_fraction(md.S[j][a] * inv) * den).numerator
-            except ValueError:
+            k = phases.get(U[j][a])
+            if k is None:
                 raise ValueError(
                     f"S ratio of current {md.labels[j]!r} at primary {md.labels[a]!r}"
                     " is not a root of unity"
-                ) from None
+                )
+            charges[coords[j]][a] = k * den // m
     charges = {cj: tuple(row) for cj, row in charges.items()}
     # class labels by their restriction of the grading to the current group
     classes: dict = {}
@@ -513,7 +575,7 @@ def _find_simple_currents(md: ModularData):
         (sig_of[a], sig_of[b])
         for a in range(n)
         for b in range(n)
-        if not md.S[a][b].is_zero()
+        if U[a][b]
     }
     suff = len(linked) == len(classes) ** 2
     return SimpleCurrentStructure(
@@ -610,8 +672,7 @@ def _commutant_rows(md: ModularData, pos_index):
     coefficient of zeta_N^k (k < deg Phi_N) in (SZ - ZS)_ij gives one row.
     """
     n = md.dim
-    N = _conductor(md.S)
-    _, iS = _integral(md.S, N)
+    N, _, iS, _ = md._integral_S()
     deg = len(cyclotomic_polynomial(N)) - 1
     R = [[_reduced(p, N)[:deg] for p in row] for row in iS]
     for i in range(n):

@@ -205,16 +205,21 @@ def enum_z(q: QuadraticForm, require_isotropy: bool = True) -> list[ZParam]:
     """All self-dual subgroups of the square group, optionally isotropic.
 
     The search adds only g = (x, y) orthogonal under ``square_pairing`` to
-    the subgroup so far, with q(x) = q(y) (isotropy for q + (-q)) or, without
-    ``require_isotropy``, b(g, g) = 0; ``ZParam`` then checks order and perp.
+    the subgroup so far, with q(x) = q(y) (isotropy for q + (-q), looked up in
+    a table of those g built once) or, without ``require_isotropy``,
+    b(g, g) = 0; ``ZParam`` then checks order and perp.
     """
     square, pair, split = square_group(q)
     B = square_pairing(q)
+    if require_isotropy:
+        level: dict = {}
+        for x in q.group.elements():
+            level.setdefault(q.num[x], []).append(x)
+        iso = {pair(x, y) for xs in level.values() for x in xs for y in xs}
 
     def admissible(gens, g):
         if require_isotropy:
-            x, y = split(g)
-            if q.num[x] != q.num[y]:
+            if g not in iso:
                 return False
         elif B.dot(g, g):
             return False

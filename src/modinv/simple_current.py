@@ -84,10 +84,11 @@ class SCParam:
     """Current subgroup with a validated torsion form.
 
     The form is checked as integer numerators over ``sc.den``, the one
-    denominator of ``modular``'s charge and twist tables.
+    denominator of ``modular``'s charge and twist tables; ``table`` keeps that
+    ``dot_table`` for ``sc_matrix``.
     """
 
-    __slots__ = ("sc", "J", "group", "chain", "psi", "epsilon")
+    __slots__ = ("sc", "J", "group", "chain", "psi", "epsilon", "table")
 
     def __init__(self, sc, J, group, chain, psi, epsilon):
         self.sc = sc
@@ -96,6 +97,7 @@ class SCParam:
         self.chain = chain
         self.psi = psi
         self.epsilon = epsilon
+        self.table = epsilon.dot_table(sc.den)
         self._validate()
 
     def embed(self, y):
@@ -103,8 +105,7 @@ class SCParam:
 
     def _validate(self):
         """Diagonal against the twists, then each row against the monodromy."""
-        sc = self.sc
-        table = self.epsilon.dot_table(sc.den)
+        sc, table = self.sc, self.table
         embed = _chain_embed(sc.group, self.chain)
         currents = [embed(y) for y in table]
         primaries = [sc.label_index[j] for j in currents]
@@ -144,15 +145,15 @@ def param_from_epsilon(md: ModularData, J: Subgroup, epsilon: Pairing, chain=Non
     return SCParam(sc, J, Jab, chain, psi, epsilon)
 
 
-def _matrix_from_epsilon(md: ModularData, sc, embed, epsilon: Pairing):
-    """Invariant of the torsion form ``epsilon`` on the chain group.
+def _matrix_from_epsilon(md: ModularData, sc, embed, rows: dict):
+    """Invariant of a torsion form on the chain group, given as its
+    ``dot_table(sc.den)`` ``rows``.
 
     M[a][y a] = |J0| / |J0 a|, J0 the right radical, for each current y whose
     row of the form equals the charges (Q_{embed z}(a))_z of primary a.  Rows
     are keyed by integer numerators over ``sc.den``, as the charges are.
     """
     n = md.dim
-    rows = epsilon.dot_table(sc.den)
     elems = list(rows)
     charge_rows = [sc.charges[embed(z)] for z in elems]
     selected: dict = {}
@@ -174,7 +175,7 @@ def _matrix_from_epsilon(md: ModularData, sc, embed, epsilon: Pairing):
 def sc_matrix(md: ModularData, param: SCParam) -> ModularInvariant:
     """Invariant supported on current orbits selected by the torsion form."""
     embed = _chain_embed(param.sc.group, param.chain)
-    M = _matrix_from_epsilon(md, param.sc, embed, param.epsilon)
+    M = _matrix_from_epsilon(md, param.sc, embed, param.table)
     return ModularInvariant(M, {"source": "sc", "J": param.J.key()})
 
 
@@ -198,7 +199,8 @@ def s_only_matrix(
                 raise ValueError("phi must square to the trivial character")
             num[i][i] += k
     embed = _chain_embed(sc.group, chain)
-    M = _matrix_from_epsilon(md, sc, embed, Pairing.from_numerators(Jab, Jab, num))
+    table = Pairing.from_numerators(Jab, Jab, num).dot_table(sc.den)
+    M = _matrix_from_epsilon(md, sc, embed, table)
     if not s_commutes(md, M):
         raise ValueError("matrix does not commute with S")
     return tuple(tuple(row) for row in M)

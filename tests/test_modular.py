@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracle
 
-from modinv import modular
+from modinv import modular, scalars
 from modinv.abelian import FinAbGroup, abelian_structure
 from modinv.forms import QuadraticForm, indecomposable_form
 from modinv.modular import (
@@ -1150,3 +1150,151 @@ def test_packing_rational_is_the_reduction_test(N, data):
     reduced = reduce_mod_phi(list(v), N)
     expected = None if any(reduced[1:]) else reduced[0]
     assert pk.rational(pk.pack(dict(enumerate(v))) * pk.PF) == expected
+
+
+# -- simple-current tables against per-entry Cyclotomic arithmetic -------------
+
+
+def reference_currents(md):
+    """The simple-current fields by per-entry ``Cyclotomic`` arithmetic.
+
+    Invertibles are found by scanning their fusion rows; each charge is the
+    phase of S_{J,a} S_{0,a}^-1, each twist the phase of T_J conj(T_0), and
+    the zero pattern of S is read off ``is_zero``.
+    """
+    N, n, u = md.fusion(), md.dim, md.unit
+    conj = md.charge_conjugation()
+    perms = {}
+    for j in range(n):
+        if N[j][conj[j]][u] != 1:
+            continue
+        perm = []
+        for a in range(n):
+            hits = [c for c in range(n) if N[j][a][c]]
+            if len(hits) != 1 or N[j][a][hits[0]] != 1:
+                break
+            perm.append(hits[0])
+        else:
+            if sorted(perm) == list(range(n)):
+                perms[j] = tuple(perm)
+    group, coords = abelian_structure(list(perms), lambda a, b: perms[a][b], u)
+    den = lcm(2, modular._conductor(md.S, [md.T]), group.exponent)
+    twists = {coords[j]: phase_fraction(md.T[j] * md.T[u].conj()) * den for j in perms}
+    charges = {
+        coords[j]: tuple(phase_fraction(md.S[j][a] * md.S[u][a].inverse()) * den for a in range(n))
+        for j in perms
+    }
+    classes: dict = {}
+    sig = [classes.setdefault(tuple(r[a] for r in charges.values()), len(classes)) for a in range(n)]
+    linked = {(sig[a], sig[b]) for a in range(n) for b in range(n) if not md.S[a][b].is_zero()}
+    return {
+        "group": group.factors,
+        "coords": coords,
+        "label_index": {coords[j]: j for j in perms},
+        "action_table": {coords[j]: p for j, p in perms.items()},
+        "quaternionic": {j for j, t in twists.items() if group.element_order(j) * t % den == den // 2},
+        "sufficiently_nonzero": len(linked) == len(classes) ** 2,
+        "den": den,
+        "charges": charges,
+        "twists": twists,
+    }
+
+
+def current_fields(sc):
+    fields = sc._asdict()
+    fields["group"] = sc.group.factors
+    return fields
+
+
+REFERENCE_CURRENT_DATA = CURRENT_DATA + [
+    lambda: weil(indecomposable_form("3^1_+ x 3^1_+ x 3^1_+")[0]),
+    lambda: _double("2^1_1", -1),
+    lambda: _double("3^1_+"),
+    lambda: _double("3^1_-"),
+    lambda: _double("3^1_-", -1),
+    lambda: _double("2^2_1", -1),
+    lambda: _double("5^1_+", -1),
+    lambda: _double("5^1_-"),
+    lambda: _double("5^1_-", -1),
+]
+REFERENCE_CURRENT_IDS = CURRENT_IDS + [
+    "weil-(3^1_+)^3",
+    "ty-2^1_1-",
+    "ty-3^1_+",
+    "ty-3^1_-",
+    "ty-3^1_--",
+    "ty-2^2_1-",
+    "ty-5^1_+-",
+    "ty-5^1_-",
+    "ty-5^1_--",
+]
+
+
+@pytest.mark.parametrize("build", REFERENCE_CURRENT_DATA, ids=REFERENCE_CURRENT_IDS)
+def test_simple_currents_match_cyclotomic_route(build):
+    md = build()
+    assert current_fields(simple_currents(md)) == reference_currents(md)
+
+
+@pytest.mark.parametrize("build", CURRENT_DATA, ids=CURRENT_IDS)
+def test_simple_currents_use_no_cyclotomic_arithmetic(build, monkeypatch):
+    # with the fusion rules cached, the tables come from the packed kernel alone
+    md = build()
+    expected = reference_currents(md)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-entry Cyclotomic arithmetic")
+
+    for name in ("__mul__", "__rmul__", "__truediv__", "inverse", "canonical", "is_zero"):
+        monkeypatch.setattr(Cyclotomic, name, forbidden)
+    monkeypatch.setattr(scalars, "phase_fraction", forbidden)
+    monkeypatch.setattr(modular, "phase_fraction", forbidden, raising=False)
+    assert current_fields(modular._find_simple_currents(md)) == expected
+
+
+def test_non_root_twist_raises_as_phase_fraction():
+    md = weil(Z4_FORM)
+    j = md.index((1,))
+    bad = perturbed_datum(md, "twist", j, j, 2 * Cyclotomic.one())
+    with pytest.raises(ValueError, match="not a root of unity") as raised:
+        simple_currents(bad)
+    with pytest.raises(ValueError) as expected:
+        phase_fraction(bad.T[j] * bad.T[bad.unit].conj())
+    assert str(raised.value) == str(expected.value)
+
+
+def test_zero_unit_twist_raises():
+    md = weil(Z4_FORM)
+    bad = perturbed_datum(md, "twist", md.unit, md.unit, Cyclotomic.zero())
+    with pytest.raises(ValueError, match="not a root of unity"):
+        simple_currents(bad)
+
+
+def test_zero_unit_row_entry_raises():
+    md = weil(Z4_FORM)
+    a = md.index((1,))
+    S = [list(row) for row in md.S]
+    S[md.unit][a] = Cyclotomic.zero()
+    bad = ModularData(md.labels, md.unit, S, md.T)
+    # reuse the fusion and conjugation of md, so the zero reaches the tables
+    bad._fusion = md.fusion()
+    bad._charge = md.charge_conjugation()
+    with pytest.raises(ValueError, match="unit row of S has a zero entry"):
+        simple_currents(bad)
+
+
+@pytest.mark.parametrize("build", CURRENT_DATA[:4], ids=CURRENT_IDS[:4])
+def test_simple_currents_exact_at_large_coefficients(build):
+    # S scaled by a large integer, and T written with large cancelling terms
+    # (c (1 + zeta_3 + zeta_3^2) = 0): the packing bound must cover both
+    md = build()
+    c = 2**70 + 1
+    zero = Cyclotomic(3, {0: c, 1: c, 2: c})
+    big = ModularData(md.labels, md.unit, [[c * x for x in row] for row in md.S], [t + zero for t in md.T])
+    big._fusion = md.fusion()
+    big._charge = md.charge_conjugation()
+    sc, ref = simple_currents(big), simple_currents(md)
+    assert current_fields(sc) == reference_currents(big)
+    assert sc.sufficiently_nonzero == ref.sufficiently_nonzero
+    assert {j: sc.q(j) for j in sc.twists} == {j: ref.q(j) for j in ref.twists}
+    assert all(sc.grading(a, j) == ref.grading(a, j) for j in ref.charges for a in range(md.dim))
