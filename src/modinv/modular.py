@@ -23,19 +23,25 @@ kernel instead of per-entry ``Cyclotomic`` arithmetic:
   coefficients, with no overflow check or fallback.
 * Rationality and vanishing are decided without unpacking, by the cofactor
   F = (x^N - 1) / Phi_N: for integer polynomials v and r, v = r modulo
-  Phi_N exactly when v F = r F modulo x^N - 1.  So ``verlinde`` and
-  ``s_commutes`` fold F into one packed factor once and test each result
-  with one big-integer comparison (their bounds carry the norms of F).
-* Roots of unity are digit rotations: at an even order m, every root of unity
-  in Q(zeta_m) is zeta_m^k, i.e. x^k, and multiplying a packed value by x^k
-  rotates its digits by k places.  ``simple_currents`` decides each
-  S_{J,a} = zeta_m^k S_{0,a} and T_J conj(T_0) = zeta_m^k by looking up one
-  packed value (times F) among the m rotations of another, so the monodromy
-  charges, the twists and the zero pattern of S need no unpacking.
+  Phi_N exactly when v F = r F modulo x^N - 1.  So ``verlinde``,
+  ``validate_modular``, the charge conjugation and ``s_commutes`` fold F
+  into one packed factor once and test each result with one big-integer
+  comparison (their bounds carry the norms of F); the same comparison
+  decides whether two values, such as S_ij and S_ji, are equal.
+* Roots of unity are digit rotations: every root of unity in Q(zeta_m) is
+  +-zeta_m^k, i.e. +-x^k, and multiplying a packed value by x^k rotates its
+  digits by k places.  ``validate_modular`` decides that each T entry is a
+  root of unity, and ``simple_currents`` (at an even m, where the sign is
+  itself a rotation) decides each S_{J,a} = zeta_m^k S_{0,a} and
+  T_J conj(T_0) = zeta_m^k, by looking up one packed value (times F) among
+  the rotations of another, so the monodromy charges, the twists and the
+  zero pattern of S need no unpacking.
 * Results are unpacked and reduced modulo Phi_N only where a value is
-  returned: ``_product`` gives a product as reduced integer lists,
-  ``mat_mul`` wraps them as ``Cyclotomic`` values, and ``validate_modular``
-  compares the lists.
+  returned or compared as a whole matrix: ``_product`` gives a product as
+  reduced integer lists and ``mat_mul`` wraps them as ``Cyclotomic``
+  values.  ``validate_modular`` unpacks (ST)^2 and (ST)^3, to compare the
+  cube with S^2, only when S is not unitary or T not a root of unity; on
+  modular data it compares S T S with T-bar S T-bar in the packing.
 
 The brute-force invariant search writes the commutant linear system SZ = ZS
 as integer rows (one per coefficient of zeta_N), brings it to a fully reduced
@@ -144,6 +150,26 @@ class _Packing:
         r = self.f0 * (((u + half) & (2 * half - 1)) - half)
         return None if (u - r * self.PF) % M else r
 
+    def rotations(self, u: int) -> dict:
+        """{x^k u: k for k < N}: u times every power of zeta_N."""
+        out = {}
+        for k in range(self.N):
+            out[u] = k
+            u = (u << self.shift) % self.M
+        return out
+
+
+def _rational_bound(N: int, norm: int) -> int:
+    """A ``_Packing`` bound under which ``rational`` is exact on u = v F for
+    every sum v of l1 norm at most ``norm``.
+
+    The coefficients of v F are at most norm ||F||_1; so is |r|, a digit of
+    u; hence v F - r F stays within norm ||F||_1 (1 + ||F||_inf).  The bound
+    is at least twice norm ||F||_1, so two such u compare exactly too.
+    """
+    F = cyclotomic_cofactor(N)
+    return norm * sum(map(abs, F)) * (1 + max(map(abs, F)))
+
 
 def _reduced(p: dict, N: int) -> list[int]:
     """Coefficients of one integer polynomial in zeta_N, reduced modulo Phi_N."""
@@ -210,32 +236,33 @@ def _poly_mul(p: dict, q: dict, N: int) -> dict:
     return out
 
 
-def _permutation(rows, den: int):
-    """Permutation p with rows[i][p[i]] = 1 and every other entry 0, else None.
+def _square_permutation(pk: _Packing, P, cols, den: int):
+    """Permutation p with S^2 = den times the matrix of i -> p(i), else None.
 
-    Entries are reduced coefficient lists over the denominator ``den``, as
-    ``_product`` returns them.
+    P packs the rows of an integer form of S and ``cols`` the columns of the
+    same entries times F, so each entry of S^2 times F is one packed dot
+    product, decided by ``pk.rational`` (pk's bound at least
+    ``_rational_bound`` of n ||S||^2).
     """
     perm = []
-    for row in rows:
-        hits = [j for j, c in enumerate(row) if any(c)]
-        if len(hits) != 1 or row[hits[0]][0] != den or any(row[hits[0]][1:]):
+    for row in P:
+        vals = [pk.rational(sum(map(mul, row, col))) for col in cols]
+        hits = [j for j, r in enumerate(vals) if r != 0]
+        if len(hits) != 1 or vals[hits[0]] != den:
             return None
         perm.append(hits[0])
-    return perm if sorted(perm) == list(range(len(rows))) else None
+    return perm if sorted(perm) == list(range(len(P))) else None
 
 
 def as_permutation(A):
     """Permutation p with A[i][p[i]] = 1 if A is a permutation matrix, else None."""
-    N = _conductor(A)
-    den, iA = _integral(A, N)
-    return _permutation([[_reduced(p, N) for p in row] for row in iA], den)
-
-
-def _is_root_of_unity(x: Cyclotomic) -> bool:
-    if not (x * x.conj()).is_one():
-        return False
-    return (x ** lcm(2, x.order)).is_one()
+    perm = []
+    for row in A:
+        hits = [j for j, x in enumerate(row) if not x.is_zero()]
+        if len(hits) != 1 or not row[hits[0]].is_one():
+            return None
+        perm.append(hits[0])
+    return perm if sorted(perm) == list(range(len(A))) else None
 
 
 class ModularData:
@@ -291,8 +318,11 @@ class ModularData:
     def charge_conjugation(self):
         """Permutation c with S^2 the matrix of a -> c(a)."""
         if self._charge is None:
-            N, den, iS, _ = self._integral_S()
-            perm = _permutation(_product(iS, iS, N), den * den)
+            N, den, iS, norm = self._integral_S()
+            pk = _Packing(N, _rational_bound(N, self.dim * norm * norm))
+            P = [[pk.pack(p) for p in row] for row in iS]
+            cols = [[x * pk.PF % pk.M for x in col] for col in zip(*P)]
+            perm = _square_permutation(pk, P, cols, den * den)
             if perm is None:
                 raise ValueError("S^2 is not a permutation matrix")
             self._charge = tuple(perm)
@@ -332,28 +362,59 @@ class ModularData:
 def validate_modular(md: ModularData) -> list[str]:
     """List of failed identities; empty means the data is modular.
 
-    The matrix identities are decided on integer coefficient lists over one
-    conductor N, with S over its common denominator d and T over its own
-    denominator e: S S-bar^T = d^2 I, S^2 = d^2 times a permutation matrix,
-    and (ST)^3 = S^2 as lists over (d e)^3.  A permutation S^2 is kept as the
-    charge conjugation of md.
+    S and T are written over one conductor N, S over its common denominator
+    d and T over its own denominator e.  The identities are decided in one
+    packing, each entry by a packed value times F = (x^N - 1) / Phi_N, with
+    no unpacking on modular data (module docstring):
+
+    * S = S^T: the packed entries are compared;
+    * S S-bar^T = d^2 I: a Hermitian matrix, so its entries with i <= j
+      decide it, each by ``_Packing.rational``;
+    * T a root of unity: each entry is looked up among the x^k-rotations of
+      +-e F, since the roots of unity of Q(zeta_N) are the +-zeta_N^k;
+    * S^2 = d^2 times the matrix of a permutation: each entry of S (S F) by
+      ``rational`` (``_square_permutation``, shared with the charge
+      conjugation);
+    * (ST)^3 = S^2: if S is unitary and T a root of unity, both are
+      invertible and T^-1 = T-bar, so (ST)^3 = S^2 exactly when
+      S T S = T-bar S T-bar; times d^2 e^2 and F, entry (i, j) compares
+      e Sum_k S_ik t_k S_kj F with d conj(t_i t_j) S_ij F.  Otherwise the
+      cube is unpacked, with (ST)^2 reduced before it is packed again, and
+      compared with S^2 as reduced lists over (d e)^3.
+
+    With norms the largest l1 norms of entries and t = max(||T||, e), the
+    bound is ``_rational_bound`` of max(n ||S||^2, d ||S||, 1) t^2: it
+    covers the rational tests and both sides of each comparison.  A
+    permutation S^2 is kept as the charge conjugation of md.
     """
     report = []
     n = md.dim
     N = _conductor(md.S, [md.T])
-    _, dS, iS, _ = md._integral_S(N)
+    _, dS, iS, norm_S = md._integral_S(N)
     dT, (iT,) = _integral([md.T], N)
-    rS = [[_reduced(p, N) for p in row] for row in iS]
-    if any(rS[i][j] != rS[j][i] for i in range(n) for j in range(i + 1, n)):
+    t = max(_norm([iT]), dT)
+    pk = _Packing(N, _rational_bound(N, max(n * norm_S**2, dS * norm_S, 1) * t * t))
+    M, PF = pk.M, pk.PF
+    P = [[pk.pack(p) for p in row] for row in iS]
+    U = [[x * PF % M for x in row] for row in P]
+    cols = list(zip(*U))
+    symmetric = all(U[i][j] == U[j][i] for i in range(n) for j in range(i + 1, n))
+    if not symmetric:
         report.append("S symmetric")
-    one, zero = [dS * dS] + [0] * (N - 1), [0] * N
-    dagger = [[{-k % N: c for k, c in iS[j][i].items()} for j in range(n)] for i in range(n)]
-    if _product(iS, dagger, N) != [[one if i == j else zero for j in range(n)] for i in range(n)]:
+    Ubar = [[pk.pack({-k % N: c for k, c in p.items()}) * PF % M for p in row] for row in iS]
+    d2 = dS * dS
+    unitary = all(
+        pk.rational(sum(map(mul, P[i], Ubar[j]))) == (d2 if i == j else 0)
+        for i in range(n)
+        for j in range(i, n)
+    )
+    if not unitary:
         report.append("S unitary")
-    if not all(_is_root_of_unity(t) for t in md.T):
+    roots = {**pk.rotations(dT * PF % M), **pk.rotations(-dT * PF % M)}
+    twists = all(pk.pack(p) * PF % M in roots for p in iT)
+    if not twists:
         report.append("T root of unity")
-    S2 = _product(iS, iS, N)
-    perm = _permutation(S2, dS * dS)
+    perm = _square_permutation(pk, P, cols, d2)
     if perm is None:
         report.append("S^2 permutation")
     else:
@@ -362,14 +423,28 @@ def validate_modular(md: ModularData) -> list[str]:
             report.append("S^2 fixes unit")
         if any(perm[perm[i]] != i for i in range(n)):
             report.append("S^2 involution")
-    ST = [[_poly_mul(p, t, N) for p, t in zip(row, iT)] for row in iS]
-    cube = _product([[dict(enumerate(c)) for c in row] for row in _product(ST, ST, N)], ST, N)
-    scale = dS * dT**3
-    if any(
-        c != [scale * x for x in s]
-        for crow, srow in zip(cube, S2)
-        for c, s in zip(crow, srow)
-    ):
+    if unitary and twists:
+        PT = [pk.pack(p) for p in iT]
+        PTbar = [pk.pack({-k % N: c for k, c in p.items()}) for p in iT]
+        PST = [[x * y % M for x, y in zip(row, PT)] for row in P]
+        cube = all(
+            (dT * sum(map(mul, PST[i], cols[j])) - dS * PTbar[i] * PTbar[j] * U[i][j]) % M == 0
+            for i in range(n)
+            for j in range(n)
+        )
+    else:
+        if perm is None:
+            S2 = _product(iS, iS, N)
+        else:
+            one, zero = [d2] + [0] * (N - 1), [0] * N
+            S2 = [[one if j == perm[i] else zero for j in range(n)] for i in range(n)]
+        ST = [[_poly_mul(p, q, N) for p, q in zip(row, iT)] for row in iS]
+        ST3 = _product([[dict(enumerate(c)) for c in row] for row in _product(ST, ST, N)], ST, N)
+        scale = dS * dT**3
+        cube = all(
+            c == [scale * x for x in s] for crow, srow in zip(ST3, S2) for c, s in zip(crow, srow)
+        )
+    if not cube:
         report.append("(ST)^3 = S^2")
     return report
 
@@ -377,48 +452,73 @@ def validate_modular(md: ModularData) -> list[str]:
 def verlinde(md: ModularData):
     """Fusion tensor N[a][b][c] via the S-matrix; entries must be nonnegative integers.
 
-    N_ab^c = Sum_k (S_ak / S_0k) S_bk conj(S_ck), one packed dot product per
-    (a, b, c), streamed over a.  The formula is symmetric in a and b, so only
-    the planes' entries with b >= a are summed and the rest are mirrored; the
-    first failing (a, b, c) in lexicographic order has a <= b, so it is the
-    one reported.  The columns conj(S_c) are multiplied by the cofactor F =
-    (x^N - 1) / Phi_N once, and ``_Packing.rational`` decides each sum with
-    one comparison.  Digits are B bits with n ||S||^3 ||1/S_0|| ||F||_1
-    (1 + ||F||_inf) < 2^(B-2), norms being the largest l1 norms of entries
-    (||F||_inf the largest coefficient of F), which bounds both v F and
-    v F - r F for a sum v.
+    N_ab^c = Sum_k S_ak S_bk conj(S_ck) / S_0k.  For any S the sum
+    M(a, b, e) = Sum_k S_ak S_bk S_ek / S_0k is unchanged under every
+    permutation of (a, b, e), so where the row conj(S_c) is a row S_e of S,
+    N_ab^c = M(a, b, e), and only the M(a, b, e) with a <= b <= e are summed:
+    about n^4 / 6 packed products.  Each row conj(S_c) F is looked up among
+    the rows S_e F, all entries packed: the lookup is exact, since v F = w F
+    modulo x^N - 1 exactly when v = w modulo Phi_N, and conjugation keeps l1
+    norms, so the digits stay within the bound.  A column with no conjugate
+    row (only on non-modular S) is summed directly for every a <= b; the
+    formula is symmetric in a and b, so the rest is mirrored.
+
+    The packing is a commutative ring homomorphism and conj(S_c) F = S_e F
+    packed, so M(a, b, e), summed in any order of (a, b, e), is the same
+    packed value as the direct sum for (a, b, c); ``_Packing.rational``
+    decides it with one comparison.  The tensor is then assembled in
+    lexicographic (a, b, c) order with a <= b, raising at the first failing
+    entry: since N_ab^c = N_ba^c, the first failure over all (a, b, c) has
+    a <= b, so it is the one reported, with the same message.  Digits are B
+    bits, with ``_rational_bound`` of n ||S||^3 ||1/S_0|| (largest l1 norms
+    of entries).  1/S_0k is one ``Cyclotomic.inverse`` per distinct value of
+    the unit row.
     """
     n = md.dim
-    S = md.S
+    N, dS, iS, norm_S = md._integral_S()
+    unit_row = md.S[md.unit]
+    inverses: dict = {}
     inv0 = []
-    for k in range(n):
-        x = S[md.unit][k]
-        if x.is_zero():
+    for k, p in enumerate(iS[md.unit]):
+        key = tuple(_reduced(p, N))
+        if not any(key):
             raise ValueError("unit row of S has a zero entry")
-        inv0.append(x.inverse())
-    N = _conductor(S, [inv0])
-    _, dS, iS, norm_S = md._integral_S(N)
+        if key not in inverses:
+            inverses[key] = unit_row[k].inverse()
+        inv0.append(inverses[key])
+    # each inverse keeps the order of its entry, which divides N
     dI, (iI,) = _integral([inv0], N)
-    F = cyclotomic_cofactor(N)
-    pk = _Packing(
-        N, n * norm_S ** 3 * _norm([iI]) * sum(map(abs, F)) * (1 + max(map(abs, F)))
-    )
-    M = pk.M
+    pk = _Packing(N, _rational_bound(N, n * norm_S**3 * _norm([iI])))
+    M, PF = pk.M, pk.PF
     P = [[pk.pack(p) for p in row] for row in iS]
-    PbarF = [
-        [pk.pack({-k % N: c for k, c in p.items()}) * pk.PF % M for p in row] for row in iS
-    ]
+    U = [[x * PF % M for x in row] for row in P]
+    Ubar = [[pk.pack({-k % N: c for k, c in p.items()}) * PF % M for p in row] for row in iS]
+    row_of = {tuple(u): e for e, u in enumerate(U)}
+    conj_row = [row_of.get(tuple(u)) for u in Ubar]
+    direct = [c for c, e in enumerate(conj_row) if e is None]
     Pinv = [pk.pack(p) for p in iI]
+    # for a <= b, decided: sym[a][b][e - b] = M(a, b, e) for e >= b, and
+    # direct_sums[a][b][c] = N_ab^c for c in direct
+    sym = [[None] * n for _ in range(n)]
+    direct_sums = [[None] * n for _ in range(n)]
+    for a in range(n):
+        W = [x * y % M for x, y in zip(P[a], Pinv)]
+        for b in range(a, n):
+            wb = [w * x % M for w, x in zip(W, P[b])]
+            sym[a][b] = [pk.rational(sum(map(mul, wb, U[e]))) for e in range(b, n)]
+            direct_sums[a][b] = {c: pk.rational(sum(map(mul, wb, Ubar[c]))) for c in direct}
     den = dS**3 * dI
     out = []
     for a in range(n):
-        W = [x * y % M for x, y in zip(P[a], Pinv)]
         plane = [out[b][a] for b in range(a)]
         for b in range(a, n):
-            wb = [(k, w * x % M) for k, (w, x) in enumerate(zip(W, P[b])) if w and x]
             row = []
-            for c in range(n):
-                r = pk.rational(sum(w * PbarF[c][k] for k, w in wb))
+            for c, e in enumerate(conj_row):
+                if e is None:
+                    r = direct_sums[a][b][c]
+                else:
+                    x, y, z = sorted((a, b, e))
+                    r = sym[x][y][z - y]
                 if r is None:
                     raise ValueError(f"fusion coefficient not rational at {(a, b, c)}")
                 if r % den or r < 0:
@@ -529,18 +629,10 @@ def _find_simple_currents(md: ModularData):
     ratios = {j: _poly_mul(iT[j], unit_bar, m) for j, _ in invertible}
     bound = max(norm_S, _norm([ratios.values()]), dT * dT)
     pk = _Packing(m, bound * sum(map(abs, cyclotomic_cofactor(m))))
-    M, PF, shift = pk.M, pk.PF, pk.shift
-
-    def rotations(u):
-        """{x^k u: k for k < m}: u times every root of unity."""
-        out = {}
-        for k in range(m):
-            out[u] = k
-            u = (u << shift) % M
-        return out
+    M, PF = pk.M, pk.PF
 
     U = [[pk.pack(p) * PF % M for p in row] for row in iS]
-    ones = rotations(dT * dT * PF % M)
+    ones = pk.rotations(dT * dT * PF % M)
     twists = {}
     quaternionic = set()
     for j, _ in invertible:
@@ -555,7 +647,7 @@ def _find_simple_currents(md: ModularData):
     for a in range(n):
         if not U[unit][a]:
             raise ValueError("unit row of S has a zero entry")
-        phases = rotations(U[unit][a])
+        phases = pk.rotations(U[unit][a])
         for j, _ in invertible:
             k = phases.get(U[j][a])
             if k is None:

@@ -55,10 +55,9 @@ def weil(q: QuadraticForm, x: Cyclotomic | None = None) -> ModularData:
     unit = labels.index(G.zero())
     P = q.polarization()
     root = sqrt_nonneg_int(G.order).inverse()
-    S = [
-        [P.eval(g, h) * root for h in labels]
-        for g in labels
-    ]
+    # one product per phase: S_gh = zeta_den^k / sqrt|G| with k = P.dot(g, h)
+    entry = {k: root_of_unity(P.den, k) * root for k in range(P.den)}
+    S = [[entry[P.dot(g, h)] for h in labels] for g in labels]
     T = [data.x * q.eval(g) for g in labels]
     return ModularData(labels, unit, S, T)
 

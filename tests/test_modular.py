@@ -805,6 +805,18 @@ def test_checks_ignore_how_entries_are_written(which):
     assert validate_modular(_twisted_t(same, 1, -Cyclotomic.one())) == ["(ST)^3 = S^2"]
 
 
+def test_checks_compare_values_not_how_they_are_written():
+    # S_12 alone rewritten: S stays symmetric and its rows each other's
+    # conjugates, though S_12 and S_21 are now different integer polynomials
+    md = weil(Z3_FORM)
+    S = [list(row) for row in md.S]
+    S[1][2] = written_with_halves(S[1][2])
+    same = ModularData(md.labels, md.unit, S, md.T)
+    assert validate_modular(same) == []
+    assert same.charge_conjugation() == md.charge_conjugation()
+    assert verlinde(same) == md.fusion()
+
+
 def test_twisted_t_loses_invariants():
     # the charge conjugation of Z4 pairs the labels 1 and 3; a new twist on
     # label 1 leaves the identity alone
@@ -903,6 +915,11 @@ def permutation_datum(p):
     return ModularData(list(range(n)), 0, S, [one] * n)
 
 
+def scaled(md, x):
+    """md with S multiplied by x: still symmetric, and unitary if |x| = 1."""
+    return ModularData(md.labels, md.unit, [[x * y for y in row] for row in md.S], md.T)
+
+
 class TestValidateLabels:
     @settings(max_examples=40, deadline=None)
     @given(perturbed_data())
@@ -918,14 +935,73 @@ class TestValidateLabels:
             (lambda: perturbed_datum(weil(Z4_FORM), "twist", 1, 1, 2 * Cyclotomic.one()), "T root of unity"),
             (lambda: permutation_datum([1, 2, 3, 0]), "S^2 fixes unit"),
             (lambda: permutation_datum([0, 2, 3, 1]), "S^2 involution"),
+            # symmetric and unitary, but S^2 = -d^2 C
+            (lambda: scaled(weil(Z3_FORM), root_of_unity(4, 1)), "S^2 permutation"),
+            (lambda: scaled(_double("2^1_1"), root_of_unity(4, 1)), "S^2 permutation"),
+            # symmetric and unitary, S^2 unchanged, (-ST)^3 = -S^2
+            (lambda: scaled(weil(Z4_FORM), -Cyclotomic.one()), "(ST)^3 = S^2"),
+            # rows still orthogonal, but of norm 4 d^2
+            (lambda: scaled(weil(Z3_FORM), 2), "S unitary"),
+            # the 15-primary doubles (conductor 24), one case per label; the reference
+            # takes about 0.5 s on each
+            (lambda: perturbed_datum(_double("3^1_+"), "entry", 0, 1, Cyclotomic.one()), "S symmetric"),
+            (lambda: perturbed_datum(_double("3^1_+", -1), "entry", 2, 2, rat(Fraction(-1, 2))), "S unitary"),
+            (lambda: perturbed_datum(_double("3^1_+"), "twist", 1, 1, sqrt_nonneg_int(2)), "T root of unity"),
+            (lambda: perturbed_datum(_double("3^1_+", -1), "pair", 1, 2, root_of_unity(4, 1)), "S^2 permutation"),
+            (lambda: perturbed_datum(_double("3^1_+"), "twist", 1, 1, -Cyclotomic.one()), "(ST)^3 = S^2"),
         ],
-        ids=["symmetric", "permutation", "cube", "root", "fixes-unit", "involution"],
+        ids=[
+            "symmetric",
+            "permutation",
+            "cube",
+            "root",
+            "fixes-unit",
+            "involution",
+            "weil-times-i",
+            "ty-times-i",
+            "weil-times-minus-one",
+            "weil-times-two",
+            "ty-3^1_+-symmetric",
+            "ty-3^1_+--unitary",
+            "ty-3^1_+-root",
+            "ty-3^1_+--permutation",
+            "ty-3^1_+-cube",
+        ],
     )
     def test_each_label_fails(self, build, label):
         md = build()
         report = validate_modular(md)
         assert label in report
         assert report == reference_report(md)
+
+
+@pytest.mark.parametrize(
+    "T", [[1, -1], [-1, root_of_unity(3, 1)], [1, -root_of_unity(3, 1)], [1, 2], [1, 0], [1, Fraction(-1, 2)]]
+)
+def test_twist_roots_at_odd_conductor(T):
+    # S = I and T rational or in Q(zeta_3): N is 1 or 3, where -1 is no power of zeta_N
+    one, zero = Cyclotomic.one(), Cyclotomic.zero()
+    T = [t if isinstance(t, Cyclotomic) else Cyclotomic.from_rational(t) for t in T]
+    md = ModularData([0, 1], 0, [[one, zero], [zero, one]], T)
+    assert modular._conductor(md.S, [md.T]) % 2 == 1
+    assert validate_modular(md) == reference_report(md)
+
+
+@pytest.mark.parametrize("build", CURRENT_DATA, ids=CURRENT_IDS)
+def test_modular_data_decided_without_unpacking(build, monkeypatch):
+    # symmetric, unitary S and root-of-unity T: S^2 and the charge conjugation
+    # by rational tests alone, the cube by S T S = T-bar S T-bar
+    md, fresh = build(), build()
+    expected = md.charge_conjugation()
+
+    def no_unpacking(*args):
+        raise AssertionError("a result was unpacked")
+
+    monkeypatch.setattr(modular._Packing, "reduced", no_unpacking)
+    monkeypatch.setattr(modular, "_product", no_unpacking)
+    assert validate_modular(fresh) == []
+    assert fresh.charge_conjugation() == expected
+    assert build().charge_conjugation() == expected
 
 
 # -- the charge conjugation shared with validate_modular ------------------------
@@ -1080,6 +1156,11 @@ CORRUPTED = {
         lambda: with_entry(weil(Z3_FORM), 0, 2, lambda x: Cyclotomic.zero(), symmetric=False),
         "unit row of S has a zero entry",
     ),
+    # conj(S_c) is a row of S for c = 0 and 2 only
+    "some-conjugates-missing": (
+        lambda: with_entry(weil(Z4_FORM), 3, 2, lambda x: 2 * x, symmetric=False),
+        "fusion coefficient -1/4 at (0, 0, 3)",
+    ),
 }
 
 
@@ -1121,6 +1202,76 @@ def test_verlinde_on_perturbed_s_matches_reference(name, data):
     )
     bad = with_entry(md, i, j, lambda x: x * factor, symmetric=data.draw(st.booleans()))
     assert verlinde_outcome(verlinde, bad) == verlinde_outcome(reference_verlinde, bad)
+
+
+@settings(max_examples=30, deadline=None)
+@given(perturbed_data())
+def test_verlinde_on_perturbed_data_matches_reference(md):
+    # entry, pair and twist perturbations: conj(S_c) may or may not be a row of S
+    assert verlinde_outcome(verlinde, md) == verlinde_outcome(reference_verlinde, md)
+
+
+def selected_fusion(md, rows):
+    """The fusion tensor of md with S's rows rows[0], ..., rows[n-1], where
+    rows[unit] = unit: N'_ab^c = N_(rows[a])(rows[b])^(rows[c])."""
+    N, n = md.fusion(), md.dim
+    return tuple(
+        tuple(tuple(N[rows[a]][rows[b]][rows[c]] for c in range(n)) for b in range(n)) for a in range(n)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(VALIDATE_DATA + [lambda: weil(std_form((6,)))]), st.data())
+def test_verlinde_on_row_selections_matches_reference(build, data):
+    # conj(S'_c) is a row of S' only if the row conj(S_rows[c]) was selected
+    md = build()
+    n = md.dim
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    rows[md.unit] = md.unit
+    sel = with_rows(md, rows)
+    assert verlinde(sel) == reference_verlinde(sel) == selected_fusion(md, rows)
+
+
+def conjugate_is_row(md):
+    """For each c, whether the row conj(S_c) is a row of S."""
+    return [any(all(x.conj() == y for x, y in zip(md.S[c], row)) for row in md.S) for c in range(md.dim)]
+
+
+@pytest.mark.parametrize(
+    "build,rows,found",
+    [
+        # S real with rows 1 and 2 equal: conj(S_1) = conj(S_2) is found under either index
+        (lambda: weil(std_form((2, 2))), [0, 1, 1, 3], [True] * 4),
+        # conj(S_1) = S_3 is no longer a row of S
+        (lambda: weil(Z4_FORM), [0, 1, 2, 1], [True, False, True, False]),
+    ],
+    ids=["equal-rows", "some-conjugates-missing"],
+)
+def test_verlinde_on_fixed_row_selections(build, rows, found):
+    md = build()
+    sel = with_rows(md, rows)
+    assert conjugate_is_row(sel) == found
+    assert verlinde(sel) == reference_verlinde(sel) == selected_fusion(md, rows)
+
+
+@pytest.mark.parametrize(
+    "build,most", [(lambda: weil(Z3_FORM), 1), (lambda: _double("3^1_+"), 3)], ids=["weil-3^1_+", "ty-3^1_+"]
+)
+def test_verlinde_inverts_each_unit_row_value_once(build, most, monkeypatch):
+    md = build()
+    distinct = {(x.order, x.canonical()) for x in md.S[md.unit]}
+    calls = []
+    inverse = Cyclotomic.inverse
+
+    def counted(x):
+        calls.append(x)
+        return inverse(x)
+
+    monkeypatch.setattr(Cyclotomic, "inverse", counted)
+    N = verlinde(md)
+    assert len(calls) == len(distinct) <= most
+    monkeypatch.undo()
+    assert N == reference_verlinde(md)
 
 
 @settings(max_examples=300, deadline=None)
