@@ -248,7 +248,7 @@ def zero_pairing(left: FinAbGroup, right: FinAbGroup | None = None) -> Pairing:
 class QuadraticForm:
     """q(g) = e^(2 pi i num[g] / den) on G, with den = ``form_denominator(G)``."""
 
-    __slots__ = ("group", "den", "num", "_polar")
+    __slots__ = ("group", "den", "num", "_polar", "_signature")
 
     def __init__(self, group: FinAbGroup, table):
         """``table`` maps each element of the group to q's rational exponent mod 1."""
@@ -278,6 +278,7 @@ class QuadraticForm:
         d = self.den = form_denominator(group)
         num = self.num = {g: k % d for g, k in num.items()}
         self._polar = None
+        self._signature = None
         elems = G.elements()
         if len(num) != len(elems) or any(g not in num for g in elems):
             raise ValueError("table must cover the group exactly")
@@ -311,6 +312,12 @@ class QuadraticForm:
                 raise ValueError(_ENTRY_DENOMINATORS)
             self._polar = Pairing.from_numerators(G, G, [[x // r for x in row] for row in B])
         return self._polar
+
+    def signature(self) -> int:
+        """Signature mod 8 of the Gauss sum (``gauss_sum``), computed once per form."""
+        if self._signature is None:
+            self._signature = gauss_sum(self)[2]
+        return self._signature
 
     def times_character(self, chi: Character) -> "QuadraticForm":
         """Pointwise product with a character of order at most 2."""

@@ -207,7 +207,12 @@ def mat_mul(A, B):
 
 
 def s_commutes(md: ModularData, matrix) -> bool:
-    """True iff the integer matrix commutes with S, decided exactly by the kernel."""
+    """True iff the integer matrix commutes with S, decided exactly by the kernel.
+
+    The packed S F depends on the packing only through N and its digit
+    width, so it is cached on md under (N, width) and shared by every
+    matrix whose entries fit that width.
+    """
     n = md.dim
     N, _, iS, norm = md._integral_S()
     zmax = max((abs(x) for row in matrix for x in row), default=0)
@@ -215,7 +220,9 @@ def s_commutes(md: ModularData, matrix) -> bool:
     M = pk.M
     # entries of S F: (SZ - ZS)_ij vanishes modulo Phi_N iff its multiple by F
     # vanishes modulo x^N - 1
-    P = [[pk.pack(p) * pk.PF % M for p in row] for row in iS]
+    P = md._int_S.get((N, pk.width))
+    if P is None:
+        P = md._int_S[N, pk.width] = [[pk.pack(p) * pk.PF % M for p in row] for row in iS]
     rows = [[(t, x) for t, x in enumerate(r) if x] for r in matrix]
     cols = [[(t, x) for t, x in enumerate(c) if x] for c in zip(*matrix)]
     for i in range(n):
@@ -303,7 +310,8 @@ class ModularData:
     def _integral_S(self, N: int = 0):
         """(N, d, iS, norm): S = iS / d over zeta_N, norm the largest l1 norm
         of an entry of iS.  N = 0 stands for the conductor of S.  Computed
-        once per order; callers must not mutate iS."""
+        once per order; callers must not mutate iS.  The same cache holds
+        ``s_commutes``' packed S F under the key (N, digit width)."""
         cache = self._int_S
         if not N:
             if 0 not in cache:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import isqrt
 
@@ -48,11 +49,17 @@ class TYData:
             raise ValueError("pairing must be symmetric")
         if not pairing.is_nondegenerate():
             raise ValueError("pairing must be nondegenerate")
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
         self.G = G
         self.pairing = pairing
-        self.sign = sign
+        self.sign = _sign(sign)
+
+
+def _sign(sign) -> int:
+    """sign as the ``int`` +1 or -1; ``ValueError`` for anything else."""
+    sign = as_integer(sign, "sign must be +1 or -1")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    return sign
 
 
 # -- fusion rings --------------------------------------------------------------
@@ -246,19 +253,21 @@ def _half_phase(k: int, den: int) -> Cyclotomic:
 
 def _anchor(q: QuadraticForm, sign: int) -> int:
     """Numerator over 8 of the anchor phase -signature / 8 (+ 1/2 for sign -1)."""
-    return (4 * (sign != 1) - PointedData(q).signature) % 8
+    return (4 * (sign != 1) - q.signature()) % 8
 
 
 class SqrtConvention:
     """Chosen square roots of the form values and of the anchor unit.
 
     root[g] squares to the form value at g; inv_anchor squares to the
-    inverse of (sign times the cube of the 24th-root normalization).
+    inverse of (sign times the cube of the 24th-root normalization), the
+    8th root of unity with numerator -``_anchor(q, sign)``.
     """
 
     __slots__ = ("q", "sign", "root", "inv_anchor")
 
     def __init__(self, q: QuadraticForm, sign: int, root: dict, inv_anchor: Cyclotomic):
+        sign = _sign(sign)
         for g in q.group.elements():
             if root[g] * root[g] != q.eval(g):
                 raise ValueError(f"root at {g} does not square to the form value")
@@ -296,8 +305,12 @@ class SqrtConvention:
         return cls(q, sign, root, _half_phase(-_anchor(q, sign), 8))
 
     def flip(self, g) -> "SqrtConvention":
+        """The convention with the root at g negated; g an element of the group."""
         root = dict(self.root)
-        root[g] = root[g] * Fraction(-1)
+        try:
+            root[g] = root[g] * Fraction(-1)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{g!r} is not an element of the form's group") from exc
         return SqrtConvention(self.q, self.sign, root, self.inv_anchor)
 
     def anchor_flipped(self) -> "SqrtConvention":
@@ -360,7 +373,36 @@ def ty_double(data: TYData, q: QuadraticForm, conv: SqrtConvention | None = None
     """Modular data of the center construction for the given datum.
 
     The form must polarize to the datum's pairing; the convention fixes
-    every square root appearing in the matrix entries.
+    every square root appearing in the matrix entries.  The simples are
+    ("one", g, i) and ("root", g, i) for g in G and i in {0, 1}, then
+    ("two", g, h) for g before h in ``G.elements()``.  With n = |G|, b the
+    pairing as a root of unity and dot(g, h) its integer numerator, t =
+    (-1)^i on a one or root label (t' on the second label), r_g the
+    convention's root of q(g), c its inverse anchor root and s(a) the
+    shifted pair sum at a, S has the blocks below, each keyed by the
+    integers that determine it.  The first label carries g, the second h,
+    or (h, h') for a two; in two-two they are (g, h) and (g', h').
+
+        one-one    conj b(g, h)^2 / 2n                 key dot(g, h),
+        one-root   t conj b(g, h) / 2 sqrt(n)          key dot(g, h) and t,
+        one-two    conj b(g, h + h') / n               key dot(g, h + h'),
+        root-two   0,
+        two-two    conj(b(g, h') b(h, g') + b(g, g') b(h, h')) / n
+                                                       key the four dots,
+        root-root  t t' c^2 s(g + h) / (2n r_g r_h)    key (g, h, t t').
+
+    T is b(g, g) on ("one", g, i), b(g, h) on ("two", g, h) and t c / r_g
+    on ("root", g, i).  Each distinct entry is built once, and c^2 s(a) and
+    1 / r_g once per group element.
+
+    S is symmetric.  ``TYData`` requires a symmetric pairing, so the
+    one-one and two-two keys do not change when the two labels swap (the
+    two-two sum only swaps the factors of each product); root-root depends
+    on g + h and r_g r_h; and a mixed block is one formula of the unordered
+    pair of labels.  So only the entries on and above the diagonal are
+    built, and each entry below it is the same object as its transpose.
+    Products and sums in Q[x]/(x^N - 1) commute exactly, so the stored
+    order and terms of an entry do not depend on which label comes first.
     """
     G = data.G
     n = G.order
@@ -373,52 +415,81 @@ def ty_double(data: TYData, q: QuadraticForm, conv: SqrtConvention | None = None
     if conv.sign != data.sign:
         raise ValueError("convention was built for a different sign")
     P = q.polarization()
+    den = P.den
     els = G.elements()
+    pos = {g: k for k, g in enumerate(els)}
+    dots = P.dot_table(den)
     inv_anchor = conv.inv_anchor
-    sqrt_q = conv.root
+    inv_root = {g: conv.root[g].inverse() for g in els}
     labels = [("one", g, i) for g in els for i in (0, 1)]
     labels += [("root", g, i) for g in els for i in (0, 1)]
     labels += [("two", g, h) for gi, g in enumerate(els) for h in els[gi + 1:]]
     unit = labels.index(("one", G.zero(), 0))
 
     inv_rt_n = sqrt_nonneg_int(n).inverse()
-    gs = {a: shifted_pair_sum(q, a) for a in els}
     pref = inv_anchor * inv_anchor
+    pref_gs = {a: pref * shifted_pair_sum(q, a) for a in els}
+    zero = Cyclotomic.zero()
+
+    def dot(g, h):
+        return dots[g][pos[h]]
+
+    @lru_cache(maxsize=None)
+    def one_one(d):
+        return root_of_unity(den, -2 * d) * Fraction(1, 2 * n)
+
+    @lru_cache(maxsize=None)
+    def one_root(d, sgn):
+        return root_of_unity(den, -d) * inv_rt_n * Fraction(sgn, 2)
+
+    @lru_cache(maxsize=None)
+    def one_two(d):
+        return root_of_unity(den, -d) * Fraction(1, n)
+
+    @lru_cache(maxsize=None)
+    def two_two(d1, d2, d3, d4):
+        tot = root_of_unity(den, d1) * root_of_unity(den, d2)
+        tot = tot + root_of_unity(den, d3) * root_of_unity(den, d4)
+        return tot.conj() * Fraction(1, n)
+
+    @lru_cache(maxsize=None)
+    def root_pair(g, h):
+        return pref_gs[G.add(g, h)] * inv_root[g] * inv_root[h]
+
+    @lru_cache(maxsize=None)
+    def root_root(g, h, sgn):
+        return root_pair(g, h) * Fraction(sgn, 2 * n)
 
     def s_entry(la, lb):
-        ka, kb = la[0], lb[0]
-        if ka > kb:
-            la, lb = lb, la
-            ka, kb = kb, ka
-        if (ka, kb) == ("one", "one"):
-            return root_of_unity(P.den, -2 * P.dot(la[1], lb[1])) * Fraction(1, 2 * n)
-        if (ka, kb) == ("one", "root"):
-            sgn = 1 if la[2] == 0 else -1
-            return P.eval(la[1], lb[1]).conj() * inv_rt_n * Fraction(sgn, 2)
-        if (ka, kb) == ("one", "two"):
-            return P.eval(la[1], G.add(lb[1], lb[2])).conj() * Fraction(1, n)
-        if (ka, kb) == ("root", "two"):
-            return Cyclotomic.zero()
-        if (ka, kb) == ("two", "two"):
-            g, h = la[1], la[2]
-            gp, hp = lb[1], lb[2]
-            tot = P.eval(g, hp) * P.eval(h, gp) + P.eval(g, gp) * P.eval(h, hp)
-            return tot.conj() * Fraction(1, n)
-        g, h = la[1], lb[1]
-        sgn = (-1) ** (la[2] + lb[2])
-        val = pref * gs[G.add(g, h)] * sqrt_q[g].inverse() * sqrt_q[h].inverse()
-        return val * Fraction(sgn, 2 * n)
+        """S at (la, lb), la not after lb in ``labels``, so kinds come in order."""
+        kinds, g, h = (la[0], lb[0]), la[1], lb[1]
+        if kinds == ("one", "one"):
+            return one_one(dot(g, h))
+        if kinds == ("one", "root"):
+            return one_root(dot(g, h), 1 - 2 * la[2])
+        if kinds == ("one", "two"):
+            return one_two((dot(g, h) + dot(g, lb[2])) % den)
+        if kinds == ("root", "two"):
+            return zero
+        if kinds == ("two", "two"):
+            h, gp, hp = la[2], lb[1], lb[2]
+            return two_two(dot(g, hp), dot(h, gp), dot(g, gp), dot(h, hp))
+        return root_root(g, h, 1 - 2 * ((la[2] + lb[2]) & 1))
 
-    S = [[s_entry(la, lb) for lb in labels] for la in labels]
+    m = len(labels)
+    S = [[None] * m for _ in range(m)]
+    for i, la in enumerate(labels):
+        row = S[i]
+        for j in range(i, m):
+            row[j] = S[j][i] = s_entry(la, labels[j])
     T = []
     for la in labels:
         if la[0] == "one":
-            T.append(P.eval(la[1], la[1]))
+            T.append(root_of_unity(den, dot(la[1], la[1])))
         elif la[0] == "two":
-            T.append(P.eval(la[1], la[2]))
+            T.append(root_of_unity(den, dot(la[1], la[2])))
         else:
-            sgn = 1 if la[2] == 0 else -1
-            T.append(inv_anchor * sqrt_q[la[1]].inverse() * Fraction(sgn))
+            T.append(inv_anchor * inv_root[la[1]] * Fraction(1 - 2 * la[2]))
     return ModularData(labels, unit, S, T)
 
 

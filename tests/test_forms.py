@@ -334,6 +334,8 @@ class TestGaussSum:
         flat = QuadraticForm(G, {(0,): 0, (1,): 0})
         with pytest.raises(ValueError):
             gauss_sum(flat)
+        with pytest.raises(ValueError):
+            flat.signature()
 
     @pytest.mark.parametrize(
         "desc",
@@ -345,6 +347,7 @@ class TestGaussSum:
         approx = sum(cphase(q.phase(g)) for g in q.group.elements())
         assert close(total.approx(), approx)
         assert close(normalized.approx(), cmath.exp(2j * cmath.pi * sigma / 8))
+        assert q.signature() == q.signature() == sigma
 
 
 DESCRIPTORS = [

@@ -350,6 +350,25 @@ class TestKernel:
         expected = all(SZ[i][j] == ZS[i][j] for i in range(n) for j in range(n))
         assert s_commutes(md, Z) == expected
 
+    def test_s_commutes_shares_packing_across_matrices(self):
+        """One datum checks matrices of several digit widths in turn; each
+        verdict matches the entrywise product, whatever was cached before."""
+        md = weil(std_form((6,)))
+        n = md.dim
+        invariants = [z.matrix for z in brute_force_invariants(md)]
+        bumped = [list(row) for row in invariants[0]]
+        bumped[0][1] += 1
+        matrices = []
+        for scale in (1, 3, 2**20, 2**70, 1):
+            matrices += [[[scale * x for x in row] for row in Z] for Z in (*invariants, bumped)]
+        for Z in matrices:
+            Zc = [[rat(x) for x in row] for row in Z]
+            SZ, ZS = naive_mat_mul(md.S, Zc), naive_mat_mul(Zc, md.S)
+            expected = all(SZ[i][j] == ZS[i][j] for i in range(n) for j in range(n))
+            assert s_commutes(md, Z) == expected
+        widths = {key for key in md._int_S if isinstance(key, tuple)}
+        assert len(widths) >= 3
+
 
 def _double(descriptor, sign=1):
     q = indecomposable_form(descriptor)[0]

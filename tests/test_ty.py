@@ -14,8 +14,8 @@ from modinv.forms import (
     indecomposable_form,
     standard_pairing,
 )
-from modinv.modular import check_invariant, simple_currents, validate_modular
-from modinv.pointed import weil
+from modinv.modular import ModularData, check_invariant, simple_currents, validate_modular
+from modinv.pointed import PointedData, weil
 from modinv.scalars import Cyclotomic, rational_phase, root_of_unity, sqrt_nonneg_int
 from modinv.simple_current import make_epsilon, sc_matrix
 from modinv.ty import (
@@ -64,6 +64,22 @@ def test_datum_rejects_bad_input():
         TYData(G, degenerate, 1)
     with pytest.raises(ValueError):
         TYData(G, pair, 2)
+
+
+@pytest.mark.parametrize("sign", [1.5, "1", None, 0, -2])
+def test_datum_rejects_non_sign(sign):
+    G = FinAbGroup((3,))
+    with pytest.raises(ValueError):
+        TYData(G, standard_pairing(G), sign)
+
+
+def test_datum_stores_integral_sign_as_int():
+    G = FinAbGroup((3,))
+    data = TYData(G, standard_pairing(G), -1.0)
+    assert data.sign == -1 and type(data.sign) is int
+    as_float = ty_equiv(data)
+    exact = ty_equiv(TYData(G, standard_pairing(G), -1))
+    assert as_float.S == exact.S and as_float.T == exact.T
 
 
 # -- fusion ring ---------------------------------------------------------------
@@ -298,6 +314,57 @@ def test_sqrt_convention_faithful_rejects_even():
         SqrtConvention.fusion_faithful(q, 1)
 
 
+@pytest.mark.parametrize("sign", [5, 0, 1.5, "1"])
+def test_sqrt_convention_rejects_non_sign(sign):
+    q, _ = datum("3^1_+")
+    conv = SqrtConvention.canonical(q, 1)
+    with pytest.raises(ValueError):
+        SqrtConvention.canonical(q, sign)
+    with pytest.raises(ValueError):
+        SqrtConvention.fusion_faithful(q, sign)
+    with pytest.raises(ValueError):
+        SqrtConvention(q, sign, conv.root, conv.inv_anchor)
+
+
+@pytest.mark.parametrize("g", [(3,), (-1,), (0, 0), (), [1], "1"])
+def test_sqrt_convention_flip_rejects_non_elements(g):
+    q, _ = datum("3^1_+")
+    with pytest.raises(ValueError):
+        SqrtConvention.canonical(q, 1).flip(g)
+
+
+def test_sqrt_convention_checks_the_anchor_it_computes():
+    q, _ = datum("5^1_-")
+    conv = SqrtConvention.canonical(q, -1)
+    flipped = conv.flip((2,)).anchor_flipped()
+    # inv_anchor^2 inverts sign * x^3, x the 24th-root normalization
+    unit = PointedData(q).x ** 3 * Fraction(-1)
+    assert (flipped.inv_anchor * flipped.inv_anchor * unit).is_one()
+    for k in range(1, 8):
+        wrong = conv.inv_anchor * root_of_unity(8, k)
+        if k == 4:
+            SqrtConvention(q, -1, conv.root, wrong)
+            continue
+        with pytest.raises(ValueError):
+            SqrtConvention(q, -1, conv.root, wrong)
+        with pytest.raises(ValueError):
+            SqrtConvention(q, 1, conv.root, wrong * root_of_unity(8, 2))
+
+
+def test_sqrt_convention_takes_one_gauss_sum_per_form(monkeypatch):
+    import modinv.forms as forms
+
+    calls = []
+    real = forms.gauss_sum
+    monkeypatch.setattr(forms, "gauss_sum", lambda q: calls.append(q) or real(q))
+    q, _ = indecomposable_form("5^1_-")
+    conv = SqrtConvention.canonical(q, -1)
+    conv.flip((2,)).anchor_flipped()
+    SqrtConvention.fusion_faithful(q, 1)
+    ty_double(TYData(q.group, q.polarization(), -1), q)
+    assert calls == [q]
+
+
 def test_flip_is_a_label_swap():
     q, data = datum("3^1_+")
     md1 = ty_double(data, q)
@@ -397,6 +464,114 @@ def test_double_wrong_form_rejected():
         ty_double(data3, q5)
     with pytest.raises(ValueError):
         ty_double(data3, q3, SqrtConvention.canonical(q3, -1))
+
+
+def reference_ty_double(data, q, conv):
+    """Entry-by-entry construction of the double's S and T, one product chain
+    per matrix entry, as the center construction states them."""
+    G = data.G
+    n = G.order
+    P = q.polarization()
+    els = G.elements()
+    inv_anchor = conv.inv_anchor
+    sqrt_q = conv.root
+    labels = [("one", g, i) for g in els for i in (0, 1)]
+    labels += [("root", g, i) for g in els for i in (0, 1)]
+    labels += [("two", g, h) for gi, g in enumerate(els) for h in els[gi + 1:]]
+    unit = labels.index(("one", G.zero(), 0))
+    inv_rt_n = sqrt_nonneg_int(n).inverse()
+    gs = {a: shifted_pair_sum(q, a) for a in els}
+    pref = inv_anchor * inv_anchor
+
+    def s_entry(la, lb):
+        ka, kb = la[0], lb[0]
+        if ka > kb:
+            la, lb = lb, la
+            ka, kb = kb, ka
+        if (ka, kb) == ("one", "one"):
+            return root_of_unity(P.den, -2 * P.dot(la[1], lb[1])) * Fraction(1, 2 * n)
+        if (ka, kb) == ("one", "root"):
+            sgn = 1 if la[2] == 0 else -1
+            return P.eval(la[1], lb[1]).conj() * inv_rt_n * Fraction(sgn, 2)
+        if (ka, kb) == ("one", "two"):
+            return P.eval(la[1], G.add(lb[1], lb[2])).conj() * Fraction(1, n)
+        if (ka, kb) == ("root", "two"):
+            return Cyclotomic.zero()
+        if (ka, kb) == ("two", "two"):
+            g, h = la[1], la[2]
+            gp, hp = lb[1], lb[2]
+            tot = P.eval(g, hp) * P.eval(h, gp) + P.eval(g, gp) * P.eval(h, hp)
+            return tot.conj() * Fraction(1, n)
+        g, h = la[1], lb[1]
+        sgn = (-1) ** (la[2] + lb[2])
+        val = pref * gs[G.add(g, h)] * sqrt_q[g].inverse() * sqrt_q[h].inverse()
+        return val * Fraction(sgn, 2 * n)
+
+    S = [[s_entry(la, lb) for lb in labels] for la in labels]
+    T = []
+    for la in labels:
+        if la[0] == "one":
+            T.append(P.eval(la[1], la[1]))
+        elif la[0] == "two":
+            T.append(P.eval(la[1], la[2]))
+        else:
+            sgn = 1 if la[2] == 0 else -1
+            T.append(inv_anchor * sqrt_q[la[1]].inverse() * Fraction(sgn))
+    return ModularData(labels, unit, S, T)
+
+
+def stored(x):
+    """A Cyclotomic exactly as stored: its order and its unreduced terms."""
+    return x.order, sorted(x.terms())
+
+
+def conventions(q, sign):
+    base = SqrtConvention.canonical(q, sign)
+    out = {"canonical": base, "anchor_flipped": base.anchor_flipped()}
+    out["flip"] = base.flip(q.group.elements()[-1])
+    if q.group.order % 2:
+        out["fusion_faithful"] = SqrtConvention.fusion_faithful(q, sign)
+    return out
+
+
+ENTRY_DOUBLES = [
+    (d, s) for d in ("2^1_1", "3^1_+", "3^1_-", "2^2_1", "5^1_+", "5^1_-") for s in (1, -1)
+]
+
+
+@pytest.mark.parametrize("descriptor,sign", ENTRY_DOUBLES)
+def test_double_entries_match_reference(descriptor, sign):
+    q, data = datum(descriptor, sign)
+    for name, conv in conventions(q, sign).items():
+        md, ref = ty_double(data, q, conv), reference_ty_double(data, q, conv)
+        assert (md.labels, md.unit) == (ref.labels, ref.unit)
+        assert [stored(t) for t in md.T] == [stored(t) for t in ref.T], name
+        for row, ref_row in zip(md.S, ref.S):
+            assert [stored(x) for x in row] == [stored(x) for x in ref_row], name
+
+
+def test_double_shares_transposed_entries():
+    q, data = datum("2^2_1")
+    md = ty_double(data, q)
+    n = md.dim
+    assert all(md.S[i][j] is md.S[j][i] for i in range(n) for j in range(i, n))
+
+
+@pytest.mark.parametrize("descriptor,sign", [("2^1_1", 1), ("3^1_+", -1), ("2^2_1", 1), ("5^1_+", 1)])
+def test_double_inverse_count(descriptor, sign, monkeypatch):
+    """One inverse per root of q and one of sqrt(n); the default convention
+    adds one more (the Gauss-sum normalization, once per form)."""
+    q, data = datum(descriptor, sign)
+    calls = []
+    inverse = Cyclotomic.inverse
+
+    def counted(x):
+        calls.append(x)
+        return inverse(x)
+
+    monkeypatch.setattr(Cyclotomic, "inverse", counted)
+    ty_double(data, q)
+    assert len(calls) <= q.group.order + 3
 
 
 def test_double_pair_root_entries_vanish():
