@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .abelian import (
     HOM_GUARD,
@@ -34,11 +34,13 @@ from .abelian import (
 )
 from .scalars import (
     Cyclotomic,
+    _Packing,
+    _rational_bound,
     factorize,
     json_list,
     json_rational,
     root_of_unity,
-    sqrt_nonneg_int,
+    sqrt_terms,
 )
 
 PAIRING_GUARD = 10**6
@@ -405,16 +407,44 @@ def forms_for_pairing(gamma: Pairing) -> list[QuadraticForm]:
 
 
 def gauss_sum(q: QuadraticForm):
-    """(sum, normalized, signature mod 8) of sum_g q(g)."""
-    G = q.group
-    total = Cyclotomic(q.den, Counter(q.num.values()))
-    norm = (total * total.conj()).as_rational()
-    if norm != G.order:
+    """(sum, normalized, signature mod 8) of sum_g q(g).
+
+    Decided in the packed integer kernel (``scalars._Packing``), with no
+    ``Cyclotomic`` product and no division.  Let h be the histogram of
+    ``q.num`` (h_k = #{g : num[g] = k}), so the sum is h(zeta_N) with N =
+    ``q.den``, and n = |G|.
+
+    * Nondegeneracy: |sum|^2 = n, i.e. h(x) h(x^-1) = n modulo Phi_N, is one
+      packed product h h-bar F at N decided by ``_Packing.rational``; the
+      l1 norm of h h-bar is at most n^2.
+    * Signature: s = ``sqrt_terms(n)`` is an integer polynomial with
+      s^2 = n, and M = lcm(8, N, order of s).  Since s^2 = n, sum = zeta_8^j s
+      exactly when sum s = n zeta_8^j.  So the packed product h s F at M is
+      looked up among the eight rotations of n F by j M / 8 digits: a rotation
+      by k digits multiplies by x^k = zeta_M^k.  Both sides have l1 norm at
+      most n ||s||_1, under which ``_rational_bound`` makes two packed values
+      equal exactly when the values are equal modulo Phi_M.
+
+    ``normalized`` is then zeta_8^sigma.
+    """
+    n, N = q.group.order, q.den
+    h = Counter(q.num.values())
+    pk = _Packing(N, _rational_bound(N, n * n))
+    conj = {-k % N: c for k, c in h.items()}
+    if pk.rational(pk.product(pk.pack(h), pk.pack(conj), pk.PF)) != n:
         raise ValueError("Gauss sum magnitude is not sqrt(|G|); form is degenerate")
-    normalized = total / sqrt_nonneg_int(G.order)
+    s_order, s = sqrt_terms(n)
+    M = lcm(8, N, s_order)
+    pk = _Packing(M, _rational_bound(M, n * sum(map(abs, s.values()))))
+    u = pk.product(
+        pk.pack({k * (M // N): c for k, c in h.items()}),
+        pk.pack({k * (M // s_order): c for k, c in s.items()}),
+        pk.PF,
+    )
+    v = pk.product(n, pk.PF)
     for sigma in range(8):
-        if normalized == root_of_unity(8, sigma):
-            return total, normalized, sigma
+        if u == pk.rotate(v, sigma * M // 8):
+            return Cyclotomic(N, h), root_of_unity(8, sigma), sigma
     raise ValueError("normalized Gauss sum is not an 8th root of unity")
 
 

@@ -3,7 +3,9 @@
 All arithmetic is exact over cyclotomic numbers.  Matrix work (``mat_mul``,
 ``verlinde``, ``validate_modular``, the charge conjugation, the
 S-commutation check and the simple-current tables) goes through one integer
-kernel instead of per-entry ``Cyclotomic`` arithmetic:
+kernel instead of per-entry ``Cyclotomic`` arithmetic.  The kernel itself,
+``_Packing`` and ``_rational_bound``, lives in ``scalars`` (``forms.gauss_sum``
+uses it too); this module writes its matrices into it:
 
 * The matrices of one computation are written over one conductor N (the lcm
   of their entry orders), each over one common denominator, so every entry
@@ -59,6 +61,8 @@ from typing import NamedTuple
 from .abelian import FinAbGroup, GuardError, abelian_structure
 from .scalars import (
     Cyclotomic,
+    _Packing,
+    _rational_bound,
     as_integer,
     cyclotomic_cofactor,
     cyclotomic_polynomial,
@@ -95,80 +99,6 @@ def _integral(M, N: int):
 def _norm(rows) -> int:
     """Largest l1 norm of an integer polynomial entry."""
     return max((sum(map(abs, p.values())) for row in rows for p in row), default=0)
-
-
-class _Packing:
-    """Z[x]/(x^N - 1) inside the integers mod 2^(B N) - 1, with x = 2^B.
-
-    Any result whose coefficients are at most ``bound`` in absolute value
-    unpacks exactly.  ``PF`` is the packed cofactor F = (x^N - 1) / Phi_N.
-    """
-
-    __slots__ = ("N", "width", "shift", "M", "half", "bias", "PF", "f0")
-
-    def __init__(self, N: int, bound: int):
-        # |c| <= bound < 2^(B-2) keeps every biased digit c + 2^(B-1) inside
-        # [1, 2^B - 2]: no borrow crosses digits, and the all-ones string
-        # (which is M, i.e. 0) cannot occur.
-        self.N = N
-        self.width = (bound.bit_length() + 2 + 7) // 8  # bytes per digit
-        self.shift = 8 * self.width
-        self.M = (1 << (self.shift * N)) - 1
-        self.half = 1 << (self.shift - 1)
-        self.bias = self.half * (self.M // ((1 << self.shift) - 1))
-        F = cyclotomic_cofactor(N)
-        self.PF = self.pack(dict(enumerate(F)))
-        self.f0 = F[0]  # 1 for N = 1, else -1
-
-    def pack(self, p: dict) -> int:
-        return sum(c << (self.shift * k) for k, c in p.items()) % self.M
-
-    def reduced(self, v: int) -> list[int]:
-        """Coefficients of the packed value v, reduced modulo Phi_N (length N)."""
-        N, w, half = self.N, self.width, self.half
-        v %= self.M
-        if not v:
-            return [0] * N
-        raw = ((v + self.bias) % self.M).to_bytes(w * N, "little")
-        coeffs = [
-            int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * N, w)
-        ]
-        return reduce_mod_phi(coeffs, N)
-
-    def rational(self, u: int) -> int | None:
-        """The integer r with v = r modulo Phi_N if u packs v F, else None.
-
-        v = r (mod Phi_N) exactly when v F = r F (mod x^N - 1), and then the
-        lowest digit of u is r F(0), i.e. r for N = 1 and -r otherwise.  The
-        comparison of u with r F is exact when the coefficients of v F and
-        v F - r F are within ``bound``.
-        """
-        M, half = self.M, self.half
-        u %= M
-        if u > M >> 1:  # the packed polynomial is negative as an integer
-            u -= M
-        r = self.f0 * (((u + half) & (2 * half - 1)) - half)
-        return None if (u - r * self.PF) % M else r
-
-    def rotations(self, u: int) -> dict:
-        """{x^k u: k for k < N}: u times every power of zeta_N."""
-        out = {}
-        for k in range(self.N):
-            out[u] = k
-            u = (u << self.shift) % self.M
-        return out
-
-
-def _rational_bound(N: int, norm: int) -> int:
-    """A ``_Packing`` bound under which ``rational`` is exact on u = v F for
-    every sum v of l1 norm at most ``norm``.
-
-    The coefficients of v F are at most norm ||F||_1; so is |r|, a digit of
-    u; hence v F - r F stays within norm ||F||_1 (1 + ||F||_inf).  The bound
-    is at least twice norm ||F||_1, so two such u compare exactly too.
-    """
-    F = cyclotomic_cofactor(N)
-    return norm * sum(map(abs, F)) * (1 + max(map(abs, F)))
 
 
 def _reduced(p: dict, N: int) -> list[int]:

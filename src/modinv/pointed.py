@@ -54,7 +54,7 @@ def weil(q: QuadraticForm, x: Cyclotomic | None = None) -> ModularData:
     labels = sorted(G.elements())
     unit = labels.index(G.zero())
     P = q.polarization()
-    root = sqrt_nonneg_int(G.order).inverse()
+    root = sqrt_nonneg_int(G.order) / G.order
     # one product per phase: S_gh = zeta_den^k / sqrt|G| with k = P.dot(g, h)
     entry = {k: root_of_unity(P.den, k) * root for k in range(P.den)}
     S = [[entry[P.dot(g, h)] for h in labels] for g in labels]

@@ -12,15 +12,19 @@ the one error a size guard raises before it starts work, ``factorize``, the
 one trial-division factorization, ``as_integer``, the one check that an
 input number is integral, and ``json_integer``, ``json_rational`` and
 ``json_list``, the one reader of integers, exact rationals and lists in JSON
-input.
+input.  It ends with the packed integer kernel, ``_Packing`` and
+``_rational_bound``: integer polynomials in zeta_N as big integers by
+Kronecker substitution (see ``modular``, which builds its matrix work on it,
+and ``forms.gauss_sum``).
 """
 
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 ORDER_GUARD = 10**6
 
@@ -93,14 +97,36 @@ def _check_order(n: int) -> None:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients (low degree first) of the n-th cyclotomic polynomial."""
+    """Coefficients (low degree first) of the n-th cyclotomic polynomial.
+
+    Built by substitution from the squarefree part: Phi_n(x) = Phi_r(x^(n/r))
+    with r = rad n; Phi_2m(x) = Phi_m(-x) for odd m > 1; and for an odd
+    squarefree n = p m with p its largest prime, Phi_n(x) = Phi_m(x^p) / Phi_m(x),
+    one exact division, with Phi_p = 1 + x + ... + x^(p-1).
+    """
     _check_order(n)
-    # x^n - 1 divided by the product of Phi_d over proper divisors d | n.
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _exact_div(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
+    if n == 1:
+        return (-1, 1)
+    if n == 2:
+        return (1, 1)
+    primes = list(factorize(n))
+    r = prod(primes)
+    if r < n:
+        step = n // r
+        poly = [0] * ((len(cyclotomic_polynomial(r)) - 1) * step + 1)
+        for j, c in enumerate(cyclotomic_polynomial(r)):
+            poly[j * step] = c
+        return tuple(poly)
+    if n % 2 == 0:
+        return tuple(-c if j % 2 else c for j, c in enumerate(cyclotomic_polynomial(n // 2)))
+    p = primes[-1]
+    if n == p:
+        return (1,) * p
+    base = cyclotomic_polynomial(n // p)
+    lifted = [0] * ((len(base) - 1) * p + 1)
+    for j, c in enumerate(base):
+        lifted[j * p] = c
+    return tuple(_exact_div(lifted, list(base)))
 
 
 @lru_cache(maxsize=None)
@@ -465,29 +491,139 @@ def sqrt_nonneg_int(n: int) -> Cyclotomic:
         raise ValueError("negative input")
     if n == 0:
         return Cyclotomic.zero()
+    return Cyclotomic(*sqrt_terms(n))
+
+
+def sqrt_terms(n: int) -> tuple[int, dict[int, int]]:
+    """(order, integer terms) of the positive square root of n >= 1.
+
+    With n = m^2 f, f squarefree, sqrt(n) is m, times zeta_8 + zeta_8^-1
+    (sqrt 2) if f is even, times the quadratic Gauss sum of the odd part of f
+    (times -i if that part is 3 mod 4).  Every factor has integer terms, so
+    the product is formed on integers.
+    """
     m = f = 1
     for p, e in factorize(n).items():
         m *= p ** (e // 2)
         f *= p ** (e % 2)
-    out = Cyclotomic.from_rational(m)
+    order, terms = 1, {0: m}
     if f % 2 == 0:
-        out = out * _sqrt2()
+        order, terms = 8, {1: m, 7: m}
         f //= 2
     if f > 1:
-        out = out * _sqrt_odd_squarefree(f)
-    return out
+        g_order, g = _sqrt_odd_squarefree(f)
+        n_out = lcm(order, g_order)
+        a, b = n_out // order, n_out // g_order
+        out: dict[int, int] = {}
+        for k1, c1 in terms.items():
+            for k2, c2 in g.items():
+                k = (k1 * a + k2 * b) % n_out
+                out[k] = out.get(k, 0) + c1 * c2
+        order, terms = n_out, {k: c for k, c in out.items() if c}
+    return order, terms
 
 
-def _sqrt2() -> Cyclotomic:
-    return root_of_unity(8, 1) + root_of_unity(8, -1)
-
-
-def _sqrt_odd_squarefree(f: int) -> Cyclotomic:
+def _sqrt_odd_squarefree(f: int) -> tuple[int, dict[int, int]]:
     # Quadratic Gauss sum: Sum_k zeta_f^(k^2) equals sqrt(f) for f = 1 mod 4
-    # and i*sqrt(f) for f = 3 mod 4.
-    g = Cyclotomic(f, {})
-    for k in range(f):
-        g = g + root_of_unity(f, k * k)
+    # and i*sqrt(f) for f = 3 mod 4, where sqrt(f) = -i times it, in Q(zeta_4f).
+    g = Counter(k * k % f for k in range(f))
     if f % 4 == 1:
-        return g
-    return root_of_unity(4, -1) * g
+        return f, dict(g)
+    return 4 * f, {(3 * f + 4 * k) % (4 * f): c for k, c in g.items()}
+
+
+# -- packed integer kernel ----------------------------------------------------
+
+
+class _Packing:
+    """Z[x]/(x^N - 1) inside the integers mod 2^(B N) - 1, with x = 2^B.
+
+    Any result whose coefficients are at most ``bound`` in absolute value
+    unpacks exactly.  ``PF`` is the packed cofactor F = (x^N - 1) / Phi_N.
+    """
+
+    __slots__ = ("N", "width", "shift", "M", "half", "bias", "PF", "f0")
+
+    def __init__(self, N: int, bound: int):
+        # |c| <= bound < 2^(B-2) keeps every biased digit c + 2^(B-1) inside
+        # [1, 2^B - 2]: no borrow crosses digits, and the all-ones string
+        # (which is M, i.e. 0) cannot occur.
+        self.N = N
+        self.width = (bound.bit_length() + 2 + 7) // 8  # bytes per digit
+        self.shift = 8 * self.width
+        self.M = (1 << (self.shift * N)) - 1
+        self.half = 1 << (self.shift - 1)
+        self.bias = self.half * (self.M // ((1 << self.shift) - 1))
+        F = cyclotomic_cofactor(N)
+        self.PF = self.pack(dict(enumerate(F)))
+        self.f0 = F[0]  # 1 for N = 1, else -1
+
+    def pack(self, p: dict) -> int:
+        return sum(c << (self.shift * k) for k, c in p.items()) % self.M
+
+    def product(self, *factors: int) -> int:
+        """The product of packed values, in [0, M).
+
+        M = 2^(B N) - 1, so a high block is congruent to itself moved down
+        B N bits; folding the blocks after each product reduces without
+        long division.
+        """
+        M, bits = self.M, self.shift * self.N
+        out = 1
+        for f in factors:
+            out *= f
+            while out >> bits:
+                out = (out & M) + (out >> bits)
+        return 0 if out == M else out
+
+    def rotate(self, u: int, k: int) -> int:
+        """x^k u for u in [0, M) and 0 <= k < N: the digits of u moved up k places."""
+        bits, up = self.shift * self.N, self.shift * k
+        return ((u << up) & self.M) | (u >> (bits - up))
+
+    def reduced(self, v: int) -> list[int]:
+        """Coefficients of the packed value v, reduced modulo Phi_N (length N)."""
+        N, w, half = self.N, self.width, self.half
+        v %= self.M
+        if not v:
+            return [0] * N
+        raw = ((v + self.bias) % self.M).to_bytes(w * N, "little")
+        coeffs = [
+            int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * N, w)
+        ]
+        return reduce_mod_phi(coeffs, N)
+
+    def rational(self, u: int) -> int | None:
+        """The integer r with v = r modulo Phi_N if u packs v F, else None.
+
+        v = r (mod Phi_N) exactly when v F = r F (mod x^N - 1), and then the
+        lowest digit of u is r F(0), i.e. r for N = 1 and -r otherwise.  The
+        comparison of u with r F is exact when the coefficients of v F and
+        v F - r F are within ``bound``.
+        """
+        M, half = self.M, self.half
+        u %= M
+        if u > M >> 1:  # the packed polynomial is negative as an integer
+            u -= M
+        r = self.f0 * (((u + half) & (2 * half - 1)) - half)
+        return None if (u - r * self.PF) % M else r
+
+    def rotations(self, u: int) -> dict:
+        """{x^k u: k for k < N}: u times every power of zeta_N."""
+        out = {}
+        for k in range(self.N):
+            out[u] = k
+            u = (u << self.shift) % self.M
+        return out
+
+
+def _rational_bound(N: int, norm: int) -> int:
+    """A ``_Packing`` bound under which ``rational`` is exact on u = v F for
+    every sum v of l1 norm at most ``norm``.
+
+    The coefficients of v F are at most norm ||F||_1; so is |r|, a digit of
+    u; hence v F - r F stays within norm ||F||_1 (1 + ||F||_inf).  The bound
+    is at least twice norm ||F||_1, so two such u compare exactly too.
+    """
+    F = cyclotomic_cofactor(N)
+    return norm * sum(map(abs, F)) * (1 + max(map(abs, F)))

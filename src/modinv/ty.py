@@ -172,7 +172,7 @@ def ty_associator(data: TYData) -> dict:
     G = data.G
     fus = ty_fusion(G)
     pair = data.pairing
-    inv_rt = sqrt_nonneg_int(G.order).inverse()
+    inv_rt = sqrt_nonneg_int(G.order) / G.order
     table: dict = {}
     for X in fus.labels:
         for Y in fus.labels:
@@ -426,7 +426,7 @@ def ty_double(data: TYData, q: QuadraticForm, conv: SqrtConvention | None = None
     labels += [("two", g, h) for gi, g in enumerate(els) for h in els[gi + 1:]]
     unit = labels.index(("one", G.zero(), 0))
 
-    inv_rt_n = sqrt_nonneg_int(n).inverse()
+    inv_rt_n = sqrt_nonneg_int(n) / n
     pref = inv_anchor * inv_anchor
     pref_gs = {a: pref * shifted_pair_sum(q, a) for a in els}
     zero = Cyclotomic.zero()
@@ -549,7 +549,7 @@ def ty_equiv(data: TYData):
     q = forms_for_pairing(data.pairing)[0]
     P = q.polarization()
     fixed, reps = _plus_minus_classes(G)
-    lam = sqrt_nonneg_int(4 * n).inverse()
+    lam = sqrt_nonneg_int(4 * n) / (4 * n)
 
     if n % 2 == 0:
         ones = [("one", h, t) for h in fixed for t in (1, -1)]

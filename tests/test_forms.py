@@ -1,7 +1,9 @@
 """Pairings, quadratic forms, Gauss sums, indecomposable types."""
 
 import cmath
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,13 @@ from modinv.forms import (
     pairing_image_data,
     standard_pairing,
     zero_pairing,
+)
+from modinv.scalars import (
+    Cyclotomic,
+    factorize,
+    phase_fraction,
+    root_of_unity,
+    sqrt_nonneg_int,
 )
 
 F = Fraction
@@ -377,6 +386,31 @@ DESCRIPTORS = [
 ]
 
 
+def descriptors_up_to(limit):
+    """Every indecomposable descriptor of order at most ``limit``."""
+    out = []
+    for p in range(2, limit + 1):
+        if factorize(p) != {p: 1}:
+            continue
+        k = 1
+        while p**k <= limit:
+            if p == 2:
+                out += [f"2^{k}_{m}" for m in (1, -1, 3, -3)]
+                if 4**k <= limit:
+                    out += [f"2^{k}2^{k}_i", f"2^{k}2^{k}_ii"]
+            else:
+                out += [f"{p}^{k}_+", f"{p}^{k}_-"]
+            k += 1
+    return out
+
+
+# orders where the Fraction Gauss sum took seconds or did not finish
+LARGE_PRIMES = ["211^1_+", "211^1_-", "307^1_+", "307^1_-", "1009^1_+"]
+GAUSS_DESCRIPTORS = (
+    DESCRIPTORS + [d for d in descriptors_up_to(300) if d not in DESCRIPTORS] + LARGE_PRIMES
+)
+
+
 class TestIndecomposable:
     def test_two_one_one(self):
         q, x3 = indecomposable_form("2^1_1")
@@ -440,7 +474,7 @@ class TestIndecomposable:
             return
         assert isinstance(q, QuadraticForm) and (x3**24).is_one()
 
-    @pytest.mark.parametrize("desc", DESCRIPTORS)
+    @pytest.mark.parametrize("desc", GAUSS_DESCRIPTORS)
     def test_gauss_consistency(self, desc):
         # normalized Gauss sum is the inverse of x cubed
         q, x3 = indecomposable_form(desc)
@@ -671,22 +705,28 @@ SMALL_GROUPS = [
 
 
 @st.composite
-def form_tables(draw):
-    """(G, table) with |G| <= 16: a quadratic function, then a few edits.
-
-    The function is sum_i c_i g_i^2 / 2n_i + sum_{i<j} c_ij g_i g_j / n_j with
-    c_i n_i even; each edit shifts the value at g and -g together, at g
-    alone, or at every h with h[1:] = +-g[1:], or drops g.
-    """
+def quadratic_functions(draw):
+    """(G, table) with |G| <= 16 and table a quadratic function, possibly degenerate:
+    sum_i c_i g_i^2 / 2n_i + sum_{i<j} c_ij g_i g_j / n_j with c_i n_i even."""
     G = FinAbGroup(draw(st.sampled_from(SMALL_GROUPS)))
     n, t = G.factors, G.rank
     diag = [draw(st.integers(0, 2 * m - 1)) * (1 + m % 2) for m in n]
     cross = {(i, j): draw(st.integers(0, n[j] - 1)) for i in range(t) for j in range(i + 1, t)}
-    table = {
+    return G, {
         g: sum(F(c * x * x, 2 * m) for c, x, m in zip(diag, g, n))
         + sum(F(c * g[i] * g[j], n[j]) for (i, j), c in cross.items())
         for g in G.elements()
     }
+
+
+@st.composite
+def form_tables(draw):
+    """(G, table): a quadratic function, then a few edits.
+
+    Each edit shifts the value at g and -g together, at g alone, or at every
+    h with h[1:] = +-g[1:], or drops g.
+    """
+    G, table = draw(quadratic_functions())
     elems = G.elements()
     for _ in range(draw(st.integers(0, 3))):
         g = draw(st.sampled_from(elems))
@@ -781,3 +821,96 @@ class TestProperties:
         for g in G.elements():
             for k in range(2 * G.exponent):
                 assert q.phase(G.scale(k, g)) == mod1(k * k * q.phase(g))
+
+
+# -- the packed Gauss sum against the Fraction construction ---------------------
+
+
+def reference_gauss_sum(q):
+    """The Fraction construction: |sum|^2 as a Cyclotomic product, then a
+    division by sqrt|G| and a comparison with each 8th root of unity."""
+    G = q.group
+    total = Cyclotomic(q.den, Counter(q.num.values()))
+    norm = (total * total.conj()).as_rational()
+    if norm != G.order:
+        raise ValueError("Gauss sum magnitude is not sqrt(|G|); form is degenerate")
+    normalized = total / sqrt_nonneg_int(G.order)
+    for sigma in range(8):
+        if normalized == root_of_unity(8, sigma):
+            return total, normalized, sigma
+    raise ValueError("normalized Gauss sum is not an 8th root of unity")
+
+
+def gauss_outcome(fn, q):
+    """The triple as (stored total, phase of normalized, sigma), or the error."""
+    try:
+        total, normalized, sigma = fn(q)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return (total.order, sorted(total.terms())), phase_fraction(normalized), sigma
+
+
+def assert_matches_reference(q):
+    outcome = gauss_outcome(gauss_sum, q)
+    assert outcome == gauss_outcome(reference_gauss_sum, q)
+    return outcome
+
+
+def cyclic_forms(n):
+    """Every quadratic form on Z_n: q(x) = a x^2 / den for each a mod den."""
+    G = FinAbGroup((n,))
+    den = n if n % 2 else 2 * n
+    return [
+        QuadraticForm.from_numerators(G, {g: a * g[0] * g[0] for g in G.elements()})
+        for a in range(den)
+    ]
+
+
+class TestPackedGaussSum:
+    @given(random_form())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_random_forms(self, q):
+        assert assert_matches_reference(q)[0] is not ValueError
+
+    @given(quadratic_functions())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_on_quadratic_functions(self, case):
+        assert_matches_reference(QuadraticForm(*case))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_reference_on_cyclic_forms(self, n):
+        nondegenerate = [
+            assert_matches_reference(q)[0] is not ValueError for q in cyclic_forms(n)
+        ]
+        # q(x) = a x^2 / den polarizes to a xy / n: nondegenerate iff gcd(a, n) = 1
+        assert nondegenerate == [gcd(a, n) == 1 for a in range(len(nondegenerate))]
+
+    def test_degenerate_forms_raise_the_reference_error(self):
+        for factors, table in [
+            ((2,), {(0,): 0, (1,): 0}),  # zero form: sum = |G|, |sum|^2 = |G|^2
+            ((4,), {(x,): F(x * x, 2) for x in range(4)}),  # nontrivial on the radical: sum 0
+            ((2, 2), {(a, b): F(a, 2) for a in range(2) for b in range(2)}),  # a character: sum 0
+        ]:
+            q = QuadraticForm(FinAbGroup(factors), table)
+            outcome = assert_matches_reference(q)
+            assert outcome[0] is ValueError and "degenerate" in outcome[1]
+
+    # the reference takes about a second per descriptor near order 100 and
+    # minutes up to order 300, where test_gauss_consistency checks x^3 instead
+    @pytest.mark.parametrize("desc", descriptors_up_to(64))
+    def test_matches_reference_on_descriptors(self, desc):
+        q, _ = indecomposable_form(desc)
+        assert assert_matches_reference(q)[0] is not ValueError
+
+    @pytest.mark.parametrize("desc", ["2^8_1", "211^1_+", "211^1_-"])
+    def test_no_cyclotomic_product_or_division(self, desc, monkeypatch):
+        q, x3 = indecomposable_form(desc)
+
+        def forbidden(*args):
+            raise AssertionError("Cyclotomic arithmetic in gauss_sum")
+
+        for name in ("__mul__", "__rmul__", "inverse"):
+            monkeypatch.setattr(Cyclotomic, name, forbidden)
+        total, normalized, sigma = gauss_sum(q)
+        monkeypatch.undo()
+        assert (normalized * x3).is_one() and normalized == root_of_unity(8, sigma)

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from modinv.scalars import (
     Cyclotomic,
     GuardError,
+    _Packing,
+    _rational_bound,
     cyclotomic_polynomial,
     factorize,
     phase_fraction,
@@ -79,6 +81,39 @@ def test_sqrt_squares_back(n):
     r = sqrt_nonneg_int(n)
     assert r * r == n
     assert close(r.approx(), n**0.5)
+
+
+def reference_sqrt(n):
+    """sqrt(n) built as before: m times sqrt(2) times the Gauss sum of f, summed
+    one root of unity at a time, each step a Cyclotomic operation."""
+    if n == 0:
+        return Cyclotomic.zero()
+    m = f = 1
+    for p, e in factorize(n).items():
+        m *= p ** (e // 2)
+        f *= p ** (e % 2)
+    out = Cyclotomic.from_rational(m)
+    if f % 2 == 0:
+        out = out * (root_of_unity(8, 1) + root_of_unity(8, -1))
+        f //= 2
+    if f > 1:
+        g = Cyclotomic(f, {})
+        for k in range(f):
+            g = g + root_of_unity(f, k * k)
+        out = out * (g if f % 4 == 1 else root_of_unity(4, -1) * g)
+    return out
+
+
+@pytest.mark.parametrize("n", list(range(201)) + [211, 307, 4 * 3 * 5 * 7])
+def test_sqrt_terms_match_reference(n):
+    r, ref = sqrt_nonneg_int(n), reference_sqrt(n)
+    assert (r.order, sorted(r.terms())) == (ref.order, sorted(ref.terms()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 18, 20, 45, 72, 105])
+def test_sqrt_over_n_is_the_inverse(n):
+    r = sqrt_nonneg_int(n)
+    assert (r / n).canonical() == r.inverse().canonical()
 
 
 def test_factorize_small_integers():
@@ -194,6 +229,38 @@ def test_cyclotomic_polynomial_values():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+@lru_cache(maxsize=None)
+def reference_cyclotomic_polynomial(n):
+    """x^n - 1 divided by Phi_d for every proper divisor d of n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = reference_cyclotomic_polynomial(d)
+            out = [0] * (len(poly) - len(den) + 1)
+            for i in range(len(out) - 1, -1, -1):
+                out[i] = c = poly[i + len(den) - 1]  # every Phi_d is monic
+                for j, dj in enumerate(den):
+                    poly[i + j] -= c * dj
+            assert not any(poly)
+            poly = out
+    return tuple(poly)
+
+
+def test_cyclotomic_polynomial_matches_division_recursion():
+    for n in range(1, 401):
+        assert cyclotomic_polynomial(n) == reference_cyclotomic_polynomial(n), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2, 3, 8, 12, 56]), st.data())
+def test_packing_product_and_rotate(N, data):
+    pk = _Packing(N, _rational_bound(N, 10**6))
+    values = data.draw(st.lists(st.integers(0, pk.M - 1), min_size=1, max_size=3))
+    assert pk.product(*values) == prod(values) % pk.M
+    u, k = values[0], data.draw(st.integers(0, N - 1))
+    assert pk.rotate(u, k) == (u << (pk.shift * k)) % pk.M
 
 
 small_roots = st.builds(

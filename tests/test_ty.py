@@ -479,7 +479,7 @@ def reference_ty_double(data, q, conv):
     labels += [("root", g, i) for g in els for i in (0, 1)]
     labels += [("two", g, h) for gi, g in enumerate(els) for h in els[gi + 1:]]
     unit = labels.index(("one", G.zero(), 0))
-    inv_rt_n = sqrt_nonneg_int(n).inverse()
+    inv_rt_n = sqrt_nonneg_int(n) / n
     gs = {a: shifted_pair_sum(q, a) for a in els}
     pref = inv_anchor * inv_anchor
 
