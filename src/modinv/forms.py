@@ -431,19 +431,16 @@ def gauss_sum(q: QuadraticForm):
     h = Counter(q.num.values())
     pk = _Packing(N, _rational_bound(N, n * n))
     conj = {-k % N: c for k, c in h.items()}
-    if pk.rational(pk.product(pk.pack(h), pk.pack(conj), pk.PF)) != n:
+    if pk.rational(pk.pack(h) * pk.pack(conj) * pk.PF) != n:
         raise ValueError("Gauss sum magnitude is not sqrt(|G|); form is degenerate")
     s_order, s = sqrt_terms(n)
     M = lcm(8, N, s_order)
     pk = _Packing(M, _rational_bound(M, n * sum(map(abs, s.values()))))
-    u = pk.product(
-        pk.pack({k * (M // N): c for k, c in h.items()}),
-        pk.pack({k * (M // s_order): c for k, c in s.items()}),
-        pk.PF,
-    )
-    v = pk.product(n, pk.PF)
+    hp = pk.pack({k * (M // N): c for k, c in h.items()})
+    sp = pk.pack({k * (M // s_order): c for k, c in s.items()})
+    u, v = hp * sp * pk.PF % pk.M, n * pk.PF % pk.M
     for sigma in range(8):
-        if u == pk.rotate(v, sigma * M // 8):
+        if u == (v << pk.shift * (sigma * M // 8)) % pk.M:
             return Cyclotomic(N, h), root_of_unity(8, sigma), sigma
     raise ValueError("normalized Gauss sum is not an 8th root of unity")
 

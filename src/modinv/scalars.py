@@ -112,21 +112,21 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     primes = list(factorize(n))
     r = prod(primes)
     if r < n:
-        step = n // r
-        poly = [0] * ((len(cyclotomic_polynomial(r)) - 1) * step + 1)
-        for j, c in enumerate(cyclotomic_polynomial(r)):
-            poly[j * step] = c
-        return tuple(poly)
+        return _lift(cyclotomic_polynomial(r), n // r)
     if n % 2 == 0:
         return tuple(-c if j % 2 else c for j, c in enumerate(cyclotomic_polynomial(n // 2)))
     p = primes[-1]
     if n == p:
         return (1,) * p
     base = cyclotomic_polynomial(n // p)
-    lifted = [0] * ((len(base) - 1) * p + 1)
-    for j, c in enumerate(base):
-        lifted[j * p] = c
-    return tuple(_exact_div(lifted, list(base)))
+    return tuple(_exact_div(list(_lift(base, p)), list(base)))
+
+
+def _lift(poly: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """Coefficients of poly(x^k)."""
+    out = [0] * ((len(poly) - 1) * k + 1)
+    out[::k] = poly
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -560,26 +560,6 @@ class _Packing:
 
     def pack(self, p: dict) -> int:
         return sum(c << (self.shift * k) for k, c in p.items()) % self.M
-
-    def product(self, *factors: int) -> int:
-        """The product of packed values, in [0, M).
-
-        M = 2^(B N) - 1, so a high block is congruent to itself moved down
-        B N bits; folding the blocks after each product reduces without
-        long division.
-        """
-        M, bits = self.M, self.shift * self.N
-        out = 1
-        for f in factors:
-            out *= f
-            while out >> bits:
-                out = (out & M) + (out >> bits)
-        return 0 if out == M else out
-
-    def rotate(self, u: int, k: int) -> int:
-        """x^k u for u in [0, M) and 0 <= k < N: the digits of u moved up k places."""
-        bits, up = self.shift * self.N, self.shift * k
-        return ((u << up) & self.M) | (u >> (bits - up))
 
     def reduced(self, v: int) -> list[int]:
         """Coefficients of the packed value v, reduced modulo Phi_N (length N)."""

@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 from modinv.scalars import (
     Cyclotomic,
     GuardError,
-    _Packing,
-    _rational_bound,
     cyclotomic_polynomial,
     factorize,
     phase_fraction,
@@ -251,16 +249,6 @@ def reference_cyclotomic_polynomial(n):
 def test_cyclotomic_polynomial_matches_division_recursion():
     for n in range(1, 401):
         assert cyclotomic_polynomial(n) == reference_cyclotomic_polynomial(n), n
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from([1, 2, 3, 8, 12, 56]), st.data())
-def test_packing_product_and_rotate(N, data):
-    pk = _Packing(N, _rational_bound(N, 10**6))
-    values = data.draw(st.lists(st.integers(0, pk.M - 1), min_size=1, max_size=3))
-    assert pk.product(*values) == prod(values) % pk.M
-    u, k = values[0], data.draw(st.integers(0, N - 1))
-    assert pk.rotate(u, k) == (u << (pk.shift * k)) % pk.M
 
 
 small_roots = st.builds(
