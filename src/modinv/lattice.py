@@ -10,12 +10,28 @@ the subgroup correspondence for intermediate lattices.
 Every Gram product goes through ``_congruent(A, gram)``, the integer matrix
 A·gram·Aᵀ: rational vectors are scaled to integer numerators first and the
 result is divided by the common denominator once.
+
+``realize`` builds one lattice per indecomposable and sums them.  By Nikulin
+(Math. USSR Izv. 14, 1980, Cor. 1.10.2) an even lattice with form q exists in
+every rank r > l(q) with r = sigma(q) mod 8, and by Milgram in no rank of
+another residue.  So a cyclic part (p^k_s, 2^k_m) is searched at rank
+r = sigma mod 8 (8 when sigma = 0), then r + 8, with sigma read off
+``forms._tabulate``'s closed-form x^3.  At each rank the candidates are, in
+order, the named root lattices A_r, D_r, E_r, then weighted trees with at most
+three arms (norm 2w on the diagonal, -1 on each edge; Conway-Sloane, SPLAG
+ch. 15) by increasing excess sum(w - 1) of their fixed weights, fewest
+non-unit weights first, at most TREE_SEARCH_BOUND of them.  The determinant
+is linear in one free weight, which is solved for.  A candidate is kept when
+its determinant is |G|, its Smith factors are G's, its form at a generator is
+a value of q at a generator, and its discriminant form is equivalent to q.  The pair types 2^k2^k_i/ii glue scaled copies of Z to
+the lattice found for 2^k_-1 or 2^k_-3, within rank 16.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from itertools import combinations, count
+from math import gcd, lcm, prod
 
 from .abelian import (
     GuardError,
@@ -29,13 +45,14 @@ from .forms import (
     QuadraticForm,
     _parse_descriptor,
     _tabulate,
+    form_denominator,
     forms_equivalent,
     indecomposable_form,
-    legendre,
 )
-from .scalars import as_integer, factorize, json_integer, json_list
+from .scalars import as_integer, factorize, json_integer, json_list, root_of_unity
 
-PRIME_BOUND = 10**4
+TREE_SEARCH_BOUND = 20_000  # weighted trees tried per rank
+LATTICE_RANK_GUARD = 256  # largest rank of a named A or D lattice
 FORM_ORDER_GUARD = 512
 FORM_RANK_GUARD = 4
 
@@ -185,7 +202,8 @@ def discriminant(L: Lattice):
     The group is Z^n modulo the Gram column span; the form is half the norm
     of any representative, mod 1.  Representative i spans the i-th invariant
     factor.  With e the exponent, row j of the integer matrix N is e times
-    representative j, so q(g) = gᵀRg / 2e² mod 1 for R = N·gram·Nᵀ.
+    representative j, so q(g) = gᵀRg / 2e² mod 1 for R = N·gram·Nᵀ.  Over den =
+    ``form_denominator(G)``, the numerator gᵀRg·den / 2e² must be an integer.
     """
     n = L.rank
     if L.det > DISCRIMINANT_GUARD:
@@ -198,12 +216,15 @@ def discriminant(L: Lattice):
     e = G.exponent
     N = [[e // d * cols[r][j] for r in range(n)] for j, d in enumerate(G.factors)]
     R = _congruent(N, L.gram)
-    m = 2 * e * e
-    table = {
-        g: Fraction(sum(gi * gj * x for gi, row in zip(g, R) for gj, x in zip(g, row)) % m, m)
-        for g in G.elements()
-    }
-    return G, QuadraticForm(G, table), reps
+    den = form_denominator(G)
+    scale = 2 * e * e // den  # den is e or 2e
+    num = {}
+    for g in G.elements():
+        x = sum(gi * gj * r for gi, row in zip(g, R) for gj, r in zip(g, row))
+        if x % scale:
+            raise ValueError(f"form values must lie in (1/{den})Z")
+        num[g] = x // scale
+    return G, QuadraticForm.from_numerators(G, num), reps
 
 
 # -- gluing ----------------------------------------------------------------------
@@ -260,7 +281,11 @@ _E_EDGES = {
 
 
 def named(name: str) -> Lattice:
-    """Standard lattices: A<n>, D<n>, E6, E7, E8, sqrt2n:<n>."""
+    """Standard lattices: A<n>, D<n>, E6, E7, E8, sqrt2n:<n>.
+
+    The rank n of A<n> and D<n> is checked against LATTICE_RANK_GUARD before
+    any row is built.
+    """
     s = str(name).strip().replace("_", "")
     if s in ("E6", "E7", "E8"):
         n = int(s[1])
@@ -268,6 +293,8 @@ def named(name: str) -> Lattice:
         for a, b in _E_EDGES[n]:
             gram[a - 1][b - 1] = gram[b - 1][a - 1] = -1
         return Lattice(gram)
+    if s[:1] in ("A", "D") and s[1:].isdigit() and int(s[1:]) > LATTICE_RANK_GUARD:
+        raise GuardError(f"lattice rank {s[1:]} exceeds guard {LATTICE_RANK_GUARD}")
     if s.startswith("A") and s[1:].isdigit():
         n = int(s[1:])
         if n < 1:
@@ -309,109 +336,154 @@ def _class_with_norm(L: Lattice, target: Fraction) -> DualVector:
     return DualVector(L, [sum(gj * r.coords[i] for gj, r in zip(g, reps)) for i in range(L.rank)])
 
 
-def _verify_realization(L: Lattice, q: QuadraticForm) -> Lattice:
+def _verify_realization(L: Lattice, q: QuadraticForm) -> bool:
+    """The discriminant form of L is equivalent to q."""
     _, qL, _ = discriminant(L)
-    if forms_equivalent(qL, q) is None:
-        raise RuntimeError("realized lattice fails its discriminant check")
-    return L
+    return forms_equivalent(qL, q) is not None
 
 
-def _odd_prime_glue(p: int, k: int, s: int) -> Lattice:
-    """Auxiliary-prime gluing for the sign the A-series misses.
+def _trees(r: int) -> list[list[list[int]]]:
+    """Adjacency lists of the trees on r vertices with at most three arms: the
+    path, then T(a, b, c) with arms a >= b >= c >= 1 joined at vertex 0."""
+    shapes = [(r - 1,)] + [
+        (r - 1 - b - c, b, c) for c in range(1, r) for b in range(c, (r - c + 1) // 2)
+    ]
+    trees = []
+    for arms in shapes:
+        adj = [[]]
+        for length in arms:
+            prev = 0
+            for _ in range(length):
+                adj.append([prev])
+                adj[prev].append(len(adj) - 1)
+                prev = len(adj) - 1
+        trees.append(adj)
+    return trees
 
-    Needs a prime p' = 3 mod 4 whose residue class matches the target sign
-    and for which 2 p^k is a square mod p'; both the A-series coset and the
-    rank-1 + A + (A1 or E7) glue below then exist.  Candidates p' are
-    scanned upwards below PRIME_BOUND.
+
+def _tree_weights(r: int, v: int, e: int, j: int):
+    """Weights of a tree's r vertices with j non-unit weights off v, of total
+    excess sum(w - 1) = e; the weight at v is set by ``_free_weight``."""
+    others = [u for u in range(r) if u != v]
+    for chosen in combinations(others, j):
+        for cuts in combinations(range(1, e), j - 1) if j else [()]:
+            weights = [1] * r
+            for u, a, b in zip(chosen, (0,) + cuts, cuts + (e,)):
+                weights[u] += b - a
+            yield weights
+
+
+def _free_weight(adj, weights, v: int, N: int):
+    """The weight at v that gives the tree's Gram determinant N, or None.
+
+    Rooted at v, a subtree's determinant A(u) and that of the subtree less u,
+    B(u) = prod A(c) over u's children c, follow by expanding along u's row:
+    A(u) = 2 w_u B(u) - S(u), with S(u) = sum_c B(c) prod_{c' != c} A(c').  The
+    A(u) are the products of the pivots of leaf-to-root elimination, so T - v
+    is positive definite iff every A(u) > 0.  Then det T = D0 + 2 (w - 1)
+    det(T - v), with D0 its value at w = 1, is linear in w, and T is positive
+    definite iff det T = N > 0.
     """
-    N = p**k
-    for pp in range(3, PRIME_BOUND):
-        if pp % 4 != 3 or pp == p or factorize(pp) != {pp: 1}:
-            continue
-        if legendre(pp, p) != s:
-            continue
-        if legendre(2 * N, pp) != 1:
-            continue
-        c = next(c for c in range(1, pp) if (c * c - 2 * N) % pp == 0)
-        A = named(f"A{pp - 1}")
-        third = named("A1") if (pp * N) % 4 == 3 else named("E7")
-        base = Lattice([[2 * pp * N]]).direct_sum(A).direct_sum(third)
-        omega = tuple(Fraction(c * (pp - i), pp) for i in range(1, pp))
-        w3 = (
-            (Fraction(1, 2),)
-            if third.rank == 1
-            else _class_with_norm(third, Fraction(3, 2)).coords
-        )
-        zeros_a = (Fraction(0),) * A.rank
-        zeros_t = (Fraction(0),) * third.rank
-        u1 = (Fraction(1, 2),) + zeros_a + w3
-        u2 = (Fraction(1, pp),) + omega + zeros_t
-        return glue(base, [u1, u2])
-    raise GuardError(f"no admissible auxiliary prime below {PRIME_BOUND}")
+    parent = {v: None}
+    order = [v]
+    for u in order:
+        for c in adj[u]:
+            if c != parent[u]:
+                parent[c] = u
+                order.append(c)
+    A, B = {}, {}
+    for u in reversed(order):
+        kids = [c for c in adj[u] if c != parent[u]]
+        b = prod(A[c] for c in kids)
+        s = sum(B[c] * (b // A[c]) for c in kids)
+        if u == v:
+            w, rem = divmod(N + s, 2 * b)
+            return None if rem else w
+        A[u] = 2 * weights[u] * b - s
+        if A[u] <= 0:
+            return None
+        B[u] = b
 
 
-def _glue_scaled(k: int, mprime: int, ingredient: Lattice) -> Lattice:
-    """Glue sqrt(m' 2^k)Z to a Z_{m'} lattice, leaving a 2^k quotient."""
-    N = 2**k
-    base = Lattice([[mprime * N]]).direct_sum(ingredient)
-    gamma = _class_with_norm(ingredient, Fraction(-N, mprime))
-    coset = (Fraction(1, mprime),) + gamma.coords
-    return glue(base, [coset])
-
-
-def _realize_two_power(k: int, m: int) -> Lattice:
-    if k == 1:
-        return named("A1") if m % 4 == 1 else named("E7")
-    m8 = m % 8
-    if m8 == 1:
-        return Lattice([[2**k]])
-    if k == 2:
-        return named({3: "A3", 5: "D5", 7: "D7"}[m8])
-    if m8 == 7:
-        return named(f"A{2 ** k - 1}")
-    if m8 == 3:
-        ingredient = named("A2") if k % 2 == 0 else named("E6")
-        return _glue_scaled(k, 3, ingredient)
-    ingredient = named("A4") if k % 2 == 0 else realize("5^1_+")
-    return _glue_scaled(k, 5, ingredient)
+def _candidates(r: int, N: int):
+    """The rank-r lattices tried for determinant N, in search order: the named
+    root lattices, then up to TREE_SEARCH_BOUND weighted trees by increasing
+    excess of their fixed weights, fewest non-unit weights first."""
+    yield named(f"A{r}")
+    if r >= 2:
+        yield named(f"D{r}")
+    if r in (6, 7, 8):
+        yield named(f"E{r}")
+    trees = _trees(r)
+    tried = 0
+    for e in count():
+        before = tried
+        for j in range(1 if e else 0, min(e, r - 1) + 1):
+            for adj in trees:
+                for v in range(r):
+                    for weights in _tree_weights(r, v, e, j):
+                        tried += 1
+                        if tried > TREE_SEARCH_BOUND:
+                            return
+                        w = _free_weight(adj, weights, v, N)
+                        if w is None:
+                            continue
+                        weights[v] = w
+                        gram = [[0] * r for _ in range(r)]
+                        for u in range(r):
+                            gram[u][u] = 2 * weights[u]
+                            for c in adj[u]:
+                                gram[u][c] = -1
+                        yield Lattice(gram)
+        if tried == before:  # rank 1: the single vertex is the free one
+            return
 
 
 def _realize_factor(p: int, k: int, sub) -> Lattice:
     """A lattice for one descriptor part, as parsed by ``_parse_descriptor``."""
-    q_target, _ = _tabulate(p, k, sub)
+    q_target, x3 = _tabulate(p, k, sub)
     if sub in ("i", "ii"):
         N = 2**k
-        if sub == "i":
-            ingredient = _realize_two_power(k, -1)
-            gamma = _class_with_norm(ingredient, Fraction(-1, N))
-            base = (
-                Lattice([[N]])
-                .direct_sum(Lattice([[N]]))
-                .direct_sum(ingredient)
-                .direct_sum(ingredient)
-            )
-            coset = (Fraction(1, N), Fraction(1, N)) + gamma.coords + gamma.coords
-        else:
-            ingredient = _realize_two_power(k, -3)
-            gamma = _class_with_norm(ingredient, Fraction(-3, N))
-            base = (
-                Lattice([[N]])
-                .direct_sum(Lattice([[N]]))
-                .direct_sum(Lattice([[N]]))
-                .direct_sum(ingredient)
-            )
-            coset = (Fraction(1, N),) * 3 + gamma.coords
-        return _verify_realization(glue(base, [coset]), q_target)
-    if p == 2:
-        return _verify_realization(_realize_two_power(k, sub), q_target)
-    N = p**k
-    if legendre((N - 1) // 2, p) == sub:
-        L = named(f"A{N - 1}")
-    elif (p, k, sub) == (3, 1, -1):
-        L = named("E6")
-    else:
-        L = _odd_prime_glue(p, k, sub)
-    return _verify_realization(L, q_target)
+        m, scalars, copies = (-1, 2, 2) if sub == "i" else (-3, 3, 1)
+        ingredient = _realize_factor(2, k, m)
+        gamma = _class_with_norm(ingredient, Fraction(m, N)).coords
+        base = Lattice(())
+        for piece in [Lattice([[N]])] * scalars + [ingredient] * copies:
+            base = base.direct_sum(piece)
+        # The glue vector v has first coordinate 1/N and N v lies in the base,
+        # so v, e_1, ..., e_(n-1) are a basis of base + Zv.  ``glue``'s Hermite
+        # basis of the same lattice stalls the Smith form in ``discriminant``
+        # at 2^62^6_i.
+        n = base.rank
+        W, den = _numerators(
+            [(Fraction(1, N),) * scalars + gamma * copies]
+            + [[int(i == j) for j in range(n)] for i in range(1, n)]
+        )
+        L = Lattice([[x // (den * den) for x in row] for row in _congruent(W, base.gram)])
+        if not _verify_realization(L, q_target):
+            raise RuntimeError("realized lattice fails its discriminant check")
+        return L
+    G, N, den = q_target.group, q_target.group.order, q_target.den
+    # a cyclic form is fixed by its value at a generator, up to unit squares
+    at_generators = {value for (g,), value in q_target.num.items() if gcd(g, N) == 1}
+    sigma = next(s for s in range(8) if x3 == root_of_unity(8, -s))
+    low = sigma or 8
+    for r in (low, low + 8):
+        for L in _candidates(r, N):
+            if L.det != N:
+                continue
+            H, _, _, cols = invariant_factor_group(L.gram)
+            if H != G:
+                continue
+            # q at the generator cols[:, 0] / N of the dual quotient is x / 2N^2
+            x = _congruent([[row[0] for row in cols]], L.gram)[0][0]
+            if x * den // (2 * N * N) % den in at_generators and _verify_realization(L, q_target):
+                return L
+    name = f"{p}^{k}_{sub if p == 2 else '+-'[sub < 0]}"
+    raise GuardError(
+        f"no lattice of rank {low} or {low + 8} realizes {name} "
+        f"within TREE_SEARCH_BOUND {TREE_SEARCH_BOUND} trees per rank"
+    )
 
 
 def _two_group_splittings(ks):
@@ -477,7 +549,13 @@ def realize(target) -> Lattice:
     """An even positive-definite lattice whose discriminant form is the target.
 
     Accepts an indecomposable-descriptor product or a QuadraticForm (small
-    orders only).  Raises GuardError when a bounded search runs out of room.
+    orders only), and returns the direct sum of one lattice per part.  A
+    cyclic part of signature sigma gets rank sigma mod 8 (8 when sigma = 0), or
+    8 more when that rank has none; a pair type gets rank at most 16.  Each
+    part is the first candidate, named root lattices before weighted trees
+    (module docstring), whose determinant, Smith factors and discriminant form
+    match the part's.  Raises GuardError, naming the part, when the search
+    runs out of candidates.
     """
     if isinstance(target, QuadraticForm):
         if target.group.order == 1:
@@ -492,8 +570,8 @@ def realize(target) -> Lattice:
         lat = piece if lat is None else lat.direct_sum(piece)
     if len(parts) > 1 and lat.det <= FORM_ORDER_GUARD:
         q, _ = indecomposable_form(desc)
-        if q.group.rank <= FORM_RANK_GUARD:
-            _verify_realization(lat, q)
+        if q.group.rank <= FORM_RANK_GUARD and not _verify_realization(lat, q):
+            raise RuntimeError("realized lattice fails its discriminant check")
     return lat
 
 

@@ -31,7 +31,8 @@ from modinv.lattice import (
     realize,
 )
 from modinv.modular import ModularData
-from modinv.scalars import Cyclotomic, root_of_unity
+from modinv.pointed import isotropic_subgroups
+from modinv.scalars import Cyclotomic, factorize, root_of_unity
 
 ALL_DESCRIPTORS = [
     "3^1_+", "3^1_-", "5^1_+", "5^1_-", "7^1_+", "7^1_-", "3^2_+", "3^2_-",
@@ -70,6 +71,13 @@ def test_named_rejects_unknown():
     for bad in ("F4", "A0", "D1", "sqrt2n:0", "B3", ""):
         with pytest.raises(ValueError):
             named(bad)
+
+
+def test_named_rank_guard(monkeypatch):
+    monkeypatch.setattr(lattice, "Lattice", None)  # no Gram may be built
+    for big in ("A99990", "D257"):
+        with pytest.raises(GuardError, match="rank"):
+            named(big)
 
 
 def test_lattice_validation():
@@ -418,10 +426,71 @@ def test_realize_rejects_degenerate_form():
         realize(zero)
 
 
-def test_realize_prime_bound_guard(monkeypatch):
-    monkeypatch.setattr(lattice, "PRIME_BOUND", 5)
-    with pytest.raises(GuardError):
-        realize("5^1_+")
+def test_realize_search_bound_guard(monkeypatch):
+    # no named lattice of rank 2 or 10 has determinant 7, so the trees are needed
+    monkeypatch.setattr(lattice, "TREE_SEARCH_BOUND", 0)
+    with pytest.raises(GuardError, match=r"7\^1_\+"):
+        realize("7^1_+")
+    with pytest.raises(GuardError, match=r"2\^3_-3"):
+        realize("2^32^3_ii")
+
+
+def indecomposables(bound):
+    """Every indecomposable descriptor of order at most bound."""
+    out = []
+    for n in range(3, bound + 1, 2):
+        if len(f := factorize(n)) == 1:
+            ((p, k),) = f.items()
+            out += [f"{p}^{k}_+", f"{p}^{k}_-"]
+    out += [f"2^{k}_{m}" for k in range(1, bound.bit_length()) for m in (1, 3, -1, -3)]
+    out += [f"2^{k}2^{k}_{t}" for k in range(1, (bound.bit_length() + 1) // 2) for t in ("i", "ii")]
+    return out
+
+
+def least_rank(G, sigma):
+    """Nikulin's (Cor. 1.10.2) least rank: the least r > l(q) with r = sigma mod 8."""
+    return next(r for r in range(G.rank + 1, G.rank + 9) if (r - sigma) % 8 == 0)
+
+
+@pytest.mark.parametrize(
+    "desc",
+    indecomposables(512)
+    + ["2^62^6_i"]  # glue's Hermite basis stalled the Smith form here
+    + ["1009^1_+", "1009^1_-", "10007^1_+", "10007^1_-"],
+)
+def test_realize_at_nikulin_rank(desc):
+    """Cyclic forms are realized at Nikulin's least rank, or at rank l(q) = 1
+    when [2^k] has the form; the pair types stay within rank 16.  The forms
+    are equivalent, so Milgram is checked against the target's closed-form
+    x^3; tests/test_forms.py checks x^3 against ``gauss_sum``, which is too
+    slow at the larger orders here, on every descriptor of order <= 300."""
+    L = realize(desc)
+    q, x3 = indecomposable_form(desc)
+    G, qL, _ = discriminant(L)
+    assert G == q.group and L.det == G.order
+    assert forms_equivalent(qL, q) is not None
+    assert x3 == root_of_unity(8, -L.rank % 8)
+    if G.rank == 1:
+        assert L.rank in (least_rank(G, L.rank % 8), 1)
+    else:
+        assert L.rank <= 16
+
+
+@pytest.mark.parametrize("desc", ALL_DESCRIPTORS)
+def test_overlattices_match_isotropic_quotients(desc):
+    """Gluing L by an isotropic subgroup D of its discriminant form gives an
+    even lattice whose discriminant form is D^perp / D."""
+    L = realize(desc)
+    _, q, reps = discriminant(L)
+    for datum in isotropic_subgroups(q):
+        cosets = [
+            [sum(gj * r.coords[i] for gj, r in zip(g, reps)) for i in range(L.rank)]
+            for g in datum.subgroup.gens()
+        ]
+        M = glue(L, cosets)
+        assert M.det * datum.subgroup.order**2 == L.det
+        _, qM, _ = discriminant(M)
+        assert forms_equivalent(qM, datum.form) is not None
 
 
 def test_realize_rejects_malformed_descriptor():
