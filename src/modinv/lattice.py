@@ -49,7 +49,7 @@ from .forms import (
     forms_equivalent,
     indecomposable_form,
 )
-from .scalars import as_integer, factorize, json_integer, json_list, root_of_unity
+from .scalars import as_integer, factorize, json_list, root_of_unity
 
 TREE_SEARCH_BOUND = 20_000  # weighted trees tried per rank
 LATTICE_RANK_GUARD = 256  # largest rank of a named A or D lattice
@@ -149,7 +149,7 @@ class Lattice:
         try:
             message = "gram entries must be integers"
             gram = [
-                [json_integer(x, message) for x in json_list(row, "a Gram row")]
+                [as_integer(x, message) for x in json_list(row, "a Gram row")]
                 for row in json_list(obj["gram"], "'gram'")
             ]
         except (KeyError, TypeError) as exc:

@@ -49,6 +49,37 @@ The brute-force invariant search writes the commutant linear system SZ = ZS
 as integer rows (one per coefficient of zeta_N), brings it to a fully reduced
 echelon form by fraction-free elimination, and enumerates bounded
 nonnegative integer points by divisibility checks on the pivot rows.
+
+Galois symmetry.  For modular data every sigma in Gal(Q(zeta_N)/Q), N the
+conductor of S, acts on S as a signed permutation of its columns:
+sigma(S_ik) = eps_sigma(k) S_{i, pi_sigma(k)} (Coste-Gannon, Phys. Lett. B
+323, 1994).  ``galois_action`` certifies this exactly, once per datum, for
+a generating set of (Z/N)^*, sigma_g acting on exponents by j -> g j mod N:
+each column's image, packed times F, is looked up among the columns and
+their negatives packed the same way.  Composition extends the relation to
+the whole group, so its column orbits are those of the generated
+permutations.  Two readers use it:
+
+* ``verlinde``.  In f(k) = S_ak S_bk S_ek / S_0k the sign appears three
+  times over once, so sigma(f(k)) = f(pi_sigma k), and M(a, b, e) =
+  Sum_k f(k) is fixed by every sigma, hence rational.  So phi(N) M(a, b, e)
+  = Tr M(a, b, e) = Sum over orbit representatives k of |O_k| Tr f(k), as
+  the trace is constant on orbits.  The trace of an integer polynomial v is
+  Sum_j v_j c_N(j) with the Ramanujan sums c_N(j) = Tr zeta_N^j, i.e. the
+  constant coefficient of v R modulo x^N - 1, R = Sum_j c_N(j) x^j (c_N is
+  even in j).  With |O_k| R folded into the packed 1/S_0k, one packed sum
+  over the representatives and one read of its lowest digit give
+  phi(N) M(a, b, e).  Every digit of that sum is at most
+  n ||S||^3 ||1/S_0|| ||R||_1, which sets the width.
+* ``brute_force_invariants``.  If S is invertible and Z rational with
+  SZ = ZS, then sigma(S) = S Q with Q the signed permutation matrix, and
+  S Q Z = sigma(SZ) = sigma(ZS) = Z S Q = S Z Q, so QZ = ZQ:
+  Z_{pi a, pi b} = eps(a) eps(b) Z_ab.  A nonnegative Z is therefore
+  constant on each orbit of positions whose signs all agree, and 0 on an
+  orbit with a sign -1 or with a position T forbids.  For such a Z,
+  sigma((SZ - ZS)_ij) = eps(j) (SZ - ZS)_{i, pi j}, so the equations of
+  one column per orbit imply the rest.  Without a certificate the classes
+  are single positions and every column gives equations: the plain system.
 """
 
 from __future__ import annotations
@@ -66,12 +97,19 @@ from .scalars import (
     as_integer,
     cyclotomic_cofactor,
     cyclotomic_polynomial,
-    json_integer,
     json_list,
+    ramanujan_sums,
     reduce_mod_phi,
 )
 
 BRUTE_GUARD = 64
+PRIMARY_GUARD = 512  # most primaries ``weil`` and ``ty_double`` build
+
+
+def check_primaries(n: int) -> None:
+    """GuardError if a constructor is about to build more than PRIMARY_GUARD primaries."""
+    if n > PRIMARY_GUARD:
+        raise GuardError(f"primary count {n} exceeds guard {PRIMARY_GUARD}")
 
 
 # -- exact integer kernel for matrices over Q(zeta_N) -------------------------
@@ -205,7 +243,7 @@ def as_permutation(A):
 class ModularData:
     """Labelled (S, T) pair with a distinguished unit row."""
 
-    __slots__ = ("labels", "unit", "S", "T", "_fusion", "_charge", "_currents", "_int_S")
+    __slots__ = ("labels", "unit", "S", "T", "_fusion", "_charge", "_galois", "_currents", "_int_S")
 
     def __init__(self, labels, unit, S, T):
         self.labels = tuple(labels)
@@ -227,6 +265,7 @@ class ModularData:
                     raise ValueError(f"{where} must be a Cyclotomic, not {x!r}")
         self._fusion = None
         self._charge = None
+        self._galois = None
         self._currents = None
         self._int_S = {}
 
@@ -291,7 +330,7 @@ class ModularData:
                 for row in json_list(obj["S"], "'S'")
             ]
             T = [Cyclotomic.from_json(x) for x in json_list(obj["T"], "'T'")]
-            unit = json_integer(obj["unit"], "unit must be an integer index")
+            unit = as_integer(obj["unit"], "unit must be an integer index")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed modular data JSON: {exc!r}") from exc
         return ModularData(labels, unit, S, T)
@@ -387,6 +426,96 @@ def validate_modular(md: ModularData) -> list[str]:
     return report
 
 
+class GaloisAction(NamedTuple):
+    """Signed column permutations by which Gal(Q(zeta_N)/Q) acts on S.
+
+    For each (g, perm, signs) in ``gens``, sigma_g: zeta_N -> zeta_N^g maps
+    S_ik to signs[k] S_{i, perm[k]} for every i, and the g generate (Z/N)^*.
+    ``gens`` is empty when some image is not a signed column of S or two
+    columns agree up to sign; ``orbits`` are then single columns.  Each orbit
+    is sorted, and the orbits are ordered by their least column.
+    """
+
+    N: int  # the conductor of S
+    gens: tuple
+    orbits: tuple
+
+
+def galois_action(md: ModularData) -> GaloisAction:
+    """The Galois action on the columns of S; computed once and cached on md."""
+    if md._galois is None:
+        md._galois = _find_galois_action(md)
+    return md._galois
+
+
+def _unit_generators(N: int) -> list[int]:
+    """A generating set of (Z/N)^*, taken greedily from 2, 3, ..."""
+    span = {1}
+    gens = []
+    for g in range(2, N):
+        if gcd(g, N) == 1 and g not in span:
+            gens.append(g)
+            while True:
+                more = {x * g % N for x in span}
+                if more <= span:
+                    break
+                span |= more
+    return gens
+
+
+def _find_galois_action(md: ModularData) -> GaloisAction:
+    """Decide sigma_g(S) column by column in one packing (module docstring).
+
+    Each distinct entry p of S's integer form is packed times F once, and so
+    is its image sigma_g(p) (exponent j -> g j mod N) for each generator g.
+    A column's image is looked up among the columns and their negatives,
+    packed the same way: v F = w F modulo x^N - 1 exactly when v = w modulo
+    Phi_N, and sigma_g keeps l1 norms, so with ``bound`` ||S|| ||F||_1 the
+    difference of two compared values has digits below 2^(B-1) and the
+    lookup is exact, as in ``_find_simple_currents``.
+    """
+    n = md.dim
+    N, _, iS, norm = md._integral_S()
+    pk = _Packing(N, norm * sum(map(abs, cyclotomic_cofactor(N))))
+    M, PF = pk.M, pk.PF
+    # the distinct entries, by object: S often holds one object per value
+    where = {}
+    for i, row in enumerate(md.S):
+        for k, x in enumerate(row):
+            where.setdefault(id(x), (i, k))
+    slot = {key: s for s, key in enumerate(where)}
+    polys = [iS[i][k] for i, k in where.values()]
+    cols = [[slot[id(x)] for x in col] for col in zip(*md.S)]
+    U = [pk.pack(p) * PF % M for p in polys]
+    index = {}
+    for k, col in enumerate(cols):
+        u = tuple(map(U.__getitem__, col))
+        index[u] = (k, 1)
+        index[tuple(-x % M for x in u)] = (k, -1)
+    gens = []
+    if len(index) == 2 * n:
+        for g in _unit_generators(N):
+            image = [pk.pack({g * j % N: c for j, c in p.items()}) * PF % M for p in polys]
+            hits = [index.get(tuple(map(image.__getitem__, col))) for col in cols]
+            if None in hits:
+                gens = []
+                break
+            gens.append((g, tuple(k for k, _ in hits), tuple(s for _, s in hits)))
+    seen = set()
+    orbits = []
+    for k in range(n):
+        if k not in seen:
+            seen.add(k)
+            orbit = [k]
+            for x in orbit:  # grows while it is read
+                for _, perm, _ in gens:
+                    if perm[x] not in seen:
+                        seen.add(perm[x])
+                        orbit.append(perm[x])
+            orbits.append(tuple(sorted(orbit)))
+    return GaloisAction(N, tuple(gens), tuple(orbits))
+
+
 def verlinde(md: ModularData):
     """Fusion tensor N[a][b][c] via the S-matrix; entries must be nonnegative integers.
 
@@ -411,6 +540,13 @@ def verlinde(md: ModularData):
     bits, with ``_rational_bound`` of n ||S||^3 ||1/S_0|| (largest l1 norms
     of entries).  1/S_0k is one ``Cyclotomic.inverse`` per distinct value of
     the unit row.
+
+    Where ``galois_action`` certifies S and every conj(S_c) is a row, each
+    M(a, b, e) is summed over one column per Galois orbit instead (module
+    docstring): the packed value Sum_reps |O_k| S_ak S_bk S_ek (1/S_0k) R,
+    R = Sum_j c_N(j) x^j, has phi(N) M(a, b, e) as its constant coefficient,
+    read by ``_Packing.constant`` under the bound n ||S||^3 ||1/S_0|| ||R||_1.
+    That sum is Galois-invariant, so it is rational and needs no test.
     """
     n = md.dim
     N, dS, iS, norm_S = md._integral_S()
@@ -426,7 +562,13 @@ def verlinde(md: ModularData):
         inv0.append(inverses[key])
     # each inverse keeps the order of its entry, which divides N
     dI, (iI,) = _integral([inv0], N)
-    pk = _Packing(N, _rational_bound(N, n * norm_S**3 * _norm([iI])))
+    act = galois_action(md)
+    R = ramanujan_sums(N)
+    base = n * norm_S**3 * _norm([iI])
+    bound = _rational_bound(N, base)
+    if act.gens:
+        bound = max(bound, base * sum(map(abs, R)))
+    pk = _Packing(N, bound)
     M, PF = pk.M, pk.PF
     P = [[pk.pack(p) for p in row] for row in iS]
     U = [[x * PF % M for x in row] for row in P]
@@ -435,6 +577,16 @@ def verlinde(md: ModularData):
     conj_row = [row_of.get(tuple(u)) for u in Ubar]
     direct = [c for c, e in enumerate(conj_row) if e is None]
     Pinv = [pk.pack(p) for p in iI]
+    cols, value = U, pk.rational
+    if act.gens and not direct:
+        # one column per orbit, |O_k| R folded into 1/S_0k; phi(N) = c_N(0)
+        PR = pk.pack(dict(enumerate(R)))
+        Pinv = [len(o) * Pinv[o[0]] * PR % M for o in act.orbits]
+        P = cols = [[row[o[0]] for o in act.orbits] for row in P]
+
+        def value(u):
+            return pk.constant(u) // R[0]
+
     # for a <= b, decided: sym[a][b][e - b] = M(a, b, e) for e >= b, and
     # direct_sums[a][b][c] = N_ab^c for c in direct
     sym = [[None] * n for _ in range(n)]
@@ -443,26 +595,23 @@ def verlinde(md: ModularData):
         W = [x * y % M for x, y in zip(P[a], Pinv)]
         for b in range(a, n):
             wb = [w * x % M for w, x in zip(W, P[b])]
-            sym[a][b] = [pk.rational(sum(map(mul, wb, U[e]))) for e in range(b, n)]
+            sym[a][b] = [value(sum(map(mul, wb, cols[e]))) for e in range(b, n)]
             direct_sums[a][b] = {c: pk.rational(sum(map(mul, wb, Ubar[c]))) for c in direct}
     den = dS**3 * dI
     out = []
     for a in range(n):
         plane = [out[b][a] for b in range(a)]
         for b in range(a, n):
-            row = []
-            for c, e in enumerate(conj_row):
-                if e is None:
-                    r = direct_sums[a][b][c]
-                else:
-                    x, y, z = sorted((a, b, e))
-                    r = sym[x][y][z - y]
+            # M(a, b, e) for every e, each from its sorted triple
+            m = [sym[e][a][b - a] for e in range(a)]
+            m += [sym[a][e][b - e] for e in range(a, b)] + sym[a][b]
+            row = [direct_sums[a][b][c] if e is None else m[e] for c, e in enumerate(conj_row)]
+            for c, r in enumerate(row):
                 if r is None:
                     raise ValueError(f"fusion coefficient not rational at {(a, b, c)}")
                 if r % den or r < 0:
                     raise ValueError(f"fusion coefficient {Fraction(r, den)} at {(a, b, c)}")
-                row.append(r // den)
-            plane.append(tuple(row))
+            plane.append(tuple(r // den for r in row))
         out.append(tuple(plane))
     return tuple(out)
 
@@ -676,26 +825,98 @@ def check_invariant(md: ModularData, matrix) -> tuple[bool, dict]:
     report["S_commutes"] = s_commutes(md, M)
     ok = all(report.values())
     if ok:
-        sc = simple_currents(md)
-        periodic = True
-        for jc, pj in sc.action_table.items():
-            j = sc.label_index[jc]
-            for jc2, pj2 in sc.action_table.items():
-                if M[j][sc.label_index[jc2]] == 0:
-                    continue
-                for a in range(n):
-                    for b in range(n):
-                        if M[pj[a]][pj2[b]] != M[a][b]:
-                            periodic = False
-        report["current_periodicity"] = periodic
+        report["current_periodicity"] = _current_periodic(simple_currents(md), M)
     return ok, report
+
+
+def _current_periodic(sc: SimpleCurrentStructure, M) -> bool:
+    """True iff M[J a][J' b] = M[a][b] for all a, b and all currents J, J'
+    with M[J][J'] != 0.
+
+    The pairs (p, p') of permutations with M[p a][p' b] = M[a][b] form a
+    group under composition, so only pairs outside the group generated by
+    the pairs already checked are tested, each over all entries until the
+    first failure.
+    """
+    n = len(M)
+    perms = [(sc.label_index[jc], p) for jc, p in sc.action_table.items()]
+    identity = tuple(range(n))
+    span = {(identity, identity)}
+    gens = []
+    for j, p in perms:
+        for j2, p2 in perms:
+            if M[j][j2] == 0 or (p, p2) in span:
+                continue
+            if any([M[p[a]][x] for x in p2] != M[a] for a in range(n)):
+                return False
+            gens.append((p, p2))
+            stack = list(span)
+            while stack:
+                q, q2 = stack.pop()
+                for g, g2 in gens:
+                    h = (tuple(map(q.__getitem__, g)), tuple(map(q2.__getitem__, g2)))
+                    if h not in span:
+                        span.add(h)
+                        stack.append(h)
+    return True
 
 
 # -- exact commutant enumeration ----------------------------------------------
 
 
-def _commutant_rows(md: ModularData, pos_index):
-    """Integer rows of SZ = ZS, with Z supported on the allowed positions.
+def _position_classes(md: ModularData):
+    """(classes, columns): the unknowns of Z and the columns j whose equations
+    (SZ - ZS)_ij = 0 are written (module docstring).
+
+    Where ``galois_action`` certifies S and S is invertible (the charge
+    conjugation exists), a class is an orbit of positions (a, b) under
+    (a, b) -> (perm[a], perm[b]) of the generators, and ``columns`` holds one
+    column per orbit.  A class is kept only if T allows each member
+    (T_a = T_b) and signs[a] = signs[b] at each member and generator: Z then
+    takes one value on it.  Otherwise a nonnegative Z is 0 there, and the
+    class is dropped.  Without a certificate the classes are the single
+    allowed positions and every column gives equations.  Classes come in
+    row-major order of their least position.
+    """
+    n = md.dim
+    order = _conductor([md.T])
+    _, (iT,) = _integral([md.T], order)
+    twist = [tuple(_reduced(p, order)) for p in iT]
+    act = galois_action(md)
+    gens = []
+    if act.gens:
+        try:
+            md.charge_conjugation()
+        except ValueError:  # S^2 is no permutation: S may be singular
+            pass
+        else:
+            gens = [(perm, signs) for _, perm, signs in act.gens]
+    seen = set()
+    classes = []
+    for a in range(n):
+        for b in range(n):
+            if (a, b) in seen:
+                continue
+            seen.add((a, b))
+            orbit = [(a, b)]
+            live = True
+            for x, y in orbit:  # grows while it is read
+                live = live and twist[x] == twist[y]
+                for perm, signs in gens:
+                    live = live and signs[x] == signs[y]
+                    p = (perm[x], perm[y])
+                    if p not in seen:
+                        seen.add(p)
+                        orbit.append(p)
+            if live:
+                classes.append(orbit)
+    columns = [o[0] for o in act.orbits] if gens else list(range(n))
+    return classes, columns
+
+
+def _commutant_rows(md: ModularData, class_of, columns):
+    """Integer rows of (SZ - ZS)_ij = 0 for j in ``columns``, with Z taking
+    the value of unknown class_of[(a, b)] at (a, b), and 0 off the classes.
 
     S is written over its conductor N and one denominator, which the
     homogeneous system drops.  Each entry is reduced modulo Phi_N once; the
@@ -706,14 +927,15 @@ def _commutant_rows(md: ModularData, pos_index):
     deg = len(cyclotomic_polynomial(N)) - 1
     R = [[_reduced(p, N)[:deg] for p in row] for row in iS]
     for i in range(n):
-        for j in range(n):
+        for j in columns:
             terms = {}
             for b in range(n):
-                v = pos_index.get((b, j))
+                v = class_of.get((b, j))
                 if v is not None:
-                    terms[v] = R[i][b]
+                    acc = terms.get(v)
+                    terms[v] = R[i][b] if acc is None else [x + y for x, y in zip(acc, R[i][b])]
             for a in range(n):
-                v = pos_index.get((i, a))
+                v = class_of.get((i, a))
                 if v is not None:
                     acc = terms.get(v, [0] * deg)
                     terms[v] = [x - y for x, y in zip(acc, R[a][j])]
@@ -777,26 +999,28 @@ def brute_force_invariants(md: ModularData):
     """All nonnegative integer matrices commuting with S and T.
 
     Entries are bounded by the primary count and the unit entry is fixed to
-    1.  Complete within the bound.
+    1.  Complete within the bound.  The unknowns are the position classes of
+    ``_position_classes`` and the equations those of its columns: where the
+    Galois action is certified and S invertible, one unknown per orbit of
+    positions and one column per orbit, with the plain system's solutions
+    (module docstring).
     """
     n = md.dim
     if n > BRUTE_GUARD:
         raise GuardError(f"primary count {n} exceeds guard {BRUTE_GUARD}")
     bound = n
-    order = lcm(*(t.order for t in md.T))
-    twist = [t.at_order(order).canonical() for t in md.T]
-    positions = [(a, b) for a in range(n) for b in range(n) if twist[a] == twist[b]]
-    pos_index = {p: i for i, p in enumerate(positions)}
-    if (md.unit, md.unit) not in pos_index:
+    classes, columns = _position_classes(md)
+    class_of = {p: v for v, cls in enumerate(classes) for p in cls}
+    if (md.unit, md.unit) not in class_of:
         raise ValueError("unit diagonal position missing")
     pivots: dict = {}
     try:
-        for row in _commutant_rows(md, pos_index):
+        for row in _commutant_rows(md, class_of, columns):
             _rref_insert(pivots, row, 0)
-        _rref_insert(pivots, {pos_index[(md.unit, md.unit)]: 1}, 1)
+        _rref_insert(pivots, {class_of[(md.unit, md.unit)]: 1}, 1)
     except _Inconsistent:
         return []
-    nvars = len(positions)
+    nvars = len(classes)
     free = [v for v in range(nvars) if v not in pivots]
     # pivot rows grouped by the last free variable they depend on; the row of
     # pivot p passes once pc * x_p = const - Sum c x_v lies in [0, pc * bound]
@@ -814,8 +1038,8 @@ def brute_force_invariants(md: ModularData):
         vals = dict(assign)
         for var, (pc, row, const) in pivots.items():
             vals[var] = (const - sum(c * vals[v] for v, c in row.items())) // pc
-        for (a, b), idx in pos_index.items():
-            M[a][b] = vals[idx]
+        for (a, b), v in class_of.items():
+            M[a][b] = vals[v]
         out.append(ModularInvariant(M, {"source": "brute_force"}))
 
     def passes(pc, v):

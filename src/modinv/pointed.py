@@ -22,7 +22,7 @@ from .abelian import (
     subgroup_group,
 )
 from .forms import Pairing, QuadraticForm, gauss_sum, isometries
-from .modular import ModularData, ModularInvariant
+from .modular import ModularData, ModularInvariant, check_primaries
 from .scalars import Cyclotomic, phase_fraction, root_of_unity, sqrt_nonneg_int
 
 QUOTIENT_GUARD = 64
@@ -48,7 +48,11 @@ class PointedData:
 
 
 def weil(q: QuadraticForm, x: Cyclotomic | None = None) -> ModularData:
-    """Modular data with S from the polarization phases and T from the form."""
+    """Modular data with S from the polarization phases and T from the form.
+
+    One primary per element of the group, checked by ``check_primaries``
+    before the Gauss sum."""
+    check_primaries(q.group.order)
     data = PointedData(q, x)
     G = data.group
     labels = sorted(G.elements())

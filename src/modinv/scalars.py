@@ -10,9 +10,9 @@ except the display-only ``approx`` helper.
 This lowest layer also holds what every layer above shares: ``GuardError``,
 the one error a size guard raises before it starts work, ``factorize``, the
 one trial-division factorization, ``as_integer``, the one check that an
-input number is integral, and ``json_integer``, ``json_rational`` and
-``json_list``, the one reader of integers, exact rationals and lists in JSON
-input.  It ends with the packed integer kernel, ``_Packing`` and
+input number (JSON input included, where ``true`` is no integer) is
+integral, and ``json_rational`` and ``json_list``, the one reader of exact
+rationals and lists in JSON input.  It ends with the packed integer kernel, ``_Packing`` and
 ``_rational_bound``: integer polynomials in zeta_N as big integers by
 Kronecker substitution (see ``modular``, which builds its matrix work on it,
 and ``forms.gauss_sum``).
@@ -51,7 +51,11 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def as_integer(x, message: str) -> int:
-    """x as an int; ``ValueError(message)`` unless x is an integral number."""
+    """x as an int; ``ValueError(message)`` unless x is an integral number.
+
+    ``True`` and ``False`` are not integers here."""
+    if isinstance(x, bool):
+        raise ValueError(message)
     try:
         n = int(x)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -59,13 +63,6 @@ def as_integer(x, message: str) -> int:
     if n != x:
         raise ValueError(message)
     return n
-
-
-def json_integer(x, message: str) -> int:
-    """``as_integer`` for JSON input, where ``true`` and ``false`` are not integers."""
-    if isinstance(x, bool):
-        raise ValueError(message)
-    return as_integer(x, message)
 
 
 def json_list(x, what: str) -> list:
@@ -133,6 +130,26 @@ def _lift(poly: tuple[int, ...], k: int) -> tuple[int, ...]:
 def cyclotomic_cofactor(n: int) -> tuple[int, ...]:
     """Coefficients (low degree first) of (x^n - 1) / Phi_n, an integer polynomial."""
     return tuple(_exact_div([-1] + [0] * (n - 1) + [1], list(cyclotomic_polynomial(n))))
+
+
+@lru_cache(maxsize=None)
+def ramanujan_sums(n: int) -> tuple[int, ...]:
+    """(c_n(0), ..., c_n(n - 1)) with c_n(j) = Tr(zeta_n^j) over Q, so c_n(0) = phi(n).
+
+    c_n(j) = mu(m) phi(n) / phi(m) with m = n / gcd(j, n) (Hoelder's formula).
+    """
+
+    def mu_phi(m):
+        f = factorize(m)
+        mu = 0 if any(e > 1 for e in f.values()) else (-1) ** len(f)
+        return mu, prod(p ** (e - 1) * (p - 1) for p, e in f.items())
+
+    phi_n = mu_phi(n)[1]
+    out = []
+    for j in range(n):
+        mu, phi_m = mu_phi(n // gcd(j, n))
+        out.append(mu * phi_n // phi_m)
+    return tuple(out)
 
 
 def _exact_div(num: list[int], den: list[int]) -> list[int]:
@@ -393,7 +410,7 @@ class Cyclotomic:
     @staticmethod
     def from_json(obj: dict) -> "Cyclotomic":
         try:
-            n = json_integer(obj["N"], "cyclotomic JSON needs an integer order 'N'")
+            n = as_integer(obj["N"], "cyclotomic JSON needs an integer order 'N'")
             coeffs = [json_rational(s) for s in json_list(obj["c"], "'c'")]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed cyclotomic JSON: {exc!r}") from exc
@@ -581,12 +598,21 @@ class _Packing:
         comparison of u with r F is exact when the coefficients of v F and
         v F - r F are within ``bound``.
         """
+        u %= self.M
+        r = self.f0 * self.constant(u)
+        return None if (u - r * self.PF) % self.M else r
+
+    def constant(self, u: int) -> int:
+        """The coefficient of x^0 of the packed value u, all of whose
+        coefficients are within ``bound``."""
         M, half = self.M, self.half
-        u %= M
+        if u < 0:
+            u %= M
+        while u > M:  # 2^(B N) = 1 modulo M: fold the high bits onto the low
+            u = (u & M) + (u >> (self.shift * self.N))
         if u > M >> 1:  # the packed polynomial is negative as an integer
             u -= M
-        r = self.f0 * (((u + half) & (2 * half - 1)) - half)
-        return None if (u - r * self.PF) % M else r
+        return ((u + half) & (2 * half - 1)) - half
 
     def rotations(self, u: int) -> dict:
         """{x^k u: k for k < N}: u times every power of zeta_N."""

@@ -31,7 +31,7 @@ from .forms import (
     gauss_sum,
     standard_pairing,
 )
-from .modular import ModularData, ModularInvariant, simple_currents
+from .modular import ModularData, ModularInvariant, check_primaries, simple_currents
 from .pointed import PointedData, weil
 from .scalars import Cyclotomic, as_integer, root_of_unity, sqrt_nonneg_int
 from .simple_current import make_epsilon, sc_matrix
@@ -403,9 +403,13 @@ def ty_double(data: TYData, q: QuadraticForm, conv: SqrtConvention | None = None
     built, and each entry below it is the same object as its transpose.
     Products and sums in Q[x]/(x^N - 1) commute exactly, so the stored
     order and terms of an entry do not depend on which label comes first.
+
+    The primary count 2n + 2n + n(n - 1)/2 = n(n + 7)/2 is checked by
+    ``check_primaries`` before anything is built.
     """
     G = data.G
     n = G.order
+    check_primaries(n * (n + 7) // 2)
     if q.polarization().key() != data.pairing.key():
         raise ValueError("form does not polarize to the datum's pairing")
     if conv is None:

@@ -902,6 +902,16 @@ class TestPackedGaussSum:
         q, _ = indecomposable_form(desc)
         assert assert_matches_reference(q)[0] is not ValueError
 
+    # opt-in (pytest -m slow): the reference alone took about 3,000 s over
+    # these 110 descriptors, up to 360 s for one at p = 1 mod 4
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "desc", [d for d in descriptors_up_to(300) if d not in descriptors_up_to(64)]
+    )
+    def test_matches_reference_on_descriptors_up_to_300(self, desc):
+        q, _ = indecomposable_form(desc)
+        assert assert_matches_reference(q)[0] is not ValueError
+
     @pytest.mark.parametrize("desc", ["2^8_1", "211^1_+", "211^1_-"])
     def test_no_cyclotomic_product_or_division(self, desc, monkeypatch):
         q, x3 = indecomposable_form(desc)

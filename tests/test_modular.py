@@ -26,6 +26,7 @@ from modinv.modular import (
     verlinde,
 )
 from modinv.pointed import weil
+from modinv.simple_current import enumerate_sc
 from modinv.scalars import (
     Cyclotomic,
     cyclotomic_cofactor,
@@ -631,17 +632,17 @@ class TestPermutationHelpers:
 
 
 class TestIntegerEntries:
-    @pytest.mark.parametrize("entry", [1.5, 0.5, Fraction(3, 2), "1", None], ids=repr)
+    @pytest.mark.parametrize("entry", [1.5, 0.5, Fraction(3, 2), "1", None, True], ids=repr)
     def test_check_invariant_rejects_non_integers(self, entry):
         with pytest.raises(ValueError, match="invariant entries must be integers"):
             check_invariant(weil(Z2_FORM), [[entry, 0], [0, entry]])
 
-    @pytest.mark.parametrize("entry", [1.7, Fraction(1, 2), "2", None], ids=repr)
+    @pytest.mark.parametrize("entry", [1.7, Fraction(1, 2), "2", None, True], ids=repr)
     def test_invariant_rejects_non_integers(self, entry):
         with pytest.raises(ValueError, match="invariant entries must be integers"):
             ModularInvariant([[entry, 0], [0, 1]])
 
-    @pytest.mark.parametrize("one", [1, 1.0, Fraction(1), True], ids=repr)
+    @pytest.mark.parametrize("one", [1, 1.0, Fraction(1)], ids=repr)
     def test_integral_entries_accepted(self, one):
         ok, _ = check_invariant(weil(Z2_FORM), [[one, 0], [0, one]])
         assert ok
@@ -1468,3 +1469,197 @@ def test_simple_currents_exact_at_large_coefficients(build):
     assert sc.sufficiently_nonzero == ref.sufficiently_nonzero
     assert {j: sc.q(j) for j in sc.twists} == {j: ref.q(j) for j in ref.twists}
     assert all(sc.grading(a, j) == ref.grading(a, j) for j in ref.charges for a in range(md.dim))
+
+
+# -- the Galois action on S, and what verlinde and brute force read off it ---------
+
+
+def galois_image(x, g, N):
+    """sigma_g(x) for x in Q(zeta_N), zeta_N^k -> zeta_N^(g k), from x's terms."""
+    return Cyclotomic(N, {g * k: c for k, c in x.at_order(N).terms()})
+
+
+def _weil(descriptor):
+    return weil(indecomposable_form(descriptor)[0])
+
+
+ORBIT_COUNTS = {
+    "ty-2^1_1": (lambda: _double("2^1_1"), 5),
+    "ty-3^1_+": (lambda: _double("3^1_+"), 8),
+    "ty-2^2_1": (lambda: _double("2^2_1"), 14),
+    "ty-5^1_+": (lambda: _double("5^1_+"), 10),
+    "ty-5^1_-": (lambda: _double("5^1_-"), 10),
+    "ty-7^1_+": (lambda: _double("7^1_+"), 10),
+    "weil-3^1_+x3^1_+": (lambda: _weil("3^1_+ x 3^1_+"), 5),
+    "weil-2^2_1x2^1_1": (lambda: _weil("2^2_1 x 2^1_1"), 6),
+}
+
+
+@pytest.mark.parametrize("build,count", ORBIT_COUNTS.values(), ids=ORBIT_COUNTS.keys())
+def test_galois_certificate(build, count):
+    md = build()
+    act = modular.galois_action(md)
+    assert act is modular.galois_action(md)
+    N, n = act.N, md.dim
+    assert N == modular._conductor(md.S)
+    assert len(act.orbits) == count
+    # the generators span (Z/N)^*
+    span = {1}
+    while True:
+        more = span | {x * g % N for x in span for g, _, _ in act.gens}
+        if more == span:
+            break
+        span = more
+    assert len(span) == len(cyclotomic_polynomial(N)) - 1
+    # the orbits partition the columns, each closed under every generator
+    assert sorted(k for o in act.orbits for k in o) == list(range(n))
+    assert all({perm[k] for k in o} == set(o) for _, perm, _ in act.gens for o in act.orbits)
+    if n > 30:
+        return
+    # sigma_g(S_ik) = signs[k] S_{i, perm[k]}, entry by entry in Cyclotomic arithmetic
+    for g, perm, signs in act.gens:
+        for i in range(n):
+            for k in range(n):
+                assert galois_image(md.S[i][k], g, N) == signs[k] * md.S[i][perm[k]]
+
+
+PERTURBED_S = {
+    # the perturbed columns are no signed columns of S after sigma_g
+    "ty-3^1_+-entry-doubled": lambda: with_entry(_double("3^1_+"), 1, 2, lambda x: 2 * x),
+    "ty-2^1_1-entry-times-sqrt2": lambda: with_entry(
+        _double("2^1_1"), 1, 2, lambda x: x * sqrt_nonneg_int(2)
+    ),
+    "weil-3^1_+-entry-negated": lambda: with_entry(weil(Z3_FORM), 1, 1, lambda x: -x),
+    "weil-2^2_1-one-entry-times-i": lambda: with_entry(
+        weil(Z4_FORM), 1, 1, lambda x: x * root_of_unity(4, 1), symmetric=False
+    ),
+    # two equal columns
+    "weil-2^2_1-column-repeated": lambda: with_columns(weil(Z4_FORM), [0, 1, 1, 3]),
+}
+
+
+@pytest.mark.parametrize("build", PERTURBED_S.values(), ids=PERTURBED_S.keys())
+def test_perturbed_s_has_no_certificate(build):
+    md = build()
+    act = modular.galois_action(md)
+    assert len(cyclotomic_polynomial(act.N)) > 2  # (Z/N)^* is not trivial
+    assert act.gens == () and act.orbits == tuple((k,) for k in range(md.dim))
+    assert verlinde_outcome(verlinde, md) == verlinde_outcome(reference_verlinde, md)
+    classes, columns = modular._position_classes(md)
+    assert all(len(c) == 1 for c in classes) and columns == list(range(md.dim))
+    if md.dim <= 9:
+        assert [z.matrix for z in brute_force_invariants(md)] == reference_brute_force(md)
+
+
+def test_position_classes_on_the_3_double():
+    md = _double("3^1_+")
+    n = md.dim
+    allowed = [(a, b) for a in range(n) for b in range(n) if md.T[a] == md.T[b]]
+    classes, columns = modular._position_classes(md)
+    assert len(allowed) == 43 and len(classes) == 17
+    assert columns == [o[0] for o in modular.galois_action(md).orbits] and len(columns) == 8
+    members = [p for c in classes for p in c]
+    assert len(members) == len(set(members)) and set(members) <= set(allowed)
+    assert members[:1] == [(0, 0)] and [min(c) for c in classes] == sorted(min(c) for c in classes)
+    # every invariant is constant on each class and 0 off the classes
+    found = brute_force_invariants(md)
+    assert len(found) == 5
+    for z in found:
+        assert all(len({z.matrix[a][b] for a, b in c}) == 1 for c in classes)
+        assert all(z.matrix[a][b] == 0 for a in range(n) for b in range(n) if (a, b) not in members)
+
+
+def test_position_classes_without_an_invertible_s():
+    # certified (N = 1, no generators needed) but S^2 = 6 I is no permutation
+    md = BRUTE_DATA[BRUTE_IDS.index("rational-commutant")]()
+    with pytest.raises(ValueError):
+        md.charge_conjugation()
+    classes, columns = modular._position_classes(md)
+    assert classes == [[(a, b)] for a in range(2) for b in range(2)] and columns == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: _double("3^1_+"), lambda: _weil("3^1_+ x 3^1_+")], ids=["ty-3^1_+", "weil-3^1_+x3^1_+"]
+)
+def test_certified_verlinde_forms_one_product_per_orbit(build, monkeypatch):
+    md = build()
+    n = md.dim
+    act = modular.galois_action(md)
+    triples = n * (n + 1) * (n + 2) // 6
+    counted = []
+
+    def count_mul(x, y):
+        counted.append(1)
+        return x * y
+
+    monkeypatch.setattr(modular, "mul", count_mul)
+    fused = verlinde(md)
+    assert len(counted) == len(act.orbits) * triples < n * triples
+    # the same datum without its certificate sums every column
+    counted.clear()
+    md._galois = modular.GaloisAction(act.N, (), tuple((k,) for k in range(n)))
+    assert verlinde(md) == fused
+    assert len(counted) == n * triples
+    monkeypatch.undo()
+    assert fused == reference_verlinde(md)
+
+
+def reference_periodicity(sc, M):
+    """current_periodicity as check_invariant first decided it: every current
+    pair (J, J') with M[J][J'] != 0, over all entries."""
+    n = len(M)
+    periodic = True
+    for jc, pj in sc.action_table.items():
+        j = sc.label_index[jc]
+        for jc2, pj2 in sc.action_table.items():
+            if M[j][sc.label_index[jc2]] == 0:
+                continue
+            for a in range(n):
+                for b in range(n):
+                    if M[pj[a]][pj2[b]] != M[a][b]:
+                        periodic = False
+    return periodic
+
+
+# every datum with fusion rules (the rational commutant has a zero unit entry)
+FUSION_DATA = {k: v for k, v in VERLINDE_DATA.items() if k != "rational-commutant"}
+
+
+@pytest.mark.parametrize("build", FUSION_DATA.values(), ids=FUSION_DATA.keys())
+def test_current_periodicity_matches_reference(build):
+    md = build()
+    mats = {z.matrix for z in brute_force_invariants(md)} if md.dim <= 15 else set()
+    try:
+        mats |= enumerate_sc(md).matrix_set()
+    except ValueError:
+        assert validate_modular(md)  # only non-modular data have no simple-current invariants
+    for M in sorted(mats):
+        ok, report = check_invariant(md, M)
+        if ok:
+            assert report["current_periodicity"] == reference_periodicity(simple_currents(md), M)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["weil-Z2xZ2", "weil-Z6", "weil-3^1_+x3^1_+", "weil-2^12^1_i", "ty-2^1_1"]), st.data())
+def test_current_periodicity_on_drawn_matrices(name, data):
+    # M constant on the orbits of a drawn group of current pairs, maybe with one entry changed
+    md = VERLINDE_DATA[name]()
+    sc = simple_currents(md)
+    n = md.dim
+    perms = list(sc.action_table.values())
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(perms), st.sampled_from(perms)), max_size=3))
+    M = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if M[a][b] is None:
+                value = data.draw(st.integers(0, 2))
+                M[a][b] = value
+                orbit = [(a, b)]
+                for x, y in orbit:
+                    for p, p2 in pairs:
+                        if M[p[x]][p2[y]] is None:
+                            M[p[x]][p2[y]] = value
+                            orbit.append((p[x], p2[y]))
+    if data.draw(st.booleans()):
+        M[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] += 1
+    assert modular._current_periodic(sc, M) == reference_periodicity(sc, M)

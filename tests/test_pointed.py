@@ -313,6 +313,18 @@ def test_dpm_guard_before_search(monkeypatch):
         enum_dpm(q)
 
 
+def test_weil_primary_guard_before_gauss_sum(monkeypatch):
+    def no_gauss_sum(q):
+        raise AssertionError("Gauss sum computed before the primary guard")
+
+    monkeypatch.setattr(pointed, "gauss_sum", no_gauss_sum)
+    q, _ = indecomposable_form("1009^1_+")
+    with pytest.raises(GuardError, match="primary count 1009 exceeds guard 512"):
+        weil(q)
+    monkeypatch.undo()
+    assert weil(indecomposable_form("2^9_1")[0]).dim == 512  # at the guard
+
+
 class TestJpsiToDpm:
     def test_round_trip_reproduces_matrix(self):
         for q in SMALL_FORMS:

@@ -1,7 +1,8 @@
 import cmath
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from modinv.scalars import (
     Cyclotomic,
     GuardError,
+    _Packing,
     cyclotomic_polynomial,
     factorize,
     phase_fraction,
+    ramanujan_sums,
     rational_phase,
     root_of_unity,
     sqrt_nonneg_int,
@@ -249,6 +252,41 @@ def reference_cyclotomic_polynomial(n):
 def test_cyclotomic_polynomial_matches_division_recursion():
     for n in range(1, 401):
         assert cyclotomic_polynomial(n) == reference_cyclotomic_polynomial(n), n
+
+
+def test_ramanujan_sums_are_traces():
+    # Tr(zeta_n^j) = Sum over units a mod n of zeta_n^(a j), summed as Cyclotomic values
+    for n in list(range(1, 61)) + [84, 120]:
+        units = [a for a in range(n) if gcd(a, n) == 1]
+        traces = []
+        for j in range(n):
+            t = Cyclotomic(n, Counter(a * j % n for a in units))
+            assert t.is_rational()
+            traces.append(t.as_rational())
+        assert ramanujan_sums(n) == tuple(traces), n
+        assert ramanujan_sums(n)[0] == len(cyclotomic_polynomial(n)) - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2, 3, 8, 24, 56]), st.data())
+def test_packing_constant_reads_the_lowest_coefficient(N, data):
+    # a sum of products of reduced packed values, as verlinde forms it, unreduced
+    bound = data.draw(st.sampled_from([3, 255, 2**40]))
+    pk = _Packing(N, bound)
+    length = data.draw(st.integers(1, 6))
+    small = st.integers(-7, 7)
+    fs = [data.draw(st.lists(small, min_size=N, max_size=N)) for _ in range(length)]
+    gs = [data.draw(st.lists(small, min_size=N, max_size=N)) for _ in range(length)]
+    coeffs = [0] * N
+    for f, g in zip(fs, gs):
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                coeffs[(i + j) % N] += x * y
+    if max(map(abs, coeffs)) > bound:
+        return
+    u = sum(pk.pack(dict(enumerate(f))) * pk.pack(dict(enumerate(g))) for f, g in zip(fs, gs))
+    assert pk.constant(u) == coeffs[0]
+    assert pk.constant(-u) == -coeffs[0]
 
 
 small_roots = st.builds(

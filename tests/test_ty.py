@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from modinv.abelian import FinAbGroup, Subgroup
+from modinv.abelian import FinAbGroup, GuardError, Subgroup
 from modinv.forms import (
     AlternatingPairing,
     Pairing,
@@ -437,6 +437,18 @@ def test_double_primary_count():
         q, data = datum(descriptor)
         md = ty_double(data, q)
         assert len(md.labels) == 4 * n + n * (n - 1) // 2
+
+
+def test_double_primary_guard_before_any_table(monkeypatch):
+    import modinv.ty as ty
+
+    def no_convention(*args):
+        raise AssertionError("square-root convention built before the primary guard")
+
+    monkeypatch.setattr(ty.SqrtConvention, "canonical", no_convention)
+    q, data = datum("29^1_+")  # 29 * 36 / 2 = 522 primaries
+    with pytest.raises(GuardError, match="primary count 522 exceeds guard 512"):
+        ty_double(data, q)
 
 
 def test_double_trivial_group_toric_and_semion():
