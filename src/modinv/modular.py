@@ -478,13 +478,12 @@ def _find_galois_action(md: ModularData) -> GaloisAction:
     N, _, iS, norm = md._integral_S()
     pk = _Packing(N, norm * sum(map(abs, cyclotomic_cofactor(N))))
     M, PF = pk.M, pk.PF
-    # the distinct entries, by object: S often holds one object per value
-    where = {}
-    for i, row in enumerate(md.S):
-        for k, x in enumerate(row):
-            where.setdefault(id(x), (i, k))
-    slot = {key: s for s, key in enumerate(where)}
-    polys = [iS[i][k] for i, k in where.values()]
+    # the distinct entries, by object (S often holds one object per value),
+    # each with the position of its first occurrence
+    flat = [x for row in md.S for x in row]
+    first = {id(x): i for i, x in reversed(list(enumerate(flat)))}
+    slot = {key: s for s, key in enumerate(first)}
+    polys = [iS[i // n][i % n] for i in first.values()]
     cols = [[slot[id(x)] for x in col] for col in zip(*md.S)]
     U = [pk.pack(p) * PF % M for p in polys]
     index = {}
@@ -836,25 +835,27 @@ def _current_periodic(sc: SimpleCurrentStructure, M) -> bool:
     The pairs (p, p') of permutations with M[p a][p' b] = M[a][b] form a
     group under composition, so only pairs outside the group generated by
     the pairs already checked are tested, each over all entries until the
-    first failure.
+    first failure.  A current's permutation sends the unit to the current
+    itself, so a pair is kept as the pair of current indices (j, j'), and
+    p_k p_g is the current p_k(g).
     """
     n = len(M)
-    perms = [(sc.label_index[jc], p) for jc, p in sc.action_table.items()]
-    identity = tuple(range(n))
-    span = {(identity, identity)}
+    perm = {sc.label_index[jc]: p for jc, p in sc.action_table.items()}
+    zero = sc.label_index[sc.group.zero()]
+    span = {(zero, zero)}
     gens = []
-    for j, p in perms:
-        for j2, p2 in perms:
-            if M[j][j2] == 0 or (p, p2) in span:
+    for j, p in perm.items():
+        for j2, p2 in perm.items():
+            if M[j][j2] == 0 or (j, j2) in span:
                 continue
             if any([M[p[a]][x] for x in p2] != M[a] for a in range(n)):
                 return False
-            gens.append((p, p2))
+            gens.append((j, j2))
             stack = list(span)
             while stack:
-                q, q2 = stack.pop()
+                k, k2 = stack.pop()
                 for g, g2 in gens:
-                    h = (tuple(map(q.__getitem__, g)), tuple(map(q2.__getitem__, g2)))
+                    h = (perm[k][g], perm[k2][g2])
                     if h not in span:
                         span.add(h)
                         stack.append(h)

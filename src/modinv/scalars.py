@@ -12,10 +12,11 @@ the one error a size guard raises before it starts work, ``factorize``, the
 one trial-division factorization, ``as_integer``, the one check that an
 input number (JSON input included, where ``true`` is no integer) is
 integral, and ``json_rational`` and ``json_list``, the one reader of exact
-rationals and lists in JSON input.  It ends with the packed integer kernel, ``_Packing`` and
-``_rational_bound``: integer polynomials in zeta_N as big integers by
-Kronecker substitution (see ``modular``, which builds its matrix work on it,
-and ``forms.gauss_sum``).
+rationals and lists in JSON input.  It ends with the packed integer kernel,
+``_Packing`` and ``_rational_bound``: integer polynomials in zeta_N as big
+integers by Kronecker substitution (see ``modular``, which builds its matrix
+work on it, and ``forms.gauss_sum``), and ``ramanujan_sums``, the traces of
+the powers of zeta_N that ``modular.verlinde`` reads orbit sums with.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ def as_integer(x, message: str) -> int:
     """x as an int; ``ValueError(message)`` unless x is an integral number.
 
     ``True`` and ``False`` are not integers here."""
+    if type(x) is int:
+        return x
     if isinstance(x, bool):
         raise ValueError(message)
     try:
