@@ -579,8 +579,8 @@ def verlinde(md: ModularData):
     cols, value = U, pk.rational
     if act.gens and not direct:
         # one column per orbit, |O_k| R folded into 1/S_0k; phi(N) = c_N(0)
-        PR = pk.pack(dict(enumerate(R)))
-        Pinv = [len(o) * Pinv[o[0]] * PR % M for o in act.orbits]
+        PRS = pk.pack(dict(enumerate(R)))
+        Pinv = [len(o) * Pinv[o[0]] * PRS % M for o in act.orbits]
         P = cols = [[row[o[0]] for o in act.orbits] for row in P]
 
         def value(u):
