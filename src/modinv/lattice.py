@@ -118,15 +118,16 @@ class Lattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    def direct_sum(self, other: "Lattice") -> "Lattice":
-        n, m = self.rank, other.rank
-        out = [[0] * (n + m) for _ in range(n + m)]
-        for i in range(n):
-            for j in range(n):
-                out[i][j] = self.gram[i][j]
-        for i in range(m):
-            for j in range(m):
-                out[n + i][n + j] = other.gram[i][j]
+    def direct_sum(self, *others: "Lattice") -> "Lattice":
+        """The orthogonal sum of self and others: one block-diagonal Gram."""
+        grams = [self.gram] + [o.gram for o in others]
+        n = sum(map(len, grams))
+        out = [[0] * n for _ in range(n)]
+        at = 0
+        for gram in grams:
+            for i, row in enumerate(gram):
+                out[at + i][at : at + len(row)] = row
+            at += len(gram)
         return Lattice(out)
 
     def key(self):
@@ -447,9 +448,7 @@ def _realize_factor(p: int, k: int, sub) -> Lattice:
         m, scalars, copies = (-1, 2, 2) if sub == "i" else (-3, 3, 1)
         ingredient = _realize_factor(2, k, m)
         gamma = _class_with_norm(ingredient, Fraction(m, N)).coords
-        base = Lattice(())
-        for piece in [Lattice([[N]])] * scalars + [ingredient] * copies:
-            base = base.direct_sum(piece)
+        base = Lattice(()).direct_sum(*[Lattice([[N]])] * scalars, *[ingredient] * copies)
         # The glue vector v has first coordinate 1/N and N v lies in the base,
         # so v, e_1, ..., e_(n-1) are a basis of base + Zv.  ``glue``'s Hermite
         # basis of the same lattice stalls the Smith form in ``discriminant``
@@ -555,7 +554,9 @@ def realize(target) -> Lattice:
     part is the first candidate, named root lattices before weighted trees
     (module docstring), whose determinant, Smith factors and discriminant form
     match the part's.  Raises GuardError, naming the part, when the search
-    runs out of candidates.
+    runs out of candidates.  The sum is built once, as one block-diagonal
+    Gram, and only when its rank is within LATTICE_RANK_GUARD (else
+    GuardError).
     """
     if isinstance(target, QuadraticForm):
         if target.group.order == 1:
@@ -564,10 +565,11 @@ def realize(target) -> Lattice:
     desc = str(target).strip().replace("*", " x ")
     # every part is legal and within the guard before any is built
     parts = [_parse_descriptor(part) for part in desc.split(" x ")]
-    lat = None
-    for p, k, sub, _ in parts:
-        piece = _realize_factor(p, k, sub)
-        lat = piece if lat is None else lat.direct_sum(piece)
+    pieces = [_realize_factor(p, k, sub) for p, k, sub, _ in parts]
+    rank = sum(piece.rank for piece in pieces)
+    if rank > LATTICE_RANK_GUARD:
+        raise GuardError(f"lattice rank {rank} exceeds guard {LATTICE_RANK_GUARD}")
+    lat = pieces[0].direct_sum(*pieces[1:])
     if len(parts) > 1 and lat.det <= FORM_ORDER_GUARD:
         q, _ = indecomposable_form(desc)
         if q.group.rank <= FORM_RANK_GUARD and not _verify_realization(lat, q):

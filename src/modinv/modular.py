@@ -33,11 +33,14 @@ uses it too); this module writes its matrices into it:
 * Roots of unity are digit rotations: every root of unity in Q(zeta_m) is
   +-zeta_m^k, i.e. +-x^k, and multiplying a packed value by x^k rotates its
   digits by k places.  ``validate_modular`` decides that each T entry is a
-  root of unity, and ``simple_currents`` (at an even m, where the sign is
-  itself a rotation) decides each S_{J,a} = zeta_m^k S_{0,a} and
-  T_J conj(T_0) = zeta_m^k, by looking up one packed value (times F) among
-  the rotations of another, so the monodromy charges, the twists and the
-  zero pattern of S need no unpacking.
+  root of unity by looking one packed value (times F) up among the
+  rotations of another.  ``simple_currents`` reads S and T only, on modular
+  data (it does not re-validate): S diagonalizes each fusion matrix N_j
+  with eigenvalues psi_k(j) = S_jk / S_0k, so j is invertible exactly when
+  every psi_k(j) is a root of unity (N_j is then a unitary nonnegative
+  integer matrix, a permutation), its charges are those phases, and the
+  row of j a is row a times them entry by entry, S_{j a, k} = psi_k(j) S_ak.
+  All of it is rotation lookups at an even m, where the sign is a rotation.
 * Results are unpacked and reduced modulo Phi_N only where a value is
   returned or compared as a whole matrix: ``_product`` gives a product as
   reduced integer lists and ``mat_mul`` wraps them as ``Cyclotomic``
@@ -630,7 +633,8 @@ class SimpleCurrentStructure(NamedTuple):
     * the twist h_J - h_0 = ``twists[J] / den`` is defined by
       T_J = e^(2 pi i (h_J - h_0)) T_0.
 
-    Both are tabulated once per datum by digit rotation in the packed kernel
+    The currents, their ``action_table``, charges and twists are read off S
+    and T alone, once per datum, by digit rotation in the packed kernel
     (``_find_simple_currents``), so every comparison is of integers.
     ``grading`` and ``q`` return them as ``Fraction``s in [0, 1).
     """
@@ -665,96 +669,92 @@ def simple_currents(md: ModularData) -> SimpleCurrentStructure:
 
 
 def _find_simple_currents(md: ModularData):
-    """Invertible simples with their charges and twists, and the zero pattern of S.
+    """Invertible simples with their charges, action and twists, and the zero
+    pattern of S, read off S and T alone in one ``_Packing``.
 
-    All three are read off one ``_Packing`` at m = lcm(2, N), N the conductor
-    of S and T.  Every root of unity in Q(zeta_N) is then zeta_m^k, the
-    monomial x^k in Z[x]/(x^m - 1), and multiplying a packed value by x^k
-    rotates its digits by k places.  Each S entry is packed times the cofactor
-    F = (x^m - 1) / Phi_m, as u_ab.  Because x^m - 1 = Phi_m F is squarefree,
-    v F = w F modulo x^m - 1 exactly when v = w modulo Phi_m.  Hence:
+    md must be modular; nothing re-validates it.  j is a current exactly when
+    every psi_k(j) = S_jk / S_0k is a root of unity, its charges are those
+    phases, and the row of j a is row a times them (module docstring: S
+    diagonalizes N_j with eigenvalues psi_k(j), and a unitary nonnegative
+    integer matrix is a permutation).  At m = lcm(2, N), N the conductor of S
+    and T, every root of unity in Q(zeta_N) is some x^k.  S is packed times
+    F = (x^m - 1) / Phi_m, as u; v F = w F modulo x^m - 1 = Phi_m F exactly
+    when v = w modulo Phi_m, as x^m - 1 is squarefree.
 
-    * S_{J,a} = zeta_m^k S_{0,a} exactly when u_{J,a} is u_{0,a} rotated by
-      k digits.  The m rotations of u_{0,a} are distinct since S_{0,a} != 0,
-      so one dict lookup per (J, a) gives Q_J(a) = k / m, and a miss means
-      the ratio is no root of unity;
-    * T_J conj(T_0) = zeta_m^k exactly when the packed t_J conj(t_0) F (T over
-      its denominator d_T) is the packed d_T^2 F, the value 1, rotated by k;
+    * S_jk = zeta_m^q S_0k exactly when u_jk is u_0k rotated by q digits (the
+      m rotations differ as S_0k != 0): one lookup per (j, k) gives the charge
+      digit q, and j is a current when all n lookups hit;
+    * j a is the row of u equal to row a rotated entry by entry by j's
+      digits.  Currents compose by this lookup, which gives the group; each
+      generator's permutation is looked up and every other one composed;
+    * T_j conj(T_0) = zeta_m^k exactly when the packed t_j conj(t_0) F (T over
+      its denominator d_T) is the packed d_T^2 F rotated by k;
     * S_ab = 0 exactly when u_ab = 0.
 
-    Exactness: every compared value has coefficients at most ``bound`` ||F||_1,
-    ``bound`` the largest l1 norm of an S entry, of a t_J conj(t_0) and of d_T^2.
-    The digits of the difference of two such values are below 2^(B-1) in
-    absolute value, and a packed value with such digits is 0 only if every
-    digit is, so equal packed values are equal polynomials.
+    On other data the tables are read off S as given, or ValueError is raised
+    when two rows of S are equal, a current's product row is no row of S, or
+    a twist ratio is no root of unity.  Distinct rows make the currents' rows
+    the unit row times distinct phase rows closed under products: a group,
+    acting by permutations.  Exactness: compared values have coefficients at
+    most ``bound`` ||F||_1 (largest l1 norms of an S entry, a t_j conj(t_0)
+    and d_T^2), so a difference has digits below 2^(B-1): 0 only if all are.
     """
-    N = md.fusion()
-    n = md.dim
-    conj = md.charge_conjugation()
-    invertible = []
-    for j in range(n):
-        if N[j][conj[j]][md.unit] != 1:
-            continue
-        # fusion coefficients are nonnegative: a row summing to 1 is a single 1
-        if all(sum(row) == 1 for row in N[j]):
-            perm = tuple(row.index(1) for row in N[j])
-            if sorted(perm) == list(range(n)):
-                invertible.append((j, perm))
-    perms = {j: p for j, p in invertible}
-    group, coords = abelian_structure(
-        [j for j, _ in invertible], lambda a, b: perms[a][b], md.unit
-    )
-    label_index = {coords[j]: j for j, _ in invertible}
-    action_table = {coords[j]: p for j, p in invertible}
+    n, unit, labels = md.dim, md.unit, md.labels
     m = lcm(2, _conductor(md.S, [md.T]))
-    den = lcm(m, group.exponent)
     _, _, iS, norm_S = md._integral_S(m)
     dT, (iT,) = _integral([md.T], m)
-    unit = md.unit
     unit_bar = {-k % m: c for k, c in iT[unit].items()}
-    ratios = {j: _poly_mul(iT[j], unit_bar, m) for j, _ in invertible}
-    bound = max(norm_S, _norm([ratios.values()]), dT * dT)
+    ratios = [_poly_mul(t, unit_bar, m) for t in iT]
+    bound = max(norm_S, _norm([ratios]), dT * dT)
     pk = _Packing(m, bound * sum(map(abs, cyclotomic_cofactor(m))))
-    M, PF = pk.M, pk.PF
+    M, PF, B = pk.M, pk.PF, pk.shift
 
-    U = [[pk.pack(p) * PF % M for p in row] for row in iS]
+    U = [tuple(pk.pack(p) * PF % M for p in row) for row in iS]
+    digits = {j: [] for j in range(n)}  # charge digits of the rows still candidates
+    for k in range(n):
+        if not U[unit][k]:
+            raise ValueError("unit row of S has a zero entry")
+        phases = pk.rotations(U[unit][k])
+        for j in list(digits):
+            if U[j][k] in phases:
+                digits[j].append(phases[U[j][k]])
+            else:
+                del digits[j]
+    index = {}
+    for c, row in enumerate(U):
+        if index.setdefault(row, c) != c:
+            raise ValueError(f"rows {labels[index[row]]!r} and {labels[c]!r} of S are equal")
+
+    def times(j, a):
+        c = index.get(tuple((u << B * q | u >> B * (m - q)) & M for u, q in zip(U[a], digits[j])))
+        if c is None:
+            raise ValueError(f"current {labels[j]!r} times {labels[a]!r} is not a row of S")
+        return c
+
+    group, coords = abelian_structure(digits, times, unit)
+    den = lcm(m, group.exponent)
+    label_index = {coords[j]: j for j in digits}
+    acts = {group.zero(): tuple(range(n))}
+    for e, d in zip(group.basis(), group.factors):
+        gen = tuple(times(label_index[e], a) for a in range(n))
+        for c, perm in list(acts.items()):
+            for _ in range(d - 1):
+                c, perm = group.add(c, e), tuple(gen[a] for a in perm)
+                acts[c] = perm
+    action_table = {coords[j]: acts[coords[j]] for j in digits}
+    charges = {coords[j]: tuple(q * den // m for q in qs) for j, qs in digits.items()}
     ones = pk.rotations(dT * dT * PF % M)
     twists = {}
-    quaternionic = set()
-    for j, _ in invertible:
+    for j in digits:
         k = ones.get(pk.pack(ratios[j]) * PF % M)
         if k is None:
             raise ValueError(f"{md.T[j] * md.T[unit].conj()!r} is not a root of unity")
-        cj = coords[j]
-        twists[cj] = k * den // m
-        if group.element_order(cj) * twists[cj] % den == den // 2:
-            quaternionic.add(cj)
-    charges = {coords[j]: [None] * n for j, _ in invertible}
-    for a in range(n):
-        if not U[unit][a]:
-            raise ValueError("unit row of S has a zero entry")
-        phases = pk.rotations(U[unit][a])
-        for j, _ in invertible:
-            k = phases.get(U[j][a])
-            if k is None:
-                raise ValueError(
-                    f"S ratio of current {md.labels[j]!r} at primary {md.labels[a]!r}"
-                    " is not a root of unity"
-                )
-            charges[coords[j]][a] = k * den // m
-    charges = {cj: tuple(row) for cj, row in charges.items()}
+        twists[coords[j]] = k * den // m
+    quaternionic = {j for j, t in twists.items() if group.element_order(j) * t % den == den // 2}
     # class labels by their restriction of the grading to the current group
     classes: dict = {}
-    sig_of = [
-        classes.setdefault(tuple(row[a] for row in charges.values()), len(classes))
-        for a in range(n)
-    ]
-    linked = {
-        (sig_of[a], sig_of[b])
-        for a in range(n)
-        for b in range(n)
-        if U[a][b]
-    }
+    sig = [classes.setdefault(tuple(r[a] for r in charges.values()), len(classes)) for a in range(n)]
+    linked = {(sig[a], sig[b]) for a in range(n) for b in range(n) if U[a][b]}
     suff = len(linked) == len(classes) ** 2
     return SimpleCurrentStructure(
         group, coords, label_index, action_table, quaternionic, suff, den, charges, twists

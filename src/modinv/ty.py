@@ -545,25 +545,33 @@ def ty_equiv(data: TYData):
         root-root 0 for even order, t t' x^3 lam sign sum_g b(g, g) for odd,
 
     where x^3 inverts the normalized Gauss sum of a form q polarizing to b.
+    Each distinct entry is built once: two-two by 2 dot(r, s) mod den, the
+    integer numerator of b(r, s)^2, and one-two once.  The primary count is
+    checked by ``check_primaries`` before any form, Gauss sum or entry.
     For even order the matrix is degenerate, and a DegenerateData
     certificate with the first pair of identical rows is returned instead.
     """
     G = data.G
     n = G.order
-    q = forms_for_pairing(data.pairing)[0]
-    P = q.polarization()
     fixed, reps = _plus_minus_classes(G)
-    lam = sqrt_nonneg_int(4 * n) / (4 * n)
-
     if n % 2 == 0:
         ones = [("one", h, t) for h in fixed for t in (1, -1)]
+    else:
+        ones = [("one", 1), ("one", -1)]
+    labels = ones + [("two", r) for r in reps] + [("root", 1), ("root", -1)]
+    check_primaries(len(labels))
+    q = forms_for_pairing(data.pairing)[0]
+    P = q.polarization()
+    lam = sqrt_nonneg_int(4 * n) / (4 * n)
+    two_lam = lam + lam
+
+    if n % 2 == 0:
         pref = Cyclotomic.zero()
 
         def one_root(la):
             return P.eval(la[1], la[1]) * Fraction(la[2], 2)
 
     else:
-        ones = [("one", 1), ("one", -1)]
         doubled = QuadraticForm.from_numerators(G, {g: P.dot(g, g) for g in G.elements()})
         gs2, _, sig2 = gauss_sum(doubled)
         pref = (PointedData(q).x ** 3) * gs2 * lam * data.sign
@@ -571,7 +579,10 @@ def ty_equiv(data: TYData):
         def one_root(la):
             return Cyclotomic.from_rational(Fraction(la[1], 2))
 
-    labels = ones + [("two", r) for r in reps] + [("root", 1), ("root", -1)]
+    @lru_cache(maxsize=None)
+    def two_two(k):
+        z = root_of_unity(P.den, k)
+        return (z + z.conj()) * lam * 2
 
     def s_entry(la, lb):
         if la[0] > lb[0]:
@@ -580,10 +591,9 @@ def ty_equiv(data: TYData):
         if kinds == ("one", "one"):
             return lam
         if kinds == ("one", "two"):
-            return lam + lam
+            return two_lam
         if kinds == ("two", "two"):
-            z = root_of_unity(P.den, 2 * P.dot(la[1], lb[1]))
-            return (z + z.conj()) * lam * 2
+            return two_two(2 * P.dot(la[1], lb[1]) % P.den)
         if kinds == ("one", "root"):
             return one_root(la)
         if kinds == ("root", "root"):

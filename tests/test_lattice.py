@@ -419,6 +419,27 @@ def test_realize_form_guards():
         realize(wide)
 
 
+def test_realize_rank_guard_before_the_sum(monkeypatch):
+    def no_sum(*args):
+        raise AssertionError("direct sum built before the rank guard")
+
+    monkeypatch.setattr(lattice, "LATTICE_RANK_GUARD", 5)
+    monkeypatch.setattr(Lattice, "direct_sum", no_sum)
+    with pytest.raises(GuardError, match="lattice rank 6 exceeds guard 5"):
+        realize("3^1_+ x 3^1_+ x 3^1_+")
+    monkeypatch.undo()
+    monkeypatch.setattr(lattice, "LATTICE_RANK_GUARD", 6)
+    A2 = named("A2")
+    assert realize("3^1_+ x 3^1_+ x 3^1_+") == A2.direct_sum(A2).direct_sum(A2)
+
+
+def test_direct_sum_of_several_is_the_folded_sum():
+    A2, E6, D4 = named("A2"), named("E6"), named("D4")
+    assert A2.direct_sum(E6, D4) == A2.direct_sum(E6).direct_sum(D4)
+    assert Lattice(()).direct_sum(A2, Lattice(()), D4) == A2.direct_sum(D4)
+    assert A2.direct_sum() == A2
+
+
 def test_realize_rejects_degenerate_form():
     G = FinAbGroup((2,))
     zero = QuadraticForm(G, {(0,): Fraction(0), (1,): Fraction(0)})

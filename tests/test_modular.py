@@ -493,11 +493,10 @@ class TestSimpleCurrents:
         S = [list(row) for row in md.S]
         S[j][a] = 2 * S[j][a]
         bad = ModularData(md.labels, md.unit, S, md.T)
-        # reuse the fusion and conjugation of md, so the doubled entry
-        # reaches the charge table
-        bad._fusion = md.fusion()
-        bad._charge = md.charge_conjugation()
-        with pytest.raises(ValueError, match=r"current \(1,\) at primary \(2,\)"):
+        # (1,) is no current any more, while (2,) and (3,) still are: their
+        # product, row (3,) times the charge phases of (2,), is the old row
+        # of (1,), which S no longer has, and the error names both factors
+        with pytest.raises(ValueError, match=r"^current \(2,\) times \(3,\) is not a row of S$"):
             simple_currents(bad)
 
     def test_sufficiently_nonzero(self):
@@ -1387,6 +1386,8 @@ REFERENCE_CURRENT_DATA = CURRENT_DATA + [
     lambda: _double("5^1_+", -1),
     lambda: _double("5^1_-"),
     lambda: _double("5^1_-", -1),
+    lambda: _double("2^12^1_i"),
+    lambda: _double("2^12^1_i", -1),
 ]
 REFERENCE_CURRENT_IDS = CURRENT_IDS + [
     "weil-(3^1_+)^3",
@@ -1398,6 +1399,8 @@ REFERENCE_CURRENT_IDS = CURRENT_IDS + [
     "ty-5^1_+-",
     "ty-5^1_-",
     "ty-5^1_--",
+    "ty-2^12^1_i",
+    "ty-2^12^1_i-",
 ]
 
 
@@ -1409,7 +1412,7 @@ def test_simple_currents_match_cyclotomic_route(build):
 
 @pytest.mark.parametrize("build", CURRENT_DATA, ids=CURRENT_IDS)
 def test_simple_currents_use_no_cyclotomic_arithmetic(build, monkeypatch):
-    # with the fusion rules cached, the tables come from the packed kernel alone
+    # the tables come from the packed kernel alone
     md = build()
     expected = reference_currents(md)
 
@@ -1447,9 +1450,6 @@ def test_zero_unit_row_entry_raises():
     S = [list(row) for row in md.S]
     S[md.unit][a] = Cyclotomic.zero()
     bad = ModularData(md.labels, md.unit, S, md.T)
-    # reuse the fusion and conjugation of md, so the zero reaches the tables
-    bad._fusion = md.fusion()
-    bad._charge = md.charge_conjugation()
     with pytest.raises(ValueError, match="unit row of S has a zero entry"):
         simple_currents(bad)
 
@@ -1469,6 +1469,79 @@ def test_simple_currents_exact_at_large_coefficients(build):
     assert sc.sufficiently_nonzero == ref.sufficiently_nonzero
     assert {j: sc.q(j) for j in sc.twists} == {j: ref.q(j) for j in ref.twists}
     assert all(sc.grading(a, j) == ref.grading(a, j) for j in ref.charges for a in range(md.dim))
+
+
+def test_current_layer_reads_s_and_t_only(monkeypatch):
+    # neither a fresh datum's enumeration nor the check of its invariants on
+    # another fresh copy builds the Verlinde tensor or the charge conjugation
+    def forbidden(*args):
+        raise AssertionError("Verlinde tensor or charge conjugation built")
+
+    monkeypatch.setattr(modular, "verlinde", forbidden)
+    monkeypatch.setattr(ModularData, "charge_conjugation", forbidden)
+    mats = enumerate_sc(_double("7^1_+")).matrix_set()
+    assert len(mats) == 4
+    md = _double("7^1_+")
+    for M in mats:
+        ok, report = check_invariant(md, M)
+        assert ok and report["current_periodicity"]
+
+
+def current_outcome(md):
+    """The simple-current fields, or the message of the ValueError raised."""
+    try:
+        return current_fields(simple_currents(md))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# where verlinde raises but S alone still answers: only the unit is a current
+ANSWERED = {"non-integer", "orthogonal-plane-1", "orthogonal-non-symmetric"}
+
+
+@pytest.mark.parametrize("name", CORRUPTED)
+def test_simple_currents_on_corrupted_data(name):
+    md = CORRUPTED[name][0]()
+    outcome = current_outcome(md)
+    if name in ANSWERED:
+        assert outcome["group"] == ()
+        assert outcome["label_index"] == {(): md.unit}
+        assert outcome["action_table"] == {(): tuple(range(md.dim))}
+    else:
+        assert outcome.startswith("ValueError: ")
+
+
+def assert_answer_or_value_error(md):
+    """simple_currents answers, with the unit at the group's zero and every
+    action a permutation, or raises ValueError; any other exception fails."""
+    outcome = current_outcome(md)
+    if not isinstance(outcome, str):
+        assert outcome["label_index"][tuple(0 for _ in outcome["group"])] == md.unit
+        assert all(sorted(p) == list(range(md.dim)) for p in outcome["action_table"].values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_data())
+def test_simple_currents_on_perturbed_data_answer_or_raise_value_error(md):
+    assert_answer_or_value_error(md)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(VALIDATE_DATA + [lambda: weil(std_form((6,)))]), st.data())
+def test_simple_currents_on_row_selections_answer_or_raise_value_error(build, data):
+    # a selection may repeat rows; the unit row repeated made the current
+    # group's closure loop forever before the equal-rows check
+    md = build()
+    n = md.dim
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    rows[md.unit] = md.unit
+    assert_answer_or_value_error(with_rows(md, rows))
+
+
+def test_equal_rows_are_named():
+    md = with_rows(weil(std_form((2, 2))), [0, 1, 0, 3])
+    with pytest.raises(ValueError, match=r"^rows \(0, 0\) and \(1, 0\) of S are equal$"):
+        simple_currents(md)
 
 
 # -- the Galois action on S, and what verlinde and brute force read off it ---------

@@ -451,6 +451,29 @@ def test_double_primary_guard_before_any_table(monkeypatch):
         ty_double(data, q)
 
 
+def test_equiv_primary_guard_before_any_form(monkeypatch):
+    import modinv.ty as ty
+
+    def no_form(*args):
+        raise AssertionError("form or Gauss sum built before the primary guard")
+
+    monkeypatch.setattr(ty, "forms_for_pairing", no_form)
+    monkeypatch.setattr(ty, "gauss_sum", no_form)
+    _, data = datum("1033^1_+")  # (1033 + 7) / 2 = 520 primaries
+    with pytest.raises(GuardError, match="primary count 520 exceeds guard 512"):
+        ty_equiv(data)
+
+
+def test_equiv_builds_each_two_two_entry_once():
+    # the two-two block of 101^1_+ (50 labels) holds one object per value of
+    # b(r, s)^2, at most 101 of them, and one-two is a single object
+    _, data = datum("101^1_+")
+    md = ty_equiv(data)
+    two = [i for i, la in enumerate(md.labels) if la[0] == "two"]
+    assert len({id(md.S[i][j]) for i in two for j in two}) <= 101
+    assert len({id(md.S[0][j]) for j in two}) == 1
+
+
 def test_double_trivial_group_toric_and_semion():
     G = FinAbGroup(())
     q = QuadraticForm(G, {(): Fraction(0)})
