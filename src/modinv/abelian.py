@@ -423,6 +423,13 @@ def all_subgroups(G: FinAbGroup, admissible=None) -> list[Subgroup]:
     ``H.coset_representatives()`` lists.  With ``admissible`` given, H is
     extended only by the g with ``admissible(H.gens(), g)``.
 
+    Each candidate K = H + <g> is first closed as a set of elements: the
+    cosets H + kg for k = 0, 1, ... up to the first k with kg in H, which
+    are distinct and exhaust K.  Two candidates are the same subgroup exactly
+    when their element sets agree, so the search deduplicates on the set and
+    builds a ``Subgroup`` (one ``hermite_rows``) only for a set not seen
+    before, with its elements seeded from the set.
+
     Contract: a wanted subgroup K is returned if, for every reached H < K,
     every g in K \\ H is admissible (K \\ H is a union of cosets of H, so one
     representative lies in it, and H + <g> is a reached subgroup of K larger
@@ -435,20 +442,28 @@ def all_subgroups(G: FinAbGroup, admissible=None) -> list[Subgroup]:
     """
     if G.order > SUBGROUP_GUARD:
         raise GuardError(f"group order {G.order} exceeds guard {SUBGROUP_GUARD}")
+    add = G.add
     triv = trivial_subgroup(G)
-    found = {triv.key(): triv}
-    frontier = [triv]
+    triv._elems = [G.zero()]
+    found = {frozenset(triv._elems): triv}
+    frontier = list(found.items())
     while frontier:
         nxt = []
-        for H in frontier:
-            gens = H.gens()
+        for members, H in frontier:
+            gens, elems = H.gens(), H._elems
             for g in H.coset_representatives():
                 if admissible is not None and not admissible(gens, g):
                     continue
-                K = Subgroup(G, gens + [g])
-                if K.key() not in found:
-                    found[K.key()] = K
-                    nxt.append(K)
+                closure = set(elems)
+                x = g
+                while x not in members:
+                    closure.update([add(h, x) for h in elems])
+                    x = add(x, g)
+                closure = frozenset(closure)
+                if closure not in found:
+                    K = found[closure] = Subgroup(G, gens + [g])
+                    K._elems = sorted(closure)
+                    nxt.append((closure, K))
         frontier = nxt
     return sorted(found.values(), key=lambda s: (s.order, s.lattice))
 

@@ -250,7 +250,8 @@ def zero_pairing(left: FinAbGroup, right: FinAbGroup | None = None) -> Pairing:
 class QuadraticForm:
     """q(g) = e^(2 pi i num[g] / den) on G, with den = ``form_denominator(G)``."""
 
-    __slots__ = ("group", "den", "num", "_polar", "_signature")
+    # _square caches the square group that ``pointed`` builds once per form
+    __slots__ = ("group", "den", "num", "_polar", "_signature", "_square")
 
     def __init__(self, group: FinAbGroup, table):
         """``table`` maps each element of the group to q's rational exponent mod 1."""
@@ -281,6 +282,7 @@ class QuadraticForm:
         num = self.num = {g: k % d for g, k in num.items()}
         self._polar = None
         self._signature = None
+        self._square = None
         elems = G.elements()
         if len(num) != len(elems) or any(g not in num for g in elems):
             raise ValueError("table must cover the group exactly")

@@ -9,8 +9,10 @@ Conversions between the pictures are exact and tested against each other.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .abelian import (
+    SUBGROUP_GUARD,
     FinAbGroup,
     GuardError,
     Hom,
@@ -149,12 +151,15 @@ class DPMParam:
 
 def enum_dpm(q: QuadraticForm) -> list[DPMParam]:
     """All isotropic-pair parameters: each pair of isotropic data joined by
-    each isometry of the plus quotient form onto the minus one."""
+    each isometry of the plus quotient form onto the minus one.
+
+    A degenerate form is refused with ``ValueError`` before any search."""
     # the trivial subgroup's quotient is all of G, the largest of them
     if q.group.order > QUOTIENT_GUARD:
         raise GuardError(
             f"isotropic quotient of order {q.group.order} exceeds guard {QUOTIENT_GUARD}"
         )
+    _nondegenerate_square(q)
     data = isotropic_subgroups(q)
     out = []
     for plus in data:
@@ -164,13 +169,69 @@ def enum_dpm(q: QuadraticForm) -> list[DPMParam]:
     return out
 
 
+class SquareGroup:
+    """The square group G + G of a form on G, built once per form.
+
+    ``pair`` and ``split`` are the coordinate maps of ``product_with_maps``
+    as table lookups on tuples, each entry computed on its first use.
+    ``pairing`` is B = b + (-b), b the polarization of q, and ``radical`` the
+    order of b's radical (B's radical is its square).
+    """
+
+    __slots__ = ("group", "pair", "split", "pairing", "radical")
+
+    def __init__(self, q: QuadraticForm):
+        G = q.group
+        square, pair, split = product_with_maps(G, G)
+        self.group = square
+        self.pair = lru_cache(maxsize=None)(pair)
+        self.split = lru_cache(maxsize=None)(split)
+        P = q.polarization()
+        gens = [split(e) for e in square.basis()]
+        matrix = [[P.dot(ga, gb) - P.dot(ha, hb) for (gb, hb) in gens] for (ga, ha) in gens]
+        self.pairing = Pairing.from_numerators(square, square, matrix)
+        self.radical = P.radical().order
+
+    def is_self_dual(self, Z: Subgroup) -> bool:
+        """Whether Z equals its perp under ``pairing``.
+
+        Where b is nondegenerate and |Z| = |G|, that holds exactly when the
+        generators of Z are pairwise B-orthogonal, each with itself too: then
+        Z lies in its perp, whose order is |G|^2 / |Z| = |Z|.  Elsewhere the
+        perp is computed (an SNF).
+        """
+        B = self.pairing
+        if Z.ambient != self.group:
+            raise ValueError("subgroup of the wrong group")
+        if self.radical == 1 and Z.order * Z.order == self.group.order:
+            gens = Z.gens()
+            return not any(B.dot(g, h) for i, g in enumerate(gens) for h in gens[i:])
+        return B.perp(Z) == Z
+
+
+def square_context(q: QuadraticForm) -> SquareGroup:
+    """The form's ``SquareGroup``, built on first use and kept on the form."""
+    if q._square is None:
+        q._square = SquareGroup(q)
+    return q._square
+
+
+def _nondegenerate_square(q: QuadraticForm) -> SquareGroup:
+    """``square_context(q)``; ``ValueError`` naming the radical if q is degenerate."""
+    sq = square_context(q)
+    if sq.radical > 1:
+        raise ValueError(f"form is degenerate: its radical has order {sq.radical}")
+    return sq
+
+
 class ZParam:
     """Self-dual subgroup of the square group, optionally form-isotropic."""
 
     __slots__ = ("q", "square", "pair", "split", "Z", "isotropic")
 
     def __init__(self, q: QuadraticForm, square, pair, split, B: Pairing, Z: Subgroup):
-        """B is ``square_pairing(q)``; the caller builds it once for all Z."""
+        """B is ``square_pairing(q)``, kept on the form with the square group;
+        self-duality under it is decided by ``SquareGroup.is_self_dual``."""
         self.q = q
         self.square = square
         self.pair = pair
@@ -179,7 +240,8 @@ class ZParam:
         G = q.group
         if Z.order != G.order:
             raise ValueError("self-dual subgroup must have the ambient order")
-        if B.perp(Z) != Z:
+        sq = square_context(q)
+        if not (sq.is_self_dual(Z) if B is sq.pairing else B.perp(Z) == Z):
             raise ValueError("subgroup is not self-dual")
         self.isotropic = all(
             q.num[g] == q.num[h]
@@ -192,16 +254,13 @@ class ZParam:
 
 def square_group(q: QuadraticForm):
     """The product of the underlying group with itself, with coordinate maps."""
-    return product_with_maps(q.group, q.group)
+    sq = square_context(q)
+    return sq.group, sq.pair, sq.split
 
 
 def square_pairing(q: QuadraticForm) -> Pairing:
     """Pairing on the square group: first factor minus second factor."""
-    square, pair, split = square_group(q)
-    P = q.polarization()
-    gens = [split(e) for e in square.basis()]
-    matrix = [[P.dot(ga, gb) - P.dot(ha, hb) for (gb, hb) in gens] for (ga, ha) in gens]
-    return Pairing.from_numerators(square, square, matrix)
+    return square_context(q).pairing
 
 
 def enum_z(q: QuadraticForm, require_isotropy: bool = True) -> list[ZParam]:
@@ -210,10 +269,15 @@ def enum_z(q: QuadraticForm, require_isotropy: bool = True) -> list[ZParam]:
     The search adds only g = (x, y) orthogonal under ``square_pairing`` to
     the subgroup so far, with q(x) = q(y) (isotropy for q + (-q), looked up in
     a table of those g built once) or, without ``require_isotropy``,
-    b(g, g) = 0; ``ZParam`` then checks order and perp.
+    b(g, g) = 0; ``ZParam`` then checks order and self-duality.  The square
+    group's order is checked against SUBGROUP_GUARD, and a degenerate form
+    refused with ``ValueError``, before any search.
     """
-    square, pair, split = square_group(q)
-    B = square_pairing(q)
+    order = q.group.order
+    if order * order > SUBGROUP_GUARD:
+        raise GuardError(f"square group of order {order * order} exceeds guard {SUBGROUP_GUARD}")
+    sq = _nondegenerate_square(q)
+    square, pair, split, B = sq.group, sq.pair, sq.split, sq.pairing
     if require_isotropy:
         level: dict = {}
         for x in q.group.elements():
@@ -228,7 +292,6 @@ def enum_z(q: QuadraticForm, require_isotropy: bool = True) -> list[ZParam]:
             return False
         return not any(B.dot(g, h) for h in gens)
 
-    order = q.group.order
     out = []
     for Z in all_subgroups(square, admissible):
         if Z.order != order:
@@ -256,15 +319,15 @@ def z_to_matrix(z: ZParam) -> ModularInvariant:
 def dpm_to_z(q: QuadraticForm, dpm: DPMParam) -> ZParam:
     """Graph of sigma over the perp of the plus side, extended by the minus side."""
     G = q.group
-    square, pair, split = square_group(q)
+    sq = square_context(q)
     gens = []
     for h in dpm.plus.perp.gens():
         img = dpm.sigma.apply(dpm.plus.to_quotient(h))
-        gens.append(pair(h, dpm.minus.lift(img)))
+        gens.append(sq.pair(h, dpm.minus.lift(img)))
     for d in dpm.minus.subgroup.gens():
-        gens.append(pair(G.zero(), d))
-    Z = Subgroup(square, gens)
-    return ZParam(q, square, pair, split, square_pairing(q), Z)
+        gens.append(sq.pair(G.zero(), d))
+    Z = Subgroup(sq.group, gens)
+    return ZParam(q, sq.group, sq.pair, sq.split, sq.pairing, Z)
 
 
 def dpm_to_matrix(q: QuadraticForm, dpm: DPMParam) -> ModularInvariant:

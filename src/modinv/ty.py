@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import product
 from math import isqrt
 
-from .abelian import FinAbGroup, Subgroup, quotient, subgroup_group
+from .abelian import FinAbGroup, GuardError, Subgroup, quotient, subgroup_group
 from .forms import (
     AlternatingPairing,
     Pairing,
@@ -35,6 +35,8 @@ from .modular import ModularData, ModularInvariant, check_primaries, simple_curr
 from .pointed import PointedData, weil
 from .scalars import Cyclotomic, as_integer, root_of_unity, sqrt_nonneg_int
 from .simple_current import make_epsilon, sc_matrix
+
+HG_LABEL_GUARD = 100  # most labels ``hg_fusion`` builds: nu = 9 has 84, nu = 11 has 124
 
 
 class TYData:
@@ -744,10 +746,15 @@ def hg_fusion(nu: int) -> FusionRing:
 
     Basis: the unit, a hub object whose square is the sum of everything,
     grid objects indexed by sign classes of the punctured nu-torus, and
-    arc objects indexed by sign classes of the punctured cycle.
+    arc objects indexed by sign classes of the punctured cycle: nu^2 + 3
+    labels in all.  The table holds a product for each pair of labels, so
+    its size grows as nu^6; the label count is checked against
+    HG_LABEL_GUARD before anything is built.
     """
     if nu % 2 == 0 or nu < 1:
         raise ValueError("only odd grafting sizes are defined")
+    if nu * nu + 3 > HG_LABEL_GUARD:
+        raise GuardError(f"label count {nu * nu + 3} exceeds guard {HG_LABEL_GUARD}")
     m = nu * nu + 4
 
     def grep(v):

@@ -2,13 +2,16 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import all_subgroup_sets, close, cphase, group_elements, subgroup_closure
+from test_forms import descriptors_up_to
 
+from modinv import pointed
 from modinv.abelian import (
     Character,
     FinAbGroup,
@@ -30,6 +33,8 @@ from modinv.abelian import (
     smith_with_inverses,
     trivial_subgroup,
 )
+from modinv.forms import indecomposable_form
+from modinv.scalars import factorize
 
 
 def snf_check(M):
@@ -310,6 +315,80 @@ class TestSubgroup:
             "ambient": {"factors": [4]},
             "gens": [(2,)] and [[2]],
         }
+
+
+# -- the element-set search against one HNF per candidate ---------------------------
+
+
+def reference_all_subgroups(G, admissible=None):
+    """The closure search with a ``Subgroup`` (one HNF) built for every
+    candidate H + <g> and deduplicated by its lattice."""
+    triv = trivial_subgroup(G)
+    found = {triv.key(): triv}
+    frontier = [triv]
+    while frontier:
+        nxt = []
+        for H in frontier:
+            gens = H.gens()
+            for g in H.coset_representatives():
+                if admissible is not None and not admissible(gens, g):
+                    continue
+                K = Subgroup(G, gens + [g])
+                if K.key() not in found:
+                    found[K.key()] = K
+                    nxt.append(K)
+        frontier = nxt
+    return sorted(found.values(), key=lambda s: (s.order, s.lattice))
+
+
+def invariant_factor_chains(limit, top=None):
+    """Every invariant-factor tuple of a group of order at most ``limit``."""
+    yield ()
+    for n in range(2, limit + 1):
+        if top is None or top % n == 0:
+            for rest in invariant_factor_chains(limit // n, n):
+                yield (n,) + rest
+
+
+ORDER_64_GROUPS = [FinAbGroup(f) for f in invariant_factor_chains(64)]
+
+
+def assert_same_search(ours, reference):
+    assert [S.key() for S in ours] == [S.key() for S in reference]
+    # the seeded element lists are the ones the lattice generates
+    assert [S.elements() for S in ours] == [R.elements() for R in reference]
+
+
+def test_every_group_up_to_64_is_listed():
+    # groups of order n = prod p^e: one per choice of a partition of each e
+    partitions = [1, 1, 2, 3, 5, 7, 11]
+    count = sum(prod(partitions[e] for e in factorize(n).values()) for n in range(1, 65))
+    assert len(set(ORDER_64_GROUPS)) == len(ORDER_64_GROUPS) == count
+
+
+@pytest.mark.parametrize("G", ORDER_64_GROUPS, ids=repr)
+def test_all_subgroups_match_reference(G):
+    assert_same_search(all_subgroups(G), reference_all_subgroups(G))
+
+
+@pytest.mark.parametrize("desc", descriptors_up_to(16))
+def test_pruned_searches_match_reference(monkeypatch, desc):
+    """The predicates ``isotropic_subgroups`` and ``enum_z`` search with."""
+    searched = []
+
+    def both(G, admissible=None):
+        ours = all_subgroups(G, admissible)
+        assert_same_search(ours, reference_all_subgroups(G, admissible))
+        searched.append(G.order)
+        return ours
+
+    monkeypatch.setattr(pointed, "all_subgroups", both)
+    q, _ = indecomposable_form(desc)
+    pointed.isotropic_subgroups(q)
+    pointed.enum_z(q)
+    pointed.enum_z(q, require_isotropy=False)
+    n = q.group.order
+    assert searched == [n, n * n, n * n]
 
 
 class TestQuotient:

@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from test_forms import descriptors_up_to
 
 from modinv import pointed
 from modinv.abelian import FinAbGroup, GuardError, Subgroup, all_subgroups, quotient
 from modinv.forms import (
+    Pairing,
     QuadraticForm,
     alternating_pairings,
     gauss_sum,
@@ -27,6 +29,7 @@ from modinv.pointed import (
     isotropic_subgroups,
     jpsi_to_dpm,
     nimrep,
+    square_context,
     square_group,
     square_pairing,
     weil,
@@ -294,6 +297,64 @@ class TestPrunedSearch:
         assert [p.key() for p in enum_z(q)] == [Z.key() for Z in isotropic]
         relaxed = [p.key() for p in enum_z(q, require_isotropy=False)]
         assert relaxed == [Z.key() for Z in lagrangian]
+
+
+def degenerate_form():
+    """q(a, b) = a^2 / 3 on Z3 x Z3: the second factor is the radical."""
+    G = FinAbGroup((3, 3))
+    return QuadraticForm(G, {g: Fraction(g[0] * g[0], 3) for g in G.elements()})
+
+
+@pytest.mark.parametrize("desc", descriptors_up_to(16))
+def test_self_duality_shortcut_matches_perp(monkeypatch, desc):
+    q, _ = indecomposable_form(desc)
+    sq = square_context(q)
+    assert sq.radical == 1
+    candidates = [Z for Z in all_subgroups(sq.group) if Z.order == q.group.order]
+    expect = [sq.pairing.perp(Z) == Z for Z in candidates]
+    assert any(expect)
+
+    def no_perp(self, H):
+        raise AssertionError("perp computed on a nondegenerate form")
+
+    monkeypatch.setattr(Pairing, "perp", no_perp)
+    assert [sq.is_self_dual(Z) for Z in candidates] == expect
+
+
+def test_self_duality_on_a_degenerate_form_takes_the_perp():
+    q = degenerate_form()
+    sq = square_context(q)
+    assert sq.radical == 3
+    B = sq.pairing
+    candidates = [Z for Z in all_subgroups(sq.group) if Z.order == q.group.order]
+    expect = [B.perp(Z) == Z for Z in candidates]
+    assert [sq.is_self_dual(Z) for Z in candidates] == expect
+    # pairwise-orthogonal generators would pass these, but they are not self-dual
+    fooled = [
+        Z
+        for Z, dual in zip(candidates, expect)
+        if not dual and not any(B.dot(g, h) for g in Z.gens() for h in Z.gens())
+    ]
+    assert fooled
+
+
+@pytest.mark.parametrize(
+    "q,radical",
+    [
+        (QuadraticForm(FinAbGroup((2,)), {(0,): 0, (1,): 0}), 2),
+        (QuadraticForm(FinAbGroup((3,)), {(0,): 0, (1,): 0, (2,): 0}), 3),
+        (degenerate_form(), 3),
+    ],
+    ids=["zero-Z2", "zero-Z3", "Z3xZ3"],
+)
+def test_degenerate_form_refused_before_search(monkeypatch, q, radical):
+    def no_search(*args):
+        raise AssertionError("searched a degenerate form")
+
+    monkeypatch.setattr(pointed, "all_subgroups", no_search)
+    for enum in (enum_dpm, enum_z, lambda q: enum_z(q, require_isotropy=False)):
+        with pytest.raises(ValueError, match=f"degenerate: its radical has order {radical}$"):
+            enum(q)
 
 
 def test_subgroup_guard_before_search():

@@ -19,6 +19,7 @@ from modinv.pointed import PointedData, weil
 from modinv.scalars import Cyclotomic, rational_phase, root_of_unity, sqrt_nonneg_int
 from modinv.simple_current import make_epsilon, sc_matrix
 from modinv.ty import (
+    HG_LABEL_GUARD,
     DegenerateData,
     SqrtConvention,
     TYData,
@@ -1040,6 +1041,15 @@ def test_hg_even_rejected():
     for nu in (2, 4, 0):
         with pytest.raises(ValueError):
             hg_fusion(nu)
+
+
+def test_hg_label_guard():
+    nu = max(n for n in range(1, HG_LABEL_GUARD, 2) if n * n + 3 <= HG_LABEL_GUARD)
+    assert len(hg_fusion(nu).labels) == nu * nu + 3
+    # the next odd size, and one whose table could never be built, fail at once
+    for big in (nu + 2, 10**9 + 1):
+        with pytest.raises(GuardError, match=f"label count {big * big + 3} exceeds guard"):
+            hg_fusion(big)
 
 
 def test_hg_smallest_ring_diagonal():
