@@ -370,7 +370,8 @@ class Subgroup:
         next(box)
         return list(box)
 
-    def elements(self) -> list[tuple[int, ...]]:
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        """The members in sorted order, closed once and kept."""
         if self._elems is None:
             if self.order > SUBGROUP_GUARD:
                 raise GuardError(f"subgroup order {self.order} exceeds guard")
@@ -387,7 +388,7 @@ class Subgroup:
                             seen.add(y)
                             nxt.append(y)
                 frontier = nxt
-            self._elems = sorted(seen)
+            self._elems = tuple(sorted(seen))
         return self._elems
 
     def key(self):
@@ -423,12 +424,14 @@ def all_subgroups(G: FinAbGroup, admissible=None) -> list[Subgroup]:
     ``H.coset_representatives()`` lists.  With ``admissible`` given, H is
     extended only by the g with ``admissible(H.gens(), g)``.
 
-    Each candidate K = H + <g> is first closed as a set of elements: the
+    Each candidate K = H + <g> is first closed as a list of elements: the
     cosets H + kg for k = 0, 1, ... up to the first k with kg in H, which
     are distinct and exhaust K.  Two candidates are the same subgroup exactly
-    when their element sets agree, so the search deduplicates on the set and
-    builds a ``Subgroup`` (one ``hermite_rows``) only for a set not seen
-    before, with its elements seeded from the set.
+    when their sorted element tuples agree, so the search deduplicates on that
+    tuple and builds a ``Subgroup`` (one ``hermite_rows``) only for a tuple
+    not seen before.  The same tuple, rebuilt from G's own element tuples,
+    is the new subgroup's ``elements()``: each subgroup kept holds one
+    container of shared elements.
 
     Contract: a wanted subgroup K is returned if, for every reached H < K,
     every g in K \\ H is admissible (K \\ H is a union of cosets of H, so one
@@ -444,26 +447,30 @@ def all_subgroups(G: FinAbGroup, admissible=None) -> list[Subgroup]:
         raise GuardError(f"group order {G.order} exceeds guard {SUBGROUP_GUARD}")
     add = G.add
     triv = trivial_subgroup(G)
-    triv._elems = [G.zero()]
-    found = {frozenset(triv._elems): triv}
-    frontier = list(found.items())
+    shared = {x: x for x in G.elements()}
+    triv._elems = (G.zero(),)
+    found = {triv._elems: triv}
+    frontier = [triv]
     while frontier:
         nxt = []
-        for members, H in frontier:
+        for H in frontier:
             gens, elems = H.gens(), H._elems
+            members = set(elems)
             for g in H.coset_representatives():
                 if admissible is not None and not admissible(gens, g):
                     continue
-                closure = set(elems)
+                closure = list(elems)
                 x = g
                 while x not in members:
-                    closure.update([add(h, x) for h in elems])
+                    closure += [add(h, x) for h in elems]
                     x = add(x, g)
-                closure = frozenset(closure)
+                closure.sort()
+                closure = tuple(closure)
                 if closure not in found:
+                    closure = tuple(map(shared.__getitem__, closure))
                     K = found[closure] = Subgroup(G, gens + [g])
-                    K._elems = sorted(closure)
-                    nxt.append((closure, K))
+                    K._elems = closure
+                    nxt.append(K)
         frontier = nxt
     return sorted(found.values(), key=lambda s: (s.order, s.lattice))
 

@@ -229,19 +229,18 @@ class ZParam:
 
     __slots__ = ("q", "square", "pair", "split", "Z", "isotropic")
 
-    def __init__(self, q: QuadraticForm, square, pair, split, B: Pairing, Z: Subgroup):
-        """B is ``square_pairing(q)``, kept on the form with the square group;
-        self-duality under it is decided by ``SquareGroup.is_self_dual``."""
-        self.q = q
-        self.square = square
-        self.pair = pair
-        self.split = split
-        self.Z = Z
-        G = q.group
-        if Z.order != G.order:
-            raise ValueError("self-dual subgroup must have the ambient order")
+    def __init__(self, q: QuadraticForm, Z: Subgroup):
+        """Z is a subgroup of ``square_context(q).group``; self-duality under
+        its pairing is decided by ``SquareGroup.is_self_dual``."""
         sq = square_context(q)
-        if not (sq.is_self_dual(Z) if B is sq.pairing else B.perp(Z) == Z):
+        self.q = q
+        self.square = sq.group
+        self.pair = sq.pair
+        self.split = split = sq.split
+        self.Z = Z
+        if Z.order != q.group.order:
+            raise ValueError("self-dual subgroup must have the ambient order")
+        if not sq.is_self_dual(Z):
             raise ValueError("subgroup is not self-dual")
         self.isotropic = all(
             q.num[g] == q.num[h]
@@ -277,7 +276,7 @@ def enum_z(q: QuadraticForm, require_isotropy: bool = True) -> list[ZParam]:
     if order * order > SUBGROUP_GUARD:
         raise GuardError(f"square group of order {order * order} exceeds guard {SUBGROUP_GUARD}")
     sq = _nondegenerate_square(q)
-    square, pair, split, B = sq.group, sq.pair, sq.split, sq.pairing
+    square, pair, B = sq.group, sq.pair, sq.pairing
     if require_isotropy:
         level: dict = {}
         for x in q.group.elements():
@@ -297,7 +296,7 @@ def enum_z(q: QuadraticForm, require_isotropy: bool = True) -> list[ZParam]:
         if Z.order != order:
             continue
         try:
-            param = ZParam(q, square, pair, split, B, Z)
+            param = ZParam(q, Z)
         except ValueError:
             continue
         if require_isotropy and not param.isotropic:
@@ -326,8 +325,7 @@ def dpm_to_z(q: QuadraticForm, dpm: DPMParam) -> ZParam:
         gens.append(sq.pair(h, dpm.minus.lift(img)))
     for d in dpm.minus.subgroup.gens():
         gens.append(sq.pair(G.zero(), d))
-    Z = Subgroup(sq.group, gens)
-    return ZParam(q, sq.group, sq.pair, sq.split, sq.pairing, Z)
+    return ZParam(q, Subgroup(sq.group, gens))
 
 
 def dpm_to_matrix(q: QuadraticForm, dpm: DPMParam) -> ModularInvariant:

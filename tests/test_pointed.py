@@ -170,7 +170,7 @@ class TestZParams:
         for q in [std_form((4,)), hyperbolic(2)]:
             square, pair, split = square_group(q)
             Z = Subgroup(square, [pair(g, g) for g in q.group.elements()])
-            param = ZParam(q, square, pair, split, square_pairing(q), Z)
+            param = ZParam(q, Z)
             assert param.isotropic
             assert z_to_matrix(param).matrix == identity_matrix(q.group.order)
 
@@ -180,14 +180,14 @@ class TestZParams:
         Z = Subgroup(
             square, [pair(g, q.group.neg(g)) for g in q.group.elements()]
         )
-        param = ZParam(q, square, pair, split, square_pairing(q), Z)
+        param = ZParam(q, Z)
         assert z_to_matrix(param).matrix == conj_matrix(q)
 
     def test_wrong_order_rejected(self):
         q = std_form((4,))
         square, pair, split = square_group(q)
         with pytest.raises(ValueError):
-            ZParam(q, square, pair, split, square_pairing(q), Subgroup(square, []))
+            ZParam(q, Subgroup(square, []))
 
     def test_sqrt4_count(self):
         assert len(enum_z(std_form((4,)))) == 2
