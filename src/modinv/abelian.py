@@ -433,6 +433,12 @@ def all_subgroups(G: FinAbGroup, admissible=None) -> list[Subgroup]:
     is the new subgroup's ``elements()``: each subgroup kept holds one
     container of shared elements.
 
+    A representative g' in a coset H + kg of an earlier candidate's closure,
+    with k prime to that closure's order m = |K : H|, is skipped: K/H is
+    cyclic of order m, so H + <g'> = H + <kg> = K, already found.  On a
+    cyclic group this keeps the closures from H to one per subgroup above
+    it rather than one per coset.
+
     Contract: a wanted subgroup K is returned if, for every reached H < K,
     every g in K \\ H is admissible (K \\ H is a union of cosets of H, so one
     representative lies in it, and H + <g> is a reached subgroup of K larger
@@ -448,22 +454,27 @@ def all_subgroups(G: FinAbGroup, admissible=None) -> list[Subgroup]:
     add = G.add
     triv = trivial_subgroup(G)
     shared = {x: x for x in G.elements()}
-    triv._elems = (G.zero(),)
+    triv._elems = (shared[G.zero()],)
     found = {triv._elems: triv}
     frontier = [triv]
     while frontier:
         nxt = []
         for H in frontier:
             gens, elems = H.gens(), H._elems
-            members = set(elems)
+            members, size = set(elems), len(elems)
+            generating: set = set()
             for g in H.coset_representatives():
-                if admissible is not None and not admissible(gens, g):
+                if g in generating or (admissible is not None and not admissible(gens, g)):
                     continue
                 closure = list(elems)
                 x = g
                 while x not in members:
                     closure += [add(h, x) for h in elems]
                     x = add(x, g)
+                m = len(closure) // size
+                for k in range(2, m):
+                    if gcd(k, m) == 1:
+                        generating.update(closure[k * size:(k + 1) * size])
                 closure.sort()
                 closure = tuple(closure)
                 if closure not in found:

@@ -355,7 +355,7 @@ ORDER_64_GROUPS = [FinAbGroup(f) for f in invariant_factor_chains(64)]
 
 def assert_same_search(ours, reference):
     assert [S.key() for S in ours] == [S.key() for S in reference]
-    # the seeded element lists are the ones the lattice generates
+    # the seeded element tuples are the ones the lattice generates
     assert [S.elements() for S in ours] == [R.elements() for R in reference]
 
 
@@ -369,6 +369,31 @@ def test_every_group_up_to_64_is_listed():
 @pytest.mark.parametrize("G", ORDER_64_GROUPS, ids=repr)
 def test_all_subgroups_match_reference(G):
     assert_same_search(all_subgroups(G), reference_all_subgroups(G))
+
+
+def test_cyclic_search_closes_once_per_pair_of_subgroups():
+    """On Z_1024 a candidate is closed only when it generates a subgroup
+    above H not found from H yet: one closure per pair H < K of the 11
+    subgroups, where one per coset would be 2,036 from the trivial group's
+    and its index-2 subgroup's cosets alone."""
+    closed = []
+
+    def count(gens, g):
+        closed.append(g)
+        return True
+
+    assert len(all_subgroups(FinAbGroup((1024,)), count)) == 11
+    assert len(closed) == 11 * 10 // 2
+
+
+def test_found_subgroups_share_element_tuples():
+    """Equal elements of different subgroups are one object, so a search's
+    subgroups together hold at most |G| element tuples."""
+    shared: dict = {}
+    for S in all_subgroups(FinAbGroup((4, 4, 2))):
+        for x in S.elements():
+            assert shared.setdefault(x, x) is x
+    assert len(shared) == 32
 
 
 @pytest.mark.parametrize("desc", descriptors_up_to(16))
