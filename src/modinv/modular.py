@@ -10,7 +10,9 @@ uses it too); this module writes its matrices into it:
 * The matrices of one computation are written over one conductor N (the lcm
   of their entry orders), each over one common denominator, so every entry
   becomes an integer polynomial in zeta_N.  A datum's S is written so once
-  per order and cached on it.
+  per order and cached on it.  A Weil or TY S holds few distinct entry
+  objects, and each is converted, packed, multiplied by F and reduced once
+  (``_each``); the matrices index those results.
 * Kronecker substitution: a polynomial Sum c_k x^k is packed as the integer
   Sum c_k 2^(B k), taken modulo 2^(B N) - 1.  Since x^N - 1 maps to 0, this
   is a ring homomorphism from Z[x]/(x^N - 1) into the integers mod
@@ -61,7 +63,7 @@ a generating set of (Z/N)^*, sigma_g acting on exponents by j -> g j mod N:
 each column's image, packed times F, is looked up among the columns and
 their negatives packed the same way.  Composition extends the relation to
 the whole group, so its column orbits are those of the generated
-permutations.  Two readers use it:
+permutations.  Its readers:
 
 * ``verlinde``.  In f(k) = S_ak S_bk S_ek / S_0k the sign appears three
   times over once, so sigma(f(k)) = f(pi_sigma k), and M(a, b, e) =
@@ -74,6 +76,16 @@ permutations.  Two readers use it:
   over the representatives and one read of its lowest digit give
   phi(N) M(a, b, e).  Every digit of that sum is at most
   n ||S||^3 ||1/S_0|| ||R||_1, which sets the width.
+* ``validate_modular``.  The summands S_ik conj(S_jk) of (S S-bar^T)_ij are
+  permuted the same way (the signs square to 1), and so are S_ik S_kj of
+  (S^2)_ij when S is symmetric, as its rows then move like its columns.
+  Each entry is read as an orbit sum as in ``verlinde``.  Where T widens
+  the conductor to N' (a multiple of N), the trace from Q(zeta_N') of a
+  value in Q(zeta_N) is [Q(zeta_N') : Q(zeta_N)] times the trace from
+  Q(zeta_N), so the constant of v R' over phi(N') is still the orbit sum.
+* ``s_commutes``.  If an integer Z has Z_{pi a, pi b} = eps(a) eps(b) Z_ab
+  for each generator (n^2 integer tests), Z commutes with Q, so
+  sigma(SZ - ZS) = (SZ - ZS) Q, and one column per orbit decides SZ = ZS.
 * ``brute_force_invariants``.  If S is invertible and Z rational with
   SZ = ZS, then sigma(S) = S Q with Q the signed permutation matrix, and
   S Q Z = sigma(SZ) = sigma(ZS) = Z S Q = S Z Q, so QZ = ZQ:
@@ -83,6 +95,32 @@ permutations.  Two readers use it:
   sigma((SZ - ZS)_ij) = eps(j) (SZ - ZS)_{i, pi j}, so the equations of
   one column per orbit imply the rest.  Without a certificate the classes
   are single positions and every column gives equations: the plain system.
+
+Simple-current symmetry.  ``simple_currents`` finds, by exact rotation
+lookups alone, the currents J with S_{J a, k} = psi_k(J) S_ak for every a
+and k, psi_k(J) a root of unity and a character in J (Schellekens-
+Yankielowicz, Int. J. Mod. Phys. A 5, 1990).  ``_current_orbits`` keeps the
+orbits of the primaries under them: a = J r with r the least primary of
+its orbit.  Three identities follow, each exact for any S with that
+certificate:
+
+* Verlinde: M(J a, K b, e) = M(a, b, (J + K) e), as psi is a character.
+  So only M(r, r', e) for representatives r <= r' and every e is summed.
+* Unitarity and S^2: (S S-bar^T)_{J r, j} = (S S-bar^T)_{r, J^-1 j}, as
+  psi is a root of unity; when S is symmetric also (S^2)_{J r, j} =
+  (S^2)_{r, J j}, so a permutation S^2 has p(J r) = J^-1 p(r).  Only
+  representative rows are summed.
+* The cube S T S = T-bar S T-bar, for symmetric S, T of roots of unity and
+  the twist balance t_{J a} t_0 S_{J,a} = t_a t_J S_{0,a} checked for each
+  generator J and every a: then both sides at (J a, j) equal those at
+  (a, J j), so only representative rows are compared.
+
+Fallback.  Where a certificate is missing (no Galois generators, or
+``simple_currents`` raises ValueError, or the twist balance fails) the full
+sums run as before, and every result is the same either way.  Before a
+full sum starts, ``check_work`` estimates its packed work and raises
+GuardError above WORK_GUARD, so data with both certificates (and the twist
+balance) never reach the guard, and no admitted datum runs for minutes.
 """
 
 from __future__ import annotations
@@ -107,12 +145,28 @@ from .scalars import (
 
 BRUTE_GUARD = 64
 PRIMARY_GUARD = 512  # most primaries ``weil`` and ``ty_double`` build
+WORK_GUARD = 5 * 10**9  # word products (``check_work``): about 10 s of an uncertified sum
 
 
 def check_primaries(n: int) -> None:
     """GuardError if a constructor is about to build more than PRIMARY_GUARD primaries."""
     if n > PRIMARY_GUARD:
         raise GuardError(f"primary count {n} exceeds guard {PRIMARY_GUARD}")
+
+
+def check_work(products: int, pk: _Packing, words: int = 0) -> None:
+    """GuardError if ``products`` packed products in pk would exceed WORK_GUARD.
+
+    Work is counted in products of 64-bit words, as schoolbook multiplication
+    costs them: a product of two packed values of w words (N digits of
+    ``pk.shift`` bits) is w^2, a packed value times an integer of ``words``
+    words is w ``words``.  Called before each sum that runs without the
+    symmetry certificate it could use.
+    """
+    w = -(-pk.N * pk.shift // 64)
+    work = products * w * (words or w)
+    if work > WORK_GUARD:
+        raise GuardError(f"full-sum work {work} exceeds guard {WORK_GUARD}")
 
 
 # -- exact integer kernel for matrices over Q(zeta_N) -------------------------
@@ -123,23 +177,42 @@ def _conductor(*mats) -> int:
 
 
 def _integral(M, N: int):
-    """(D, rows of {k: c}) with M[i][j] = Sum c zeta_N^k / D, every c an integer."""
-    den = lcm(*(c.denominator for row in M for x in row for _, c in x.terms()))
-    out = []
-    for row in M:
-        irow = []
-        for x in row:
-            step = N // x.order
-            irow.append(
-                {k * step: c.numerator * (den // c.denominator) for k, c in x.terms()}
-            )
-        out.append(irow)
-    return den, out
+    """(D, rows of {k: c}) with M[i][j] = Sum c zeta_N^k / D, every c an integer.
+
+    Each distinct entry object of M is converted once, and its entries share
+    that dict: callers must not mutate them.
+    """
+    distinct = {id(x): x for row in M for x in row}.values()
+    den = lcm(*(c.denominator for x in distinct for _, c in x.terms()))
+
+    def integral(x):
+        step = N // x.order
+        return {k * step: c.numerator * (den // c.denominator) for k, c in x.terms()}
+
+    return den, _each(M, integral)
+
+
+def _each(rows, f) -> list[list]:
+    """[[f(x) for x in row] for row in rows], f called once per distinct object x.
+
+    Equal results stay one object, so a second ``_each`` over the output
+    again runs once per distinct entry.
+    """
+    memo: dict = {}
+
+    def once(x):
+        key = id(x)
+        if key not in memo:
+            memo[key] = f(x)
+        return memo[key]
+
+    return [[once(x) for x in row] for row in rows]
 
 
 def _norm(rows) -> int:
     """Largest l1 norm of an integer polynomial entry."""
-    return max((sum(map(abs, p.values())) for row in rows for p in row), default=0)
+    distinct = {id(p): p for row in rows for p in row}.values()
+    return max((sum(map(abs, p.values())) for p in distinct), default=0)
 
 
 def _reduced(p: dict, N: int) -> list[int]:
@@ -178,26 +251,44 @@ def mat_mul(A, B):
 
 
 def s_commutes(md: ModularData, matrix) -> bool:
-    """True iff the integer matrix commutes with S, decided exactly by the kernel.
+    """True iff the integer matrix Z commutes with S, decided exactly by the kernel.
 
-    The packed S F depends on the packing only through N and its digit
-    width, so it is cached on md under (N, width) and shared by every
-    matrix whose entries fit that width.
+    Where ``galois_action`` certifies S and Z_{pi a, pi b} = eps(a) eps(b)
+    Z_ab for each generator (n^2 integer tests), only one column j per Galois
+    orbit of X = SZ - ZS is checked: sigma(S) = S Q with Q the signed
+    permutation matrix, Z commutes with Q, so sigma(X) = X Q, i.e.
+    sigma(X_ij) = eps(j) X_{i, pi j}, and a column vanishes with its whole
+    orbit.  Otherwise every column is summed, after the work guard
+    (``check_work``).  S F is packed once per distinct entry of S; it
+    depends on the packing only through N and its digit width, so it is
+    cached on md under (N, width) and shared by every matrix whose entries
+    fit that width.
     """
     n = md.dim
     N, _, iS, norm = md._integral_S()
     zmax = max((abs(x) for row in matrix for x in row), default=0)
     pk = _Packing(N, 2 * n * norm * zmax * sum(map(abs, cyclotomic_cofactor(N))))
     M = pk.M
+    rows = [[(t, x) for t, x in enumerate(r) if x] for r in matrix]
+    cols = [[(t, x) for t, x in enumerate(c) if x] for c in zip(*matrix)]
+    act = galois_action(md)
+    if act.certified and all(
+        matrix[perm[a]][perm[b]] == signs[a] * signs[b] * matrix[a][b]
+        for _, perm, signs in act.gens
+        for a in range(n)
+        for b in range(n)
+    ):
+        columns = [o[0] for o in act.orbits]
+    else:
+        columns = range(n)
+        check_work(2 * n * sum(map(len, rows)), pk, 1 + zmax.bit_length() // 64)
     # entries of S F: (SZ - ZS)_ij vanishes modulo Phi_N iff its multiple by F
     # vanishes modulo x^N - 1
     P = md._int_S.get((N, pk.width))
     if P is None:
-        P = md._int_S[N, pk.width] = [[pk.pack(p) * pk.PF % M for p in row] for row in iS]
-    rows = [[(t, x) for t, x in enumerate(r) if x] for r in matrix]
-    cols = [[(t, x) for t, x in enumerate(c) if x] for c in zip(*matrix)]
-    for i in range(n):
-        for j in range(n):
+        P = md._int_S[N, pk.width] = _each(iS, lambda p: pk.pack(p) * pk.PF % M)
+    for j in columns:
+        for i in range(n):
             v = sum(P[i][t] * x for t, x in cols[j]) - sum(x * P[t][j] for t, x in rows[i])
             if v % M:
                 return False
@@ -214,22 +305,51 @@ def _poly_mul(p: dict, q: dict, N: int) -> dict:
     return out
 
 
-def _square_permutation(pk: _Packing, P, cols, den: int):
+def _square_permutation(pk: _Packing, P, den: int, orbits, orb):
     """Permutation p with S^2 = den times the matrix of i -> p(i), else None.
 
-    P packs the rows of an integer form of S and ``cols`` the columns of the
-    same entries times F, so each entry of S^2 times F is one packed dot
-    product, decided by ``pk.rational`` (pk's bound at least
-    ``_rational_bound`` of n ||S||^2).
+    P packs the rows of an integer form of S at pk's conductor N.  Entry
+    (i, j) of S^2 is Sum_k S_ik S_kj.  With ``orbits`` (the Galois orbits of
+    columns, given only for a certified symmetric S, whose rows then move
+    like its columns) it is read as a Galois orbit sum: the constant of
+    Sum_orbits |O| S_ik S_kj R over phi(N) (pk's bound at least
+    n ||S||^2 ||R||_1).  Otherwise each entry times F is decided by
+    ``pk.rational`` (bound at least ``_rational_bound`` of n ||S||^2).  With
+    ``orb`` (a symmetric S) only the representative rows are summed: S_{Jr,k}
+    = psi_k(J) S_rk and S_{k,Jj} = psi_k(J) S_kj give (S^2)_{Jr,j} =
+    (S^2)_{r,Jj}, so row J r is row r permuted and p(J r) = J^-1 p(r).
     """
-    perm = []
-    for row in P:
-        vals = [pk.rational(sum(map(mul, row, col))) for col in cols]
+    n, M = len(P), pk.M
+    if orbits:
+        R = ramanujan_sums(pk.N)
+        PR = pk.pack(dict(enumerate(R)))
+        ks = [o[0] for o in orbits]
+        weights = [len(o) * PR % M for o in orbits]
+        cols = [[P[k][j] for k in ks] for j in range(n)]
+        target = den * R[0]
+
+        def entries(i):
+            row = [P[i][k] * w % M for k, w in zip(ks, weights)]
+            return [pk.constant(sum(map(mul, row, col))) for col in cols]
+
+    else:
+        cols = list(zip(*_each(P, lambda x: x * pk.PF % M)))
+        target = den
+
+        def entries(i):
+            return [pk.rational(sum(map(mul, P[i], col))) for col in cols]
+
+    perm = [None] * n
+    for i in orb.reps if orb else range(n):
+        vals = entries(i)
         hits = [j for j, r in enumerate(vals) if r != 0]
-        if len(hits) != 1 or vals[hits[0]] != den:
+        if len(hits) != 1 or vals[hits[0]] != target:
             return None
-        perm.append(hits[0])
-    return perm if sorted(perm) == list(range(len(P))) else None
+        perm[i] = hits[0]
+    if orb:
+        neg = orb.group.neg
+        perm = [orb.perm[neg(J)][perm[r]] for r, J in zip(orb.rep, orb.shift)]
+    return perm if sorted(perm) == list(range(n)) else None
 
 
 def as_permutation(A):
@@ -246,7 +366,9 @@ def as_permutation(A):
 class ModularData:
     """Labelled (S, T) pair with a distinguished unit row."""
 
-    __slots__ = ("labels", "unit", "S", "T", "_fusion", "_charge", "_galois", "_currents", "_int_S")
+    __slots__ = (
+        "labels", "unit", "S", "T", "_fusion", "_charge", "_galois", "_currents", "_orbits", "_int_S"
+    )
 
     def __init__(self, labels, unit, S, T):
         self.labels = tuple(labels)
@@ -270,6 +392,7 @@ class ModularData:
         self._charge = None
         self._galois = None
         self._currents = None
+        self._orbits = None
         self._int_S = {}
 
     @property
@@ -296,13 +419,29 @@ class ModularData:
         return hit
 
     def charge_conjugation(self):
-        """Permutation c with S^2 the matrix of a -> c(a)."""
+        """Permutation c with S^2 the matrix of a -> c(a).
+
+        Decided as ``validate_modular`` decides it (``_square_permutation``):
+        over Galois orbits and representative rows when S is symmetric, else
+        by full sums after the work guard.
+        """
         if self._charge is None:
+            n = self.dim
             N, den, iS, norm = self._integral_S()
-            pk = _Packing(N, _rational_bound(N, self.dim * norm * norm))
-            P = [[pk.pack(p) for p in row] for row in iS]
-            cols = [[x * pk.PF % pk.M for x in col] for col in zip(*P)]
-            perm = _square_permutation(pk, P, cols, den * den)
+            act = galois_action(self)
+            base = n * norm * norm
+            bound = _rational_bound(N, base)
+            if act.certified:
+                bound = max(bound, base * sum(map(abs, ramanujan_sums(N))))
+            pk = _Packing(N, bound)
+            P = _each(iS, pk.pack)
+            U = _each(P, lambda x: x * pk.PF % pk.M)
+            symmetric = all(U[i][j] == U[j][i] for i in range(n) for j in range(i + 1, n))
+            orbits = act.orbits if symmetric and act.certified else None
+            orb = _current_orbits(self) if symmetric else None
+            if not orbits:
+                check_work((len(orb.reps) if orb else n) * n * n, pk)
+            perm = _square_permutation(pk, P, den * den, orbits, orb)
             if perm is None:
                 raise ValueError("S^2 is not a permutation matrix")
             self._charge = tuple(perm)
@@ -344,28 +483,47 @@ def validate_modular(md: ModularData) -> list[str]:
 
     S and T are written over one conductor N, S over its common denominator
     d and T over its own denominator e.  The identities are decided in one
-    packing, each entry by a packed value times F = (x^N - 1) / Phi_N, with
-    no unpacking on modular data (module docstring):
+    packing, each entry of S packed (and multiplied by F = (x^N - 1) /
+    Phi_N) once per distinct entry, with no unpacking on modular data
+    (module docstring).  Each sum reads the symmetry certificates of S where
+    they exist (module docstring, "Galois symmetry" and "Simple-current
+    symmetry"); where one is missing the full sum runs.  The work guard
+    (``check_work``) estimates all uncertified sums together before any sum
+    starts, and again with the unpacked cube before that starts:
 
     * S = S^T: the packed entries are compared;
-    * S S-bar^T = d^2 I: a Hermitian matrix, so its entries with i <= j
-      decide it, each by ``_Packing.rational``;
+    * S S-bar^T = d^2 I: with a Galois certificate each entry is the orbit
+      sum Sum_orbits |O| S_ik conj(S_jk) R, read by ``_Packing.constant``
+      (phi(N) times the entry: on Q(zeta_N_S), N_S the conductor of S, the
+      trace from level N is [Q(zeta_N) : Q(zeta_N_S)] times the one from
+      N_S); else by ``_Packing.rational`` of the entry times F.  With
+      nontrivial currents only representative rows r are summed, against
+      every column, as (S S-bar^T)_{Jr,j} = (S S-bar^T)_{r,J^-1 j};
+      otherwise the Hermitian matrix's entries with i <= j;
     * T a root of unity: each entry is looked up among the x^k-rotations of
       +-e F, since the roots of unity of Q(zeta_N) are the +-zeta_N^k;
-    * S^2 = d^2 times the matrix of a permutation: each entry of S (S F) by
-      ``rational`` (``_square_permutation``, shared with the charge
-      conjugation);
+    * S^2 = d^2 times the matrix of a permutation (``_square_permutation``,
+      shared with the charge conjugation): over Galois orbits and
+      representative rows when S is symmetric;
     * (ST)^3 = S^2: if S is unitary and T a root of unity, both are
       invertible and T^-1 = T-bar, so (ST)^3 = S^2 exactly when
       S T S = T-bar S T-bar; times d^2 e^2 and F, entry (i, j) compares
-      e Sum_k S_ik t_k S_kj F with d conj(t_i t_j) S_ij F.  Otherwise the
-      cube is unpacked, with (ST)^2 reduced before it is packed again, and
-      compared with S^2 as reduced lists over (d e)^3.
+      e Sum_k S_ik t_k S_kj F with d conj(t_i t_j) S_ij F.  When S is
+      symmetric and the twist balance t_{Ja} t_0 S_{J,a} = t_a t_J S_{0,a}
+      holds for each generator J of the currents and every a, entry (J a, j)
+      holds exactly when entry (a, J j) does, so only representative rows
+      are compared; otherwise every row, or the upper triangle when S is
+      symmetric (both sides are then symmetric).  If S is not unitary or T
+      not a root of unity, the cube is unpacked, with (ST)^2 reduced before
+      it is packed again, and compared with S^2 as reduced lists over
+      (d e)^3.
 
     With norms the largest l1 norms of entries and t = max(||T||, e), the
     bound is ``_rational_bound`` of max(n ||S||^2, d ||S||, 1) t^2: it
-    covers the rational tests and both sides of each comparison.  A
-    permutation S^2 is kept as the charge conjugation of md.
+    covers the rational tests, both sides of each comparison and the twist
+    balance.  The Galois orbit sums run in a second packing, bound
+    n ||S||^2 ||R||_1, so the cube keeps the narrower digits.  A permutation
+    S^2 is kept as the charge conjugation of md.
     """
     report = []
     n = md.dim
@@ -373,28 +531,72 @@ def validate_modular(md: ModularData) -> list[str]:
     _, dS, iS, norm_S = md._integral_S(N)
     dT, (iT,) = _integral([md.T], N)
     t = max(_norm([iT]), dT)
+    act = galois_action(md)
+    orb = _current_orbits(md)
+    reduced = len(orb.reps) < n
     pk = _Packing(N, _rational_bound(N, max(n * norm_S**2, dS * norm_S, 1) * t * t))
     M, PF = pk.M, pk.PF
-    P = [[pk.pack(p) for p in row] for row in iS]
-    U = [[x * PF % M for x in row] for row in P]
-    cols = list(zip(*U))
+    P = _each(iS, pk.pack)
+    U = _each(P, lambda x: x * PF % M)
+    PT = [pk.pack(p) for p in iT]
     symmetric = all(U[i][j] == U[j][i] for i in range(n) for j in range(i + 1, n))
+    u = md.unit
+    balanced = (
+        reduced
+        and symmetric
+        and all(
+            (PT[p[a]] * PT[u] * U[p[u]][a] - PT[a] * PT[p[u]] * U[u][a]) % M == 0
+            for p in map(orb.perm.get, orb.group.basis())
+            for a in range(n)
+        )
+    )
+    # the rows and entries each sum visits; the uncertified ones are guarded
+    # before any sum runs
+    unit_rows = orb.reps if reduced else range(n)
+    unit_pairs = [(i, j) for i in unit_rows for j in range(0 if reduced else i, n)]
+    square_rows = orb.reps if symmetric else range(n)
+    cube_rows = orb.reps if balanced else range(n)
+    cube_pairs = [(i, j) for i in cube_rows for j in range(i if symmetric and not balanced else 0, n)]
+    work = 0 if act.certified else len(unit_pairs) * n
+    work += 0 if symmetric and act.certified else len(square_rows) * n * n
+    work += 0 if balanced else len(cube_pairs) * n
+    check_work(work, pk)
+
     if not symmetric:
         report.append("S symmetric")
-    Ubar = [[pk.pack({-k % N: c for k, c in p.items()}) * PF % M for p in row] for row in iS]
     d2 = dS * dS
-    unitary = all(
-        pk.rational(sum(map(mul, P[i], Ubar[j]))) == (d2 if i == j else 0)
-        for i in range(n)
-        for j in range(i, n)
-    )
+    if act.certified:
+        # Galois orbit sums, in a packing of their own width
+        R = ramanujan_sums(N)
+        po = _Packing(N, n * norm_S**2 * sum(map(abs, R)))
+        Po = _each(iS, po.pack)
+        PR = po.pack(dict(enumerate(R)))
+        ks = [o[0] for o in act.orbits]
+        weights = [len(o) * PR % po.M for o in act.orbits]
+        left = {i: [Po[i][k] * w % po.M for k, w in zip(ks, weights)] for i in unit_rows}
+        right = [[po.pack({-k % N: c for k, c in iS[j][k].items()}) for k in ks] for j in range(n)]
+        one = d2 * R[0]
+
+        def orthonormal(i, j):
+            return po.constant(sum(map(mul, left[i], right[j]))) == (one if i == j else 0)
+
+    else:
+        Ubar = _each(iS, lambda p: pk.pack({-k % N: c for k, c in p.items()}) * PF % M)
+
+        def orthonormal(i, j):
+            return pk.rational(sum(map(mul, P[i], Ubar[j]))) == (d2 if i == j else 0)
+
+    unitary = all(orthonormal(i, j) for i, j in unit_pairs)
     if not unitary:
         report.append("S unitary")
     roots = {**pk.rotations(dT * PF % M), **pk.rotations(-dT * PF % M)}
-    twists = all(pk.pack(p) * PF % M in roots for p in iT)
+    twists = all(x * PF % M in roots for x in PT)
     if not twists:
         report.append("T root of unity")
-    perm = _square_permutation(pk, P, cols, d2)
+    if symmetric and act.certified:
+        perm = _square_permutation(po, Po, d2, act.orbits, orb)
+    else:
+        perm = _square_permutation(pk, P, d2, None, orb if symmetric else None)
     if perm is None:
         report.append("S^2 permutation")
     else:
@@ -404,15 +606,15 @@ def validate_modular(md: ModularData) -> list[str]:
         if any(perm[perm[i]] != i for i in range(n)):
             report.append("S^2 involution")
     if unitary and twists:
-        PT = [pk.pack(p) for p in iT]
         PTbar = [pk.pack({-k % N: c for k, c in p.items()}) for p in iT]
-        PST = [[x * y % M for x, y in zip(row, PT)] for row in P]
+        cols = list(zip(*U))
+        PST = {i: [x * y % M for x, y in zip(P[i], PT)] for i in cube_rows}
         cube = all(
             (dT * sum(map(mul, PST[i], cols[j])) - dS * PTbar[i] * PTbar[j] * U[i][j]) % M == 0
-            for i in range(n)
-            for j in range(n)
+            for i, j in cube_pairs
         )
     else:
+        check_work(work + 3 * n**3, pk)
         if perm is None:
             S2 = _product(iS, iS, N)
         else:
@@ -443,6 +645,11 @@ class GaloisAction(NamedTuple):
     gens: tuple
     orbits: tuple
 
+    @property
+    def certified(self) -> bool:
+        """The action is known: generators were found, or (Z/N)^* is trivial (N <= 2)."""
+        return bool(self.gens) or self.N <= 2
+
 
 def galois_action(md: ModularData) -> GaloisAction:
     """The Galois action on the columns of S; computed once and cached on md."""
@@ -469,9 +676,9 @@ def _unit_generators(N: int) -> list[int]:
 def _find_galois_action(md: ModularData) -> GaloisAction:
     """Decide sigma_g(S) column by column in one packing (module docstring).
 
-    Each distinct entry p of S's integer form is packed times F once, and so
-    is its image sigma_g(p) (exponent j -> g j mod N) for each generator g.
-    A column's image is looked up among the columns and their negatives,
+    Each distinct entry p of S's integer form is packed times F once
+    (``_each``), and so is its image sigma_g(p) (exponent j -> g j mod N)
+    for each generator g.  A column's image is looked up among the columns and their negatives,
     packed the same way: v F = w F modulo x^N - 1 exactly when v = w modulo
     Phi_N, and sigma_g keeps l1 norms, so with ``bound`` ||S|| ||F||_1 the
     difference of two compared values has digits below 2^(B-1) and the
@@ -481,24 +688,16 @@ def _find_galois_action(md: ModularData) -> GaloisAction:
     N, _, iS, norm = md._integral_S()
     pk = _Packing(N, norm * sum(map(abs, cyclotomic_cofactor(N))))
     M, PF = pk.M, pk.PF
-    # the distinct entries, by object (S often holds one object per value),
-    # each with the position of its first occurrence
-    flat = [x for row in md.S for x in row]
-    first = {id(x): i for i, x in reversed(list(enumerate(flat)))}
-    slot = {key: s for s, key in enumerate(first)}
-    polys = [iS[i // n][i % n] for i in first.values()]
-    cols = [[slot[id(x)] for x in col] for col in zip(*md.S)]
-    U = [pk.pack(p) * PF % M for p in polys]
+    cols = list(zip(*_each(iS, lambda p: pk.pack(p) * PF % M)))
     index = {}
-    for k, col in enumerate(cols):
-        u = tuple(map(U.__getitem__, col))
+    for k, u in enumerate(cols):
         index[u] = (k, 1)
         index[tuple(-x % M for x in u)] = (k, -1)
     gens = []
     if len(index) == 2 * n:
         for g in _unit_generators(N):
-            image = [pk.pack({g * j % N: c for j, c in p.items()}) * PF % M for p in polys]
-            hits = [index.get(tuple(map(image.__getitem__, col))) for col in cols]
+            image = _each(iS, lambda p: pk.pack({g * j % N: c for j, c in p.items()}) * PF % M)
+            hits = [index.get(u) for u in zip(*image)]
             if None in hits:
                 gens = []
                 break
@@ -526,11 +725,12 @@ def verlinde(md: ModularData):
     permutation of (a, b, e), so where the row conj(S_c) is a row S_e of S,
     N_ab^c = M(a, b, e), and only the M(a, b, e) with a <= b <= e are summed:
     about n^4 / 6 packed products.  Each row conj(S_c) F is looked up among
-    the rows S_e F, all entries packed: the lookup is exact, since v F = w F
-    modulo x^N - 1 exactly when v = w modulo Phi_N, and conjugation keeps l1
-    norms, so the digits stay within the bound.  A column with no conjugate
-    row (only on non-modular S) is summed directly for every a <= b; the
-    formula is symmetric in a and b, so the rest is mirrored.
+    the rows S_e F, all entries packed once per distinct entry: the lookup
+    is exact, since v F = w F modulo x^N - 1 exactly when v = w modulo
+    Phi_N, and conjugation keeps l1 norms, so the digits stay within the
+    bound.  A column with no conjugate row (only on non-modular S) is summed
+    directly for every a <= b; the formula is symmetric in a and b, so the
+    rest is mirrored.
 
     The packing is a commutative ring homomorphism and conj(S_c) F = S_e F
     packed, so M(a, b, e), summed in any order of (a, b, e), is the same
@@ -549,6 +749,14 @@ def verlinde(md: ModularData):
     R = Sum_j c_N(j) x^j, has phi(N) M(a, b, e) as its constant coefficient,
     read by ``_Packing.constant`` under the bound n ||S||^3 ||1/S_0|| ||R||_1.
     That sum is Galois-invariant, so it is rational and needs no test.
+
+    Where every conj(S_c) is a row and the pairs r <= r' of simple-current
+    orbit representatives, times n, are fewer sums than the sorted triples,
+    only M(r, r', e) for those pairs and every e is summed (module
+    docstring, "Simple-current symmetry"): with a = J r_a and b = K r_b,
+    N_ab^c = M(r_a, r_b, (J + K) conj_row(c)), each entry still tested for
+    integrality and sign.  A sum over every column, without the Galois
+    orbits, runs after the work guard (``check_work``).
     """
     n = md.dim
     N, dS, iS, norm_S = md._integral_S()
@@ -568,19 +776,19 @@ def verlinde(md: ModularData):
     R = ramanujan_sums(N)
     base = n * norm_S**3 * _norm([iI])
     bound = _rational_bound(N, base)
-    if act.gens:
+    if act.certified:
         bound = max(bound, base * sum(map(abs, R)))
     pk = _Packing(N, bound)
     M, PF = pk.M, pk.PF
-    P = [[pk.pack(p) for p in row] for row in iS]
-    U = [[x * PF % M for x in row] for row in P]
-    Ubar = [[pk.pack({-k % N: c for k, c in p.items()}) * PF % M for p in row] for row in iS]
+    P = _each(iS, pk.pack)
+    U = _each(P, lambda x: x * PF % M)
+    Ubar = _each(iS, lambda p: pk.pack({-k % N: c for k, c in p.items()}) * PF % M)
     row_of = {tuple(u): e for e, u in enumerate(U)}
     conj_row = [row_of.get(tuple(u)) for u in Ubar]
     direct = [c for c, e in enumerate(conj_row) if e is None]
     Pinv = [pk.pack(p) for p in iI]
     cols, value = U, pk.rational
-    if act.gens and not direct:
+    if act.certified and not direct:
         # one column per orbit, |O_k| R folded into 1/S_0k; phi(N) = c_N(0)
         PRS = pk.pack(dict(enumerate(R)))
         Pinv = [len(o) * Pinv[o[0]] * PRS % M for o in act.orbits]
@@ -589,25 +797,38 @@ def verlinde(md: ModularData):
         def value(u):
             return pk.constant(u) // R[0]
 
+    orb = None if direct else _current_orbits(md)
+    if orb and 3 * len(orb.reps) * (len(orb.reps) + 1) >= (n + 1) * (n + 2):
+        orb = None  # the sorted triples are fewer sums
+    if cols is U:
+        sums = len(orb.reps) * (len(orb.reps) + 1) // 2 * n if orb else n * (n + 1) * (n + 2) // 6
+        check_work((sums + len(direct) * n * (n + 1) // 2) * n, pk)
     # for a <= b, decided: sym[a][b][e - b] = M(a, b, e) for e >= b, and
-    # direct_sums[a][b][c] = N_ab^c for c in direct
+    # direct_sums[a][b][c] = N_ab^c for c in direct; or, over the current
+    # representatives, sym[r][r2] = M(r, r2, e) for every e
     sym = [[None] * n for _ in range(n)]
     direct_sums = [[None] * n for _ in range(n)]
-    for a in range(n):
+    for a in orb.reps if orb else range(n):
         W = [x * y % M for x, y in zip(P[a], Pinv)]
-        for b in range(a, n):
+        for b in [r for r in orb.reps if r >= a] if orb else range(a, n):
             wb = [w * x % M for w, x in zip(W, P[b])]
-            sym[a][b] = [value(sum(map(mul, wb, cols[e]))) for e in range(b, n)]
+            sym[a][b] = [value(sum(map(mul, wb, cols[e]))) for e in range(0 if orb else b, n)]
             direct_sums[a][b] = {c: pk.rational(sum(map(mul, wb, Ubar[c]))) for c in direct}
     den = dS**3 * dI
     out = []
     for a in range(n):
         plane = [out[b][a] for b in range(a)]
         for b in range(a, n):
-            # M(a, b, e) for every e, each from its sorted triple
-            m = [sym[e][a][b - a] for e in range(a)]
-            m += [sym[a][e][b - e] for e in range(a, b)] + sym[a][b]
-            row = [direct_sums[a][b][c] if e is None else m[e] for c, e in enumerate(conj_row)]
+            if orb:
+                ra, rb = orb.rep[a], orb.rep[b]
+                m = sym[ra][rb] if ra <= rb else sym[rb][ra]
+                shift = orb.perm[orb.group.add(orb.shift[a], orb.shift[b])]
+                row = [m[shift[e]] for e in conj_row]
+            else:
+                # M(a, b, e) for every e, each from its sorted triple
+                m = [sym[e][a][b - a] for e in range(a)]
+                m += [sym[a][e][b - e] for e in range(a, b)] + sym[a][b]
+                row = [direct_sums[a][b][c] if e is None else m[e] for c, e in enumerate(conj_row)]
             for c, r in enumerate(row):
                 if r is None:
                     raise ValueError(f"fusion coefficient not rational at {(a, b, c)}")
@@ -616,6 +837,56 @@ def verlinde(md: ModularData):
             plane.append(tuple(r // den for r in row))
         out.append(tuple(plane))
     return tuple(out)
+
+
+class CurrentOrbits(NamedTuple):
+    """Orbits of the primaries under the simple currents (module docstring).
+
+    Primary a is J r for r = ``rep[a]``, the least primary of its orbit, and
+    the current J = ``shift[a]`` (group coordinates; zero at r itself).
+    ``perm`` maps every current to its permutation of the primaries, as
+    ``SimpleCurrentStructure.action_table`` does.  ``reps`` are the orbit
+    representatives in increasing order; all primaries when no current but
+    the unit is known, and then nothing is reduced.
+    """
+
+    group: FinAbGroup
+    perm: dict
+    reps: tuple
+    rep: tuple
+    shift: tuple
+
+    @staticmethod
+    def of(group: FinAbGroup, perm: dict, n: int) -> "CurrentOrbits":
+        """The orbits of the n primaries under the permutations ``perm`` of ``group``."""
+        zero = group.zero()
+        rep, shift, reps = [None] * n, [None] * n, []
+        for a in range(n):
+            if rep[a] is None:
+                reps.append(a)
+                rep[a], shift[a] = a, zero
+                for J, p in perm.items():
+                    if rep[p[a]] is None:
+                        rep[p[a]], shift[p[a]] = a, J
+        return CurrentOrbits(group, perm, tuple(reps), tuple(rep), tuple(shift))
+
+    @staticmethod
+    def trivial(n: int) -> "CurrentOrbits":
+        """Every primary its own orbit: no current but the unit."""
+        return CurrentOrbits.of(FinAbGroup(()), {(): tuple(range(n))}, n)
+
+
+def _current_orbits(md: ModularData) -> CurrentOrbits:
+    """The current orbits of md, cached on it; trivial where ``simple_currents``
+    raises ValueError."""
+    if md._orbits is None:
+        try:
+            sc = simple_currents(md)
+        except ValueError:
+            md._orbits = CurrentOrbits.trivial(md.dim)
+        else:
+            md._orbits = CurrentOrbits.of(sc.group, sc.action_table, md.dim)
+    return md._orbits
 
 
 class SimpleCurrentStructure(NamedTuple):
@@ -672,12 +943,16 @@ def _find_simple_currents(md: ModularData):
     """Invertible simples with their charges, action and twists, and the zero
     pattern of S, read off S and T alone in one ``_Packing``.
 
-    md must be modular; nothing re-validates it.  j is a current exactly when
-    every psi_k(j) = S_jk / S_0k is a root of unity, its charges are those
-    phases, and the row of j a is row a times them (module docstring: S
-    diagonalizes N_j with eigenvalues psi_k(j), and a unitary nonnegative
-    integer matrix is a permutation).  At m = lcm(2, N), N the conductor of S
-    and T, every root of unity in Q(zeta_N) is some x^k.  S is packed times
+    md need not be known to be modular: ``validate_modular`` and ``verlinde``
+    call it (through ``_current_orbits``) before modularity is decided, and
+    rely only on what its exact lookups establish: S_{j a, k} = psi_k(j) S_ak
+    for the returned action, psi a root of unity and a character.  On
+    modular data j is a current exactly when every psi_k(j) = S_jk / S_0k is
+    a root of unity, its charges are those phases, and the row of j a is row
+    a times them (module docstring: S diagonalizes N_j with eigenvalues
+    psi_k(j), and a unitary nonnegative integer matrix is a permutation).
+    At m = lcm(2, N), N the conductor of S and T, every root of unity in
+    Q(zeta_N) is some x^k.  S is packed times
     F = (x^m - 1) / Phi_m, as u; v F = w F modulo x^m - 1 = Phi_m F exactly
     when v = w modulo Phi_m, as x^m - 1 is squarefree.
 
@@ -709,12 +984,16 @@ def _find_simple_currents(md: ModularData):
     pk = _Packing(m, bound * sum(map(abs, cyclotomic_cofactor(m))))
     M, PF, B = pk.M, pk.PF, pk.shift
 
-    U = [tuple(pk.pack(p) * PF % M for p in row) for row in iS]
+    U = [tuple(row) for row in _each(iS, lambda p: pk.pack(p) * PF % M)]
     digits = {j: [] for j in range(n)}  # charge digits of the rows still candidates
+    rotations: dict = {}  # one table per distinct unit-row value
     for k in range(n):
-        if not U[unit][k]:
+        u = U[unit][k]
+        if not u:
             raise ValueError("unit row of S has a zero entry")
-        phases = pk.rotations(U[unit][k])
+        phases = rotations.get(u)
+        if phases is None:
+            phases = rotations[u] = pk.rotations(u)
         for j in list(digits):
             if U[j][k] in phases:
                 digits[j].append(phases[U[j][k]])
@@ -926,7 +1205,7 @@ def _commutant_rows(md: ModularData, class_of, columns):
     n = md.dim
     N, _, iS, _ = md._integral_S()
     deg = len(cyclotomic_polynomial(N)) - 1
-    R = [[_reduced(p, N)[:deg] for p in row] for row in iS]
+    R = _each(iS, lambda p: _reduced(p, N)[:deg])
     for i in range(n):
         for j in columns:
             terms = {}

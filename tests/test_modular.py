@@ -1,5 +1,9 @@
 """Modular data, Verlinde fusion, currents, and invariant enumeration."""
 
+import functools
+import os
+import subprocess
+import sys
 import re
 from fractions import Fraction
 from math import lcm
@@ -11,7 +15,7 @@ from hypothesis import strategies as st
 import oracle
 
 from modinv import modular, scalars
-from modinv.abelian import FinAbGroup, abelian_structure
+from modinv.abelian import FinAbGroup, GuardError, abelian_structure
 from modinv.forms import QuadraticForm, indecomposable_form
 from modinv.modular import (
     ModularData,
@@ -1596,6 +1600,14 @@ def test_galois_certificate(build, count):
                 assert galois_image(md.S[i][k], g, N) == signs[k] * md.S[i][perm[k]]
 
 
+def clear_certificates(md):
+    """Drop md's Galois and simple-current certificates: every sum runs in full."""
+    act = modular.galois_action(md)
+    md._galois = modular.GaloisAction(act.N, (), tuple((k,) for k in range(md.dim)))
+    md._orbits = modular.CurrentOrbits.trivial(md.dim)
+    return md
+
+
 PERTURBED_S = {
     # the perturbed columns are no signed columns of S after sigma_g
     "ty-3^1_+-entry-doubled": lambda: with_entry(_double("3^1_+"), 1, 2, lambda x: 2 * x),
@@ -1658,6 +1670,7 @@ def test_certified_verlinde_forms_one_product_per_orbit(build, monkeypatch):
     md = build()
     n = md.dim
     act = modular.galois_action(md)
+    reps = modular._current_orbits(md).reps
     triples = n * (n + 1) * (n + 2) // 6
     counted = []
 
@@ -1667,10 +1680,12 @@ def test_certified_verlinde_forms_one_product_per_orbit(build, monkeypatch):
 
     monkeypatch.setattr(modular, "mul", count_mul)
     fused = verlinde(md)
-    assert len(counted) == len(act.orbits) * triples < n * triples
-    # the same datum without its certificate sums every column
+    # M(r, r', e) for current representatives r <= r' and every e, each over
+    # one column per Galois orbit
+    assert len(counted) == len(reps) * (len(reps) + 1) // 2 * n * len(act.orbits) < n * triples
+    # the same datum without either certificate sums every sorted triple over every column
     counted.clear()
-    md._galois = modular.GaloisAction(act.N, (), tuple((k,) for k in range(n)))
+    clear_certificates(md)
     assert verlinde(md) == fused
     assert len(counted) == n * triples
     monkeypatch.undo()
@@ -1736,3 +1751,202 @@ def test_current_periodicity_on_drawn_matrices(name, data):
     if data.draw(st.booleans()):
         M[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] += 1
     assert modular._current_periodic(sc, M) == reference_periodicity(sc, M)
+
+
+# -- every S identity once per symmetry class, against the full sums ------------
+
+
+def entrywise_commutes(md, Z):
+    """s_commutes decided by naive_mat_mul and entry equality."""
+    Zc = [[rat(x) for x in row] for row in Z]
+    SZ, ZS = naive_mat_mul(md.S, Zc), naive_mat_mul(Zc, md.S)
+    return all(SZ[i][j] == ZS[i][j] for i in range(md.dim) for j in range(md.dim))
+
+
+@functools.lru_cache(maxsize=None)
+def trial_matrices(index):
+    """An invariant of VALIDATE_DATA[index] (Galois-symmetric) and a copy with one entry bumped."""
+    md = VALIDATE_DATA[index]()
+    Z = max(z.matrix for z in brute_force_invariants(md))
+    bumped = [list(row) for row in Z]
+    bumped[0][-1] += 1
+    return Z, bumped
+
+
+def outcomes(md, matrices):
+    """validate_modular's report, verlinde's tensor or message, and s_commutes on each matrix."""
+    return validate_modular(md), verlinde_outcome(verlinde, md), [s_commutes(md, Z) for Z in matrices]
+
+
+def reference_outcomes(md, matrices):
+    return reference_report(md), verlinde_outcome(reference_verlinde, md), [entrywise_commutes(md, Z) for Z in matrices]
+
+
+def assert_reductions_hold(build, matrices):
+    """The reduced sums give what the full sums (certificates cleared) and the references give."""
+    got = outcomes(build(), matrices)
+    assert got == outcomes(clear_certificates(build()), matrices)
+    assert got == reference_outcomes(build(), matrices)
+
+
+@pytest.mark.parametrize("x", PERTURBATIONS, ids=range(len(PERTURBATIONS)))
+@pytest.mark.parametrize("kind", ["entry", "pair", "twist"])
+@pytest.mark.parametrize("index", range(len(VALIDATE_DATA)))
+def test_reductions_on_perturbed_data(index, kind, x):
+    n = VALIDATE_DATA[index]().dim
+    for i, j in [(0, n - 1), (n - 1, 1)]:
+        assert_reductions_hold(lambda: perturbed_datum(VALIDATE_DATA[index](), kind, i, j, x), trial_matrices(index))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, len(VALIDATE_DATA) - 1), st.data())
+def test_reductions_on_drawn_perturbations(index, data):
+    md = VALIDATE_DATA[index]()
+    n = md.dim
+    kind = data.draw(st.sampled_from(["entry", "pair", "twist"]))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    x = data.draw(st.sampled_from(PERTURBATIONS))
+    assert_reductions_hold(lambda: perturbed_datum(VALIDATE_DATA[index](), kind, i, j, x), trial_matrices(index))
+
+
+@pytest.mark.parametrize("build", CURRENT_DATA, ids=CURRENT_IDS)
+def test_reductions_on_modular_data(build):
+    md, full = build(), clear_certificates(build())
+    assert len(modular._current_orbits(md).reps) < md.dim and modular.galois_action(md).certified
+    assert validate_modular(md) == validate_modular(full) == []
+    assert md.charge_conjugation() == full.charge_conjugation()
+    assert md.fusion() == full.fusion()
+    for M in sorted(enumerate_sc(md).matrix_set()):
+        bumped = [list(row) for row in M]
+        bumped[-1][0] += 1
+        assert s_commutes(md, M) and s_commutes(full, M)
+        assert s_commutes(md, bumped) == s_commutes(full, bumped) == entrywise_commutes(md, bumped)
+
+
+def guarded_work(monkeypatch):
+    """The products each check_work call estimates, in order."""
+    seen = []
+    real = modular.check_work
+
+    def spy(products, pk):
+        seen.append(products)
+        real(products, pk)
+
+    monkeypatch.setattr(modular, "check_work", spy)
+    return seen
+
+
+def test_twist_changed_off_the_representatives_falls_back(monkeypatch):
+    # T_a times -1 at a primary a that is neither a current nor an orbit
+    # representative: the twist balance fails, so the cube is compared on
+    # every row (the upper triangle of a symmetric S) and fails
+    md = _double("3^1_+")
+    orb, sc = modular._current_orbits(md), simple_currents(md)
+    a = next(k for k in range(md.dim) if k not in orb.reps and k not in sc.coords)
+    bad = perturbed_datum(md, "twist", a, a, -Cyclotomic.one())
+    assert modular._current_orbits(bad).reps == orb.reps
+    n = md.dim
+    seen = guarded_work(monkeypatch)
+    assert validate_modular(md) == []
+    assert seen == [0]
+    report = validate_modular(bad)
+    assert seen == [0, n * (n + 1) // 2 * n]
+    assert "(ST)^3 = S^2" in report
+    assert report == reference_report(bad)
+    full = perturbed_datum(_double("3^1_+"), "twist", a, a, -Cyclotomic.one())
+    assert report == validate_modular(clear_certificates(full))
+
+
+@pytest.mark.parametrize("build", CURRENT_DATA, ids=CURRENT_IDS)
+def test_certified_data_never_reach_the_guard(build, monkeypatch):
+    md = build()
+    mats = sorted(enumerate_sc(md).matrix_set())
+    monkeypatch.setattr(modular, "WORK_GUARD", 0)
+    assert validate_modular(md) == []
+    assert build().charge_conjugation() == md.charge_conjugation()
+    assert md.fusion() == verlinde(build())
+    assert all(s_commutes(md, M) for M in mats)
+    with pytest.raises(GuardError, match="^full-sum work [0-9]+ exceeds guard 0$"):
+        validate_modular(clear_certificates(build()))
+
+
+def cyclic_weil(k):
+    """weil of x -> x^2 / 2k on Z_k (k even)."""
+    return weil(std_form((k,)))
+
+
+@pytest.mark.parametrize("call", ["validate", "verlinde", "s_commutes", "charge"])
+def test_guard_refuses_before_any_sum(call, monkeypatch):
+    md = clear_certificates(weil(std_form((6,))))
+    Z = [[int(i == j) + int(j == 0) for j in range(md.dim)] for i in range(md.dim)]
+
+    def no_sum(*args):
+        raise AssertionError("a packed product was summed")
+
+    monkeypatch.setattr(modular, "WORK_GUARD", 10)
+    monkeypatch.setattr(modular, "mul", no_sum)
+    with pytest.raises(GuardError, match="^full-sum work [0-9]+ exceeds guard 10$"):
+        {
+            "validate": validate_modular,
+            "verlinde": verlinde,
+            "s_commutes": lambda md: s_commutes(md, Z),
+            "charge": ModularData.charge_conjugation,
+        }[call](md)
+
+
+def test_guard_edge_is_refused_up_front(monkeypatch):
+    # of the certificate-cleared cyclic_weil(k), k even up to 80, Z_56 is the
+    # refused datum with the least estimate (GUARD_EDGE for the admitted one)
+    def no_sum(*args):
+        raise AssertionError("a packed product was summed")
+
+    md = clear_certificates(cyclic_weil(56))
+    monkeypatch.setattr(modular, "mul", no_sum)
+    with pytest.raises(GuardError, match="exceeds guard"):
+        validate_modular(md)
+
+
+# -- opt-in: paper-scale calls, each in a fresh interpreter under 30 s ----------
+
+CLEAR = """
+from modinv import modular
+def clear(md):
+    act = modular.galois_action(md)
+    md._galois = modular.GaloisAction(act.N, (), tuple((k,) for k in range(md.dim)))
+    md._orbits = modular.CurrentOrbits.trivial(md.dim)
+    return md
+"""
+WEIL = "from modinv.forms import indecomposable_form\nfrom modinv.pointed import weil\n"
+DOUBLE = (
+    "from modinv.forms import indecomposable_form\nfrom modinv.ty import TYData, ty_double\n"
+    "q = indecomposable_form('7^1_+')[0]\nmd = ty_double(TYData(q.group, q.polarization(), 1), q)\n"
+)
+CYCLIC = (
+    "from fractions import Fraction\nfrom modinv.abelian import FinAbGroup\nfrom modinv.forms import QuadraticForm\n"
+    "from modinv.pointed import weil\n"
+    "def cyclic_weil(k):\n"
+    "    G = FinAbGroup((k,))\n"
+    "    return weil(QuadraticForm(G, {g: Fraction(g[0] * g[0], 2 * k) % 1 for g in G.elements()}))\n"
+)
+PAPER_SCALE = {
+    "weil-2^8_1-validate": WEIL + "assert modular.validate_modular(weil(indecomposable_form('2^8_1')[0])) == []",
+    "weil-3^5_+-validate": WEIL + "assert modular.validate_modular(weil(indecomposable_form('3^5_+')[0])) == []",
+    "weil-101^1_+-validate": WEIL + "assert modular.validate_modular(weil(indecomposable_form('101^1_+')[0])) == []",
+    "ty-7^1_+-validate": DOUBLE + "assert modular.validate_modular(md) == []",
+    "ty-7^1_+-fusion": DOUBLE + "N = md.fusion()\nassert all(N[md.unit][b][c] == (b == c) for b in range(49) for c in range(49))",
+    # the admitted certificate-cleared cyclic_weil(k) with the largest estimate
+    # (k even up to 80); the refused one is test_guard_edge_is_refused_up_front's
+    "guard-edge-admitted": CYCLIC + "assert modular.validate_modular(clear(cyclic_weil(64))) == []",
+    "guard-edge-refused": CYCLIC
+    + "from modinv.abelian import GuardError\n"
+    + "try:\n    modular.validate_modular(clear(cyclic_weil(56)))\nexcept GuardError:\n    pass\nelse:\n    raise AssertionError('admitted')",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("code", PAPER_SCALE.values(), ids=PAPER_SCALE.keys())
+def test_paper_scale_in_a_fresh_process(code):
+    src = os.path.dirname(os.path.dirname(modular.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", CLEAR + code], env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
