@@ -6,10 +6,13 @@ tuple.  Elements are coordinate tuples reduced mod n_i.  Subgroups are stored
 by the row Hermite normal form of their coordinate lattice, which makes
 set-equality a syntactic check.
 
-Every group read off a presentation matrix, here and in ``lattice``, goes
-through ``invariant_factor_group``: the Smith normal form with the unit
-factors dropped, in invariant-factor order.  ``GuardError`` is defined in
-``scalars`` and re-exported here.
+A group read off a presentation matrix goes through
+``invariant_factor_group``: the Smith normal form with the unit factors
+dropped, in invariant-factor order, with both transforms.  The one exception
+is the dual quotient of a nonsingular square matrix (a lattice's
+discriminant group in ``lattice``): ``dual_quotient`` reads it off a Smith
+form modulo det², keeping only the column transform.  ``GuardError`` is
+defined in ``scalars`` and re-exported here.
 """
 
 from __future__ import annotations
@@ -155,6 +158,78 @@ def invariant_factor_group(M):
     frm = [[row[i] for i in keep] for row in Pinv]
     cols = [[row[i] for i in keep] for row in Q]
     return G, [P[i] for i in keep], frm, cols
+
+
+def dual_quotient(M, det: int):
+    """The group Z^n / (column span of M) and dual generators, for a square M
+    with |det M| = det > 0.
+
+    A Smith form modulo m = det² (Cohen, GTM 138, section 2.4; Domich, Kannan
+    and Trotter, Math. Oper. Res. 12, 1987): row and column Euclid steps on
+    entries reduced into [-m/2, m/2), tracking only the column transform V
+    mod m, until U·M·V = diag(w) (mod m).  As det·Z^n lies in the column span,
+    the group is the sum of the Z / gcd(w_t, m).  The entries stay below m, so
+    the trailing block cannot blow up as in ``smith_with_inverses``.
+
+    Returns (G, cols) with G in invariant-factor form and cols one integer
+    column v_j per factor d_j, reduced into [0, d_j): M·v_j = 0 (mod d_j), and
+    g maps to the class of sum_j g_j M·v_j / d_j isomorphically onto
+    Z^n / M Z^n.  For M v_j = w_j U⁻¹e_j + m z, where m / d_j is a multiple of
+    det, so of the exponent, and w_j / d_j is a unit mod d_j: the class of
+    M v_j / d_j is a unit times that of U⁻¹e_j, the j-th generator.
+    """
+    if det < 1:
+        raise ValueError("det must be positive")
+    n = len(M)
+    m = det * det
+    h = m // 2
+    W = [[(x + h) % m - h for x in row] for row in M]
+    Vt = _identity(n)  # V's columns, as rows
+    pivots = []
+    for t in range(n):
+        # the pivot: an entry of least absolute value in the trailing block,
+        # whose rows are zero left of column t
+        p = min(map(abs, filter(None, itertools.chain.from_iterable(W[t:]))), default=0)
+        i = next((i for i in range(t, n) if p in W[i] or -p in W[i]), t) if p else t
+        j = W[i].index(p if p in W[i] else -p) if p else t
+        W[t], W[i] = W[i], W[t]
+        for row in W:
+            row[t], row[j] = row[j], row[t]
+        Vt[t], Vt[j] = Vt[j], Vt[t]
+        while p:
+            done = True
+            for i in range(t + 1, n):
+                if W[i][t]:
+                    c = W[i][t] // W[t][t]
+                    W[i] = [(a - c * b + h) % m - h for a, b in zip(W[i], W[t])]
+                    if W[i][t]:  # a smaller remainder: the new pivot
+                        W[t], W[i] = W[i], W[t]
+                        done = False
+            for j in range(t + 1, n):
+                if W[t][j]:
+                    c = W[t][j] // W[t][t]
+                    for row in W:
+                        row[j] = (row[j] - c * row[t] + h) % m - h
+                    Vt[j] = [(a - c * b) % m for a, b in zip(Vt[j], Vt[t])]
+                    if W[t][j]:
+                        for row in W:
+                            row[t], row[j] = row[j], row[t]
+                        Vt[t], Vt[j] = Vt[j], Vt[t]
+                        done = False
+            if done:
+                # the pivot must divide the trailing block; else fold a row in
+                p = W[t][t]
+                rest = range(t + 1, n) if abs(p) > 1 else ()
+                bad = next((i for i in rest if any(x % p for x in W[i][t + 1 :])), None)
+                if bad is None:
+                    break
+                W[t] = [(a + b + h) % m - h for a, b in zip(W[t], W[bad])]
+        pivots.append(gcd(W[t][t], m))
+    if prod(pivots) != det:
+        raise ValueError(f"{det} is not the absolute determinant")
+    keep = [t for t in reversed(range(n)) if pivots[t] > 1]  # factors decreasing
+    G = FinAbGroup(tuple(pivots[t] for t in keep))
+    return G, [[Vt[t][r] % pivots[t] for t in keep] for r in range(n)]
 
 
 def _kernel_columns(A, width: int) -> list[list[int]]:
@@ -557,10 +632,12 @@ class Hom:
         return Hom(G, G, _identity(t), check=False)
 
     def is_bijective(self) -> bool:
+        """Between groups of one order, bijective iff the basis images span
+        the codomain: one Hermite form of the matrix's columns."""
         if self.domain.order != self.codomain.order:
             return False
-        ker, _ = hom_kernel_image(self)
-        return ker.order == 1
+        images = list(zip(*self.matrix))
+        return Subgroup(self.codomain, images).order == self.codomain.order
 
     def __eq__(self, other):
         return (

@@ -56,6 +56,15 @@ def _numerator(x, den: int, message: str) -> int:
     return k.numerator
 
 
+def _radix_sums(columns) -> list[int]:
+    """[sum_k columns[k][g_k] for g in G.elements()], given one column of n_k
+    values per factor n_k of G (``elements()`` runs in mixed-radix order)."""
+    out = [0]
+    for col in columns:
+        out = [a + c for a in out for c in col]
+    return out
+
+
 def form_denominator(G: FinAbGroup) -> int:
     """The common denominator of every quadratic form on G (module docstring)."""
     e = G.exponent
@@ -276,6 +285,10 @@ class QuadraticForm:
         expanding q(g + h + e_i) and q(h + e_i) with the basis identity gives
         B(g, h + e_i) = B(g, h) + b(g, e_i).  So the O(rank |G|) check accepts
         exactly the tables the all-pairs check does.
+
+        The checks run on the list of values in ``G.elements()`` order, where g
+        sits at index sum_k g_k stride_k (mixed radix): -g and g + e_i are
+        index lists, and b(g, e_i) a sum of one column per coordinate.
         """
         G = self.group = group
         d = self.den = form_denominator(group)
@@ -284,20 +297,25 @@ class QuadraticForm:
         self._signature = None
         self._square = None
         elems = G.elements()
-        if len(num) != len(elems) or any(g not in num for g in elems):
+        vals = [num.get(g) for g in elems]
+        if len(num) != len(elems) or None in vals:
             raise ValueError("table must cover the group exactly")
-        if num[G.zero()]:
+        if vals[0]:
             raise ValueError("q(0) must be 1")
-        if any(num[g] != num[G.neg(g)] for g in elems):
+        n = G.factors
+        stride = [prod(n[k + 1 :]) for k in range(G.rank)]
+        index = [[x * s for x in range(nk)] for nk, s in zip(n, stride)]  # g_k's share
+        neg = _radix_sums([col[:1] + col[:0:-1] for col in index])  # -x mod n_k
+        if list(map(vals.__getitem__, neg)) != vals:
             raise ValueError("q(-g) = q(g) fails")
         pol = self.polarization()
         r = d // pol.den
-        for i, e in enumerate(G.basis()):
-            qe = num[e]
-            col = [r * row[i] for row in pol.num]
-            for g in elems:
-                if (num[g] + qe - num[G.add(g, e)] - sum(x * c for x, c in zip(g, col))) % d:
-                    raise ValueError("polarization is not biadditive")
+        for i, si in enumerate(stride):
+            plus = _radix_sums(index[:i] + [index[i][1:] + index[i][:1]] + index[i + 1 :])
+            lin = _radix_sums([[x * r * row[i] for x in range(nk)] for nk, row in zip(n, pol.num)])
+            qe = vals[si]
+            if [(v + qe - l) % d for v, l in zip(vals, lin)] != list(map(vals.__getitem__, plus)):
+                raise ValueError("polarization is not biadditive")
 
     def phase(self, g) -> Fraction:
         return Fraction(self.num[self.group.reduce(g)], self.den)
@@ -567,7 +585,7 @@ def isometries(q1: QuadraticForm, q2: QuadraticForm):
     b1, b2 = q1.polarization(), q2.polarization()
     basis = G.basis()
     candidates = [
-        [h for h in H.elements() if n % H.element_order(h) == 0 and q2.num[h] == q1.num[e]]
+        [h for h in H.elements() if q2.num[h] == q1.num[e] and n % H.element_order(h) == 0]
         for e, n in zip(basis, G.factors)
     ]
     count = prod(len(c) for c in candidates)

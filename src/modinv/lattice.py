@@ -16,15 +16,20 @@ result is divided by the common denominator once.
 every rank r > l(q) with r = sigma(q) mod 8, and by Milgram in no rank of
 another residue.  So a cyclic part (p^k_s, 2^k_m) is searched at rank
 r = sigma mod 8 (8 when sigma = 0), then r + 8, with sigma read off
-``forms._tabulate``'s closed-form x^3.  At each rank the candidates are, in
-order, the named root lattices A_r, D_r, E_r, then weighted trees with at most
-three arms (norm 2w on the diagonal, -1 on each edge; Conway-Sloane, SPLAG
-ch. 15) by increasing excess sum(w - 1) of their fixed weights, fewest
-non-unit weights first, at most TREE_SEARCH_BOUND of them.  The determinant
-is linear in one free weight, which is solved for.  A candidate is kept when
-its determinant is |G|, its Smith factors are G's, its form at a generator is
-a value of q at a generator, and its discriminant form is equivalent to q.  The pair types 2^k2^k_i/ii glue scaled copies of Z to
-the lattice found for 2^k_-1 or 2^k_-3, within rank 16.
+``forms._tabulate``'s closed-form x^3.  At each rank the candidates, all of
+determinant |G|, are in order the named root lattices A_r, D_r, E_r of that
+determinant, then weighted trees with at most three arms (norm 2w on the
+diagonal, -1 on each edge; Conway-Sloane, SPLAG ch. 15) by increasing excess
+sum(w - 1) of their fixed weights, fewest non-unit weights first, at most
+TREE_SEARCH_BOUND of them.  The determinant is linear in one free weight,
+which is solved for.  A candidate is kept when its dual quotient is G, its
+form at a generator is a value of q at a generator, and its discriminant form
+is equivalent to q; the dual quotient is read once per candidate.  The pair
+types 2^k2^k_i/ii glue scaled copies of Z to the lattice found for 2^k_-1 or
+2^k_-3, within rank 16.
+
+The dual quotient L*/L of a Gram matrix comes from ``abelian.dual_quotient``,
+a Smith form modulo det², whose entries stay below det² on any basis.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from math import gcd, lcm, prod
 from .abelian import (
     GuardError,
     Subgroup,
+    dual_quotient,
     hermite_rows,
     invariant_factor_group,
 )
@@ -200,32 +206,52 @@ class DualVector:
 def discriminant(L: Lattice):
     """(dual quotient group, its quadratic form, coset representatives).
 
-    The group is Z^n modulo the Gram column span; the form is half the norm
-    of any representative, mod 1.  Representative i spans the i-th invariant
-    factor.  With e the exponent, row j of the integer matrix N is e times
-    representative j, so q(g) = gᵀRg / 2e² mod 1 for R = N·gram·Nᵀ.  Over den =
-    ``form_denominator(G)``, the numerator gᵀRg·den / 2e² must be an integer.
+    The group is Z^n modulo the Gram column span, read off by
+    ``abelian.dual_quotient``; the form is half the norm of any
+    representative, mod 1.  Representative j is that function's column v_j
+    over the j-th invariant factor d_j, so its coordinates lie in [0, 1), and
+    it spans the j-th factor: g maps to the class of sum_j g_j v_j / d_j.
     """
-    n = L.rank
-    if L.det > DISCRIMINANT_GUARD:
-        raise GuardError(f"discriminant order {L.det} exceeds guard")
-    G, _, _, cols = invariant_factor_group([list(r) for r in L.gram])
+    G, cols = dual_quotient(L.gram, L.det)
+    q = _dual_form(L, G, cols)
     reps = tuple(
-        DualVector(L, tuple(Fraction(cols[r][j], d) for r in range(n)))
+        DualVector(L, tuple(Fraction(row[j], d) for row in cols))
         for j, d in enumerate(G.factors)
     )
+    return G, q, reps
+
+
+def _dual_form(L: Lattice, G, cols) -> QuadraticForm:
+    """The discriminant form on G in the coordinates of ``dual_quotient``'s cols.
+
+    With e the exponent, row j of the integer matrix N is e / d_j times
+    column j, so q(g) = gᵀRg / 2e² mod 1 for R = N·gram·Nᵀ.  Over den =
+    ``form_denominator(G)``, the numerator gᵀRg·den / 2e² must be an integer.
+    """
+    if G.order > DISCRIMINANT_GUARD:
+        raise GuardError(f"discriminant order {G.order} exceeds guard")
     e = G.exponent
-    N = [[e // d * cols[r][j] for r in range(n)] for j, d in enumerate(G.factors)]
+    N = [[e // d * row[j] for row in cols] for j, d in enumerate(G.factors)]
     R = _congruent(N, L.gram)
     den = form_denominator(G)
     scale = 2 * e * e // den  # den is e or 2e
-    num = {}
-    for g in G.elements():
-        x = sum(gi * gj * r for gi, row in zip(g, R) for gj, r in zip(g, row))
-        if x % scale:
-            raise ValueError(f"form values must lie in (1/{den})Z")
-        num[g] = x // scale
-    return G, QuadraticForm.from_numerators(G, num), reps
+    values = _quadratic_values(R, G.factors)
+    if any(x % scale for x in values):
+        raise ValueError(f"form values must lie in (1/{den})Z")
+    return QuadraticForm.from_numerators(G, dict(zip(G.elements(), (x // scale for x in values))))
+
+
+def _quadratic_values(R, factors) -> list[int]:
+    """[gᵀRg for g in FinAbGroup(factors).elements()], R symmetric, one axis at
+    a time: adding coordinate k = x to a prefix adds x·(R_kk·x + lin_k), where
+    lin_k = 2 sum_(i < k) R_ik g_i is carried along with each prefix."""
+    values, lins = [0], [[0] * len(factors)]
+    for k, n in enumerate(factors):
+        Rk, steps = R[k], range(n)
+        values = [v + x * (Rk[k] * x + lin[k]) for v, lin in zip(values, lins) for x in steps]
+        if k + 1 < len(factors):
+            lins = [[a + 2 * x * r for a, r in zip(lin, Rk)] for lin in lins for x in steps]
+    return values
 
 
 # -- gluing ----------------------------------------------------------------------
@@ -337,10 +363,11 @@ def _class_with_norm(L: Lattice, target: Fraction) -> DualVector:
     return DualVector(L, [sum(gj * r.coords[i] for gj, r in zip(g, reps)) for i in range(L.rank)])
 
 
-def _verify_realization(L: Lattice, q: QuadraticForm) -> bool:
-    """The discriminant form of L is equivalent to q."""
-    _, qL, _ = discriminant(L)
-    return forms_equivalent(qL, q) is not None
+def _verify_realization(L: Lattice, q: QuadraticForm, quotient=None) -> bool:
+    """The discriminant form of L is equivalent to q; ``quotient`` is L's
+    ``dual_quotient`` (G, cols) when the caller has it already."""
+    G, cols = quotient or dual_quotient(L.gram, L.det)
+    return forms_equivalent(_dual_form(L, G, cols), q) is not None
 
 
 def _trees(r: int) -> list[list[list[int]]]:
@@ -407,13 +434,15 @@ def _free_weight(adj, weights, v: int, N: int):
 
 
 def _candidates(r: int, N: int):
-    """The rank-r lattices tried for determinant N, in search order: the named
-    root lattices, then up to TREE_SEARCH_BOUND weighted trees by increasing
+    """The rank-r lattices of determinant N tried, in search order: the named
+    root lattices whose closed-form determinant (r + 1 for A_r, 4 for D_r, 9 - r
+    for E_r) is N, then up to TREE_SEARCH_BOUND weighted trees by increasing
     excess of their fixed weights, fewest non-unit weights first."""
-    yield named(f"A{r}")
-    if r >= 2:
+    if r + 1 == N:
+        yield named(f"A{r}")
+    if r >= 2 and N == 4:
         yield named(f"D{r}")
-    if r in (6, 7, 8):
+    if r in (6, 7, 8) and r + N == 9:
         yield named(f"E{r}")
     trees = _trees(r)
     tried = 0
@@ -450,15 +479,14 @@ def _realize_factor(p: int, k: int, sub) -> Lattice:
         gamma = _class_with_norm(ingredient, Fraction(m, N)).coords
         base = Lattice(()).direct_sum(*[Lattice([[N]])] * scalars, *[ingredient] * copies)
         # The glue vector v has first coordinate 1/N and N v lies in the base,
-        # so v, e_1, ..., e_(n-1) are a basis of base + Zv.  ``glue``'s Hermite
-        # basis of the same lattice stalls the Smith form in ``discriminant``
-        # at 2^62^6_i.
-        n = base.rank
-        W, den = _numerators(
-            [(Fraction(1, N),) * scalars + gamma * copies]
-            + [[int(i == j) for j in range(n)] for i in range(1, n)]
-        )
-        L = Lattice([[x // (den * den) for x in row] for row in _congruent(W, base.gram)])
+        # so v, e_1, ..., e_(n-1) are a basis of base + Zv: its Gram is the
+        # base's with row and column 0 replaced by the products with v.
+        (w,), den = _numerators([(Fraction(1, N),) * scalars + gamma * copies])
+        (gw,) = _times([w], base.gram)  # den times the products of v with each e_i
+        vv = sum(a * b for a, b in zip(gw, w))
+        gram = [[vv // (den * den)] + [x // den for x in gw[1:]]]
+        gram += [[x // den] + list(row[1:]) for x, row in zip(gw[1:], base.gram[1:])]
+        L = Lattice(gram)
         if not _verify_realization(L, q_target):
             raise RuntimeError("realized lattice fails its discriminant check")
         return L
@@ -469,14 +497,14 @@ def _realize_factor(p: int, k: int, sub) -> Lattice:
     low = sigma or 8
     for r in (low, low + 8):
         for L in _candidates(r, N):
-            if L.det != N:
-                continue
-            H, _, _, cols = invariant_factor_group(L.gram)
+            quotient = H, cols = dual_quotient(L.gram, L.det)
             if H != G:
                 continue
             # q at the generator cols[:, 0] / N of the dual quotient is x / 2N^2
             x = _congruent([[row[0] for row in cols]], L.gram)[0][0]
-            if x * den // (2 * N * N) % den in at_generators and _verify_realization(L, q_target):
+            if x * den // (2 * N * N) % den in at_generators and _verify_realization(
+                L, q_target, quotient
+            ):
                 return L
     name = f"{p}^{k}_{sub if p == 2 else '+-'[sub < 0]}"
     raise GuardError(

@@ -1,11 +1,12 @@
 """Group layer: SNF/HNF, subgroup lattice, quotients, homs, characters."""
 
+import itertools
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle import all_subgroup_sets, close, cphase, group_elements, subgroup_closure
@@ -23,6 +24,7 @@ from modinv.abelian import (
     canonical_presentation,
     congruence_kernel,
     dual_characters,
+    dual_quotient,
     full_subgroup,
     hermite_rows,
     hom_kernel_image,
@@ -114,12 +116,80 @@ class TestInvariantFactorGroup:
             for i, d in enumerate(G.factors):
                 for j in range(G.rank):
                     assert (tofrm[i][j] - (i == j)) % d == 0
+            # the Smith form modulo det² agrees; its classes M v_j / d_j, in
+            # this form's coordinates, are the images of an isomorphism
+            G2, cols2 = dual_quotient(M, abs(det))
+            assert G2 == G
+            Mc2 = mat_mul_int(M, cols2)
+            classes = [[x // d for x, d in zip(row, G.factors)] for row in Mc2]
+            assert Hom(G, G, mat_mul_int(to, classes)).is_bijective()
 
     def test_trivial_and_cyclic(self):
         G, to, frm, cols = invariant_factor_group([[1, 0], [0, 1]])
         assert G == FinAbGroup(()) and to == [] and frm == [[], []]
         G, _, _, _ = invariant_factor_group([[2, 0], [0, 3]])
         assert G.factors == (6,)
+
+
+square_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+def determinantal_factors(M):
+    """Invariant factors > 1, decreasing, from the determinantal divisors:
+    D_k, the gcd of the k x k minors, is the product of the first k factors."""
+    n = len(M)
+    divisors = [1]
+    for k in range(1, n + 1):
+        divisors.append(
+            gcd(
+                *(
+                    _det([[M[i][j] for j in cs] for i in rs])
+                    for rs in itertools.combinations(range(n), k)
+                    for cs in itertools.combinations(range(n), k)
+                )
+            )
+        )
+    factors = [b // a for a, b in zip(divisors, divisors[1:])]
+    return tuple(sorted((f for f in factors if f > 1), reverse=True))
+
+
+class TestDualQuotient:
+    @given(square_matrices)
+    @settings(max_examples=150, deadline=None)
+    def test_factors_and_generators(self, M):
+        """The factors match the determinantal divisors (``invariant_factor_group``
+        is the reference in ``TestInvariantFactorGroup``, on matrices it reduces
+        without blowing up)."""
+        det = _det(M)
+        assume(det != 0)
+        n = len(M)
+        G, cols = dual_quotient(M, abs(det))
+        assert G.factors == determinantal_factors(M)
+        assert len(cols) == n and all(len(row) == G.rank for row in cols)
+        assert all(0 <= row[j] < d for row in cols for j, d in enumerate(G.factors))
+        # M v_j = 0 (mod d_j): v_j / d_j is a dual vector
+        Mc = mat_mul_int(M, cols)
+        assert all(row[j] % d == 0 for row in Mc for j, d in enumerate(G.factors))
+        # the classes of M v_j / d_j and the columns of M span Z^n, so g maps
+        # to sum_j g_j M v_j / d_j onto Z^n / M Z^n, a group of order |G|
+        classes = [[Mc[r][j] // d for r in range(n)] for j, d in enumerate(G.factors)]
+        H = hermite_rows([list(col) for col in zip(*M)] + classes, n)
+        assert all(H[i][i] == 1 for i in range(n))
+
+    def test_trivial_and_empty(self):
+        assert dual_quotient([], 1) == (FinAbGroup(()), [])
+        G, cols = dual_quotient([[2, -1], [-1, 1]], 1)
+        assert G == FinAbGroup(()) and cols == [[], []]
+
+    def test_rejects_a_wrong_determinant(self):
+        with pytest.raises(ValueError, match="determinant"):
+            dual_quotient([[2, 0], [0, 3]], 5)
+        with pytest.raises(ValueError, match="positive"):
+            dual_quotient([[1, 1], [1, 1]], 0)
 
 
 def _det(M):
@@ -555,6 +625,20 @@ class TestAutomorphisms:
         G = FinAbGroup((2,) * 10)
         with pytest.raises(GuardError):
             homs(G, G)
+
+    @pytest.mark.parametrize(
+        "dom,cod",
+        [((4, 2), (4, 2)), ((6,), (6,)), ((3, 3), (3, 3)), ((2, 2, 2), (2, 2, 2)),
+         ((4,), (2, 2)), ((2, 2), (4,)), ((8,), (4, 2)), ((), ())],
+    )
+    def test_is_bijective_matches_the_kernel(self, dom, cod):
+        """Basis images spanning the codomain agree with a trivial SNF kernel
+        and with injectivity on the elements."""
+        G, H = FinAbGroup(dom), FinAbGroup(cod)
+        for f in homs(G, H):
+            ker, _ = hom_kernel_image(f)
+            injective = len({f.apply(g) for g in G.elements()}) == G.order
+            assert f.is_bijective() == (ker.order == 1 and G.order == H.order) == injective
 
 
 class TestCharacters:

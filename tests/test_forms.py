@@ -28,6 +28,7 @@ from modinv.forms import (
     QuadraticForm,
     alternating_pairings,
     forms_equivalent,
+    form_denominator,
     forms_for_pairing,
     gauss_sum,
     indecomposable_form,
@@ -705,10 +706,11 @@ SMALL_GROUPS = [
 
 
 @st.composite
-def quadratic_functions(draw):
-    """(G, table) with |G| <= 16 and table a quadratic function, possibly degenerate:
+def quadratic_functions(draw, groups=SMALL_GROUPS):
+    """(G, table) with G from groups (|G| <= 16 by default) and table a quadratic
+    function, possibly degenerate:
     sum_i c_i g_i^2 / 2n_i + sum_{i<j} c_ij g_i g_j / n_j with c_i n_i even."""
-    G = FinAbGroup(draw(st.sampled_from(SMALL_GROUPS)))
+    G = FinAbGroup(draw(st.sampled_from(groups)))
     n, t = G.factors, G.rank
     diag = [draw(st.integers(0, 2 * m - 1)) * (1 + m % 2) for m in n]
     cross = {(i, j): draw(st.integers(0, n[j] - 1)) for i in range(t) for j in range(i + 1, t)}
@@ -765,6 +767,100 @@ def all_pairs_accepts(G, table) -> bool:
         for g in elems
         for h in elems
     )
+
+
+def reference_setup(G, num):
+    """``QuadraticForm._setup``'s four checks element by element, with tuple
+    ``G.add`` and ``G.neg``: the reference for its index-space version."""
+    d = form_denominator(G)
+    num = {g: k % d for g, k in num.items()}
+    elems = G.elements()
+    if len(num) != len(elems) or any(g not in num for g in elems):
+        raise ValueError("table must cover the group exactly")
+    if num[G.zero()]:
+        raise ValueError("q(0) must be 1")
+    if any(num[g] != num[G.neg(g)] for g in elems):
+        raise ValueError("q(-g) = q(g) fails")
+    r = d // G.exponent
+    basis = G.basis()
+    B = [[num[ei] + num[ej] - num[G.add(ei, ej)] for ej in basis] for ei in basis]
+    if any(x % r for row in B for x in row):
+        raise ValueError("entry denominators must divide both factor pairs")
+    pol = Pairing.from_numerators(G, G, [[x // r for x in row] for row in B])
+    for i, e in enumerate(basis):
+        col = [r * row[i] for row in pol.num]
+        for g in elems:
+            if (num[g] + num[e] - num[G.add(g, e)] - sum(x * c for x, c in zip(g, col))) % d:
+                raise ValueError("polarization is not biadditive")
+
+
+RANK_1_TO_3 = [
+    (2,), (3,), (4,), (5,), (6,), (8,), (9,), (12,), (16,), (2, 2), (4, 2), (6, 2),
+    (3, 3), (4, 4), (6, 3), (8, 4), (2, 2, 2), (4, 2, 2), (4, 4, 2), (6, 2, 2), (3, 3, 3),
+]
+
+
+@st.composite
+def corrupted_numerator_tables(draw):
+    """(G, num): integer numerators of a quadratic function over rank 1-3, then
+    at most one corruption at an element g: its value shifted, its key dropped,
+    its key replaced (or joined) by an unreduced spelling of it, or the value
+    shifted at g and -g together, or at every h with h[1:] = +-g[1:] (which
+    only the checks along e_1, e_2 can see)."""
+    G, table = draw(quadratic_functions(RANK_1_TO_3))
+    d = form_denominator(G)
+    num = {g: int(v * d) for g, v in table.items()}
+    g = draw(st.sampled_from(G.elements()))
+    unreduced = (g[0] + G.factors[0],) + g[1:]
+    kinds = ["none", "value", "value", "pair", "line", "line", "drop", "respell", "extra"]
+    kind = draw(st.sampled_from(kinds))
+    delta = draw(st.integers(1, d - 1))
+    if kind == "value":
+        num[g] += delta
+    elif kind == "pair":
+        num[g] += delta
+        if G.neg(g) != g:
+            num[G.neg(g)] += delta
+    elif kind == "line":
+        for h in num:
+            if h[1:] in (g[1:], G.neg(g)[1:]):
+                num[h] += delta
+    elif kind == "drop":
+        del num[g]
+    elif kind == "respell":
+        num[unreduced] = num.pop(g)
+    elif kind == "extra":
+        num[unreduced] = num[g]
+    return G, num
+
+
+def outcome(check, G, num):
+    try:
+        check(G, num)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestSetupInIndexSpace:
+    @given(corrupted_numerator_tables())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_element_wise_reference(self, case):
+        G, num = case
+        assert outcome(QuadraticForm.from_numerators, G, num) == outcome(reference_setup, G, num)
+
+    @pytest.mark.parametrize("factors", RANK_1_TO_3)
+    def test_every_single_value_corruption(self, factors):
+        """Each element of one valid table shifted by each nonzero amount (a
+        shift can leave a form, as q(1) = 1/4 -> 3/4 on Z2 does)."""
+        G = FinAbGroup(factors)
+        q = forms_for_pairing(standard_pairing(G))[0]
+        for g in G.elements():
+            for delta in range(1, q.den):
+                num = dict(q.num)
+                num[g] += delta
+                expected = outcome(reference_setup, G, num)
+                assert outcome(QuadraticForm.from_numerators, G, num) == expected
 
 
 class TestProperties:

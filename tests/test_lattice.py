@@ -1,6 +1,8 @@
 """Even lattices: named tables, discriminant data, gluing, realization."""
 
 import json
+import random
+import time
 from fractions import Fraction
 from itertools import accumulate
 from math import prod
@@ -447,6 +449,18 @@ def test_realize_rejects_degenerate_form():
         realize(zero)
 
 
+@pytest.mark.parametrize("r", range(1, 10))
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 9, 10])
+def test_candidates_all_have_the_determinant(monkeypatch, r, N):
+    """Named lattices come first, and only those of determinant N."""
+    monkeypatch.setattr(lattice, "TREE_SEARCH_BOUND", 300)
+    found = list(lattice._candidates(r, N))
+    assert all(L.rank == r and L.det == N for L in found)
+    named_ones = [f"A{r}"] * (r + 1 == N) + [f"D{r}"] * (r >= 2 and N == 4)
+    named_ones += [f"E{r}"] * (r in (6, 7, 8) and r + N == 9)
+    assert found[: len(named_ones)] == [named(name) for name in named_ones]
+
+
 def test_realize_search_bound_guard(monkeypatch):
     # no named lattice of rank 2 or 10 has determinant 7, so the trees are needed
     monkeypatch.setattr(lattice, "TREE_SEARCH_BOUND", 0)
@@ -495,6 +509,64 @@ def test_realize_at_nikulin_rank(desc):
         assert L.rank in (least_rank(G, L.rank % 8), 1)
     else:
         assert L.rank <= 16
+
+
+def hermite_pair_gram(k, sub):
+    """``glue``'s Hermite-basis Gram of the 2^k2^k_i/ii lattice: scaled copies
+    of Z and the 2^k_-1 or 2^k_-3 lattice, glued by the class of norm m / 2^k."""
+    N = 2**k
+    m, scalars, copies = (-1, 2, 2) if sub == "i" else (-3, 3, 1)
+    ingredient = realize(f"2^{k}_{m}")
+    _, q, reps = discriminant(ingredient)
+    g = next(g for g, value in q.num.items() if value == m % q.den)
+    gamma = [sum(gj * r.coords[i] for gj, r in zip(g, reps)) for i in range(ingredient.rank)]
+    base = Lattice(()).direct_sum(*[Lattice([[N]])] * scalars, *[ingredient] * copies)
+    return glue(base, [[Fraction(1, N)] * scalars + gamma * copies])
+
+
+def timed_discriminant(L):
+    start = time.perf_counter()
+    out = discriminant(L)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"discriminant took {elapsed:.2f} s"
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("sub", ["i", "ii"])
+def test_discriminant_of_hermite_pair_grams(k, sub):
+    """The Smith form over the integers stalled on these Grams from k = 5 or 6
+    on; the one modulo det² keeps its entries below det²."""
+    L = hermite_pair_gram(k, sub)
+    G, qL, reps = timed_discriminant(L)
+    q, _ = indecomposable_form(f"2^{k}2^{k}_{sub}")
+    assert G == q.group and L.det == G.order
+    assert forms_equivalent(qL, q) is not None
+    assert all(r.in_dual() and all(0 <= c < 1 for c in r.coords) for r in reps)
+
+
+def random_unimodular(n, rng):
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    rng.shuffle(U)
+    return U
+
+
+@pytest.mark.parametrize("desc", indecomposables(512))
+def test_discriminant_after_a_change_of_basis(desc):
+    """U·gram·Uᵀ for a random unimodular U is the same lattice in another
+    basis: the same group and an equivalent form."""
+    L = realize(desc)
+    U = random_unimodular(L.rank, random.Random(desc))
+    M = Lattice(lattice._congruent(U, L.gram))
+    assert M.det == L.det
+    G, qM, _ = timed_discriminant(M)
+    q, _ = indecomposable_form(desc)
+    assert G == q.group
+    assert forms_equivalent(qM, q) is not None
 
 
 @pytest.mark.parametrize("desc", ALL_DESCRIPTORS)
