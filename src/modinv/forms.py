@@ -12,6 +12,16 @@ the numerators to a multiple of den, to meet tables kept over another one
 (the simple-current charges of ``modular``).  The polarization convention
 is pair(g, h) = q(g) * q(h) * conj(q(g + h)), i.e. on exponents
 B(g, h) = q(g) + q(h) - q(g + h).
+
+A nondegenerate form has a Jordan normal form (``normal_form``, cached by
+``QuadraticForm.normal_form``): its p-primary parts split into cyclic and
+(p = 2) 2x2 blocks by unit pivots on the Gram of the generators, and the
+blocks are read as Conway and Sloane's p-adic symbols, canonical for p = 2
+after oddity fusion and sign walking (SPLAG ch. 15; Wall, Topology 2, 1963;
+Miranda-Morrison, ch. IV).  Two forms are isometric exactly when their normal
+forms are equal.  The signature and a descriptor (``descriptor``) are read off
+it in closed form, with no table of the group and no cyclotomic arithmetic;
+``isometries`` still searches for the maps themselves.
 """
 
 from __future__ import annotations
@@ -260,7 +270,7 @@ class QuadraticForm:
     """q(g) = e^(2 pi i num[g] / den) on G, with den = ``form_denominator(G)``."""
 
     # _square caches the square group that ``pointed`` builds once per form
-    __slots__ = ("group", "den", "num", "_polar", "_signature", "_square")
+    __slots__ = ("group", "den", "num", "_polar", "_normal", "_square")
 
     def __init__(self, group: FinAbGroup, table):
         """``table`` maps each element of the group to q's rational exponent mod 1."""
@@ -294,7 +304,7 @@ class QuadraticForm:
         d = self.den = form_denominator(group)
         num = self.num = {g: k % d for g, k in num.items()}
         self._polar = None
-        self._signature = None
+        self._normal = None
         self._square = None
         elems = G.elements()
         vals = [num.get(g) for g in elems]
@@ -335,11 +345,20 @@ class QuadraticForm:
             self._polar = Pairing.from_numerators(G, G, [[x // r for x in row] for row in B])
         return self._polar
 
+    def normal_form(self) -> "NormalForm":
+        """The Jordan normal form (``normal_form``) of q on the basis, computed
+        once per form; ``ValueError`` when q is degenerate."""
+        if self._normal is None:
+            G = self.group
+            self._normal = normal_form(G, [self.num[e] for e in G.basis()], self.polarization().num)
+        return self._normal
+
     def signature(self) -> int:
-        """Signature mod 8 of the Gauss sum (``gauss_sum``), computed once per form."""
-        if self._signature is None:
-            self._signature = gauss_sum(self)[2]
-        return self._signature
+        """Signature mod 8 of the Gauss sum, sigma with sum_g q(g) = zeta_8^sigma
+        sqrt|G|, summed over the blocks of ``normal_form()`` in closed form
+        (``_block_signature``): no table and no cyclotomic arithmetic.
+        ``ValueError`` when q is degenerate, as ``gauss_sum`` raises."""
+        return self.normal_form().signature
 
     def times_character(self, chi: Character) -> "QuadraticForm":
         """Pointwise product with a character of order at most 2."""
@@ -471,15 +490,6 @@ def legendre(a: int, p: int) -> int:
     return -1 if r == p - 1 else r
 
 
-def _eps_unit(n: int) -> Cyclotomic:
-    # 1 when n = 1 mod 4, -i when n = 3 mod 4
-    if n % 4 == 1:
-        return Cyclotomic.one()
-    if n % 4 == 3:
-        return -root_of_unity(4, 1)
-    raise ValueError("n must be odd")
-
-
 def _parse_descriptor(part: str):
     """Parse one indecomposable descriptor into (p, k, sub, order).
 
@@ -521,27 +531,50 @@ def _parse_descriptor(part: str):
     return p, k, sub, p**e
 
 
+def _block_signature(p: int, k: int, sub) -> int:
+    """sigma mod 8 of one indecomposable, whose x^3 is zeta_8^-sigma.
+
+    ``sub`` is as ``_parse_descriptor`` gives it, except that a 2-adic cyclic
+    block q(x) = u x^2 / 2^(k+1) may carry any odd u.  Odd p: 2 when p^k = 3
+    mod 4, plus 4 when k is odd and q's unit is a non-residue.  p = 2: u, plus
+    4 when k is odd and u = +-3 mod 8; 2^k2^k_i has 0 and 2^k2^k_ii 4k.
+    """
+    if sub == "i":
+        return 0
+    if sub == "ii":
+        return 4 * k % 8
+    if p == 2:
+        return (sub + 4 * (k % 2 and sub % 8 in (3, 5))) % 8
+    return (2 * (pow(p, k, 4) == 3) + 4 * (k % 2 and sub == -1)) % 8
+
+
 def _tabulate(p: int, k: int, sub):
-    """(QuadraticForm, x_cubed) for one parsed indecomposable descriptor."""
+    """(QuadraticForm, x_cubed) for one parsed indecomposable descriptor.
+
+    x_cubed is zeta_8^-sigma for sigma = ``_block_signature``, written as a
+    sign times the block's own root: 1 for the pair types, zeta_8^-sub for
+    2^k_m, and 1 or -i (p^k = 1 or 3 mod 4) for odd p."""
     N = p**k
+    if sub in ("i", "ii"):
+        root = Cyclotomic.one()
+    elif p == 2:
+        root = root_of_unity(8, -sub)
+    else:
+        root = Cyclotomic.one() if N % 4 == 1 else -root_of_unity(4, 1)
+    x3 = root if root == root_of_unity(8, -_block_signature(p, k, sub)) else root * -1
     if sub in ("i", "ii"):
         G = FinAbGroup((N, N))  # N = 2^k, so den = 2N
         if sub == "i":
             num = {g: 2 * g[0] * g[1] for g in G.elements()}
-            x3 = Cyclotomic.one()
         else:
             num = {g: 2 * (g[0] * g[0] + g[0] * g[1] + g[1] * g[1]) for g in G.elements()}
-            x3 = Cyclotomic.from_rational(Fraction((-1) ** k))
         return QuadraticForm.from_numerators(G, num), x3
     G = FinAbGroup((N,))
     if p == 2:
         num = {g: sub * g[0] * g[0] for g in G.elements()}  # over den = 2N
-        eps = -1 if (k % 2 == 1 and sub % 8 in (3, 5)) else 1
-        x3 = Cyclotomic.from_rational(Fraction(eps)) * root_of_unity(8, -sub)
         return QuadraticForm.from_numerators(G, num), x3
     m = 1 if sub == 1 else next(a for a in range(2, p) if legendre(a, p) == -1)
     num = {g: m * g[0] * g[0] for g in G.elements()}  # over den = N
-    x3 = _eps_unit(N) if sub**k == 1 else _eps_unit(N) * Cyclotomic.from_rational(Fraction(-1))
     return QuadraticForm.from_numerators(G, num), x3
 
 
@@ -568,6 +601,245 @@ def indecomposable_form(descriptor: str):
         q = q.direct_sum(q2)
         x3 = x3 * x32
     return q, x3
+
+
+# -- Jordan normal form --------------------------------------------------------
+
+
+def _inverse_mod(P, m: int):
+    """The inverse modulo m of a 1x1 or 2x2 matrix P whose determinant is a unit."""
+    if len(P) == 1:
+        return [[pow(P[0][0], -1, m)]]
+    (a, b), (c, d) = P
+    r = pow(a * d - b * c, -1, m)
+    return [[d * r % m, -b * r % m], [-c * r % m, a * r % m]]
+
+
+def _p_blocks(p: int, orders, B, Q):
+    """Jordan blocks (k, sub) of a p-primary form, by unit pivots.
+
+    Generator f_i has order p^orders[i]; with K the largest order,
+    b(f_i, f_j) = B_ij / p^K, with b(x, x) = 2 q(x), and (p = 2)
+    q(f_i) = Q_i / 2^(K+1).  A generator of the largest order k left, paired
+    to a unit at its scale s = p^(K-k), gives the pivot: f_i itself when
+    b(f_i, f_i) / s is a unit, else (odd p) f_i + f_j for an odd b(f_i, f_j)
+    / s, else (p = 2) the 2x2 block {f_i, f_j}.  Every other generator f_t
+    becomes f_t minus its projection onto the pivot, which keeps its order
+    (b(f_t, pivot) has order at most that of f_t) and makes it orthogonal,
+    so the pivot splits off.  None left means q is degenerate.
+    """
+    K = max(orders)
+    M, MQ = p**K, 2 ** (K + 1)
+    B = [[x % M for x in row] for row in B]
+    Q = [x % MQ for x in Q]
+    live, blocks = list(range(len(orders))), []
+    while live:
+        k = max(orders[i] for i in live)
+        s, pk = p ** (K - k), p**k
+        top = [i for i in live if orders[i] == k]
+        units = [(i, j) for i in top for j in top if B[i][j] // s % p]
+        diagonal = [i for i, j in units if i == j]
+        if diagonal:
+            pivots = diagonal[:1]
+        elif not units:
+            raise ValueError(f"form is degenerate: no unit pivot at scale {p}^{k}")
+        elif p > 2:  # f_i + f_j has b(x, x) = 2 b(f_i, f_j) + (multiples of p s)
+            i, j = units[0]
+            row = [x + y for x, y in zip(B[i], B[j])]
+            row[i] += row[j]
+            B[i] = [x % M for x in row]
+            for t, x in enumerate(B[i]):
+                B[t][i] = x
+            pivots = [i]
+        else:
+            pivots = list(units[0])
+        if p > 2:
+            blocks.append((k, legendre(B[pivots[0]][pivots[0]] // s * ((pk + 1) // 2), p)))
+        elif len(pivots) == 1:
+            blocks.append((k, (Q[pivots[0]] // s + 4) % 8 - 4))  # m in {1, 3, -1, -3}
+        else:  # q = (a x^2 + odd xy + c y^2) / 2^k: 2^k2^k_ii iff a and c are odd
+            a, c = (Q[x] // s // 2 % 2 for x in pivots)
+            blocks.append((k, "ii" if a * c else "i"))
+        live = [t for t in live if t not in pivots]
+        inv = _inverse_mod([[B[x][y] // s for y in pivots] for x in pivots], pk)
+        lam = {
+            t: [sum(r * (B[t][y] // s) for r, y in zip(row, pivots)) % pk for row in inv]
+            for t in live
+        }
+        for t in live if p == 2 else ():
+            # q(f - z) = q(f) + q(z) - b(f, z) for z = sum_x lam_x f_x; b is over 2^K
+            lt = lam[t]
+            qz = sum(l * l * Q[x] for l, x in zip(lt, pivots))
+            if len(pivots) == 2:
+                qz += 2 * lt[0] * lt[1] * B[pivots[0]][pivots[1]]
+            Q[t] = (Q[t] + qz - 2 * sum(l * B[t][x] for l, x in zip(lt, pivots))) % MQ
+        for t in live:
+            for u in live:
+                B[t][u] = (B[t][u] - sum(l * B[t][x] for l, x in zip(lam[u], pivots))) % M
+    return blocks
+
+
+def _jordan_blocks(G: FinAbGroup, values, polar):
+    """(p, k, sub) for every Jordan block of the form; see ``normal_form``."""
+    if len(values) != G.rank or len(polar) != G.rank or any(len(r) != G.rank for r in polar):
+        raise ValueError("need one value and one pairing row per generator")
+    blocks, per_factor = [], [factorize(n) for n in G.factors]
+    for p, K in per_factor[0].items() if per_factor else ():  # n_1 = exp G
+        rest = G.exponent // p**K
+        a = [f[p] for f in per_factor if p in f]
+        c = [n // p**ai for n, ai in zip(G.factors, a)]
+        # b(f_i, f_j) = -c_i c_j polar_ij / (p^K rest), of order dividing p^K
+        B = [[-ci * cj * polar[i][j] for j, cj in enumerate(c)] for i, ci in enumerate(c)]
+        Q = [ci * ci * values[i] for i, ci in enumerate(c)] if p == 2 else []  # over 2^(K+1) rest
+        if any(x % rest for row in B for x in row) or any(x % rest for x in Q):
+            raise ValueError("form values or pairing do not match the group")
+        B = [[x // rest for x in row] for row in B]
+        blocks += [(p, k, sub) for k, sub in _p_blocks(p, a, B, [x // rest for x in Q])]
+    return blocks
+
+
+def _two_adic_symbol(blocks):
+    """The canonical 2-adic symbol of blocks (k, sub): one entry per train.
+
+    Scale 2^k carries a Jordan component of rank n, odd when it has a cyclic
+    block, of sign eps (the Jacobi symbol (2/det)) and oddity t (sum of the
+    cyclic units mod 8).  These are read up to Conway and Sloane's two moves
+    (SPLAG ch. 15, sections 7.5-7.6).  Oddity fusion: only the total oddity of
+    a compartment, a run of consecutive odd scales, is invariant.  Sign
+    walking: scales k - 1 and k are linked when one of them is odd (empty
+    scales are even), a train is a maximal linked run, and flipping the signs
+    at both ends of a link adds 4 to the oddity of the compartment of its odd
+    end.  Walking every sign down to the first scale of its train leaves one
+    sign per train.  Scale 2^0 stands for the unimodular part, invisible in a
+    finite form: it is even, of any rank, so the train through it keeps no
+    sign (0 in the symbol).
+    """
+    comps = {}  # k -> [n, odd, eps, t]
+    for k, sub in blocks:
+        c = comps.setdefault(k, [0, False, 1, 0])
+        if sub in ("i", "ii"):
+            c[0] += 2
+            c[2] *= -1 if sub == "ii" else 1
+        else:
+            c[0] += 1
+            c[1] = True
+            c[2] *= 1 if sub % 8 in (1, 7) else -1
+            c[3] += sub
+    top = max(comps, default=0)
+    odd = [k in comps and comps[k][1] for k in range(top + 1)]
+    eps = [comps[k][2] if k in comps else 1 for k in range(top + 1)]
+    start, oddity = {}, {}  # compartment start of each odd scale; start -> oddity
+    for k in range(1, top + 1):
+        if odd[k]:
+            start[k] = start.get(k - 1, k)
+            oddity[start[k]] = (oddity.get(start[k], 0) + comps[k][3]) % 8
+    linked = [False] + [odd[k - 1] or odd[k] for k in range(1, top + 1)]
+    for k in range(top, 0, -1):
+        if linked[k] and eps[k] == -1:
+            eps[k], eps[k - 1] = 1, -eps[k - 1]
+            c = start[k] if odd[k] else start[k - 1]
+            oddity[c] = (oddity[c] + 4) % 8
+    symbol, train = [], []
+    for k in range(top + 2):
+        if k > top or not linked[k]:
+            parts = tuple((j, *comps[j][:2]) for j in train if j in comps)
+            if parts:
+                sign = eps[train[0]] if train[0] else 0
+                symbol.append((parts, sign, tuple((j, oddity[j]) for j in train if j in oddity)))
+            train = []
+        train.append(k)
+    return tuple(symbol)
+
+
+def _component_choices(k: int, n: int, odd: bool):
+    """Descriptor parts for a rank-n component at scale 2^k, one per (sign,
+    oddity) it can carry, each the first in the descriptors' order."""
+    if not odd:
+        return [("i",) * (n // 2), ("i",) * (n // 2 - 1) + ("ii",)]
+    first = {}
+    for subs in itertools.combinations_with_replacement((1, 3) if k == 1 else (1, 3, -1, -3), n):
+        label = (prod(1 if m % 8 in (1, 7) else -1 for m in subs), sum(subs) % 8)
+        first.setdefault(label, subs)
+    return list(first.values())
+
+
+def _train_descriptor(train) -> list[str]:
+    """Descriptor parts for one train of a 2-adic symbol, scales descending:
+    the first choice of parts, in the descriptors' order, with that train."""
+    scales = [k for k, _, _ in reversed(train[0])]
+    for choice in itertools.product(*(_component_choices(*c) for c in reversed(train[0]))):
+        blocks = [(k, sub) for k, subs in zip(scales, choice) for sub in subs]
+        if _two_adic_symbol(blocks) == (train,):
+            return [f"2^{k}2^{k}_{s}" if s in ("i", "ii") else f"2^{k}_{s}" for k, s in blocks]
+    raise RuntimeError(f"no descriptor has the 2-adic train {train}")
+
+
+class NormalForm:
+    """The Jordan normal form of a nondegenerate quadratic form: equal for two
+    forms exactly when they are isometric.
+
+    ``key`` holds, for each prime p in increasing order, (p, symbol).  For odd
+    p the symbol lists (k, rank, sign) per scale p^k, k descending, with sign
+    the Legendre symbol of the determinant of q's diagonal there (Jordan
+    components of odd p are unique).  For p = 2 it is ``_two_adic_symbol``.
+    ``signature`` sums ``_block_signature`` over any Jordan decomposition.
+    """
+
+    __slots__ = ("key", "signature")
+
+    def __init__(self, blocks):
+        """blocks: (p, k, sub) per Jordan block, sub as ``_block_signature`` takes it."""
+        blocks = list(blocks)
+        self.signature = sum(_block_signature(*b) for b in blocks) % 8
+        key = []
+        for p in sorted({p for p, _, _ in blocks}):
+            mine = [(k, sub) for q, k, sub in blocks if q == p]
+            if p == 2:
+                key.append((2, _two_adic_symbol(mine)))
+                continue
+            scales = Counter(k for k, _ in mine)
+            signs = {k: prod(sub for j, sub in mine if j == k) for k in scales}
+            key.append((p, tuple((k, scales[k], signs[k]) for k in sorted(scales, reverse=True))))
+        self.key = tuple(key)
+
+    def descriptor(self) -> str:
+        """A product of indecomposable descriptors with this normal form: primes
+        increasing, scales decreasing; odd p gets p^k_+ copies and one p^k_- for
+        a sign -1, p = 2 the first choice per train (``_train_descriptor``).
+        "" for the trivial group."""
+        parts = []
+        for p, symbol in self.key:
+            if p == 2:
+                for train in reversed(symbol):
+                    parts += _train_descriptor(train)
+                continue
+            for k, n, sign in symbol:
+                parts += [f"{p}^{k}_+"] * (n - 1) + [f"{p}^{k}_{'+' if sign > 0 else '-'}"]
+        return " x ".join(parts)
+
+    def __eq__(self, other):
+        return isinstance(other, NormalForm) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __repr__(self):
+        return f"NormalForm({self.key!r}, signature={self.signature})"
+
+
+def normal_form(G: FinAbGroup, values, polar) -> NormalForm:
+    """The Jordan normal form of the form on G given on its basis alone:
+    values[i] = q(e_i) over ``form_denominator(G)`` and polar the numerators
+    of ``polarization()`` (over exp G).  Linear algebra of size rank G: the
+    p-primary parts split off, and each is decomposed by ``_p_blocks``.
+    ``ValueError`` when the form is degenerate."""
+    return NormalForm(_jordan_blocks(G, values, polar))
+
+
+def descriptor(q: QuadraticForm) -> str:
+    """An indecomposable-descriptor product whose form is isometric to q, read
+    off ``q.normal_form()`` (``NormalForm.descriptor``)."""
+    return q.normal_form().descriptor()
 
 
 def isometries(q1: QuadraticForm, q2: QuadraticForm):

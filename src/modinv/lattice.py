@@ -11,22 +11,24 @@ Every Gram product goes through ``_congruent(A, gram)``, the integer matrix
 A·gram·Aᵀ: rational vectors are scaled to integer numerators first and the
 result is divided by the common denominator once.
 
-``realize`` builds one lattice per indecomposable and sums them.  By Nikulin
-(Math. USSR Izv. 14, 1980, Cor. 1.10.2) an even lattice with form q exists in
-every rank r > l(q) with r = sigma(q) mod 8, and by Milgram in no rank of
-another residue.  So a cyclic part (p^k_s, 2^k_m) is searched at rank
-r = sigma mod 8 (8 when sigma = 0), then r + 8, with sigma read off
-``forms._tabulate``'s closed-form x^3.  At each rank the candidates, all of
-determinant |G|, are in order the named root lattices A_r, D_r, E_r of that
-determinant, then weighted trees with at most three arms (norm 2w on the
+``realize`` builds one lattice per indecomposable and sums them; a form
+target is first named by ``forms.descriptor``, read off its Jordan normal
+form.  By Nikulin (Math. USSR Izv. 14, 1980, Cor. 1.10.2) an even lattice
+with form q exists in every rank r > l(q) with r = sigma(q) mod 8, and by
+Milgram in no rank of another residue.  So a cyclic part (p^k_s, 2^k_m) is
+searched at rank r = sigma mod 8 (8 when sigma = 0), then r + 8, with sigma
+read off the part's normal form in closed form.  At each rank the candidates,
+all of determinant |G|, are in order the named root lattices A_r, D_r, E_r of
+that determinant, then weighted trees with at most three arms (norm 2w on the
 diagonal, -1 on each edge; Conway-Sloane, SPLAG ch. 15) by increasing excess
 sum(w - 1) of their fixed weights, fewest non-unit weights first, at most
 TREE_SEARCH_BOUND of them.  The determinant is linear in one free weight,
-which is solved for.  A candidate is kept when its dual quotient is G, its
-form at a generator is a value of q at a generator, and its discriminant form
-is equivalent to q; the dual quotient is read once per candidate.  The pair
-types 2^k2^k_i/ii glue scaled copies of Z to the lattice found for 2^k_-1 or
-2^k_-3, within rank 16.
+which is solved for.  A candidate is kept when its dual quotient is G and its
+discriminant normal form is the part's; the dual quotient is read once per
+candidate.  The pair types 2^k2^k_i/ii glue scaled copies of Z to the lattice
+found for 2^k_-1 or 2^k_-3, within rank 16.  Every check compares normal
+forms computed from R = N·gram·Nᵀ, the Gram of the dual quotient's
+generators (``_dual_gram``), so ``realize`` builds no table of size |G|.
 
 The dual quotient L*/L of a Gram matrix comes from ``abelian.dual_quotient``,
 a Smith form modulo det², whose entries stay below det² on any basis.
@@ -35,8 +37,8 @@ a Smith form modulo det², whose entries stay below det² on any basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, count
-from math import gcd, lcm, prod
+from itertools import combinations, count, product
+from math import lcm, prod
 
 from .abelian import (
     GuardError,
@@ -47,20 +49,18 @@ from .abelian import (
 )
 from .forms import (
     DISCRIMINANT_GUARD,
+    NormalForm,
     Pairing,
     QuadraticForm,
     _parse_descriptor,
-    _tabulate,
+    descriptor,
     form_denominator,
-    forms_equivalent,
-    indecomposable_form,
+    normal_form,
 )
-from .scalars import as_integer, factorize, json_list, root_of_unity
+from .scalars import as_integer, json_list
 
 TREE_SEARCH_BOUND = 20_000  # weighted trees tried per rank
 LATTICE_RANK_GUARD = 256  # largest rank of a named A or D lattice
-FORM_ORDER_GUARD = 512
-FORM_RANK_GUARD = 4
 
 
 def _times(A, gram) -> list[list[int]]:
@@ -221,24 +221,40 @@ def discriminant(L: Lattice):
     return G, q, reps
 
 
-def _dual_form(L: Lattice, G, cols) -> QuadraticForm:
-    """The discriminant form on G in the coordinates of ``dual_quotient``'s cols.
-
-    With e the exponent, row j of the integer matrix N is e / d_j times
-    column j, so q(g) = gᵀRg / 2e² mod 1 for R = N·gram·Nᵀ.  Over den =
-    ``form_denominator(G)``, the numerator gᵀRg·den / 2e² must be an integer.
-    """
-    if G.order > DISCRIMINANT_GUARD:
-        raise GuardError(f"discriminant order {G.order} exceeds guard")
+def _dual_gram(L: Lattice, G, cols) -> list[list[int]]:
+    """R = N·gram·Nᵀ, where row j of the integer matrix N is e / d_j times
+    ``dual_quotient``'s column j (e the exponent): the discriminant form is
+    q(g) = gᵀRg / 2e² mod 1 and its bilinear form gᵀRh / e² mod 1."""
     e = G.exponent
     N = [[e // d * row[j] for row in cols] for j, d in enumerate(G.factors)]
-    R = _congruent(N, L.gram)
+    return _congruent(N, L.gram)
+
+
+def _dual_form(L: Lattice, G, cols) -> QuadraticForm:
+    """The discriminant form on G in the coordinates of ``dual_quotient``'s
+    cols, from ``_dual_gram``.  Over den = ``form_denominator(G)``, the
+    numerator gᵀRg·den / 2e² must be an integer."""
+    if G.order > DISCRIMINANT_GUARD:
+        raise GuardError(f"discriminant order {G.order} exceeds guard")
     den = form_denominator(G)
-    scale = 2 * e * e // den  # den is e or 2e
-    values = _quadratic_values(R, G.factors)
+    scale = 2 * G.exponent**2 // den  # den is e or 2e
+    values = _quadratic_values(_dual_gram(L, G, cols), G.factors)
     if any(x % scale for x in values):
         raise ValueError(f"form values must lie in (1/{den})Z")
     return QuadraticForm.from_numerators(G, dict(zip(G.elements(), (x // scale for x in values))))
+
+
+def _dual_normal_form(L: Lattice, G, cols) -> NormalForm:
+    """The discriminant form's ``forms.normal_form``, from the diagonal of
+    ``_dual_gram`` (q at the generators) and its entries over e (the
+    polarization, whose sign convention is -b): no table of the group."""
+    e = G.exponent
+    R = _dual_gram(L, G, cols)
+    scale = 2 * e * e // form_denominator(G)
+    if any(R[i][i] % scale for i in range(G.rank)) or any(x % e for row in R for x in row):
+        raise ValueError("the dual Gram does not give a form on the dual quotient")
+    values = [R[i][i] // scale for i in range(G.rank)]
+    return normal_form(G, values, [[-x // e for x in row] for row in R])
 
 
 def _quadratic_values(R, factors) -> list[int]:
@@ -354,20 +370,30 @@ def named(name: str) -> Lattice:
 
 
 def _class_with_norm(L: Lattice, target: Fraction) -> DualVector:
-    """A dual class whose norm is the target mod 2."""
-    _, q, reps = discriminant(L)
-    want = target / 2 * q.den % q.den  # not an integer when no class can match
-    g = next((g for g, k in q.num.items() if k == want), None)
+    """The first dual class, in ``G.elements()`` order, whose norm gᵀRg / e²
+    (``_dual_gram``) is the target mod 2; the classes are visited lazily."""
+    G, cols = dual_quotient(L.gram, L.det)
+    R, e2 = _dual_gram(L, G, cols), G.exponent**2
+    want = target * e2  # not an integer when no class can match
+    g = None
+    if want.denominator == 1:
+        g = next(
+            (
+                g
+                for g in product(*map(range, G.factors))
+                if (_congruent([g], R)[0][0] - want) % (2 * e2) == 0
+            ),
+            None,
+        )
     if g is None:
         raise RuntimeError("no dual class with the requested norm")
-    return DualVector(L, [sum(gj * r.coords[i] for gj, r in zip(g, reps)) for i in range(L.rank)])
+    return DualVector(L, [sum(Fraction(gj * c, d) for gj, c, d in zip(g, row, G.factors)) for row in cols])
 
 
-def _verify_realization(L: Lattice, q: QuadraticForm, quotient=None) -> bool:
-    """The discriminant form of L is equivalent to q; ``quotient`` is L's
-    ``dual_quotient`` (G, cols) when the caller has it already."""
-    G, cols = quotient or dual_quotient(L.gram, L.det)
-    return forms_equivalent(_dual_form(L, G, cols), q) is not None
+def _verify_realization(L: Lattice, target: NormalForm) -> bool:
+    """The discriminant form of L, read off one ``dual_quotient``, has the
+    target normal form (which fixes the group too)."""
+    return _dual_normal_form(L, *dual_quotient(L.gram, L.det)) == target
 
 
 def _trees(r: int) -> list[list[list[int]]]:
@@ -471,7 +497,7 @@ def _candidates(r: int, N: int):
 
 def _realize_factor(p: int, k: int, sub) -> Lattice:
     """A lattice for one descriptor part, as parsed by ``_parse_descriptor``."""
-    q_target, x3 = _tabulate(p, k, sub)
+    target = NormalForm([(p, k, sub)])
     if sub in ("i", "ii"):
         N = 2**k
         m, scalars, copies = (-1, 2, 2) if sub == "i" else (-3, 3, 1)
@@ -487,24 +513,14 @@ def _realize_factor(p: int, k: int, sub) -> Lattice:
         gram = [[vv // (den * den)] + [x // den for x in gw[1:]]]
         gram += [[x // den] + list(row[1:]) for x, row in zip(gw[1:], base.gram[1:])]
         L = Lattice(gram)
-        if not _verify_realization(L, q_target):
+        if not _verify_realization(L, target):
             raise RuntimeError("realized lattice fails its discriminant check")
         return L
-    G, N, den = q_target.group, q_target.group.order, q_target.den
-    # a cyclic form is fixed by its value at a generator, up to unit squares
-    at_generators = {value for (g,), value in q_target.num.items() if gcd(g, N) == 1}
-    sigma = next(s for s in range(8) if x3 == root_of_unity(8, -s))
-    low = sigma or 8
+    N = p**k
+    low = target.signature or 8
     for r in (low, low + 8):
         for L in _candidates(r, N):
-            quotient = H, cols = dual_quotient(L.gram, L.det)
-            if H != G:
-                continue
-            # q at the generator cols[:, 0] / N of the dual quotient is x / 2N^2
-            x = _congruent([[row[0] for row in cols]], L.gram)[0][0]
-            if x * den // (2 * N * N) % den in at_generators and _verify_realization(
-                L, q_target, quotient
-            ):
+            if _verify_realization(L, target):
                 return L
     name = f"{p}^{k}_{sub if p == 2 else '+-'[sub < 0]}"
     raise GuardError(
@@ -513,83 +529,25 @@ def _realize_factor(p: int, k: int, sub) -> Lattice:
     )
 
 
-def _two_group_splittings(ks):
-    """Ways to write a multiset of 2-power exponents as singles and equal pairs."""
-    if not ks:
-        yield ()
-        return
-    rest = list(ks[1:])
-    for tail in _two_group_splittings(rest):
-        yield (("single", ks[0]),) + tail
-    for i, other in enumerate(rest):
-        if other == ks[0]:
-            remaining = rest[:i] + rest[i + 1 :]
-            for tail in _two_group_splittings(remaining):
-                yield (("pair", ks[0]),) + tail
-            break
-
-
-def _matching_descriptor(q: QuadraticForm) -> str:
-    """A product of indecomposable descriptors equivalent to the form."""
-    G = q.group
-    if G.order > FORM_ORDER_GUARD:
-        raise GuardError(f"form order {G.order} exceeds guard")
-    if G.rank > FORM_RANK_GUARD:
-        raise GuardError(f"form rank {G.rank} exceeds guard")
-    if not q.polarization().is_nondegenerate():
-        raise ValueError("only nondegenerate forms decompose into indecomposables")
-    per_prime = []
-    for p in factorize(G.order):
-        ks = [factorize(f)[p] for f in G.factors if f % p == 0]
-        options = []
-        if p == 2:
-            for split in set(_two_group_splittings(tuple(ks))):
-                pools = []
-                for kind, k in split:
-                    if kind == "single":
-                        pools.append(
-                            [f"2^{k}_{m}" for m in ((1, 3) if k == 1 else (1, 3, -1, -3))]
-                        )
-                    else:
-                        pools.append([f"2^{k}2^{k}_i", f"2^{k}2^{k}_ii"])
-                options.extend(_products(pools))
-        else:
-            pools = [[f"{p}^{k}_+", f"{p}^{k}_-"] for k in ks]
-            options.extend(_products(pools))
-        per_prime.append(options)
-    for combo in _products(per_prime):
-        desc = " x ".join(part for group_part in combo for part in group_part)
-        cand, _ = indecomposable_form(desc)
-        if forms_equivalent(cand, q) is not None:
-            return desc
-    raise ValueError("no indecomposable product matches the form")
-
-
-def _products(pools):
-    out = [()]
-    for pool in pools:
-        out = [prefix + (choice,) for prefix in out for choice in pool]
-    return out
-
-
 def realize(target) -> Lattice:
     """An even positive-definite lattice whose discriminant form is the target.
 
-    Accepts an indecomposable-descriptor product or a QuadraticForm (small
-    orders only), and returns the direct sum of one lattice per part.  A
-    cyclic part of signature sigma gets rank sigma mod 8 (8 when sigma = 0), or
-    8 more when that rank has none; a pair type gets rank at most 16.  Each
-    part is the first candidate, named root lattices before weighted trees
-    (module docstring), whose determinant, Smith factors and discriminant form
-    match the part's.  Raises GuardError, naming the part, when the search
-    runs out of candidates.  The sum is built once, as one block-diagonal
-    Gram, and only when its rank is within LATTICE_RANK_GUARD (else
-    GuardError).
+    Accepts an indecomposable-descriptor product or a nondegenerate
+    QuadraticForm of any order, read as ``forms.descriptor(target)``, and
+    returns the direct sum of one lattice per part.  A cyclic part of
+    signature sigma gets rank sigma mod 8 (8 when sigma = 0), or 8 more when
+    that rank has none; a pair type gets rank at most 16.  Each part is the
+    first candidate, named root lattices before weighted trees (module
+    docstring), whose discriminant normal form is the part's.  Raises
+    GuardError, naming the part, when the search runs out of candidates.  The
+    sum is built once, as one block-diagonal Gram, and only when its rank is
+    within LATTICE_RANK_GUARD (else GuardError); its discriminant normal form
+    is then checked against the product's, from one Smith pass, at any order.
     """
     if isinstance(target, QuadraticForm):
         if target.group.order == 1:
             return Lattice(())
-        return realize(_matching_descriptor(target))
+        return realize(descriptor(target))
     desc = str(target).strip().replace("*", " x ")
     # every part is legal and within the guard before any is built
     parts = [_parse_descriptor(part) for part in desc.split(" x ")]
@@ -598,10 +556,8 @@ def realize(target) -> Lattice:
     if rank > LATTICE_RANK_GUARD:
         raise GuardError(f"lattice rank {rank} exceeds guard {LATTICE_RANK_GUARD}")
     lat = pieces[0].direct_sum(*pieces[1:])
-    if len(parts) > 1 and lat.det <= FORM_ORDER_GUARD:
-        q, _ = indecomposable_form(desc)
-        if q.group.rank <= FORM_RANK_GUARD and not _verify_realization(lat, q):
-            raise RuntimeError("realized lattice fails its discriminant check")
+    if len(parts) > 1 and not _verify_realization(lat, NormalForm(part[:3] for part in parts)):
+        raise RuntimeError("realized lattice fails its discriminant check")
     return lat
 
 

@@ -1,6 +1,7 @@
 """Pairings, quadratic forms, Gauss sums, indecomposable types."""
 
 import cmath
+import functools
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -23,16 +24,20 @@ from modinv.abelian import (
     trivial_subgroup,
 )
 from modinv.forms import (
+    _parse_descriptor,
     AlternatingPairing,
+    NormalForm,
     Pairing,
     QuadraticForm,
     alternating_pairings,
+    descriptor,
     forms_equivalent,
     form_denominator,
     forms_for_pairing,
     gauss_sum,
     indecomposable_form,
     isometries,
+    normal_form,
     pairing_image_data,
     standard_pairing,
     zero_pairing,
@@ -342,10 +347,13 @@ class TestGaussSum:
     def test_degenerate_raises(self):
         G = FinAbGroup((2,))
         flat = QuadraticForm(G, {(0,): 0, (1,): 0})
-        with pytest.raises(ValueError):
-            gauss_sum(flat)
-        with pytest.raises(ValueError):
-            flat.signature()
+        for q in [flat] + _degenerate_forms():
+            with pytest.raises(ValueError):
+                gauss_sum(q)
+            with pytest.raises(ValueError):
+                q.signature()
+            with pytest.raises(ValueError):
+                descriptor(q)
 
     @pytest.mark.parametrize(
         "desc",
@@ -1020,3 +1028,138 @@ class TestPackedGaussSum:
         total, normalized, sigma = gauss_sum(q)
         monkeypatch.undo()
         assert (normalized * x3).is_one() and normalized == root_of_unity(8, sigma)
+
+
+# -- the Jordan normal form against the isometry search and the Gauss sum ---------
+
+
+def descriptor_products(lo, hi):
+    """Every product of indecomposable descriptors (a multiset, in the order of
+    ``descriptors_up_to``) whose order lies in [lo, hi].  2^1_-1 and 2^1_-3 are
+    left out: they spell the same tables as 2^1_3 and 2^1_1."""
+    parts = [d for d in descriptors_up_to(hi) if d not in ("2^1_-1", "2^1_-3")]
+    orders = [_parse_descriptor(d)[3] for d in parts]
+    out = []
+
+    def extend(start, prefix, order):
+        if prefix and lo <= order:
+            out.append(" x ".join(prefix))
+        for i in range(start, len(parts)):
+            if order * orders[i] <= hi:
+                extend(i, prefix + [parts[i]], order * orders[i])
+
+    extend(0, [], 1)
+    return out
+
+
+@functools.cache
+def product_form(desc):
+    """indecomposable_form(desc)[0], built once per test run."""
+    return indecomposable_form(desc)[0]
+
+
+def assert_classes_agree(descs):
+    """On each group, two products have equal normal forms exactly when
+    ``forms_equivalent`` finds an isometry.  Isometry is an equivalence, so
+    each form is compared with one representative per class found so far;
+    different value histograms rule an isometry out without a search.  Pairs
+    the search refuses (``HOM_GUARD``) are skipped; their count is returned."""
+    reps, skipped = {}, 0
+    for desc in descs:
+        q = product_form(desc)
+        nf, hist = q.normal_form(), Counter(q.num.values())
+        for r, rnf, rhist, rdesc in reps.setdefault(q.group, []):
+            if hist != rhist:
+                iso = False
+            else:
+                try:
+                    iso = forms_equivalent(r, q) is not None
+                except GuardError:
+                    skipped += 1
+                    continue
+            assert iso == (nf == rnf), (desc, rdesc, iso)
+            if iso:
+                break
+        else:
+            reps[q.group].append((q, nf, hist, desc))
+    return skipped
+
+
+class TestNormalForm:
+    def test_product_counts(self):
+        assert len(descriptor_products(1, 32)) == 393
+        assert len(descriptor_products(33, 64)) == 732
+
+    def test_classes_match_isometries_up_to_32(self):
+        assert assert_classes_agree(descriptor_products(1, 32)) == 0
+
+    # opt-in (pytest -m slow): about 1 s; the guard refuses 30 comparisons on Z2^6
+    @pytest.mark.slow
+    def test_classes_match_isometries_33_to_64(self):
+        assert assert_classes_agree(descriptor_products(33, 64)) == 30
+
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_descriptor_round_trip(self, n):
+        for desc in descriptor_products(n, n):
+            q = product_form(desc)
+            d = descriptor(q)
+            q2, _ = indecomposable_form(d)
+            assert forms_equivalent(q2, q) is not None, (desc, d)
+            assert q2.normal_form() == q.normal_form() and descriptor(q2) == d
+
+    @pytest.mark.parametrize("desc", descriptors_up_to(512) + ["99991^1_+", "2^16_1", "2^72^7_ii"])
+    def test_indecomposables_name_themselves(self, desc):
+        """A descriptor's normal form needs no table, and reads back as the
+        descriptor (up to the aliases 2^1_-1 = 2^1_3 and 2^1_-3 = 2^1_1)."""
+        p, k, sub, _ = _parse_descriptor(desc)
+        alias = {"2^1_-1": "2^1_3", "2^1_-3": "2^1_1"}
+        assert NormalForm([(p, k, sub)]).descriptor() == alias.get(desc, desc)
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_signature_matches_gauss_sum(self, n):
+        for desc in descriptor_products(n, n):
+            q = product_form(desc)
+            assert q.signature() == gauss_sum(q)[2], desc
+
+    # opt-in (pytest -m slow): one test per order, about 20,000 products in all
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", range(65, 301))
+    def test_signature_matches_gauss_sum_65_to_300(self, n):
+        for desc in descriptor_products(n, n):
+            q, _ = indecomposable_form(desc)
+            assert q.signature() == gauss_sum(q)[2], desc
+
+    @given(random_form(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_invariant_under_automorphisms(self, q, data):
+        G = q.group
+        alpha = data.draw(st.sampled_from(automorphisms(G)))
+        moved = QuadraticForm.from_numerators(G, {g: q.num[alpha.apply(g)] for g in G.elements()})
+        assert moved.normal_form() == q.normal_form()
+        assert moved.signature() == gauss_sum(moved)[2]
+
+    @given(quadratic_functions())
+    @settings(max_examples=150, deadline=None)
+    def test_nondegenerate_exactly_when_the_gauss_sum_is(self, case):
+        q = QuadraticForm(*case)
+        try:
+            sigma = gauss_sum(q)[2]
+        except ValueError:
+            with pytest.raises(ValueError):
+                q.normal_form()
+            return
+        assert q.signature() == sigma
+        if q.group.order > 1:
+            assert forms_equivalent(indecomposable_form(descriptor(q))[0], q) is not None
+
+    def test_entry_point_takes_the_basis_data(self):
+        q = product_form("2^2_3 x 2^1_1 x 3^1_-")
+        G = q.group
+        values = [q.num[e] for e in G.basis()]
+        assert normal_form(G, values, q.polarization().num) == q.normal_form()
+        with pytest.raises(ValueError):
+            normal_form(G, values[:-1], q.polarization().num)
+
+    def test_trivial_group(self):
+        q = QuadraticForm(FinAbGroup(()), {(): 0})
+        assert q.normal_form() == NormalForm([]) and q.signature() == 0 and descriptor(q) == ""

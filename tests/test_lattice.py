@@ -1,7 +1,10 @@
 """Even lattices: named tables, discriminant data, gluing, realization."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import accumulate
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modinv import lattice
-from modinv.abelian import FinAbGroup, GuardError, Subgroup
+from modinv.abelian import FinAbGroup, GuardError, Subgroup, dual_quotient
 from modinv.forms import (
     Pairing,
     QuadraticForm,
@@ -413,12 +416,16 @@ def test_realize_roundtrips_discriminant():
 
 
 def test_realize_form_guards():
-    big, _ = indecomposable_form("2^10_1")
-    with pytest.raises(GuardError):
-        realize(big)
-    wide, _ = indecomposable_form(" x ".join(["2^1_1"] * 5))
-    with pytest.raises(GuardError):
-        realize(wide)
+    """Order 1,024 and rank 5 were past the form guards of the old descriptor
+    search (order 512, rank 4); the descriptor is now read off the normal
+    form, so both forms round-trip."""
+    for desc in ["2^10_1", " x ".join(["2^1_1"] * 5)]:
+        q, _ = indecomposable_form(desc)
+        L = realize(q)
+        G, qL, _ = discriminant(L)
+        assert G == q.group and L.det == G.order
+        assert forms_equivalent(qL, q) is not None
+        assert (gauss_sum(qL)[2] - L.rank) % 8 == 0
 
 
 def test_realize_rank_guard_before_the_sum(monkeypatch):
@@ -545,6 +552,18 @@ def test_discriminant_of_hermite_pair_grams(k, sub):
     assert all(r.in_dual() and all(0 <= c < 1 for c in r.coords) for r in reps)
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("m", [-1, -3])
+def test_class_with_norm_is_the_first_in_element_order(k, m):
+    """The glue class of the pair types is the first class, in
+    ``G.elements()`` order, whose discriminant value is m / 2^(k+1)."""
+    L = realize(f"2^{k}_{m}")
+    _, q, reps = discriminant(L)
+    g = next(g for g in q.group.elements() if q.num[g] == m % q.den)
+    want = [sum(gj * r.coords[i] for gj, r in zip(g, reps)) for i in range(L.rank)]
+    assert lattice._class_with_norm(L, Fraction(m, 2**k)).coords == tuple(want)
+
+
 def random_unimodular(n, rng):
     U = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(2 * n if n > 1 else 0):
@@ -567,6 +586,8 @@ def test_discriminant_after_a_change_of_basis(desc):
     q, _ = indecomposable_form(desc)
     assert G == q.group
     assert forms_equivalent(qM, q) is not None
+    # the normal form from the dual Gram on generators is the table's
+    assert lattice._dual_normal_form(M, *dual_quotient(M.gram, M.det)) == qM.normal_form()
 
 
 @pytest.mark.parametrize("desc", ALL_DESCRIPTORS)
@@ -612,12 +633,57 @@ def test_realize_checks_every_part_before_building(monkeypatch, desc, error):
 
 
 def test_realize_builds_legal_parts_past_the_form_guard(monkeypatch):
-    # 2^10 * 3^5 exceeds DISCRIMINANT_GUARD, but each part is legal on its own
+    # 2^10 * 3^5 exceeds DISCRIMINANT_GUARD, but each part is legal on its own,
+    # and the product's normal form is checked without a table of the group
     built = []
-    piece = Lattice([[1000]])
-    monkeypatch.setattr(lattice, "_realize_factor", lambda *part: built.append(part) or piece)
-    assert realize("2^10_1 x 3^5_+").rank == 2
+    real = lattice._realize_factor
+    monkeypatch.setattr(lattice, "_realize_factor", lambda *part: built.append(part) or real(*part))
+    L = realize("2^10_1 x 3^5_+")
     assert built == [(2, 10, 1), (3, 5, 1)]
+    assert L.det == 2**10 * 3**5 and L.rank == 1 + 2
+
+
+@pytest.mark.parametrize(
+    "desc,wrong",
+    [
+        ("2^10_1 x 3^5_+", (3, 5, -1)),  # order 248,832: same group, other form
+        (" x ".join(["2^1_1"] * 5), (2, 1, 3)),  # rank 5: E7 for the last A1
+    ],
+)
+def test_realize_product_check_catches_a_wrong_piece(monkeypatch, desc, wrong):
+    """The product check runs at every order and rank: a last piece with the
+    right determinant but the wrong form fails it."""
+    built = []
+    real = lattice._realize_factor
+
+    def last_wrong(*part):
+        built.append(part)
+        return real(*wrong) if len(built) == len(desc.split(" x ")) else real(*part)
+
+    monkeypatch.setattr(lattice, "_realize_factor", last_wrong)
+    with pytest.raises(RuntimeError, match="discriminant check"):
+        realize(desc)
+
+
+# -- opt-in: the largest admitted inputs, each in a fresh interpreter under 10 s --
+
+GUARD_EDGE = {
+    "signature-2^16_1": "assert indecomposable_form('2^16_1')[0].signature() == 1",
+    "signature-99991^1_+": "assert indecomposable_form('99991^1_+')[0].signature() == 2",
+    "realize-99991^1_+": "assert realize('99991^1_+').det == 99991",
+    "realize-99991^1_-": "assert realize('99991^1_-').det == 99991",
+    "realize-form-2^10_1": "assert realize(indecomposable_form('2^10_1')[0]).det == 1024",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("code", GUARD_EDGE.values(), ids=GUARD_EDGE.keys())
+def test_guard_edge_in_a_fresh_process(code):
+    src = os.path.dirname(os.path.dirname(lattice.__file__))
+    head = "from modinv.forms import indecomposable_form\nfrom modinv.lattice import realize\n"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", head + code], env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
 
 
 # -- quotients and intermediate lattices --------------------------------------------

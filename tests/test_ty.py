@@ -353,17 +353,20 @@ def test_sqrt_convention_checks_the_anchor_it_computes():
 
 
 def test_sqrt_convention_takes_one_gauss_sum_per_form(monkeypatch):
+    """The anchor's signature is read once per form, off its cached normal
+    form, so no Gauss sum of the form is taken at all."""
     import modinv.forms as forms
 
-    calls = []
-    real = forms.gauss_sum
-    monkeypatch.setattr(forms, "gauss_sum", lambda q: calls.append(q) or real(q))
+    calls, sums = [], []
+    real, real_sum = forms.normal_form, forms.gauss_sum
+    monkeypatch.setattr(forms, "normal_form", lambda G, *rest: calls.append(G) or real(G, *rest))
+    monkeypatch.setattr(forms, "gauss_sum", lambda q: sums.append(q) or real_sum(q))
     q, _ = indecomposable_form("5^1_-")
     conv = SqrtConvention.canonical(q, -1)
     conv.flip((2,)).anchor_flipped()
     SqrtConvention.fusion_faithful(q, 1)
     ty_double(TYData(q.group, q.polarization(), -1), q)
-    assert calls == [q]
+    assert calls == [q.group] and sums == []
 
 
 def test_flip_is_a_label_swap():
