@@ -24,14 +24,20 @@ diagonal, -1 on each edge; Conway-Sloane, SPLAG ch. 15) by increasing excess
 sum(w - 1) of their fixed weights, fewest non-unit weights first, at most
 TREE_SEARCH_BOUND of them.  The determinant is linear in one free weight,
 which is solved for.  A candidate is kept when its dual quotient is G and its
-discriminant normal form is the part's; the dual quotient is read once per
-candidate.  The pair types 2^k2^k_i/ii glue scaled copies of Z to the lattice
-found for 2^k_-1 or 2^k_-3, within rank 16.  Every check compares normal
-forms computed from R = N·gram·Nᵀ, the Gram of the dual quotient's
-generators (``_dual_gram``), so ``realize`` builds no table of size |G|.
+discriminant normal form is the part's.  A tree whose cofactor b = det(T - v)
+at the free vertex v is prime to p is screened first, with no lattice built:
+x = A⁻¹e_v then generates L*/L = Z_N with b(x, x) = b / N, so the normal form
+is that of the 1×1 dual Gram [[N·b]] (``_gram_normal_form``).  The screen
+only rejects; every other candidate is built and checked in full.  The pair
+types 2^k2^k_i/ii glue scaled copies of Z to the lattice found for 2^k_-1 or
+2^k_-3, within rank 16.  Every check compares normal forms computed from
+R = N·gram·Nᵀ, the Gram of the dual quotient's generators (``_dual_gram``),
+so ``realize`` builds no table of size |G|.
 
 The dual quotient L*/L of a Gram matrix comes from ``abelian.dual_quotient``,
-a Smith form modulo det², whose entries stay below det² on any basis.
+a Smith form modulo det², whose entries stay below det² on any basis.  Each
+``Lattice`` computes it at most once (``_dual_quotient``): the check that
+accepts a realized lattice and a later ``discriminant`` of it share one pass.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from itertools import combinations, count, product
 from math import lcm, prod
 
 from .abelian import (
+    FinAbGroup,
     GuardError,
     Subgroup,
     dual_quotient,
@@ -79,6 +86,18 @@ def _numerators(vectors) -> tuple[list[list[int]], int]:
     return [[int(c * den) for c in v] for v in vectors], den
 
 
+def _block_diagonal(grams) -> list[list[int]]:
+    """The block-diagonal matrix of the square matrices in grams, in order."""
+    n = sum(map(len, grams))
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for gram in grams:
+        for i, row in enumerate(gram):
+            out[at + i][at : at + len(row)] = row
+        at += len(gram)
+    return out
+
+
 def _leading_minors(rows) -> list[int]:
     """Leading principal minors by fraction-free (Bareiss) elimination, up to
     the first that is not positive; all n positive iff definite (Sylvester)."""
@@ -98,9 +117,11 @@ def _leading_minors(rows) -> list[int]:
 
 
 class Lattice:
-    """Integer Gram matrix, symmetric, even on the diagonal, positive definite."""
+    """Integer Gram matrix, symmetric, even on the diagonal, positive definite.
 
-    __slots__ = ("gram", "det")
+    ``_dual`` holds the dual quotient once ``_dual_quotient`` has computed it."""
+
+    __slots__ = ("gram", "det", "_dual")
 
     def __init__(self, gram):
         message = "gram entries must be integers"
@@ -119,6 +140,7 @@ class Lattice:
             raise ValueError("gram matrix must be positive definite")
         self.gram = rows
         self.det = minors[-1] if n else 1
+        self._dual = None
 
     @property
     def rank(self) -> int:
@@ -126,15 +148,7 @@ class Lattice:
 
     def direct_sum(self, *others: "Lattice") -> "Lattice":
         """The orthogonal sum of self and others: one block-diagonal Gram."""
-        grams = [self.gram] + [o.gram for o in others]
-        n = sum(map(len, grams))
-        out = [[0] * n for _ in range(n)]
-        at = 0
-        for gram in grams:
-            for i, row in enumerate(gram):
-                out[at + i][at : at + len(row)] = row
-            at += len(gram)
-        return Lattice(out)
+        return Lattice(_block_diagonal([self.gram] + [o.gram for o in others]))
 
     def key(self):
         return self.gram
@@ -203,6 +217,14 @@ class DualVector:
 # -- discriminant data ---------------------------------------------------------
 
 
+def _dual_quotient(L: Lattice):
+    """``abelian.dual_quotient(L.gram, L.det)``, one Smith pass per lattice:
+    the Gram is immutable, so (G, cols) is kept on L."""
+    if L._dual is None:
+        L._dual = dual_quotient(L.gram, L.det)
+    return L._dual
+
+
 def discriminant(L: Lattice):
     """(dual quotient group, its quadratic form, coset representatives).
 
@@ -212,7 +234,7 @@ def discriminant(L: Lattice):
     over the j-th invariant factor d_j, so its coordinates lie in [0, 1), and
     it spans the j-th factor: g maps to the class of sum_j g_j v_j / d_j.
     """
-    G, cols = dual_quotient(L.gram, L.det)
+    G, cols = _dual_quotient(L)
     q = _dual_form(L, G, cols)
     reps = tuple(
         DualVector(L, tuple(Fraction(row[j], d) for row in cols))
@@ -245,11 +267,16 @@ def _dual_form(L: Lattice, G, cols) -> QuadraticForm:
 
 
 def _dual_normal_form(L: Lattice, G, cols) -> NormalForm:
-    """The discriminant form's ``forms.normal_form``, from the diagonal of
-    ``_dual_gram`` (q at the generators) and its entries over e (the
+    """The discriminant form's ``forms.normal_form``: ``_gram_normal_form`` of
+    ``_dual_gram``."""
+    return _gram_normal_form(G, _dual_gram(L, G, cols))
+
+
+def _gram_normal_form(G, R) -> NormalForm:
+    """``forms.normal_form`` of q(g) = gᵀRg / 2e² mod 1 on G (e = exp G), from
+    the diagonal of R (q at the generators) and its entries over e (the
     polarization, whose sign convention is -b): no table of the group."""
     e = G.exponent
-    R = _dual_gram(L, G, cols)
     scale = 2 * e * e // form_denominator(G)
     if any(R[i][i] % scale for i in range(G.rank)) or any(x % e for row in R for x in row):
         raise ValueError("the dual Gram does not give a form on the dual quotient")
@@ -310,12 +337,6 @@ def glue(L: Lattice, cosets) -> Lattice:
 # -- named lattices -------------------------------------------------------------
 
 
-def _gram_from_roots(roots) -> Lattice:
-    return Lattice(
-        [[sum(a * b for a, b in zip(r, s)) for s in roots] for r in roots]
-    )
-
-
 _E_EDGES = {
     6: ((1, 3), (3, 4), (4, 5), (5, 6), (2, 4)),
     7: ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)),
@@ -329,13 +350,18 @@ def named(name: str) -> Lattice:
     The rank n of A<n> and D<n> is checked against LATTICE_RANK_GUARD before
     any row is built.
     """
+    return Lattice(_named_gram(name))
+
+
+def _named_gram(name: str) -> list[list[int]]:
+    """The Gram matrix of ``named(name)``, before ``Lattice`` checks it."""
     s = str(name).strip().replace("_", "")
     if s in ("E6", "E7", "E8"):
         n = int(s[1])
         gram = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
         for a, b in _E_EDGES[n]:
             gram[a - 1][b - 1] = gram[b - 1][a - 1] = -1
-        return Lattice(gram)
+        return gram
     if s[:1] in ("A", "D") and s[1:].isdigit() and int(s[1:]) > LATTICE_RANK_GUARD:
         raise GuardError(f"lattice rank {s[1:]} exceeds guard {LATTICE_RANK_GUARD}")
     if s.startswith("A") and s[1:].isdigit():
@@ -345,7 +371,7 @@ def named(name: str) -> Lattice:
         gram = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
         for i in range(n - 1):
             gram[i][i + 1] = gram[i + 1][i] = -1
-        return Lattice(gram)
+        return gram
     if s.startswith("D") and s[1:].isdigit():
         n = int(s[1:])
         if n < 2:
@@ -355,14 +381,14 @@ def named(name: str) -> Lattice:
             for i in range(n - 1)
         ]
         roots.append([1 if c >= n - 2 else 0 for c in range(n)])
-        return _gram_from_roots(roots)
+        return [[sum(a * b for a, b in zip(r, t)) for t in roots] for r in roots]
     low = s.lower()
     for prefix in ("sqrt2n:", "sqrt2n(", "sqrt2n"):
         if low.startswith(prefix) and low[len(prefix) :].rstrip(")").isdigit():
             n = int(low[len(prefix) :].rstrip(")"))
             if n < 1:
                 raise ValueError("sqrt2n needs n >= 1")
-            return Lattice([[2 * n]])
+            return [[2 * n]]
     raise ValueError(f"unknown lattice name {name!r}")
 
 
@@ -372,7 +398,7 @@ def named(name: str) -> Lattice:
 def _class_with_norm(L: Lattice, target: Fraction) -> DualVector:
     """The first dual class, in ``G.elements()`` order, whose norm gᵀRg / e²
     (``_dual_gram``) is the target mod 2; the classes are visited lazily."""
-    G, cols = dual_quotient(L.gram, L.det)
+    G, cols = _dual_quotient(L)
     R, e2 = _dual_gram(L, G, cols), G.exponent**2
     want = target * e2  # not an integer when no class can match
     g = None
@@ -391,9 +417,9 @@ def _class_with_norm(L: Lattice, target: Fraction) -> DualVector:
 
 
 def _verify_realization(L: Lattice, target: NormalForm) -> bool:
-    """The discriminant form of L, read off one ``dual_quotient``, has the
+    """The discriminant form of L, read off its ``_dual_quotient``, has the
     target normal form (which fixes the group too)."""
-    return _dual_normal_form(L, *dual_quotient(L.gram, L.det)) == target
+    return _dual_normal_form(L, *_dual_quotient(L)) == target
 
 
 def _trees(r: int) -> list[list[list[int]]]:
@@ -428,7 +454,8 @@ def _tree_weights(r: int, v: int, e: int, j: int):
 
 
 def _free_weight(adj, weights, v: int, N: int):
-    """The weight at v that gives the tree's Gram determinant N, or None.
+    """(w, b): the weight w at v that gives the tree's Gram determinant N and
+    the cofactor b = det(T - v), or None when no weight does.
 
     Rooted at v, a subtree's determinant A(u) and that of the subtree less u,
     B(u) = prod A(c) over u's children c, follow by expanding along u's row:
@@ -452,7 +479,7 @@ def _free_weight(adj, weights, v: int, N: int):
         s = sum(B[c] * (b // A[c]) for c in kids)
         if u == v:
             w, rem = divmod(N + s, 2 * b)
-            return None if rem else w
+            return None if rem else (w, b)
         A[u] = 2 * weights[u] * b - s
         if A[u] <= 0:
             return None
@@ -460,16 +487,18 @@ def _free_weight(adj, weights, v: int, N: int):
 
 
 def _candidates(r: int, N: int):
-    """The rank-r lattices of determinant N tried, in search order: the named
-    root lattices whose closed-form determinant (r + 1 for A_r, 4 for D_r, 9 - r
-    for E_r) is N, then up to TREE_SEARCH_BOUND weighted trees by increasing
-    excess of their fixed weights, fewest non-unit weights first."""
+    """(gram, b) for the rank-r Gram matrices of determinant N tried, in search
+    order: the named root lattices whose closed-form determinant (r + 1 for
+    A_r, 4 for D_r, 9 - r for E_r) is N, with b None, then up to
+    TREE_SEARCH_BOUND weighted trees by increasing excess of their fixed
+    weights, fewest non-unit weights first, with b the cofactor det(T - v) at
+    the free vertex v (``_free_weight``).  No ``Lattice`` is built here."""
     if r + 1 == N:
-        yield named(f"A{r}")
+        yield _named_gram(f"A{r}"), None
     if r >= 2 and N == 4:
-        yield named(f"D{r}")
+        yield _named_gram(f"D{r}"), None
     if r in (6, 7, 8) and r + N == 9:
-        yield named(f"E{r}")
+        yield _named_gram(f"E{r}"), None
     trees = _trees(r)
     tried = 0
     for e in count():
@@ -481,16 +510,16 @@ def _candidates(r: int, N: int):
                         tried += 1
                         if tried > TREE_SEARCH_BOUND:
                             return
-                        w = _free_weight(adj, weights, v, N)
-                        if w is None:
+                        found = _free_weight(adj, weights, v, N)
+                        if found is None:
                             continue
-                        weights[v] = w
+                        weights[v], b = found
                         gram = [[0] * r for _ in range(r)]
                         for u in range(r):
                             gram[u][u] = 2 * weights[u]
                             for c in adj[u]:
                                 gram[u][c] = -1
-                        yield Lattice(gram)
+                        yield gram, b
         if tried == before:  # rank 1: the single vertex is the free one
             return
 
@@ -503,23 +532,28 @@ def _realize_factor(p: int, k: int, sub) -> Lattice:
         m, scalars, copies = (-1, 2, 2) if sub == "i" else (-3, 3, 1)
         ingredient = _realize_factor(2, k, m)
         gamma = _class_with_norm(ingredient, Fraction(m, N)).coords
-        base = Lattice(()).direct_sum(*[Lattice([[N]])] * scalars, *[ingredient] * copies)
+        base = _block_diagonal([[[N]]] * scalars + [ingredient.gram] * copies)
         # The glue vector v has first coordinate 1/N and N v lies in the base,
         # so v, e_1, ..., e_(n-1) are a basis of base + Zv: its Gram is the
         # base's with row and column 0 replaced by the products with v.
         (w,), den = _numerators([(Fraction(1, N),) * scalars + gamma * copies])
-        (gw,) = _times([w], base.gram)  # den times the products of v with each e_i
+        (gw,) = _times([w], base)  # den times the products of v with each e_i
         vv = sum(a * b for a, b in zip(gw, w))
         gram = [[vv // (den * den)] + [x // den for x in gw[1:]]]
-        gram += [[x // den] + list(row[1:]) for x, row in zip(gw[1:], base.gram[1:])]
+        gram += [[x // den] + list(row[1:]) for x, row in zip(gw[1:], base[1:])]
         L = Lattice(gram)
         if not _verify_realization(L, target):
             raise RuntimeError("realized lattice fails its discriminant check")
         return L
     N = p**k
     low = target.signature or 8
+    cyclic = FinAbGroup((N,))
     for r in (low, low + 8):
-        for L in _candidates(r, N):
+        for gram, b in _candidates(r, N):
+            # p ∤ b: the discriminant is Z_N with q(A⁻¹e_v) = b / 2N (module docstring)
+            if b is not None and b % p and _gram_normal_form(cyclic, [[N * b]]) != target:
+                continue
+            L = Lattice(gram)
             if _verify_realization(L, target):
                 return L
     name = f"{p}^{k}_{sub if p == 2 else '+-'[sub < 0]}"
@@ -540,9 +574,12 @@ def realize(target) -> Lattice:
     first candidate, named root lattices before weighted trees (module
     docstring), whose discriminant normal form is the part's.  Raises
     GuardError, naming the part, when the search runs out of candidates.  The
-    sum is built once, as one block-diagonal Gram, and only when its rank is
-    within LATTICE_RANK_GUARD (else GuardError); its discriminant normal form
-    is then checked against the product's, from one Smith pass, at any order.
+    rank of the sum is checked against LATTICE_RANK_GUARD (else GuardError).
+    One part is returned as found.  Several are summed once, as one
+    block-diagonal Gram, whose discriminant normal form is then checked
+    against the product's, from one Smith pass, at any order.  Either way the
+    returned lattice keeps the dual quotient its check computed, so
+    ``discriminant`` of it runs no second Smith pass.
     """
     if isinstance(target, QuadraticForm):
         if target.group.order == 1:
@@ -555,8 +592,10 @@ def realize(target) -> Lattice:
     rank = sum(piece.rank for piece in pieces)
     if rank > LATTICE_RANK_GUARD:
         raise GuardError(f"lattice rank {rank} exceeds guard {LATTICE_RANK_GUARD}")
+    if len(pieces) == 1:
+        return pieces[0]
     lat = pieces[0].direct_sum(*pieces[1:])
-    if len(parts) > 1 and not _verify_realization(lat, NormalForm(part[:3] for part in parts)):
+    if not _verify_realization(lat, NormalForm(part[:3] for part in parts)):
         raise RuntimeError("realized lattice fails its discriminant check")
     return lat
 

@@ -268,7 +268,9 @@ def enum_z(q: QuadraticForm, require_isotropy: bool = True) -> list[ZParam]:
     The search adds only g = (x, y) orthogonal under ``square_pairing`` to
     the subgroup so far, with q(x) = q(y) (isotropy for q + (-q), looked up in
     a table of those g built once) or, without ``require_isotropy``,
-    b(g, g) = 0; ``ZParam`` then checks order and self-duality.  The square
+    b(g, g) = 0; ``ZParam`` then checks order and self-duality.  Each
+    generator h's column num·h of the pairing is formed once for the whole
+    search, so b(g, h) is one dot product per candidate g.  The square
     group's order is checked against SUBGROUP_GUARD, and a degenerate form
     refused with ``ValueError``, before any search.
     """
@@ -283,13 +285,22 @@ def enum_z(q: QuadraticForm, require_isotropy: bool = True) -> list[ZParam]:
             level.setdefault(q.num[x], []).append(x)
         iso = {pair(x, y) for xs in level.values() for x in xs for y in xs}
 
+    num, den = B.num, B.den
+    columns: dict = {}  # h -> num·h, for each generator h met in the search
+
+    def column(h):
+        col = columns.get(h)
+        if col is None:
+            col = columns[h] = tuple(sum(x * hj for x, hj in zip(row, h)) for row in num)
+        return col
+
     def admissible(gens, g):
         if require_isotropy:
             if g not in iso:
                 return False
         elif B.dot(g, g):
             return False
-        return not any(B.dot(g, h) for h in gens)
+        return not any(sum(gi * c for gi, c in zip(g, column(h))) % den for h in gens)
 
     out = []
     for Z in all_subgroups(square, admissible):

@@ -442,6 +442,29 @@ def test_realize_rank_guard_before_the_sum(monkeypatch):
     assert realize("3^1_+ x 3^1_+ x 3^1_+") == A2.direct_sum(A2).direct_sum(A2)
 
 
+def _no_direct_sum(*args):
+    raise AssertionError("a one-part realize built a direct sum")
+
+
+@pytest.mark.parametrize("desc", ALL_DESCRIPTORS + ["3^1_+ x 2^1_1", "3^1_- x 2^2_3"])
+def test_realize_keeps_its_dual_quotient(monkeypatch, desc):
+    """``realize`` returns a one-part lattice as found, with no direct sum,
+    and the lattice keeps the Smith pass of its check: ``discriminant`` runs
+    none and agrees with that of a fresh copy (group, form, representatives)."""
+    if " x " not in desc:
+        monkeypatch.setattr(Lattice, "direct_sum", _no_direct_sum)
+    L = realize(desc)
+    monkeypatch.undo()
+    passes = []
+    monkeypatch.setattr(lattice, "dual_quotient", lambda *a: passes.append(a) or dual_quotient(*a))
+    G, q, reps = discriminant(L)
+    assert passes == []
+    G2, q2, reps2 = discriminant(Lattice(L.gram))
+    assert len(passes) == 1
+    assert G == G2 and q.num == q2.num
+    assert [r.coords for r in reps] == [r.coords for r in reps2]
+
+
 def test_direct_sum_of_several_is_the_folded_sum():
     A2, E6, D4 = named("A2"), named("E6"), named("D4")
     assert A2.direct_sum(E6, D4) == A2.direct_sum(E6).direct_sum(D4)
@@ -459,13 +482,36 @@ def test_realize_rejects_degenerate_form():
 @pytest.mark.parametrize("r", range(1, 10))
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 9, 10])
 def test_candidates_all_have_the_determinant(monkeypatch, r, N):
-    """Named lattices come first, and only those of determinant N."""
+    """Named lattices come first, and only those of determinant N; each is
+    yielded as its Gram with no cofactor."""
     monkeypatch.setattr(lattice, "TREE_SEARCH_BOUND", 300)
-    found = list(lattice._candidates(r, N))
+    yields = list(lattice._candidates(r, N))
+    found = [Lattice(gram) for gram, _ in yields]
     assert all(L.rank == r and L.det == N for L in found)
     named_ones = [f"A{r}"] * (r + 1 == N) + [f"D{r}"] * (r >= 2 and N == 4)
     named_ones += [f"E{r}"] * (r in (6, 7, 8) and r + N == 9)
     assert found[: len(named_ones)] == [named(name) for name in named_ones]
+    assert all(b is None for _, b in yields[: len(named_ones)])
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 8, 9, 16, 25, 27, 49])
+def test_cofactor_screen_is_the_discriminant_normal_form(monkeypatch, N):
+    """For a tree whose cofactor b at the free vertex is prime to p, the
+    normal form of the 1×1 dual Gram [[N·b]] on Z_N, which the search uses
+    to reject candidates unbuilt, is the one the Smith pass gives."""
+    monkeypatch.setattr(lattice, "TREE_SEARCH_BOUND", 300)
+    ((p, _),) = factorize(N).items()
+    cyclic = FinAbGroup((N,))
+    screened = 0
+    for r in range(1, 10):
+        for gram, b in lattice._candidates(r, N):
+            if b is None or b % p == 0:
+                continue
+            L = Lattice(gram)
+            closed = lattice._gram_normal_form(cyclic, [[N * b]])
+            assert closed == lattice._dual_normal_form(L, *dual_quotient(gram, N))
+            screened += 1
+    assert screened > 0
 
 
 def test_realize_search_bound_guard(monkeypatch):
