@@ -836,6 +836,29 @@ def normal_form(G: FinAbGroup, values, polar) -> NormalForm:
     return NormalForm(_jordan_blocks(G, values, polar))
 
 
+def _cyclic_normal_form(p: int, k: int, b: int) -> NormalForm:
+    """``normal_form`` of q(x) = b x^2 / 2p^k on Z_(p^k) for p not dividing b,
+    in closed form.  The one Jordan block is read as ``_p_blocks`` reads it:
+    the Legendre symbol of b / 2 modulo p for odd p (b must be even), the
+    unit m = b modulo 2^(k+1), as -3..3, for p = 2.  For p = 2 the symbol is
+    ``_two_adic_symbol``'s for one odd component at scale k: one train of the
+    scales k - 1 and k whose sign, for m = +-3 mod 8, walks down to scale
+    k - 1 and adds 4 to the oddity; the sign reads 0 when k - 1 = 0."""
+    if p > 2:
+        if b % 2:
+            raise ValueError(f"b x^2 / 2p^k with odd b = {b} is no quadratic form on Z_({p}^{k})")
+        sub = legendre(b // 2, p)
+        key = (p, ((k, 1, sub),))
+    else:
+        sub = (b % 2 ** (k + 1) + 4) % 8 - 4
+        walked = sub % 8 in (3, 5)
+        sign = 0 if k == 1 else -1 if walked else 1
+        key = (2, ((((k, 1, True),), sign, ((k, (sub + 4 * walked) % 8),)),))
+    nf = NormalForm.__new__(NormalForm)
+    nf.key, nf.signature = (key,), _block_signature(p, k, sub)
+    return nf
+
+
 def descriptor(q: QuadraticForm) -> str:
     """An indecomposable-descriptor product whose form is isometric to q, read
     off ``q.normal_form()`` (``NormalForm.descriptor``)."""

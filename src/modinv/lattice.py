@@ -27,12 +27,13 @@ which is solved for.  A candidate is kept when its dual quotient is G and its
 discriminant normal form is the part's.  A tree whose cofactor b = det(T - v)
 at the free vertex v is prime to p is screened first, with no lattice built:
 x = A⁻¹e_v then generates L*/L = Z_N with b(x, x) = b / N, so the normal form
-is that of the 1×1 dual Gram [[N·b]] (``_gram_normal_form``).  The screen
-only rejects; every other candidate is built and checked in full.  The pair
-types 2^k2^k_i/ii glue scaled copies of Z to the lattice found for 2^k_-1 or
-2^k_-3, within rank 16.  Every check compares normal forms computed from
-R = N·gram·Nᵀ, the Gram of the dual quotient's generators (``_dual_gram``),
-so ``realize`` builds no table of size |G|.
+is that of the 1×1 dual Gram [[N·b]], read in closed form
+(``forms._cyclic_normal_form``).  The screen only rejects; every other
+candidate is built and checked in full.  The pair types 2^k2^k_i/ii glue
+scaled copies of Z to the lattice found for 2^k_-1 or 2^k_-3, within rank 16.
+Every check compares normal forms computed from R = N·gram·Nᵀ, the Gram of
+the dual quotient's generators (``_dual_gram``), so ``realize`` builds no
+table of size |G|.
 
 The dual quotient L*/L of a Gram matrix comes from ``abelian.dual_quotient``,
 a Smith form modulo det², whose entries stay below det² on any basis.  Each
@@ -59,6 +60,7 @@ from .forms import (
     NormalForm,
     Pairing,
     QuadraticForm,
+    _cyclic_normal_form,
     _parse_descriptor,
     descriptor,
     form_denominator,
@@ -547,11 +549,10 @@ def _realize_factor(p: int, k: int, sub) -> Lattice:
         return L
     N = p**k
     low = target.signature or 8
-    cyclic = FinAbGroup((N,))
     for r in (low, low + 8):
         for gram, b in _candidates(r, N):
             # p ∤ b: the discriminant is Z_N with q(A⁻¹e_v) = b / 2N (module docstring)
-            if b is not None and b % p and _gram_normal_form(cyclic, [[N * b]]) != target:
+            if b is not None and b % p and _cyclic_normal_form(p, k, b) != target:
                 continue
             L = Lattice(gram)
             if _verify_realization(L, target):

@@ -11,8 +11,12 @@ uses it too); this module writes its matrices into it:
   of their entry orders), each over one common denominator, so every entry
   becomes an integer polynomial in zeta_N.  A datum's S is written so once
   per order and cached on it.  A Weil or TY S holds few distinct entry
-  objects, and each is converted, packed, multiplied by F and reduced once
-  (``_each``); the matrices index those results.
+  objects (55 of 484 positions on the 22-primary TY double of 2^2_1), so S
+  is kept as the list of them, by identity, and an n x n index into it
+  (``_Entries``, built once per datum): each distinct entry is converted,
+  packed, multiplied by F and reduced once, and a matrix is expanded from
+  those results by plain list indexing.  T's entries are reduced to
+  canonical keys once per datum too (``ModularData._twist_classes``).
 * Kronecker substitution: a polynomial Sum c_k x^k is packed as the integer
   Sum c_k 2^(B k), taken modulo 2^(B N) - 1.  Since x^N - 1 maps to 0, this
   is a ring homomorphism from Z[x]/(x^N - 1) into the integers mod
@@ -84,8 +88,11 @@ permutations.  Its readers:
   value in Q(zeta_N) is [Q(zeta_N') : Q(zeta_N)] times the trace from
   Q(zeta_N), so the constant of v R' over phi(N') is still the orbit sum.
 * ``s_commutes``.  If an integer Z has Z_{pi a, pi b} = eps(a) eps(b) Z_ab
-  for each generator (n^2 integer tests), Z commutes with Q, so
-  sigma(SZ - ZS) = (SZ - ZS) Q, and one column per orbit decides SZ = ZS.
+  for each generator, Z commutes with Q, so sigma(SZ - ZS) = (SZ - ZS) Q,
+  and one column per orbit decides SZ = ZS.  The condition is tested on
+  the nonzeros of Z alone: (a, b) -> (pi a, pi b) permutes the positions,
+  so if every nonzero maps to an equal nonzero, the support maps onto
+  itself and zeros map to zeros.
 * ``brute_force_invariants``.  If S is invertible and Z rational with
   SZ = ZS, then sigma(S) = S Q with Q the signed permutation matrix, and
   S Q Z = sigma(SZ) = sigma(ZS) = Z S Q = S Z Q, so QZ = ZQ:
@@ -115,6 +122,12 @@ certificate:
   generator J and every a: then both sides at (J a, j) equal those at
   (a, J j), so only representative rows are compared.
 
+``check_invariant`` also reports current periodicity, Z_{J a, J' b} = Z_ab
+whenever Z_{J, J'} != 0 (``_current_periodic``).  The pairs of current
+permutations that preserve Z form a group, so only pairs outside the span
+of those already checked are tested, each on the nonzeros of Z alone, which
+is exact as the Galois test on Z is.
+
 Fallback.  Where a certificate is missing (no Galois generators, or
 ``simple_currents`` raises ValueError, or the twist balance fails) the full
 sums run as before, and every result is the same either way.  Before a
@@ -126,6 +139,7 @@ balance) never reach the guard, and no admitted datum runs for minutes.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
@@ -176,37 +190,49 @@ def _conductor(*mats) -> int:
     return lcm(*(x.order for M in mats for row in M for x in row))
 
 
+class _Entries(NamedTuple):
+    """A matrix stored by its distinct entry objects: entry (i, j) is
+    ``values[index[i][j]]``.  Matrices derived entry by entry share ``index``."""
+
+    values: list
+    index: list
+
+    @staticmethod
+    def of(M) -> "_Entries":
+        """The distinct entry objects of M, by identity, in first-seen order."""
+        first = {id(x): x for row in M for x in row}
+        where = {key: k for k, key in enumerate(first)}
+        return _Entries(list(first.values()), [list(map(where.__getitem__, map(id, row))) for row in M])
+
+    def map(self, f) -> "_Entries":
+        """The matrix of f(x), f called once per distinct entry x."""
+        return _Entries(list(map(f, self.values)), self.index)
+
+    def rows(self) -> list[list]:
+        """The matrix itself, by plain list indexing."""
+        return [list(map(self.values.__getitem__, row)) for row in self.index]
+
+
+def _integral_values(values, N: int):
+    """(D, [{k: c}]) with x = Sum c zeta_N^k / D for each x in values, every c an integer."""
+    den = lcm(*(c.denominator for x in values for _, c in x.terms()))
+
+    def integral(x):
+        step = N // x.order
+        return {k * step: c.numerator * (den // c.denominator) for k, c in x.terms()}
+
+    return den, list(map(integral, values))
+
+
 def _integral(M, N: int):
     """(D, rows of {k: c}) with M[i][j] = Sum c zeta_N^k / D, every c an integer.
 
     Each distinct entry object of M is converted once, and its entries share
     that dict: callers must not mutate them.
     """
-    distinct = {id(x): x for row in M for x in row}.values()
-    den = lcm(*(c.denominator for x in distinct for _, c in x.terms()))
-
-    def integral(x):
-        step = N // x.order
-        return {k * step: c.numerator * (den // c.denominator) for k, c in x.terms()}
-
-    return den, _each(M, integral)
-
-
-def _each(rows, f) -> list[list]:
-    """[[f(x) for x in row] for row in rows], f called once per distinct object x.
-
-    Equal results stay one object, so a second ``_each`` over the output
-    again runs once per distinct entry.
-    """
-    memo: dict = {}
-
-    def once(x):
-        key = id(x)
-        if key not in memo:
-            memo[key] = f(x)
-        return memo[key]
-
-    return [[once(x) for x in row] for row in rows]
+    E = _Entries.of(M)
+    den, values = _integral_values(E.values, N)
+    return den, _Entries(values, E.index).rows()
 
 
 def _norm(rows) -> int:
@@ -250,49 +276,79 @@ def mat_mul(A, B):
     ]
 
 
+def _support(matrix) -> list[tuple[int, int, int]]:
+    """(a, b, Z_ab) for the nonzero entries of Z, in row-major order."""
+    return [(a, b, row[b]) for a, row in enumerate(matrix) for b in compress(range(len(row)), row)]
+
+
 def s_commutes(md: ModularData, matrix) -> bool:
-    """True iff the integer matrix Z commutes with S, decided exactly by the kernel.
+    """True iff the integer matrix Z commutes with S, decided exactly by the
+    kernel (``_s_failure``)."""
+    return _s_failure(md, matrix, _support(matrix)) is None
+
+
+def _s_failure(md: ModularData, matrix, support):
+    """None if the integer matrix Z commutes with S, else the first position
+    (i, j) found with (SZ)_ij != (ZS)_ij; ``support`` is ``_support(Z)``.
 
     Where ``galois_action`` certifies S and Z_{pi a, pi b} = eps(a) eps(b)
-    Z_ab for each generator (n^2 integer tests), only one column j per Galois
-    orbit of X = SZ - ZS is checked: sigma(S) = S Q with Q the signed
+    Z_ab holds on the support of Z for each generator, only one column j per
+    Galois orbit of X = SZ - ZS is checked: sigma(S) = S Q with Q the signed
     permutation matrix, Z commutes with Q, so sigma(X) = X Q, i.e.
     sigma(X_ij) = eps(j) X_{i, pi j}, and a column vanishes with its whole
-    orbit.  Otherwise every column is summed, after the work guard
-    (``check_work``).  S F is packed once per distinct entry of S; it
+    orbit.  The support test is exact: (a, b) -> (pi a, pi b) permutes the
+    positions, so if it maps each nonzero of Z to an equal nonzero, it maps
+    the support onto itself and zeros to zeros.  Otherwise every column is
+    summed, after the work guard (``check_work``).  Columns are checked in
+    that order, rows increasing within each; column j of SZ is summed from
+    the nonzeros of column j of Z, and column j of ZS from every nonzero of
+    Z, one product each.  S F is packed once per distinct entry of S; it
     depends on the packing only through N and its digit width, so it is
-    cached on md under (N, width) and shared by every matrix whose entries
-    fit that width.
+    cached on md under (N, width), with its columns, and shared by every
+    matrix whose entries fit that width.
     """
     n = md.dim
     N, _, iS, norm = md._integral_S()
-    zmax = max((abs(x) for row in matrix for x in row), default=0)
+    zmax = max((abs(x) for _, _, x in support), default=0)
     pk = _Packing(N, 2 * n * norm * zmax * sum(map(abs, cyclotomic_cofactor(N))))
     M = pk.M
-    rows = [[(t, x) for t, x in enumerate(r) if x] for r in matrix]
-    cols = [[(t, x) for t, x in enumerate(c) if x] for c in zip(*matrix)]
+    cols = [[] for _ in range(n)]
+    for a, b, x in support:
+        cols[b].append((a, x))
     act = galois_action(md)
-    if act.certified and all(
-        matrix[perm[a]][perm[b]] == signs[a] * signs[b] * matrix[a][b]
-        for _, perm, signs in act.gens
-        for a in range(n)
-        for b in range(n)
-    ):
+    if act.certified and _galois_symmetric(act, matrix, support):
         columns = [o[0] for o in act.orbits]
     else:
         columns = range(n)
-        check_work(2 * n * sum(map(len, rows)), pk, 1 + zmax.bit_length() // 64)
+        check_work(2 * n * len(support), pk, 1 + zmax.bit_length() // 64)
     # entries of S F: (SZ - ZS)_ij vanishes modulo Phi_N iff its multiple by F
     # vanishes modulo x^N - 1
-    P = md._int_S.get((N, pk.width))
-    if P is None:
-        P = md._int_S[N, pk.width] = _each(iS, lambda p: pk.pack(p) * pk.PF % M)
+    hit = md._int_S.get((N, pk.width))
+    if hit is None:
+        P = iS.map(lambda p: pk.pack(p) * pk.PF % M).rows()
+        hit = md._int_S[N, pk.width] = (P, list(zip(*P)))
+    P, PT = hit
     for j in columns:
+        sz = [0] * n
+        for t, x in cols[j]:
+            sz = [v + x * y for v, y in zip(sz, PT[t])]
+        zs = [0] * n
+        for i, t, x in support:
+            zs[i] += x * P[t][j]
         for i in range(n):
-            v = sum(P[i][t] * x for t, x in cols[j]) - sum(x * P[t][j] for t, x in rows[i])
-            if v % M:
-                return False
-    return True
+            if (sz[i] - zs[i]) % M:
+                return i, j
+    return None
+
+
+def _galois_symmetric(act: GaloisAction, matrix, support) -> bool:
+    """Z_{pi a, pi b} = eps(a) eps(b) Z_ab for every generator, tested on
+    ``support``, the nonzeros of Z (exact: module docstring, ``s_commutes``)."""
+    return all(
+        matrix[perm[a]][perm[b]] == signs[a] * signs[b] * x
+        for _, perm, signs in act.gens
+        for a, b, x in support
+    )
 
 
 def _poly_mul(p: dict, q: dict, N: int) -> dict:
@@ -305,10 +361,11 @@ def _poly_mul(p: dict, q: dict, N: int) -> dict:
     return out
 
 
-def _square_permutation(pk: _Packing, P, den: int, orbits, orb):
+def _square_permutation(pk: _Packing, P, den: int, orbits, orb, U=None):
     """Permutation p with S^2 = den times the matrix of i -> p(i), else None.
 
-    P packs the rows of an integer form of S at pk's conductor N.  Entry
+    P packs the rows of an integer form of S at pk's conductor N, and U
+    packs them times F (read only without ``orbits``).  Entry
     (i, j) of S^2 is Sum_k S_ik S_kj.  With ``orbits`` (the Galois orbits of
     columns, given only for a certified symmetric S, whose rows then move
     like its columns) it is read as a Galois orbit sum: the constant of
@@ -333,7 +390,7 @@ def _square_permutation(pk: _Packing, P, den: int, orbits, orb):
             return [pk.constant(sum(map(mul, row, col))) for col in cols]
 
     else:
-        cols = list(zip(*_each(P, lambda x: x * pk.PF % M)))
+        cols = list(zip(*U))
         target = den
 
         def entries(i):
@@ -352,6 +409,17 @@ def _square_permutation(pk: _Packing, P, den: int, orbits, orb):
     return perm if sorted(perm) == list(range(n)) else None
 
 
+def _symmetric(U: _Entries) -> bool:
+    """U_ij == U_ji for all i < j, comparing values only where the two
+    positions hold different entry objects."""
+    vals, index = U
+    return all(
+        k == h or vals[k] == vals[h]
+        for i, (row, col) in enumerate(zip(index, zip(*index)))
+        for k, h in zip(row[i + 1:], col[i + 1:])
+    )
+
+
 def as_permutation(A):
     """Permutation p with A[i][p[i]] = 1 if A is a permutation matrix, else None."""
     perm = []
@@ -367,7 +435,8 @@ class ModularData:
     """Labelled (S, T) pair with a distinguished unit row."""
 
     __slots__ = (
-        "labels", "unit", "S", "T", "_fusion", "_charge", "_galois", "_currents", "_orbits", "_int_S"
+        "labels", "unit", "S", "T", "_fusion", "_charge", "_galois", "_currents", "_orbits", "_int_S",
+        "_entries", "_twists",
     )
 
     def __init__(self, labels, unit, S, T):
@@ -388,12 +457,14 @@ class ModularData:
                 if not isinstance(x, Cyclotomic):
                     where = f"T[{j}]" if i == len(self.S) else f"S[{i}][{j}]"
                     raise ValueError(f"{where} must be a Cyclotomic, not {x!r}")
+        self._entries = _Entries.of(self.S)
         self._fusion = None
         self._charge = None
         self._galois = None
         self._currents = None
         self._orbits = None
         self._int_S = {}
+        self._twists = None
 
     @property
     def dim(self) -> int:
@@ -403,20 +474,32 @@ class ModularData:
         return self.labels.index(label)
 
     def _integral_S(self, N: int = 0):
-        """(N, d, iS, norm): S = iS / d over zeta_N, norm the largest l1 norm
-        of an entry of iS.  N = 0 stands for the conductor of S.  Computed
-        once per order; callers must not mutate iS.  The same cache holds
-        ``s_commutes``' packed S F under the key (N, digit width)."""
+        """(N, d, iS, norm): S = iS / d over zeta_N, iS an ``_Entries`` of
+        integer polynomials (one per distinct entry object of S, sharing its
+        index), norm the largest l1 norm of an entry of iS.  N = 0 stands for
+        the conductor of S.  Computed once per order; callers must not mutate
+        iS.  The same cache holds ``_s_failure``'s packed S F under the key
+        (N, digit width)."""
         cache = self._int_S
         if not N:
             if 0 not in cache:
-                cache[0] = _conductor(self.S)
+                cache[0] = lcm(*(x.order for x in self._entries.values))
             N = cache[0]
         hit = cache.get(N)
         if hit is None:
-            d, iS = _integral(self.S, N)
-            hit = cache[N] = (N, d, iS, _norm(iS))
+            d, values = _integral_values(self._entries.values, N)
+            hit = cache[N] = (N, d, _Entries(values, self._entries.index), _norm([values]))
         return hit
+
+    def _twist_classes(self) -> tuple[int, ...]:
+        """One integer per primary, equal exactly where T is: the entries of T
+        are reduced modulo Phi_N over their conductor N, once per datum."""
+        if self._twists is None:
+            order = _conductor([self.T])
+            _, (iT,) = _integral([self.T], order)
+            keys: dict = {}
+            self._twists = tuple(keys.setdefault(tuple(_reduced(p, order)), len(keys)) for p in iT)
+        return self._twists
 
     def charge_conjugation(self):
         """Permutation c with S^2 the matrix of a -> c(a).
@@ -434,14 +517,14 @@ class ModularData:
             if act.certified:
                 bound = max(bound, base * sum(map(abs, ramanujan_sums(N))))
             pk = _Packing(N, bound)
-            P = _each(iS, pk.pack)
-            U = _each(P, lambda x: x * pk.PF % pk.M)
-            symmetric = all(U[i][j] == U[j][i] for i in range(n) for j in range(i + 1, n))
+            P = iS.map(pk.pack)
+            U = P.map(lambda x: x * pk.PF % pk.M)
+            symmetric = _symmetric(U)
             orbits = act.orbits if symmetric and act.certified else None
             orb = _current_orbits(self) if symmetric else None
             if not orbits:
                 check_work((len(orb.reps) if orb else n) * n * n, pk)
-            perm = _square_permutation(pk, P, den * den, orbits, orb)
+            perm = _square_permutation(pk, P.rows(), den * den, orbits, orb, U.rows())
             if perm is None:
                 raise ValueError("S^2 is not a permutation matrix")
             self._charge = tuple(perm)
@@ -527,7 +610,7 @@ def validate_modular(md: ModularData) -> list[str]:
     """
     report = []
     n = md.dim
-    N = _conductor(md.S, [md.T])
+    N = lcm(md._integral_S()[0], _conductor([md.T]))
     _, dS, iS, norm_S = md._integral_S(N)
     dT, (iT,) = _integral([md.T], N)
     t = max(_norm([iT]), dT)
@@ -536,10 +619,11 @@ def validate_modular(md: ModularData) -> list[str]:
     reduced = len(orb.reps) < n
     pk = _Packing(N, _rational_bound(N, max(n * norm_S**2, dS * norm_S, 1) * t * t))
     M, PF = pk.M, pk.PF
-    P = _each(iS, pk.pack)
-    U = _each(P, lambda x: x * PF % M)
+    Pe = iS.map(pk.pack)
+    Ue = Pe.map(lambda x: x * PF % M)
+    P, U = Pe.rows(), Ue.rows()
     PT = [pk.pack(p) for p in iT]
-    symmetric = all(U[i][j] == U[j][i] for i in range(n) for j in range(i + 1, n))
+    symmetric = _symmetric(Ue)
     u = md.unit
     balanced = (
         reduced
@@ -569,19 +653,21 @@ def validate_modular(md: ModularData) -> list[str]:
         # Galois orbit sums, in a packing of their own width
         R = ramanujan_sums(N)
         po = _Packing(N, n * norm_S**2 * sum(map(abs, R)))
-        Po = _each(iS, po.pack)
+        Po = iS.map(po.pack).rows()
         PR = po.pack(dict(enumerate(R)))
         ks = [o[0] for o in act.orbits]
         weights = [len(o) * PR % po.M for o in act.orbits]
         left = {i: [Po[i][k] * w % po.M for k, w in zip(ks, weights)] for i in unit_rows}
-        right = [[po.pack({-k % N: c for k, c in iS[j][k].items()}) for k in ks] for j in range(n)]
+        at_ks = [[row[k] for k in ks] for row in iS.index]
+        bar = {h: po.pack({-k % N: c for k, c in iS.values[h].items()}) for h in set(chain(*at_ks))}
+        right = [list(map(bar.__getitem__, row)) for row in at_ks]
         one = d2 * R[0]
 
         def orthonormal(i, j):
             return po.constant(sum(map(mul, left[i], right[j]))) == (one if i == j else 0)
 
     else:
-        Ubar = _each(iS, lambda p: pk.pack({-k % N: c for k, c in p.items()}) * PF % M)
+        Ubar = iS.map(lambda p: pk.pack({-k % N: c for k, c in p.items()}) * PF % M).rows()
 
         def orthonormal(i, j):
             return pk.rational(sum(map(mul, P[i], Ubar[j]))) == (d2 if i == j else 0)
@@ -596,7 +682,7 @@ def validate_modular(md: ModularData) -> list[str]:
     if symmetric and act.certified:
         perm = _square_permutation(po, Po, d2, act.orbits, orb)
     else:
-        perm = _square_permutation(pk, P, d2, None, orb if symmetric else None)
+        perm = _square_permutation(pk, P, d2, None, orb if symmetric else None, U)
     if perm is None:
         report.append("S^2 permutation")
     else:
@@ -615,12 +701,13 @@ def validate_modular(md: ModularData) -> list[str]:
         )
     else:
         check_work(work + 3 * n**3, pk)
+        rows = iS.rows()
         if perm is None:
-            S2 = _product(iS, iS, N)
+            S2 = _product(rows, rows, N)
         else:
             one, zero = [d2] + [0] * (N - 1), [0] * N
             S2 = [[one if j == perm[i] else zero for j in range(n)] for i in range(n)]
-        ST = [[_poly_mul(p, q, N) for p, q in zip(row, iT)] for row in iS]
+        ST = [[_poly_mul(p, q, N) for p, q in zip(row, iT)] for row in rows]
         ST3 = _product([[dict(enumerate(c)) for c in row] for row in _product(ST, ST, N)], ST, N)
         scale = dS * dT**3
         cube = all(
@@ -677,18 +764,19 @@ def _find_galois_action(md: ModularData) -> GaloisAction:
     """Decide sigma_g(S) column by column in one packing (module docstring).
 
     Each distinct entry p of S's integer form is packed times F once
-    (``_each``), and so is its image sigma_g(p) (exponent j -> g j mod N)
-    for each generator g.  A column's image is looked up among the columns and their negatives,
-    packed the same way: v F = w F modulo x^N - 1 exactly when v = w modulo
-    Phi_N, and sigma_g keeps l1 norms, so with ``bound`` ||S|| ||F||_1 the
-    difference of two compared values has digits below 2^(B-1) and the
-    lookup is exact, as in ``_find_simple_currents``.
+    (``_Entries.map``), and so is its image sigma_g(p) (exponent j -> g j
+    mod N) for each generator g.  A column's image is looked up among the
+    columns and their negatives, packed the same way: v F = w F modulo
+    x^N - 1 exactly when v = w modulo Phi_N, and sigma_g keeps l1 norms, so
+    with ``bound`` ||S|| ||F||_1 the difference of two compared values has
+    digits below 2^(B-1) and the lookup is exact, as in
+    ``_find_simple_currents``.
     """
     n = md.dim
     N, _, iS, norm = md._integral_S()
     pk = _Packing(N, norm * sum(map(abs, cyclotomic_cofactor(N))))
     M, PF = pk.M, pk.PF
-    cols = list(zip(*_each(iS, lambda p: pk.pack(p) * PF % M)))
+    cols = list(zip(*iS.map(lambda p: pk.pack(p) * PF % M).rows()))
     index = {}
     for k, u in enumerate(cols):
         index[u] = (k, 1)
@@ -696,8 +784,8 @@ def _find_galois_action(md: ModularData) -> GaloisAction:
     gens = []
     if len(index) == 2 * n:
         for g in _unit_generators(N):
-            image = _each(iS, lambda p: pk.pack({g * j % N: c for j, c in p.items()}) * PF % M)
-            hits = [index.get(u) for u in zip(*image)]
+            image = iS.map(lambda p: pk.pack({g * j % N: c for j, c in p.items()}) * PF % M)
+            hits = [index.get(u) for u in zip(*image.rows())]
             if None in hits:
                 gens = []
                 break
@@ -761,15 +849,18 @@ def verlinde(md: ModularData):
     n = md.dim
     N, dS, iS, norm_S = md._integral_S()
     unit_row = md.S[md.unit]
-    inverses: dict = {}
+    inverses: dict = {}  # reduced value -> its inverse
+    of_entry: dict = {}  # distinct entry of S -> its inverse
     inv0 = []
-    for k, p in enumerate(iS[md.unit]):
-        key = tuple(_reduced(p, N))
-        if not any(key):
-            raise ValueError("unit row of S has a zero entry")
-        if key not in inverses:
-            inverses[key] = unit_row[k].inverse()
-        inv0.append(inverses[key])
+    for k, h in enumerate(iS.index[md.unit]):
+        if h not in of_entry:
+            key = tuple(_reduced(iS.values[h], N))
+            if not any(key):
+                raise ValueError("unit row of S has a zero entry")
+            if key not in inverses:
+                inverses[key] = unit_row[k].inverse()
+            of_entry[h] = inverses[key]
+        inv0.append(of_entry[h])
     # each inverse keeps the order of its entry, which divides N
     dI, (iI,) = _integral([inv0], N)
     act = galois_action(md)
@@ -780,9 +871,9 @@ def verlinde(md: ModularData):
         bound = max(bound, base * sum(map(abs, R)))
     pk = _Packing(N, bound)
     M, PF = pk.M, pk.PF
-    P = _each(iS, pk.pack)
-    U = _each(P, lambda x: x * PF % M)
-    Ubar = _each(iS, lambda p: pk.pack({-k % N: c for k, c in p.items()}) * PF % M)
+    Pe = iS.map(pk.pack)
+    P, U = Pe.rows(), Pe.map(lambda x: x * PF % M).rows()
+    Ubar = iS.map(lambda p: pk.pack({-k % N: c for k, c in p.items()}) * PF % M).rows()
     row_of = {tuple(u): e for e, u in enumerate(U)}
     conj_row = [row_of.get(tuple(u)) for u in Ubar]
     direct = [c for c, e in enumerate(conj_row) if e is None]
@@ -829,12 +920,13 @@ def verlinde(md: ModularData):
                 m = [sym[e][a][b - a] for e in range(a)]
                 m += [sym[a][e][b - e] for e in range(a, b)] + sym[a][b]
                 row = [direct_sums[a][b][c] if e is None else m[e] for c, e in enumerate(conj_row)]
-            for c, r in enumerate(row):
-                if r is None:
-                    raise ValueError(f"fusion coefficient not rational at {(a, b, c)}")
-                if r % den or r < 0:
-                    raise ValueError(f"fusion coefficient {Fraction(r, den)} at {(a, b, c)}")
-            plane.append(tuple(r // den for r in row))
+            if None in row or min(row) < 0 or any(map(den.__rmod__, row)):  # r % den
+                for c, r in enumerate(row):  # the first failure, by its message
+                    if r is None:
+                        raise ValueError(f"fusion coefficient not rational at {(a, b, c)}")
+                    if r % den or r < 0:
+                        raise ValueError(f"fusion coefficient {Fraction(r, den)} at {(a, b, c)}")
+            plane.append(tuple(map(den.__rfloordiv__, row)))  # r // den
         out.append(tuple(plane))
     return tuple(out)
 
@@ -975,7 +1067,7 @@ def _find_simple_currents(md: ModularData):
     and d_T^2), so a difference has digits below 2^(B-1): 0 only if all are.
     """
     n, unit, labels = md.dim, md.unit, md.labels
-    m = lcm(2, _conductor(md.S, [md.T]))
+    m = lcm(2, md._integral_S()[0], _conductor([md.T]))
     _, _, iS, norm_S = md._integral_S(m)
     dT, (iT,) = _integral([md.T], m)
     unit_bar = {-k % m: c for k, c in iT[unit].items()}
@@ -984,7 +1076,7 @@ def _find_simple_currents(md: ModularData):
     pk = _Packing(m, bound * sum(map(abs, cyclotomic_cofactor(m))))
     M, PF, B = pk.M, pk.PF, pk.shift
 
-    U = [tuple(row) for row in _each(iS, lambda p: pk.pack(p) * PF % M)]
+    U = list(map(tuple, iS.map(lambda p: pk.pack(p) * PF % M).rows()))
     digits = {j: [] for j in range(n)}  # charge digits of the rows still candidates
     rotations: dict = {}  # one table per distinct unit-row value
     for k in range(n):
@@ -1046,10 +1138,7 @@ class ModularInvariant:
     __slots__ = ("matrix", "provenance")
 
     def __init__(self, matrix, provenance=None):
-        self.matrix = tuple(
-            tuple(as_integer(x, "invariant entries must be integers") for x in row)
-            for row in matrix
-        )
+        self.matrix = _integer_matrix(matrix)
         self.provenance = provenance or {}
 
     def __eq__(self, other):
@@ -1072,6 +1161,16 @@ class ModularInvariant:
         return {"matrix": [list(r) for r in self.matrix], "provenance": _json_prov(self.provenance)}
 
 
+def _integer_matrix(matrix) -> tuple[tuple[int, ...], ...]:
+    """The rows of matrix as tuples of ints; ValueError unless every entry is
+    integral (``as_integer``, so ``True`` is refused).  The entry types are
+    read once: rows of plain ints are kept as they are."""
+    rows = tuple(map(tuple, matrix))
+    if set(map(type, chain(*rows))) <= {int}:
+        return rows
+    return tuple(tuple(as_integer(x, "invariant entries must be integers") for x in row) for row in rows)
+
+
 def _json_prov(p):
     out = {}
     for k, v in p.items():
@@ -1087,38 +1186,70 @@ def _json_prov(p):
 def check_invariant(md: ModularData, matrix) -> tuple[bool, dict]:
     """Definition check: integrality, normalization, S/T commutation.
 
-    The report also carries the current-periodicity consequence as a
+    Each condition is decided exactly on the nonzero positions of Z, read
+    once: nonnegativity; T-commutation, Z_ab != 0 only where T_a = T_b, by
+    ``ModularData._twist_classes``; S-commutation by ``_s_failure``.  When
+    the check fails, ``report["witness"]`` names the first failing condition,
+    the first position found (row-major for the first three conditions, in
+    ``_s_failure``'s order for S) and the two values compared there.  When it
+    passes, the report also carries the current-periodicity consequence as a
     secondary entry.
     """
     n = md.dim
-    M = [[as_integer(x, "invariant entries must be integers") for x in row] for row in matrix]
+    M = _integer_matrix(matrix)
     if len(M) != n or any(len(r) != n for r in M):
         raise ValueError("matrix dimension mismatch")
-    report = {}
-    report["nonnegative"] = all(x >= 0 for row in M for x in row)
-    report["unit_normalized"] = M[md.unit][md.unit] == 1
-    report["T_commutes"] = all(
-        M[a][b] == 0 or md.T[a] == md.T[b] for a in range(n) for b in range(n)
-    )
-    report["S_commutes"] = s_commutes(md, M)
+    support = _support(M)
+    twist = md._twist_classes()
+    u = md.unit
+    negative = next(((a, b, x) for a, b, x in support if x < 0), None)
+    moved = next(((a, b) for a, b, _ in support if twist[a] != twist[b]), None)
+    s_fails = _s_failure(md, M, support)
+    report = {
+        "nonnegative": negative is None,
+        "unit_normalized": M[u][u] == 1,
+        "T_commutes": moved is None,
+        "S_commutes": s_fails is None,
+    }
     ok = all(report.values())
     if ok:
-        report["current_periodicity"] = _current_periodic(simple_currents(md), M)
+        report["current_periodicity"] = _current_periodic(simple_currents(md), M, support)
+    else:
+        if negative:
+            condition, (a, b, x) = "nonnegative", negative
+            values = (x, 0)
+        elif M[u][u] != 1:
+            condition, (a, b), values = "unit_normalized", (u, u), (M[u][u], 1)
+        elif moved:
+            condition, (a, b) = "T_commutes", moved
+            values = (md.T[a], md.T[b])
+        else:
+            condition, (a, b) = "S_commutes", s_fails
+            S, zero = md.S, Cyclotomic.zero()
+            values = (
+                sum((S[a][t] * M[t][b] for t in range(n) if M[t][b]), zero),
+                sum((M[a][t] * S[t][b] for t in range(n) if M[a][t]), zero),
+            )
+        report["witness"] = {"condition": condition, "position": (a, b), "values": values}
     return ok, report
 
 
-def _current_periodic(sc: SimpleCurrentStructure, M) -> bool:
+def _current_periodic(sc: SimpleCurrentStructure, M, support=None) -> bool:
     """True iff M[J a][J' b] = M[a][b] for all a, b and all currents J, J'
     with M[J][J'] != 0.
 
     The pairs (p, p') of permutations with M[p a][p' b] = M[a][b] form a
     group under composition, so only pairs outside the group generated by
-    the pairs already checked are tested, each over all entries until the
-    first failure.  A current's permutation sends the unit to the current
+    the pairs already checked are tested, each on the nonzero entries of M
+    (``support``, ``_support(M)`` by default) until the first failure.  That
+    is exact: (a, b) -> (p a, p' b) permutes the positions, so if it maps
+    each nonzero entry to an equal one, it maps the support onto itself and
+    zeros to zeros.  A current's permutation sends the unit to the current
     itself, so a pair is kept as the pair of current indices (j, j'), and
     p_k p_g is the current p_k(g).
     """
-    n = len(M)
+    if support is None:
+        support = _support(M)
     perm = {sc.label_index[jc]: p for jc, p in sc.action_table.items()}
     zero = sc.label_index[sc.group.zero()]
     span = {(zero, zero)}
@@ -1127,7 +1258,7 @@ def _current_periodic(sc: SimpleCurrentStructure, M) -> bool:
         for j2, p2 in perm.items():
             if M[j][j2] == 0 or (j, j2) in span:
                 continue
-            if any([M[p[a]][x] for x in p2] != M[a] for a in range(n)):
+            if any(M[p[a]][p2[b]] != x for a, b, x in support):
                 return False
             gens.append((j, j2))
             stack = list(span)
@@ -1159,9 +1290,7 @@ def _position_classes(md: ModularData):
     row-major order of their least position.
     """
     n = md.dim
-    order = _conductor([md.T])
-    _, (iT,) = _integral([md.T], order)
-    twist = [tuple(_reduced(p, order)) for p in iT]
+    twist = md._twist_classes()
     act = galois_action(md)
     gens = []
     if act.gens:
@@ -1205,20 +1334,21 @@ def _commutant_rows(md: ModularData, class_of, columns):
     n = md.dim
     N, _, iS, _ = md._integral_S()
     deg = len(cyclotomic_polynomial(N)) - 1
-    R = _each(iS, lambda p: _reduced(p, N)[:deg])
+    R = iS.map(lambda p: _reduced(p, N)[:deg]).rows()
+    in_row = [[] for _ in range(n)]  # (b, class) of the allowed positions (a, b), b increasing
+    in_col = [[] for _ in range(n)]  # (a, class) of the allowed positions (a, b), a increasing
+    for (a, b), v in sorted(class_of.items()):
+        in_row[a].append((b, v))
+        in_col[b].append((a, v))
     for i in range(n):
         for j in columns:
             terms = {}
-            for b in range(n):
-                v = class_of.get((b, j))
-                if v is not None:
-                    acc = terms.get(v)
-                    terms[v] = R[i][b] if acc is None else [x + y for x, y in zip(acc, R[i][b])]
-            for a in range(n):
-                v = class_of.get((i, a))
-                if v is not None:
-                    acc = terms.get(v, [0] * deg)
-                    terms[v] = [x - y for x, y in zip(acc, R[a][j])]
+            for b, v in in_col[j]:
+                acc = terms.get(v)
+                terms[v] = R[i][b] if acc is None else [x + y for x, y in zip(acc, R[i][b])]
+            for a, v in in_row[i]:
+                acc = terms.get(v, [0] * deg)
+                terms[v] = [x - y for x, y in zip(acc, R[a][j])]
             for k in range(deg):
                 row = {v: vec[k] for v, vec in terms.items() if vec[k]}
                 if row:

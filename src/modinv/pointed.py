@@ -317,13 +317,17 @@ def enum_z(q: QuadraticForm, require_isotropy: bool = True) -> list[ZParam]:
 
 
 def z_to_matrix(z: ZParam) -> ModularInvariant:
+    return ModularInvariant(_member_matrix(z), {"source": "z", "Z": z.Z.key()})
+
+
+def _member_matrix(z: ZParam) -> list[list[int]]:
     """0/1 invariant matrix: entry 1 exactly at the member pairs."""
     index = {g: i for i, g in enumerate(sorted(z.q.group.elements()))}
     M = [[0] * len(index) for _ in index]
     for member in z.Z.elements():
         g, h = z.split(member)
         M[index[g]][index[h]] = 1
-    return ModularInvariant(M, {"source": "z", "Z": z.Z.key()})
+    return M
 
 
 def dpm_to_z(q: QuadraticForm, dpm: DPMParam) -> ZParam:
@@ -340,8 +344,7 @@ def dpm_to_z(q: QuadraticForm, dpm: DPMParam) -> ZParam:
 
 
 def dpm_to_matrix(q: QuadraticForm, dpm: DPMParam) -> ModularInvariant:
-    m = z_to_matrix(dpm_to_z(q, dpm))
-    return ModularInvariant(m.matrix, {"source": "dpm"})
+    return ModularInvariant(_member_matrix(dpm_to_z(q, dpm)), {"source": "dpm"})
 
 
 def form_from_pointed(md: ModularData) -> QuadraticForm:

@@ -220,6 +220,17 @@ class Cyclotomic:
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_canon", None)
 
+    @staticmethod
+    def _trusted(order: int, terms: dict[int, Fraction]) -> "Cyclotomic":
+        """A value from terms already in normal form: ``Fraction`` coefficients,
+        none zero, exponents reduced modulo a checked order.  Results of the
+        ring operations are built so, without a second pass of ``__init__``."""
+        x = object.__new__(Cyclotomic)
+        object.__setattr__(x, "order", order)
+        object.__setattr__(x, "_terms", terms)
+        object.__setattr__(x, "_canon", None)
+        return x
+
     def __setattr__(self, *a):
         raise AttributeError("Cyclotomic values are immutable")
 
@@ -227,15 +238,16 @@ class Cyclotomic:
 
     @staticmethod
     def zero() -> "Cyclotomic":
-        return Cyclotomic(1, {})
+        return Cyclotomic._trusted(1, {})
 
     @staticmethod
     def one() -> "Cyclotomic":
-        return Cyclotomic(1, {0: Fraction(1)})
+        return Cyclotomic._trusted(1, {0: Fraction(1)})
 
     @staticmethod
     def from_rational(r) -> "Cyclotomic":
-        return Cyclotomic(1, {0: Fraction(r)})
+        r = Fraction(r)
+        return Cyclotomic._trusted(1, {0: r} if r else {})
 
     # -- canonical form ----------------------------------------------------
 
@@ -258,8 +270,9 @@ class Cyclotomic:
             return self
         if n % self.order != 0:
             raise ValueError(f"{n} is not a multiple of order {self.order}")
+        _check_order(n)
         step = n // self.order
-        return Cyclotomic(n, {k * step: c for k, c in self._terms.items()})
+        return Cyclotomic._trusted(n, {k * step: c for k, c in self._terms.items()})
 
     # -- ring operations ---------------------------------------------------
 
@@ -282,13 +295,13 @@ class Cyclotomic:
         a, b = self._common(other)
         terms = dict(a._terms)
         for k, c in b._terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
-        return Cyclotomic(a.order, terms)
+            terms[k] = terms[k] + c if k in terms else c
+        return Cyclotomic._trusted(a.order, {k: c for k, c in terms.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, {k: -c for k, c in self._terms.items()})
+        return Cyclotomic._trusted(self.order, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -307,13 +320,21 @@ class Cyclotomic:
         if len(a._terms) > len(b._terms):
             a, b = b, a
         n = a.order
+        if len(a._terms) == 1:
+            # a rotation of b's exponents, which stay distinct: no term cancels
+            ((k1, c1),) = a._terms.items()
+            if c1 == 1:
+                return Cyclotomic._trusted(n, {(k1 + k2) % n: c2 for k2, c2 in b._terms.items()})
+            if c1 == -1:
+                return Cyclotomic._trusted(n, {(k1 + k2) % n: -c2 for k2, c2 in b._terms.items()})
+            return Cyclotomic._trusted(n, {(k1 + k2) % n: c1 * c2 for k2, c2 in b._terms.items()})
         terms: dict[int, Fraction] = {}
         for k1, c1 in a._terms.items():
             for k2, c2 in b._terms.items():
                 k = (k1 + k2) % n
                 acc = terms.get(k)
                 terms[k] = c1 * c2 if acc is None else acc + c1 * c2
-        return Cyclotomic(n, terms)
+        return Cyclotomic._trusted(n, {k: c for k, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -341,12 +362,13 @@ class Cyclotomic:
 
     def conj(self) -> "Cyclotomic":
         """Complex conjugate: zeta^k -> zeta^-k."""
-        return Cyclotomic(self.order, {-k: c for k, c in self._terms.items()})
+        n = self.order
+        return Cyclotomic._trusted(n, {-k % n: c for k, c in self._terms.items()})
 
     def inverse(self) -> "Cyclotomic":
         if len(self._terms) == 1:
             ((k, c),) = self._terms.items()
-            return Cyclotomic(self.order, {-k: 1 / c})
+            return Cyclotomic._trusted(self.order, {-k % self.order: 1 / c})
         n = self.order
         canon = list(self.canonical())
         phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
@@ -474,7 +496,7 @@ def root_of_unity(N: int, k: int) -> Cyclotomic:
     if k == 0:
         return Cyclotomic.one()
     g = gcd(N, k)
-    return Cyclotomic(N // g, {k // g: Fraction(1)})
+    return Cyclotomic._trusted(N // g, {k // g: Fraction(1)})
 
 
 def rational_phase(r: Fraction) -> Cyclotomic:

@@ -19,6 +19,7 @@ from modinv import lattice
 from modinv.abelian import FinAbGroup, GuardError, Subgroup, dual_quotient
 from modinv.forms import (
     Pairing,
+    _cyclic_normal_form,
     QuadraticForm,
     forms_equivalent,
     gauss_sum,
@@ -500,7 +501,7 @@ def test_cofactor_screen_is_the_discriminant_normal_form(monkeypatch, N):
     normal form of the 1×1 dual Gram [[N·b]] on Z_N, which the search uses
     to reject candidates unbuilt, is the one the Smith pass gives."""
     monkeypatch.setattr(lattice, "TREE_SEARCH_BOUND", 300)
-    ((p, _),) = factorize(N).items()
+    ((p, k),) = factorize(N).items()
     cyclic = FinAbGroup((N,))
     screened = 0
     for r in range(1, 10):
@@ -510,8 +511,38 @@ def test_cofactor_screen_is_the_discriminant_normal_form(monkeypatch, N):
             L = Lattice(gram)
             closed = lattice._gram_normal_form(cyclic, [[N * b]])
             assert closed == lattice._dual_normal_form(L, *dual_quotient(gram, N))
+            assert _cyclic_normal_form(p, k, b) == closed
             screened += 1
     assert screened > 0
+
+
+def test_cyclic_normal_form_is_the_general_one():
+    """The screen's closed form against ``forms.normal_form`` (through
+    ``_gram_normal_form``) for every N = p^k <= 512 and every b prime to p
+    modulo 2N, and for b - 2N: equal keys and signatures, or both refuse an
+    odd b for odd p."""
+    checked = 0
+    for N in range(2, 513):
+        f = factorize(N)
+        if len(f) != 1:
+            continue
+        ((p, k),) = f.items()
+        cyclic = FinAbGroup((N,))
+        for b in range(1, 2 * N):
+            if b % p == 0:
+                continue
+            for c in (b, b - 2 * N):
+                if p > 2 and c % 2:
+                    with pytest.raises(ValueError):
+                        lattice._gram_normal_form(cyclic, [[N * c]])
+                    with pytest.raises(ValueError):
+                        _cyclic_normal_form(p, k, c)
+                    continue
+                general = lattice._gram_normal_form(cyclic, [[N * c]])
+                closed = _cyclic_normal_form(p, k, c)
+                assert (closed.key, closed.signature) == (general.key, general.signature)
+                checked += 1
+    assert checked > 40_000
 
 
 def test_realize_search_bound_guard(monkeypatch):

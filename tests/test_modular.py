@@ -4,6 +4,7 @@ import functools
 import os
 import subprocess
 import sys
+import random
 import re
 from fractions import Fraction
 from math import lcm
@@ -1950,3 +1951,294 @@ def test_paper_scale_in_a_fresh_process(code):
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", CLEAR + code], env=env, capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
+
+
+# -- invariants checked on their support, against the dense n^2 reference -------
+
+
+def reference_s_commutes(md, matrix):
+    """s_commutes as decided before it read the support of Z: the Galois test
+    over all n^2 positions, then every row of each checked column summed."""
+    n = md.dim
+    N = modular._conductor(md.S)
+    _, S = modular._integral(md.S, N)
+    zmax = max((abs(x) for row in matrix for x in row), default=0)
+    norm = modular._norm(S)
+    pk = modular._Packing(N, 2 * n * norm * zmax * sum(map(abs, cyclotomic_cofactor(N))))
+    P = [[pk.pack(p) * pk.PF % pk.M for p in row] for row in S]
+    rows = [[(t, x) for t, x in enumerate(r) if x] for r in matrix]
+    cols = [[(t, x) for t, x in enumerate(c) if x] for c in zip(*matrix)]
+    act = modular.galois_action(md)
+    columns = range(n)
+    if act.certified and all(
+        matrix[perm[a]][perm[b]] == signs[a] * signs[b] * matrix[a][b]
+        for _, perm, signs in act.gens
+        for a in range(n)
+        for b in range(n)
+    ):
+        columns = [o[0] for o in act.orbits]
+    return all(
+        (sum(P[i][t] * x for t, x in cols[j]) - sum(x * P[t][j] for t, x in rows[i])) % pk.M == 0
+        for j in columns
+        for i in range(n)
+    )
+
+
+def reference_check_invariant(md, matrix):
+    """check_invariant as it was before it read the support: every condition
+    over all n^2 positions, T compared as Cyclotomic values."""
+    n = md.dim
+    M = [[scalars.as_integer(x, "invariant entries must be integers") for x in row] for row in matrix]
+    if len(M) != n or any(len(r) != n for r in M):
+        raise ValueError("matrix dimension mismatch")
+    report = {
+        "nonnegative": all(x >= 0 for row in M for x in row),
+        "unit_normalized": M[md.unit][md.unit] == 1,
+        "T_commutes": all(M[a][b] == 0 or md.T[a] == md.T[b] for a in range(n) for b in range(n)),
+        "S_commutes": reference_s_commutes(md, M),
+    }
+    ok = all(report.values())
+    if ok:
+        report["current_periodicity"] = reference_periodicity(simple_currents(md), M)
+    return ok, report
+
+
+CONDITIONS = ["nonnegative", "unit_normalized", "T_commutes", "S_commutes"]
+
+
+def assert_matches_reference(md, M):
+    """check_invariant agrees with the reference, and a failure's witness holds."""
+    ok, report = check_invariant(md, M)
+    witness = report.pop("witness", None)
+    assert (ok, report) == reference_check_invariant(md, M)
+    if ok:
+        assert witness is None
+        return
+    first = next(c for c in CONDITIONS if not report[c])
+    assert witness["condition"] == first
+    (a, b), (left, right) = witness["position"], witness["values"]
+    n = md.dim
+    row_major = [(i, j) for i in range(n) for j in range(n)]
+    if first == "nonnegative":
+        assert (a, b) == next(p for p in row_major if M[p[0]][p[1]] < 0)
+        assert (left, right) == (M[a][b], 0)
+    elif first == "unit_normalized":
+        assert (a, b) == (md.unit, md.unit) and (left, right) == (M[a][b], 1)
+    elif first == "T_commutes":
+        assert (a, b) == next(p for p in row_major if M[p[0]][p[1]] and md.T[p[0]] != md.T[p[1]])
+        assert left == md.T[a] and right == md.T[b]
+    else:
+        sz = sum((md.S[a][t] * rat(M[t][b]) for t in range(n)), Cyclotomic.zero())
+        zs = sum((rat(M[a][t]) * md.S[t][b] for t in range(n)), Cyclotomic.zero())
+        assert left == sz and right == zs and sz != zs
+
+
+# the benchmark's data: the ty_center doubles and the pointed_enum Weil data
+BENCH_DATA = {
+    "ty-2^1_1": lambda: _double("2^1_1"),
+    "ty-2^1_1/-1": lambda: _double("2^1_1", -1),
+    "ty-3^1_+": lambda: _double("3^1_+"),
+    "ty-3^1_+/-1": lambda: _double("3^1_+", -1),
+    "ty-2^2_1": lambda: _double("2^2_1"),
+    "weil-3^1_+x3^1_+": lambda: _weil("3^1_+ x 3^1_+"),
+    "weil-3^1_+x3^1_-": lambda: _weil("3^1_+ x 3^1_-"),
+    "weil-2^2_1x2^1_1": lambda: _weil("2^2_1 x 2^1_1"),
+    "weil-2^2_1x2^1_3": lambda: _weil("2^2_1 x 2^1_3"),
+}
+
+
+@pytest.mark.parametrize("build", BENCH_DATA.values(), ids=BENCH_DATA.keys())
+def test_check_invariant_matches_dense_reference(build):
+    # every simple-current and brute-force invariant, and each with one entry
+    # changed at eight seeded positions
+    md = build()
+    n = md.dim
+    mats = enumerate_sc(md).matrix_set()
+    if n <= 15:
+        mats |= {z.matrix for z in brute_force_invariants(md)}
+    rng = random.Random(n)
+    for Z in sorted(mats):
+        assert_matches_reference(md, Z)
+        for _ in range(8):
+            M = [list(row) for row in Z]
+            M[rng.randrange(n)][rng.randrange(n)] += rng.choice([1, -1, 2])
+            assert_matches_reference(md, M)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BENCH_DATA)), st.data())
+def test_check_invariant_on_equal_twist_support(name, data):
+    # random nonnegative matrices supported where T_a = T_b
+    md = BENCH_DATA[name]()
+    n, T = md.dim, md.T
+    allowed = [(a, b) for a in range(n) for b in range(n) if T[a] == T[b]]
+    M = [[0] * n for _ in range(n)]
+    for a, b in data.draw(st.lists(st.sampled_from(allowed), max_size=2 * n)):
+        M[a][b] += data.draw(st.integers(1, 3))
+    if data.draw(st.booleans()):
+        M[md.unit][md.unit] = 1
+    assert_matches_reference(md, M)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BENCH_DATA)), st.data())
+def test_check_invariant_on_galois_symmetric_matrices(name, data):
+    # constant on the Galois orbits of positions (T-allowed, signs agreeing):
+    # the reduced S-commutation path, and mostly not commuting with S
+    md = BENCH_DATA[name]()
+    n = md.dim
+    classes, _ = modular._position_classes(md)
+    M = [[0] * n for _ in range(n)]
+    for cls in classes:
+        value = data.draw(st.integers(0, 2))
+        for a, b in cls:
+            M[a][b] = value
+    M[md.unit][md.unit] = 1
+    assert_matches_reference(md, M)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BENCH_DATA)), st.data())
+def test_check_invariant_with_negative_entries(name, data):
+    md = BENCH_DATA[name]()
+    n = md.dim
+    Z = sorted(enumerate_sc(md).matrix_set())[data.draw(st.integers(0, 1))]
+    M = [list(row) for row in Z]
+    for _ in range(data.draw(st.integers(1, 3))):
+        M[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] -= data.draw(st.integers(1, 2))
+    assert_matches_reference(md, M)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BENCH_DATA)), st.data())
+def test_check_invariant_on_sparse_matrices(name, data):
+    # any support, unit entry 1: T fails at several positions, S mostly too
+    md = BENCH_DATA[name]()
+    n = md.dim
+    M = [[0] * n for _ in range(n)]
+    for _ in range(data.draw(st.integers(0, 2 * n))):
+        M[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] = data.draw(st.integers(1, 2))
+    M[md.unit][md.unit] = 1
+    assert_matches_reference(md, M)
+
+
+def dense_galois_symmetric(act, Z):
+    n = len(Z)
+    return all(Z[p[a]][p[b]] == s[a] * s[b] * Z[a][b] for _, p, s in act.gens for a in range(n) for b in range(n))
+
+
+@pytest.mark.parametrize("build", BENCH_DATA.values(), ids=BENCH_DATA.keys())
+def test_galois_test_on_the_support_is_exact(build):
+    # against all n^2 positions: on the invariants, on matrices constant on the
+    # Galois orbits of positions, and on those with one entry changed (support kept)
+    md = build()
+    act = modular.galois_action(md)
+    assert act.gens
+    n = md.dim
+    classes, _ = modular._position_classes(md)
+    rng = random.Random(n)
+    mats = [list(map(list, Z)) for Z in sorted(enumerate_sc(md).matrix_set())]
+    for _ in range(10):
+        M = [[0] * n for _ in range(n)]
+        for cls in rng.sample(classes, min(len(classes), 4)):
+            for a, b in cls:
+                M[a][b] = rng.randrange(1, 3)
+        mats.append(M)
+    outcomes = set()
+    for Z in mats:
+        for M in [Z, [list(r) for r in Z], [list(r) for r in Z]]:
+            support = modular._support(M)
+            if M is not Z and support:
+                a, b, x = rng.choice(support)
+                M[a][b] = x + 1
+            expected = dense_galois_symmetric(act, M)
+            assert modular._galois_symmetric(act, M, modular._support(M)) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_witness_only_on_failure():
+    md = _double("2^1_1")
+    n = md.dim
+    ok, report = check_invariant(md, identity_matrix(n))
+    assert ok and set(report) == set(CONDITIONS) | {"current_periodicity"}
+    M = identity_matrix(n)
+    M[md.unit][md.unit] = 2
+    ok, report = check_invariant(md, M)
+    assert not ok and report["witness"] == {
+        "condition": "unit_normalized",
+        "position": (md.unit, md.unit),
+        "values": (2, 1),
+    }
+    assert "current_periodicity" not in report
+
+
+# -- S by its distinct entries, invariant entries, trusted Cyclotomic results ----
+
+
+@pytest.mark.parametrize("build", [lambda: _double("2^1_1"), lambda: _double("3^1_+", -1)], ids=["ty-2^1_1", "ty-3^1_+/-1"])
+def test_all_distinct_entries_give_the_same_results(build):
+    # from_json shares no entry object; every result is that of the built datum
+    md = build()
+    back = ModularData.from_json(md.to_json())
+    n = md.dim
+    assert len(back._entries.values) == n * n
+    assert len(md._entries.values) < n * n
+    assert validate_modular(back) == validate_modular(md) == []
+    assert back.fusion() == md.fusion()
+    assert modular.galois_action(back) == modular.galois_action(md)
+    assert current_fields(simple_currents(back)) == current_fields(simple_currents(md))
+    left, right = enumerate_sc(back), enumerate_sc(md)
+    assert left.matrix_set() == right.matrix_set()
+    assert [[p.J.key() for p in g] for g in left.collisions] == [[p.J.key() for p in g] for g in right.collisions]
+
+
+def test_entries_index_the_matrix():
+    md = _double("2^2_1")
+    E = md._entries
+    assert [[E.values[k] for k in row] for row in E.index] == [list(r) for r in md.S]
+    assert all(x is y for row, srow in zip(E.rows(), md.S) for x, y in zip(row, srow))
+    assert len(E.values) == len({id(x) for row in md.S for x in row}) == 55
+
+
+@pytest.mark.parametrize("entry", [True, 1.5, Fraction(1, 2)], ids=repr)
+def test_invariant_still_refuses(entry):
+    with pytest.raises(ValueError, match="invariant entries must be integers"):
+        ModularInvariant([[1, 0], [0, entry]])
+
+
+def test_invariant_accepts_integral_fraction():
+    z = ModularInvariant([[1, 0], [0, Fraction(2)]])
+    assert z.matrix == ((1, 0), (0, 2)) and type(z.matrix[1][1]) is int
+    rows = ((1, 0), (0, 1))
+    assert all(a is b for a, b in zip(ModularInvariant(rows).matrix, rows))  # int rows are kept
+
+
+def assert_normal(x):
+    """x's terms are those the public constructor gives, term for term."""
+    ref = Cyclotomic(x.order, dict(x.terms()))
+    assert list(x.terms()) == list(ref.terms())
+    assert all(type(c) is Fraction and c and 0 <= k < x.order for k, c in x.terms())
+
+
+small_cyclotomic = st.builds(
+    lambda order, terms: Cyclotomic(order, terms),
+    st.sampled_from([1, 2, 3, 4, 8, 12, 16, 24]),
+    st.dictionaries(st.integers(-30, 30), st.fractions(max_denominator=6).filter(bool), max_size=5),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_cyclotomic, small_cyclotomic, st.sampled_from([1, 2, 3, 5]))
+def test_trusted_results_are_normal(x, y, m):
+    for z in (x + y, x - y, x * y, -x, x.conj(), x.at_order(x.order * m), x - x, x + (-x), x * (y - y)):
+        assert_normal(z)
+    assert (x + y) - y == x and x.conj().conj() == x
+    for k in range(3):
+        u = root_of_unity(x.order * m, k)
+        assert_normal(u * x)
+        assert_normal(-u * x)
+        assert_normal(u.inverse())
+        assert_normal(x * (u * Fraction(3, 2)))
+    assert_normal(Cyclotomic.from_rational(Fraction(0)))
+    assert_normal(Cyclotomic.one() + Cyclotomic.zero())
