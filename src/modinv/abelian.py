@@ -6,12 +6,14 @@ tuple.  Elements are coordinate tuples reduced mod n_i.  Subgroups are stored
 by the row Hermite normal form of their coordinate lattice, which makes
 set-equality a syntactic check.
 
-A group read off a presentation matrix goes through
-``invariant_factor_group``: the Smith normal form with the unit factors
-dropped, in invariant-factor order, with both transforms.  The one exception
-is the dual quotient of a nonsingular square matrix (a lattice's
-discriminant group in ``lattice``): ``dual_quotient`` reads it off a Smith
-form modulo det², keeping only the column transform.  ``GuardError`` is
+Every group read off a presentation matrix comes from one Smith kernel,
+``smith_with_inverses``: a nonsingular square matrix reduced modulo a known
+multiple of its determinant, so no entry grows past that modulus.  Each
+caller knows one before it starts: ``invariant_factor_group`` (quotients,
+subgroups as groups, lattice quotients M/L) works modulo the determinant and
+keeps both transforms; ``dual_quotient`` (a lattice's discriminant group
+L*/L) works modulo det² and keeps the column transform only.  Kernels of
+congruences are lattices, read off one ``hermite_rows``.  ``GuardError`` is
 defined in ``scalars`` and re-exported here.
 """
 
@@ -35,7 +37,10 @@ def _integer_rows(rows, width: int, what: str) -> list[tuple[int, ...]]:
     """rows as tuples of ints of length width; ``ValueError`` naming what else."""
     message = f"{what} must be integers"
     try:
-        out = [tuple(as_integer(x, message) for x in row) for row in rows]
+        out = [tuple(row) for row in rows]
+        # plain ints, the common case, skip the per-entry conversion
+        if not {int}.issuperset(map(type, itertools.chain.from_iterable(out))):
+            out = [tuple(as_integer(x, message) for x in row) for row in out]
     except TypeError:
         raise ValueError(message) from None
     if any(len(row) != width for row in out):
@@ -54,137 +59,27 @@ def mat_mul_int(A, B):
     ]
 
 
-def smith_with_inverses(M):
-    """(P, Pinv, D, Q, Qinv) with P*M*Q = D and P*Pinv = Q*Qinv = identity."""
-    D = [list(map(int, row)) for row in M]
-    rows = len(D)
-    cols = len(D[0]) if rows else 0
-    P, Pinv = _identity(rows), _identity(rows)
-    Q, Qinv = _identity(cols), _identity(cols)
+def smith_with_inverses(M, m: int, inverse: bool = False):
+    """The Smith form of a square integer M modulo m, a multiple of |det M|.
 
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        P[i], P[j] = P[j], P[i]
-        for r in Pinv:
-            r[i], r[j] = r[j], r[i]
+    Row and column Euclid steps on entries reduced into [-m/2, m/2) (Cohen,
+    GTM 138, section 2.4.3; Domich, Kannan and Trotter, Math. Oper. Res. 12,
+    1987) until U·M·V = diag(w) (mod m), U and V unimodular.  Only V is
+    tracked, mod m.  As m·Z^n lies in the column span of M, the row map
+    x -> U·x carries Z^n / M Z^n onto the sum of the Z / d_t, d_t = gcd(w_t, m),
+    and d_t divides d_(t+1): the pivot of each step divides its trailing block.
 
-    def row_add(i, j, c):  # row i += c * row j
-        for k in range(cols):
-            D[i][k] += c * D[j][k]
-        for k in range(rows):
-            P[i][k] += c * P[j][k]
-        for r in Pinv:
-            r[j] -= c * r[i]
-
-    def row_neg(i):
-        for k in range(cols):
-            D[i][k] = -D[i][k]
-        for k in range(rows):
-            P[i][k] = -P[i][k]
-        for r in Pinv:
-            r[i] = -r[i]
-
-    def col_swap(i, j):
-        for r in D:
-            r[i], r[j] = r[j], r[i]
-        for r in Q:
-            r[i], r[j] = r[j], r[i]
-        Qinv[i], Qinv[j] = Qinv[j], Qinv[i]
-
-    def col_add(i, j, c):  # col i += c * col j
-        for r in D:
-            r[i] += c * r[j]
-        for r in Q:
-            r[i] += c * r[j]
-        for k in range(cols):
-            Qinv[j][k] -= c * Qinv[i][k]
-
-    t = 0
-    while t < min(rows, cols):
-        # locate smallest nonzero entry in the trailing block
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if D[i][j] and (pivot is None or abs(D[i][j]) < abs(D[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if D[i][t]:
-                    q = D[i][t] // D[t][t]
-                    row_add(i, t, -q)
-                    if D[i][t]:
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if D[t][j]:
-                    q = D[t][j] // D[t][t]
-                    col_add(j, t, -q)
-                    if D[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-            if not dirty:
-                # enforce divisibility of the remaining block by the pivot
-                d = D[t][t]
-                for i in range(t + 1, rows):
-                    if any(D[i][j] % d for j in range(t + 1, cols)):
-                        row_add(t, i, 1)
-                        dirty = True
-                        break
-        if D[t][t] < 0:
-            row_neg(t)
-        t += 1
-    return P, Pinv, D, Q, Qinv
-
-
-def invariant_factor_group(M):
-    """The group Z^rows / (column span of M) in invariant-factor form.
-
-    One Smith normal form P*M*Q = D (Cohen, GTM 138, sections 2.4-2.5); the
-    diagonal entries d > 1 are kept in decreasing order.  Returns
-    (G, to, frm, cols): the kept rows of P, which map Z^rows onto G's
-    coordinates; the kept columns of P^-1 and of Q, each as a matrix with
-    one column per factor of G.
+    Returns (pivots, Vt, Vi): the d_t, V's columns (as rows), and V⁻¹'s rows
+    when ``inverse`` is set (else None), the last two modulo m.
     """
-    P, Pinv, D, Q, _ = smith_with_inverses(M)
-    keep = [i for i in range(min(len(D), len(Q))) if D[i][i] > 1]
-    keep.reverse()  # invariant factors decreasing
-    G = FinAbGroup(tuple(D[i][i] for i in keep))
-    frm = [[row[i] for i in keep] for row in Pinv]
-    cols = [[row[i] for i in keep] for row in Q]
-    return G, [P[i] for i in keep], frm, cols
-
-
-def dual_quotient(M, det: int):
-    """The group Z^n / (column span of M) and dual generators, for a square M
-    with |det M| = det > 0.
-
-    A Smith form modulo m = det² (Cohen, GTM 138, section 2.4; Domich, Kannan
-    and Trotter, Math. Oper. Res. 12, 1987): row and column Euclid steps on
-    entries reduced into [-m/2, m/2), tracking only the column transform V
-    mod m, until U·M·V = diag(w) (mod m).  As det·Z^n lies in the column span,
-    the group is the sum of the Z / gcd(w_t, m).  The entries stay below m, so
-    the trailing block cannot blow up as in ``smith_with_inverses``.
-
-    Returns (G, cols) with G in invariant-factor form and cols one integer
-    column v_j per factor d_j, reduced into [0, d_j): M·v_j = 0 (mod d_j), and
-    g maps to the class of sum_j g_j M·v_j / d_j isomorphically onto
-    Z^n / M Z^n.  For M v_j = w_j U⁻¹e_j + m z, where m / d_j is a multiple of
-    det, so of the exponent, and w_j / d_j is a unit mod d_j: the class of
-    M v_j / d_j is a unit times that of U⁻¹e_j, the j-th generator.
-    """
-    if det < 1:
-        raise ValueError("det must be positive")
     n = len(M)
-    m = det * det
+    W = _integer_rows(M, n, "matrix entries")
+    if m < 1:
+        raise ValueError("the modulus must be a positive multiple of |det M|, so M nonsingular")
     h = m // 2
-    W = [[(x + h) % m - h for x in row] for row in M]
-    Vt = _identity(n)  # V's columns, as rows
+    W = [[(x + h) % m - h for x in row] for row in W]
+    Vt = _identity(n)
+    Vi = _identity(n) if inverse else None
     pivots = []
     for t in range(n):
         # the pivot: an entry of least absolute value in the trailing block,
@@ -196,6 +91,8 @@ def dual_quotient(M, det: int):
         for row in W:
             row[t], row[j] = row[j], row[t]
         Vt[t], Vt[j] = Vt[j], Vt[t]
+        if inverse:
+            Vi[t], Vi[j] = Vi[j], Vi[t]
         while p:
             done = True
             for i in range(t + 1, n):
@@ -211,10 +108,14 @@ def dual_quotient(M, det: int):
                     for row in W:
                         row[j] = (row[j] - c * row[t] + h) % m - h
                     Vt[j] = [(a - c * b) % m for a, b in zip(Vt[j], Vt[t])]
+                    if inverse:  # V⁻¹ gains c times row j in row t
+                        Vi[t] = [(a + c * b) % m for a, b in zip(Vi[t], Vi[j])]
                     if W[t][j]:
                         for row in W:
                             row[t], row[j] = row[j], row[t]
                         Vt[t], Vt[j] = Vt[j], Vt[t]
+                        if inverse:
+                            Vi[t], Vi[j] = Vi[j], Vi[t]
                         done = False
             if done:
                 # the pivot must divide the trailing block; else fold a row in
@@ -225,21 +126,64 @@ def dual_quotient(M, det: int):
                     break
                 W[t] = [(a + b + h) % m - h for a, b in zip(W[t], W[bad])]
         pivots.append(gcd(W[t][t], m))
+    return pivots, Vt, Vi
+
+
+def _factor_group(pivots, det: int):
+    """G from the pivots, and the pivot indices of its factors (decreasing)."""
     if prod(pivots) != det:
         raise ValueError(f"{det} is not the absolute determinant")
-    keep = [t for t in reversed(range(n)) if pivots[t] > 1]  # factors decreasing
-    G = FinAbGroup(tuple(pivots[t] for t in keep))
-    return G, [[Vt[t][r] % pivots[t] for t in keep] for r in range(n)]
+    keep = [t for t in reversed(range(len(pivots))) if pivots[t] > 1]
+    return FinAbGroup(tuple(pivots[t] for t in keep)), keep
 
 
-def _kernel_columns(A, width: int) -> list[list[int]]:
-    """Basis of the integer kernel of A from the SNF columns of Q past its rank.
+def invariant_factor_group(R, det: int):
+    """The group Z^n / (row span of R) in invariant-factor form, for a square
+    R with |det R| = det > 0.
 
-    Each vector is cut to its first ``width`` coordinates.
+    One ``smith_with_inverses`` of R modulo det: U·R·V = diag(w) (mod det)
+    makes x -> Vᵀ·x the map onto the factors.  Returns (G, to, frm): the
+    kept columns of V, as rows, which map Z^n onto G's coordinates, and the
+    kept rows of V⁻¹, as a matrix with one column per factor of G.
     """
-    _, _, D, Q, _ = smith_with_inverses(A)
-    rank = sum(1 for i in range(min(len(D), len(Q))) if D[i][i])
-    return [[Q[i][j] for i in range(width)] for j in range(rank, len(Q))]
+    pivots, Vt, Vi = smith_with_inverses(R, det, inverse=True)
+    G, keep = _factor_group(pivots, det)
+    return G, [Vt[t] for t in keep], [[Vi[t][r] for t in keep] for r in range(len(R))]
+
+
+def dual_quotient(M, det: int):
+    """The group Z^n / (column span of M) and dual generators, for a square M
+    with |det M| = det > 0.
+
+    ``smith_with_inverses`` modulo m = det², whose entries stay below m on any
+    basis; only V's columns are kept.  Returns (G, cols) with G in
+    invariant-factor form and cols one integer column v_j per factor d_j,
+    reduced into [0, d_j): M·v_j = 0 (mod d_j), and g maps to the class of
+    sum_j g_j M·v_j / d_j isomorphically onto Z^n / M Z^n.  For M v_j =
+    w_j U⁻¹e_j + m z, where m / d_j is a multiple of det, so of the exponent,
+    and w_j / d_j is a unit mod d_j: the class of M v_j / d_j is a unit times
+    that of U⁻¹e_j, the j-th generator.
+    """
+    if det < 1:
+        raise ValueError("det must be positive")
+    pivots, Vt, _ = smith_with_inverses(M, det * det)
+    G, keep = _factor_group(pivots, det)
+    return G, [[Vt[t][r] % pivots[t] for t in keep] for r in range(len(M))]
+
+
+def _kernel_rows(A, moduli, width: int) -> list[tuple[int, ...]]:
+    """The row HNF of {x in Z^width : A·x = 0 (mod moduli)}, one modulus per
+    row of A.
+
+    One ``hermite_rows`` of [Aᵀ | I] stacked on the rows moduli[a]·e_a, in
+    Z^(s + width), s = len(A): a row (0, x) lies in that lattice exactly when
+    x is in the kernel, so the rows with their pivot past column s, cut to
+    their last width entries, are the kernel's HNF.
+    """
+    s = len(A)
+    rows = [[A[a][i] for a in range(s)] + [int(i == j) for j in range(width)] for i in range(width)]
+    rows += [[moduli[a] if b == a else 0 for b in range(s + width)] for a in range(s)]
+    return [row[s:] for row in hermite_rows(rows, s + width)[s:]]
 
 
 def hermite_rows(rows: list[list[int]], width: int) -> tuple[tuple[int, ...], ...]:
@@ -368,12 +312,8 @@ class FinAbGroup:
 @lru_cache(maxsize=None)
 def _canonical_presentation_cached(factors: tuple[int, ...]):
     t = len(factors)
-    if t == 0:
-        return FinAbGroup(()), [], []
-    group, to_canon, from_canon, _ = invariant_factor_group(
-        [[factors[i] if i == j else 0 for j in range(t)] for i in range(t)]
-    )
-    return group, to_canon, from_canon
+    diagonal = [[factors[i] if i == j else 0 for j in range(t)] for i in range(t)]
+    return invariant_factor_group(diagonal, abs(prod(factors)))
 
 
 def canonical_presentation(factors):
@@ -565,14 +505,8 @@ def quotient(G: FinAbGroup, H: Subgroup):
     """(Q, projection Hom, coset representatives) for G/H."""
     if H.ambient != G:
         raise ValueError("subgroup of a different group")
-    t = G.rank
-    if t == 0:
-        Q = FinAbGroup(())
-        return Q, Hom(G, Q, []), [()]
-    # rows of H.lattice span the coset lattice; quotient coordinates come from
-    # the SNF row transform of its transpose
-    B = [[H.lattice[i][j] for i in range(t)] for j in range(t)]
-    Qgrp, to, _, _ = invariant_factor_group(B)
+    # rows of H.lattice span the coset lattice, of index |G| / |H|
+    Qgrp, to, _ = invariant_factor_group(H.lattice, G.order // H.order)
     proj = Hom(G, Qgrp, to, check=False)
     reps: dict[tuple, tuple] = {}
     for g in sorted(G.elements()):
@@ -657,19 +591,20 @@ class Hom:
 def congruence_kernel(G: FinAbGroup, rows, moduli) -> Subgroup:
     """{g in G : sum_i rows[a][i] g_i = 0 (mod moduli[a]) for all a}."""
     t = G.rank
-    s = len(rows)
-    if s == 0 or t == 0:
+    rows = _integer_rows(rows, t, "congruence coefficients")
+    moduli = [as_integer(e, "moduli must be integers") for e in moduli]
+    if len(moduli) != len(rows) or any(e < 1 for e in moduli):
+        raise ValueError("each row needs one modulus >= 1")
+    if not rows or t == 0:
         return full_subgroup(G)
-    for a in range(s):
-        for i in range(t):
-            if (G.factors[i] * rows[a][i]) % moduli[a]:
-                raise ValueError("condition not constant on cosets of the relations")
-    A = [[int(rows[a][i]) for i in range(t)] + [-moduli[a] if b == a else 0 for b in range(s)] for a in range(s)]
-    return Subgroup(G, _kernel_columns(A, t))
+    for row, e in zip(rows, moduli):
+        if any(n * x % e for n, x in zip(G.factors, row)):
+            raise ValueError("condition not constant on cosets of the relations")
+    return Subgroup(G, _kernel_rows(rows, moduli, t))
 
 
 def hom_kernel_image(f: Hom) -> tuple[Subgroup, Subgroup]:
-    ker = congruence_kernel(f.domain, [list(r) for r in f.matrix], list(f.codomain.factors))
+    ker = congruence_kernel(f.domain, f.matrix, f.codomain.factors)
     img = Subgroup(f.codomain, [f.apply(e) for e in f.domain.basis()])
     return ker, img
 
@@ -817,10 +752,7 @@ def abelian_structure(elements, op, identity):
                     new[v] = c[:i] + (c[i] + k,)
         reps.update(new)
     k = len(gens)
-    if k == 0:
-        return FinAbGroup(()), {identity: ()}
-    B = [[relations[r][a] for r in range(len(relations))] for a in range(k)]
-    G, to, _, _ = invariant_factor_group(B)
+    G, to, _ = invariant_factor_group(relations, prod(relations[a][a] for a in range(k)))
     coords = {}
     for e, c in reps.items():
         coords[e] = tuple(
@@ -839,18 +771,10 @@ def subgroup_group(H: Subgroup):
     t = G.rank
     gens = H.gens()
     k = len(gens)
-    if k == 0:
-        J = FinAbGroup(())
-        return J, (lambda y: G.zero()), (lambda g: ())
-    # relation lattice {c in Z^k : sum_a c_a gens[a] = 0 in G}
-    A = [
-        [gens[a][i] for a in range(k)]
-        + [-G.factors[i] if b == i else 0 for b in range(t)]
-        for i in range(t)
-    ]
-    rel = _kernel_columns(A, k)  # rows spanning the relation lattice
-    B = [[rel[r][a] for r in range(len(rel))] for a in range(k)]
-    J, sect_rows, frm, _ = invariant_factor_group(B)
+    # the relation lattice {c in Z^k : sum_a c_a gens[a] = 0 in G}, by its HNF
+    A = [[gens[a][i] for a in range(k)] for i in range(t)]
+    rel = _kernel_rows(A, G.factors, k)
+    J, sect_rows, frm = invariant_factor_group(rel, prod(rel[a][a] for a in range(k)))
 
     def embed(y):
         c = [sum(row[j] * y[j] for j in range(J.rank)) for row in frm]

@@ -36,16 +36,18 @@ the dual quotient's generators (``_dual_gram``), so ``realize`` builds no
 table of size |G|.
 
 The dual quotient L*/L of a Gram matrix comes from ``abelian.dual_quotient``,
-a Smith form modulo det², whose entries stay below det² on any basis.  Each
-``Lattice`` computes it at most once (``_dual_quotient``): the check that
-accepts a realized lattice and a later ``discriminant`` of it share one pass.
+the one Smith kernel of ``abelian`` run modulo det², and a lattice quotient
+M/L from ``abelian.invariant_factor_group``, the same kernel modulo the index
+[M : L] = sqrt(det L / det M).  Each ``Lattice`` computes its dual quotient at
+most once (``_dual_quotient``): the check that accepts a realized lattice and
+a later ``discriminant`` of it share one pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, count, product
-from math import lcm, prod
+from math import isqrt, lcm, prod
 
 from .abelian import (
     FinAbGroup,
@@ -623,8 +625,7 @@ def lattice_quotient(L: Lattice, M: Lattice, embed):
     """
     B = _check_embedding(L, M, embed)
     n = M.rank
-    Bt = [[B[r][c] for r in range(n)] for c in range(n)]
-    G, to, frm, _ = invariant_factor_group(Bt)
+    G, to, frm = invariant_factor_group(B, isqrt(L.det // M.det))
 
     def project(v):
         return tuple(

@@ -1,18 +1,23 @@
 """Group layer: SNF/HNF, subgroup lattice, quotients, homs, characters."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracle import all_subgroup_sets, close, cphase, group_elements, subgroup_closure
 from test_forms import descriptors_up_to
 
-from modinv import pointed
+from modinv import abelian, pointed
 from modinv.abelian import (
     Character,
     FinAbGroup,
@@ -39,56 +44,70 @@ from modinv.forms import indecomposable_form
 from modinv.scalars import factorize
 
 
-def snf_check(M):
-    P, Pinv, D, Q, Qinv = smith_with_inverses(M)
-    assert mat_mul_int(mat_mul_int(P, M), Q) == D
-    n, m = len(M), len(M[0])
-    assert mat_mul_int(P, Pinv) == [[int(i == j) for j in range(n)] for i in range(n)]
-    assert mat_mul_int(Q, Qinv) == [[int(i == j) for j in range(m)] for i in range(m)]
-    # round trip through the inverse transforms
-    assert mat_mul_int(mat_mul_int(Pinv, D), Qinv) == M
-    diag = [D[i][i] for i in range(min(n, m))]
+square_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+def inverse_check(Vt, Vi, m):
+    """V·V⁻¹ = I (mod m), V given by its columns and V⁻¹ by its rows."""
+    n = len(Vt)
     for i in range(n):
-        for j in range(m):
-            if i != j:
-                assert D[i][j] == 0
-    for a, b in zip(diag, diag[1:]):
-        assert a >= 0
-        if a:
-            assert b % a == 0
-        else:
-            assert b == 0
-    return diag
+        for j in range(n):
+            assert (sum(Vt[k][i] * Vi[k][j] for k in range(n)) - (i == j)) % m == 0
+
+
+def assert_presents(R, G, to, frm):
+    """to kills the rows of R and inverts frm on G's coordinates."""
+    assert len(to) == G.rank and len(frm) == len(R)
+    assert all(len(row) == G.rank for row in frm)
+    toR = mat_mul_int(to, [list(col) for col in zip(*R)])
+    assert all(x % d == 0 for row, d in zip(toR, G.factors) for x in row)
+    tofrm = mat_mul_int(to, frm)
+    for i, d in enumerate(G.factors):
+        for j in range(G.rank):
+            assert (tofrm[i][j] - (i == j)) % d == 0
 
 
 class TestSmith:
+    """The Smith kernel modulo a multiple m of |det M|."""
+
     def test_fixed_example(self):
-        _, _, D, _, _ = smith_with_inverses([[2, 4], [-2, 6]])
-        assert [D[0][0], D[1][1]] == [2, 10]
-        snf_check([[2, 4], [-2, 6]])
+        pivots, Vt, Vi = smith_with_inverses([[2, 4], [-2, 6]], 20, inverse=True)
+        assert pivots == [2, 10]
+        inverse_check(Vt, Vi, 20)
 
     def test_zero_matrix(self):
-        diag = snf_check([[0, 0], [0, 0]])
-        assert diag == [0, 0]
+        """A singular matrix has no positive multiple of its determinant."""
+        with pytest.raises(ValueError, match="nonsingular"):
+            smith_with_inverses([[0, 0], [0, 0]], 0)
 
     def test_rectangular(self):
-        snf_check([[6, 4, 2], [2, 8, 10]])
-        snf_check([[3], [6], [9]])
+        with pytest.raises(ValueError, match="rows of 2"):
+            smith_with_inverses([[6, 4, 2], [2, 8, 10]], 4)
+        with pytest.raises(ValueError, match="rows of 3"):
+            smith_with_inverses([[3], [6], [9]], 9)
 
     def test_diag_reorder(self):
-        diag = snf_check([[4, 0], [0, 6]])
-        assert diag == [2, 12]
+        pivots, _, _ = smith_with_inverses([[4, 0], [0, 6]], 24)
+        assert pivots == [2, 12]
+        assert invariant_factor_group([[4, 0], [0, 6]], 24)[0].factors == (12, 2)
 
-    @given(
-        st.lists(
-            st.lists(st.integers(-9, 9), min_size=1, max_size=4),
-            min_size=1,
-            max_size=4,
-        ).filter(lambda rows: len({len(r) for r in rows}) == 1)
-    )
+    @given(square_matrices, st.integers(1, 3))
     @settings(max_examples=120, deadline=None)
-    def test_random(self, M):
-        snf_check(M)
+    def test_random(self, M, k):
+        """Modulo any multiple k·|det M| the pivots form a divisibility chain
+        with product |det M|, and the transforms invert each other mod m."""
+        det = abs(_det(M))
+        assume(det != 0)
+        m = k * det
+        pivots, Vt, Vi = smith_with_inverses(M, m, inverse=True)
+        assert prod(pivots) == det
+        assert all(b % a == 0 for a, b in zip(pivots, pivots[1:]))
+        inverse_check(Vt, Vi, m)
+        assert smith_with_inverses(M, m)[:2] == (pivots, Vt)
 
 
 class TestInvariantFactorGroup:
@@ -102,20 +121,12 @@ class TestInvariantFactorGroup:
             if det == 0:
                 continue
             tried += 1
-            G, to, frm, cols = invariant_factor_group(M)
+            # the relations are M's columns, the rows of its transpose
+            Mt = [list(col) for col in zip(*M)]
+            G, to, frm = invariant_factor_group(Mt, abs(det))
             assert G.order == abs(det)
             assert all(a % b == 0 for a, b in zip(G.factors, G.factors[1:]))
-            assert len(to) == len(cols[0]) == G.rank
-            # to kills the column span of M and inverts frm on G's coordinates
-            toM = mat_mul_int(to, M)
-            assert all(x % d == 0 for row, d in zip(toM, G.factors) for x in row)
-            # M maps Q's kept column j into d_j Z^n
-            Mc = mat_mul_int(M, cols)
-            assert all(row[j] % d == 0 for row in Mc for j, d in enumerate(G.factors))
-            tofrm = mat_mul_int(to, frm)
-            for i, d in enumerate(G.factors):
-                for j in range(G.rank):
-                    assert (tofrm[i][j] - (i == j)) % d == 0
+            assert_presents(Mt, G, to, frm)
             # the Smith form modulo det² agrees; its classes M v_j / d_j, in
             # this form's coordinates, are the images of an isomorphism
             G2, cols2 = dual_quotient(M, abs(det))
@@ -125,17 +136,43 @@ class TestInvariantFactorGroup:
             assert Hom(G, G, mat_mul_int(to, classes)).is_bijective()
 
     def test_trivial_and_cyclic(self):
-        G, to, frm, cols = invariant_factor_group([[1, 0], [0, 1]])
+        G, to, frm = invariant_factor_group([[1, 0], [0, 1]], 1)
         assert G == FinAbGroup(()) and to == [] and frm == [[], []]
-        G, _, _, _ = invariant_factor_group([[2, 0], [0, 3]])
+        G, _, _ = invariant_factor_group([[2, 0], [0, 3]], 6)
         assert G.factors == (6,)
 
+    def test_rejects_a_wrong_determinant(self):
+        with pytest.raises(ValueError, match="determinant"):
+            invariant_factor_group([[2, 0], [0, 3]], 12)
 
-square_matrices = st.integers(1, 6).flatmap(
-    lambda n: st.lists(
-        st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
-    )
-)
+    def test_dense_6x6_in_a_fresh_process(self):
+        """A dense matrix the integer Smith form never finished: within 10 s,
+        presented by its columns, so to·M = 0 (mod the factor)."""
+        M = [
+            [2, 2, -4, -2, -9, -7],
+            [-6, -7, -9, -8, -9, 2],
+            [-1, -5, -4, -4, 7, -9],
+            [3, 9, -8, -2, -5, -8],
+            [-9, 2, -6, 0, 1, 6],
+            [-9, 0, 5, 8, -8, -1],
+        ]
+        assert _det(M) == -105260
+        Mt = [list(col) for col in zip(*M)]
+        code = (
+            "import json, sys; from modinv.abelian import invariant_factor_group; "
+            "G, to, frm = invariant_factor_group(json.loads(sys.argv[1]), 105260); "
+            "print(json.dumps([G.factors, to, frm]))"
+        )
+        src = str(Path(abelian.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(Mt)],
+            capture_output=True, text=True, timeout=10, check=True, env=env,
+        )
+        factors, to, frm = json.loads(out.stdout)
+        G = FinAbGroup(factors)
+        assert repr(G) == "Z105260"
+        assert_presents(Mt, G, to, frm)
 
 
 def determinantal_factors(M):
@@ -161,14 +198,17 @@ class TestDualQuotient:
     @given(square_matrices)
     @settings(max_examples=150, deadline=None)
     def test_factors_and_generators(self, M):
-        """The factors match the determinantal divisors (``invariant_factor_group``
-        is the reference in ``TestInvariantFactorGroup``, on matrices it reduces
-        without blowing up)."""
+        """The factors of both entry points to the Smith kernel match the
+        determinantal divisors, and ``invariant_factor_group``'s maps present
+        the group."""
         det = _det(M)
         assume(det != 0)
         n = len(M)
         G, cols = dual_quotient(M, abs(det))
         assert G.factors == determinantal_factors(M)
+        G2, to, frm = invariant_factor_group(M, abs(det))
+        assert G2 == G
+        assert_presents(M, G, to, frm)
         assert len(cols) == n and all(len(row) == G.rank for row in cols)
         assert all(0 <= row[j] < d for row in cols for j, d in enumerate(G.factors))
         # M v_j = 0 (mod d_j): v_j / d_j is a dual vector
@@ -575,18 +615,27 @@ class TestHom:
         assert set(img.elements()) == brute_img
 
 
+@st.composite
+def congruences(draw):
+    """A group of order at most 64 and up to three conditions, each constant
+    on cosets of its relations: coefficient i is a multiple of e / gcd(e, n_i)."""
+    G = draw(st.sampled_from(ORDER_64_GROUPS))
+    moduli = draw(st.lists(st.integers(1, 12), max_size=3))
+    rows = [
+        [draw(st.integers(-3, 3)) * (e // gcd(e, n)) for n in G.factors] for e in moduli
+    ]
+    return G, rows, moduli
+
+
 class TestCongruenceKernel:
-    @pytest.mark.parametrize(
-        "factors,rows,moduli",
-        [
-            ((4, 2), [[1, 1]], [2]),
-            ((6,), [[2]], [3]),
-            ((4, 4), [[1, 2], [2, 0]], [4, 4]),
-            ((9, 3), [[3, 3]], [9]),
-        ],
-    )
-    def test_matches_brute_force(self, factors, rows, moduli):
-        G = FinAbGroup(factors)
+    @given(congruences())
+    @example((FinAbGroup((4, 2)), [[1, 1]], [2]))
+    @example((FinAbGroup((6,)), [[2]], [3]))
+    @example((FinAbGroup((4, 4)), [[1, 2], [2, 0]], [4, 4]))
+    @example((FinAbGroup((9, 3)), [[3, 3]], [9]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, drawn):
+        G, rows, moduli = drawn
         K = congruence_kernel(G, rows, moduli)
         brute = {
             g
@@ -703,6 +752,14 @@ MALFORMED = {
     "character-short": (lambda: Character(FinAbGroup((4, 2)), [1]), "rows of 2"),
     "subgroup-long-generator": (lambda: Subgroup(Z4, [(1, 2, 3)]), "rows of 1"),
     "subgroup-non-integer": (lambda: Subgroup(Z4, [(1.5,)]), "integers"),
+    "kernel-short-row": (lambda: congruence_kernel(FinAbGroup((4, 2)), [[2]], [4]), "rows of 2"),
+    "kernel-few-moduli": (lambda: congruence_kernel(Z4, [[2], [1]], [4]), "one modulus"),
+    "kernel-zero-modulus": (lambda: congruence_kernel(Z4, [[2]], [0]), "one modulus"),
+    "kernel-non-integer": (lambda: congruence_kernel(Z4, [[0.5]], [2]), "integers"),
+    "dual-quotient-ragged": (lambda: dual_quotient([[1, 2], [3]], 1), "rows of 2"),
+    "dual-quotient-non-square": (lambda: dual_quotient([[1, 2, 3], [3, 4, 5]], 2), "rows of 2"),
+    "smith-ragged": (lambda: invariant_factor_group([[1, 2], [3, 4, 5]], 2), "rows of 2"),
+    "presentation-zero-factor": (lambda: canonical_presentation([0, 2]), "nonsingular"),
 }
 
 
