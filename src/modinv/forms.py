@@ -6,12 +6,19 @@ matrix mod den = gcd(exp left, exp right): n_i E_ij and E_ij m_j are
 integers, so E_ij lies in (1/gcd(n_i, m_j))Z.  A form keeps q(g) mod den =
 exp G for odd exp G and 2 exp G for even: with n = ord g, n^2 q(g) = q(ng) = 0
 and 2n q(g) = -b(ng, g) = 0, so q(g) lies in (1/n)Z for odd n, (1/2n)Z for
-even n.  ``Fraction`` appears only in the rational-table constructors,
-``phase``, ``Pairing.matrix`` and ``to_json``; ``Pairing.dot_table`` lifts
-the numerators to a multiple of den, to meet tables kept over another one
-(the simple-current charges of ``modular``).  The polarization convention
-is pair(g, h) = q(g) * q(h) * conj(q(g + h)), i.e. on exponents
-B(g, h) = q(g) + q(h) - q(g + h).
+even n.  ``Fraction`` appears only in the rational constructors
+(``Pairing(left, right, matrix)``, ``QuadraticForm(G, table)`` and the
+``from_json`` readers), ``phase``, ``Pairing.matrix``, ``to_json`` and the
+reprs; ``Pairing.dot_table`` lifts the numerators to a multiple of den, to
+meet tables kept over another one (the simple-current charges of
+``modular``).  The polarization convention is pair(g, h) = q(g) * q(h) *
+conj(q(g + h)), i.e. on exponents B(g, h) = q(g) + q(h) - q(g + h).
+
+A form keeps its table of |G| numerators.  Every form the package builds is
+given by its generator data, q(e_i) and B(e_i, e_j), to
+``QuadraticForm.from_generators``: O(rank^2) congruences, then ``_spell``,
+the one routine that writes a table from such data.  A user table
+(``QuadraticForm(G, table)``, ``from_json``) must equal its own spelling.
 
 A nondegenerate form has a Jordan normal form (``normal_form``, cached by
 ``QuadraticForm.normal_form``): its p-primary parts split into cyclic and
@@ -66,15 +73,6 @@ def _numerator(x, den: int, message: str) -> int:
     return k.numerator
 
 
-def _radix_sums(columns) -> list[int]:
-    """[sum_k columns[k][g_k] for g in G.elements()], given one column of n_k
-    values per factor n_k of G (``elements()`` runs in mixed-radix order)."""
-    out = [0]
-    for col in columns:
-        out = [a + c for a in out for c in col]
-    return out
-
-
 def form_denominator(G: FinAbGroup) -> int:
     """The common denominator of every quadratic form on G (module docstring)."""
     e = G.exponent
@@ -89,10 +87,7 @@ class Pairing:
     def __init__(self, left: FinAbGroup, right: FinAbGroup, matrix):
         """``matrix[i][j]`` is the rational exponent E_ij mod 1."""
         den = gcd(left.exponent, right.exponent)
-        num = [
-            [_numerator(matrix[i][j], den, _ENTRY_DENOMINATORS) for j in range(right.rank)]
-            for i in range(left.rank)
-        ]
+        num = [[_numerator(x, den, _ENTRY_DENOMINATORS) for x in row] for row in matrix]
         self._setup(left, right, num)
 
     @classmethod
@@ -103,12 +98,12 @@ class Pairing:
         return self
 
     def _setup(self, left, right, num):
+        if len(num) != left.rank or any(len(row) != right.rank for row in num):
+            raise ValueError("pairing matrix shape must be left rank x right rank")
         self.left = left
         self.right = right
         self.den = d = gcd(left.exponent, right.exponent)
-        self.num = tuple(
-            tuple(num[i][j] % d for j in range(right.rank)) for i in range(left.rank)
-        )
+        self.num = tuple(tuple(x % d for x in row) for row in num)
         for row, n in zip(self.num, left.factors):
             for x, m in zip(row, right.factors):
                 if (n * x) % d or (x * m) % d:
@@ -161,7 +156,8 @@ class Pairing:
         )
 
     def transpose(self) -> "Pairing":
-        return Pairing.from_numerators(self.right, self.left, tuple(zip(*self.num)))
+        num = [[row[j] for row in self.num] for j in range(self.right.rank)]
+        return Pairing.from_numerators(self.right, self.left, num)
 
     def conj(self) -> "Pairing":
         return Pairing.from_numerators(
@@ -231,8 +227,6 @@ class Pairing:
             ]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed pairing JSON: {exc!r}") from exc
-        if len(E) != left.rank or any(len(row) != right.rank for row in E):
-            raise ValueError("pairing matrix shape must be left rank x right rank")
         return Pairing(left, right, E)
 
 
@@ -266,6 +260,42 @@ def zero_pairing(left: FinAbGroup, right: FinAbGroup | None = None) -> Pairing:
     return Pairing.from_numerators(left, right, [[0] * right.rank for _ in range(left.rank)])
 
 
+def _generator_pairing(G: FinAbGroup, values, polar) -> Pairing:
+    """B = polar / exp G as a Pairing, once q(e_i) = values[i] / den and B make
+    q(x) = sum_i x_i^2 q(e_i) - sum_(i<j) x_i x_j B_ij a form on G polarized
+    by B: B a symmetric pairing, B_ii = -2 q(e_i) and n_i^2 q(e_i) = 0, so
+    q(x + n_k e_k) - q(x) = n_k^2 q(e_k) - n_k sum_j x_j B_kj = 0.  Else
+    ``ValueError`` names the first congruence that fails."""
+    if len(values) != G.rank:
+        raise ValueError("need one value and one pairing row per generator")
+    P = Pairing.from_numerators(G, G, polar)
+    if not P.is_symmetric():
+        raise ValueError("polarization is not symmetric")
+    d = form_denominator(G)
+    for i, (v, n) in enumerate(zip(values, G.factors)):
+        if (d // P.den * P.num[i][i] + 2 * v) % d:
+            raise ValueError(f"B(e_{i}, e_{i}) is not -2 q(e_{i})")
+        if n * n * v % d:
+            raise ValueError(f"q({n} e_{i}) is not 0")
+    return P
+
+
+def _spell(G: FinAbGroup, values, polar) -> list[int]:
+    """[q(g) for g in G.elements()] over den for the data of ``_generator_pairing``,
+    one axis at a time: setting coordinate k to x on a prefix adds
+    x (x q(e_k) + lin_k), where lin_k = -(den / exp G) sum_(i<k) B_ik x_i is
+    carried along with each prefix."""
+    d, t = form_denominator(G), G.rank
+    r = d // G.exponent
+    table, lins = [0], [[0] * t]
+    for k, n in enumerate(G.factors):
+        qk, Bk, steps = values[k], polar[k], range(n)
+        table = [v + x * (x * qk + lin[k]) for v, lin in zip(table, lins) for x in steps]
+        if k + 1 < t:
+            lins = [[a - r * x * b for a, b in zip(lin, Bk)] for lin in lins for x in steps]
+    return [v % d for v in table]
+
+
 class QuadraticForm:
     """q(g) = e^(2 pi i num[g] / den) on G, with den = ``form_denominator(G)``."""
 
@@ -273,59 +303,52 @@ class QuadraticForm:
     __slots__ = ("group", "den", "num", "_polar", "_normal", "_square")
 
     def __init__(self, group: FinAbGroup, table):
-        """``table`` maps each element of the group to q's rational exponent mod 1."""
-        den = form_denominator(group)
-        message = f"form values must lie in (1/{den})Z"
-        self._setup(group, {g: _numerator(v, den, message) for g, v in table.items()})
+        """``table`` maps each element of the group to q's rational exponent mod 1.
 
-    @classmethod
-    def from_numerators(cls, group: FinAbGroup, num) -> "QuadraticForm":
-        """The form with q(g) = num[g] / den, num any integer table."""
-        self = cls.__new__(cls)
-        self._setup(group, num)
-        return self
-
-    def _setup(self, group, num):
-        """Store num mod den; check it is a quadratic form with a bilinear polarization.
-
-        Biadditivity is checked only against the basis: B(g, e_i) = b(g, e_i)
-        for every g and i, where B(g, h) = q(g) + q(h) - q(g + h) and b is the
-        bilinear pairing with matrix B(e_i, e_j).  That gives B(g, h) = b(g, h)
-        for every pair by induction on h: B(g, 0) = q(0) = 0 = b(g, 0), and
-        expanding q(g + h + e_i) and q(h + e_i) with the basis identity gives
-        B(g, h + e_i) = B(g, h) + b(g, e_i).  So the O(rank |G|) check accepts
-        exactly the tables the all-pairs check does.
-
-        The checks run on the list of values in ``G.elements()`` order, where g
-        sits at index sum_k g_k stride_k (mixed radix): -g and g + e_i are
-        index lists, and b(g, e_i) a sum of one column per coordinate.
+        It must cover G with q(0) = 0 and q(-g) = q(g), B(e_i, e_j) = q(e_i) +
+        q(e_j) - q(e_i + e_j) must be a pairing b (``polarization``), and the
+        table must equal ``_spell`` of q(e_i) and b.  Every form polarized by b
+        does, as q(g + e_i) = q(g) + q(e_i) - b(g, e_i).  A table that does
+        meets ``_generator_pairing``'s congruences (B_ii = -2 q(e_i) by q(2 e_i)
+        or, for n_i = 2, by b; then n_i^2 q(e_i) = 0 by q(-e_i)), so it is such
+        a form: the O(|G|) check accepts what an all-pairs check does.
         """
-        G = self.group = group
         d = self.den = form_denominator(group)
-        num = self.num = {g: k % d for g, k in num.items()}
-        self._polar = None
-        self._normal = None
-        self._square = None
-        elems = G.elements()
+        message = f"form values must lie in (1/{d})Z"
+        num = self.num = {g: _numerator(v, d, message) % d for g, v in table.items()}
+        self.group, self._normal, self._square = group, None, None
+        elems = group.elements()
         vals = [num.get(g) for g in elems]
         if len(num) != len(elems) or None in vals:
             raise ValueError("table must cover the group exactly")
         if vals[0]:
             raise ValueError("q(0) must be 1")
-        n = G.factors
-        stride = [prod(n[k + 1 :]) for k in range(G.rank)]
-        index = [[x * s for x in range(nk)] for nk, s in zip(n, stride)]  # g_k's share
-        neg = _radix_sums([col[:1] + col[:0:-1] for col in index])  # -x mod n_k
-        if list(map(vals.__getitem__, neg)) != vals:
+        if any(num[group.neg(g)] != k for g, k in zip(elems, vals)):
             raise ValueError("q(-g) = q(g) fails")
-        pol = self.polarization()
-        r = d // pol.den
-        for i, si in enumerate(stride):
-            plus = _radix_sums(index[:i] + [index[i][1:] + index[i][:1]] + index[i + 1 :])
-            lin = _radix_sums([[x * r * row[i] for x in range(nk)] for nk, row in zip(n, pol.num)])
-            qe = vals[si]
-            if [(v + qe - l) % d for v, l in zip(vals, lin)] != list(map(vals.__getitem__, plus)):
-                raise ValueError("polarization is not biadditive")
+        basis, r = group.basis(), d // group.exponent
+        B = [[num[a] + num[b] - num[group.add(a, b)] for b in basis] for a in basis]
+        if any(x % r for row in B for x in row):
+            raise ValueError(_ENTRY_DENOMINATORS)
+        self._polar = Pairing.from_numerators(group, group, [[x // r for x in row] for row in B])
+        if _spell(group, *self.generators()) != vals:
+            raise ValueError("polarization is not biadditive")
+
+    @classmethod
+    def from_generators(cls, group: FinAbGroup, values, polar) -> "QuadraticForm":
+        """The form with q(e_i) = values[i] / den and polarization numerators
+        polar (over exp G, as ``polarization().num``): the O(rank^2)
+        congruences of ``_generator_pairing``, then the table by ``_spell``."""
+        self = cls.__new__(cls)
+        self.group, self.den = group, form_denominator(group)
+        self._polar = _generator_pairing(group, values, polar)
+        self._normal = self._square = None
+        self.num = dict(zip(group.elements(), _spell(group, values, self._polar.num)))
+        return self
+
+    def generators(self):
+        """(values, polar), the data ``from_generators`` takes: q(e_i) over den
+        and the numerators of ``polarization()``."""
+        return [self.num[e] for e in self.group.basis()], self.polarization().num
 
     def phase(self, g) -> Fraction:
         return Fraction(self.num[self.group.reduce(g)], self.den)
@@ -334,23 +357,14 @@ class QuadraticForm:
         return root_of_unity(self.den, self.num[self.group.reduce(g)])
 
     def polarization(self) -> Pairing:
-        """B(e_i, e_j) over den; it must halve to the pairing's den = exp G."""
-        if self._polar is None:
-            G, num = self.group, self.num
-            r = self.den // G.exponent
-            basis = G.basis()
-            B = [[num[ei] + num[ej] - num[G.add(ei, ej)] for ej in basis] for ei in basis]
-            if any(x % r for row in B for x in row):
-                raise ValueError(_ENTRY_DENOMINATORS)
-            self._polar = Pairing.from_numerators(G, G, [[x // r for x in row] for row in B])
+        """The pairing B(g, h) = q(g) + q(h) - q(g + h), over exp G."""
         return self._polar
 
     def normal_form(self) -> "NormalForm":
         """The Jordan normal form (``normal_form``) of q on the basis, computed
         once per form; ``ValueError`` when q is degenerate."""
         if self._normal is None:
-            G = self.group
-            self._normal = normal_form(G, [self.num[e] for e in G.basis()], self.polarization().num)
+            self._normal = normal_form(self.group, *self.generators())
         return self._normal
 
     def signature(self) -> int:
@@ -361,27 +375,36 @@ class QuadraticForm:
         return self.normal_form().signature
 
     def times_character(self, chi: Character) -> "QuadraticForm":
-        """Pointwise product with a character of order at most 2."""
+        """Pointwise product with a character of order at most 2: same polarization."""
         if chi.ambient != self.group:
             raise ValueError("character on the wrong group")
-        d = self.den
-        return QuadraticForm.from_numerators(
-            self.group, {g: k + int(chi.phase(g) * d) for g, k in self.num.items()}
-        )
+        G, (values, polar) = self.group, self.generators()
+        values = [v + int(chi.phase(e) * self.den) for v, e in zip(values, G.basis())]
+        return QuadraticForm.from_generators(G, values, polar)
+
+    def power(self, k: int) -> "QuadraticForm":
+        """g -> q(g)^k, with values k q(e_i) and polarization k B."""
+        values, polar = self.generators()
+        scaled = [[k * x for x in row] for row in polar]
+        return QuadraticForm.from_generators(self.group, [k * v for v in values], scaled)
 
     def conj(self) -> "QuadraticForm":
-        return QuadraticForm.from_numerators(self.group, {g: -k for g, k in self.num.items()})
+        return self.power(-1)
 
     def direct_sum(self, other: "QuadraticForm") -> "QuadraticForm":
-        """Orthogonal sum, renormalized to invariant-factor coordinates."""
+        """Orthogonal sum, renormalized to invariant-factor coordinates: each
+        generator of the product splits as (a, b), with q(a) + q(b) and
+        B1(a, a') + B2(b, b') as its generator data."""
         G, _, split = product_with_maps(self.group, other.group)
-        d = form_denominator(G)
-        ra, rb = d // self.den, d // other.den
-        num = {}
-        for g in G.elements():
-            a, b = split(g)
-            num[g] = ra * self.num[a] + rb * other.num[b]
-        return QuadraticForm.from_numerators(G, num)
+        d, e = form_denominator(G), G.exponent
+        parts = [split(g) for g in G.basis()]
+        P, Q = self.polarization(), other.polarization()
+        values = [d // self.den * self.num[a] + d // other.den * other.num[b] for a, b in parts]
+        polar = [
+            [e // P.den * P.dot(a, x) + e // Q.den * Q.dot(b, y) for x, y in parts]
+            for a, b in parts
+        ]
+        return QuadraticForm.from_generators(G, values, polar)
 
     def key(self):
         return (self.group.factors, tuple(sorted(self.num.items())))
@@ -421,26 +444,12 @@ def forms_for_pairing(gamma: Pairing) -> list[QuadraticForm]:
         raise ValueError("need a symmetric pairing on a single group")
     if not gamma.is_nondegenerate():
         raise ValueError("need a nondegenerate pairing")
-    G = gamma.left
-    n = G.factors
-    E, t = gamma.num, G.rank
+    G, E = gamma.left, gamma.num
     d = form_denominator(G)
     r = d // gamma.den
-    diag = [E[i][i] * r * (ni - 1) // 2 if ni % 2 else -E[i][i] for i, ni in enumerate(n)]
-    cross = [(i, j, r * E[i][j]) for i in range(t) for j in range(i + 1, t)]
-    base = {
-        g: sum(x * x * c for x, c in zip(g, diag)) - sum(g[i] * g[j] * c for i, j, c in cross)
-        for g in G.elements()
-    }
-    out = []
-    two_torsion = [i for i, ni in enumerate(n) if ni % 2 == 0]
-    for bits in itertools.product((0, 1), repeat=len(two_torsion)):
-        chosen = [i for b, i in zip(bits, two_torsion) if b]
-        out.append(
-            QuadraticForm.from_numerators(
-                G, {g: v + d // 2 * sum(g[i] for i in chosen) for g, v in base.items()}
-            )
-        )
+    base = [E[i][i] * r * (n - 1) // 2 if n % 2 else -E[i][i] for i, n in enumerate(G.factors)]
+    flips = itertools.product(*[(0, d // 2) if n % 2 == 0 else (0,) for n in G.factors])
+    out = [QuadraticForm.from_generators(G, [v + f for v, f in zip(base, fs)], E) for fs in flips]
     out.sort(key=lambda q: q.key())
     return out
 
@@ -562,20 +571,22 @@ def _tabulate(p: int, k: int, sub):
     else:
         root = Cyclotomic.one() if N % 4 == 1 else -root_of_unity(4, 1)
     x3 = root if root == root_of_unity(8, -_block_signature(p, k, sub)) else root * -1
+    return QuadraticForm.from_generators(*_block_generators(p, k, sub)), x3
+
+
+def _block_generators(p: int, k: int, sub):
+    """(G, values, polar) of one parsed indecomposable descriptor, as
+    ``QuadraticForm.from_generators`` takes them.  With N = p^k: 2xy and
+    2(x^2 + xy + y^2) over 2N on Z_N^2 for 2^k2^k_i and _ii, sub x^2 over 2N
+    for 2^k_m, and m x^2 over N for p^k_s, m = 1 or the least non-residue."""
+    N = p**k
     if sub in ("i", "ii"):
-        G = FinAbGroup((N, N))  # N = 2^k, so den = 2N
-        if sub == "i":
-            num = {g: 2 * g[0] * g[1] for g in G.elements()}
-        else:
-            num = {g: 2 * (g[0] * g[0] + g[0] * g[1] + g[1] * g[1]) for g in G.elements()}
-        return QuadraticForm.from_numerators(G, num), x3
-    G = FinAbGroup((N,))
+        a = 2 if sub == "ii" else 0
+        return FinAbGroup((N, N)), [a, a], [[-a, -1], [-1, -a]]
     if p == 2:
-        num = {g: sub * g[0] * g[0] for g in G.elements()}  # over den = 2N
-        return QuadraticForm.from_numerators(G, num), x3
+        return FinAbGroup((N,)), [sub], [[-sub]]
     m = 1 if sub == 1 else next(a for a in range(2, p) if legendre(a, p) == -1)
-    num = {g: m * g[0] * g[0] for g in G.elements()}  # over den = N
-    return QuadraticForm.from_numerators(G, num), x3
+    return FinAbGroup((N,)), [m], [[-2 * m]]
 
 
 def indecomposable_form(descriptor: str):
@@ -680,9 +691,8 @@ def _p_blocks(p: int, orders, B, Q):
 
 
 def _jordan_blocks(G: FinAbGroup, values, polar):
-    """(p, k, sub) for every Jordan block of the form; see ``normal_form``."""
-    if len(values) != G.rank or len(polar) != G.rank or any(len(r) != G.rank for r in polar):
-        raise ValueError("need one value and one pairing row per generator")
+    """(p, k, sub) for every Jordan block of data that pass
+    ``_generator_pairing`` (so every division by rest is exact)."""
     blocks, per_factor = [], [factorize(n) for n in G.factors]
     for p, K in per_factor[0].items() if per_factor else ():  # n_1 = exp G
         rest = G.exponent // p**K
@@ -691,8 +701,6 @@ def _jordan_blocks(G: FinAbGroup, values, polar):
         # b(f_i, f_j) = -c_i c_j polar_ij / (p^K rest), of order dividing p^K
         B = [[-ci * cj * polar[i][j] for j, cj in enumerate(c)] for i, ci in enumerate(c)]
         Q = [ci * ci * values[i] for i, ci in enumerate(c)] if p == 2 else []  # over 2^(K+1) rest
-        if any(x % rest for row in B for x in row) or any(x % rest for x in Q):
-            raise ValueError("form values or pairing do not match the group")
         B = [[x // rest for x in row] for row in B]
         blocks += [(p, k, sub) for k, sub in _p_blocks(p, a, B, [x // rest for x in Q])]
     return blocks
@@ -832,7 +840,9 @@ def normal_form(G: FinAbGroup, values, polar) -> NormalForm:
     values[i] = q(e_i) over ``form_denominator(G)`` and polar the numerators
     of ``polarization()`` (over exp G).  Linear algebra of size rank G: the
     p-primary parts split off, and each is decomposed by ``_p_blocks``.
-    ``ValueError`` when the form is degenerate."""
+    ``ValueError`` when the data fail ``_generator_pairing``'s congruences or
+    the form is degenerate."""
+    _generator_pairing(G, values, polar)
     return NormalForm(_jordan_blocks(G, values, polar))
 
 

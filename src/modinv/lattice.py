@@ -33,7 +33,9 @@ candidate is built and checked in full.  The pair types 2^k2^k_i/ii glue
 scaled copies of Z to the lattice found for 2^k_-1 or 2^k_-3, within rank 16.
 Every check compares normal forms computed from R = N·gram·Nᵀ, the Gram of
 the dual quotient's generators (``_dual_gram``), so ``realize`` builds no
-table of size |G|.
+table of size |G|.  ``discriminant`` passes the same generator data, q(x_j)
+and the polarization read off R (``_gram_generators``), to
+``forms.QuadraticForm.from_generators``, which spells the table.
 
 The dual quotient L*/L of a Gram matrix comes from ``abelian.dual_quotient``,
 the one Smith kernel of ``abelian`` run modulo det², and a lattice quotient
@@ -258,16 +260,10 @@ def _dual_gram(L: Lattice, G, cols) -> list[list[int]]:
 
 def _dual_form(L: Lattice, G, cols) -> QuadraticForm:
     """The discriminant form on G in the coordinates of ``dual_quotient``'s
-    cols, from ``_dual_gram``.  Over den = ``form_denominator(G)``, the
-    numerator gᵀRg·den / 2e² must be an integer."""
+    cols, from the generator data of ``_dual_gram``."""
     if G.order > DISCRIMINANT_GUARD:
         raise GuardError(f"discriminant order {G.order} exceeds guard")
-    den = form_denominator(G)
-    scale = 2 * G.exponent**2 // den  # den is e or 2e
-    values = _quadratic_values(_dual_gram(L, G, cols), G.factors)
-    if any(x % scale for x in values):
-        raise ValueError(f"form values must lie in (1/{den})Z")
-    return QuadraticForm.from_numerators(G, dict(zip(G.elements(), (x // scale for x in values))))
+    return QuadraticForm.from_generators(G, *_gram_generators(G, _dual_gram(L, G, cols)))
 
 
 def _dual_normal_form(L: Lattice, G, cols) -> NormalForm:
@@ -277,28 +273,20 @@ def _dual_normal_form(L: Lattice, G, cols) -> NormalForm:
 
 
 def _gram_normal_form(G, R) -> NormalForm:
-    """``forms.normal_form`` of q(g) = gᵀRg / 2e² mod 1 on G (e = exp G), from
-    the diagonal of R (q at the generators) and its entries over e (the
-    polarization, whose sign convention is -b): no table of the group."""
+    """``forms.normal_form`` of q(g) = gᵀRg / 2e² mod 1 on G: no table of the group."""
+    return normal_form(G, *_gram_generators(G, R))
+
+
+def _gram_generators(G, R):
+    """(values, polar) of q(g) = gᵀRg / 2e² mod 1 on G (e = exp G), as
+    ``QuadraticForm.from_generators`` and ``forms.normal_form`` take them: q at
+    the generators from the diagonal of R, and the polarization from its
+    entries over e (whose sign convention is -b)."""
     e = G.exponent
     scale = 2 * e * e // form_denominator(G)
     if any(R[i][i] % scale for i in range(G.rank)) or any(x % e for row in R for x in row):
         raise ValueError("the dual Gram does not give a form on the dual quotient")
-    values = [R[i][i] // scale for i in range(G.rank)]
-    return normal_form(G, values, [[-x // e for x in row] for row in R])
-
-
-def _quadratic_values(R, factors) -> list[int]:
-    """[gᵀRg for g in FinAbGroup(factors).elements()], R symmetric, one axis at
-    a time: adding coordinate k = x to a prefix adds x·(R_kk·x + lin_k), where
-    lin_k = 2 sum_(i < k) R_ik g_i is carried along with each prefix."""
-    values, lins = [0], [[0] * len(factors)]
-    for k, n in enumerate(factors):
-        Rk, steps = R[k], range(n)
-        values = [v + x * (Rk[k] * x + lin[k]) for v, lin in zip(values, lins) for x in steps]
-        if k + 1 < len(factors):
-            lins = [[a + 2 * x * r for a, r in zip(lin, Rk)] for lin in lins for x in steps]
-    return values
+    return [R[i][i] // scale for i in range(G.rank)], [[-x // e for x in row] for row in R]
 
 
 # -- gluing ----------------------------------------------------------------------

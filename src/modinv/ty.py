@@ -25,8 +25,8 @@ from .forms import (
     AlternatingPairing,
     Pairing,
     QuadraticForm,
+    _block_generators,
     _parse_descriptor,
-    _tabulate,
     forms_for_pairing,
     gauss_sum,
     standard_pairing,
@@ -341,8 +341,8 @@ def shifted_pair_sum_closed(descriptor: str, a: int) -> Cyclotomic:
     p, k, sub, n = _parse_descriptor(descriptor)
     if sub in ("i", "ii"):
         raise ValueError("descriptor is not a single cyclic factor")
-    q, _ = _tabulate(p, k, sub)
-    P = q.polarization()
+    G, _, polar = _block_generators(p, k, sub)
+    P = Pairing.from_numerators(G, G, polar)
     a = as_integer(a, "shift must be an integer") % n
     if p % 2 == 1:
         inv2 = pow(2, -1, n)
@@ -574,7 +574,7 @@ def ty_equiv(data: TYData):
             return P.eval(la[1], la[1]) * Fraction(la[2], 2)
 
     else:
-        doubled = QuadraticForm.from_numerators(G, {g: P.dot(g, g) for g in G.elements()})
+        doubled = q.power(-2)  # g -> b(g, g)
         gs2, _, sig2 = gauss_sum(doubled)
         pref = (PointedData(q).x ** 3) * gs2 * lam * data.sign
 
@@ -705,7 +705,7 @@ def equiv_invariant(data: TYData, q: QuadraticForm, H: Subgroup, psi=None) -> Mo
         raise ValueError("transport needs a group of odd order")
     if q.polarization().key() != data.pairing.key():
         raise ValueError("form does not polarize to the datum's pairing")
-    doubled = QuadraticForm.from_numerators(G, {g: -2 * k for g, k in q.num.items()})
+    doubled = q.power(-2)
     md_w = weil(doubled)
     sc = simple_currents(md_w)
     row_of = {g: k for k, g in enumerate(md_w.labels)}

@@ -18,6 +18,7 @@ from modinv.abelian import (
     GuardError,
     Subgroup,
     automorphisms,
+    product_with_maps,
     dual_characters,
     full_subgroup,
     subgroup_group,
@@ -70,6 +71,22 @@ class TestPairing:
         p = standard_pairing(FinAbGroup(()))
         assert p.matrix == ()
         assert p.is_nondegenerate()
+        trivial, Z3 = FinAbGroup(()), FinAbGroup((3,))
+        assert zero_pairing(trivial, Z3).transpose() == zero_pairing(Z3, trivial)
+
+    @pytest.mark.parametrize("matrix", [[[1, 2]], [[1], [2]], [], [[]]])
+    def test_shape_is_checked(self, matrix):
+        """Too few or too many rows or columns, in every constructor."""
+        Z3 = FinAbGroup((3,))
+        rational = [[F(x, 3) for x in row] for row in matrix]
+        for build in (
+            lambda: Pairing(Z3, Z3, rational),
+            lambda: Pairing.from_numerators(Z3, Z3, matrix),
+            lambda: AlternatingPairing(Z3, rational),
+            lambda: AlternatingPairing.from_numerators(Z3, Z3, matrix),
+        ):
+            with pytest.raises(ValueError, match="shape must be left rank x right rank"):
+                build()
 
     def test_well_definedness_rejected(self):
         G = FinAbGroup((2,))
@@ -257,12 +274,8 @@ class TestQuadraticForm:
         ],
     )
     def test_both_constructors_check(self, factors, table, match):
-        G = FinAbGroup(factors)
-        d = 2 * G.exponent if G.exponent % 2 == 0 else G.exponent
         with pytest.raises(ValueError, match=match):
-            QuadraticForm(G, table)
-        with pytest.raises(ValueError, match=match):
-            QuadraticForm.from_numerators(G, {g: int(v * d) for g, v in table.items()})
+            QuadraticForm(FinAbGroup(factors), table)
 
     def test_pairing_constructors_check(self):
         G, H = FinAbGroup((4, 2)), FinAbGroup((4,))
@@ -777,9 +790,15 @@ def all_pairs_accepts(G, table) -> bool:
     )
 
 
+def from_numerators(G, num):
+    """QuadraticForm(G, table) for the table num[g] / den."""
+    d = form_denominator(G)
+    return QuadraticForm(G, {g: F(k, d) for g, k in num.items()})
+
+
 def reference_setup(G, num):
-    """``QuadraticForm._setup``'s four checks element by element, with tuple
-    ``G.add`` and ``G.neg``: the reference for its index-space version."""
+    """The four checks of ``QuadraticForm(G, table)`` element by element, with
+    tuple ``G.add`` and ``G.neg``: the reference for its check against ``_spell``."""
     d = form_denominator(G)
     num = {g: k % d for g, k in num.items()}
     elems = G.elements()
@@ -855,7 +874,7 @@ class TestSetupInIndexSpace:
     @settings(max_examples=400, deadline=None)
     def test_matches_element_wise_reference(self, case):
         G, num = case
-        assert outcome(QuadraticForm.from_numerators, G, num) == outcome(reference_setup, G, num)
+        assert outcome(from_numerators, G, num) == outcome(reference_setup, G, num)
 
     @pytest.mark.parametrize("factors", RANK_1_TO_3)
     def test_every_single_value_corruption(self, factors):
@@ -868,7 +887,7 @@ class TestSetupInIndexSpace:
                 num = dict(q.num)
                 num[g] += delta
                 expected = outcome(reference_setup, G, num)
-                assert outcome(QuadraticForm.from_numerators, G, num) == expected
+                assert outcome(from_numerators, G, num) == expected
 
 
 class TestProperties:
@@ -894,7 +913,8 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     def test_integer_representation(self, q):
         G = q.group
-        assert QuadraticForm.from_numerators(G, q.num) == q
+        assert from_numerators(G, q.num) == q
+        assert QuadraticForm.from_generators(G, *q.generators()) == q
         assert all(q.phase(g) == F(q.num[g], q.den) for g in G.elements())
         P = q.polarization()
         assert Pairing(P.left, P.right, P.matrix) == P
@@ -965,7 +985,7 @@ def cyclic_forms(n):
     G = FinAbGroup((n,))
     den = n if n % 2 else 2 * n
     return [
-        QuadraticForm.from_numerators(G, {g: a * g[0] * g[0] for g in G.elements()})
+        from_numerators(G, {g: a * g[0] * g[0] for g in G.elements()})
         for a in range(den)
     ]
 
@@ -1134,7 +1154,7 @@ class TestNormalForm:
     def test_invariant_under_automorphisms(self, q, data):
         G = q.group
         alpha = data.draw(st.sampled_from(automorphisms(G)))
-        moved = QuadraticForm.from_numerators(G, {g: q.num[alpha.apply(g)] for g in G.elements()})
+        moved = from_numerators(G, {g: q.num[alpha.apply(g)] for g in G.elements()})
         assert moved.normal_form() == q.normal_form()
         assert moved.signature() == gauss_sum(moved)[2]
 
@@ -1163,3 +1183,91 @@ class TestNormalForm:
     def test_trivial_group(self):
         q = QuadraticForm(FinAbGroup(()), {(): 0})
         assert q.normal_form() == NormalForm([]) and q.signature() == 0 and descriptor(q) == ""
+
+
+# -- forms from their generator data ------------------------------------------------
+
+
+def table_form(q):
+    """q rebuilt from its table by ``QuadraticForm(G, table)``, under the full check."""
+    return QuadraticForm(q.group, {g: F(k, q.den) for g, k in q.num.items()})
+
+
+# (factors, values, polar, match): each breaks one congruence of _generator_pairing
+BROKEN_GENERATORS = [
+    ((3,), [1, 1], [[1]], "one value"),
+    ((3,), [1], [[1, 2]], "shape"),
+    ((3,), [1], [[1], [1]], "shape"),
+    ((4, 2), [1, 2], [[3, 1], [1, 2]], "entry denominators"),  # 2 * 1/4 is not an integer
+    ((4, 2), [1, 2], [[3, 2], [0, 2]], "not symmetric"),
+    ((4, 2), [1, 2], [[1, 0], [0, 2]], r"B\(e_0, e_0\) is not -2 q\(e_0\)"),
+    ((3,), [1], [[2]], r"B\(e_0, e_0\)"),
+    # q(e_1) = 2/12 on the Z3 factor: 2 q(e_1) = -B_11, yet q(3 e_1) = 18/12 = 1/2
+    ((6, 3), [1, 2], [[5, 0], [0, 4]], r"q\(3 e_1\) is not 0"),
+]
+
+
+class TestFromGenerators:
+    def test_equals_the_table_check_on_descriptor_products(self):
+        """``indecomposable_form`` (through ``direct_sum``) and ``conj`` give
+        forms that the full table check accepts, with the same polarization."""
+        descs = descriptor_products(1, 64)
+        assert len(descs) == 1125
+        for desc in descs:
+            q = product_form(desc)
+            for f in (q, q.conj()):
+                t = table_form(f)
+                assert t == f and t.polarization() == f.polarization(), desc
+
+    def test_equals_the_table_check_on_derived_forms(self):
+        """``forms_for_pairing`` and ``times_character`` by every character of
+        order at most 2, against the table check and pointwise."""
+        for factors in [(), (2,), (4, 2), (6,), (3, 3), (8, 2), (4, 2, 2)]:
+            G = FinAbGroup(factors)
+            signs = [c for c in dual_characters(G) if all(2 * c.exponents[i] % n == 0
+                                                          for i, n in enumerate(factors))]
+            for q in forms_for_pairing(standard_pairing(G)):
+                assert table_form(q) == q
+                for chi in signs:
+                    f = q.times_character(chi)
+                    assert table_form(f) == f
+                    assert all(f.phase(g) == mod1(q.phase(g) + chi.phase(g)) for g in G.elements())
+
+    @pytest.mark.parametrize("factors,values,polar,match", BROKEN_GENERATORS)
+    def test_each_congruence_is_refused(self, factors, values, polar, match):
+        G = FinAbGroup(factors)
+        with pytest.raises(ValueError, match=match):
+            QuadraticForm.from_generators(G, values, polar)
+        with pytest.raises(ValueError, match=match):
+            normal_form(G, values, polar)
+
+    def test_consistent_variants_are_accepted(self):
+        for factors, values, polar in [
+            ((3,), [1], [[1]]),
+            ((4, 2), [1, 2], [[3, 0], [0, 2]]),
+            ((6, 3), [1, 4], [[5, 0], [0, 2]]),
+        ]:
+            q = QuadraticForm.from_generators(FinAbGroup(factors), values, polar)
+            assert table_form(q) == q and q.generators() == (values, tuple(map(tuple, polar)))
+
+    def test_normal_form_refuses_inconsistent_data(self):
+        """B(e_0, e_0) = 2/3 is the polarization of x^2 / 3 only as -2/3 = 1/3."""
+        Z3 = FinAbGroup((3,))
+        assert normal_form(Z3, [1], [[1]]).key == ((3, ((1, 1, 1),)),)
+        with pytest.raises(ValueError):
+            normal_form(Z3, [1], [[2]])
+
+    @pytest.mark.parametrize(
+        "d1,d2,factors", [("2^1_1", "3^1_+", (6,)), ("2^1_1", "2^2_1", (4, 2))]
+    )
+    def test_direct_sum_through_the_canonical_presentation(self, d1, d2, factors):
+        """The product's factors merge (Z2 x Z3 = Z6) or swap (Z2 x Z4 = Z4 x Z2);
+        q(g) = q1(a) + q2(b) for (a, b) = split(g) on every element."""
+        q1, q2 = indecomposable_form(d1)[0], indecomposable_form(d2)[0]
+        q = q1.direct_sum(q2)
+        G, _, split = product_with_maps(q1.group, q2.group)
+        assert q.group == G and G.factors == factors
+        for g in G.elements():
+            a, b = split(g)
+            assert q.phase(g) == mod1(q1.phase(a) + q2.phase(b))
+        assert table_form(q) == q
