@@ -23,6 +23,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import add, mod, mul, neg, sub
 
 from .scalars import Cyclotomic, GuardError, as_integer, rational_phase
 
@@ -264,19 +265,19 @@ class FinAbGroup:
         return tuple(0 for _ in self.factors)
 
     def reduce(self, g) -> tuple[int, ...]:
-        return tuple(int(x) % n for x, n in zip(g, self.factors))
+        return tuple(map(mod, map(int, g), self.factors))
 
     def add(self, a, b) -> tuple[int, ...]:
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.factors))
+        return tuple(map(mod, map(add, a, b), self.factors))
 
     def neg(self, a) -> tuple[int, ...]:
-        return tuple((-x) % n for x, n in zip(a, self.factors))
+        return tuple(map(mod, map(neg, a), self.factors))
 
     def sub(self, a, b) -> tuple[int, ...]:
-        return tuple((x - y) % n for x, y, n in zip(a, b, self.factors))
+        return tuple(map(mod, map(sub, a, b), self.factors))
 
     def scale(self, k: int, a) -> tuple[int, ...]:
-        return tuple((k * x) % n for x, n in zip(a, self.factors))
+        return tuple(map(mod, map(mul, itertools.repeat(k), a), self.factors))
 
     def element_order(self, a) -> int:
         return lcm(1, *(n // gcd(n, x) for x, n in zip(a, self.factors)))
@@ -332,7 +333,7 @@ def canonical_presentation(factors):
 class Subgroup:
     """Subgroup of a FinAbGroup, canonicalized by its coordinate-lattice HNF."""
 
-    __slots__ = ("ambient", "lattice", "_elems")
+    __slots__ = ("ambient", "lattice", "_elems", "_gens")
 
     def __init__(self, ambient: FinAbGroup, gens):
         self.ambient = ambient
@@ -344,6 +345,7 @@ class Subgroup:
         rows += [[ambient.factors[i] if i == j else 0 for j in range(t)] for i in range(t)]
         self.lattice = hermite_rows(rows, t) if t else ()
         self._elems = None
+        self._gens = None
 
     @property
     def order(self) -> int:
@@ -351,12 +353,10 @@ class Subgroup:
         return self.ambient.order // idx
 
     def gens(self) -> list[tuple[int, ...]]:
-        out = []
-        for row in self.lattice:
-            g = self.ambient.reduce(row)
-            if any(g):
-                out.append(g)
-        return out
+        """The nonzero lattice rows, reduced; computed once, a fresh list each call."""
+        if self._gens is None:
+            self._gens = tuple(filter(any, map(self.ambient.reduce, self.lattice)))
+        return list(self._gens)
 
     def coefficients(self, g) -> list[int] | None:
         """Integers c with sum_i c_i lattice[i] = g, or None if g is outside.
@@ -548,10 +548,7 @@ class Hom:
 
     def apply(self, g) -> tuple[int, ...]:
         g = self.domain.reduce(g)
-        return tuple(
-            sum(row[i] * g[i] for i in range(len(g))) % m
-            for row, m in zip(self.matrix, self.codomain.factors)
-        )
+        return tuple(map(mod, [sum(map(mul, row, g)) for row in self.matrix], self.codomain.factors))
 
     def compose(self, first: "Hom") -> "Hom":
         """self after first."""
@@ -643,15 +640,10 @@ def product_with_maps(A: FinAbGroup, B: FinAbGroup):
 
     def pair(a, b):
         raw = tuple(a) + tuple(b)
-        return P.reduce(
-            tuple(sum(row[r] * raw[r] for r in range(len(raw))) for row in to_canon)
-        )
+        return P.reduce([sum(map(mul, row, raw)) for row in to_canon])
 
     def split(p):
-        raw = tuple(
-            sum(from_canon[r][k] * p[k] for k in range(P.rank))
-            for r in range(len(raw_factors))
-        )
+        raw = [sum(map(mul, row, p)) for row in from_canon]
         return A.reduce(raw[:ra]), B.reduce(raw[ra:])
 
     return P, pair, split

@@ -100,8 +100,14 @@ permutations.  Its readers:
   constant on each orbit of positions whose signs all agree, and 0 on an
   orbit with a sign -1 or with a position T forbids.  For such a Z,
   sigma((SZ - ZS)_ij) = eps(j) (SZ - ZS)_{i, pi j}, so the equations of
-  one column per orbit imply the rest.  Without a certificate the classes
-  are single positions and every column gives equations: the plain system.
+  one column per orbit imply the rest.  When S is also symmetric, its rows
+  move like its columns: sigma(S) = Q^T S, so sigma(SZ - ZS) =
+  Q^T (SZ - ZS), i.e. sigma((SZ - ZS)_ij) = eps(i) (SZ - ZS)_{pi i, j},
+  and one row per orbit is read as well (72 of 145 equations on the
+  15-primary TY double of 3^1_+).  Both systems have the same rational
+  solutions, so the same fully reduced echelon form.  Without a
+  certificate the classes are single positions and every row and column
+  gives equations: the plain system.
 
 Simple-current symmetry.  ``simple_currents`` finds, by exact rotation
 lookups alone, the currents J with S_{J a, k} = psi_k(J) S_ak for every a
@@ -112,7 +118,10 @@ its orbit.  Three identities follow, each exact for any S with that
 certificate:
 
 * Verlinde: M(J a, K b, e) = M(a, b, (J + K) e), as psi is a character.
-  So only M(r, r', e) for representatives r <= r' and every e is summed.
+  So only M(r, r', e) for representatives r <= r' and every e is summed,
+  and each row N_ab is a permutation of its pair's sums: integrality and
+  sign are checked once per representative pair, and the rows are read
+  through one permutation per current.
 * Unitarity and S^2: (S S-bar^T)_{J r, j} = (S S-bar^T)_{r, J^-1 j}, as
   psi is a root of unity; when S is symmetric also (S^2)_{J r, j} =
   (S^2)_{r, J j}, so a permutation S^2 has p(J r) = J^-1 p(r).  Only
@@ -141,7 +150,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .abelian import FinAbGroup, GuardError, abelian_structure
@@ -842,9 +851,15 @@ def verlinde(md: ModularData):
     orbit representatives, times n, are fewer sums than the sorted triples,
     only M(r, r', e) for those pairs and every e is summed (module
     docstring, "Simple-current symmetry"): with a = J r_a and b = K r_b,
-    N_ab^c = M(r_a, r_b, (J + K) conj_row(c)), each entry still tested for
-    integrality and sign.  A sum over every column, without the Galois
-    orbits, runs after the work guard (``check_work``).
+    N_ab^c = M(r_a, r_b, (J + K) conj_row(c)).  The rows of S are then
+    distinct (``simple_currents`` refuses equal rows), so conj_row and each
+    current's permutation are bijections, and row N_ab holds exactly the
+    values M(r_a, r_b, e) over all e.  So integrality and sign are checked
+    once per representative pair, and ``_current_fusion`` reads each row
+    through (J + K) o conj_row.  Only when a representative sum fails are
+    the pairs walked in order, to name the first failure as above.  A sum
+    over every column, without the Galois orbits, runs after the work guard
+    (``check_work``).
     """
     n = md.dim
     N, dS, iS, norm_S = md._integral_S()
@@ -906,6 +921,9 @@ def verlinde(md: ModularData):
             sym[a][b] = [value(sum(map(mul, wb, cols[e]))) for e in range(0 if orb else b, n)]
             direct_sums[a][b] = {c: pk.rational(sum(map(mul, wb, Ubar[c]))) for c in direct}
     den = dS**3 * dI
+    if orb and not any(_failing(sym[r][r2], den) for r in orb.reps for r2 in orb.reps if r <= r2):
+        return _current_fusion(orb, sym, conj_row, den)
+    # every pair in order: with current orbits only to name the first failure
     out = []
     for a in range(n):
         plane = [out[b][a] for b in range(a)]
@@ -920,13 +938,52 @@ def verlinde(md: ModularData):
                 m = [sym[e][a][b - a] for e in range(a)]
                 m += [sym[a][e][b - e] for e in range(a, b)] + sym[a][b]
                 row = [direct_sums[a][b][c] if e is None else m[e] for c, e in enumerate(conj_row)]
-            if None in row or min(row) < 0 or any(map(den.__rmod__, row)):  # r % den
+            if _failing(row, den):
                 for c, r in enumerate(row):  # the first failure, by its message
                     if r is None:
                         raise ValueError(f"fusion coefficient not rational at {(a, b, c)}")
                     if r % den or r < 0:
                         raise ValueError(f"fusion coefficient {Fraction(r, den)} at {(a, b, c)}")
             plane.append(tuple(map(den.__rfloordiv__, row)))  # r // den
+        out.append(tuple(plane))
+    return tuple(out)
+
+
+def _failing(sums, den: int) -> bool:
+    """Some Verlinde sum (a multiple of den for an entry in N) is None, negative
+    or not divisible by den."""
+    return None in sums or min(sums) < 0 or any(map(den.__rmod__, sums))  # r % den
+
+
+def _current_fusion(orb: CurrentOrbits, sym, conj_row, den: int):
+    """The fusion tensor from checked representative sums: sym[r][r2] = M(r,
+    r2, e) for every e, each a nonnegative multiple of den, for the orbit
+    representatives r <= r2, and conj(S_c) = S_conj_row[c] for every c.
+
+    With a = J r_a and b = K r_b, N_ab^c = M(r_a, r_b, (J + K) conj_row(c)),
+    so row N_ab is the pair's quotient list read through the permutation
+    (J + K) o conj_row, one ``itemgetter`` per current built once.  A row
+    depends on (r_a, r_b, J + K) only, and is built once per such key.
+    """
+    n = len(conj_row)
+    # n >= 2 wherever there are current orbits, so each getter returns a tuple
+    pick = {L: itemgetter(*map(p.__getitem__, conj_row)) for L, p in orb.perm.items()}
+    quotients = {
+        (r, r2): tuple(map(den.__rfloordiv__, sym[r][r2])) for r in orb.reps for r2 in orb.reps if r <= r2
+    }
+    rows: dict = {}  # (r, r2, L) -> the row of every pair it stands for
+    add, rep, shift = orb.group.add, orb.rep, orb.shift
+    out = []
+    for a in range(n):
+        plane = [out[b][a] for b in range(a)]
+        ra, J = rep[a], shift[a]
+        for b in range(a, n):
+            rb, L = rep[b], add(J, shift[b])
+            pair = (ra, rb) if ra <= rb else (rb, ra)
+            row = rows.get((pair, L))
+            if row is None:
+                row = rows[pair, L] = pick[L](quotients[pair])
+            plane.append(row)
         out.append(tuple(plane))
     return tuple(out)
 
@@ -1323,9 +1380,10 @@ def _position_classes(md: ModularData):
     return classes, columns
 
 
-def _commutant_rows(md: ModularData, class_of, columns):
-    """Integer rows of (SZ - ZS)_ij = 0 for j in ``columns``, with Z taking
-    the value of unknown class_of[(a, b)] at (a, b), and 0 off the classes.
+def _commutant_rows(md: ModularData, class_of, rows, columns):
+    """Integer rows of (SZ - ZS)_ij = 0 for i in ``rows`` and j in
+    ``columns``, with Z taking the value of unknown class_of[(a, b)] at
+    (a, b), and 0 off the classes.
 
     S is written over its conductor N and one denominator, which the
     homogeneous system drops.  Each entry is reduced modulo Phi_N once; the
@@ -1340,7 +1398,7 @@ def _commutant_rows(md: ModularData, class_of, columns):
     for (a, b), v in sorted(class_of.items()):
         in_row[a].append((b, v))
         in_col[b].append((a, v))
-    for i in range(n):
+    for i in rows:
         for j in columns:
             terms = {}
             for b, v in in_col[j]:
@@ -1413,7 +1471,9 @@ def brute_force_invariants(md: ModularData):
     ``_position_classes`` and the equations those of its columns: where the
     Galois action is certified and S invertible, one unknown per orbit of
     positions and one column per orbit, with the plain system's solutions
-    (module docstring).
+    (module docstring).  Where S is also symmetric, its rows move like its
+    columns, and only one row per orbit is written too: the system has the
+    same rational solutions, so the same fully reduced echelon form.
     """
     n = md.dim
     if n > BRUTE_GUARD:
@@ -1423,9 +1483,11 @@ def brute_force_invariants(md: ModularData):
     class_of = {p: v for v, cls in enumerate(classes) for p in cls}
     if (md.unit, md.unit) not in class_of:
         raise ValueError("unit diagonal position missing")
+    # columns are one per Galois orbit here, or every column
+    rows = columns if len(columns) < n and _symmetric(md._entries) else range(n)
     pivots: dict = {}
     try:
-        for row in _commutant_rows(md, class_of, columns):
+        for row in _commutant_rows(md, class_of, rows, columns):
             _rref_insert(pivots, row, 0)
         _rref_insert(pivots, {class_of[(md.unit, md.unit)]: 1}, 1)
     except _Inconsistent:

@@ -533,7 +533,12 @@ def sqrt_nonneg_int(n: int) -> Cyclotomic:
         raise ValueError("negative input")
     if n == 0:
         return Cyclotomic.zero()
-    return Cyclotomic(*sqrt_terms(n))
+    # sqrt_terms gives reduced exponents and nonzero integer coefficients (a
+    # handful of distinct ones), so one Fraction per coefficient is shared
+    order, terms = sqrt_terms(n)
+    _check_order(order)
+    fractions = {c: Fraction(c) for c in set(terms.values())}
+    return Cyclotomic._trusted(order, {k: fractions[c] for k, c in terms.items()})
 
 
 def sqrt_terms(n: int) -> tuple[int, dict[int, int]]:

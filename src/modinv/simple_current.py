@@ -4,11 +4,17 @@ A parameter is a quaternionic-free subgroup of the current group together
 with an alternating pairing twisting its canonical bilinear base form.  The
 invariant matrix is supported on current orbits and its entries count
 stabilizers.
+
+Each subgroup is read through its generator chain once (``_ChainTable``):
+the currents of its chain group with their primary indices, twists, charge
+rows and permutations.  Every torsion form on the subgroup is validated and
+turned into a matrix from that table, without re-embedding its elements.
 """
 
 from __future__ import annotations
 
 from math import prod
+from typing import NamedTuple
 
 from .abelian import Character, FinAbGroup, Subgroup, all_subgroups, subgroup_group
 from .forms import AlternatingPairing, Pairing
@@ -44,13 +50,50 @@ def _quaternionic_guard(sc, J: Subgroup):
             )
 
 
+class _ChainTable(NamedTuple):
+    """A current subgroup read through its generator chain, built once per
+    subgroup and shared by every torsion form on it.
+
+    ``group`` is the chain group, whose basis maps to the currents ``chain``.
+    The other fields run over ``group.elements()``, the key order of
+    ``Pairing.dot_table``: for each element y, the primary index of the
+    current embed(y), its twist and charge row (``sc.twists`` and
+    ``sc.charges``) and its permutation of the primaries
+    (``sc.action_table``).  ``at[a]`` is the charges of every element at
+    primary a, the key ``_matrix_from_epsilon`` looks up.
+    """
+
+    group: FinAbGroup
+    chain: list
+    primaries: tuple
+    twists: tuple
+    charges: tuple
+    perms: tuple
+    at: tuple
+
+    @staticmethod
+    def of(sc, group: FinAbGroup, chain) -> "_ChainTable":
+        currents = list(map(_chain_embed(sc.group, chain), group.elements()))
+        charges = tuple(map(sc.charges.__getitem__, currents))
+        return _ChainTable(
+            group,
+            chain,
+            tuple(map(sc.label_index.__getitem__, currents)),
+            tuple(map(sc.twists.__getitem__, currents)),
+            charges,
+            tuple(map(sc.action_table.__getitem__, currents)),
+            tuple(zip(*charges)),
+        )
+
+
 def base_epsilon(md: ModularData, J: Subgroup, chain=None) -> Pairing:
     """Canonical bilinear form on the subgroup from its generator chain."""
     sc = simple_currents(md)
-    return _base_epsilon(sc, J, chain)[2]
+    return _base_epsilon(sc, J, chain)[1]
 
 
 def _base_epsilon(sc, J: Subgroup, chain=None):
+    """(the subgroup's ``_ChainTable``, its canonical bilinear base form)."""
     if J.ambient != sc.group:
         raise ValueError("subgroup must live in the current group")
     _quaternionic_guard(sc, J)
@@ -67,7 +110,7 @@ def _base_epsilon(sc, J: Subgroup, chain=None):
         [tw[a] if a == b else (-mono[a][b] if a > b else 0) for b in range(s)]
         for a in range(s)
     ]
-    return Jab, chain, Pairing(Jab, Jab, matrix)
+    return _ChainTable.of(sc, Jab, chain), Pairing(Jab, Jab, matrix)
 
 
 def _add_psi(Jab: FinAbGroup, base: Pairing, psi: AlternatingPairing | None):
@@ -85,16 +128,28 @@ class SCParam:
 
     The form is checked as integer numerators over ``sc.den``, the one
     denominator of ``modular``'s charge and twist tables; ``table`` keeps that
-    ``dot_table`` for ``sc_matrix``.
+    ``dot_table`` for ``sc_matrix``, and ``currents`` the subgroup's
+    ``_ChainTable``, shared by the parameters built on one subgroup.
     """
 
-    __slots__ = ("sc", "J", "group", "chain", "psi", "epsilon", "table")
+    __slots__ = ("sc", "J", "group", "chain", "psi", "epsilon", "table", "currents")
 
     def __init__(self, sc, J, group, chain, psi, epsilon):
+        self._setup(sc, J, _ChainTable.of(sc, group, chain), psi, epsilon)
+
+    @classmethod
+    def _on(cls, sc, J, currents: _ChainTable, psi, epsilon) -> "SCParam":
+        """The parameter on a subgroup whose ``_ChainTable`` is built already."""
+        param = object.__new__(cls)
+        param._setup(sc, J, currents, psi, epsilon)
+        return param
+
+    def _setup(self, sc, J, currents, psi, epsilon):
         self.sc = sc
         self.J = J
-        self.group = group
-        self.chain = chain
+        self.group = currents.group
+        self.chain = currents.chain
+        self.currents = currents
         self.psi = psi
         self.epsilon = epsilon
         self.table = epsilon.dot_table(sc.den)
@@ -105,16 +160,12 @@ class SCParam:
 
     def _validate(self):
         """Diagonal against the twists, then each row against the monodromy."""
-        sc, table = self.sc, self.table
-        embed = _chain_embed(sc.group, self.chain)
-        currents = [embed(y) for y in table]
-        primaries = [sc.label_index[j] for j in currents]
-        eps = list(table.values())
-        for i, (row, col, j) in enumerate(zip(eps, zip(*eps), currents)):
-            if row[i] != sc.twists[j]:
+        den, cur = self.sc.den, self.currents
+        eps = list(self.table.values())
+        for i, (row, col, twist, charge) in enumerate(zip(eps, zip(*eps), cur.twists, cur.charges)):
+            if row[i] != twist:
                 raise ValueError("diagonal of epsilon must match the twists")
-            charge = sc.charges[j]
-            if any((charge[a] + e1 + e2) % sc.den for a, e1, e2 in zip(primaries, row, col)):
+            if any((charge[a] + e1 + e2) % den for a, e1, e2 in zip(cur.primaries, row, col)):
                 raise ValueError("epsilon is not balanced against the monodromy")
 
     def to_json(self):
@@ -129,53 +180,47 @@ def make_epsilon(
 ) -> SCParam:
     """Torsion parameter with epsilon = psi plus the canonical base form."""
     sc = simple_currents(md)
-    Jab, chain, base = _base_epsilon(sc, J, chain)
-    psi, num = _add_psi(Jab, base, psi)
-    return SCParam(sc, J, Jab, chain, psi, Pairing.from_numerators(Jab, Jab, num))
+    cur, base = _base_epsilon(sc, J, chain)
+    psi, num = _add_psi(cur.group, base, psi)
+    return SCParam._on(sc, J, cur, psi, Pairing.from_numerators(cur.group, cur.group, num))
 
 
 def param_from_epsilon(md: ModularData, J: Subgroup, epsilon: Pairing, chain=None) -> SCParam:
     """Rebase a raw epsilon; its offset from the base form must alternate."""
     sc = simple_currents(md)
-    Jab, chain, base = _base_epsilon(sc, J, chain)
-    if epsilon.left.factors != Jab.factors:
+    cur, base = _base_epsilon(sc, J, chain)
+    if epsilon.left.factors != cur.group.factors:
         raise ValueError("epsilon must live on the subgroup's chain group")
     diff = [[e - b for e, b in zip(*rows)] for rows in zip(epsilon.num, base.num)]
-    psi = AlternatingPairing.from_numerators(Jab, Jab, diff)
-    return SCParam(sc, J, Jab, chain, psi, epsilon)
+    psi = AlternatingPairing.from_numerators(cur.group, cur.group, diff)
+    return SCParam._on(sc, J, cur, psi, epsilon)
 
 
-def _matrix_from_epsilon(md: ModularData, sc, embed, rows: dict):
+def _matrix_from_epsilon(md: ModularData, cur: _ChainTable, rows: dict):
     """Invariant of a torsion form on the chain group, given as its
-    ``dot_table(sc.den)`` ``rows``.
+    ``dot_table(sc.den)`` ``rows``, read through the subgroup's table ``cur``.
 
     M[a][y a] = |J0| / |J0 a|, J0 the right radical, for each current y whose
-    row of the form equals the charges (Q_{embed z}(a))_z of primary a.  Rows
-    are keyed by integer numerators over ``sc.den``, as the charges are.
+    row of the form equals the charges (Q_{embed z}(a))_z of primary a
+    (``cur.at[a]``).  Rows are keyed by integer numerators over ``sc.den``,
+    as the charges are.
     """
     n = md.dim
-    elems = list(rows)
-    charge_rows = [sc.charges[embed(z)] for z in elems]
     selected: dict = {}
-    for y, row in rows.items():
-        selected.setdefault(row, []).append(sc.action_table[embed(y)])
-    j0 = [
-        sc.action_table[embed(z)]
-        for k, z in enumerate(elems)
-        if not any(row[k] for row in rows.values())
-    ]
+    for row, act in zip(rows.values(), cur.perms):
+        selected.setdefault(row, []).append(act)
+    j0 = [act for act, col in zip(cur.perms, zip(*rows.values())) if not any(col)]
     M = [[0] * n for _ in range(n)]
-    for a in range(n):
+    for a, key in enumerate(cur.at):
         value = len(j0) // len({act[a] for act in j0})
-        for act in selected.get(tuple(q[a] for q in charge_rows), ()):
+        for act in selected.get(key, ()):
             M[a][act[a]] = value
     return M
 
 
 def sc_matrix(md: ModularData, param: SCParam) -> ModularInvariant:
     """Invariant supported on current orbits selected by the torsion form."""
-    embed = _chain_embed(param.sc.group, param.chain)
-    M = _matrix_from_epsilon(md, param.sc, embed, param.table)
+    M = _matrix_from_epsilon(md, param.currents, param.table)
     return ModularInvariant(M, {"source": "sc", "J": param.J.key()})
 
 
@@ -188,7 +233,8 @@ def s_only_matrix(
 ):
     """S-commuting matrix from a sign-twisted chain; T-commutation may fail."""
     sc = simple_currents(md)
-    Jab, chain, base = _base_epsilon(sc, J, chain)
+    cur, base = _base_epsilon(sc, J, chain)
+    Jab = cur.group
     _, num = _add_psi(Jab, base, psi)
     if phi is not None:
         if phi.ambient.factors != Jab.factors:
@@ -198,9 +244,8 @@ def s_only_matrix(
             if 2 * k % base.den:
                 raise ValueError("phi must square to the trivial character")
             num[i][i] += k
-    embed = _chain_embed(sc.group, chain)
     table = Pairing.from_numerators(Jab, Jab, num).dot_table(sc.den)
-    M = _matrix_from_epsilon(md, sc, embed, table)
+    M = _matrix_from_epsilon(md, cur, table)
     if not s_commutes(md, M):
         raise ValueError("matrix does not commute with S")
     return tuple(tuple(row) for row in M)
@@ -229,10 +274,11 @@ def enumerate_sc(md: ModularData) -> SCEnumeration:
     for J in all_subgroups(sc.group):
         if any(sc.is_quaternionic(j) for j in J.elements()):
             continue
-        Jab, chain, base = _base_epsilon(sc, J)
+        cur, base = _base_epsilon(sc, J)
+        Jab = cur.group
         for psi in alternating_pairings(Jab):
             psi, num = _add_psi(Jab, base, psi)
-            param = SCParam(sc, J, Jab, chain, psi, Pairing.from_numerators(Jab, Jab, num))
+            param = SCParam._on(sc, J, cur, psi, Pairing.from_numerators(Jab, Jab, num))
             entries.append((param, sc_matrix(md, param)))
     by_matrix: dict = {}
     for param, z in entries:

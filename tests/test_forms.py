@@ -951,14 +951,15 @@ class TestProperties:
 
 
 def reference_gauss_sum(q):
-    """The Fraction construction: |sum|^2 as a Cyclotomic product, then a
-    division by sqrt|G| and a comparison with each 8th root of unity."""
+    """The Fraction construction: |sum|^2 as a Cyclotomic product, then the
+    sum over sqrt|G|, as sum * sqrt|G| / |G|, compared with each 8th root of
+    unity."""
     G = q.group
     total = Cyclotomic(q.den, Counter(q.num.values()))
     norm = (total * total.conj()).as_rational()
     if norm != G.order:
         raise ValueError("Gauss sum magnitude is not sqrt(|G|); form is degenerate")
-    normalized = total / sqrt_nonneg_int(G.order)
+    normalized = total * sqrt_nonneg_int(G.order) * Fraction(1, G.order)
     for sigma in range(8):
         if normalized == root_of_unity(8, sigma):
             return total, normalized, sigma

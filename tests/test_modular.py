@@ -1129,6 +1129,13 @@ def with_entry(md, i, j, f, symmetric=True):
     return ModularData(md.labels, md.unit, S, md.T)
 
 
+def with_orbit_rows(md, r, factor):
+    """md with the rows of the current orbit of representative r times factor."""
+    rep = modular._current_orbits(md).rep
+    S = [[x * factor for x in row] if rep[a] == r else row for a, row in enumerate(md.S)]
+    return ModularData(md.labels, md.unit, S, md.T)
+
+
 def with_rows(md, perm):
     """md with S's rows permuted; S is no longer symmetric."""
     return ModularData(md.labels, md.unit, [md.S[p] for p in perm], md.T)
@@ -1186,9 +1193,31 @@ CORRUPTED = {
         "fusion coefficient -1/4 at (0, 0, 3)",
     ),
 }
+# the rows of one current orbit scaled: the currents and the Galois action
+# survive, and some representative sums fail
+ORBIT_CORRUPTED = {
+    "orbit-rows-halved": (
+        lambda: with_orbit_rows(_double("3^1_+"), 6, Fraction(1, 2)),
+        "fusion coefficient 1/4 at (0, 6, 6)",
+    ),
+    "orbit-rows-negated": (
+        lambda: with_orbit_rows(_double("3^1_+"), 12, -1),
+        "fusion coefficient -1 at (6, 6, 14)",
+    ),
+}
 
 
-@pytest.mark.parametrize("build,message", CORRUPTED.values(), ids=CORRUPTED.keys())
+@pytest.mark.parametrize("build", [build for build, _ in ORBIT_CORRUPTED.values()], ids=ORBIT_CORRUPTED.keys())
+def test_orbit_corrupted_data_keep_their_current_orbits(build):
+    # so verlinde sums over representative pairs, not the sorted triples
+    md = build()
+    assert modular._current_orbits(md).reps == (0, 6, 12)
+    assert modular.galois_action(md).certified
+
+
+@pytest.mark.parametrize(
+    "build,message", [*CORRUPTED.values(), *ORBIT_CORRUPTED.values()], ids=[*CORRUPTED, *ORBIT_CORRUPTED]
+)
 def test_verlinde_errors_match_reference(build, message):
     md = build()
     assert verlinde_outcome(verlinde, md) == f"ValueError: {message}"
@@ -1662,6 +1691,56 @@ def test_position_classes_without_an_invertible_s():
         md.charge_conjugation()
     classes, columns = modular._position_classes(md)
     assert classes == [[(a, b)] for a in range(2) for b in range(2)] and columns == [0, 1]
+
+
+def commutant_system(md, rows):
+    """(pivots, equation count) of the commutant system written for ``rows``
+    and ``_position_classes``' columns."""
+    classes, columns = modular._position_classes(md)
+    class_of = {p: v for v, cls in enumerate(classes) for p in cls}
+    pivots, count = {}, 0
+    for row in modular._commutant_rows(md, class_of, rows, columns):
+        modular._rref_insert(pivots, row, 0)
+        count += 1
+    return pivots, count
+
+
+# every TY double and Weil datum of at most 15 primaries built above
+ROW_ORBIT_DATA = {
+    k: v
+    for k, v in {**VERLINDE_DATA, **{k: build for k, (build, _) in ORBIT_COUNTS.items()}}.items()
+    if k.startswith(("ty-", "weil-")) and k not in ("ty-2^2_1", "ty-5^1_+", "ty-5^1_-", "ty-7^1_+")
+}
+
+
+@pytest.mark.parametrize("build", ROW_ORBIT_DATA.values(), ids=ROW_ORBIT_DATA.keys())
+def test_row_orbit_system_has_the_pivots_of_every_row(build):
+    # S symmetric and certified: sigma(SZ - ZS) = Q^T (SZ - ZS) for class-constant
+    # Z, so one row per Galois orbit carries every equation
+    md = build()
+    n = md.dim
+    assert n <= 15 and modular._symmetric(md._entries)
+    columns = modular._position_classes(md)[1]
+    reduced, count = commutant_system(md, columns)
+    full, full_count = commutant_system(md, range(n))
+    assert reduced == full
+    assert (count < full_count) == (len(columns) < n)
+
+
+def test_brute_force_writes_one_row_per_orbit(monkeypatch):
+    md = _double("3^1_+")
+    columns = modular._position_classes(md)[1]
+    assert commutant_system(md, columns)[1] == 72 and commutant_system(md, range(md.dim))[1] == 145
+    seen = []
+    commutant_rows = modular._commutant_rows
+
+    def recorded(md, class_of, rows, columns):
+        seen.append((list(rows), list(columns)))
+        return commutant_rows(md, class_of, rows, columns)
+
+    monkeypatch.setattr(modular, "_commutant_rows", recorded)
+    assert [z.matrix for z in brute_force_invariants(md)] == reference_brute_force(md)
+    assert seen == [(columns, columns)]
 
 
 @pytest.mark.parametrize(
