@@ -52,6 +52,7 @@ from .abelian import (
 from .scalars import (
     Cyclotomic,
     _Packing,
+    _conj_poly,
     _rational_bound,
     factorize,
     json_list,
@@ -478,8 +479,7 @@ def gauss_sum(q: QuadraticForm):
     n, N = q.group.order, q.den
     h = Counter(q.num.values())
     pk = _Packing(N, _rational_bound(N, n * n))
-    conj = {-k % N: c for k, c in h.items()}
-    if pk.rational(pk.pack(h) * pk.pack(conj) * pk.PF) != n:
+    if pk.rational(pk.pack(h) * pk.pack(_conj_poly(h, N)) * pk.PF) != n:
         raise ValueError("Gauss sum magnitude is not sqrt(|G|); form is degenerate")
     s_order, s = sqrt_terms(n)
     M = lcm(8, N, s_order)
@@ -557,23 +557,6 @@ def _block_signature(p: int, k: int, sub) -> int:
     return (2 * (pow(p, k, 4) == 3) + 4 * (k % 2 and sub == -1)) % 8
 
 
-def _tabulate(p: int, k: int, sub):
-    """(QuadraticForm, x_cubed) for one parsed indecomposable descriptor.
-
-    x_cubed is zeta_8^-sigma for sigma = ``_block_signature``, written as a
-    sign times the block's own root: 1 for the pair types, zeta_8^-sub for
-    2^k_m, and 1 or -i (p^k = 1 or 3 mod 4) for odd p."""
-    N = p**k
-    if sub in ("i", "ii"):
-        root = Cyclotomic.one()
-    elif p == 2:
-        root = root_of_unity(8, -sub)
-    else:
-        root = Cyclotomic.one() if N % 4 == 1 else -root_of_unity(4, 1)
-    x3 = root if root == root_of_unity(8, -_block_signature(p, k, sub)) else root * -1
-    return QuadraticForm.from_generators(*_block_generators(p, k, sub)), x3
-
-
 def _block_generators(p: int, k: int, sub):
     """(G, values, polar) of one parsed indecomposable descriptor, as
     ``QuadraticForm.from_generators`` takes them.  With N = p^k: 2xy and
@@ -592,8 +575,9 @@ def _block_generators(p: int, k: int, sub):
 def indecomposable_form(descriptor: str):
     """(QuadraticForm, x_cubed) for one indecomposable descriptor.
 
-    Grammar: "p^k_s" with p an odd prime and s one of +,-;
-    "2^k_m" with m in {1,-1,3,-3}; "2^k2^k_i" and "2^k2^k_ii".
+    x_cubed is zeta_8^-sigma, sigma the signature: the sum of the parts'
+    ``_block_signature``.  Grammar: "p^k_s" with p an odd prime and s one
+    of +,-; "2^k_m" with m in {1,-1,3,-3}; "2^k2^k_i" and "2^k2^k_ii".
     Products join descriptors with " x ".  Every part is parsed, and the
     order of the product checked against DISCRIMINANT_GUARD, before any
     table is built.
@@ -607,11 +591,10 @@ def indecomposable_form(descriptor: str):
     order = prod(order for *_, order in parts)
     if order > DISCRIMINANT_GUARD:
         raise GuardError(f"form order {order} exceeds guard {DISCRIMINANT_GUARD}")
-    (q, x3), *rest = [_tabulate(p, k, sub) for p, k, sub, _ in parts]
-    for q2, x32 in rest:
+    q, *rest = [QuadraticForm.from_generators(*_block_generators(p, k, sub)) for p, k, sub, _ in parts]
+    for q2 in rest:
         q = q.direct_sum(q2)
-        x3 = x3 * x32
-    return q, x3
+    return q, root_of_unity(8, -sum(_block_signature(p, k, sub) for p, k, sub, _ in parts))
 
 
 # -- Jordan normal form --------------------------------------------------------

@@ -67,26 +67,37 @@ a generating set of (Z/N)^*, sigma_g acting on exponents by j -> g j mod N:
 each column's image, packed times F, is looked up among the columns and
 their negatives packed the same way.  Composition extends the relation to
 the whole group, so its column orbits are those of the generated
-permutations.  Its readers:
+permutations.
+
+The sums over S.  Every exact sum over the columns k of S, Sum_k f(k) with
+f(k) a product of values in column k, is read by one reader, ``_Sums``.
+Where the action is certified and sigma(f(k)) = f(pi_sigma k) for every
+sigma, the sum is fixed by every sigma, hence rational, and phi(N) times it
+is its trace, Sum over orbit representatives k of |O_k| Tr f(k), as the
+trace is constant on orbits.  The trace of an integer polynomial v is
+Sum_j v_j c_N(j) with the Ramanujan sums c_N(j) = Tr zeta_N^j, i.e. the
+constant coefficient of v R modulo x^N - 1, R = Sum_j c_N(j) x^j (c_N is
+even in j).  So the orbit reader sums one column per orbit, with |O_k| R
+folded into one factor of each summand, and reads the lowest digit of the
+packed sum: phi(N) times the value.  Each digit is at most base ||R||_1,
+base the sum of the l1 norms of the summands, which sets the width.  Where
+T widens the conductor to N' (a multiple of N), the trace from Q(zeta_N')
+of a value in Q(zeta_N) is [Q(zeta_N') : Q(zeta_N)] times the trace from
+Q(zeta_N), so the constant of v R' over phi(N') is still the sum.  Without
+a certificate the full reader sums every column with F folded in and
+decides the sum by ``_Packing.rational``, under ``_rational_bound`` of
+base.  Both give the same rational integer; the full reader gives None for
+a sum that is not rational, the orbit reader for a digit phi(N) does not
+divide, which a correct certificate never leaves.  The readers of the
+certificate:
 
 * ``verlinde``.  In f(k) = S_ak S_bk S_ek / S_0k the sign appears three
-  times over once, so sigma(f(k)) = f(pi_sigma k), and M(a, b, e) =
-  Sum_k f(k) is fixed by every sigma, hence rational.  So phi(N) M(a, b, e)
-  = Tr M(a, b, e) = Sum over orbit representatives k of |O_k| Tr f(k), as
-  the trace is constant on orbits.  The trace of an integer polynomial v is
-  Sum_j v_j c_N(j) with the Ramanujan sums c_N(j) = Tr zeta_N^j, i.e. the
-  constant coefficient of v R modulo x^N - 1, R = Sum_j c_N(j) x^j (c_N is
-  even in j).  With |O_k| R folded into the packed 1/S_0k, one packed sum
-  over the representatives and one read of its lowest digit give
-  phi(N) M(a, b, e).  Every digit of that sum is at most
-  n ||S||^3 ||1/S_0|| ||R||_1, which sets the width.
-* ``validate_modular``.  The summands S_ik conj(S_jk) of (S S-bar^T)_ij are
-  permuted the same way (the signs square to 1), and so are S_ik S_kj of
-  (S^2)_ij when S is symmetric, as its rows then move like its columns.
-  Each entry is read as an orbit sum as in ``verlinde``.  Where T widens
-  the conductor to N' (a multiple of N), the trace from Q(zeta_N') of a
-  value in Q(zeta_N) is [Q(zeta_N') : Q(zeta_N)] times the trace from
-  Q(zeta_N), so the constant of v R' over phi(N') is still the orbit sum.
+  times over once, so sigma(f(k)) = f(pi_sigma k), and M(a, b, e) is read
+  by the orbit reader.
+* ``validate_modular`` and ``charge_conjugation``.  The summands
+  S_ik conj(S_jk) of (S S-bar^T)_ij are permuted the same way (the signs
+  square to 1), and so are S_ik S_kj of (S^2)_ij when S is symmetric, as
+  its rows then move like its columns: the orbit reader reads both.
 * ``s_commutes``.  If an integer Z has Z_{pi a, pi b} = eps(a) eps(b) Z_ab
   for each generator, Z commutes with Q, so sigma(SZ - ZS) = (SZ - ZS) Q,
   and one column per orbit decides SZ = ZS.  The condition is tested on
@@ -157,6 +168,7 @@ from .abelian import FinAbGroup, GuardError, abelian_structure
 from .scalars import (
     Cyclotomic,
     _Packing,
+    _conj_poly,
     _rational_bound,
     as_integer,
     cyclotomic_cofactor,
@@ -311,13 +323,11 @@ def _s_failure(md: ModularData, matrix, support):
     summed, after the work guard (``check_work``).  Columns are checked in
     that order, rows increasing within each; column j of SZ is summed from
     the nonzeros of column j of Z, and column j of ZS from every nonzero of
-    Z, one product each.  S F is packed once per distinct entry of S; it
-    depends on the packing only through N and its digit width, so it is
-    cached on md under (N, width), with its columns, and shared by every
-    matrix whose entries fit that width.
+    Z, one product each.  S F is read from ``ModularData._packed_SF``, so
+    every matrix whose entries fit one digit width shares it.
     """
     n = md.dim
-    N, _, iS, norm = md._integral_S()
+    N, _, _, norm = md._integral_S()
     zmax = max((abs(x) for _, _, x in support), default=0)
     pk = _Packing(N, 2 * n * norm * zmax * sum(map(abs, cyclotomic_cofactor(N))))
     M = pk.M
@@ -332,11 +342,7 @@ def _s_failure(md: ModularData, matrix, support):
         check_work(2 * n * len(support), pk, 1 + zmax.bit_length() // 64)
     # entries of S F: (SZ - ZS)_ij vanishes modulo Phi_N iff its multiple by F
     # vanishes modulo x^N - 1
-    hit = md._int_S.get((N, pk.width))
-    if hit is None:
-        P = iS.map(lambda p: pk.pack(p) * pk.PF % M).rows()
-        hit = md._int_S[N, pk.width] = (P, list(zip(*P)))
-    P, PT = hit
+    _, _, P, PT = md._packed_SF(pk)
     for j in columns:
         sz = [0] * n
         for t, x in cols[j]:
@@ -370,46 +376,67 @@ def _poly_mul(p: dict, q: dict, N: int) -> dict:
     return out
 
 
-def _square_permutation(pk: _Packing, P, den: int, orbits, orb, U=None):
+class _Sums(NamedTuple):
+    """The one reader of exact sums over the columns of S (module docstring,
+    "Galois symmetry").
+
+    A sum Sum_k x_k y_k of packed rows x, y over all columns is read as
+    ``value(sum(map(mul, left(x), [y[k] for k in columns])))``.  On the
+    orbit path ``columns`` are one column per Galois orbit, ``weights`` the
+    packed |O_k| R and ``phi`` is phi(N); on the full path ``columns`` are
+    all columns, every weight is F and ``phi`` is 0.
+    """
+
+    pk: _Packing
+    columns: list
+    weights: list
+    phi: int
+
+    @staticmethod
+    def at(N: int, n: int, base: int, orbits=None) -> "_Sums":
+        """The reader at conductor N of sums whose summands have l1 norms
+        adding up to at most ``base``: over the Galois ``orbits`` of a
+        certified action, or over all n columns when there are none."""
+        if orbits is None:
+            pk = _Packing(N, _rational_bound(N, base))
+            return _Sums(pk, list(range(n)), [pk.PF] * n, 0)
+        R = ramanujan_sums(N)
+        pk = _Packing(N, base * sum(map(abs, R)))
+        PR = pk.pack(dict(enumerate(R)))
+        return _Sums(pk, [o[0] for o in orbits], [len(o) * PR % pk.M for o in orbits], R[0])
+
+    def left(self, row) -> list:
+        """The packed row at the summed columns, each entry times its weight."""
+        M = self.pk.M
+        return [row[k] * w % M for k, w in zip(self.columns, self.weights)]
+
+    def value(self, u: int) -> int | None:
+        """The rational integer the packed sum u stands for, else None."""
+        if not self.phi:
+            return self.pk.rational(u)
+        trace = self.pk.constant(u)
+        return None if trace % self.phi else trace // self.phi
+
+
+def _square_permutation(sums: _Sums, P, den: int, orb):
     """Permutation p with S^2 = den times the matrix of i -> p(i), else None.
 
-    P packs the rows of an integer form of S at pk's conductor N, and U
-    packs them times F (read only without ``orbits``).  Entry
-    (i, j) of S^2 is Sum_k S_ik S_kj.  With ``orbits`` (the Galois orbits of
-    columns, given only for a certified symmetric S, whose rows then move
-    like its columns) it is read as a Galois orbit sum: the constant of
-    Sum_orbits |O| S_ik S_kj R over phi(N) (pk's bound at least
-    n ||S||^2 ||R||_1).  Otherwise each entry times F is decided by
-    ``pk.rational`` (bound at least ``_rational_bound`` of n ||S||^2).  With
-    ``orb`` (a symmetric S) only the representative rows are summed: S_{Jr,k}
-    = psi_k(J) S_rk and S_{k,Jj} = psi_k(J) S_kj give (S^2)_{Jr,j} =
-    (S^2)_{r,Jj}, so row J r is row r permuted and p(J r) = J^-1 p(r).
+    P packs the rows of an integer form of S in the packing of ``sums``, the
+    reader of (S^2)_ij = Sum_k S_ik S_kj (module docstring, "Galois
+    symmetry"); its orbit path needs a symmetric S, whose rows then move
+    like its columns.  With ``orb`` (a symmetric S) only the representative
+    rows are summed: S_{Jr,k} = psi_k(J) S_rk and S_{k,Jj} = psi_k(J) S_kj
+    give (S^2)_{Jr,j} = (S^2)_{r,Jj}, so row J r is row r permuted and
+    p(J r) = J^-1 p(r).
     """
-    n, M = len(P), pk.M
-    if orbits:
-        R = ramanujan_sums(pk.N)
-        PR = pk.pack(dict(enumerate(R)))
-        ks = [o[0] for o in orbits]
-        weights = [len(o) * PR % M for o in orbits]
-        cols = [[P[k][j] for k in ks] for j in range(n)]
-        target = den * R[0]
-
-        def entries(i):
-            row = [P[i][k] * w % M for k, w in zip(ks, weights)]
-            return [pk.constant(sum(map(mul, row, col))) for col in cols]
-
-    else:
-        cols = list(zip(*U))
-        target = den
-
-        def entries(i):
-            return [pk.rational(sum(map(mul, P[i], col))) for col in cols]
-
+    n = len(P)
+    cols = [[P[k][j] for k in sums.columns] for j in range(n)]
     perm = [None] * n
     for i in orb.reps if orb else range(n):
-        vals = entries(i)
+        row = sums.left(P[i])
+        vals = [sums.value(sum(map(mul, row, col))) for col in cols]
         hits = [j for j, r in enumerate(vals) if r != 0]
-        if len(hits) != 1 or vals[hits[0]] != target:
+        if len(hits) != 1 or vals[hits[0]] != den:
             return None
         perm[i] = hits[0]
     if orb:
@@ -487,8 +514,8 @@ class ModularData:
         integer polynomials (one per distinct entry object of S, sharing its
         index), norm the largest l1 norm of an entry of iS.  N = 0 stands for
         the conductor of S.  Computed once per order; callers must not mutate
-        iS.  The same cache holds ``_s_failure``'s packed S F under the key
-        (N, digit width)."""
+        iS.  The same cache holds ``_packed_SF`` under the key (N, digit
+        width)."""
         cache = self._int_S
         if not N:
             if 0 not in cache:
@@ -498,6 +525,26 @@ class ModularData:
         if hit is None:
             d, values = _integral_values(self._entries.values, N)
             hit = cache[N] = (N, d, _Entries(values, self._entries.index), _norm([values]))
+        return hit
+
+    def _packed_SF(self, pk: _Packing | None = None):
+        """(pk, E, rows, columns): S F packed in pk, F = (x^N - 1) / Phi_N at
+        pk's conductor N, as an ``_Entries`` and as its rows and columns
+        (tuples); kept per (N, digit width), on which the packing alone
+        depends.  The default pk is the narrowest at the conductor of S under
+        which two such values compare exactly (bound ||S|| ||F||_1: their
+        difference has digits below 2^(B-1)), the one ``galois_action``, the
+        symmetry test of ``charge_conjugation`` and the conjugate-row lookup
+        of ``verlinde`` share.
+        """
+        if pk is None:
+            N, _, _, norm = self._integral_S()
+            pk = _Packing(N, norm * sum(map(abs, cyclotomic_cofactor(N))))
+        hit = self._int_S.get((pk.N, pk.width))
+        if hit is None:
+            E = self._integral_S(pk.N)[2].map(lambda p: pk.pack(p) * pk.PF % pk.M)
+            rows = list(map(tuple, E.rows()))
+            hit = self._int_S[pk.N, pk.width] = (pk, E, rows, list(zip(*rows)))
         return hit
 
     def _twist_classes(self) -> tuple[int, ...]:
@@ -514,26 +561,21 @@ class ModularData:
         """Permutation c with S^2 the matrix of a -> c(a).
 
         Decided as ``validate_modular`` decides it (``_square_permutation``):
-        over Galois orbits and representative rows when S is symmetric, else
-        by full sums after the work guard.
+        by the orbit reader (module docstring, "Galois symmetry") and over
+        representative rows when S is symmetric, else by full sums after the
+        work guard.
         """
         if self._charge is None:
             n = self.dim
             N, den, iS, norm = self._integral_S()
             act = galois_action(self)
-            base = n * norm * norm
-            bound = _rational_bound(N, base)
-            if act.certified:
-                bound = max(bound, base * sum(map(abs, ramanujan_sums(N))))
-            pk = _Packing(N, bound)
-            P = iS.map(pk.pack)
-            U = P.map(lambda x: x * pk.PF % pk.M)
-            symmetric = _symmetric(U)
+            symmetric = _symmetric(self._packed_SF()[1])
             orbits = act.orbits if symmetric and act.certified else None
+            sums = _Sums.at(N, n, n * norm * norm, orbits)
             orb = _current_orbits(self) if symmetric else None
             if not orbits:
-                check_work((len(orb.reps) if orb else n) * n * n, pk)
-            perm = _square_permutation(pk, P.rows(), den * den, orbits, orb, U.rows())
+                check_work((len(orb.reps) if orb else n) * n * n, sums.pk)
+            perm = _square_permutation(sums, iS.map(sums.pk.pack).rows(), den * den, orb)
             if perm is None:
                 raise ValueError("S^2 is not a permutation matrix")
             self._charge = tuple(perm)
@@ -574,8 +616,8 @@ def validate_modular(md: ModularData) -> list[str]:
     """List of failed identities; empty means the data is modular.
 
     S and T are written over one conductor N, S over its common denominator
-    d and T over its own denominator e.  The identities are decided in one
-    packing, each entry of S packed (and multiplied by F = (x^N - 1) /
+    d and T over its own denominator e.  The identities are decided in the
+    packed kernel, each entry of S packed (and multiplied by F = (x^N - 1) /
     Phi_N) once per distinct entry, with no unpacking on modular data
     (module docstring).  Each sum reads the symmetry certificates of S where
     they exist (module docstring, "Galois symmetry" and "Simple-current
@@ -584,18 +626,15 @@ def validate_modular(md: ModularData) -> list[str]:
     starts, and again with the unpacked cube before that starts:
 
     * S = S^T: the packed entries are compared;
-    * S S-bar^T = d^2 I: with a Galois certificate each entry is the orbit
-      sum Sum_orbits |O| S_ik conj(S_jk) R, read by ``_Packing.constant``
-      (phi(N) times the entry: on Q(zeta_N_S), N_S the conductor of S, the
-      trace from level N is [Q(zeta_N) : Q(zeta_N_S)] times the one from
-      N_S); else by ``_Packing.rational`` of the entry times F.  With
-      nontrivial currents only representative rows r are summed, against
-      every column, as (S S-bar^T)_{Jr,j} = (S S-bar^T)_{r,J^-1 j};
-      otherwise the Hermitian matrix's entries with i <= j;
+    * S S-bar^T = d^2 I, read by the orbit reader where ``galois_action``
+      certifies S, else by the full one.  With nontrivial currents only
+      representative rows r are summed, against every column, as
+      (S S-bar^T)_{Jr,j} = (S S-bar^T)_{r,J^-1 j}; otherwise the Hermitian
+      matrix's entries with i <= j;
     * T a root of unity: each entry is looked up among the x^k-rotations of
       +-e F, since the roots of unity of Q(zeta_N) are the +-zeta_N^k;
     * S^2 = d^2 times the matrix of a permutation (``_square_permutation``,
-      shared with the charge conjugation): over Galois orbits and
+      shared with the charge conjugation): by the orbit reader and over
       representative rows when S is symmetric;
     * (ST)^3 = S^2: if S is unitary and T a root of unity, both are
       invertible and T^-1 = T-bar, so (ST)^3 = S^2 exactly when
@@ -611,11 +650,11 @@ def validate_modular(md: ModularData) -> list[str]:
       (d e)^3.
 
     With norms the largest l1 norms of entries and t = max(||T||, e), the
-    bound is ``_rational_bound`` of max(n ||S||^2, d ||S||, 1) t^2: it
-    covers the rational tests, both sides of each comparison and the twist
-    balance.  The Galois orbit sums run in a second packing, bound
-    n ||S||^2 ||R||_1, so the cube keeps the narrower digits.  A permutation
-    S^2 is kept as the charge conjugation of md.
+    full reader's packing has ``_rational_bound`` of max(n ||S||^2, d ||S||,
+    1) t^2: it also covers both sides of each cube comparison and the twist
+    balance, which run in it.  The orbit reader has its own packing, so the
+    cube keeps the narrower digits.  A permutation S^2 is kept as the charge
+    conjugation of md.
     """
     report = []
     n = md.dim
@@ -626,7 +665,10 @@ def validate_modular(md: ModularData) -> list[str]:
     act = galois_action(md)
     orb = _current_orbits(md)
     reduced = len(orb.reps) < n
-    pk = _Packing(N, _rational_bound(N, max(n * norm_S**2, dS * norm_S, 1) * t * t))
+    base = n * norm_S**2
+    full = _Sums.at(N, n, max(base, dS * norm_S, 1) * t * t)
+    sums = _Sums.at(N, n, base, act.orbits) if act.certified else full
+    pk = full.pk
     M, PF = pk.M, pk.PF
     Pe = iS.map(pk.pack)
     Ue = Pe.map(lambda x: x * PF % M)
@@ -658,40 +700,21 @@ def validate_modular(md: ModularData) -> list[str]:
     if not symmetric:
         report.append("S symmetric")
     d2 = dS * dS
-    if act.certified:
-        # Galois orbit sums, in a packing of their own width
-        R = ramanujan_sums(N)
-        po = _Packing(N, n * norm_S**2 * sum(map(abs, R)))
-        Po = iS.map(po.pack).rows()
-        PR = po.pack(dict(enumerate(R)))
-        ks = [o[0] for o in act.orbits]
-        weights = [len(o) * PR % po.M for o in act.orbits]
-        left = {i: [Po[i][k] * w % po.M for k, w in zip(ks, weights)] for i in unit_rows}
-        at_ks = [[row[k] for k in ks] for row in iS.index]
-        bar = {h: po.pack({-k % N: c for k, c in iS.values[h].items()}) for h in set(chain(*at_ks))}
-        right = [list(map(bar.__getitem__, row)) for row in at_ks]
-        one = d2 * R[0]
-
-        def orthonormal(i, j):
-            return po.constant(sum(map(mul, left[i], right[j]))) == (one if i == j else 0)
-
-    else:
-        Ubar = iS.map(lambda p: pk.pack({-k % N: c for k, c in p.items()}) * PF % M).rows()
-
-        def orthonormal(i, j):
-            return pk.rational(sum(map(mul, P[i], Ubar[j]))) == (d2 if i == j else 0)
-
-    unitary = all(orthonormal(i, j) for i, j in unit_pairs)
+    Ps = P if sums is full else iS.map(sums.pk.pack).rows()
+    left = {i: sums.left(Ps[i]) for i in unit_rows}
+    bar = iS.map(lambda p: sums.pk.pack(_conj_poly(p, N))).rows()
+    right = [[row[k] for k in sums.columns] for row in bar]
+    unitary = all(
+        sums.value(sum(map(mul, left[i], right[j]))) == (d2 if i == j else 0) for i, j in unit_pairs
+    )
     if not unitary:
         report.append("S unitary")
     roots = {**pk.rotations(dT * PF % M), **pk.rotations(-dT * PF % M)}
     twists = all(x * PF % M in roots for x in PT)
     if not twists:
         report.append("T root of unity")
-    if symmetric and act.certified:
-        perm = _square_permutation(po, Po, d2, act.orbits, orb)
-    else:
-        perm = _square_permutation(pk, P, d2, None, orb if symmetric else None, U)
+    # the orbit reader reads S^2 only for a symmetric S
+    perm = _square_permutation(sums, Ps, d2, orb) if symmetric else _square_permutation(full, P, d2, None)
     if perm is None:
         report.append("S^2 permutation")
     else:
@@ -701,7 +724,7 @@ def validate_modular(md: ModularData) -> list[str]:
         if any(perm[perm[i]] != i for i in range(n)):
             report.append("S^2 involution")
     if unitary and twists:
-        PTbar = [pk.pack({-k % N: c for k, c in p.items()}) for p in iT]
+        PTbar = [pk.pack(_conj_poly(p, N)) for p in iT]
         cols = list(zip(*U))
         PST = {i: [x * y % M for x, y in zip(P[i], PT)] for i in cube_rows}
         cube = all(
@@ -773,19 +796,16 @@ def _find_galois_action(md: ModularData) -> GaloisAction:
     """Decide sigma_g(S) column by column in one packing (module docstring).
 
     Each distinct entry p of S's integer form is packed times F once
-    (``_Entries.map``), and so is its image sigma_g(p) (exponent j -> g j
-    mod N) for each generator g.  A column's image is looked up among the
-    columns and their negatives, packed the same way: v F = w F modulo
-    x^N - 1 exactly when v = w modulo Phi_N, and sigma_g keeps l1 norms, so
-    with ``bound`` ||S|| ||F||_1 the difference of two compared values has
-    digits below 2^(B-1) and the lookup is exact, as in
-    ``_find_simple_currents``.
+    (``ModularData._packed_SF``, at its exact width), and so is its image
+    sigma_g(p) (exponent j -> g j mod N) for each generator g.  A column's
+    image is looked up among the columns and their negatives, packed the
+    same way: v F = w F modulo x^N - 1 exactly when v = w modulo Phi_N, and
+    sigma_g keeps l1 norms, so the lookup is exact.
     """
     n = md.dim
-    N, _, iS, norm = md._integral_S()
-    pk = _Packing(N, norm * sum(map(abs, cyclotomic_cofactor(N))))
+    N, _, iS, _ = md._integral_S()
+    pk, _, _, cols = md._packed_SF()
     M, PF = pk.M, pk.PF
-    cols = list(zip(*iS.map(lambda p: pk.pack(p) * PF % M).rows()))
     index = {}
     for k, u in enumerate(cols):
         index[u] = (k, 1)
@@ -822,30 +842,22 @@ def verlinde(md: ModularData):
     permutation of (a, b, e), so where the row conj(S_c) is a row S_e of S,
     N_ab^c = M(a, b, e), and only the M(a, b, e) with a <= b <= e are summed:
     about n^4 / 6 packed products.  Each row conj(S_c) F is looked up among
-    the rows S_e F, all entries packed once per distinct entry: the lookup
-    is exact, since v F = w F modulo x^N - 1 exactly when v = w modulo
-    Phi_N, and conjugation keeps l1 norms, so the digits stay within the
-    bound.  A column with no conjugate row (only on non-modular S) is summed
-    directly for every a <= b; the formula is symmetric in a and b, so the
-    rest is mirrored.
+    the rows S_e F of ``ModularData._packed_SF``, at its exact width:
+    conjugation keeps l1 norms.  A column with no conjugate row (only on
+    non-modular S) is summed directly for every a <= b; the formula is
+    symmetric in a and b, so the rest is mirrored.
 
-    The packing is a commutative ring homomorphism and conj(S_c) F = S_e F
-    packed, so M(a, b, e), summed in any order of (a, b, e), is the same
-    packed value as the direct sum for (a, b, c); ``_Packing.rational``
-    decides it with one comparison.  The tensor is then assembled in
+    Every sum is read by the reader of the module docstring ("Galois
+    symmetry"), with base n ||S||^3 ||1/S_0|| (largest l1 norms of
+    entries): the orbit reader where ``galois_action`` certifies S and every
+    conj(S_c) is a row, else the full one after the work guard
+    (``check_work``).  The packing is a commutative ring homomorphism, so
+    M(a, b, e), summed in any order of (a, b, e), is the same packed value
+    as the direct sum for (a, b, c).  The tensor is assembled in
     lexicographic (a, b, c) order with a <= b, raising at the first failing
     entry: since N_ab^c = N_ba^c, the first failure over all (a, b, c) has
-    a <= b, so it is the one reported, with the same message.  Digits are B
-    bits, with ``_rational_bound`` of n ||S||^3 ||1/S_0|| (largest l1 norms
-    of entries).  1/S_0k is one ``Cyclotomic.inverse`` per distinct value of
-    the unit row.
-
-    Where ``galois_action`` certifies S and every conj(S_c) is a row, each
-    M(a, b, e) is summed over one column per Galois orbit instead (module
-    docstring): the packed value Sum_reps |O_k| S_ak S_bk S_ek (1/S_0k) R,
-    R = Sum_j c_N(j) x^j, has phi(N) M(a, b, e) as its constant coefficient,
-    read by ``_Packing.constant`` under the bound n ||S||^3 ||1/S_0|| ||R||_1.
-    That sum is Galois-invariant, so it is rational and needs no test.
+    a <= b, so it is the one reported, with the same message.  1/S_0k is
+    one ``Cyclotomic.inverse`` per distinct value of the unit row.
 
     Where every conj(S_c) is a row and the pairs r <= r' of simple-current
     orbit representatives, times n, are fewer sums than the sorted triples,
@@ -857,9 +869,7 @@ def verlinde(md: ModularData):
     values M(r_a, r_b, e) over all e.  So integrality and sign are checked
     once per representative pair, and ``_current_fusion`` reads each row
     through (J + K) o conj_row.  Only when a representative sum fails are
-    the pairs walked in order, to name the first failure as above.  A sum
-    over every column, without the Galois orbits, runs after the work guard
-    (``check_work``).
+    the pairs walked in order, to name the first failure as above.
     """
     n = md.dim
     N, dS, iS, norm_S = md._integral_S()
@@ -878,37 +888,25 @@ def verlinde(md: ModularData):
         inv0.append(of_entry[h])
     # each inverse keeps the order of its entry, which divides N
     dI, (iI,) = _integral([inv0], N)
-    act = galois_action(md)
-    R = ramanujan_sums(N)
-    base = n * norm_S**3 * _norm([iI])
-    bound = _rational_bound(N, base)
-    if act.certified:
-        bound = max(bound, base * sum(map(abs, R)))
-    pk = _Packing(N, bound)
-    M, PF = pk.M, pk.PF
-    Pe = iS.map(pk.pack)
-    P, U = Pe.rows(), Pe.map(lambda x: x * PF % M).rows()
-    Ubar = iS.map(lambda p: pk.pack({-k % N: c for k, c in p.items()}) * PF % M).rows()
-    row_of = {tuple(u): e for e, u in enumerate(U)}
+    pe, _, U, _ = md._packed_SF()
+    row_of = {u: e for e, u in enumerate(U)}
+    Ubar = iS.map(lambda p: pe.pack(_conj_poly(p, N)) * pe.PF % pe.M).rows()
     conj_row = [row_of.get(tuple(u)) for u in Ubar]
     direct = [c for c, e in enumerate(conj_row) if e is None]
-    Pinv = [pk.pack(p) for p in iI]
-    cols, value = U, pk.rational
-    if act.certified and not direct:
-        # one column per orbit, |O_k| R folded into 1/S_0k; phi(N) = c_N(0)
-        PRS = pk.pack(dict(enumerate(R)))
-        Pinv = [len(o) * Pinv[o[0]] * PRS % M for o in act.orbits]
-        P = cols = [[row[o[0]] for o in act.orbits] for row in P]
-
-        def value(u):
-            return pk.constant(u) // R[0]
-
+    act = galois_action(md)
+    orbits = act.orbits if act.certified and not direct else None
+    sums = _Sums.at(N, n, n * norm_S**3 * _norm([iI]), orbits)
+    pk = sums.pk
+    M = pk.M
+    P = [[row[k] for k in sums.columns] for row in iS.map(pk.pack).rows()]
+    Pinv = sums.left([pk.pack(p) for p in iI])
+    Sbar = iS.map(lambda p: pk.pack(_conj_poly(p, N))).rows() if direct else None
     orb = None if direct else _current_orbits(md)
     if orb and 3 * len(orb.reps) * (len(orb.reps) + 1) >= (n + 1) * (n + 2):
         orb = None  # the sorted triples are fewer sums
-    if cols is U:
-        sums = len(orb.reps) * (len(orb.reps) + 1) // 2 * n if orb else n * (n + 1) * (n + 2) // 6
-        check_work((sums + len(direct) * n * (n + 1) // 2) * n, pk)
+    if not orbits:
+        count = len(orb.reps) * (len(orb.reps) + 1) // 2 * n if orb else n * (n + 1) * (n + 2) // 6
+        check_work((count + len(direct) * n * (n + 1) // 2) * n, pk)
     # for a <= b, decided: sym[a][b][e - b] = M(a, b, e) for e >= b, and
     # direct_sums[a][b][c] = N_ab^c for c in direct; or, over the current
     # representatives, sym[r][r2] = M(r, r2, e) for every e
@@ -918,8 +916,8 @@ def verlinde(md: ModularData):
         W = [x * y % M for x, y in zip(P[a], Pinv)]
         for b in [r for r in orb.reps if r >= a] if orb else range(a, n):
             wb = [w * x % M for w, x in zip(W, P[b])]
-            sym[a][b] = [value(sum(map(mul, wb, cols[e]))) for e in range(0 if orb else b, n)]
-            direct_sums[a][b] = {c: pk.rational(sum(map(mul, wb, Ubar[c]))) for c in direct}
+            sym[a][b] = [sums.value(sum(map(mul, wb, P[e]))) for e in range(0 if orb else b, n)]
+            direct_sums[a][b] = {c: sums.value(sum(map(mul, wb, Sbar[c]))) for c in direct}
     den = dS**3 * dI
     if orb and not any(_failing(sym[r][r2], den) for r in orb.reps for r2 in orb.reps if r <= r2):
         return _current_fusion(orb, sym, conj_row, den)
@@ -1101,8 +1099,8 @@ def _find_simple_currents(md: ModularData):
     a times them (module docstring: S diagonalizes N_j with eigenvalues
     psi_k(j), and a unitary nonnegative integer matrix is a permutation).
     At m = lcm(2, N), N the conductor of S and T, every root of unity in
-    Q(zeta_N) is some x^k.  S is packed times
-    F = (x^m - 1) / Phi_m, as u; v F = w F modulo x^m - 1 = Phi_m F exactly
+    Q(zeta_N) is some x^k.  S is packed times F = (x^m - 1) / Phi_m, as u
+    (``ModularData._packed_SF``); v F = w F modulo x^m - 1 = Phi_m F exactly
     when v = w modulo Phi_m, as x^m - 1 is squarefree.
 
     * S_jk = zeta_m^q S_0k exactly when u_jk is u_0k rotated by q digits (the
@@ -1125,15 +1123,14 @@ def _find_simple_currents(md: ModularData):
     """
     n, unit, labels = md.dim, md.unit, md.labels
     m = lcm(2, md._integral_S()[0], _conductor([md.T]))
-    _, _, iS, norm_S = md._integral_S(m)
+    norm_S = md._integral_S(m)[3]
     dT, (iT,) = _integral([md.T], m)
-    unit_bar = {-k % m: c for k, c in iT[unit].items()}
+    unit_bar = _conj_poly(iT[unit], m)
     ratios = [_poly_mul(t, unit_bar, m) for t in iT]
     bound = max(norm_S, _norm([ratios]), dT * dT)
     pk = _Packing(m, bound * sum(map(abs, cyclotomic_cofactor(m))))
     M, PF, B = pk.M, pk.PF, pk.shift
-
-    U = list(map(tuple, iS.map(lambda p: pk.pack(p) * PF % M).rows()))
+    _, _, U, _ = md._packed_SF(pk)
     digits = {j: [] for j in range(n)}  # charge digits of the rows still candidates
     rotations: dict = {}  # one table per distinct unit-row value
     for k in range(n):

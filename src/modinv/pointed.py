@@ -350,7 +350,10 @@ def dpm_to_matrix(q: QuadraticForm, dpm: DPMParam) -> ModularInvariant:
 def form_from_pointed(md: ModularData) -> QuadraticForm:
     """Recover the quadratic form of pointed data from its twist ratios."""
     labels = md.labels
-    if not labels or not isinstance(labels[0], tuple):
+    if not labels or any(
+        not isinstance(lab, tuple) or len(lab) != len(labels[0]) or any(type(x) is not int for x in lab)
+        for lab in labels
+    ):
         raise ValueError("pointed labels must be group element tuples")
     rank = len(labels[0])
     factors = tuple(max(lab[i] for lab in labels) + 1 for i in range(rank))

@@ -15,8 +15,9 @@ integral, and ``json_rational`` and ``json_list``, the one reader of exact
 rationals and lists in JSON input.  It ends with the packed integer kernel,
 ``_Packing`` and ``_rational_bound``: integer polynomials in zeta_N as big
 integers by Kronecker substitution (see ``modular``, which builds its matrix
-work on it, and ``forms.gauss_sum``), and ``ramanujan_sums``, the traces of
-the powers of zeta_N that ``modular.verlinde`` reads orbit sums with.
+work on it, and ``forms.gauss_sum``), ``_conj_poly``, the one conjugation of
+such a polynomial, and ``ramanujan_sums``, the traces of the powers of
+zeta_N that ``modular`` reads Galois-orbit sums with.
 """
 
 from __future__ import annotations
@@ -88,11 +89,14 @@ def json_rational(x) -> Fraction:
         raise ValueError(f"bad rational {x!r}") from exc
 
 
-def _check_order(n: int) -> None:
+def _check_order(n: int) -> int:
+    """n as an int, if it is a positive integral order within ORDER_GUARD."""
+    n = as_integer(n, "cyclotomic order must be a positive integer")
     if n <= 0:
         raise ValueError("cyclotomic order must be a positive integer")
     if n > ORDER_GUARD:
         raise GuardError(f"cyclotomic order {n} exceeds guard {ORDER_GUARD}")
+    return n
 
 
 @lru_cache(maxsize=None)
@@ -205,7 +209,7 @@ class Cyclotomic:
     __hash__ = None  # equality crosses orders; use canonical keys instead
 
     def __init__(self, order: int, terms: dict[int, Fraction] | None = None):
-        _check_order(order)
+        order = _check_order(order)
         clean: dict[int, Fraction] = {}
         if terms:
             for k, c in terms.items():
@@ -362,8 +366,7 @@ class Cyclotomic:
 
     def conj(self) -> "Cyclotomic":
         """Complex conjugate: zeta^k -> zeta^-k."""
-        n = self.order
-        return Cyclotomic._trusted(n, {-k % n: c for k, c in self._terms.items()})
+        return Cyclotomic._trusted(self.order, _conj_poly(self._terms, self.order))
 
     def inverse(self) -> "Cyclotomic":
         if len(self._terms) == 1:
@@ -491,7 +494,7 @@ def _poly_invert(r: list[Fraction], phi: list[Fraction]) -> list[Fraction]:
 
 def root_of_unity(N: int, k: int) -> Cyclotomic:
     """zeta_N^k in canonical form; the order of the result divides N."""
-    _check_order(N)
+    N = _check_order(N)
     k %= N
     if k == 0:
         return Cyclotomic.one()
@@ -529,6 +532,7 @@ def phase_fraction(x: Cyclotomic) -> Fraction:
 
 def sqrt_nonneg_int(n: int) -> Cyclotomic:
     """Positive square root of a nonnegative integer, inside Q(zeta_4n)."""
+    n = as_integer(n, "sqrt_nonneg_int needs a nonnegative integer")
     if n < 0:
         raise ValueError("negative input")
     if n == 0:
@@ -580,6 +584,11 @@ def _sqrt_odd_squarefree(f: int) -> tuple[int, dict[int, int]]:
 
 
 # -- packed integer kernel ----------------------------------------------------
+
+
+def _conj_poly(p: dict, N: int) -> dict:
+    """Terms {-k mod N: c} of the complex conjugate of Sum c zeta_N^k (terms {k: c})."""
+    return {-k % N: c for k, c in p.items()}
 
 
 class _Packing:

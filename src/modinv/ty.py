@@ -751,6 +751,7 @@ def hg_fusion(nu: int) -> FusionRing:
     its size grows as nu^6; the label count is checked against
     HG_LABEL_GUARD before anything is built.
     """
+    nu = as_integer(nu, "the grafting size must be an integer")
     if nu % 2 == 0 or nu < 1:
         raise ValueError("only odd grafting sizes are defined")
     if nu * nu + 3 > HG_LABEL_GUARD:

@@ -1950,6 +1950,54 @@ def test_certified_data_never_reach_the_guard(build, monkeypatch):
         validate_modular(clear_certificates(build()))
 
 
+def reader_entries(md, sums):
+    """Every entry of S S-bar^T and of S^2, over md's common denominator
+    squared, as ``sums`` reads it."""
+    N, _, iS, _ = md._integral_S()
+    pk = sums.pk
+    P = iS.map(pk.pack).rows()
+    bar = iS.map(lambda p: pk.pack(scalars._conj_poly(p, N))).rows()
+    out = []
+    for i in range(md.dim):
+        left = sums.left(P[i])
+        for j in range(md.dim):
+            for y in (bar[j], [row[j] for row in P]):
+                out.append(sums.value(sum(x * y[k] for x, k in zip(left, sums.columns))))
+    return out
+
+
+@pytest.mark.parametrize("build", CURRENT_DATA, ids=CURRENT_IDS)
+def test_orbit_and_full_readers_agree(build):
+    md = build()
+    act = modular.galois_action(md)
+    # the orbit reader reads S^2 only for a certified symmetric S
+    assert act.certified and modular._symmetric(md._packed_SF()[1])
+    N, d, _, norm = md._integral_S()
+    n = md.dim
+    orbit = modular._Sums.at(N, n, n * norm * norm, act.orbits)
+    full = modular._Sums.at(N, n, n * norm * norm)
+    assert len(orbit.columns) == len(act.orbits) and len(full.columns) == n
+    entries = reader_entries(md, orbit)
+    assert entries == reader_entries(md, full)
+    # S is unitary, and S^2 is the charge conjugation
+    c = md.charge_conjugation()
+    expected = [d * d * x for i in range(n) for j in range(n) for x in (int(i == j), int(j == c[i]))]
+    assert entries == expected
+
+
+def test_orbit_reader_refuses_a_trace_phi_does_not_divide():
+    md = _double("3^1_+")
+    act = modular.galois_action(md)
+    sums = modular._Sums.at(act.N, md.dim, 1, act.orbits)
+    phi, pack = sums.phi, sums.pk.pack
+    assert phi == 8
+    # a floor division would read 0, 0, 1 and -2 here
+    for c in (1, phi - 1, phi + 1, -phi - 1):
+        assert sums.value(pack({0: c})) is None
+    assert sums.value(pack({0: 3 * phi})) == 3
+    assert sums.value(pack({0: -2 * phi, 1: 5})) == -2  # only the constant digit is read
+
+
 def cyclic_weil(k):
     """weil of x -> x^2 / 2k on Z_k (k even)."""
     return weil(std_form((k,)))

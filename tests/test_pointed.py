@@ -42,6 +42,7 @@ from modinv.simple_current import (
     s_only_matrix,
     sc_matrix,
 )
+from modinv.ty import TYData, ty_double
 
 
 def std_form(factors, num=1):
@@ -126,6 +127,10 @@ class TestFormFromPointed:
         md2 = type(md)(["a", "b", "c", "d"], 0, md.S, md.T)
         with pytest.raises(ValueError):
             form_from_pointed(md2)
+        # TY labels are tuples, but not integer coordinates
+        q = indecomposable_form("2^1_1")[0]
+        with pytest.raises(ValueError, match="group element tuples"):
+            form_from_pointed(ty_double(TYData(q.group, q.polarization(), 1), q))
 
 
 class TestIsotropic:

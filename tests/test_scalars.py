@@ -50,6 +50,19 @@ def test_order_of_result_divides_input():
 def test_rejects_zero_order():
     with pytest.raises(ValueError):
         root_of_unity(0, 1)
+    # an order must be an integral number, and True is not one
+    for order, terms in [(2.5, {1: 1}), ("3", None), (True, {0: 1})]:
+        with pytest.raises(ValueError, match="cyclotomic order must be a positive integer"):
+            Cyclotomic(order, terms)
+    assert Cyclotomic(4.0, {1: 1}) == root_of_unity(4, 1)
+
+
+def test_sqrt_rejects_negative_and_non_integer_input():
+    with pytest.raises(ValueError, match="negative input"):
+        sqrt_nonneg_int(-1)
+    for n in (2.5, "3", True):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            sqrt_nonneg_int(n)
 
 
 def test_order_guard():

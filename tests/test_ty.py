@@ -1041,7 +1041,7 @@ def test_hg_ring_axioms(nu):
 
 
 def test_hg_even_rejected():
-    for nu in (2, 4, 0):
+    for nu in (2, 4, 0, 1.5, "3"):
         with pytest.raises(ValueError):
             hg_fusion(nu)
 
