@@ -13,8 +13,9 @@ caller knows one before it starts: ``invariant_factor_group`` (quotients,
 subgroups as groups, lattice quotients M/L) works modulo the determinant and
 keeps both transforms; ``dual_quotient`` (a lattice's discriminant group
 L*/L) works modulo det² and keeps the column transform only.  Kernels of
-congruences are lattices, read off one ``hermite_rows``.  ``GuardError`` is
-defined in ``scalars`` and re-exported here.
+congruences are lattices, read off one ``hermite_rows``.  Every product of
+two integer matrices in the package is one ``mat_mul_int``.  ``GuardError``
+is defined in ``scalars`` and re-exported here.
 """
 
 from __future__ import annotations
@@ -54,10 +55,11 @@ def _identity(n: int) -> list[list[int]]:
 
 
 def mat_mul_int(A, B):
-    n, m, p = len(A), len(B), len(B[0]) if B else 0
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(m)) for j in range(p)] for i in range(n)
-    ]
+    """A·B for integer matrices given by their rows, each entry one
+    ``sum(map(mul, ...))`` of a row of A and a column of B.  A B with no rows
+    has no columns to read, so the product's rows are empty."""
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
 def smith_with_inverses(M, m: int, inverse: bool = False):
@@ -554,7 +556,10 @@ class Hom:
         """self after first."""
         if first.codomain != self.domain:
             raise ValueError("composition mismatch")
-        M = mat_mul_int([list(r) for r in self.matrix], [list(r) for r in first.matrix])
+        # column i is the image of the i-th domain generator: read so, the
+        # matrix keeps its shape when the middle group is trivial
+        images = [self.apply(first.apply(e)) for e in first.domain.basis()]
+        M = [[image[j] for image in images] for j in range(self.codomain.rank)]
         return Hom(first.domain, self.codomain, M, check=False)
 
     @staticmethod

@@ -46,6 +46,7 @@ from .abelian import (
     Subgroup,
     congruence_kernel,
     full_subgroup,
+    mat_mul_int,
     product_with_maps,
     Character,
 )
@@ -187,7 +188,7 @@ class Pairing:
         if H.ambient != self.right:
             raise ValueError("subgroup of the wrong group")
         d = self.den
-        rows = [[sum(x * hj for x, hj in zip(row, h)) % d for row in self.num] for h in H.gens()]
+        rows = [[x % d for x in row] for row in mat_mul_int(H.gens(), list(zip(*self.num)))]
         return congruence_kernel(self.left, rows, [d] * len(rows))
 
     def pull_back(self, JL: FinAbGroup, JR: FinAbGroup, embedL, embedR) -> "Pairing":

@@ -8,8 +8,9 @@ scaled-cubic lattices, realization of an arbitrary nondegenerate form, and
 the subgroup correspondence for intermediate lattices.
 
 Every Gram product goes through ``_congruent(A, gram)``, the integer matrix
-A·gram·Aᵀ: rational vectors are scaled to integer numerators first and the
-result is divided by the common denominator once.
+A·gram·Aᵀ, built on ``abelian.mat_mul_int``: rational vectors are scaled to
+integer numerators first and the result is divided by the common
+denominator once.
 
 ``realize`` builds one lattice per indecomposable and sums them; a form
 target is first named by ``forms.descriptor``, read off its Jordan normal
@@ -58,6 +59,7 @@ from .abelian import (
     dual_quotient,
     hermite_rows,
     invariant_factor_group,
+    mat_mul_int,
 )
 from .forms import (
     DISCRIMINANT_GUARD,
@@ -76,14 +78,12 @@ TREE_SEARCH_BOUND = 20_000  # weighted trees tried per rank
 LATTICE_RANK_GUARD = 256  # largest rank of a named A or D lattice
 
 
-def _times(A, gram) -> list[list[int]]:
-    """A·gram for integer rows A and a symmetric integer gram."""
-    return [[sum(a * g for a, g in zip(row, col)) for col in gram] for row in A]
-
-
 def _congruent(A, gram) -> list[list[int]]:
-    """A·gram·Aᵀ: the Gram matrix of the integer vectors A's rows spell."""
-    return [[sum(x * y for x, y in zip(r, s)) for s in A] for r in _times(A, gram)]
+    """A·gram·Aᵀ: the Gram matrix of the integer vectors A's rows spell (all
+    zero over a rank-0 gram, where Aᵀ has no row to give the shape)."""
+    if not gram:
+        return [[0] * len(A) for _ in A]
+    return mat_mul_int(mat_mul_int(A, gram), list(zip(*A)))
 
 
 def _numerators(vectors) -> tuple[list[list[int]], int]:
@@ -208,7 +208,7 @@ class DualVector:
     def in_dual(self) -> bool:
         """Pairing with every lattice vector is an integer."""
         W, den = _numerators([self.coords])
-        return all(x % den == 0 for x in _times(W, self.lattice.gram)[0])
+        return all(x % den == 0 for x in mat_mul_int(W, self.lattice.gram)[0])
 
     def is_lattice_vector(self) -> bool:
         return all(c.denominator == 1 for c in self.coords)
@@ -305,7 +305,7 @@ def glue(L: Lattice, cosets) -> Lattice:
     n = L.rank
     W, den = _numerators(vecs)
     WGW = _congruent(W, L.gram)
-    for i, row in enumerate(_times(W, L.gram)):
+    for i, row in enumerate(mat_mul_int(W, L.gram)):
         if any(x % den for x in row):
             raise ValueError("coset representative is not in the dual")
         if WGW[i][i] % (2 * den * den):
@@ -529,7 +529,7 @@ def _realize_factor(p: int, k: int, sub) -> Lattice:
         # so v, e_1, ..., e_(n-1) are a basis of base + Zv: its Gram is the
         # base's with row and column 0 replaced by the products with v.
         (w,), den = _numerators([(Fraction(1, N),) * scalars + gamma * copies])
-        (gw,) = _times([w], base)  # den times the products of v with each e_i
+        (gw,) = mat_mul_int([w], base)  # den times the products of v with each e_i
         vv = sum(a * b for a, b in zip(gw, w))
         gram = [[vv // (den * den)] + [x // den for x in gw[1:]]]
         gram += [[x // den] + list(row[1:]) for x, row in zip(gw[1:], base[1:])]

@@ -49,10 +49,11 @@ uses it too); this module writes its matrices into it:
   All of it is rotation lookups at an even m, where the sign is a rotation.
 * Results are unpacked and reduced modulo Phi_N only where a value is
   returned or compared as a whole matrix: ``_product`` gives a product as
-  reduced integer lists and ``mat_mul`` wraps them as ``Cyclotomic``
-  values.  ``validate_modular`` unpacks (ST)^2 and (ST)^3, to compare the
-  cube with S^2, only when S is not unitary or T not a root of unity; on
-  modular data it compares S T S with T-bar S T-bar in the packing.
+  reduced integer lists and ``mat_mul``, the one matrix product over
+  Q(zeta_N), wraps them as ``Cyclotomic`` values.  ``validate_modular``
+  compares (ST)^3 with S^2 by ``mat_mul`` only when S is not unitary or T
+  not a root of unity; on modular data it compares S T S with
+  T-bar S T-bar in the packing.
 
 The brute-force invariant search writes the commutant linear system SZ = ZS
 as integer rows (one per coefficient of zeta_N), brings it to a fully reduced
@@ -366,16 +367,6 @@ def _galois_symmetric(act: GaloisAction, matrix, support) -> bool:
     )
 
 
-def _poly_mul(p: dict, q: dict, N: int) -> dict:
-    """Product of two integer polynomials in Z[x]/(x^N - 1)."""
-    out: dict = {}
-    for k1, c1 in p.items():
-        for k2, c2 in q.items():
-            k = (k1 + k2) % N
-            out[k] = out.get(k, 0) + c1 * c2
-    return out
-
-
 class _Sums(NamedTuple):
     """The one reader of exact sums over the columns of S (module docstring,
     "Galois symmetry").
@@ -623,7 +614,7 @@ def validate_modular(md: ModularData) -> list[str]:
     they exist (module docstring, "Galois symmetry" and "Simple-current
     symmetry"); where one is missing the full sum runs.  The work guard
     (``check_work``) estimates all uncertified sums together before any sum
-    starts, and again with the unpacked cube before that starts:
+    starts, and again with the ``mat_mul`` cube before that starts:
 
     * S = S^T: the packed entries are compared;
     * S S-bar^T = d^2 I, read by the orbit reader where ``galois_action``
@@ -645,9 +636,8 @@ def validate_modular(md: ModularData) -> list[str]:
       holds exactly when entry (a, J j) does, so only representative rows
       are compared; otherwise every row, or the upper triangle when S is
       symmetric (both sides are then symmetric).  If S is not unitary or T
-      not a root of unity, the cube is unpacked, with (ST)^2 reduced before
-      it is packed again, and compared with S^2 as reduced lists over
-      (d e)^3.
+      not a root of unity, (ST)^3 and S^2 are compared as ``mat_mul``
+      products, ST built entry by entry.
 
     With norms the largest l1 norms of entries and t = max(||T||, e), the
     full reader's packing has ``_rational_bound`` of max(n ||S||^2, d ||S||,
@@ -733,18 +723,8 @@ def validate_modular(md: ModularData) -> list[str]:
         )
     else:
         check_work(work + 3 * n**3, pk)
-        rows = iS.rows()
-        if perm is None:
-            S2 = _product(rows, rows, N)
-        else:
-            one, zero = [d2] + [0] * (N - 1), [0] * N
-            S2 = [[one if j == perm[i] else zero for j in range(n)] for i in range(n)]
-        ST = [[_poly_mul(p, q, N) for p, q in zip(row, iT)] for row in rows]
-        ST3 = _product([[dict(enumerate(c)) for c in row] for row in _product(ST, ST, N)], ST, N)
-        scale = dS * dT**3
-        cube = all(
-            c == [scale * x for x in s] for crow, srow in zip(ST3, S2) for c, s in zip(crow, srow)
-        )
+        ST = [[x * t for x, t in zip(row, md.T)] for row in md.S]
+        cube = mat_mul(mat_mul(ST, ST), ST) == mat_mul(md.S, md.S)
     if not cube:
         report.append("(ST)^3 = S^2")
     return report
@@ -1109,8 +1089,9 @@ def _find_simple_currents(md: ModularData):
     * j a is the row of u equal to row a rotated entry by entry by j's
       digits.  Currents compose by this lookup, which gives the group; each
       generator's permutation is looked up and every other one composed;
-    * T_j conj(T_0) = zeta_m^k exactly when the packed t_j conj(t_0) F (T over
-      its denominator d_T) is the packed d_T^2 F rotated by k;
+    * T_j conj(T_0) = zeta_m^k exactly when the packed t_j (T over its
+      denominator d_T) times the one packed conj(t_0) F is the packed
+      d_T^2 F rotated by k;
     * S_ab = 0 exactly when u_ab = 0.
 
     On other data the tables are read off S as given, or ValueError is raised
@@ -1118,18 +1099,18 @@ def _find_simple_currents(md: ModularData):
     a twist ratio is no root of unity.  Distinct rows make the currents' rows
     the unit row times distinct phase rows closed under products: a group,
     acting by permutations.  Exactness: compared values have coefficients at
-    most ``bound`` ||F||_1 (largest l1 norms of an S entry, a t_j conj(t_0)
-    and d_T^2), so a difference has digits below 2^(B-1): 0 only if all are.
+    most ``bound`` ||F||_1 (the largest of ||S_ab||, ||t||^2 >= ||t_j
+    conj(t_0)|| and d_T^2, in l1 norms), so a difference has digits below
+    2^(B-1): 0 only if all are.
     """
     n, unit, labels = md.dim, md.unit, md.labels
     m = lcm(2, md._integral_S()[0], _conductor([md.T]))
     norm_S = md._integral_S(m)[3]
     dT, (iT,) = _integral([md.T], m)
-    unit_bar = _conj_poly(iT[unit], m)
-    ratios = [_poly_mul(t, unit_bar, m) for t in iT]
-    bound = max(norm_S, _norm([ratios]), dT * dT)
+    bound = max(norm_S, _norm([iT]) ** 2, dT * dT)
     pk = _Packing(m, bound * sum(map(abs, cyclotomic_cofactor(m))))
     M, PF, B = pk.M, pk.PF, pk.shift
+    unit_bar = pk.pack(_conj_poly(iT[unit], m)) * PF % M
     _, _, U, _ = md._packed_SF(pk)
     digits = {j: [] for j in range(n)}  # charge digits of the rows still candidates
     rotations: dict = {}  # one table per distinct unit-row value
@@ -1171,7 +1152,7 @@ def _find_simple_currents(md: ModularData):
     ones = pk.rotations(dT * dT * PF % M)
     twists = {}
     for j in digits:
-        k = ones.get(pk.pack(ratios[j]) * PF % M)
+        k = ones.get(pk.pack(iT[j]) * unit_bar % M)
         if k is None:
             raise ValueError(f"{md.T[j] * md.T[unit].conj()!r} is not a root of unity")
         twists[coords[j]] = k * den // m

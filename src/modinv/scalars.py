@@ -213,9 +213,9 @@ class Cyclotomic:
         clean: dict[int, Fraction] = {}
         if terms:
             for k, c in terms.items():
+                k = as_integer(k, "cyclotomic exponents must be integers") % order
                 c = Fraction(c)
                 if c:
-                    k %= order
                     acc = clean.get(k)
                     clean[k] = c if acc is None else acc + c
                     if not clean[k]:
@@ -495,7 +495,7 @@ def _poly_invert(r: list[Fraction], phi: list[Fraction]) -> list[Fraction]:
 def root_of_unity(N: int, k: int) -> Cyclotomic:
     """zeta_N^k in canonical form; the order of the result divides N."""
     N = _check_order(N)
-    k %= N
+    k = as_integer(k, "cyclotomic exponents must be integers") % N
     if k == 0:
         return Cyclotomic.one()
     g = gcd(N, k)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import prod
 from typing import NamedTuple
 
-from .abelian import Character, FinAbGroup, Subgroup, all_subgroups, subgroup_group
+from .abelian import Character, FinAbGroup, Subgroup, all_subgroups, mat_mul_int, subgroup_group
 from .forms import AlternatingPairing, Pairing
 from .modular import ModularData, ModularInvariant, s_commutes, simple_currents
 
@@ -292,18 +292,14 @@ def enumerate_sc(md: ModularData) -> SCEnumeration:
 def invariant_product(md: ModularData, Z1: ModularInvariant, Z2: ModularInvariant):
     """(overlap count, normalized product with the second factor transposed)."""
     n = md.dim
+    if any(len(Z.matrix) != n or any(len(r) != n for r in Z.matrix) for Z in (Z1, Z2)):
+        raise ValueError("matrix dimension mismatch")
     count = sum(
         1 for a in range(n) if Z1.matrix[md.unit][a] and Z2.matrix[md.unit][a]
     )
     if count == 0:
         raise ValueError("invariants share no unit-row support")
-    prod_matrix = [
-        [
-            sum(Z1.matrix[i][k] * Z2.matrix[j][k] for k in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    prod_matrix = mat_mul_int(Z1.matrix, list(zip(*Z2.matrix)))
     out = []
     for row in prod_matrix:
         new = []

@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import product
 from math import isqrt
 
-from .abelian import FinAbGroup, GuardError, Subgroup, quotient, subgroup_group
+from .abelian import FinAbGroup, GuardError, Subgroup, mat_mul_int, quotient, subgroup_group
 from .forms import (
     AlternatingPairing,
     Pairing,
@@ -701,6 +701,8 @@ def equiv_invariant(data: TYData, q: QuadraticForm, H: Subgroup, psi=None) -> Mo
     group order only.
     """
     G = data.G
+    if H.ambient != G:
+        raise ValueError("subgroup of a different group")
     if G.order % 2 == 0:
         raise ValueError("transport needs a group of odd order")
     if q.polarization().key() != data.pairing.key():
@@ -726,15 +728,7 @@ def equiv_invariant(data: TYData, q: QuadraticForm, H: Subgroup, psi=None) -> Mo
             row[widx[la[1]]] += 1
             row[widx[G.neg(la[1])]] += 1
         B.append(row)
-    m = len(md_e.labels)
-    w = len(wl)
-    M = [
-        [
-            sum(B[a][i] * Zw[i][j] * B[b][j] for i in range(w) for j in range(w))
-            for b in range(m)
-        ]
-        for a in range(m)
-    ]
+    M = mat_mul_int(mat_mul_int(B, Zw), list(zip(*B)))
     return ModularInvariant(M, {"source": "branching transport", "subgroup": H.key()})
 
 

@@ -44,6 +44,34 @@ from modinv.forms import indecomposable_form
 from modinv.scalars import factorize
 
 
+def naive_product(A, B):
+    """A·B by the triple loop over its definition."""
+    return [
+        [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
+        for i in range(len(A))
+    ]
+
+
+big_entries = st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def product_pairs(draw):
+    """(A, B) of shapes n x m and m x p, 1 <= n, m, p <= 5, rows as tuples or lists."""
+    n, m, p = (draw(st.integers(1, 5)) for _ in range(3))
+    rows = draw(st.sampled_from([tuple, list]))
+    A = [rows(draw(st.lists(big_entries, min_size=m, max_size=m))) for _ in range(n)]
+    B = [rows(draw(st.lists(big_entries, min_size=p, max_size=p))) for _ in range(m)]
+    return A, B
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_pairs())
+def test_mat_mul_int_matches_triple_loop(pair):
+    A, B = pair
+    assert mat_mul_int(A, B) == naive_product(A, B)
+
+
 square_matrices = st.integers(1, 6).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
@@ -587,6 +615,14 @@ class TestHom:
         assert gf.domain == Z4 and gf.codomain == Z4
         assert gf.apply((1,)) == (2,)
         assert Hom.identity(Z4).apply((3,)) == (3,)
+
+    def test_compose_through_trivial_group(self):
+        # the product has inner dimension 0: its shape comes from the outer groups
+        Z1, Z2, Z3 = FinAbGroup(()), FinAbGroup((2,)), FinAbGroup((3,))
+        zero = Hom(Z1, Z2, [[]]).compose(Hom(Z3, Z1, []))
+        assert zero == Hom(Z3, Z2, [[0]])
+        G = FinAbGroup((6, 2))
+        assert Hom(Z1, G, [[], []]).compose(Hom(Z2, Z1, [])).matrix == ((0,), (0,))
 
     def test_hom_property(self):
         G = FinAbGroup((4, 2))

@@ -113,6 +113,32 @@ def test_rank_zero_lattice():
     assert L.rank == 0 and L.det == 1
     G, q, reps = discriminant(L)
     assert G.order == 1 and reps == ()
+    v = DualVector(L, ())
+    assert v.norm() == 0 and v.in_dual()
+    assert lattice._congruent([(), ()], L.gram) == [[0, 0], [0, 0]]
+
+
+@st.composite
+def symmetric_grams(draw):
+    """(A, gram): a random symmetric k x k integer gram and n x k integer rows A."""
+    k, n = draw(st.integers(1, 6)), draw(st.integers(0, 5))
+    gram = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            gram[i][j] = gram[j][i] = draw(st.integers(-(2**40), 2**40))
+    A = [draw(st.lists(st.integers(-(2**30), 2**30), min_size=k, max_size=k)) for _ in range(n)]
+    return A, gram
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_grams())
+def test_congruent_matches_triple_loop(case):
+    A, gram = case
+    k = len(gram)
+    reference = [
+        [sum(a[i] * gram[i][j] * b[j] for i in range(k) for j in range(k)) for b in A] for a in A
+    ]
+    assert lattice._congruent(A, gram) == reference
 
 
 def reference_pivots(rows):

@@ -57,6 +57,16 @@ def test_rejects_zero_order():
     assert Cyclotomic(4.0, {1: 1}) == root_of_unity(4, 1)
 
 
+def test_rejects_non_integer_exponents():
+    message = "cyclotomic exponents must be integers"
+    for terms in [{1.5: 1}, {"1": 1}, {True: 1}, {1.5: 0}]:
+        with pytest.raises(ValueError, match=message):
+            Cyclotomic(4, terms)
+    with pytest.raises(ValueError, match=message):
+        root_of_unity(4, 1.5)
+    assert Cyclotomic(4, {5.0: 1}) == root_of_unity(4, 1.0) == root_of_unity(4, 1)
+
+
 def test_sqrt_rejects_negative_and_non_integer_input():
     with pytest.raises(ValueError, match="negative input"):
         sqrt_nonneg_int(-1)

@@ -13,7 +13,7 @@ from modinv.forms import (
     alternating_pairings,
     indecomposable_form,
 )
-from modinv.modular import brute_force_invariants, check_invariant, simple_currents
+from modinv.modular import ModularInvariant, brute_force_invariants, check_invariant, simple_currents
 from modinv.pointed import weil
 from modinv.simple_current import (
     SCParam,
@@ -288,6 +288,19 @@ class TestProducts:
             J0 = Subgroup(sc.group, [param.embed(y) for y in rad.gens()])
             expected = sc_matrix(md, make_epsilon(md, J0)).matrix
             assert z3.matrix == expected
+
+    def test_rejects_wrong_sized_invariants(self):
+        # the 3 primaries of weil(3^1_+) against a smaller and a larger identity
+        md = weil(indecomposable_form("3^1_+")[0])
+        z = sc_matrix(md, make_epsilon(md, current_subgroup(md, [])[1]))
+        for n in (2, 4):
+            other = ModularInvariant([[int(i == j) for j in range(n)] for i in range(n)])
+            for pair in ((z, other), (other, z)):
+                with pytest.raises(ValueError, match="matrix dimension mismatch"):
+                    invariant_product(md, *pair)
+        ragged = ModularInvariant([(1, 0, 0), (0, 1), (0, 0, 1)])
+        with pytest.raises(ValueError, match="matrix dimension mismatch"):
+            invariant_product(md, z, ragged)
 
     def test_products_stay_in_family(self):
         md = weil(std_form((6,)))

@@ -1000,6 +1000,10 @@ def test_equiv_invariant_rejects_bad_input():
     q5, _ = indecomposable_form("5^1_+")
     with pytest.raises(ValueError):
         equiv_invariant(data3, q5, Subgroup(q3.group, []))
+    # H must be a subgroup of the datum's group, even where its labels would resolve
+    for H in (Subgroup(q5.group, [(1,)]), Subgroup(FinAbGroup((3, 3)), [(1, 0)])):
+        with pytest.raises(ValueError, match="subgroup of a different group"):
+            equiv_invariant(data3, q3, H)
 
 
 # -- grafted fusion ring ------------------------------------------------------------
