@@ -63,12 +63,12 @@ nonnegative integer points by divisibility checks on the pivot rows.
 Galois symmetry.  For modular data every sigma in Gal(Q(zeta_N)/Q), N the
 conductor of S, acts on S as a signed permutation of its columns:
 sigma(S_ik) = eps_sigma(k) S_{i, pi_sigma(k)} (Coste-Gannon, Phys. Lett. B
-323, 1994).  ``galois_action`` certifies this exactly, once per datum, for
-a generating set of (Z/N)^*, sigma_g acting on exponents by j -> g j mod N:
-each column's image, packed times F, is looked up among the columns and
-their negatives packed the same way.  Composition extends the relation to
-the whole group, so its column orbits are those of the generated
-permutations.
+323, 1994).  ``galois_action`` (the plan's ``galois``) certifies this
+exactly for a generating set of (Z/N)^*, sigma_g acting on exponents by
+j -> g j mod N: each column's image, packed times F, is looked up among the
+columns and their negatives packed the same way.  Composition extends the
+relation to the whole group, so its column orbits are those of the
+generated permutations.
 
 The sums over S.  Every exact sum over the columns k of S, Sum_k f(k) with
 f(k) a product of values in column k, is read by one reader, ``_Sums``.
@@ -89,8 +89,8 @@ a certificate the full reader sums every column with F folded in and
 decides the sum by ``_Packing.rational``, under ``_rational_bound`` of
 base.  Both give the same rational integer; the full reader gives None for
 a sum that is not rational, the orbit reader for a digit phi(N) does not
-divide, which a correct certificate never leaves.  The readers of the
-certificate:
+divide, which a correct certificate never leaves.  The plan picks the
+reader and builds it (``_Plan.reader``); the uses of the certificate:
 
 * ``verlinde``.  In f(k) = S_ak S_bk S_ek / S_0k the sign appears three
   times over once, so sigma(f(k)) = f(pi_sigma k), and M(a, b, e) is read
@@ -124,10 +124,10 @@ certificate:
 Simple-current symmetry.  ``simple_currents`` finds, by exact rotation
 lookups alone, the currents J with S_{J a, k} = psi_k(J) S_ak for every a
 and k, psi_k(J) a root of unity and a character in J (Schellekens-
-Yankielowicz, Int. J. Mod. Phys. A 5, 1990).  ``_current_orbits`` keeps the
-orbits of the primaries under them: a = J r with r the least primary of
-its orbit.  Three identities follow, each exact for any S with that
-certificate:
+Yankielowicz, Int. J. Mod. Phys. A 5, 1990).  The plan's ``orbits`` are
+the orbits of the primaries under them: a = J r with r the least primary
+of its orbit.  Three identities follow, each exact for any S with that
+certificate; the plan names the rows each one sums:
 
 * Verlinde: M(J a, K b, e) = M(a, b, (J + K) e), as psi is a character.
   So only M(r, r', e) for representatives r <= r' and every e is summed,
@@ -149,17 +149,21 @@ permutations that preserve Z form a group, so only pairs outside the span
 of those already checked are tested, each on the nonzeros of Z alone, which
 is exact as the Galois test on Z is.
 
-Fallback.  Where a certificate is missing (no Galois generators, or
-``simple_currents`` raises ValueError, or the twist balance fails) the full
-sums run as before, and every result is the same either way.  Before a
-full sum starts, ``check_work`` estimates its packed work and raises
-GuardError above WORK_GUARD, so data with both certificates (and the twist
-balance) never reach the guard, and no admitted datum runs for minutes.
+Fallback.  One ``_Plan`` per datum, the one place where a certificate is
+chosen, tells each identity which reader, rows or columns to use.  Where it
+has none (no Galois generators, ``simple_currents`` raises ValueError, or
+the twist balance fails) the full sum runs, with the same result.  Its
+``guard``, the one caller of ``check_work``, raises GuardError before those
+sums start if their packed work exceeds WORK_GUARD, so data with both
+certificates (and the twist balance) never reach the guard, and no
+admitted datum runs for minutes.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, compress
 from math import gcd, lcm
 from operator import itemgetter, mul
@@ -196,8 +200,8 @@ def check_work(products: int, pk: _Packing, words: int = 0) -> None:
     Work is counted in products of 64-bit words, as schoolbook multiplication
     costs them: a product of two packed values of w words (N digits of
     ``pk.shift`` bits) is w^2, a packed value times an integer of ``words``
-    words is w ``words``.  Called before each sum that runs without the
-    symmetry certificate it could use.
+    words is w ``words``.  Its one caller is ``_Plan.guard``, before the
+    sums of an identity that run without the certificate they could use.
     """
     w = -(-pk.N * pk.shift // 64)
     work = products * w * (words or w)
@@ -303,29 +307,41 @@ def _support(matrix) -> list[tuple[int, int, int]]:
     return [(a, b, row[b]) for a, row in enumerate(matrix) for b in compress(range(len(row)), row)]
 
 
+def _orbits(points, moves) -> list[list]:
+    """The orbits of ``points`` under the maps ``moves``, ordered by their
+    first point, each in the order it is reached from that point."""
+    seen = set()
+    out = []
+    for start in points:
+        if start not in seen:
+            seen.add(start)
+            orbit = [start]
+            for x in orbit:  # grows while it is read
+                for f in moves:
+                    y = f(x)
+                    if y not in seen:
+                        seen.add(y)
+                        orbit.append(y)
+            out.append(orbit)
+    return out
+
+
 def s_commutes(md: ModularData, matrix) -> bool:
     """True iff the integer matrix Z commutes with S, decided exactly by the
-    kernel (``_s_failure``)."""
-    return _s_failure(md, matrix, _support(matrix)) is None
+    kernel (``_s_failure``); ValueError unless Z is an n x n integer matrix."""
+    M = _integer_matrix(matrix, md.dim)
+    return _s_failure(md, M, _support(M)) is None
 
 
 def _s_failure(md: ModularData, matrix, support):
     """None if the integer matrix Z commutes with S, else the first position
     (i, j) found with (SZ)_ij != (ZS)_ij; ``support`` is ``_support(Z)``.
 
-    Where ``galois_action`` certifies S and Z_{pi a, pi b} = eps(a) eps(b)
-    Z_ab holds on the support of Z for each generator, only one column j per
-    Galois orbit of X = SZ - ZS is checked: sigma(S) = S Q with Q the signed
-    permutation matrix, Z commutes with Q, so sigma(X) = X Q, i.e.
-    sigma(X_ij) = eps(j) X_{i, pi j}, and a column vanishes with its whole
-    orbit.  The support test is exact: (a, b) -> (pi a, pi b) permutes the
-    positions, so if it maps each nonzero of Z to an equal nonzero, it maps
-    the support onto itself and zeros to zeros.  Otherwise every column is
-    summed, after the work guard (``check_work``).  Columns are checked in
-    that order, rows increasing within each; column j of SZ is summed from
-    the nonzeros of column j of Z, and column j of ZS from every nonzero of
-    Z, one product each.  S F is read from ``ModularData._packed_SF``, so
-    every matrix whose entries fit one digit width shares it.
+    The columns j checked are the plan's (``_Plan.columns``), in that
+    order, rows increasing within each; column j of SZ is summed from the
+    nonzeros of column j of Z, and column j of ZS from every nonzero of Z,
+    one product each.  S F is read from ``ModularData._packed_SF``, so every
+    matrix whose entries fit one digit width shares it.
     """
     n = md.dim
     N, _, _, norm = md._integral_S()
@@ -335,12 +351,8 @@ def _s_failure(md: ModularData, matrix, support):
     cols = [[] for _ in range(n)]
     for a, b, x in support:
         cols[b].append((a, x))
-    act = galois_action(md)
-    if act.certified and _galois_symmetric(act, matrix, support):
-        columns = [o[0] for o in act.orbits]
-    else:
-        columns = range(n)
-        check_work(2 * n * len(support), pk, 1 + zmax.bit_length() // 64)
+    columns, work = md._plan.columns(matrix, support)
+    md._plan.guard(pk, work, 1 + zmax.bit_length() // 64)
     # entries of S F: (SZ - ZS)_ij vanishes modulo Phi_N iff its multiple by F
     # vanishes modulo x^N - 1
     _, _, P, PT = md._packed_SF(pk)
@@ -357,16 +369,6 @@ def _s_failure(md: ModularData, matrix, support):
     return None
 
 
-def _galois_symmetric(act: GaloisAction, matrix, support) -> bool:
-    """Z_{pi a, pi b} = eps(a) eps(b) Z_ab for every generator, tested on
-    ``support``, the nonzeros of Z (exact: module docstring, ``s_commutes``)."""
-    return all(
-        matrix[perm[a]][perm[b]] == signs[a] * signs[b] * x
-        for _, perm, signs in act.gens
-        for a, b, x in support
-    )
-
-
 class _Sums(NamedTuple):
     """The one reader of exact sums over the columns of S (module docstring,
     "Galois symmetry").
@@ -375,26 +377,14 @@ class _Sums(NamedTuple):
     ``value(sum(map(mul, left(x), [y[k] for k in columns])))``.  On the
     orbit path ``columns`` are one column per Galois orbit, ``weights`` the
     packed |O_k| R and ``phi`` is phi(N); on the full path ``columns`` are
-    all columns, every weight is F and ``phi`` is 0.
+    all columns, every weight is F and ``phi`` is 0.  Built by
+    ``_Plan.reader``.
     """
 
     pk: _Packing
     columns: list
     weights: list
     phi: int
-
-    @staticmethod
-    def at(N: int, n: int, base: int, orbits=None) -> "_Sums":
-        """The reader at conductor N of sums whose summands have l1 norms
-        adding up to at most ``base``: over the Galois ``orbits`` of a
-        certified action, or over all n columns when there are none."""
-        if orbits is None:
-            pk = _Packing(N, _rational_bound(N, base))
-            return _Sums(pk, list(range(n)), [pk.PF] * n, 0)
-        R = ramanujan_sums(N)
-        pk = _Packing(N, base * sum(map(abs, R)))
-        PR = pk.pack(dict(enumerate(R)))
-        return _Sums(pk, [o[0] for o in orbits], [len(o) * PR % pk.M for o in orbits], R[0])
 
     def left(self, row) -> list:
         """The packed row at the summed columns, each entry times its weight."""
@@ -413,38 +403,164 @@ def _square_permutation(sums: _Sums, P, den: int, orb):
     """Permutation p with S^2 = den times the matrix of i -> p(i), else None.
 
     P packs the rows of an integer form of S in the packing of ``sums``, the
-    reader of (S^2)_ij = Sum_k S_ik S_kj (module docstring, "Galois
-    symmetry"); its orbit path needs a symmetric S, whose rows then move
-    like its columns.  With ``orb`` (a symmetric S) only the representative
-    rows are summed: S_{Jr,k} = psi_k(J) S_rk and S_{k,Jj} = psi_k(J) S_kj
-    give (S^2)_{Jr,j} = (S^2)_{r,Jj}, so row J r is row r permuted and
-    p(J r) = J^-1 p(r).
+    reader of (S^2)_ij = Sum_k S_ik S_kj.  Only the representative rows of
+    the current orbits ``orb`` (trivial unless S is symmetric) are summed,
+    as p(J r) = J^-1 p(r) (module docstring, "Simple-current symmetry").
     """
     n = len(P)
     cols = [[P[k][j] for k in sums.columns] for j in range(n)]
     perm = [None] * n
-    for i in orb.reps if orb else range(n):
+    for i in orb.reps:
         row = sums.left(P[i])
         vals = [sums.value(sum(map(mul, row, col))) for col in cols]
         hits = [j for j, r in enumerate(vals) if r != 0]
         if len(hits) != 1 or vals[hits[0]] != den:
             return None
         perm[i] = hits[0]
-    if orb:
-        neg = orb.group.neg
-        perm = [orb.perm[neg(J)][perm[r]] for r, J in zip(orb.rep, orb.shift)]
+    neg = orb.group.neg
+    perm = [orb.perm[neg(J)][perm[r]] for r, J in zip(orb.rep, orb.shift)]
     return perm if sorted(perm) == list(range(n)) else None
 
 
-def _symmetric(U: _Entries) -> bool:
-    """U_ij == U_ji for all i < j, comparing values only where the two
-    positions hold different entry objects."""
-    vals, index = U
-    return all(
-        k == h or vals[k] == vals[h]
-        for i, (row, col) in enumerate(zip(index, zip(*index)))
-        for k, h in zip(row[i + 1:], col[i + 1:])
-    )
+class _Plan:
+    """The symmetry plan of one datum (module docstring): ``galois`` is the
+    Galois action, ``orbits`` the current orbits (trivial where
+    ``simple_currents`` raises ValueError) and ``symmetric`` whether S =
+    S^T, each computed on its first read.  Each question returns the work,
+    in products, of the sums that run without a certificate."""
+
+    def __init__(self, md: ModularData):
+        self._md = weakref.ref(md)  # md keeps its plan: no reference cycle
+
+    @staticmethod
+    def uncertified(md: ModularData) -> "_Plan":
+        """A plan for md with neither certificate: every sum runs in full."""
+        plan = _Plan(md)
+        plan.galois = GaloisAction(md._integral_S()[0], (), tuple((k,) for k in range(md.dim)))
+        plan.orbits = CurrentOrbits.trivial(md.dim)
+        return plan
+
+    @cached_property
+    def galois(self) -> GaloisAction:
+        return _find_galois_action(self._md())
+
+    @cached_property
+    def orbits(self) -> CurrentOrbits:
+        md = self._md()
+        try:
+            sc = simple_currents(md)
+        except ValueError:
+            return CurrentOrbits.trivial(md.dim)
+        return CurrentOrbits.of(sc.group, sc.action_table, md.dim)
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """S_ij == S_ji for all i < j, on the S F ``galois_action`` reads,
+        compared only where the two positions hold different entries."""
+        vals, index = self._md()._packed_SF()[1]
+        return all(
+            k == h or vals[k] == vals[h]
+            for i, (row, col) in enumerate(zip(index, zip(*index)))
+            for k, h in zip(row[i + 1:], col[i + 1:])
+        )
+
+    def guard(self, pk: _Packing, work: int, words: int = 0) -> None:
+        """``check_work`` on an identity's work, before any of its sums."""
+        check_work(work, pk, words)
+
+    def reader(self, N: int, base: int, full: _Sums | None = None, permuted: bool = True) -> _Sums:
+        """The reader at conductor N of sums whose summands have l1 norms
+        adding up to at most ``base``: over the Galois orbits where the
+        action is certified and permutes the summands, else ``full`` or over
+        all columns."""
+        if permuted and self.galois.certified:
+            R = ramanujan_sums(N)
+            pk = _Packing(N, base * sum(map(abs, R)))
+            PR = pk.pack(dict(enumerate(R)))
+            orbits = self.galois.orbits
+            return _Sums(pk, [o[0] for o in orbits], [len(o) * PR % pk.M for o in orbits], R[0])
+        if full:
+            return full
+        n = self._md().dim
+        pk = _Packing(N, _rational_bound(N, base))
+        return _Sums(pk, list(range(n)), [pk.PF] * n, 0)
+
+    def _pairs(self, reduced: bool, mirrored: bool, full: bool):
+        """(rows, pairs, work): representative rows where ``reduced``, else
+        all, the latter against j >= i where ``mirrored``."""
+        n = self._md().dim
+        rows = self.orbits.reps if reduced else range(n)
+        pairs = [(i, j) for i in rows for j in range(i if mirrored and not reduced else 0, n)]
+        return rows, pairs, len(pairs) * n if full else 0
+
+    def hermitian(self, N: int, base: int, full: _Sums):
+        """(reader, rows, pairs, work) of S S-bar^T = d^2 I: representative
+        rows where the currents reduce, else the upper triangle."""
+        n = self._md().dim
+        sums = self.reader(N, base, full)
+        rows, pairs, work = self._pairs(len(self.orbits.reps) < n, True, not sums.phi)
+        return sums, rows, pairs, work
+
+    def square(self, N: int, base: int, full: _Sums | None = None):
+        """(reader, orbits, work) of S^2 (``_square_permutation``): its
+        summands move with the Galois action, and its rows with the
+        currents, only when S is symmetric; else ``full`` over every row."""
+        n = self._md().dim
+        orb = self.orbits if self.symmetric else CurrentOrbits.trivial(n)
+        sums = self.reader(N, base, full, self.symmetric)
+        return sums, orb, 0 if sums.phi else len(orb.reps) * n * n
+
+    def cube(self, balance):
+        """(rows, pairs, work) of S T S = T-bar S T-bar: representative rows,
+        uncounted, where S is symmetric and ``balance(p, a)`` holds for each
+        generator's permutation p and primary a; else counted in full."""
+        n = self._md().dim
+        orb = self.orbits
+        balanced = (
+            len(orb.reps) < n
+            and self.symmetric
+            and all(balance(p, a) for p in map(orb.perm.get, orb.group.basis()) for a in range(n))
+        )
+        return self._pairs(balanced, self.symmetric, not balanced)
+
+    def fusion(self, N: int, base: int, direct: list):
+        """(reader, orbits, work) of the Verlinde sums (``verlinde``): only
+        where ``direct`` is empty, the orbit reader, and the current orbits
+        where their representative pairs are fewer sums than the triples."""
+        n = self._md().dim
+        sums = self.reader(N, base, None, not direct)
+        r = n if direct else len(self.orbits.reps)
+        pairs, triples = r * (r + 1) // 2 * n, n * (n + 1) * (n + 2) // 6
+        orb = self.orbits if pairs < triples else None
+        return sums, orb, 0 if sums.phi else (min(pairs, triples) + len(direct) * n * (n + 1) // 2) * n
+
+    def columns(self, matrix, support):
+        """(columns, work) of SZ = ZS (``_s_failure``): one per Galois orbit
+        where Z_{pi a, pi b} = eps(a) eps(b) Z_ab holds on the ``support``
+        of Z for every generator, else all (module docstring)."""
+        act = self.galois
+        if act.certified and all(
+            matrix[perm[a]][perm[b]] == signs[a] * signs[b] * x for _, perm, signs in act.gens for a, b, x in support
+        ):
+            return [o[0] for o in act.orbits], 0
+        n = self._md().dim
+        return range(n), 2 * n * len(support)
+
+    def commutant(self):
+        """(gens, rows, columns) of the commutant system (module docstring):
+        where there are generators and S is invertible, one column per
+        Galois orbit, and one row per orbit when S is symmetric."""
+        md = self._md()
+        n = md.dim
+        if self.galois.gens:
+            try:
+                md.charge_conjugation()
+            except ValueError:  # S^2 is no permutation: S may be singular
+                pass
+            else:
+                columns = [o[0] for o in self.galois.orbits]
+                return self.galois.gens, columns if self.symmetric else range(n), columns
+        return (), range(n), list(range(n))
 
 
 def as_permutation(A):
@@ -462,8 +578,8 @@ class ModularData:
     """Labelled (S, T) pair with a distinguished unit row."""
 
     __slots__ = (
-        "labels", "unit", "S", "T", "_fusion", "_charge", "_galois", "_currents", "_orbits", "_int_S",
-        "_entries", "_twists",
+        "labels", "unit", "S", "T", "_fusion", "_charge", "_plan", "_currents", "_int_S", "_entries",
+        "_twists", "__weakref__",
     )
 
     def __init__(self, labels, unit, S, T):
@@ -487,9 +603,8 @@ class ModularData:
         self._entries = _Entries.of(self.S)
         self._fusion = None
         self._charge = None
-        self._galois = None
+        self._plan = _Plan(self)
         self._currents = None
-        self._orbits = None
         self._int_S = {}
         self._twists = None
 
@@ -525,7 +640,7 @@ class ModularData:
         depends.  The default pk is the narrowest at the conductor of S under
         which two such values compare exactly (bound ||S|| ||F||_1: their
         difference has digits below 2^(B-1)), the one ``galois_action``, the
-        symmetry test of ``charge_conjugation`` and the conjugate-row lookup
+        plan's symmetry test and the conjugate-row lookup
         of ``verlinde`` share.
         """
         if pk is None:
@@ -549,23 +664,12 @@ class ModularData:
         return self._twists
 
     def charge_conjugation(self):
-        """Permutation c with S^2 the matrix of a -> c(a).
-
-        Decided as ``validate_modular`` decides it (``_square_permutation``):
-        by the orbit reader (module docstring, "Galois symmetry") and over
-        representative rows when S is symmetric, else by full sums after the
-        work guard.
-        """
+        """Permutation c with S^2 the matrix of a -> c(a), decided as
+        ``validate_modular`` decides it (``_Plan.square``)."""
         if self._charge is None:
-            n = self.dim
             N, den, iS, norm = self._integral_S()
-            act = galois_action(self)
-            symmetric = _symmetric(self._packed_SF()[1])
-            orbits = act.orbits if symmetric and act.certified else None
-            sums = _Sums.at(N, n, n * norm * norm, orbits)
-            orb = _current_orbits(self) if symmetric else None
-            if not orbits:
-                check_work((len(orb.reps) if orb else n) * n * n, sums.pk)
+            sums, orb, work = self._plan.square(N, self.dim * norm * norm)
+            self._plan.guard(sums.pk, work)
             perm = _square_permutation(sums, iS.map(sums.pk.pack).rows(), den * den, orb)
             if perm is None:
                 raise ValueError("S^2 is not a permutation matrix")
@@ -610,34 +714,26 @@ def validate_modular(md: ModularData) -> list[str]:
     d and T over its own denominator e.  The identities are decided in the
     packed kernel, each entry of S packed (and multiplied by F = (x^N - 1) /
     Phi_N) once per distinct entry, with no unpacking on modular data
-    (module docstring).  Each sum reads the symmetry certificates of S where
-    they exist (module docstring, "Galois symmetry" and "Simple-current
-    symmetry"); where one is missing the full sum runs.  The work guard
-    (``check_work``) estimates all uncertified sums together before any sum
-    starts, and again with the ``mat_mul`` cube before that starts:
+    (module docstring).  The plan gives each sum its reader and rows
+    (``_Plan.hermitian``, ``square`` and ``cube``; module docstring,
+    "Simple-current symmetry"), and its guard takes all uncertified sums
+    together before any sum starts, and again with the ``mat_mul`` cube
+    before that starts:
 
-    * S = S^T: the packed entries are compared;
-    * S S-bar^T = d^2 I, read by the orbit reader where ``galois_action``
-      certifies S, else by the full one.  With nontrivial currents only
-      representative rows r are summed, against every column, as
-      (S S-bar^T)_{Jr,j} = (S S-bar^T)_{r,J^-1 j}; otherwise the Hermitian
-      matrix's entries with i <= j;
+    * S = S^T: the plan's ``symmetric``;
+    * S S-bar^T = d^2 I;
     * T a root of unity: each entry is looked up among the x^k-rotations of
       +-e F, since the roots of unity of Q(zeta_N) are the +-zeta_N^k;
     * S^2 = d^2 times the matrix of a permutation (``_square_permutation``,
-      shared with the charge conjugation): by the orbit reader and over
-      representative rows when S is symmetric;
+      shared with the charge conjugation);
     * (ST)^3 = S^2: if S is unitary and T a root of unity, both are
       invertible and T^-1 = T-bar, so (ST)^3 = S^2 exactly when
       S T S = T-bar S T-bar; times d^2 e^2 and F, entry (i, j) compares
-      e Sum_k S_ik t_k S_kj F with d conj(t_i t_j) S_ij F.  When S is
-      symmetric and the twist balance t_{Ja} t_0 S_{J,a} = t_a t_J S_{0,a}
-      holds for each generator J of the currents and every a, entry (J a, j)
-      holds exactly when entry (a, J j) does, so only representative rows
-      are compared; otherwise every row, or the upper triangle when S is
-      symmetric (both sides are then symmetric).  If S is not unitary or T
-      not a root of unity, (ST)^3 and S^2 are compared as ``mat_mul``
-      products, ST built entry by entry.
+      e Sum_k S_ik t_k S_kj F with d conj(t_i t_j) S_ij F.  The twist
+      balance t_{Ja} t_0 S_{J,a} = t_a t_J S_{0,a}, for each generator J of
+      the currents and every a, is compared the same way for the plan.  If
+      S is not unitary or T not a root of unity, (ST)^3 and S^2 are
+      compared as ``mat_mul`` products, ST built entry by entry.
 
     With norms the largest l1 norms of entries and t = max(||T||, e), the
     full reader's packing has ``_rational_bound`` of max(n ||S||^2, d ||S||,
@@ -648,46 +744,28 @@ def validate_modular(md: ModularData) -> list[str]:
     """
     report = []
     n = md.dim
+    plan = md._plan
     N = lcm(md._integral_S()[0], _conductor([md.T]))
     _, dS, iS, norm_S = md._integral_S(N)
     dT, (iT,) = _integral([md.T], N)
     t = max(_norm([iT]), dT)
-    act = galois_action(md)
-    orb = _current_orbits(md)
-    reduced = len(orb.reps) < n
     base = n * norm_S**2
-    full = _Sums.at(N, n, max(base, dS * norm_S, 1) * t * t)
-    sums = _Sums.at(N, n, base, act.orbits) if act.certified else full
+    full = plan.reader(N, max(base, dS * norm_S, 1) * t * t, permuted=False)
     pk = full.pk
     M, PF = pk.M, pk.PF
     Pe = iS.map(pk.pack)
-    Ue = Pe.map(lambda x: x * PF % M)
-    P, U = Pe.rows(), Ue.rows()
+    P, U = Pe.rows(), Pe.map(lambda x: x * PF % M).rows()
     PT = [pk.pack(p) for p in iT]
-    symmetric = _symmetric(Ue)
     u = md.unit
-    balanced = (
-        reduced
-        and symmetric
-        and all(
-            (PT[p[a]] * PT[u] * U[p[u]][a] - PT[a] * PT[p[u]] * U[u][a]) % M == 0
-            for p in map(orb.perm.get, orb.group.basis())
-            for a in range(n)
-        )
+    sums, unit_rows, unit_pairs, unit_work = plan.hermitian(N, base, full)
+    square, orb, square_work = plan.square(N, base, full)
+    cube_rows, cube_pairs, cube_work = plan.cube(
+        lambda p, a: (PT[p[a]] * PT[u] * U[p[u]][a] - PT[a] * PT[p[u]] * U[u][a]) % M == 0
     )
-    # the rows and entries each sum visits; the uncertified ones are guarded
-    # before any sum runs
-    unit_rows = orb.reps if reduced else range(n)
-    unit_pairs = [(i, j) for i in unit_rows for j in range(0 if reduced else i, n)]
-    square_rows = orb.reps if symmetric else range(n)
-    cube_rows = orb.reps if balanced else range(n)
-    cube_pairs = [(i, j) for i in cube_rows for j in range(i if symmetric and not balanced else 0, n)]
-    work = 0 if act.certified else len(unit_pairs) * n
-    work += 0 if symmetric and act.certified else len(square_rows) * n * n
-    work += 0 if balanced else len(cube_pairs) * n
-    check_work(work, pk)
+    work = unit_work + square_work + cube_work
+    plan.guard(pk, work)
 
-    if not symmetric:
+    if not plan.symmetric:
         report.append("S symmetric")
     d2 = dS * dS
     Ps = P if sums is full else iS.map(sums.pk.pack).rows()
@@ -703,8 +781,7 @@ def validate_modular(md: ModularData) -> list[str]:
     twists = all(x * PF % M in roots for x in PT)
     if not twists:
         report.append("T root of unity")
-    # the orbit reader reads S^2 only for a symmetric S
-    perm = _square_permutation(sums, Ps, d2, orb) if symmetric else _square_permutation(full, P, d2, None)
+    perm = _square_permutation(square, P if square is full else Ps, d2, orb)
     if perm is None:
         report.append("S^2 permutation")
     else:
@@ -722,7 +799,7 @@ def validate_modular(md: ModularData) -> list[str]:
             for i, j in cube_pairs
         )
     else:
-        check_work(work + 3 * n**3, pk)
+        plan.guard(pk, work + 3 * n**3)
         ST = [[x * t for x, t in zip(row, md.T)] for row in md.S]
         cube = mat_mul(mat_mul(ST, ST), ST) == mat_mul(md.S, md.S)
     if not cube:
@@ -751,24 +828,19 @@ class GaloisAction(NamedTuple):
 
 
 def galois_action(md: ModularData) -> GaloisAction:
-    """The Galois action on the columns of S; computed once and cached on md."""
-    if md._galois is None:
-        md._galois = _find_galois_action(md)
-    return md._galois
+    """The Galois action on the columns of S; computed once, by md's plan."""
+    return md._plan.galois
 
 
 def _unit_generators(N: int) -> list[int]:
-    """A generating set of (Z/N)^*, taken greedily from 2, 3, ..."""
+    """A generating set of (Z/N)^*, taken greedily from 2, 3, ...: each g
+    not yet in the span, the orbit of 1 under the generators so far."""
     span = {1}
     gens = []
     for g in range(2, N):
         if gcd(g, N) == 1 and g not in span:
             gens.append(g)
-            while True:
-                more = {x * g % N for x in span}
-                if more <= span:
-                    break
-                span |= more
+            span = set(_orbits([1], [lambda x, h=h: x * h % N for h in gens])[0])
     return gens
 
 
@@ -799,19 +871,8 @@ def _find_galois_action(md: ModularData) -> GaloisAction:
                 gens = []
                 break
             gens.append((g, tuple(k for k, _ in hits), tuple(s for _, s in hits)))
-    seen = set()
-    orbits = []
-    for k in range(n):
-        if k not in seen:
-            seen.add(k)
-            orbit = [k]
-            for x in orbit:  # grows while it is read
-                for _, perm, _ in gens:
-                    if perm[x] not in seen:
-                        seen.add(perm[x])
-                        orbit.append(perm[x])
-            orbits.append(tuple(sorted(orbit)))
-    return GaloisAction(N, tuple(gens), tuple(orbits))
+    orbits = _orbits(range(n), [perm.__getitem__ for _, perm, _ in gens])
+    return GaloisAction(N, tuple(gens), tuple(tuple(sorted(o)) for o in orbits))
 
 
 def verlinde(md: ModularData):
@@ -827,29 +888,22 @@ def verlinde(md: ModularData):
     non-modular S) is summed directly for every a <= b; the formula is
     symmetric in a and b, so the rest is mirrored.
 
-    Every sum is read by the reader of the module docstring ("Galois
-    symmetry"), with base n ||S||^3 ||1/S_0|| (largest l1 norms of
-    entries): the orbit reader where ``galois_action`` certifies S and every
-    conj(S_c) is a row, else the full one after the work guard
-    (``check_work``).  The packing is a commutative ring homomorphism, so
-    M(a, b, e), summed in any order of (a, b, e), is the same packed value
-    as the direct sum for (a, b, c).  The tensor is assembled in
-    lexicographic (a, b, c) order with a <= b, raising at the first failing
-    entry: since N_ab^c = N_ba^c, the first failure over all (a, b, c) has
-    a <= b, so it is the one reported, with the same message.  1/S_0k is
-    one ``Cyclotomic.inverse`` per distinct value of the unit row.
+    Every sum is read by the plan's reader (``_Plan.fusion``), with base
+    n ||S||^3 ||1/S_0|| (largest l1 norms of entries).  The packing is a
+    commutative ring homomorphism, so M(a, b, e), summed in any order of
+    (a, b, e), is the same packed value as the direct sum for (a, b, c).
+    The tensor is assembled in lexicographic (a, b, c) order with a <= b,
+    raising at the first failing entry: since N_ab^c = N_ba^c, the first
+    failure over all (a, b, c) has a <= b, so it is the one reported, with
+    the same message.  1/S_0k is one ``Cyclotomic.inverse`` per distinct
+    value of the unit row.
 
-    Where every conj(S_c) is a row and the pairs r <= r' of simple-current
-    orbit representatives, times n, are fewer sums than the sorted triples,
-    only M(r, r', e) for those pairs and every e is summed (module
-    docstring, "Simple-current symmetry"): with a = J r_a and b = K r_b,
-    N_ab^c = M(r_a, r_b, (J + K) conj_row(c)).  The rows of S are then
-    distinct (``simple_currents`` refuses equal rows), so conj_row and each
-    current's permutation are bijections, and row N_ab holds exactly the
-    values M(r_a, r_b, e) over all e.  So integrality and sign are checked
-    once per representative pair, and ``_current_fusion`` reads each row
-    through (J + K) o conj_row.  Only when a representative sum fails are
-    the pairs walked in order, to name the first failure as above.
+    Where the plan gives current orbits, only M(r, r', e) for their
+    representatives r <= r' and every e is summed, and ``_current_fusion``
+    reads each row N_ab, a = J r_a and b = K r_b, through (J + K) o conj_row
+    (module docstring, "Simple-current symmetry"; the rows of S are then
+    distinct, so these are bijections).  Only when a representative sum
+    fails are the pairs walked in order, to name the first failure.
     """
     n = md.dim
     N, dS, iS, norm_S = md._integral_S()
@@ -873,20 +927,13 @@ def verlinde(md: ModularData):
     Ubar = iS.map(lambda p: pe.pack(_conj_poly(p, N)) * pe.PF % pe.M).rows()
     conj_row = [row_of.get(tuple(u)) for u in Ubar]
     direct = [c for c, e in enumerate(conj_row) if e is None]
-    act = galois_action(md)
-    orbits = act.orbits if act.certified and not direct else None
-    sums = _Sums.at(N, n, n * norm_S**3 * _norm([iI]), orbits)
+    sums, orb, work = md._plan.fusion(N, n * norm_S**3 * _norm([iI]), direct)
     pk = sums.pk
+    md._plan.guard(pk, work)
     M = pk.M
     P = [[row[k] for k in sums.columns] for row in iS.map(pk.pack).rows()]
     Pinv = sums.left([pk.pack(p) for p in iI])
     Sbar = iS.map(lambda p: pk.pack(_conj_poly(p, N))).rows() if direct else None
-    orb = None if direct else _current_orbits(md)
-    if orb and 3 * len(orb.reps) * (len(orb.reps) + 1) >= (n + 1) * (n + 2):
-        orb = None  # the sorted triples are fewer sums
-    if not orbits:
-        count = len(orb.reps) * (len(orb.reps) + 1) // 2 * n if orb else n * (n + 1) * (n + 2) // 6
-        check_work((count + len(direct) * n * (n + 1) // 2) * n, pk)
     # for a <= b, decided: sym[a][b][e - b] = M(a, b, e) for e >= b, and
     # direct_sums[a][b][c] = N_ab^c for c in direct; or, over the current
     # representatives, sym[r][r2] = M(r, r2, e) for every e
@@ -1003,19 +1050,6 @@ class CurrentOrbits(NamedTuple):
         return CurrentOrbits.of(FinAbGroup(()), {(): tuple(range(n))}, n)
 
 
-def _current_orbits(md: ModularData) -> CurrentOrbits:
-    """The current orbits of md, cached on it; trivial where ``simple_currents``
-    raises ValueError."""
-    if md._orbits is None:
-        try:
-            sc = simple_currents(md)
-        except ValueError:
-            md._orbits = CurrentOrbits.trivial(md.dim)
-        else:
-            md._orbits = CurrentOrbits.of(sc.group, sc.action_table, md.dim)
-    return md._orbits
-
-
 class SimpleCurrentStructure(NamedTuple):
     """Invertible simples of a modular datum, with their charges and twists.
 
@@ -1071,7 +1105,7 @@ def _find_simple_currents(md: ModularData):
     pattern of S, read off S and T alone in one ``_Packing``.
 
     md need not be known to be modular: ``validate_modular`` and ``verlinde``
-    call it (through ``_current_orbits``) before modularity is decided, and
+    call it (through the plan's ``orbits``) before modularity is decided, and
     rely only on what its exact lookups establish: S_{j a, k} = psi_k(j) S_ak
     for the returned action, psi a root of unity and a character.  On
     modular data j is a current exactly when every psi_k(j) = S_jk / S_0k is
@@ -1196,14 +1230,20 @@ class ModularInvariant:
         return {"matrix": [list(r) for r in self.matrix], "provenance": _json_prov(self.provenance)}
 
 
-def _integer_matrix(matrix) -> tuple[tuple[int, ...], ...]:
-    """The rows of matrix as tuples of ints; ValueError unless every entry is
+def _integer_matrix(matrix, n: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """The rows of matrix as tuples of ints; ValueError unless matrix is a
+    square list of rows (of n rows, if n is given) and every entry is
     integral (``as_integer``, so ``True`` is refused).  The entry types are
     read once: rows of plain ints are kept as they are."""
-    rows = tuple(map(tuple, matrix))
-    if set(map(type, chain(*rows))) <= {int}:
-        return rows
-    return tuple(tuple(as_integer(x, "invariant entries must be integers") for x in row) for row in rows)
+    try:
+        rows = tuple(map(tuple, matrix))
+    except TypeError:
+        raise ValueError("matrix must be a list of rows") from None
+    if not set(map(type, chain(*rows))) <= {int}:
+        rows = tuple(tuple(as_integer(x, "invariant entries must be integers") for x in row) for row in rows)
+    if any(len(row) != len(rows) for row in rows) or n not in (None, len(rows)):
+        raise ValueError("matrix dimension mismatch")
+    return rows
 
 
 def _json_prov(p):
@@ -1231,9 +1271,7 @@ def check_invariant(md: ModularData, matrix) -> tuple[bool, dict]:
     secondary entry.
     """
     n = md.dim
-    M = _integer_matrix(matrix)
-    if len(M) != n or any(len(r) != n for r in M):
-        raise ValueError("matrix dimension mismatch")
+    M = _integer_matrix(matrix, n)
     support = _support(M)
     twist = md._twist_classes()
     u = md.unit
@@ -1275,7 +1313,8 @@ def _current_periodic(sc: SimpleCurrentStructure, M, support=None) -> bool:
 
     The pairs (p, p') of permutations with M[p a][p' b] = M[a][b] form a
     group under composition, so only pairs outside the group generated by
-    the pairs already checked are tested, each on the nonzero entries of M
+    the pairs already checked (the orbit of the unit pair under them) are
+    tested, each on the nonzero entries of M
     (``support``, ``_support(M)`` by default) until the first failure.  That
     is exact: (a, b) -> (p a, p' b) permutes the positions, so if it maps
     each nonzero entry to an equal one, it maps the support onto itself and
@@ -1295,15 +1334,8 @@ def _current_periodic(sc: SimpleCurrentStructure, M, support=None) -> bool:
                 continue
             if any(M[p[a]][p2[b]] != x for a, b, x in support):
                 return False
-            gens.append((j, j2))
-            stack = list(span)
-            while stack:
-                k, k2 = stack.pop()
-                for g, g2 in gens:
-                    h = (perm[k][g], perm[k2][g2])
-                    if h not in span:
-                        span.add(h)
-                        stack.append(h)
+            gens.append(lambda k, j=j, j2=j2: (perm[k[0]][j], perm[k[1]][j2]))
+            span = set(_orbits([(zero, zero)], gens)[0])
     return True
 
 
@@ -1311,51 +1343,23 @@ def _current_periodic(sc: SimpleCurrentStructure, M, support=None) -> bool:
 
 
 def _position_classes(md: ModularData):
-    """(classes, columns): the unknowns of Z and the columns j whose equations
-    (SZ - ZS)_ij = 0 are written (module docstring).
+    """(classes, rows, columns): the unknowns of Z, and the rows and columns
+    of ``_Plan.commutant`` whose equations (SZ - ZS)_ij = 0 are written.
 
-    Where ``galois_action`` certifies S and S is invertible (the charge
-    conjugation exists), a class is an orbit of positions (a, b) under
-    (a, b) -> (perm[a], perm[b]) of the generators, and ``columns`` holds one
-    column per orbit.  A class is kept only if T allows each member
-    (T_a = T_b) and signs[a] = signs[b] at each member and generator: Z then
-    takes one value on it.  Otherwise a nonnegative Z is 0 there, and the
-    class is dropped.  Without a certificate the classes are the single
-    allowed positions and every column gives equations.  Classes come in
+    A class is an orbit of positions (a, b) under (a, b) -> (perm[a],
+    perm[b]) of the generators, kept only if T allows each member (T_a =
+    T_b) and signs[a] = signs[b] at each member and generator: Z then takes
+    one value on it; otherwise a nonnegative Z is 0 there.  Classes come in
     row-major order of their least position.
     """
     n = md.dim
     twist = md._twist_classes()
-    act = galois_action(md)
-    gens = []
-    if act.gens:
-        try:
-            md.charge_conjugation()
-        except ValueError:  # S^2 is no permutation: S may be singular
-            pass
-        else:
-            gens = [(perm, signs) for _, perm, signs in act.gens]
-    seen = set()
-    classes = []
-    for a in range(n):
-        for b in range(n):
-            if (a, b) in seen:
-                continue
-            seen.add((a, b))
-            orbit = [(a, b)]
-            live = True
-            for x, y in orbit:  # grows while it is read
-                live = live and twist[x] == twist[y]
-                for perm, signs in gens:
-                    live = live and signs[x] == signs[y]
-                    p = (perm[x], perm[y])
-                    if p not in seen:
-                        seen.add(p)
-                        orbit.append(p)
-            if live:
-                classes.append(orbit)
-    columns = [o[0] for o in act.orbits] if gens else list(range(n))
-    return classes, columns
+    gens, rows, columns = md._plan.commutant()
+    key = list(zip(twist, *(signs for _, _, signs in gens)))  # equal at a live position
+    moves = [[perm[a] * n + perm[b] for a in range(n) for b in range(n)] for _, perm, _ in gens]
+    orbits = _orbits(range(n * n), [move.__getitem__ for move in moves])  # of the a n + b
+    classes = [[divmod(p, n) for p in o] for o in orbits if all(key[p // n] == key[p % n] for p in o)]
+    return classes, rows, columns
 
 
 def _commutant_rows(md: ModularData, class_of, rows, columns):
@@ -1445,24 +1449,19 @@ def brute_force_invariants(md: ModularData):
     """All nonnegative integer matrices commuting with S and T.
 
     Entries are bounded by the primary count and the unit entry is fixed to
-    1.  Complete within the bound.  The unknowns are the position classes of
-    ``_position_classes`` and the equations those of its columns: where the
-    Galois action is certified and S invertible, one unknown per orbit of
-    positions and one column per orbit, with the plain system's solutions
-    (module docstring).  Where S is also symmetric, its rows move like its
-    columns, and only one row per orbit is written too: the system has the
-    same rational solutions, so the same fully reduced echelon form.
+    1.  Complete within the bound.  The unknowns, rows and columns are
+    those of ``_position_classes``: the system has the plain system's
+    rational solutions, so the same fully reduced echelon form (module
+    docstring).
     """
     n = md.dim
     if n > BRUTE_GUARD:
         raise GuardError(f"primary count {n} exceeds guard {BRUTE_GUARD}")
     bound = n
-    classes, columns = _position_classes(md)
+    classes, rows, columns = _position_classes(md)
     class_of = {p: v for v, cls in enumerate(classes) for p in cls}
     if (md.unit, md.unit) not in class_of:
         raise ValueError("unit diagonal position missing")
-    # columns are one per Galois orbit here, or every column
-    rows = columns if len(columns) < n and _symmetric(md._entries) else range(n)
     pivots: dict = {}
     try:
         for row in _commutant_rows(md, class_of, rows, columns):

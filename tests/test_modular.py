@@ -646,6 +646,37 @@ class TestIntegerEntries:
         with pytest.raises(ValueError, match="invariant entries must be integers"):
             ModularInvariant([[entry, 0], [0, 1]])
 
+    # 3 primaries: a jagged matrix, a smaller and a larger square one, a
+    # fractional float entry, and input that is no list of rows
+    MALFORMED = {
+        "jagged": [[1, 0, 0], [0, 1], [0, 0, 1]],
+        "1x1": [[1]],
+        "4x4": identity_matrix(4),
+        "float": [[1, 0, 0], [0, 0.5, 0], [0, 0, 1]],
+        "None": None,
+        "int": 5,
+    }
+
+    @pytest.mark.parametrize("matrix", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_s_commutes_and_check_invariant_reject_malformed_matrices(self, matrix):
+        for call in (s_commutes, check_invariant):
+            with pytest.raises(ValueError):
+                call(weil(Z3_FORM), matrix)
+
+    def test_check_invariant_dimension_messages(self):
+        md = weil(Z3_FORM)
+        for matrix in ([[1, 0, 0], [0, 1], [0, 0, 1]], [[1]], identity_matrix(4)):
+            with pytest.raises(ValueError, match="^matrix dimension mismatch$"):
+                check_invariant(md, matrix)
+        for matrix in (None, 5, [1, 0, 0]):
+            with pytest.raises(ValueError, match="^matrix must be a list of rows$"):
+                check_invariant(md, matrix)
+
+    @pytest.mark.parametrize("matrix", [[[1, 2], [3]], [[1, 2]], [[1], [2]], None], ids=repr)
+    def test_invariant_rejects_non_square_input(self, matrix):
+        with pytest.raises(ValueError):
+            ModularInvariant(matrix)
+
     @pytest.mark.parametrize("one", [1, 1.0, Fraction(1)], ids=repr)
     def test_integral_entries_accepted(self, one):
         ok, _ = check_invariant(weil(Z2_FORM), [[one, 0], [0, one]])
@@ -1131,7 +1162,7 @@ def with_entry(md, i, j, f, symmetric=True):
 
 def with_orbit_rows(md, r, factor):
     """md with the rows of the current orbit of representative r times factor."""
-    rep = modular._current_orbits(md).rep
+    rep = md._plan.orbits.rep
     S = [[x * factor for x in row] if rep[a] == r else row for a, row in enumerate(md.S)]
     return ModularData(md.labels, md.unit, S, md.T)
 
@@ -1211,7 +1242,7 @@ ORBIT_CORRUPTED = {
 def test_orbit_corrupted_data_keep_their_current_orbits(build):
     # so verlinde sums over representative pairs, not the sorted triples
     md = build()
-    assert modular._current_orbits(md).reps == (0, 6, 12)
+    assert md._plan.orbits.reps == (0, 6, 12)
     assert modular.galois_action(md).certified
 
 
@@ -1632,9 +1663,7 @@ def test_galois_certificate(build, count):
 
 def clear_certificates(md):
     """Drop md's Galois and simple-current certificates: every sum runs in full."""
-    act = modular.galois_action(md)
-    md._galois = modular.GaloisAction(act.N, (), tuple((k,) for k in range(md.dim)))
-    md._orbits = modular.CurrentOrbits.trivial(md.dim)
+    md._plan = modular._Plan.uncertified(md)
     return md
 
 
@@ -1660,7 +1689,7 @@ def test_perturbed_s_has_no_certificate(build):
     assert len(cyclotomic_polynomial(act.N)) > 2  # (Z/N)^* is not trivial
     assert act.gens == () and act.orbits == tuple((k,) for k in range(md.dim))
     assert verlinde_outcome(verlinde, md) == verlinde_outcome(reference_verlinde, md)
-    classes, columns = modular._position_classes(md)
+    classes, _, columns = modular._position_classes(md)
     assert all(len(c) == 1 for c in classes) and columns == list(range(md.dim))
     if md.dim <= 9:
         assert [z.matrix for z in brute_force_invariants(md)] == reference_brute_force(md)
@@ -1670,7 +1699,7 @@ def test_position_classes_on_the_3_double():
     md = _double("3^1_+")
     n = md.dim
     allowed = [(a, b) for a in range(n) for b in range(n) if md.T[a] == md.T[b]]
-    classes, columns = modular._position_classes(md)
+    classes, _, columns = modular._position_classes(md)
     assert len(allowed) == 43 and len(classes) == 17
     assert columns == [o[0] for o in modular.galois_action(md).orbits] and len(columns) == 8
     members = [p for c in classes for p in c]
@@ -1689,14 +1718,14 @@ def test_position_classes_without_an_invertible_s():
     md = BRUTE_DATA[BRUTE_IDS.index("rational-commutant")]()
     with pytest.raises(ValueError):
         md.charge_conjugation()
-    classes, columns = modular._position_classes(md)
+    classes, _, columns = modular._position_classes(md)
     assert classes == [[(a, b)] for a in range(2) for b in range(2)] and columns == [0, 1]
 
 
 def commutant_system(md, rows):
     """(pivots, equation count) of the commutant system written for ``rows``
     and ``_position_classes``' columns."""
-    classes, columns = modular._position_classes(md)
+    classes, _, columns = modular._position_classes(md)
     class_of = {p: v for v, cls in enumerate(classes) for p in cls}
     pivots, count = {}, 0
     for row in modular._commutant_rows(md, class_of, rows, columns):
@@ -1719,8 +1748,8 @@ def test_row_orbit_system_has_the_pivots_of_every_row(build):
     # Z, so one row per Galois orbit carries every equation
     md = build()
     n = md.dim
-    assert n <= 15 and modular._symmetric(md._entries)
-    columns = modular._position_classes(md)[1]
+    assert n <= 15 and md._plan.symmetric
+    columns = modular._position_classes(md)[2]
     reduced, count = commutant_system(md, columns)
     full, full_count = commutant_system(md, range(n))
     assert reduced == full
@@ -1729,7 +1758,7 @@ def test_row_orbit_system_has_the_pivots_of_every_row(build):
 
 def test_brute_force_writes_one_row_per_orbit(monkeypatch):
     md = _double("3^1_+")
-    columns = modular._position_classes(md)[1]
+    columns = modular._position_classes(md)[2]
     assert commutant_system(md, columns)[1] == 72 and commutant_system(md, range(md.dim))[1] == 145
     seen = []
     commutant_rows = modular._commutant_rows
@@ -1750,7 +1779,7 @@ def test_certified_verlinde_forms_one_product_per_orbit(build, monkeypatch):
     md = build()
     n = md.dim
     act = modular.galois_action(md)
-    reps = modular._current_orbits(md).reps
+    reps = md._plan.orbits.reps
     triples = n * (n + 1) * (n + 2) // 6
     counted = []
 
@@ -1892,7 +1921,7 @@ def test_reductions_on_drawn_perturbations(index, data):
 @pytest.mark.parametrize("build", CURRENT_DATA, ids=CURRENT_IDS)
 def test_reductions_on_modular_data(build):
     md, full = build(), clear_certificates(build())
-    assert len(modular._current_orbits(md).reps) < md.dim and modular.galois_action(md).certified
+    assert len(md._plan.orbits.reps) < md.dim and modular.galois_action(md).certified
     assert validate_modular(md) == validate_modular(full) == []
     assert md.charge_conjugation() == full.charge_conjugation()
     assert md.fusion() == full.fusion()
@@ -1908,12 +1937,43 @@ def guarded_work(monkeypatch):
     seen = []
     real = modular.check_work
 
-    def spy(products, pk):
+    def spy(products, pk, words=0):
         seen.append(products)
-        real(products, pk)
+        real(products, pk, words)
 
     monkeypatch.setattr(modular, "check_work", spy)
     return seen
+
+
+def test_symmetry_plan_is_built_once(monkeypatch):
+    # every identity on one datum reads its one plan: the Galois action and
+    # the simple currents are found, and the symmetry of S decided, once
+    calls = dict.fromkeys(["galois", "currents", "symmetric"], 0)
+
+    def count(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    monkeypatch.setattr(modular, "_find_galois_action", count("galois", modular._find_galois_action))
+    monkeypatch.setattr(modular, "_find_simple_currents", count("currents", modular._find_simple_currents))
+    # S = S^T is decided by a cached property of the plan
+    monkeypatch.setattr(modular._Plan.symmetric, "func", count("symmetric", modular._Plan.symmetric.func))
+    md = _double("3^1_+")
+    assert validate_modular(md) == []
+    assert list(md.charge_conjugation()) == as_permutation(mat_mul(md.S, md.S))
+    assert md.fusion() == reference_verlinde(md)
+    mats = enumerate_sc(md).matrix_set()
+    assert all(check_invariant(md, M)[0] for M in mats)
+    assert mats <= {z.matrix for z in brute_force_invariants(md)}
+    assert calls == {"galois": 1, "currents": 1, "symmetric": 1}
+    # s_commutes reads the Galois action only
+    calls.update(dict.fromkeys(calls, 0))
+    fresh = _double("3^1_+")
+    assert all(s_commutes(fresh, M) for M in mats)
+    assert calls == {"galois": 1, "currents": 0, "symmetric": 0}
 
 
 def test_twist_changed_off_the_representatives_falls_back(monkeypatch):
@@ -1921,10 +1981,10 @@ def test_twist_changed_off_the_representatives_falls_back(monkeypatch):
     # representative: the twist balance fails, so the cube is compared on
     # every row (the upper triangle of a symmetric S) and fails
     md = _double("3^1_+")
-    orb, sc = modular._current_orbits(md), simple_currents(md)
+    orb, sc = md._plan.orbits, simple_currents(md)
     a = next(k for k in range(md.dim) if k not in orb.reps and k not in sc.coords)
     bad = perturbed_datum(md, "twist", a, a, -Cyclotomic.one())
-    assert modular._current_orbits(bad).reps == orb.reps
+    assert bad._plan.orbits.reps == orb.reps
     n = md.dim
     seen = guarded_work(monkeypatch)
     assert validate_modular(md) == []
@@ -1971,11 +2031,11 @@ def test_orbit_and_full_readers_agree(build):
     md = build()
     act = modular.galois_action(md)
     # the orbit reader reads S^2 only for a certified symmetric S
-    assert act.certified and modular._symmetric(md._packed_SF()[1])
+    assert act.certified and md._plan.symmetric
     N, d, _, norm = md._integral_S()
     n = md.dim
-    orbit = modular._Sums.at(N, n, n * norm * norm, act.orbits)
-    full = modular._Sums.at(N, n, n * norm * norm)
+    orbit = md._plan.reader(N, n * norm * norm)
+    full = md._plan.reader(N, n * norm * norm, permuted=False)
     assert len(orbit.columns) == len(act.orbits) and len(full.columns) == n
     entries = reader_entries(md, orbit)
     assert entries == reader_entries(md, full)
@@ -1988,7 +2048,7 @@ def test_orbit_and_full_readers_agree(build):
 def test_orbit_reader_refuses_a_trace_phi_does_not_divide():
     md = _double("3^1_+")
     act = modular.galois_action(md)
-    sums = modular._Sums.at(act.N, md.dim, 1, act.orbits)
+    sums = md._plan.reader(act.N, 1)
     phi, pack = sums.phi, sums.pk.pack
     assert phi == 8
     # a floor division would read 0, 0, 1 and -2 here
@@ -2039,9 +2099,7 @@ def test_guard_edge_is_refused_up_front(monkeypatch):
 CLEAR = """
 from modinv import modular
 def clear(md):
-    act = modular.galois_action(md)
-    md._galois = modular.GaloisAction(act.N, (), tuple((k,) for k in range(md.dim)))
-    md._orbits = modular.CurrentOrbits.trivial(md.dim)
+    md._plan = modular._Plan.uncertified(md)
     return md
 """
 WEIL = "from modinv.forms import indecomposable_form\nfrom modinv.pointed import weil\n"
@@ -2214,7 +2272,7 @@ def test_check_invariant_on_galois_symmetric_matrices(name, data):
     # the reduced S-commutation path, and mostly not commuting with S
     md = BENCH_DATA[name]()
     n = md.dim
-    classes, _ = modular._position_classes(md)
+    classes = modular._position_classes(md)[0]
     M = [[0] * n for _ in range(n)]
     for cls in classes:
         value = data.draw(st.integers(0, 2))
@@ -2262,7 +2320,7 @@ def test_galois_test_on_the_support_is_exact(build):
     act = modular.galois_action(md)
     assert act.gens
     n = md.dim
-    classes, _ = modular._position_classes(md)
+    classes = modular._position_classes(md)[0]
     rng = random.Random(n)
     mats = [list(map(list, Z)) for Z in sorted(enumerate_sc(md).matrix_set())]
     for _ in range(10):
@@ -2279,7 +2337,7 @@ def test_galois_test_on_the_support_is_exact(build):
                 a, b, x = rng.choice(support)
                 M[a][b] = x + 1
             expected = dense_galois_symmetric(act, M)
-            assert modular._galois_symmetric(act, M, modular._support(M)) == expected
+            assert (md._plan.columns(M, modular._support(M))[1] == 0) == expected
             outcomes.add(expected)
     assert outcomes == {True, False}
 

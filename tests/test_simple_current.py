@@ -298,9 +298,8 @@ class TestProducts:
             for pair in ((z, other), (other, z)):
                 with pytest.raises(ValueError, match="matrix dimension mismatch"):
                     invariant_product(md, *pair)
-        ragged = ModularInvariant([(1, 0, 0), (0, 1), (0, 0, 1)])
         with pytest.raises(ValueError, match="matrix dimension mismatch"):
-            invariant_product(md, z, ragged)
+            invariant_product(md, z, ModularInvariant([(1, 0, 0), (0, 1), (0, 0, 1)]))
 
     def test_products_stay_in_family(self):
         md = weil(std_form((6,)))
