@@ -58,7 +58,9 @@ uses it too); this module writes its matrices into it:
 The brute-force invariant search writes the commutant linear system SZ = ZS
 as integer rows (one per coefficient of zeta_N), brings it to a fully reduced
 echelon form by fraction-free elimination, and enumerates bounded
-nonnegative integer points by divisibility checks on the pivot rows.
+nonnegative integer points by divisibility checks on the pivot rows.  The
+identity solves every such system, its unit entry 1 included, so a row
+that reduces to 0 = c with c nonzero is a fault (``RuntimeError``).
 
 Galois symmetry.  For modular data every sigma in Gal(Q(zeta_N)/Q), N the
 conductor of S, acts on S as a signed permutation of its columns:
@@ -431,6 +433,7 @@ class _Plan:
 
     def __init__(self, md: ModularData):
         self._md = weakref.ref(md)  # md keeps its plan: no reference cycle
+        self._orbit_readers = {}
 
     @staticmethod
     def uncertified(md: ModularData) -> "_Plan":
@@ -472,13 +475,17 @@ class _Plan:
         """The reader at conductor N of sums whose summands have l1 norms
         adding up to at most ``base``: over the Galois orbits where the
         action is certified and permutes the summands, else ``full`` or over
-        all columns."""
+        all columns.  The orbit reader is built once per (N, base)."""
         if permuted and self.galois.certified:
-            R = ramanujan_sums(N)
-            pk = _Packing(N, base * sum(map(abs, R)))
-            PR = pk.pack(dict(enumerate(R)))
-            orbits = self.galois.orbits
-            return _Sums(pk, [o[0] for o in orbits], [len(o) * PR % pk.M for o in orbits], R[0])
+            hit = self._orbit_readers.get((N, base))
+            if hit is None:
+                R = ramanujan_sums(N)
+                pk = _Packing(N, base * sum(map(abs, R)))
+                PR = pk.pack(dict(enumerate(R)))
+                orbits = self.galois.orbits
+                hit = _Sums(pk, [o[0] for o in orbits], [len(o) * PR % pk.M for o in orbits], R[0])
+                self._orbit_readers[N, base] = hit
+            return hit
         if full:
             return full
         n = self._md().dim
@@ -621,7 +628,7 @@ class ModularData:
         index), norm the largest l1 norm of an entry of iS.  N = 0 stands for
         the conductor of S.  Computed once per order; callers must not mutate
         iS.  The same cache holds ``_packed_SF`` under the key (N, digit
-        width)."""
+        width), and its default under None."""
         cache = self._int_S
         if not N:
             if 0 not in cache:
@@ -644,8 +651,10 @@ class ModularData:
         of ``verlinde`` share.
         """
         if pk is None:
-            N, _, _, norm = self._integral_S()
-            pk = _Packing(N, norm * sum(map(abs, cyclotomic_cofactor(N))))
+            if None not in self._int_S:  # looked up before any packing is built
+                N, _, _, norm = self._integral_S()
+                self._int_S[None] = self._packed_SF(_Packing(N, norm * sum(map(abs, cyclotomic_cofactor(N)))))
+            return self._int_S[None]
         hit = self._int_S.get((pk.N, pk.width))
         if hit is None:
             E = self._integral_S(pk.N)[2].map(lambda p: pk.pack(p) * pk.PF % pk.M)
@@ -1428,8 +1437,8 @@ def _rref_insert(pivots, row, const):
     for var in [v for v in row if v in pivots]:
         row, const = _eliminate(row, const, var, *pivots[var])
     if not row:
-        if const:
-            raise _Inconsistent()
+        if const:  # the identity solves every commutant system
+            raise RuntimeError("inconsistent commutant system")
         return
     piv = max(row)
     pc, row, const = _primitive(row.pop(piv), row, const)
@@ -1439,10 +1448,6 @@ def _rref_insert(pivots, row, const):
             qrow, qconst = _eliminate(qrow, qconst, piv, pc, row, const)
             pivots[var] = _primitive(pc * qc, qrow, qconst)
     pivots[piv] = (pc, row, const)
-
-
-class _Inconsistent(Exception):
-    pass
 
 
 def brute_force_invariants(md: ModularData):
@@ -1463,12 +1468,9 @@ def brute_force_invariants(md: ModularData):
     if (md.unit, md.unit) not in class_of:
         raise ValueError("unit diagonal position missing")
     pivots: dict = {}
-    try:
-        for row in _commutant_rows(md, class_of, rows, columns):
-            _rref_insert(pivots, row, 0)
-        _rref_insert(pivots, {class_of[(md.unit, md.unit)]: 1}, 1)
-    except _Inconsistent:
-        return []
+    for row in _commutant_rows(md, class_of, rows, columns):
+        _rref_insert(pivots, row, 0)
+    _rref_insert(pivots, {class_of[(md.unit, md.unit)]: 1}, 1)
     nvars = len(classes)
     free = [v for v in range(nvars) if v not in pivots]
     # pivot rows grouped by the last free variable they depend on; the row of

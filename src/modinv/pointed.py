@@ -268,7 +268,10 @@ def enum_z(q: QuadraticForm, require_isotropy: bool = True) -> list[ZParam]:
     The search adds only g = (x, y) orthogonal under ``square_pairing`` to
     the subgroup so far, with q(x) = q(y) (isotropy for q + (-q), looked up in
     a table of those g built once) or, without ``require_isotropy``,
-    b(g, g) = 0; ``ZParam`` then checks order and self-duality.  Each
+    b(g, g) = 0.  By the contract of ``all_subgroups`` every subgroup found
+    is then self-orthogonal, and isotropic where isotropy is required; under
+    the nondegenerate pairing those of order |G| are self-dual (``ZParam``
+    checks it again, and raises if the contract breaks).  Each
     generator h's column num·h of the pairing is formed once for the whole
     search, so b(g, h) is one dot product per candidate g.  The square
     group's order is checked against SUBGROUP_GUARD, and a degenerate form
@@ -302,18 +305,7 @@ def enum_z(q: QuadraticForm, require_isotropy: bool = True) -> list[ZParam]:
             return False
         return not any(sum(gi * c for gi, c in zip(g, column(h))) % den for h in gens)
 
-    out = []
-    for Z in all_subgroups(square, admissible):
-        if Z.order != order:
-            continue
-        try:
-            param = ZParam(q, Z)
-        except ValueError:
-            continue
-        if require_isotropy and not param.isotropic:
-            continue
-        out.append(param)
-    return out
+    return [ZParam(q, Z) for Z in all_subgroups(square, admissible) if Z.order == order]
 
 
 def z_to_matrix(z: ZParam) -> ModularInvariant:
@@ -381,19 +373,16 @@ def jpsi_to_dpm(md: ModularData, param) -> DPMParam:
     q = form_from_pointed(md)
     G = q.group
 
-    def label_of(y):
-        return md.labels[sc.label_index[param.embed(y)]]
-
+    elems = list(param.group.elements())
+    emb = {y: md.labels[a] for y, a in zip(elems, param.currents.primaries)}
     eps = param.epsilon
     minus = IsotropicDatum(
-        q, Subgroup(G, [label_of(y) for y in eps.radical().gens()])
+        q, Subgroup(G, [emb[y] for y in eps.radical().gens()])
     )
     plus = IsotropicDatum(
-        q, Subgroup(G, [label_of(y) for y in eps.right_radical().gens()])
+        q, Subgroup(G, [emb[y] for y in eps.right_radical().gens()])
     )
     P = q.polarization()
-    elems = list(param.group.elements())
-    emb = {z: label_of(z) for z in elems}
     images = []
     for e in plus.group.basis():
         h = plus.lift(e)

@@ -5,10 +5,13 @@ with an alternating pairing twisting its canonical bilinear base form.  The
 invariant matrix is supported on current orbits and its entries count
 stabilizers.
 
-Each subgroup is read through its generator chain once (``_ChainTable``):
-the currents of its chain group with their primary indices, twists, charge
-rows and permutations.  Every torsion form on the subgroup is validated and
-turned into a matrix from that table, without re-embedding its elements.
+``_ChainTable.of`` is the one reader of a subgroup, once per subgroup: it
+checks that the subgroup is current and quaternionic-free, fixes its
+generator chain and holds the canonical base form with the currents of the
+chain group (primary indices, twists, charge rows and permutations).  Every
+torsion form on the subgroup is base + psi (``_ChainTable.epsilon``), and is
+validated and turned into a matrix from that table, without re-embedding
+its elements.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from math import prod
 from typing import NamedTuple
 
 from .abelian import Character, FinAbGroup, Subgroup, all_subgroups, mat_mul_int, subgroup_group
-from .forms import AlternatingPairing, Pairing
+from .forms import AlternatingPairing, Pairing, alternating_pairings
 from .modular import ModularData, ModularInvariant, s_commutes, simple_currents
 
 
@@ -51,20 +54,22 @@ def _quaternionic_guard(sc, J: Subgroup):
 
 
 class _ChainTable(NamedTuple):
-    """A current subgroup read through its generator chain, built once per
-    subgroup and shared by every torsion form on it.
+    """A current subgroup read through its generator chain: the one reader
+    of a subgroup, built once and shared by every torsion form on it.
 
-    ``group`` is the chain group, whose basis maps to the currents ``chain``.
-    The other fields run over ``group.elements()``, the key order of
-    ``Pairing.dot_table``: for each element y, the primary index of the
-    current embed(y), its twist and charge row (``sc.twists`` and
-    ``sc.charges``) and its permutation of the primaries
-    (``sc.action_table``).  ``at[a]`` is the charges of every element at
-    primary a, the key ``_matrix_from_epsilon`` looks up.
+    ``group`` is the chain group, whose basis maps to the currents ``chain``,
+    and ``base`` the canonical bilinear base form on it: the twists on the
+    diagonal, minus the monodromy charges below it.  The other fields run
+    over ``group.elements()``, the key order of ``Pairing.dot_table``: for
+    each element y, the primary index of the current embed(y), its twist and
+    charge row (``sc.twists`` and ``sc.charges``) and its permutation of the
+    primaries (``sc.action_table``).  ``at[a]`` is the charges of every
+    element at primary a, the key ``_matrix_from_epsilon`` looks up.
     """
 
     group: FinAbGroup
     chain: list
+    base: Pairing
     primaries: tuple
     twists: tuple
     charges: tuple
@@ -72,12 +77,31 @@ class _ChainTable(NamedTuple):
     at: tuple
 
     @staticmethod
-    def of(sc, group: FinAbGroup, chain) -> "_ChainTable":
-        currents = list(map(_chain_embed(sc.group, chain), group.elements()))
+    def of(sc, J: Subgroup, chain=None) -> "_ChainTable":
+        """The table of J, a quaternionic-free subgroup of the current group,
+        through ``chain`` (checked) or else the chain of ``subgroup_group``."""
+        if J.ambient != sc.group:
+            raise ValueError("subgroup must live in the current group")
+        _quaternionic_guard(sc, J)
+        if chain is None:
+            Jab, embed, _ = subgroup_group(J)
+            chain = [embed(e) for e in Jab.basis()]
+        else:
+            chain = [sc.group.reduce(h) for h in chain]
+            Jab = _check_chain(sc, J, chain)
+        s = Jab.rank
+        tw = [sc.q(h) for h in chain]
+        mono = [[sc.grading(sc.label_index[ha], hb) for hb in chain] for ha in chain]
+        base = [
+            [tw[a] if a == b else (-mono[a][b] if a > b else 0) for b in range(s)]
+            for a in range(s)
+        ]
+        currents = list(map(_chain_embed(sc.group, chain), Jab.elements()))
         charges = tuple(map(sc.charges.__getitem__, currents))
         return _ChainTable(
-            group,
+            Jab,
             chain,
+            Pairing(Jab, Jab, base),
             tuple(map(sc.label_index.__getitem__, currents)),
             tuple(map(sc.twists.__getitem__, currents)),
             charges,
@@ -85,66 +109,34 @@ class _ChainTable(NamedTuple):
             tuple(zip(*charges)),
         )
 
+    def epsilon(self, psi: AlternatingPairing | None = None):
+        """(psi, base + psi); psi defaults to zero and must live on the chain group."""
+        Jab = self.group
+        if psi is None:
+            psi = AlternatingPairing(Jab, [[0] * Jab.rank for _ in range(Jab.rank)])
+        if psi.left.factors != Jab.factors:
+            raise ValueError("psi must live on the subgroup's chain group")
+        num = [[b + p for b, p in zip(*rows)] for rows in zip(self.base.num, psi.num)]
+        return psi, Pairing.from_numerators(Jab, Jab, num)
+
 
 def base_epsilon(md: ModularData, J: Subgroup, chain=None) -> Pairing:
     """Canonical bilinear form on the subgroup from its generator chain."""
-    sc = simple_currents(md)
-    return _base_epsilon(sc, J, chain)[1]
-
-
-def _base_epsilon(sc, J: Subgroup, chain=None):
-    """(the subgroup's ``_ChainTable``, its canonical bilinear base form)."""
-    if J.ambient != sc.group:
-        raise ValueError("subgroup must live in the current group")
-    _quaternionic_guard(sc, J)
-    if chain is None:
-        Jab, embed, _ = subgroup_group(J)
-        chain = [embed(e) for e in Jab.basis()]
-    else:
-        chain = [sc.group.reduce(h) for h in chain]
-        Jab = _check_chain(sc, J, chain)
-    s = Jab.rank
-    tw = [sc.q(h) for h in chain]
-    mono = [[sc.grading(sc.label_index[ha], hb) for hb in chain] for ha in chain]
-    matrix = [
-        [tw[a] if a == b else (-mono[a][b] if a > b else 0) for b in range(s)]
-        for a in range(s)
-    ]
-    return _ChainTable.of(sc, Jab, chain), Pairing(Jab, Jab, matrix)
-
-
-def _add_psi(Jab: FinAbGroup, base: Pairing, psi: AlternatingPairing | None):
-    """(psi, numerators of base + psi); psi defaults to zero and must live on Jab."""
-    rank = Jab.rank
-    if psi is None:
-        psi = AlternatingPairing(Jab, [[0] * rank for _ in range(rank)])
-    if psi.left.factors != Jab.factors:
-        raise ValueError("psi must live on the subgroup's chain group")
-    return psi, [[b + p for b, p in zip(*rows)] for rows in zip(base.num, psi.num)]
+    return _ChainTable.of(simple_currents(md), J, chain).base
 
 
 class SCParam:
     """Current subgroup with a validated torsion form.
 
-    The form is checked as integer numerators over ``sc.den``, the one
-    denominator of ``modular``'s charge and twist tables; ``table`` keeps that
-    ``dot_table`` for ``sc_matrix``, and ``currents`` the subgroup's
-    ``_ChainTable``, shared by the parameters built on one subgroup.
+    ``currents`` is the subgroup's ``_ChainTable``, shared by the parameters
+    built on one subgroup.  The form is checked as integer numerators over
+    ``sc.den``, the one denominator of ``modular``'s charge and twist tables;
+    ``table`` keeps that ``dot_table`` for ``sc_matrix``.
     """
 
     __slots__ = ("sc", "J", "group", "chain", "psi", "epsilon", "table", "currents")
 
-    def __init__(self, sc, J, group, chain, psi, epsilon):
-        self._setup(sc, J, _ChainTable.of(sc, group, chain), psi, epsilon)
-
-    @classmethod
-    def _on(cls, sc, J, currents: _ChainTable, psi, epsilon) -> "SCParam":
-        """The parameter on a subgroup whose ``_ChainTable`` is built already."""
-        param = object.__new__(cls)
-        param._setup(sc, J, currents, psi, epsilon)
-        return param
-
-    def _setup(self, sc, J, currents, psi, epsilon):
+    def __init__(self, sc, J, currents: _ChainTable, psi, epsilon):
         self.sc = sc
         self.J = J
         self.group = currents.group
@@ -180,20 +172,19 @@ def make_epsilon(
 ) -> SCParam:
     """Torsion parameter with epsilon = psi plus the canonical base form."""
     sc = simple_currents(md)
-    cur, base = _base_epsilon(sc, J, chain)
-    psi, num = _add_psi(cur.group, base, psi)
-    return SCParam._on(sc, J, cur, psi, Pairing.from_numerators(cur.group, cur.group, num))
+    cur = _ChainTable.of(sc, J, chain)
+    return SCParam(sc, J, cur, *cur.epsilon(psi))
 
 
 def param_from_epsilon(md: ModularData, J: Subgroup, epsilon: Pairing, chain=None) -> SCParam:
     """Rebase a raw epsilon; its offset from the base form must alternate."""
     sc = simple_currents(md)
-    cur, base = _base_epsilon(sc, J, chain)
+    cur = _ChainTable.of(sc, J, chain)
     if epsilon.left.factors != cur.group.factors:
         raise ValueError("epsilon must live on the subgroup's chain group")
-    diff = [[e - b for e, b in zip(*rows)] for rows in zip(epsilon.num, base.num)]
+    diff = [[e - b for e, b in zip(*rows)] for rows in zip(epsilon.num, cur.base.num)]
     psi = AlternatingPairing.from_numerators(cur.group, cur.group, diff)
-    return SCParam._on(sc, J, cur, psi, epsilon)
+    return SCParam(sc, J, cur, psi, epsilon)
 
 
 def _matrix_from_epsilon(md: ModularData, cur: _ChainTable, rows: dict):
@@ -233,22 +224,23 @@ def s_only_matrix(
 ):
     """S-commuting matrix from a sign-twisted chain; T-commutation may fail."""
     sc = simple_currents(md)
-    cur, base = _base_epsilon(sc, J, chain)
-    Jab = cur.group
-    _, num = _add_psi(Jab, base, psi)
+    cur = _ChainTable.of(sc, J, chain)
+    _, epsilon = cur.epsilon(psi)
     if phi is not None:
+        Jab, den = cur.group, epsilon.den
         if phi.ambient.factors != Jab.factors:
             raise ValueError("phi must be a character of the chain group")
+        num = [list(row) for row in epsilon.num]
         for i, e in enumerate(Jab.basis()):
-            k = int(phi.phase(e) * base.den)
-            if 2 * k % base.den:
+            k = int(phi.phase(e) * den)
+            if 2 * k % den:
                 raise ValueError("phi must square to the trivial character")
             num[i][i] += k
-    table = Pairing.from_numerators(Jab, Jab, num).dot_table(sc.den)
-    M = _matrix_from_epsilon(md, cur, table)
+        epsilon = Pairing.from_numerators(Jab, Jab, num)
+    M = tuple(map(tuple, _matrix_from_epsilon(md, cur, epsilon.dot_table(sc.den))))
     if not s_commutes(md, M):
         raise ValueError("matrix does not commute with S")
-    return tuple(tuple(row) for row in M)
+    return M
 
 
 class SCEnumeration:
@@ -267,18 +259,14 @@ class SCEnumeration:
 
 def enumerate_sc(md: ModularData) -> SCEnumeration:
     """Every quaternionic-free subgroup with every alternating twist."""
-    from .forms import alternating_pairings
-
     sc = simple_currents(md)
     entries = []
     for J in all_subgroups(sc.group):
         if any(sc.is_quaternionic(j) for j in J.elements()):
             continue
-        cur, base = _base_epsilon(sc, J)
-        Jab = cur.group
-        for psi in alternating_pairings(Jab):
-            psi, num = _add_psi(Jab, base, psi)
-            param = SCParam._on(sc, J, cur, psi, Pairing.from_numerators(Jab, Jab, num))
+        cur = _ChainTable.of(sc, J)
+        for psi in alternating_pairings(cur.group):
+            param = SCParam(sc, J, cur, *cur.epsilon(psi))
             entries.append((param, sc_matrix(md, param)))
     by_matrix: dict = {}
     for param, z in entries:
@@ -300,12 +288,7 @@ def invariant_product(md: ModularData, Z1: ModularInvariant, Z2: ModularInvarian
     if count == 0:
         raise ValueError("invariants share no unit-row support")
     prod_matrix = mat_mul_int(Z1.matrix, list(zip(*Z2.matrix)))
-    out = []
-    for row in prod_matrix:
-        new = []
-        for x in row:
-            if x % count:
-                raise ValueError("product is not divisible by the overlap count")
-            new.append(x // count)
-        out.append(new)
+    if any(x % count for row in prod_matrix for x in row):
+        raise ValueError("product is not divisible by the overlap count")
+    out = [[x // count for x in row] for row in prod_matrix]
     return count, ModularInvariant(out, {"source": "product"})

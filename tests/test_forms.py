@@ -2,6 +2,7 @@
 
 import cmath
 import functools
+import itertools
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -1184,6 +1185,28 @@ class TestNormalForm:
     def test_trivial_group(self):
         q = QuadraticForm(FinAbGroup(()), {(): 0})
         assert q.normal_form() == NormalForm([]) and q.signature() == 0 and descriptor(q) == ""
+
+    @pytest.mark.parametrize("p,k,polar,expected", [
+        (3, 1, [[0, 1], [1, 0]], "3^1_+ x 3^1_-"),
+        (5, 1, [[0, 1], [1, 0]], "5^1_+ x 5^1_+"),
+        (7, 1, [[0, 1], [1, 0]], "7^1_+ x 7^1_-"),
+        (3, 2, [[0, 1], [1, 0]], "3^2_+ x 3^2_-"),
+        # the third generator sees the pivot's own value b(f_0 + f_1, f_0 + f_1)
+        (3, 1, [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "3^1_+ x 3^1_+ x 3^1_-"),
+        (5, 1, [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "5^1_+ x 5^1_+ x 5^1_+"),
+    ])
+    def test_zero_diagonal_pivots_on_a_sum(self, p, k, polar, expected):
+        """Generators with b(f_i, f_i) = 0, as in the hyperbolic plane
+        q(x, y) = xy / p^k, leave the odd-p pivot f_0 + f_1; the normal form
+        agrees with exactly the diagonal products ``forms_equivalent`` maps
+        the form onto."""
+        n, r = p**k, len(polar)
+        H = QuadraticForm.from_generators(FinAbGroup((n,) * r), [0] * r, polar)
+        assert H.normal_form().descriptor() == expected
+        for signs in itertools.product("+-", repeat=r):
+            C = indecomposable_form(" x ".join(f"{p}^{k}_{e}" for e in signs))[0]
+            assert (C.normal_form() == H.normal_form()) == (forms_equivalent(H, C) is not None)
+        assert forms_equivalent(H, indecomposable_form(expected)[0]) is not None
 
 
 # -- forms from their generator data ------------------------------------------------

@@ -1772,6 +1772,41 @@ def test_brute_force_writes_one_row_per_orbit(monkeypatch):
     assert seen == [(columns, columns)]
 
 
+def test_brute_force_reads_every_column_when_s_squared_is_no_permutation():
+    # 2 S keeps the Galois certificate, but (2 S)^2 = 4 C is no permutation,
+    # so the commutant system falls back to every row and column
+    md0 = _double("3^1_+")
+    md = ModularData(md0.labels, md0.unit, [[2 * x for x in row] for row in md0.S], md0.T)
+    assert modular.galois_action(md).certified and md._plan.galois.gens
+    with pytest.raises(ValueError, match="S\\^2 is not a permutation matrix"):
+        md.charge_conjugation()
+    _, rows, columns = modular._position_classes(md)
+    assert list(rows) == list(columns) == list(range(md.dim))
+    got = [z.matrix for z in brute_force_invariants(md)]
+    assert len(got) == 5 and got == [z.matrix for z in brute_force_invariants(md0)]
+    assert got == reference_brute_force(md)
+
+
+def test_validate_builds_each_packing_once(monkeypatch):
+    # the full and orbit readers, the default S F packing (galois_action) and
+    # the simple-current search's; the hermitian and square sums share one
+    # orbit reader, and a repeated default S F is looked up, not rebuilt
+    built = []
+    init = scalars._Packing.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    md = _double("3^1_+")
+    monkeypatch.setattr(scalars._Packing, "__init__", counted)
+    assert validate_modular(md) == []
+    assert len(built) == 4
+    built.clear()
+    first = md._packed_SF()
+    assert all(md._packed_SF() is first for _ in range(5)) and built == []
+
+
 @pytest.mark.parametrize(
     "build", [lambda: _double("3^1_+"), lambda: _weil("3^1_+ x 3^1_+")], ids=["ty-3^1_+", "weil-3^1_+x3^1_+"]
 )

@@ -266,6 +266,20 @@ class TestRebase:
         assert sc_matrix(md, again).matrix == sc_matrix(md, param).matrix
 
 
+@pytest.mark.parametrize("desc", ["3^1_+ x 3^1_+", "3^1_+ x 3^1_-", "2^2_1 x 2^1_1", "2^2_1 x 2^1_3"])
+def test_json_round_trip_rebuilds_each_parameter(desc):
+    """``to_json``'s J and psi rebuild, through ``make_epsilon``, the matrix
+    of every enumerated parameter on the Weil data of the descriptor."""
+    md = weil(indecomposable_form(desc)[0])
+    sc = simple_currents(md)
+    entries = enumerate_sc(md).entries
+    assert entries
+    for param, z in entries:
+        data = param.to_json()
+        again = make_epsilon(md, Subgroup(sc.group, data["J"]), Pairing.from_json(data["psi"]))
+        assert again.J == param.J and sc_matrix(md, again).matrix == z.matrix
+
+
 class TestProducts:
     def test_identity_product(self):
         md = weil(Z4_FORM)
@@ -406,7 +420,7 @@ def reference_validate_error(param, epsilon):
 def validate_error(param, epsilon):
     """Message of the ValueError that SCParam raises for epsilon, or None."""
     try:
-        SCParam(param.sc, param.J, param.group, param.chain, param.psi, epsilon)
+        SCParam(param.sc, param.J, param.currents, param.psi, epsilon)
     except ValueError as exc:
         return str(exc)
     return None
