@@ -174,7 +174,7 @@ def dual_quotient(M, det: int):
     return G, [[Vt[t][r] % pivots[t] for t in keep] for r in range(len(M))]
 
 
-def _kernel_rows(A, moduli, width: int) -> list[tuple[int, ...]]:
+def _kernel_rows(A, moduli, width: int) -> tuple[tuple[int, ...], ...]:
     """The row HNF of {x in Z^width : A·x = 0 (mod moduli)}, one modulus per
     row of A.
 
@@ -186,7 +186,7 @@ def _kernel_rows(A, moduli, width: int) -> list[tuple[int, ...]]:
     s = len(A)
     rows = [[A[a][i] for a in range(s)] + [int(i == j) for j in range(width)] for i in range(width)]
     rows += [[moduli[a] if b == a else 0 for b in range(s + width)] for a in range(s)]
-    return [row[s:] for row in hermite_rows(rows, s + width)[s:]]
+    return tuple(row[s:] for row in hermite_rows(rows, s + width)[s:])
 
 
 def hermite_rows(rows: list[list[int]], width: int) -> tuple[tuple[int, ...], ...]:
@@ -235,7 +235,7 @@ def hermite_rows(rows: list[list[int]], width: int) -> tuple[tuple[int, ...], ..
 class FinAbGroup:
     """Product of cyclic groups Z_{n_1} x ... x Z_{n_t}, n_t | ... | n_1."""
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "order")
 
     def __init__(self, factors):
         message = "invariant factors must be integers"
@@ -250,14 +250,11 @@ class FinAbGroup:
             if a % b != 0:
                 raise ValueError(f"divisibility chain violated: {b} does not divide {a}")
         self.factors = factors
+        self.order = prod(factors)
 
     @property
     def rank(self) -> int:
         return len(self.factors)
-
-    @property
-    def order(self) -> int:
-        return prod(self.factors)
 
     @property
     def exponent(self) -> int:
@@ -335,24 +332,32 @@ def canonical_presentation(factors):
 class Subgroup:
     """Subgroup of a FinAbGroup, canonicalized by its coordinate-lattice HNF."""
 
-    __slots__ = ("ambient", "lattice", "_elems", "_gens")
+    __slots__ = ("ambient", "lattice", "order", "_elems", "_gens")
 
     def __init__(self, ambient: FinAbGroup, gens):
-        self.ambient = ambient
         t = ambient.rank
         rows = [
             [x % n for x, n in zip(g, ambient.factors)]
             for g in _integer_rows(gens, t, "generator coordinates")
         ]
         rows += [[ambient.factors[i] if i == j else 0 for j in range(t)] for i in range(t)]
-        self.lattice = hermite_rows(rows, t) if t else ()
+        self._fill(ambient, hermite_rows(rows, t) if t else ())
+
+    def _fill(self, ambient: FinAbGroup, lattice) -> None:
+        self.ambient = ambient
+        self.lattice = lattice
+        self.order = ambient.order // prod(row[i] for i, row in enumerate(lattice))
         self._elems = None
         self._gens = None
 
-    @property
-    def order(self) -> int:
-        idx = prod(self.lattice[i][i] for i in range(len(self.lattice)))
-        return self.ambient.order // idx
+    @staticmethod
+    def _of(ambient: FinAbGroup, lattice) -> "Subgroup":
+        """The subgroup whose coordinate lattice has the row HNF ``lattice``
+        (a tuple of rows, full rank, relations included), trusted: neither
+        checked nor brought to Hermite form again."""
+        H = Subgroup.__new__(Subgroup)
+        H._fill(ambient, lattice)
+        return H
 
     def gens(self) -> list[tuple[int, ...]]:
         """The nonzero lattice rows, reduced; computed once, a fresh list each call."""
@@ -445,10 +450,11 @@ def all_subgroups(G: FinAbGroup, admissible=None) -> list[Subgroup]:
     cosets H + kg for k = 0, 1, ... up to the first k with kg in H, which
     are distinct and exhaust K.  Two candidates are the same subgroup exactly
     when their sorted element tuples agree, so the search deduplicates on that
-    tuple and builds a ``Subgroup`` (one ``hermite_rows``) only for a tuple
-    not seen before.  The same tuple, rebuilt from G's own element tuples,
-    is the new subgroup's ``elements()``: each subgroup kept holds one
-    container of shared elements.
+    tuple and builds a ``Subgroup`` only for a tuple not seen before, by one
+    ``hermite_rows`` of H's lattice (which holds the relations) and g.  The
+    same tuple, rebuilt from G's own element tuples, is the new subgroup's
+    ``elements()``: each subgroup kept holds one container of shared
+    elements.
 
     A representative g' in a coset H + kg of an earlier candidate's closure,
     with k prime to that closure's order m = |K : H|, is skipped: K/H is
@@ -468,7 +474,7 @@ def all_subgroups(G: FinAbGroup, admissible=None) -> list[Subgroup]:
     """
     if G.order > SUBGROUP_GUARD:
         raise GuardError(f"group order {G.order} exceeds guard {SUBGROUP_GUARD}")
-    add = G.add
+    add, t = G.add, G.rank
     triv = trivial_subgroup(G)
     shared = {x: x for x in G.elements()}
     triv._elems = (shared[G.zero()],)
@@ -496,7 +502,7 @@ def all_subgroups(G: FinAbGroup, admissible=None) -> list[Subgroup]:
                 closure = tuple(closure)
                 if closure not in found:
                     closure = tuple(map(shared.__getitem__, closure))
-                    K = found[closure] = Subgroup(G, gens + [g])
+                    K = found[closure] = Subgroup._of(G, hermite_rows([*H.lattice, g], t))
                     K._elems = closure
                     nxt.append(K)
         frontier = nxt
@@ -602,7 +608,8 @@ def congruence_kernel(G: FinAbGroup, rows, moduli) -> Subgroup:
     for row, e in zip(rows, moduli):
         if any(n * x % e for n, x in zip(G.factors, row)):
             raise ValueError("condition not constant on cosets of the relations")
-    return Subgroup(G, _kernel_rows(rows, moduli, t))
+    # the kernel holds the relations, so its row HNF is the subgroup's lattice
+    return Subgroup._of(G, _kernel_rows(rows, moduli, t))
 
 
 def hom_kernel_image(f: Hom) -> tuple[Subgroup, Subgroup]:

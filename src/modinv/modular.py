@@ -145,6 +145,25 @@ certificate; the plan names the rows each one sums:
   generator J and every a: then both sides at (J a, j) equal those at
   (a, J j), so only representative rows are compared.
 
+Charge conservation.  Where S is also symmetric, S_{x, J k} = S_{J k, x} =
+e(Q_J(x)) S_xk for every x, with psi_x(J) = e(Q_J(x)) (e(r) = e^(2 pi i r))
+and Q the charges ``simple_currents`` reads.  Substituting k -> J k, a
+bijection, in a sum over k multiplies each summand by the same root of
+unity, so the sum equals itself times it and is 0 unless that root is 1.
+This gives three selection rules, one condition per generator J of the
+currents (psi is a character, so the generators imply the rest):
+
+* M(a, b, e) = Sum_k S_ak S_bk S_ek / S_0k is 0 unless Q_J(a) + Q_J(b) +
+  Q_J(e) = Q_J(0); Q_J(0) is 1/2 where S_{J,0} = -S_{0,0};
+* (S S-bar^T)_ij is 0 unless Q_J(i) = Q_J(j);
+* (S^2)_ij is 0 unless Q_J(i) + Q_J(j) = 0.
+
+The plan's ``charges`` hold the Q_J on the generators where the current
+orbits are nontrivial and S is symmetric; ``verlinde``, ``_Plan.hermitian``
+and ``_square_permutation`` write 0 for every sum a rule forbids, without
+packing or summing it.  The rules are exact for any S with these
+certificates, modular or not, so the results are those of the full sums.
+
 ``check_invariant`` also reports current periodicity, Z_{J a, J' b} = Z_ab
 whenever Z_{J, J'} != 0 (``_current_periodic``).  The pairs of current
 permutations that preserve Z form a group, so only pairs outside the span
@@ -348,7 +367,7 @@ def _s_failure(md: ModularData, matrix, support):
     n = md.dim
     N, _, _, norm = md._integral_S()
     zmax = max((abs(x) for _, _, x in support), default=0)
-    pk = _Packing(N, 2 * n * norm * zmax * sum(map(abs, cyclotomic_cofactor(N))))
+    pk, _, P, PT = md._packed_SF(N, 2 * n * norm * zmax * sum(map(abs, cyclotomic_cofactor(N))))
     M = pk.M
     cols = [[] for _ in range(n)]
     for a, b, x in support:
@@ -357,7 +376,6 @@ def _s_failure(md: ModularData, matrix, support):
     md._plan.guard(pk, work, 1 + zmax.bit_length() // 64)
     # entries of S F: (SZ - ZS)_ij vanishes modulo Phi_N iff its multiple by F
     # vanishes modulo x^N - 1
-    _, _, P, PT = md._packed_SF(pk)
     for j in columns:
         sz = [0] * n
         for t, x in cols[j]:
@@ -401,35 +419,65 @@ class _Sums(NamedTuple):
         return None if trace % self.phi else trace // self.phi
 
 
-def _square_permutation(sums: _Sums, P, den: int, orb):
+def _square_permutation(sums: _Sums, P, den: int, orb, charges: _Charges | None):
     """Permutation p with S^2 = den times the matrix of i -> p(i), else None.
 
     P packs the rows of an integer form of S in the packing of ``sums``, the
     reader of (S^2)_ij = Sum_k S_ik S_kj.  Only the representative rows of
     the current orbits ``orb`` (trivial unless S is symmetric) are summed,
-    as p(J r) = J^-1 p(r) (module docstring, "Simple-current symmetry").
+    as p(J r) = J^-1 p(r), and with ``charges`` only the (i, j) with
+    Q_J(i) + Q_J(j) = 0 on every generator J: the others are 0 (module
+    docstring, "Simple-current symmetry" and "Charge conservation").
     """
     n = len(P)
     cols = [[P[k][j] for k in sums.columns] for j in range(n)]
     perm = [None] * n
     for i in orb.reps:
         row = sums.left(P[i])
-        vals = [sums.value(sum(map(mul, row, col))) for col in cols]
-        hits = [j for j, r in enumerate(vals) if r != 0]
-        if len(hits) != 1 or vals[hits[0]] != den:
+        js = range(n) if charges is None else charges.having(minus=(i,))
+        hits = [(j, r) for j in js if (r := sums.value(sum(map(mul, row, cols[j])))) != 0]
+        if len(hits) != 1 or hits[0][1] != den:
             return None
-        perm[i] = hits[0]
+        perm[i] = hits[0][0]
     neg = orb.group.neg
     perm = [orb.perm[neg(J)][perm[r]] for r, J in zip(orb.rep, orb.shift)]
     return perm if sorted(perm) == list(range(n)) else None
 
 
+class _Charges(NamedTuple):
+    """The charges of the primaries on the generators J of the current group:
+    ``rows[x]`` holds den Q_J(x) mod den for each generator, as
+    ``SimpleCurrentStructure.charges`` stores them, and ``where`` the
+    primaries of each row, increasing."""
+
+    den: int
+    rows: tuple
+    where: dict
+
+    @staticmethod
+    def of(sc: SimpleCurrentStructure) -> "_Charges":
+        rows = tuple(zip(*(sc.charges[J] for J in sc.group.basis())))
+        where: dict = {}
+        for x, row in enumerate(rows):
+            where.setdefault(row, []).append(x)
+        return _Charges(sc.den, rows, where)
+
+    def having(self, plus=(), minus=()) -> list:
+        """The primaries x with Q_J(x) = Sum Q_J(plus) - Sum Q_J(minus) for
+        every generator J, increasing."""
+        terms = [self.rows[p] for p in plus] + [[-q for q in self.rows[m]] for m in minus]
+        return self.where.get(tuple(sum(qs) % self.den for qs in zip(*terms)), [])
+
+
 class _Plan:
     """The symmetry plan of one datum (module docstring): ``galois`` is the
     Galois action, ``orbits`` the current orbits (trivial where
-    ``simple_currents`` raises ValueError) and ``symmetric`` whether S =
-    S^T, each computed on its first read.  Each question returns the work,
-    in products, of the sums that run without a certificate."""
+    ``simple_currents`` raises ValueError), ``symmetric`` whether S = S^T
+    and ``charges`` the charge rows of the current generators (``_Charges``;
+    None unless the orbits are nontrivial and S is symmetric), each computed
+    on its first read.  Each question returns the work, in products, of the
+    sums that run without a certificate; the sums that the charges force to
+    0 are counted in it too."""
 
     def __init__(self, md: ModularData):
         self._md = weakref.ref(md)  # md keeps its plan: no reference cycle
@@ -467,6 +515,13 @@ class _Plan:
             for k, h in zip(row[i + 1:], col[i + 1:])
         )
 
+    @cached_property
+    def charges(self) -> _Charges | None:
+        md = self._md()
+        if len(self.orbits.reps) == md.dim or not self.symmetric:
+            return None
+        return _Charges.of(simple_currents(md))
+
     def guard(self, pk: _Packing, work: int, words: int = 0) -> None:
         """``check_work`` on an identity's work, before any of its sums."""
         check_work(work, pk, words)
@@ -502,10 +557,14 @@ class _Plan:
 
     def hermitian(self, N: int, base: int, full: _Sums):
         """(reader, rows, pairs, work) of S S-bar^T = d^2 I: representative
-        rows where the currents reduce, else the upper triangle."""
+        rows where the currents reduce, else the upper triangle; with
+        ``charges``, only the pairs of equal charges (the rest are 0)."""
         n = self._md().dim
         sums = self.reader(N, base, full)
         rows, pairs, work = self._pairs(len(self.orbits.reps) < n, True, not sums.phi)
+        Q = self.charges
+        if Q is not None:
+            pairs = [(i, j) for i, j in pairs if Q.rows[i] == Q.rows[j]]
         return sums, rows, pairs, work
 
     def square(self, N: int, base: int, full: _Sums | None = None):
@@ -628,7 +687,7 @@ class ModularData:
         index), norm the largest l1 norm of an entry of iS.  N = 0 stands for
         the conductor of S.  Computed once per order; callers must not mutate
         iS.  The same cache holds ``_packed_SF`` under the key (N, digit
-        width), and its default under None."""
+        width)."""
         cache = self._int_S
         if not N:
             if 0 not in cache:
@@ -640,26 +699,26 @@ class ModularData:
             hit = cache[N] = (N, d, _Entries(values, self._entries.index), _norm([values]))
         return hit
 
-    def _packed_SF(self, pk: _Packing | None = None):
-        """(pk, E, rows, columns): S F packed in pk, F = (x^N - 1) / Phi_N at
-        pk's conductor N, as an ``_Entries`` and as its rows and columns
-        (tuples); kept per (N, digit width), on which the packing alone
-        depends.  The default pk is the narrowest at the conductor of S under
-        which two such values compare exactly (bound ||S|| ||F||_1: their
-        difference has digits below 2^(B-1)), the one ``galois_action``, the
-        plan's symmetry test and the conjugate-row lookup
-        of ``verlinde`` share.
+    def _packed_SF(self, N: int = 0, bound: int = 0):
+        """(pk, E, rows, columns): S F packed in the ``_Packing`` pk of
+        (N, bound), F = (x^N - 1) / Phi_N, as an ``_Entries`` and as its rows
+        and columns (tuples); kept per (N, digit width), on which the packing
+        alone depends, and looked up before any packing is built.  N = 0
+        stands for the conductor of S, bound = 0 for the narrowest bound
+        under which two such values compare exactly (||S|| ||F||_1: their
+        difference has digits below 2^(B-1)), the packing ``galois_action``,
+        the plan's symmetry test and the conjugate-row lookup of ``verlinde``
+        share.
         """
-        if pk is None:
-            if None not in self._int_S:  # looked up before any packing is built
-                N, _, _, norm = self._integral_S()
-                self._int_S[None] = self._packed_SF(_Packing(N, norm * sum(map(abs, cyclotomic_cofactor(N)))))
-            return self._int_S[None]
-        hit = self._int_S.get((pk.N, pk.width))
+        N, _, iS, norm = self._integral_S(N)
+        bound = bound or norm * sum(map(abs, cyclotomic_cofactor(N)))
+        key = (N, _Packing.digit_width(bound))
+        hit = self._int_S.get(key)
         if hit is None:
-            E = self._integral_S(pk.N)[2].map(lambda p: pk.pack(p) * pk.PF % pk.M)
+            pk = _Packing(N, bound)
+            E = iS.map(lambda p: pk.pack(p) * pk.PF % pk.M)
             rows = list(map(tuple, E.rows()))
-            hit = self._int_S[pk.N, pk.width] = (pk, E, rows, list(zip(*rows)))
+            hit = self._int_S[key] = (pk, E, rows, list(zip(*rows)))
         return hit
 
     def _twist_classes(self) -> tuple[int, ...]:
@@ -679,7 +738,7 @@ class ModularData:
             N, den, iS, norm = self._integral_S()
             sums, orb, work = self._plan.square(N, self.dim * norm * norm)
             self._plan.guard(sums.pk, work)
-            perm = _square_permutation(sums, iS.map(sums.pk.pack).rows(), den * den, orb)
+            perm = _square_permutation(sums, iS.map(sums.pk.pack).rows(), den * den, orb, self._plan.charges)
             if perm is None:
                 raise ValueError("S^2 is not a permutation matrix")
             self._charge = tuple(perm)
@@ -790,7 +849,7 @@ def validate_modular(md: ModularData) -> list[str]:
     twists = all(x * PF % M in roots for x in PT)
     if not twists:
         report.append("T root of unity")
-    perm = _square_permutation(square, P if square is full else Ps, d2, orb)
+    perm = _square_permutation(square, P if square is full else Ps, d2, orb, plan.charges)
     if perm is None:
         report.append("S^2 permutation")
     else:
@@ -912,7 +971,10 @@ def verlinde(md: ModularData):
     reads each row N_ab, a = J r_a and b = K r_b, through (J + K) o conj_row
     (module docstring, "Simple-current symmetry"; the rows of S are then
     distinct, so these are bijections).  Only when a representative sum
-    fails are the pairs walked in order, to name the first failure.
+    fails are the pairs walked in order, to name the first failure.  With
+    the plan's ``charges``, M(a, b, e) is summed only where Q_J(a) + Q_J(b) +
+    Q_J(e) = Q_J(0) on every generator J, and is 0 elsewhere (module
+    docstring, "Charge conservation"); the direct columns are summed in full.
     """
     n = md.dim
     N, dS, iS, norm_S = md._integral_S()
@@ -936,9 +998,11 @@ def verlinde(md: ModularData):
     Ubar = iS.map(lambda p: pe.pack(_conj_poly(p, N)) * pe.PF % pe.M).rows()
     conj_row = [row_of.get(tuple(u)) for u in Ubar]
     direct = [c for c, e in enumerate(conj_row) if e is None]
-    sums, orb, work = md._plan.fusion(N, n * norm_S**3 * _norm([iI]), direct)
+    plan = md._plan
+    sums, orb, work = plan.fusion(N, n * norm_S**3 * _norm([iI]), direct)
     pk = sums.pk
-    md._plan.guard(pk, work)
+    plan.guard(pk, work)
+    Q, u = plan.charges, md.unit
     M = pk.M
     P = [[row[k] for k in sums.columns] for row in iS.map(pk.pack).rows()]
     Pinv = sums.left([pk.pack(p) for p in iI])
@@ -952,7 +1016,11 @@ def verlinde(md: ModularData):
         W = [x * y % M for x, y in zip(P[a], Pinv)]
         for b in [r for r in orb.reps if r >= a] if orb else range(a, n):
             wb = [w * x % M for w, x in zip(W, P[b])]
-            sym[a][b] = [sums.value(sum(map(mul, wb, P[e]))) for e in range(0 if orb else b, n)]
+            lo = 0 if orb else b
+            sym[a][b] = ms = [0] * (n - lo)
+            for e in range(lo, n) if Q is None else Q.having((u,), (a, b)):
+                if e >= lo:
+                    ms[e - lo] = sums.value(sum(map(mul, wb, P[e])))
             direct_sums[a][b] = {c: sums.value(sum(map(mul, wb, Sbar[c]))) for c in direct}
     den = dS**3 * dI
     if orb and not any(_failing(sym[r][r2], den) for r in orb.reps for r2 in orb.reps if r <= r2):
@@ -1151,10 +1219,9 @@ def _find_simple_currents(md: ModularData):
     norm_S = md._integral_S(m)[3]
     dT, (iT,) = _integral([md.T], m)
     bound = max(norm_S, _norm([iT]) ** 2, dT * dT)
-    pk = _Packing(m, bound * sum(map(abs, cyclotomic_cofactor(m))))
+    pk, _, U, _ = md._packed_SF(m, bound * sum(map(abs, cyclotomic_cofactor(m))))
     M, PF, B = pk.M, pk.PF, pk.shift
     unit_bar = pk.pack(_conj_poly(iT[unit], m)) * PF % M
-    _, _, U, _ = md._packed_SF(pk)
     digits = {j: [] for j in range(n)}  # charge digits of the rows still candidates
     rotations: dict = {}  # one table per distinct unit-row value
     for k in range(n):

@@ -605,7 +605,7 @@ class _Packing:
         # [1, 2^B - 2]: no borrow crosses digits, and the all-ones string
         # (which is M, i.e. 0) cannot occur.
         self.N = N
-        self.width = (bound.bit_length() + 2 + 7) // 8  # bytes per digit
+        self.width = _Packing.digit_width(bound)
         self.shift = 8 * self.width
         self.M = (1 << (self.shift * N)) - 1
         self.half = 1 << (self.shift - 1)
@@ -613,6 +613,11 @@ class _Packing:
         F = cyclotomic_cofactor(N)
         self.PF = self.pack(dict(enumerate(F)))
         self.f0 = F[0]  # 1 for N = 1, else -1
+
+    @staticmethod
+    def digit_width(bound: int) -> int:
+        """Bytes per digit of the packing for ``bound``: all it depends on at one N."""
+        return (bound.bit_length() + 2 + 7) // 8
 
     def pack(self, p: dict) -> int:
         return sum(c << (self.shift * k) for k, c in p.items()) % self.M

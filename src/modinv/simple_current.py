@@ -44,11 +44,15 @@ def _check_chain(sc, J: Subgroup, chain):
     return FinAbGroup(tuple(orders))
 
 
+class _Quaternionic(ValueError):
+    """A subgroup holds a quaternionic current (``enumerate_sc`` skips it)."""
+
+
 def _quaternionic_guard(sc, J: Subgroup):
     for j in J.elements():
         if sc.is_quaternionic(j):
             order = sc.group.element_order(j)
-            raise ValueError(
+            raise _Quaternionic(
                 f"current {j} is quaternionic: twist ratio to the power {order} is -1"
             )
 
@@ -258,13 +262,15 @@ class SCEnumeration:
 
 
 def enumerate_sc(md: ModularData) -> SCEnumeration:
-    """Every quaternionic-free subgroup with every alternating twist."""
+    """Every quaternionic-free subgroup with every alternating twist; each
+    subgroup's elements are walked once, by ``_ChainTable.of``'s guard."""
     sc = simple_currents(md)
     entries = []
     for J in all_subgroups(sc.group):
-        if any(sc.is_quaternionic(j) for j in J.elements()):
+        try:
+            cur = _ChainTable.of(sc, J)
+        except _Quaternionic:
             continue
-        cur = _ChainTable.of(sc, J)
         for psi in alternating_pairings(cur.group):
             param = SCParam(sc, J, cur, *cur.epsilon(psi))
             entries.append((param, sc_matrix(md, param)))

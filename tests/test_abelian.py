@@ -492,7 +492,7 @@ ORDER_64_GROUPS = [FinAbGroup(f) for f in invariant_factor_chains(64)]
 
 
 def assert_same_search(ours, reference):
-    assert [S.key() for S in ours] == [S.key() for S in reference]
+    assert [(S.key(), S.order) for S in ours] == [(S.key(), S.order) for S in reference]
     # the seeded element tuples are the ones the lattice generates
     assert [S.elements() for S in ours] == [R.elements() for R in reference]
 
@@ -673,7 +673,9 @@ def assert_kernel_matches(G, rows, moduli):
             for r, m in zip(rows, moduli)
         )
     }
-    assert set(K.elements()) == brute
+    assert set(K.elements()) == brute and K.order == len(brute)
+    # the kernel's Hermite form is taken once: it must be the lattice's own
+    assert K == Subgroup(G, K.gens())
 
 
 class TestCongruenceKernel:

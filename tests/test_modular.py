@@ -381,6 +381,17 @@ def _double(descriptor, sign=1):
     return ty_double(TYData(q.group, q.polarization(), sign), q)
 
 
+def graded(md, J):
+    """md with S_ab times d_a d_b, d_a = e(Q_J(a)) = +-1 for the current J of
+    order 2: d is a grading of the fusion rules (charge conservation), so the
+    result is modular data with the same fusion rules, and each current K
+    with Q_J(K) = 1/2 now has quantum dimension S_K0 / S_00 = -1."""
+    sc = simple_currents(md)
+    d = [1 - 4 * q // sc.den for q in sc.charges[J]]  # q is 0 or den / 2
+    S = [[x * (d[a] * d[b]) for b, x in enumerate(row)] for a, row in enumerate(md.S)]
+    return ModularData(md.labels, md.unit, S, md.T)
+
+
 CURRENT_DATA = [
     lambda: weil(Z2_FORM),
     lambda: weil(Z3_FORM),
@@ -407,6 +418,11 @@ CURRENT_IDS = [
     "ty-2^2_1",
     "ty-5^1_+",
 ]
+# modular data with currents of quantum dimension -1, where Q_J(0) = 1/2
+GRADED_DATA = {
+    "weil-2^2_1-graded": lambda: graded(weil(Z4_FORM), (2,)),
+    "weil-Z6-graded": lambda: graded(weil(std_form((6,))), (3,)),
+}
 
 
 class TestSimpleCurrents:
@@ -1142,7 +1158,7 @@ def verlinde_outcome(fn, md):
         return f"ValueError: {exc}"
 
 
-VERLINDE_DATA = {**dict(zip(CURRENT_IDS, CURRENT_DATA)), **dict(zip(BRUTE_IDS, BRUTE_DATA))}
+VERLINDE_DATA = {**dict(zip(CURRENT_IDS, CURRENT_DATA)), **GRADED_DATA, **dict(zip(BRUTE_IDS, BRUTE_DATA))}
 
 
 @pytest.mark.parametrize("build", VERLINDE_DATA.values(), ids=VERLINDE_DATA.keys())
@@ -1788,9 +1804,10 @@ def test_brute_force_reads_every_column_when_s_squared_is_no_permutation():
 
 
 def test_validate_builds_each_packing_once(monkeypatch):
-    # the full and orbit readers, the default S F packing (galois_action) and
-    # the simple-current search's; the hermitian and square sums share one
-    # orbit reader, and a repeated default S F is looked up, not rebuilt
+    # the full and orbit readers and the default S F packing (galois_action);
+    # the simple-current search's S F has the same conductor and digit width,
+    # so it is looked up, as a repeated default S F is, and the hermitian and
+    # square sums share one orbit reader
     built = []
     init = scalars._Packing.__init__
 
@@ -1801,21 +1818,32 @@ def test_validate_builds_each_packing_once(monkeypatch):
     md = _double("3^1_+")
     monkeypatch.setattr(scalars._Packing, "__init__", counted)
     assert validate_modular(md) == []
-    assert len(built) == 4
+    assert len(built) == 3
     built.clear()
     first = md._packed_SF()
     assert all(md._packed_SF() is first for _ in range(5)) and built == []
 
 
 @pytest.mark.parametrize(
-    "build", [lambda: _double("3^1_+"), lambda: _weil("3^1_+ x 3^1_+")], ids=["ty-3^1_+", "weil-3^1_+x3^1_+"]
+    "build,products",
+    [(lambda: _double("3^1_+"), 128), (lambda: _weil("3^1_+ x 3^1_+"), 5)],
+    ids=["ty-3^1_+", "weil-3^1_+x3^1_+"],
 )
-def test_certified_verlinde_forms_one_product_per_orbit(build, monkeypatch):
+def test_certified_verlinde_forms_one_product_per_orbit(build, products, monkeypatch):
     md = build()
     n = md.dim
     act = modular.galois_action(md)
     reps = md._plan.orbits.reps
     triples = n * (n + 1) * (n + 2) // 6
+    sc = simple_currents(md)
+    # the (r, r', e) whose charges match on every current (charge conservation)
+    matching = sum(
+        all((Q[r] + Q[r2] + Q[e] - Q[md.unit]) % sc.den == 0 for Q in sc.charges.values())
+        for r in reps
+        for r2 in reps
+        if r <= r2
+        for e in range(n)
+    )
     counted = []
 
     def count_mul(x, y):
@@ -1824,9 +1852,10 @@ def test_certified_verlinde_forms_one_product_per_orbit(build, monkeypatch):
 
     monkeypatch.setattr(modular, "mul", count_mul)
     fused = verlinde(md)
-    # M(r, r', e) for current representatives r <= r' and every e, each over
-    # one column per Galois orbit
-    assert len(counted) == len(reps) * (len(reps) + 1) // 2 * n * len(act.orbits) < n * triples
+    # M(r, r', e) for current representatives r <= r' and the e of matching
+    # charge, each over one column per Galois orbit
+    assert len(counted) == matching * len(act.orbits) == products
+    assert matching < len(reps) * (len(reps) + 1) // 2 * n
     # the same datum without either certificate sums every sorted triple over every column
     counted.clear()
     clear_certificates(md)
@@ -1834,6 +1863,104 @@ def test_certified_verlinde_forms_one_product_per_orbit(build, monkeypatch):
     assert len(counted) == n * triples
     monkeypatch.undo()
     assert fused == reference_verlinde(md)
+
+
+def vanishing_sums(md):
+    """The sums over every column of S that are 0, each unpacked and reduced
+    modulo Phi_N: the (a, b, e) with M(a, b, e) = Sum_k S_ak S_bk S_ek / S_0k
+    = 0 (None if the unit row has a zero), and the (i, j) with
+    (S S-bar^T)_ij = 0 and with (S^2)_ij = 0."""
+    n = md.dim
+    S = md.S
+    inv0 = None if any(x.is_zero() for x in S[md.unit]) else [x.inverse() for x in S[md.unit]]
+    N = modular._conductor(S, [inv0 or []])
+    _, iS = modular._integral(S, N)
+    iI = modular._integral([inv0], N)[1][0] if inv0 else []
+    norm = modular._norm(iS)
+    pk = modular._Packing(N, n * norm * norm * max(norm * modular._norm([iI]), 1))
+    P = [[pk.pack(p) for p in row] for row in iS]
+    Pbar = [[pk.pack({-k % N: c for k, c in p.items()}) for p in row] for row in iS]
+    cols = list(zip(*P))
+
+    def zero(u, v):
+        return not any(pk.reduced(sum(x * y for x, y in zip(u, v))))
+
+    unitary = {(i, j) for i in range(n) for j in range(n) if zero(P[i], Pbar[j])}
+    square = {(i, j) for i in range(n) for j in range(n) if zero(P[i], cols[j])}
+    if inv0 is None:
+        return None, unitary, square
+    Pinv = [pk.pack(p) for p in iI]
+    triples = set()
+    for a in range(n):
+        for b in range(n):
+            w = [x * y * z for x, y, z in zip(P[a], P[b], Pinv)]
+            triples |= {(a, b, e) for e in range(n) if zero(w, P[e])}
+    return triples, unitary, square
+
+
+def assert_charge_rules_skip_zeros(md):
+    """Every sum the plan's charges skip is 0 over all columns; returns how
+    many sums they skip."""
+    Q = md._plan.charges
+    if Q is None:
+        return 0
+    n, u = md.dim, md.unit
+    sc = simple_currents(md)
+    assert Q.rows == tuple(zip(*(sc.charges[J] for J in sc.group.basis())))
+    triples, unitary, square = vanishing_sums(md)
+    skipped = {(i, j) for i in range(n) for j in range(n) if j not in Q.having((i,))}
+    assert skipped <= unitary
+    count = len(skipped)
+    skipped = {(i, j) for i in range(n) for j in range(n) if j not in Q.having((), (i,))}
+    assert skipped <= square
+    count += len(skipped)
+    if triples is not None:
+        skipped = {(a, b, e) for a in range(n) for b in range(n) for e in range(n) if e not in Q.having((u,), (a, b))}
+        assert skipped <= triples
+        count += len(skipped)
+    return count
+
+
+@pytest.mark.parametrize(
+    "build", CURRENT_DATA + list(GRADED_DATA.values()), ids=CURRENT_IDS + list(GRADED_DATA)
+)
+def test_charge_rules_skip_only_zero_sums(build):
+    md = build()
+    assert assert_charge_rules_skip_zeros(md) > 0
+
+
+@pytest.mark.parametrize("build", GRADED_DATA.values(), ids=GRADED_DATA.keys())
+def test_graded_data_have_currents_of_dimension_minus_one(build):
+    md = build()
+    assert validate_modular(md) == []
+    sc = simple_currents(md)
+    # S_{J,0} = -S_{0,0}: the unit's charge 1/2 enters every Verlinde rule
+    assert any(2 * Q[md.unit] == sc.den for Q in sc.charges.values())
+    assert verlinde(md) == reference_verlinde(md) == verlinde(clear_certificates(build()))
+
+
+@pytest.mark.parametrize("kind", ["entry", "pair", "twist"])
+@pytest.mark.parametrize("index", range(len(VALIDATE_DATA)))
+def test_charge_rules_skip_only_zero_sums_on_perturbed_data(index, kind):
+    n = VALIDATE_DATA[index]().dim
+    for x in PERTURBATIONS:
+        for i, j in [(0, n - 1), (n - 1, 1)]:
+            assert_charge_rules_skip_zeros(perturbed_datum(VALIDATE_DATA[index](), kind, i, j, x))
+
+
+def test_charges_need_symmetric_s_and_current_orbits():
+    md = weil(Z4_FORM)
+    assert md._plan.charges.den == simple_currents(md).den
+    assert clear_certificates(weil(Z4_FORM))._plan.charges is None
+    # columns swapped: the currents still reduce the rows, but S is not
+    # symmetric, so no rule applies and every sum runs
+    def build():
+        return with_columns(_weil("3^1_+ x 3^1_+"), [0, 2, 1, 3, 4, 5, 6, 7, 8])
+
+    md = build()
+    plan = md._plan
+    assert not plan.symmetric and len(plan.orbits.reps) < md.dim and plan.charges is None
+    assert outcomes(md, []) == outcomes(clear_certificates(build()), [])
 
 
 def reference_periodicity(sc, M):

@@ -181,6 +181,21 @@ class TestEnumerate:
         assert len(enum.entries) == 1
         assert enum.entries[0][1].matrix == identity_matrix(2)
 
+    def test_walks_each_subgroup_once(self, monkeypatch):
+        # Z3 x Z3 has subgroups of orders 1, 3 (four) and 9: 22 elements in all
+        md = weil(indecomposable_form("3^1_+ x 3^1_+")[0])
+        sc = simple_currents(md)
+        calls = []
+        is_quaternionic = type(sc).is_quaternionic
+
+        def counted(self, j):
+            calls.append(j)
+            return is_quaternionic(self, j)
+
+        monkeypatch.setattr(type(sc), "is_quaternionic", counted)
+        enumerate_sc(md)
+        assert len(calls) == 22
+
     def test_divisor_counts_sqrt2n(self):
         for n, tau in [(1, 1), (2, 2), (3, 2), (4, 3)]:
             md = weil(sqrt2n_form(n))
